@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--threads N] [--reps R] [--quick] [--strategy NAME] [--json PATH] \
-//!       [figure1-blocksize|figure1-conflict|table1|appendix-b|ablation|contention|micro|schedule|read-heavy|abort-rate|durability|pipeline|perf|all]
+//!       [figure1-blocksize|figure1-conflict|table1|appendix-b|ablation|contention|micro|schedule|read-heavy|abort-rate|durability|pipeline|state-root|perf|all]
 //! repro diff OLD.json NEW.json [--tolerance PCT] [--strict] [--section NAME]
 //! ```
 //!
@@ -42,9 +42,14 @@
 //!   verifies the pipeline's persist-failure path end to end (WAL fault
 //!   injection → stale + rollback → recovery) and exits non-zero if any
 //!   of those invariants break, which is what the CI smoke step runs.
+//! * `state-root` — `World::state_root()` after one 200-transaction
+//!   Mixed block at 1 k / 20 k / 100 k accounts: first (cold) root vs.
+//!   incremental root, with the work counts (`cc_vm::StateRootStats`)
+//!   that say where the time went.
 //! * `perf` — `micro` + `schedule` + `read-heavy` + `abort-rate` +
-//!   `contention` + `durability` + `pipeline`: the sections the per-PR
-//!   perf trajectory (`BENCH_PR*.json`) and the CI smoke diff track.
+//!   `contention` + `durability` + `pipeline` + `state-root`: the
+//!   sections the committed baseline (`BENCH_BASELINE.json`) and the CI
+//!   smoke diff track.
 //! * `all` (default) — everything above.
 //! * `diff OLD.json NEW.json` — compares two `--json` outputs
 //!   per-benchmark and flags deltas beyond `--tolerance` (default 25%);
@@ -68,9 +73,9 @@
 //! `--json PATH` additionally writes the run's sweep data — the Figure-1
 //! block-size/conflict sweeps, the contention suite and the micro suite,
 //! whichever the command produced (ablation output is print-only) — to
-//! `PATH` as a JSON document. Committing one such file per PR
-//! (`BENCH_PR2.json`, …) records the repo's perf trajectory alongside the
-//! code.
+//! `PATH` as a JSON document. A perf PR regenerates the committed
+//! `BENCH_BASELINE.json` from a quiet `perf` run; git history is the
+//! trajectory.
 
 use cc_bench::contention::{contention_threads, measure_contention, Backend, ContentionPoint, Mix};
 use cc_bench::durability::{run_durability, DurabilityPoint};
@@ -80,6 +85,7 @@ use cc_bench::pipeline::{
     run_follower, run_pipeline, verify_failure_path, verify_follower_failure_path, PipelinePoint,
 };
 use cc_bench::schedule::{run_schedule, SchedulePoint};
+use cc_bench::state_root::{run_state_root, StateRootPoint, BLOCK_SIZE};
 use cc_bench::{
     average_speedups, engine, figure1_block_sizes, figure1_conflicts, measure, measure_abort_rate,
     measure_read_heavy, measure_serial_validation, measure_with, AbortRatePoint, ReadHeavyPoint,
@@ -981,6 +987,74 @@ fn durability_json(points: &[DurabilityPoint]) -> Json {
     )
 }
 
+/// World sizes (accounts) of the state-root section. The quick run drops
+/// the 100 k world: generating it dominates a smoke run.
+fn state_root_accounts(quick: bool) -> &'static [usize] {
+    if quick {
+        &[1_000, 20_000]
+    } else {
+        &[1_000, 20_000, 100_000]
+    }
+}
+
+fn print_state_root(opts: &Options) -> Vec<StateRootPoint> {
+    println!("\n== State root after one {BLOCK_SIZE}-txn Mixed block: cold vs. incremental ==");
+    let points = run_state_root(state_root_accounts(opts.quick), opts.repetitions);
+    println!(
+        "{:>9} {:>12} {:>12} {:>8} | {:>7} {:>9} {:>11} | {:>9} {:>11}",
+        "accounts",
+        "cold µs",
+        "incr µs",
+        "ratio",
+        "leaves",
+        "entries",
+        "bytes",
+        "cold ent.",
+        "cold bytes"
+    );
+    for p in &points {
+        println!(
+            "{:>9} {:>12.1} {:>12.1} {:>7.1}x | {:>7} {:>9} {:>11} | {:>9} {:>11}",
+            p.accounts,
+            p.cold_us,
+            p.incremental_us,
+            p.cold_us / p.incremental_us,
+            p.incremental.dirty_leaves,
+            p.incremental.entries_rehashed,
+            p.incremental.bytes_hashed,
+            p.cold.entries_rehashed,
+            p.cold.bytes_hashed,
+        );
+    }
+    points
+}
+
+fn state_root_json(points: &[StateRootPoint]) -> Json {
+    Json::Array(
+        points
+            .iter()
+            .map(|p| {
+                Json::object([
+                    ("accounts", Json::num(p.accounts as u32)),
+                    ("cold_us", Json::num(p.cold_us)),
+                    ("incremental_us", Json::num(p.incremental_us)),
+                    ("dirty_leaves", Json::num(p.incremental.dirty_leaves as f64)),
+                    (
+                        "entries_rehashed",
+                        Json::num(p.incremental.entries_rehashed as f64),
+                    ),
+                    ("bytes_hashed", Json::num(p.incremental.bytes_hashed as f64)),
+                    (
+                        "cold_entries_rehashed",
+                        Json::num(p.cold.entries_rehashed as f64),
+                    ),
+                    ("cold_bytes_hashed", Json::num(p.cold.bytes_hashed as f64)),
+                ])
+            })
+            .collect(),
+    )
+}
+
 fn micro_json(points: &[MicroPoint]) -> Json {
     Json::Array(
         points
@@ -1146,6 +1220,28 @@ fn extract_metrics(doc: &Json) -> Vec<Metric> {
                     value,
                     direction: Direction::LowerIsBetter,
                 });
+            }
+        }
+    }
+    if let Some(points) = doc.get("state_root").and_then(Json::as_array) {
+        for p in points {
+            let Some(accounts) = p.get("accounts").and_then(Json::as_f64) else {
+                continue;
+            };
+            for metric in [
+                "cold_us",
+                "incremental_us",
+                "dirty_leaves",
+                "entries_rehashed",
+                "bytes_hashed",
+            ] {
+                if let Some(value) = p.get(metric).and_then(Json::as_f64) {
+                    out.push(Metric {
+                        label: format!("state_root/a{accounts}/{metric}"),
+                        value,
+                        direction: Direction::LowerIsBetter,
+                    });
+                }
             }
         }
     }
@@ -1317,6 +1413,7 @@ fn main() {
     let mut abort_rate: Option<Vec<(Benchmark, Vec<AbortRatePoint>)>> = None;
     let mut durability: Option<Vec<DurabilityPoint>> = None;
     let mut pipeline: Option<Vec<PipelinePoint>> = None;
+    let mut state_root: Option<Vec<StateRootPoint>> = None;
 
     match opts.command.as_str() {
         "figure1-blocksize" => {
@@ -1363,6 +1460,9 @@ fn main() {
         "pipeline" => {
             pipeline = Some(print_pipeline(&opts));
         }
+        "state-root" => {
+            state_root = Some(print_state_root(&opts));
+        }
         "perf" => {
             micro = Some(print_micro(&opts));
             schedule = Some(print_schedule(&opts));
@@ -1371,6 +1471,7 @@ fn main() {
             contention = Some(print_contention(&opts));
             durability = Some(print_durability(&opts));
             pipeline = Some(print_pipeline(&opts));
+            state_root = Some(print_state_root(&opts));
         }
         "all" => {
             let bs = print_figure1_blocksize(&opts);
@@ -1387,10 +1488,11 @@ fn main() {
             contention = Some(print_contention(&opts));
             durability = Some(print_durability(&opts));
             pipeline = Some(print_pipeline(&opts));
+            state_root = Some(print_state_root(&opts));
         }
         other => {
             eprintln!("unknown command `{other}`");
-            eprintln!("usage: repro [--threads N] [--reps R] [--quick] [--strategy NAME] [--json PATH] [figure1-blocksize|figure1-conflict|table1|appendix-b|ablation|contention|micro|schedule|read-heavy|abort-rate|durability|pipeline|perf|all]");
+            eprintln!("usage: repro [--threads N] [--reps R] [--quick] [--strategy NAME] [--json PATH] [figure1-blocksize|figure1-conflict|table1|appendix-b|ablation|contention|micro|schedule|read-heavy|abort-rate|durability|pipeline|state-root|perf|all]");
             eprintln!(
                 "       repro diff OLD.json NEW.json [--tolerance PCT] [--strict] [--section NAME]"
             );
@@ -1431,6 +1533,9 @@ fn main() {
         }
         if let Some(points) = &pipeline {
             sections.push(("pipeline", pipeline_json(points)));
+        }
+        if let Some(points) = &state_root {
+            sections.push(("state_root", state_root_json(points)));
         }
         let doc = Json::object(sections);
         match std::fs::write(path, doc.to_pretty()) {

@@ -17,6 +17,7 @@ pub mod json;
 pub mod micro;
 pub mod pipeline;
 pub mod schedule;
+pub mod state_root;
 
 use cc_core::engine::{Engine, EngineConfig, ExecutionStrategy};
 use cc_workload::{Benchmark, Workload, WorkloadSpec};

@@ -243,12 +243,12 @@ pub fn run_micro(ops: usize) -> Vec<MicroPoint> {
     {
         let table: ShardedRawTable<u64, u64> = ShardedRawTable::new();
         for i in 0..1024u64 {
-            table.with(fnv1a_of(&i), |map| map.insert_hashed(fnv1a_of(&i), i, i));
+            table.write(fnv1a_of(&i), |map| map.insert_hashed(fnv1a_of(&i), i, i));
         }
         let ns = time_case(ops, |i| {
             let key = (i as u64) % 1024;
             let h = fnv1a_of(&key);
-            black_box(table.with(h, |map| map.get_hashed(h, &key).copied()));
+            black_box(table.read(h, |map| map.get_hashed(h, &key).copied()));
         });
         points.push(MicroPoint {
             name: "map-get-raw",

@@ -20,7 +20,7 @@
 //!   deterministic pseudo-random shared/additive/exclusive modes.
 //!
 //! `repro schedule` prints the table and `repro --json` records it in the
-//! `schedule` section of the perf-trajectory files (`BENCH_PR*.json`), so
+//! `schedule` section of the committed baseline (`BENCH_BASELINE.json`), so
 //! `repro diff` flags regressions in any of the three metrics. The shapes
 //! and sizes are identical in `--quick` mode (only the number of timing
 //! passes shrinks) so quick CI runs diff cleanly against committed full

@@ -17,8 +17,8 @@
 
 use cc_vm::snapshot::ToBytes;
 use cc_vm::{
-    Address, ArgValue, CallContext, CallData, Contract, ContractKind, ContractSnapshot,
-    ReturnValue, StorageCell, StorageCounterMap, StorageMap, StorageVec, VmError,
+    Address, ArgValue, CallContext, CallData, Contract, ContractKind, ReturnValue, StorageCell,
+    StorageCounterMap, StorageField, StorageMap, StorageVec, VmError,
 };
 
 /// Per-voter state (Solidity `struct Voter`).
@@ -36,13 +36,11 @@ pub struct Voter {
 }
 
 impl ToBytes for Voter {
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 1 + 20 + 8);
+    fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.weight.to_le_bytes());
         out.push(u8::from(self.voted));
         out.extend_from_slice(self.delegate.as_bytes());
         out.extend_from_slice(&self.vote.to_le_bytes());
-        out
     }
 }
 
@@ -296,17 +294,13 @@ impl Contract for Ballot {
         }
     }
 
-    fn snapshot(&self) -> ContractSnapshot {
-        ContractSnapshot::new(
-            "Ballot",
-            self.address,
-            vec![
-                self.chairperson.snapshot_field(),
-                self.voters.snapshot_field(),
-                self.proposal_names.snapshot_field(),
-                self.vote_counts.snapshot_field(),
-            ],
-        )
+    fn storage_fields(&self) -> Vec<&dyn StorageField> {
+        vec![
+            &self.chairperson,
+            &self.voters,
+            &self.proposal_names,
+            &self.vote_counts,
+        ]
     }
 }
 
@@ -463,10 +457,11 @@ mod tests {
     #[test]
     fn snapshot_captures_votes() {
         let (world, ballot, accounts) = setup(2);
-        let before = ballot.snapshot().digest();
+        let before = (ballot.snapshot(), world.state_root());
         call(&world, accounts[0], "vote", vec![ArgValue::Uint(0)]);
-        let after = ballot.snapshot().digest();
-        assert_ne!(before, after);
+        let after = (ballot.snapshot(), world.state_root());
+        assert_ne!(before.0, after.0);
+        assert_ne!(before.1, after.1);
         assert_eq!(ballot.snapshot().kind, "Ballot");
         assert_eq!(ballot.snapshot().fields.len(), 4);
     }

@@ -8,8 +8,8 @@
 //! bookkeeping of the attempt survives.
 
 use cc_vm::{
-    Address, ArgValue, CallContext, CallData, Contract, ContractKind, ContractSnapshot,
-    ReturnValue, StorageCell, StorageMap, VmError, Wei,
+    Address, ArgValue, CallContext, CallData, Contract, ContractKind, ReturnValue, StorageCell,
+    StorageField, StorageMap, VmError, Wei,
 };
 
 /// The Crowdsale contract.
@@ -139,20 +139,16 @@ impl Contract for Crowdsale {
         }
     }
 
-    fn snapshot(&self) -> ContractSnapshot {
-        ContractSnapshot::new(
-            "Crowdsale",
-            self.address,
-            vec![
-                self.owner.snapshot_field(),
-                self.price.snapshot_field(),
-                self.per_buyer_cap.snapshot_field(),
-                self.purchased.snapshot_field(),
-                self.raised.snapshot_field(),
-                self.attempts.snapshot_field(),
-                self.open.snapshot_field(),
-            ],
-        )
+    fn storage_fields(&self) -> Vec<&dyn StorageField> {
+        vec![
+            &self.owner,
+            &self.price,
+            &self.per_buyer_cap,
+            &self.purchased,
+            &self.raised,
+            &self.attempts,
+            &self.open,
+        ]
     }
 }
 

@@ -14,8 +14,8 @@
 
 use cc_vm::snapshot::ToBytes;
 use cc_vm::{
-    Address, ArgValue, CallContext, CallData, Contract, ContractKind, ContractSnapshot,
-    ReturnValue, StorageCell, StorageMap, VmError,
+    Address, ArgValue, CallContext, CallData, Contract, ContractKind, ReturnValue, StorageCell,
+    StorageField, StorageMap, VmError,
 };
 
 /// Metadata of one notarized document.
@@ -30,12 +30,10 @@ pub struct Document {
 }
 
 impl ToBytes for Document {
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(20 + 8 + 8);
+    fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(self.owner.as_bytes());
         out.extend_from_slice(&self.serial.to_le_bytes());
         out.extend_from_slice(&self.transfers.to_le_bytes());
-        out
     }
 }
 
@@ -231,17 +229,13 @@ impl Contract for EtherDoc {
         }
     }
 
-    fn snapshot(&self) -> ContractSnapshot {
-        ContractSnapshot::new(
-            "EtherDoc",
-            self.address,
-            vec![
-                self.creator.snapshot_field(),
-                self.documents.snapshot_field(),
-                self.owned_count.snapshot_field(),
-                self.total_documents.snapshot_field(),
-            ],
-        )
+    fn storage_fields(&self) -> Vec<&dyn StorageField> {
+        vec![
+            &self.creator,
+            &self.documents,
+            &self.owned_count,
+            &self.total_documents,
+        ]
     }
 }
 

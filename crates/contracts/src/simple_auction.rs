@@ -13,8 +13,8 @@
 //!   the shared `highest_bid` cell and they all conflict with one another.
 
 use cc_vm::{
-    Address, ArgValue, CallContext, CallData, Contract, ContractKind, ContractSnapshot,
-    ReturnValue, StorageCell, StorageMap, VmError, Wei,
+    Address, ArgValue, CallContext, CallData, Contract, ContractKind, ReturnValue, StorageCell,
+    StorageField, StorageMap, VmError, Wei,
 };
 
 /// The SimpleAuction contract.
@@ -163,18 +163,14 @@ impl Contract for SimpleAuction {
         }
     }
 
-    fn snapshot(&self) -> ContractSnapshot {
-        ContractSnapshot::new(
-            "SimpleAuction",
-            self.address,
-            vec![
-                self.beneficiary.snapshot_field(),
-                self.ended.snapshot_field(),
-                self.highest_bidder.snapshot_field(),
-                self.highest_bid.snapshot_field(),
-                self.pending_returns.snapshot_field(),
-            ],
-        )
+    fn storage_fields(&self) -> Vec<&dyn StorageField> {
+        vec![
+            &self.beneficiary,
+            &self.ended,
+            &self.highest_bidder,
+            &self.highest_bid,
+            &self.pending_returns,
+        ]
     }
 }
 
@@ -276,9 +272,10 @@ mod tests {
     #[test]
     fn snapshot_tracks_bids() {
         let (world, auction) = setup();
-        let before = auction.snapshot().digest();
+        let before = (auction.snapshot(), world.state_root());
         call(&world, Address::from_index(1), 10, "bid");
-        assert_ne!(auction.snapshot().digest(), before);
+        assert_ne!(auction.snapshot(), before.0);
+        assert_ne!(world.state_root(), before.1);
         assert_eq!(auction.snapshot().fields.len(), 5);
     }
 

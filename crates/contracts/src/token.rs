@@ -10,8 +10,8 @@
 
 use cc_vm::snapshot::ToBytes;
 use cc_vm::{
-    Address, ArgValue, CallContext, CallData, Contract, ContractKind, ContractSnapshot,
-    ReturnValue, StorageCell, StorageMap, VmError,
+    Address, ArgValue, CallContext, CallData, Contract, ContractKind, ReturnValue, StorageCell,
+    StorageField, StorageMap, VmError,
 };
 
 /// Key of the allowance mapping: `(owner, spender)`.
@@ -24,11 +24,9 @@ pub struct AllowanceKey {
 }
 
 impl ToBytes for AllowanceKey {
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(40);
+    fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(self.owner.as_bytes());
         out.extend_from_slice(self.spender.as_bytes());
-        out
     }
 }
 
@@ -201,17 +199,13 @@ impl Contract for Token {
         }
     }
 
-    fn snapshot(&self) -> ContractSnapshot {
-        ContractSnapshot::new(
-            "Token",
-            self.address,
-            vec![
-                self.minter.snapshot_field(),
-                self.total_supply.snapshot_field(),
-                self.balances.snapshot_field(),
-                self.allowances.snapshot_field(),
-            ],
-        )
+    fn storage_fields(&self) -> Vec<&dyn StorageField> {
+        vec![
+            &self.minter,
+            &self.total_supply,
+            &self.balances,
+            &self.allowances,
+        ]
     }
 }
 

@@ -431,12 +431,8 @@ mod tests {
             }
         }
 
-        fn snapshot(&self) -> cc_vm::ContractSnapshot {
-            cc_vm::ContractSnapshot::new(
-                "Upgrading",
-                self.address,
-                vec![self.cell.snapshot_field()],
-            )
+        fn storage_fields(&self) -> Vec<&dyn cc_vm::StorageField> {
+            vec![&self.cell]
         }
     }
 

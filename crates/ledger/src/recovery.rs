@@ -198,7 +198,7 @@ mod tests {
             block_hash: genesis.hash(),
             state_root: genesis.header.state_root,
             blocks: vec![genesis],
-            world_bytes: vec![9, 9, 9],
+            world_bytes: cc_vm::WorldSnapshot::default().to_bytes(),
         }
         .write_to(dir)
         .unwrap();
@@ -271,7 +271,7 @@ mod tests {
             block_hash: head.hash(),
             state_root: head.header.state_root,
             blocks: chain.iter().cloned().collect(),
-            world_bytes: vec![1],
+            world_bytes: cc_vm::WorldSnapshot::default().to_bytes(),
         }
         .write_to(&dir)
         .unwrap();

@@ -7,8 +7,9 @@
 //! `snapshot-<height>.snap`, written to a temporary name, atomically
 //! renamed into place (with a directory fsync so the rename itself is
 //! durable), and guarded by a whole-file FNV-64 checksum —
-//! [`load_latest`] skips any file that fails its checksum or decode and
-//! falls back to the next-highest height.
+//! [`load_latest`] skips any file that fails its checksum or decode
+//! (the world bytes included: they must be a canonical
+//! `WorldSnapshot`) and falls back to the next-highest height.
 //!
 //! Writing a snapshot is the WAL's garbage-collection point: once
 //! `snapshot-<h>.snap` is durable, every WAL record at height ≤ `h` is
@@ -134,7 +135,8 @@ impl SnapshotFile {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError`] on checksum mismatch, decode failure, a rejected
+    /// [`SnapshotError`] on checksum mismatch, decode failure (including
+    /// world bytes that are not a canonical `WorldSnapshot`), a rejected
     /// embedded block, or mutually inconsistent fields.
     pub fn from_bytes(bytes: &[u8]) -> Result<SnapshotFile, SnapshotError> {
         let mut dec = Decoder::new(bytes);
@@ -157,6 +159,11 @@ impl SnapshotFile {
             blocks.push(Block::from_checked_bytes(&raw)?);
         }
         let world_bytes = dec.get_bytes()?;
+        // Recovery compares these bytes against a replayed world's
+        // canonical encoding, so bytes that are not themselves canonical
+        // (or not a world at all) can never match: reject them here, where
+        // the loader can still fall back to an older snapshot.
+        cc_vm::WorldSnapshot::from_bytes(&world_bytes)?;
         if !dec.is_empty() {
             return Err(SnapshotError::Decode(DecodeError {
                 context: "trailing bytes after snapshot",
@@ -265,7 +272,7 @@ pub fn load_latest(dir: &Path) -> io::Result<Option<SnapshotFile>> {
 mod tests {
     use super::*;
     use crate::tx::Transaction;
-    use cc_vm::{Address, ArgValue, CallData};
+    use cc_vm::{Address, ArgValue, CallData, ContractSnapshot, FieldSnapshot, WorldSnapshot};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -307,12 +314,20 @@ mod tests {
     fn sample(len: u64) -> SnapshotFile {
         let blocks = chain_of(len);
         let head = blocks.last().unwrap();
+        let world = WorldSnapshot::new(vec![ContractSnapshot::new(
+            "Ballot",
+            Address::from_name("Ballot"),
+            vec![FieldSnapshot::from_typed(
+                "Ballot.votes",
+                vec![(1u64, len), (2, 7)],
+            )],
+        )]);
         SnapshotFile {
             height: head.header.number,
             block_hash: head.hash(),
             state_root: head.header.state_root,
             blocks,
-            world_bytes: vec![1, 2, 3, 4],
+            world_bytes: world.to_bytes(),
         }
     }
 
@@ -359,6 +374,37 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         fs::write(&path, &bytes).unwrap();
+
+        let loaded = load_latest(&dir).unwrap().expect("fallback snapshot");
+        assert_eq!(loaded.height, 1);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn load_latest_skips_a_snapshot_with_non_canonical_world_bytes() {
+        let dir = temp_dir("noncanonical");
+        sample(2).write_to(&dir).unwrap();
+        // A well-checksummed, well-formed file whose world bytes list the
+        // same field entries in descending key order: a second byte
+        // string for the same logical world.
+        let mut high = sample(4);
+        let mut enc = Encoder::new();
+        enc.put_u64(1);
+        enc.put_str("Ballot");
+        enc.put_raw(Address::from_name("Ballot").as_bytes());
+        enc.put_u64(1);
+        enc.put_str("Ballot.votes");
+        enc.put_u64(2);
+        for (key, value) in [(2u64, 7u64), (1, 4)] {
+            enc.put_bytes(&key.to_le_bytes());
+            enc.put_bytes(&value.to_le_bytes());
+        }
+        high.world_bytes = enc.into_bytes();
+        assert!(matches!(
+            SnapshotFile::from_bytes(&high.to_bytes()),
+            Err(SnapshotError::Decode(_))
+        ));
+        high.write_to(&dir).unwrap();
 
         let loaded = load_latest(&dir).unwrap().expect("fallback snapshot");
         assert_eq!(loaded.height, 1);

@@ -132,7 +132,8 @@ impl<'a> Decoder<'a> {
     }
 
     fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], DecodeError> {
-        if self.pos + n > self.data.len() {
+        // `n` may come straight from a length prefix in the input.
+        if n > self.data.len() - self.pos {
             return Err(DecodeError { context });
         }
         let out = &self.data[self.pos..self.pos + n];

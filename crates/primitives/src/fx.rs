@@ -211,6 +211,16 @@ impl<K, V> RawFxMap<K, V> {
         })
     }
 
+    /// [`RawFxMap::iter`] plus the caller-supplied hash each entry is
+    /// stored under, so a scan can filter on hash bits without touching
+    /// (or re-hashing) the key.
+    pub fn iter_hashed(&self) -> impl Iterator<Item = (u64, &K, &V)> {
+        self.slots.iter().filter_map(|slot| match slot {
+            Slot::Full { hash, key, value } => Some((*hash, key, value)),
+            _ => None,
+        })
+    }
+
     /// Probe start index for `hash` in the current table.
     fn probe_start(&self, hash: u64) -> usize {
         // High multiply bits, folded down to the table size.
@@ -496,6 +506,61 @@ impl<'a, K: Eq, V> RawVacantEntry<'a, K, V> {
 /// table.
 pub const RAW_TABLE_SHARDS: usize = 16;
 
+/// Number of dirty-tracking buckets per shard: the eight fingerprint bits
+/// above the shard bits ([`bucket_of`]). A table therefore has
+/// `RAW_TABLE_SHARDS * RAW_SHARD_BUCKETS` = 4 096 buckets, the leaves of
+/// the state commitment built over it (see `cc_vm::commit`).
+pub const RAW_SHARD_BUCKETS: usize = 256;
+
+/// The shard a fingerprint lives in (its low four bits).
+#[inline]
+pub fn shard_of(hash: u64) -> usize {
+    hash as usize & (RAW_TABLE_SHARDS - 1)
+}
+
+/// The bucket of its shard a fingerprint falls in (bits 4–11).
+#[inline]
+pub fn bucket_of(hash: u64) -> u8 {
+    (hash >> RAW_TABLE_SHARDS.trailing_zeros()) as u8
+}
+
+/// A set of one shard's [`RAW_SHARD_BUCKETS`] buckets: which of them were
+/// written since the marks were last drained.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BucketMask([u64; 4]);
+
+impl BucketMask {
+    /// Every bucket of the shard.
+    pub const ALL: BucketMask = BucketMask([u64::MAX; 4]);
+
+    /// Adds `bucket` to the set.
+    #[inline]
+    pub fn insert(&mut self, bucket: u8) {
+        self.0[usize::from(bucket >> 6)] |= 1 << (bucket & 63);
+    }
+
+    /// Whether `bucket` is in the set.
+    #[inline]
+    pub fn contains(&self, bucket: u8) -> bool {
+        self.0[usize::from(bucket >> 6)] & (1 << (bucket & 63)) != 0
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.0 == [0; 4]
+    }
+
+    /// Number of buckets in the set.
+    pub fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The buckets of the set in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = u8> + '_ {
+        (0..=u8::MAX).filter(|&b| self.contains(b))
+    }
+}
+
 /// A word-sized spin latch protecting the *structure* of a raw store.
 ///
 /// This is not a reader-writer lock and it is not the concurrency-control
@@ -539,14 +604,16 @@ impl Drop for LatchGuard<'_> {
     }
 }
 
-/// One shard: a latch plus an unsynchronized [`RawFxMap`]. Padded to a
-/// cache line so contention on one shard's latch does not false-share
-/// with its neighbours.
+/// One shard: a latch, an unsynchronized [`RawFxMap`] and the set of its
+/// buckets written since the last drain. Aligned to a cache line so
+/// contention on one shard's latch does not false-share with its
+/// neighbours.
 #[repr(align(64))]
 #[derive(Debug, Default)]
 struct RawShard<K, V> {
     latch: Latch,
     table: UnsafeCell<RawFxMap<K, V>>,
+    dirty: UnsafeCell<BucketMask>,
 }
 
 /// A fingerprint-sharded hash table whose *semantic* safety argument is
@@ -573,18 +640,32 @@ struct RawShard<K, V> {
 ///   latch. Disjoint-key transactions touching different shards never
 ///   interact at all.
 ///
-/// `with` hands the closure `&mut RawFxMap` from an `UnsafeCell`; the
-/// latch guarantees the reference is exclusive for the closure's
-/// lifetime. Closures must not re-enter the same table (the latch is not
-/// reentrant) — the boosted collections only perform straight-line map
-/// operations inside them.
+/// [`read`](Self::read) hands its closure `&RawFxMap`,
+/// [`write`](Self::write) hands it `&mut RawFxMap`, both from an
+/// `UnsafeCell`; the latch guarantees the reference is the only live one
+/// for the closure's lifetime. Closures must not re-enter the same table
+/// (the latch is not reentrant) — the boosted collections only perform
+/// straight-line map operations inside them.
+///
+/// # Dirty marks
+///
+/// `write` is the **only** way to reach `&mut RawFxMap`, and it records
+/// the written key's bucket ([`bucket_of`]) in the shard's [`BucketMask`]
+/// under the latch it already holds. Every mutation of base state —
+/// transactional, undo replay, seeding, restore — is therefore marked by
+/// construction, and [`drain_dirty`](Self::drain_dirty) tells a state
+/// commitment exactly which buckets to re-hash. Marks over-approximate
+/// (a mutation later undone stays marked; a `remove` of an absent key
+/// marks) and are never cleared except by draining: re-hashing an
+/// unchanged bucket yields the digest it already had.
 #[derive(Default)]
 pub struct ShardedRawTable<K, V> {
     shards: [RawShard<K, V>; RAW_TABLE_SHARDS],
 }
 
-// SAFETY: all access to the `UnsafeCell` interior goes through `with` /
-// `fold`, which hold the shard latch for the duration of the reference.
+// SAFETY: all access to the `UnsafeCell` interiors (table and dirty mask)
+// goes through `read` / `write` / `fold` / `clear` / `drain_dirty`, which
+// hold the shard latch for the duration of the reference.
 #[allow(unsafe_code)]
 unsafe impl<K: Send, V: Send> Sync for ShardedRawTable<K, V> {}
 
@@ -595,42 +676,59 @@ impl<K, V> ShardedRawTable<K, V> {
             shards: std::array::from_fn(|_| RawShard {
                 latch: Latch::default(),
                 table: UnsafeCell::new(RawFxMap::new()),
+                dirty: UnsafeCell::new(BucketMask::default()),
             }),
         }
     }
 
-    #[inline]
-    fn shard(&self, hash: u64) -> &RawShard<K, V> {
-        &self.shards[hash as usize & (RAW_TABLE_SHARDS - 1)]
-    }
-
-    /// Runs `f` with exclusive access to the shard owning `hash`.
+    /// Runs `f` with shared access to the shard owning `hash`. Leaves no
+    /// dirty mark.
     ///
-    /// The caller must hold the abstract lock for the key being operated
-    /// on; the shard latch taken here only protects table structure
-    /// shared with other keys.
+    /// The caller must hold the abstract lock for the key being read (or
+    /// be a non-transactional setup/diagnostic read); the shard latch
+    /// taken here only protects table structure shared with other keys.
     #[inline]
     #[allow(unsafe_code)]
-    pub fn with<R>(&self, hash: u64, f: impl FnOnce(&mut RawFxMap<K, V>) -> R) -> R {
-        let shard = self.shard(hash);
+    pub fn read<R>(&self, hash: u64, f: impl FnOnce(&RawFxMap<K, V>) -> R) -> R {
+        let shard = &self.shards[shard_of(hash)];
         let _guard = shard.latch.lock();
         // SAFETY: the shard latch is held (and released on drop, even on
-        // panic), so this is the only live reference into the cell.
-        f(unsafe { &mut *shard.table.get() })
+        // panic), so no `&mut` into the cell is live.
+        f(unsafe { &*shard.table.get() })
+    }
+
+    /// Runs `f` with exclusive access to the shard owning `hash`, and
+    /// marks `hash`'s bucket dirty. `f` must only mutate entries whose
+    /// fingerprint is `hash`.
+    ///
+    /// The caller must hold the abstract lock for the key being written;
+    /// the shard latch taken here only protects table structure shared
+    /// with other keys.
+    #[inline]
+    #[allow(unsafe_code)]
+    pub fn write<R>(&self, hash: u64, f: impl FnOnce(&mut RawFxMap<K, V>) -> R) -> R {
+        let shard = &self.shards[shard_of(hash)];
+        let _guard = shard.latch.lock();
+        // SAFETY: the shard latch is held (and released on drop, even on
+        // panic), so these are the only live references into the cells.
+        unsafe {
+            (*shard.dirty.get()).insert(bucket_of(hash));
+            f(&mut *shard.table.get())
+        }
     }
 
     /// Folds `f` over every shard's table in shard order, latching each
-    /// shard in turn. Used for whole-table operations (snapshots, length)
-    /// — not a consistent point-in-time cut unless the caller quiesces
+    /// shard in turn. Used for whole-table reads (snapshots, length) —
+    /// not a consistent point-in-time cut unless the caller quiesces
     /// writers, which is exactly the contract the non-transactional
-    /// `snapshot`/`restore` collection APIs already carry.
+    /// `snapshot` collection APIs already carry.
     #[allow(unsafe_code)]
-    pub fn fold<A>(&self, init: A, mut f: impl FnMut(A, &mut RawFxMap<K, V>) -> A) -> A {
+    pub fn fold<A>(&self, init: A, mut f: impl FnMut(A, &RawFxMap<K, V>) -> A) -> A {
         let mut acc = init;
         for shard in &self.shards {
             let _guard = shard.latch.lock();
-            // SAFETY: as in `with` — the latch serializes this reference.
-            acc = f(acc, unsafe { &mut *shard.table.get() });
+            // SAFETY: as in `read` — the latch serializes this reference.
+            acc = f(acc, unsafe { &*shard.table.get() });
         }
         acc
     }
@@ -645,9 +743,35 @@ impl<K, V> ShardedRawTable<K, V> {
         self.len() == 0
     }
 
-    /// Removes every entry from every shard.
+    /// Removes every entry from every shard, marking every bucket dirty.
+    #[allow(unsafe_code)]
     pub fn clear(&self) {
-        self.fold((), |(), table| table.clear());
+        for shard in &self.shards {
+            let _guard = shard.latch.lock();
+            // SAFETY: as in `write` — the latch serializes these references.
+            unsafe {
+                *shard.dirty.get() = BucketMask::ALL;
+                (*shard.table.get()).clear();
+            }
+        }
+    }
+
+    /// Takes every shard's dirty marks: for each shard with at least one
+    /// bucket written since the previous drain, clears its marks and
+    /// calls `f(shard index, drained marks, shard table)` under the shard
+    /// latch. Like [`fold`](Self::fold), the result is a consistent cut
+    /// only when the caller quiesces writers.
+    #[allow(unsafe_code)]
+    pub fn drain_dirty(&self, mut f: impl FnMut(usize, BucketMask, &RawFxMap<K, V>)) {
+        for (index, shard) in self.shards.iter().enumerate() {
+            let _guard = shard.latch.lock();
+            // SAFETY: as in `write` — the latch serializes these references.
+            let (mask, table) =
+                unsafe { (std::mem::take(&mut *shard.dirty.get()), &*shard.table.get()) };
+            if !mask.is_empty() {
+                f(index, mask, table);
+            }
+        }
     }
 }
 
@@ -661,7 +785,7 @@ impl<K, V> std::fmt::Debug for ShardedRawTable<K, V> {
 }
 
 /// The single-slot analogue of [`ShardedRawTable`]: one latch over one
-/// unsynchronized value.
+/// unsynchronized value, plus one dirty flag.
 ///
 /// Backs `BoostedCell<T>` (as `RawSlot<T>`) and `BoostedVec<T>` (as
 /// `RawSlot<Vec<T>>`). A cell is guarded by one whole-value abstract lock,
@@ -670,16 +794,27 @@ impl<K, V> std::fmt::Debug for ShardedRawTable<K, V> {
 /// still share the `Vec`'s allocation (a reallocation would invalidate
 /// the read), so the structural latch is required for the same reason as
 /// the table shards.
-#[derive(Default)]
+///
+/// The flag follows the table's rule: [`write`](Self::write) is the only
+/// way to reach `&mut T` and sets it; only
+/// [`drain_dirty`](Self::drain_dirty) clears it. A new slot starts dirty
+/// — its initial value has never been committed to.
 pub struct RawSlot<T> {
     latch: Latch,
     value: UnsafeCell<T>,
+    dirty: UnsafeCell<bool>,
 }
 
-// SAFETY: all access goes through `with`, which holds the latch for the
-// duration of the reference.
+// SAFETY: all access to both cells goes through `read` / `write` /
+// `drain_dirty`, which hold the latch for the duration of the reference.
 #[allow(unsafe_code)]
 unsafe impl<T: Send> Sync for RawSlot<T> {}
+
+impl<T: Default> Default for RawSlot<T> {
+    fn default() -> Self {
+        RawSlot::new(T::default())
+    }
+}
 
 impl<T> RawSlot<T> {
     /// Wraps `value` in a latched raw slot.
@@ -687,17 +822,44 @@ impl<T> RawSlot<T> {
         RawSlot {
             latch: Latch::default(),
             value: UnsafeCell::new(value),
+            dirty: UnsafeCell::new(true),
         }
     }
 
-    /// Runs `f` with exclusive access to the value.
+    /// Runs `f` with shared access to the value. Leaves the dirty flag
+    /// alone.
     #[inline]
     #[allow(unsafe_code)]
-    pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+    pub fn read<R>(&self, f: impl FnOnce(&T) -> R) -> R {
         let _guard = self.latch.lock();
         // SAFETY: the latch is held (released on drop, even on panic), so
-        // this is the only live reference into the cell.
-        f(unsafe { &mut *self.value.get() })
+        // no `&mut` into the cell is live.
+        f(unsafe { &*self.value.get() })
+    }
+
+    /// Runs `f` with exclusive access to the value, and sets the dirty
+    /// flag.
+    #[inline]
+    #[allow(unsafe_code)]
+    pub fn write<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        let _guard = self.latch.lock();
+        // SAFETY: the latch is held (released on drop, even on panic), so
+        // these are the only live references into the cells.
+        unsafe {
+            *self.dirty.get() = true;
+            f(&mut *self.value.get())
+        }
+    }
+
+    /// If the value was written since the previous drain (or never
+    /// drained), clears the flag and returns `f(value)`; otherwise `None`.
+    #[allow(unsafe_code)]
+    pub fn drain_dirty<R>(&self, f: impl FnOnce(&T) -> R) -> Option<R> {
+        let _guard = self.latch.lock();
+        // SAFETY: as in `write` — the latch serializes these references.
+        let (dirty, value) =
+            unsafe { (std::mem::take(&mut *self.dirty.get()), &*self.value.get()) };
+        dirty.then(|| f(value))
     }
 }
 
@@ -873,6 +1035,82 @@ mod tests {
             ref_entries.sort_unstable();
             proptest::prop_assert_eq!(raw_entries, ref_entries);
         }
+    }
+
+    #[test]
+    fn bucket_mask_set_operations() {
+        let mut mask = BucketMask::default();
+        assert!(mask.is_empty());
+        for b in [0u8, 63, 64, 255] {
+            assert!(!mask.contains(b));
+            mask.insert(b);
+            assert!(mask.contains(b));
+        }
+        mask.insert(63);
+        assert_eq!(mask.len(), 4);
+        assert_eq!(mask.iter().collect::<Vec<_>>(), vec![0, 63, 64, 255]);
+        assert_eq!(BucketMask::ALL.len(), RAW_SHARD_BUCKETS);
+        // Shard and bucket are disjoint bit fields of the fingerprint.
+        assert_eq!(shard_of(0xABC), 0xC);
+        assert_eq!(bucket_of(0xABC), 0xAB);
+    }
+
+    /// Collects `(shard, bucket)` for every mark a drain returns.
+    fn drained<K, V>(table: &ShardedRawTable<K, V>) -> Vec<(usize, u8)> {
+        let mut marks = Vec::new();
+        table.drain_dirty(|shard, mask, _| marks.extend(mask.iter().map(|b| (shard, b))));
+        marks
+    }
+
+    #[test]
+    fn table_writes_mark_their_bucket_and_reads_do_not() {
+        let table: ShardedRawTable<u64, u64> = ShardedRawTable::new();
+        assert!(drained(&table).is_empty(), "a new table is clean");
+
+        let h = 0x0123_4567_89ab_cdefu64;
+        table.write(h, |map| map.insert_hashed(h, 1, 10));
+        assert_eq!(drained(&table), vec![(shard_of(h), bucket_of(h))]);
+        assert!(drained(&table).is_empty(), "draining clears the marks");
+
+        assert_eq!(
+            table.read(h, |map| map.get_hashed(h, &1).copied()),
+            Some(10)
+        );
+        assert_eq!(table.len(), 1);
+        assert_eq!(table.fold(0, |n, map| n + map.iter_hashed().count()), 1);
+        assert!(
+            drained(&table).is_empty(),
+            "read, len and fold leave no mark"
+        );
+
+        // A write marks even when it changes nothing, and a drain hands
+        // over the table it marked.
+        table.write(h, |map| map.remove_hashed(h, &99));
+        let mut seen = Vec::new();
+        table.drain_dirty(|shard, mask, map| {
+            seen.push((shard, mask.len(), map.iter_hashed().next().map(|e| e.0)))
+        });
+        assert_eq!(seen, vec![(shard_of(h), 1, Some(h))]);
+
+        table.clear();
+        assert!(table.is_empty());
+        assert_eq!(
+            drained(&table).len(),
+            RAW_TABLE_SHARDS * RAW_SHARD_BUCKETS,
+            "clear marks every bucket"
+        );
+    }
+
+    #[test]
+    fn slot_starts_dirty_and_only_writes_re_mark_it() {
+        let slot = RawSlot::new(5u32);
+        assert_eq!(slot.drain_dirty(|v| *v), Some(5), "never committed yet");
+        assert_eq!(slot.drain_dirty(|v| *v), None);
+        assert_eq!(slot.read(|v| *v), 5);
+        assert_eq!(slot.drain_dirty(|v| *v), None, "reads leave no mark");
+        slot.write(|v| *v += 1);
+        assert_eq!(slot.drain_dirty(|v| *v), Some(6));
+        assert_eq!(RawSlot::<u8>::default().drain_dirty(|v| *v), Some(0));
     }
 
     #[test]

@@ -166,11 +166,9 @@ impl Sha256 {
                 self.buffer_len = 0;
             }
         }
-        while rest.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&rest[..64]);
-            self.compress(&block);
-            rest = &rest[64..];
+        while let Some((block, tail)) = rest.split_first_chunk::<64>() {
+            self.compress(block);
+            rest = tail;
         }
         if !rest.is_empty() {
             self.buffer[..rest.len()].copy_from_slice(rest);
@@ -187,14 +185,17 @@ impl Sha256 {
     /// Finishes the computation and returns the digest, consuming the hasher.
     pub fn finalize(mut self) -> Hash256 {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
-        }
-        // Manual write of length so total_len bookkeeping does not matter any more.
+        // Padding: 0x80, zeros, then the 64-bit big-endian length — in a
+        // block of its own when fewer than 8 bytes are left in this one.
+        // (`update` never leaves the buffer full.)
         let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        block[self.buffer_len] = 0x80;
+        block[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
+        }
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
 
         let mut out = [0u8; 32];
@@ -204,52 +205,65 @@ impl Sha256 {
         Hash256(out)
     }
 
+    /// One application of the SHA-256 compression function.
+    ///
+    /// The rounds are unrolled eight at a time with the working variables
+    /// renamed instead of shuffled (`h = g; g = f; …` is eight moves a
+    /// round in a rolled loop), and the message schedule is a rolling
+    /// 16-word window. State roots, addresses and block hashes are all
+    /// many short messages, for which this function is the whole cost.
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let mut w = [0u32; 16];
+        for (word, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
 
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
+        macro_rules! round {
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $kw:expr) => {
+                let t1 = $h
+                    .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+                    .wrapping_add(($e & $f) ^ (!$e & $g))
+                    .wrapping_add($kw);
+                let t2 = ($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+                    .wrapping_add(($a & $b) ^ ($a & $c) ^ ($b & $c));
+                $d = $d.wrapping_add(t1);
+                $h = t1.wrapping_add(t2);
+            };
+        }
+        // Eight rounds bring the variables back to their own names.
+        macro_rules! rounds8 {
+            ($k:expr, $i:expr) => {
+                round!(a, b, c, d, e, f, g, h, $k[$i].wrapping_add(w[$i]));
+                round!(h, a, b, c, d, e, f, g, $k[$i + 1].wrapping_add(w[$i + 1]));
+                round!(g, h, a, b, c, d, e, f, $k[$i + 2].wrapping_add(w[$i + 2]));
+                round!(f, g, h, a, b, c, d, e, $k[$i + 3].wrapping_add(w[$i + 3]));
+                round!(e, f, g, h, a, b, c, d, $k[$i + 4].wrapping_add(w[$i + 4]));
+                round!(d, e, f, g, h, a, b, c, $k[$i + 5].wrapping_add(w[$i + 5]));
+                round!(c, d, e, f, g, h, a, b, $k[$i + 6].wrapping_add(w[$i + 6]));
+                round!(b, c, d, e, f, g, h, a, $k[$i + 7].wrapping_add(w[$i + 7]));
+            };
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (i, k) in K.chunks_exact(16).enumerate() {
+            if i > 0 {
+                // The next 16 schedule words, in place: W[t] lives at t mod 16.
+                for t in 0..16 {
+                    let w15 = w[(t + 1) & 15];
+                    let w2 = w[(t + 14) & 15];
+                    w[t] = w[t]
+                        .wrapping_add(w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3))
+                        .wrapping_add(w[(t + 9) & 15])
+                        .wrapping_add(w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10));
+                }
+            }
+            rounds8!(k, 0);
+            rounds8!(k, 8);
+        }
+
+        for (state, word) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *state = state.wrapping_add(word);
+        }
     }
 }
 
@@ -342,6 +356,19 @@ mod tests {
             (
                 64usize,
                 "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            // The same boundaries one block further in.
+            (
+                63usize,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                119usize,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120usize,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
             ),
         ];
         for (len, expect) in known {

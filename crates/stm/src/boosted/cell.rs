@@ -53,7 +53,7 @@ struct CellUndo<T> {
 impl<T: Send + Sync + 'static> UndoSink for CellUndo<T> {
     fn undo_last(&mut self) {
         if let Some(prior) = self.entries.pop() {
-            self.target.with(|slot| *slot = prior);
+            self.target.write(|slot| *slot = prior);
         }
     }
     fn reset(&mut self) {
@@ -78,7 +78,7 @@ impl<T: fmt::Debug> fmt::Debug for BoostedCell<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BoostedCell")
             .field("name", &self.name)
-            .field("value", &self.value.with(|v| format!("{v:?}")))
+            .field("value", &self.value.read(|v| format!("{v:?}")))
             .finish()
     }
 }
@@ -130,7 +130,7 @@ where
     pub fn get(&self, txn: &Transaction) -> Result<T, StmError> {
         txn.acquire(self.lock, LockMode::Shared)?;
         txn.debug_assert_held(self.lock);
-        Ok(self.value.with(|v| v.clone()))
+        Ok(self.value.read(|v| v.clone()))
     }
 
     /// Transactionally reads the value **by reference**: `f` observes it
@@ -148,7 +148,7 @@ where
     pub fn with<R>(&self, txn: &Transaction, f: impl FnOnce(&T) -> R) -> Result<R, StmError> {
         txn.acquire(self.lock, LockMode::Shared)?;
         txn.debug_assert_held(self.lock);
-        Ok(self.value.with(|v| f(v)))
+        Ok(self.value.read(|v| f(v)))
     }
 
     /// Transactionally overwrites the value; the previous value moves
@@ -163,7 +163,7 @@ where
             LockMode::Exclusive,
             self.undo_token(),
             self.undo_init(),
-            || self.value.with(|slot| std::mem::replace(slot, new)),
+            || self.value.write(|slot| std::mem::replace(slot, new)),
             |sink, previous| {
                 sink.entries.push(previous);
                 true
@@ -185,7 +185,7 @@ where
             self.undo_token(),
             self.undo_init(),
             || {
-                self.value.with(|slot| {
+                self.value.write(|slot| {
                     let previous = slot.clone();
                     f(slot);
                     updated = Some(slot.clone());
@@ -202,12 +202,21 @@ where
 
     /// Non-transactional read (setup, state commitment, tests).
     pub fn peek(&self) -> T {
-        self.value.with(|v| v.clone())
+        self.value.read(|v| v.clone())
     }
 
     /// Non-transactional write (setup / snapshot restore only).
     pub fn seed(&self, value: T) {
-        self.value.with(|slot| *slot = value);
+        self.value.write(|slot| *slot = value);
+    }
+
+    /// If the cell was written — by a mutator, an undo replay or `seed` —
+    /// since the previous drain (a new cell counts as written), clears
+    /// the mark and returns `f(value)`; otherwise `None`. This is how a
+    /// state commitment learns whether its cached digest is stale; there
+    /// must be one consumer per cell. Non-transactional.
+    pub fn drain_dirty<R>(&self, f: impl FnOnce(&T) -> R) -> Option<R> {
+        self.value.drain_dirty(f)
     }
 }
 
@@ -266,6 +275,39 @@ mod tests {
         a.get(&t2).unwrap();
         let p2 = t2.commit().unwrap();
         assert!(p1.profile.conflicts_with(&p2.profile));
+    }
+
+    /// The dirty-mark seam: a new cell, every mutator, undo replay and
+    /// `seed` mark the cell; no read does.
+    #[test]
+    fn every_write_path_marks_the_cell_and_no_read_does() {
+        let stm = Stm::new();
+        let c = BoostedCell::new("cell.dirty", 1u64);
+        let dirty = || c.drain_dirty(|v| *v);
+        assert_eq!(dirty(), Some(1), "a new cell was never committed to");
+        assert_eq!(dirty(), None);
+
+        stm.run(|txn| {
+            c.get(txn)?;
+            c.with(txn, |_| ())
+        })
+        .unwrap();
+        c.peek();
+        assert_eq!(dirty(), None, "reads leave no mark");
+
+        stm.run(|txn| c.set(txn, 2)).unwrap();
+        assert_eq!(dirty(), Some(2), "set");
+        stm.run(|txn| c.modify(txn, |v| *v += 1).map(drop)).unwrap();
+        assert_eq!(dirty(), Some(3), "modify");
+
+        let txn = stm.begin();
+        c.set(&txn, 9).unwrap();
+        assert_eq!(dirty(), Some(9));
+        txn.abort().unwrap();
+        assert_eq!(dirty(), Some(3), "undo replay");
+
+        c.seed(4);
+        assert_eq!(dirty(), Some(4), "seed");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::error::StmError;
 use crate::lock::{LockMode, LockSpace};
 use crate::txn::{Transaction, UndoSink};
 use cc_primitives::fnv::fnv1a_of;
-use cc_primitives::fx::ShardedRawTable;
+use cc_primitives::fx::{BucketMask, RawFxMap, ShardedRawTable};
 use std::any::Any;
 use std::fmt;
 use std::hash::Hash;
@@ -64,14 +64,14 @@ where
             // the key's abstract lock, so the raw access is licensed.
             match entry {
                 CounterUndoEntry::Sub(hash, key, delta) => {
-                    self.target.with(hash, |map| {
+                    self.target.write(hash, |map| {
                         if let Some(v) = map.get_hashed_mut(hash, &key) {
                             *v = v.saturating_sub(delta);
                         }
                     });
                 }
                 CounterUndoEntry::Restore(hash, key, prior) => {
-                    self.target.with(hash, |map| match prior {
+                    self.target.write(hash, |map| match prior {
                         Some(v) => {
                             map.insert_hashed(hash, key, v);
                         }
@@ -168,7 +168,7 @@ where
                 // Concurrent additive holders of the same key commute at
                 // the abstract level; the shard latch (inside `with`)
                 // orders their physical read-modify-writes.
-                self.inner.with(h, |map| {
+                self.inner.write(h, |map| {
                     *map.entry_hashed(h, key.clone()).or_insert(0) += delta;
                 });
                 key
@@ -194,7 +194,7 @@ where
         txn.debug_assert_held(lock);
         Ok(self
             .inner
-            .with(h, |map| map.get_hashed(h, key).copied().unwrap_or(0)))
+            .read(h, |map| map.get_hashed(h, key).copied().unwrap_or(0)))
     }
 
     /// Transactionally overwrites the tally for `key` (exclusive). The
@@ -213,7 +213,7 @@ where
             || {
                 let previous = self
                     .inner
-                    .with(h, |map| map.insert_hashed(h, key.clone(), value));
+                    .write(h, |map| map.insert_hashed(h, key.clone(), value));
                 (key, previous)
             },
             |sink, (key, previous)| {
@@ -228,42 +228,54 @@ where
     pub fn peek(&self, key: &K) -> u64 {
         let h = fnv1a_of(key);
         self.inner
-            .with(h, |map| map.get_hashed(h, key).copied().unwrap_or(0))
+            .read(h, |map| map.get_hashed(h, key).copied().unwrap_or(0))
     }
 
     /// Non-transactional write used during setup.
     pub fn seed(&self, key: K, value: u64) {
         let h = fnv1a_of(&key);
-        self.inner.with(h, |map| {
+        self.inner.write(h, |map| {
             map.insert_hashed(h, key, value);
         });
     }
 
-    /// Point-in-time copy of all tallies.
+    /// Visits every non-zero tally by reference, in unspecified order
+    /// (non-transactional; consistent only when transactions are
+    /// quiesced).
     ///
     /// Zero tallies are omitted: a tally that was incremented and then
     /// undone (the inverse of `add` is "subtract") must be
     /// indistinguishable from one that was never touched, otherwise state
     /// commitments would depend on aborted speculation.
+    pub fn for_each(&self, mut f: impl FnMut(&K, u64)) {
+        self.inner.fold((), |(), map| {
+            map.iter()
+                .filter(|(_, v)| **v != 0)
+                .for_each(|(k, v)| f(k, *v));
+        });
+    }
+
+    /// Point-in-time copy of all non-zero tallies (see
+    /// [`for_each`](Self::for_each)).
     pub fn snapshot(&self) -> Vec<(K, u64)> {
-        self.inner.fold(Vec::new(), |mut acc, map| {
-            acc.extend(
-                map.iter()
-                    .filter(|(_, v)| **v != 0)
-                    .map(|(k, v)| (k.clone(), *v)),
-            );
-            acc
-        })
+        let mut entries = Vec::new();
+        self.for_each(|k, v| entries.push((k.clone(), v)));
+        entries
+    }
+
+    /// Takes the backing store's dirty-bucket marks (see
+    /// [`crate::BoostedMap::drain_dirty`]). The raw table handed to `f`
+    /// may hold zero tallies; a commitment must skip them, as
+    /// [`for_each`](Self::for_each) does.
+    pub fn drain_dirty(&self, f: impl FnMut(usize, BucketMask, &RawFxMap<K, u64>)) {
+        self.inner.drain_dirty(f);
     }
 
     /// Replaces all tallies (snapshot restore / setup only).
     pub fn restore(&self, entries: impl IntoIterator<Item = (K, u64)>) {
         self.inner.clear();
         for (key, value) in entries {
-            let h = fnv1a_of(&key);
-            self.inner.with(h, |map| {
-                map.insert_hashed(h, key, value);
-            });
+            self.seed(key, value);
         }
     }
 }
@@ -350,6 +362,53 @@ mod tests {
         })
         .unwrap();
         assert_eq!(c.peek(&0), 800);
+    }
+
+    /// The dirty-mark seam (see the `BoostedMap` twin of this test).
+    #[test]
+    fn every_write_path_marks_its_bucket_and_no_read_does() {
+        use cc_primitives::fx::{bucket_of, shard_of};
+
+        let stm = Stm::new();
+        let c: BoostedCounterMap<u64> = BoostedCounterMap::new("cnt.dirty");
+        let drained = || {
+            let mut marks = Vec::new();
+            c.drain_dirty(|shard, mask, _| marks.extend(mask.iter().map(|b| (shard, b))));
+            marks
+        };
+        let mark_of = |key: u64| {
+            let h = fnv1a_of(&key);
+            vec![(shard_of(h), bucket_of(h))]
+        };
+
+        c.seed(1, 10);
+        assert_eq!(drained(), mark_of(1), "seed");
+
+        stm.run(|txn| c.get(txn, &1)).unwrap();
+        c.peek(&1);
+        c.snapshot();
+        c.for_each(|_, _| ());
+        assert!(drained().is_empty(), "reads leave no mark");
+
+        stm.run(|txn| c.add(txn, 1, 5)).unwrap();
+        assert_eq!(drained(), mark_of(1), "add");
+        stm.run(|txn| c.set(txn, 2, 7)).unwrap();
+        assert_eq!(drained(), mark_of(2), "set");
+
+        // Undo replay, with the mutator's own mark drained first.
+        let txn = stm.begin();
+        c.add(&txn, 3, 1).unwrap();
+        drained();
+        txn.abort().unwrap();
+        assert_eq!(drained(), mark_of(3), "undo of an add (subtract)");
+        let txn = stm.begin();
+        c.set(&txn, 4, 9).unwrap();
+        drained();
+        txn.abort().unwrap();
+        assert_eq!(drained(), mark_of(4), "undo of a set (restore)");
+
+        c.restore(vec![(5, 50)]);
+        assert_eq!(drained().len(), 4096, "restore clears, which marks all");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::error::StmError;
 use crate::lock::{LockMode, LockSpace};
 use crate::txn::{Transaction, UndoSink};
 use cc_primitives::fnv::fnv1a_of;
-use cc_primitives::fx::ShardedRawTable;
+use cc_primitives::fx::{BucketMask, RawFxMap, ShardedRawTable};
 use std::any::Any;
 use std::fmt;
 use std::hash::Hash;
@@ -81,7 +81,7 @@ where
         if let Some((hash, key, prior)) = self.entries.pop() {
             // Safe without the transaction handle: inverses replay while
             // the aborting transaction still holds the key's abstract lock.
-            self.target.with(hash, |map| match prior {
+            self.target.write(hash, |map| match prior {
                 Some(value) => {
                     map.insert_hashed(hash, key, value);
                 }
@@ -170,7 +170,7 @@ where
         let lock = self.space.lock_for_hashed(h);
         txn.acquire(lock, LockMode::Shared)?;
         txn.debug_assert_held(lock);
-        Ok(self.inner.with(h, |map| map.get_hashed(h, key).cloned()))
+        Ok(self.inner.read(h, |map| map.get_hashed(h, key).cloned()))
     }
 
     /// Transactionally reads the value bound to `key` **by reference**:
@@ -195,7 +195,7 @@ where
         let lock = self.space.lock_for_hashed(h);
         txn.acquire(lock, LockMode::Shared)?;
         txn.debug_assert_held(lock);
-        Ok(self.inner.with(h, |map| f(map.get_hashed(h, key))))
+        Ok(self.inner.read(h, |map| f(map.get_hashed(h, key))))
     }
 
     /// Transactionally checks whether `key` is bound (shared mode).
@@ -208,7 +208,7 @@ where
         let lock = self.space.lock_for_hashed(h);
         txn.acquire(lock, LockMode::Shared)?;
         txn.debug_assert_held(lock);
-        Ok(self.inner.with(h, |map| map.contains_hashed(h, key)))
+        Ok(self.inner.read(h, |map| map.contains_hashed(h, key)))
     }
 
     /// Transactionally binds `key` to `value`. The previous binding (if
@@ -227,7 +227,7 @@ where
             || {
                 let previous = self
                     .inner
-                    .with(h, |map| map.insert_hashed(h, key.clone(), value));
+                    .write(h, |map| map.insert_hashed(h, key.clone(), value));
                 (key, previous)
             },
             |sink, (key, previous)| {
@@ -254,7 +254,7 @@ where
             || {
                 let previous = self
                     .inner
-                    .with(h, |map| map.insert_hashed(h, key.clone(), value));
+                    .write(h, |map| map.insert_hashed(h, key.clone(), value));
                 returned = previous.clone();
                 (key, previous)
             },
@@ -282,7 +282,7 @@ where
             self.undo_token(),
             self.undo_init(),
             || {
-                let previous = self.inner.with(h, |map| map.remove_hashed(h, key));
+                let previous = self.inner.write(h, |map| map.remove_hashed(h, key));
                 existed = previous.is_some();
                 previous.map(|value| (key.clone(), value))
             },
@@ -312,7 +312,7 @@ where
             self.undo_token(),
             self.undo_init(),
             || {
-                let previous = self.inner.with(h, |map| map.remove_hashed(h, key));
+                let previous = self.inner.write(h, |map| map.remove_hashed(h, key));
                 returned = previous.clone();
                 previous.map(|value| (key.clone(), value))
             },
@@ -349,7 +349,7 @@ where
             self.undo_token(),
             self.undo_init(),
             || {
-                self.inner.with(h, |map| {
+                self.inner.write(h, |map| {
                     if let Some(slot) = map.get_hashed_mut(h, &key) {
                         let prior = slot.clone();
                         f(slot);
@@ -374,13 +374,13 @@ where
     /// transactions.
     pub fn peek(&self, key: &K) -> Option<V> {
         let h = fnv1a_of(key);
-        self.inner.with(h, |map| map.get_hashed(h, key).cloned())
+        self.inner.read(h, |map| map.get_hashed(h, key).cloned())
     }
 
     /// Non-transactional insert used only during setup.
     pub fn seed(&self, key: K, value: V) {
         let h = fnv1a_of(&key);
-        self.inner.with(h, |map| {
+        self.inner.write(h, |map| {
             map.insert_hashed(h, key, value);
         });
     }
@@ -390,7 +390,7 @@ where
     /// flattens a tombstone into the base map.
     pub fn seed_remove(&self, key: &K) {
         let h = fnv1a_of(key);
-        self.inner.with(h, |map| {
+        self.inner.write(h, |map| {
             map.remove_hashed(h, key);
         });
     }
@@ -400,14 +400,35 @@ where
         self.inner.len()
     }
 
-    /// A point-in-time copy of the whole map (non-transactional; used for
-    /// state commitment and world cloning). Consistent only when callers
-    /// quiesce transactions first, which the world's snapshot path does.
+    /// Visits every binding by reference, in unspecified order
+    /// (non-transactional; used to encode world snapshots without cloning
+    /// each entry). Consistent only when callers quiesce transactions
+    /// first, which the world's snapshot path does. `f` runs under a
+    /// shard latch; it must not touch this map.
+    pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
+        self.inner
+            .fold((), |(), map| map.iter().for_each(|(k, v)| f(k, v)));
+    }
+
+    /// A point-in-time copy of the whole map (non-transactional; tests and
+    /// world cloning). Same consistency contract as
+    /// [`for_each`](Self::for_each).
     pub fn snapshot(&self) -> Vec<(K, V)> {
-        self.inner.fold(Vec::new(), |mut acc, map| {
-            acc.extend(map.iter().map(|(k, v)| (k.clone(), v.clone())));
-            acc
-        })
+        let mut entries = Vec::with_capacity(self.inner.len());
+        self.for_each(|k, v| entries.push((k.clone(), v.clone())));
+        entries
+    }
+
+    /// Takes the backing store's dirty-bucket marks
+    /// ([`ShardedRawTable::drain_dirty`]): `f(shard, marks, table)` runs
+    /// for every shard written — by any mutator, undo replay or
+    /// non-transactional `seed`/`restore`/`clear` — since the previous
+    /// drain. This is how a state commitment learns which buckets to
+    /// re-hash; there must be one consumer per map, since draining clears
+    /// the marks. Same consistency contract as
+    /// [`for_each`](Self::for_each).
+    pub fn drain_dirty(&self, f: impl FnMut(usize, BucketMask, &RawFxMap<K, V>)) {
+        self.inner.drain_dirty(f);
     }
 
     /// Replaces the entire contents (non-transactional; used to restore a
@@ -415,10 +436,7 @@ where
     pub fn restore(&self, entries: impl IntoIterator<Item = (K, V)>) {
         self.inner.clear();
         for (key, value) in entries {
-            let h = fnv1a_of(&key);
-            self.inner.with(h, |map| {
-                map.insert_hashed(h, key, value);
-            });
+            self.seed(key, value);
         }
     }
 
@@ -435,7 +453,7 @@ where
     pub fn debug_raw_get_unlocked(&self, txn: &Transaction, key: &K) -> Option<V> {
         let h = fnv1a_of(key);
         txn.debug_assert_held(self.space.lock_for_hashed(h));
-        self.inner.with(h, |map| map.get_hashed(h, key).cloned())
+        self.inner.read(h, |map| map.get_hashed(h, key).cloned())
     }
 }
 
@@ -675,6 +693,87 @@ mod tests {
         let before = key_hash_count();
         txn.commit().unwrap();
         assert_eq!(key_hash_count() - before, 0, "commit hashes no keys");
+    }
+
+    /// The dirty-mark seam: every path that mutates the backing store —
+    /// mutators, undo replay, the non-transactional setup calls — marks
+    /// exactly the written key's `(shard, bucket)`; no read marks
+    /// anything.
+    #[test]
+    fn every_write_path_marks_its_bucket_and_no_read_does() {
+        use cc_primitives::fx::{bucket_of, shard_of};
+
+        let stm = Stm::new();
+        let m: BoostedMap<u64, u64> = BoostedMap::new("t.dirty");
+        let drained = || {
+            let mut marks = Vec::new();
+            m.drain_dirty(|shard, mask, _| marks.extend(mask.iter().map(|b| (shard, b))));
+            marks
+        };
+        let mark_of = |key: u64| {
+            let h = fnv1a_of(&key);
+            vec![(shard_of(h), bucket_of(h))]
+        };
+
+        m.seed(1, 10);
+        assert_eq!(drained(), mark_of(1), "seed");
+        assert!(drained().is_empty());
+
+        stm.run(|txn| {
+            m.get(txn, &1)?;
+            m.get_with(txn, &1, |_| ())?;
+            m.contains_key(txn, &1)?;
+            Ok(())
+        })
+        .unwrap();
+        m.peek(&1);
+        m.snapshot();
+        m.snapshot_len();
+        m.for_each(|_, _| ());
+        assert!(drained().is_empty(), "reads leave no mark");
+
+        type Mutator<'a> = &'a dyn Fn(&Transaction) -> Result<(), StmError>;
+        let mutators: &[(&str, u64, Mutator<'_>)] = &[
+            ("insert", 2, &|txn| m.insert(txn, 2, 20)),
+            ("replace", 1, &|txn| m.replace(txn, 1, 11).map(drop)),
+            ("update_or (absent)", 3, &|txn| {
+                m.update_or(txn, 3, 0, |v| *v += 1)
+            }),
+            ("update_or (present)", 3, &|txn| {
+                m.update_or(txn, 3, 0, |v| *v += 1)
+            }),
+            ("remove", 2, &|txn| m.remove(txn, &2).map(drop)),
+            ("take", 3, &|txn| m.take(txn, &3).map(drop)),
+        ];
+        for (name, key, mutate) in mutators {
+            stm.run(|txn| mutate(txn)).unwrap();
+            assert_eq!(drained(), mark_of(*key), "{name}");
+        }
+
+        // Undo replay: drain the mutator's own mark mid-transaction, so
+        // whatever is marked afterwards came from the inverse.
+        let txn = stm.begin();
+        m.insert(&txn, 4, 40).unwrap();
+        assert_eq!(drained(), mark_of(4));
+        txn.abort().unwrap();
+        assert_eq!(drained(), mark_of(4), "undo of an insert (remove)");
+
+        let txn = stm.begin();
+        m.remove(&txn, &1).unwrap();
+        let savepoint = txn.savepoint();
+        m.insert(&txn, 5, 50).unwrap();
+        drained();
+        txn.rollback_to(savepoint);
+        assert_eq!(drained(), mark_of(5), "savepoint rollback");
+        txn.abort().unwrap();
+        assert_eq!(drained(), mark_of(1), "undo of a remove (re-insert)");
+
+        m.seed_remove(&1);
+        assert_eq!(drained(), mark_of(1), "seed_remove");
+        m.restore(vec![(6, 60)]);
+        assert_eq!(drained().len(), 4096, "restore clears, which marks all");
+        m.clear();
+        assert_eq!(drained().len(), 4096, "clear");
     }
 
     #[test]

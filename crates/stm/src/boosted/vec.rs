@@ -67,7 +67,7 @@ impl<T: Send + Sync + 'static> UndoSink for VecUndo<T> {
         if let Some(entry) = self.entries.pop() {
             // Inverses replay while the aborting transaction still holds
             // the element/length abstract locks it mutated under.
-            self.target.with(|v| match entry {
+            self.target.write(|v| match entry {
                 VecUndoEntry::Set(i, prior) => {
                     if let Some(slot) = v.get_mut(i) {
                         *slot = prior;
@@ -105,7 +105,7 @@ impl<T: fmt::Debug> fmt::Debug for BoostedVec<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BoostedVec")
             .field("name", &self.name)
-            .field("len", &self.inner.with(|v| v.len()))
+            .field("len", &self.inner.read(|v| v.len()))
             .finish()
     }
 }
@@ -166,7 +166,7 @@ where
     pub fn len(&self, txn: &Transaction) -> Result<usize, StmError> {
         txn.acquire(self.length_lock, LockMode::Shared)?;
         txn.debug_assert_held(self.length_lock);
-        Ok(self.inner.with(|v| v.len()))
+        Ok(self.inner.read(|v| v.len()))
     }
 
     /// Transactionally reports whether the vector is empty.
@@ -188,7 +188,7 @@ where
         let lock = self.element_lock(i);
         txn.acquire(lock, LockMode::Shared)?;
         txn.debug_assert_held(lock);
-        Ok(self.inner.with(|v| v.get(i).cloned()))
+        Ok(self.inner.read(|v| v.get(i).cloned()))
     }
 
     /// Transactionally reads index `i` **by reference**: `f` observes the
@@ -211,7 +211,7 @@ where
         let lock = self.element_lock(i);
         txn.acquire(lock, LockMode::Shared)?;
         txn.debug_assert_held(lock);
-        Ok(self.inner.with(|v| f(v.get(i))))
+        Ok(self.inner.read(|v| f(v.get(i))))
     }
 
     /// Transactionally overwrites index `i`. Returns `false` (and does
@@ -231,7 +231,7 @@ where
             || {
                 let previous = self
                     .inner
-                    .with(|v| v.get_mut(i).map(|slot| std::mem::replace(slot, value)));
+                    .write(|v| v.get_mut(i).map(|slot| std::mem::replace(slot, value)));
                 in_bounds = previous.is_some();
                 previous
             },
@@ -266,7 +266,7 @@ where
             self.undo_token(),
             self.undo_init(),
             || {
-                self.inner.with(|v| match v.get_mut(i) {
+                self.inner.write(|v| match v.get_mut(i) {
                     Some(slot) => {
                         let prior = slot.clone();
                         f(slot);
@@ -296,13 +296,13 @@ where
     pub fn push(&self, txn: &Transaction, value: T) -> Result<usize, StmError> {
         txn.acquire(self.length_lock, LockMode::Exclusive)?;
         txn.debug_assert_held(self.length_lock);
-        let index = self.inner.with(|v| v.len());
+        let index = self.inner.read(|v| v.len());
         txn.acquire_and_log(
             self.element_lock(index),
             LockMode::Exclusive,
             self.undo_token(),
             self.undo_init(),
-            || self.inner.with(|v| v.push(value)),
+            || self.inner.write(|v| v.push(value)),
             |sink, ()| {
                 sink.entries.push(VecUndoEntry::Unpush(index));
                 true
@@ -320,7 +320,7 @@ where
     pub fn pop(&self, txn: &Transaction) -> Result<Option<T>, StmError> {
         txn.acquire(self.length_lock, LockMode::Exclusive)?;
         txn.debug_assert_held(self.length_lock);
-        let last_index = match self.inner.with(|v| v.len()) {
+        let last_index = match self.inner.read(|v| v.len()) {
             0 => return Ok(None),
             len => len - 1,
         };
@@ -331,7 +331,7 @@ where
             self.undo_token(),
             self.undo_init(),
             || {
-                let value = self.inner.with(|v| v.pop());
+                let value = self.inner.write(|v| v.pop());
                 popped = value.clone();
                 value
             },
@@ -348,28 +348,36 @@ where
 
     /// Non-transactional element read (setup/tests only).
     pub fn peek(&self, i: usize) -> Option<T> {
-        self.inner.with(|v| v.get(i).cloned())
+        self.inner.read(|v| v.get(i).cloned())
     }
 
     /// Non-transactional length (setup/tests only).
     pub fn snapshot_len(&self) -> usize {
-        self.inner.with(|v| v.len())
+        self.inner.read(|v| v.len())
     }
 
     /// Non-transactional append used while building initial state.
     pub fn seed_push(&self, value: T) {
-        self.inner.with(|v| v.push(value));
+        self.inner.write(|v| v.push(value));
     }
 
     /// Point-in-time copy of the vector contents.
     pub fn snapshot(&self) -> Vec<T> {
-        self.inner.with(|v| v.clone())
+        self.inner.read(|v| v.clone())
+    }
+
+    /// If the vector was written — by a mutator, an undo replay,
+    /// `seed_push` or `restore` — since the previous drain (a new vector
+    /// counts as written), clears the mark and returns `f(contents)`;
+    /// otherwise `None`. See [`crate::BoostedCell::drain_dirty`].
+    pub fn drain_dirty<R>(&self, f: impl FnOnce(&[T]) -> R) -> Option<R> {
+        self.inner.drain_dirty(|v| f(v))
     }
 
     /// Replaces the contents (snapshot restore / setup only).
     pub fn restore(&self, values: impl IntoIterator<Item = T>) {
         let values: Vec<T> = values.into_iter().collect();
-        self.inner.with(|v| {
+        self.inner.write(|v| {
             v.clear();
             v.extend(values);
         });
@@ -446,6 +454,62 @@ mod tests {
         v.push(&t2, 2).unwrap();
         let p2 = t2.commit().unwrap();
         assert!(p1.profile.conflicts_with(&p2.profile));
+    }
+
+    /// The dirty-mark seam: a new vector, every mutator, every kind of
+    /// undo entry, `seed_push` and `restore` mark the vector; no read
+    /// does.
+    #[test]
+    fn every_write_path_marks_the_vector_and_no_read_does() {
+        let stm = Stm::new();
+        let v: BoostedVec<u64> = BoostedVec::new("vec.dirty");
+        let dirty = || v.drain_dirty(|items| items.to_vec());
+        assert_eq!(dirty(), Some(vec![]), "a new vector was never committed to");
+        assert_eq!(dirty(), None);
+
+        v.seed_push(1);
+        assert_eq!(dirty(), Some(vec![1]), "seed_push");
+
+        stm.run(|txn| {
+            v.len(txn)?;
+            v.is_empty(txn)?;
+            v.get(txn, 0)?;
+            v.get_with(txn, 0, |_| ())
+        })
+        .unwrap();
+        v.peek(0);
+        v.snapshot_len();
+        v.snapshot();
+        assert_eq!(dirty(), None, "reads leave no mark");
+
+        stm.run(|txn| v.push(txn, 2).map(drop)).unwrap();
+        assert_eq!(dirty(), Some(vec![1, 2]), "push");
+        stm.run(|txn| v.set(txn, 0, 10).map(drop)).unwrap();
+        assert_eq!(dirty(), Some(vec![10, 2]), "set");
+        stm.run(|txn| v.modify(txn, 1, |x| *x += 1).map(drop))
+            .unwrap();
+        assert_eq!(dirty(), Some(vec![10, 3]), "modify");
+        stm.run(|txn| v.pop(txn).map(drop)).unwrap();
+        assert_eq!(dirty(), Some(vec![10]), "pop");
+
+        // One undo entry of each kind, the mutator's own mark drained
+        // first.
+        type Mutator<'a> = &'a dyn Fn(&Transaction) -> Result<(), StmError>;
+        let undone: &[(&str, Mutator<'_>)] = &[
+            ("undo of a set", &|txn| v.set(txn, 0, 99).map(drop)),
+            ("undo of a push", &|txn| v.push(txn, 99).map(drop)),
+            ("undo of a pop", &|txn| v.pop(txn).map(drop)),
+        ];
+        for (name, mutate) in undone {
+            let txn = stm.begin();
+            mutate(&txn).unwrap();
+            assert!(dirty().is_some());
+            txn.abort().unwrap();
+            assert_eq!(dirty(), Some(vec![10]), "{name}");
+        }
+
+        v.restore(vec![7, 8]);
+        assert_eq!(dirty(), Some(vec![7, 8]), "restore");
     }
 
     #[test]

@@ -1,0 +1,549 @@
+//! The incremental state commitment behind [`crate::World::state_root`].
+//!
+//! A block header commits to the post-state of its transactions through a
+//! *state root*, and the paper's contract — a validator replaying the
+//! published schedule reaches exactly the miner's state — is checked by
+//! comparing roots. The root is therefore computed after every mine,
+//! every validate and every pending-chain commit, and must cost what the
+//! block *wrote*, not what the world *holds*.
+//!
+//! # Definition
+//!
+//! `H` is SHA-256, `‖` concatenation, integers little-endian unless noted,
+//! and `bytes(x)` the `u64` length of `x` followed by `x`.
+//!
+//! * **Map and tally fields** commit to a fixed-shape 16-ary Merkle tree
+//!   over 4 096 leaf buckets. An entry with key fingerprint
+//!   `h = fnv1a_of(key)` — the value the key's abstract lock is published
+//!   under, stored in every backing-table slot — lives in leaf
+//!   `(h mod 16) · 256 + (h / 16) mod 256`: its backing-store shard, then
+//!   its bucket within the shard.
+//!   * A leaf with entries is
+//!     `H(0x00 ‖ bytes(k₁) ‖ bytes(v₁) ‖ bytes(k₂) ‖ …)` over its
+//!     `(encoded key, encoded value)` pairs in ascending key order. A
+//!     tally of zero is not an entry.
+//!   * An interior node over 16 children is
+//!     `H(0x01 ‖ mask: u16 ‖ digest of every non-empty child, in order)`,
+//!     bit `i` of `mask` saying child `i` is non-empty. A leaf is empty
+//!     when it has no entry, a node when its mask is zero; empty children
+//!     contribute no bytes, so a sparse map costs a few compressions.
+//!   * The field digest is the root node's (`H(0x01 ‖ 0 ‖ 0)` for an
+//!     empty map).
+//! * **Cell fields** are `H(0x02 ‖ encoded value)`; **vector fields**
+//!   `H(0x03 ‖ len: u64 ‖ bytes(item₀) ‖ bytes(item₁) ‖ …)`.
+//! * A **contract** is `H(bytes(kind) ‖ address ‖ fields: u64 ‖ bytes(name₀)
+//!   ‖ digest₀ ‖ …)` over [`crate::Contract::storage_fields`] in
+//!   declaration order, and the **world root**
+//!   `H(contracts: u64 big-endian ‖ contract digests in address order)`.
+//!
+//! # Maintenance
+//!
+//! Every field caches its digest (and a map its whole tree) behind the
+//! dirty marks its backing store keeps (`cc_primitives::fx`): the raw
+//! stores' write accessor is the only way to mutate base state and marks
+//! the written bucket (or the cell/vector) under the latch it already
+//! holds. A root drains the marks and re-hashes only marked leaves and
+//! their three ancestors; a field with no marks answers from its cache.
+//! Marks are never cleared by anything but a drain — re-hashing a bucket
+//! that was written and then rolled back reproduces the digest it had.
+//! The from-scratch root of a freshly built world is the same code on an
+//! empty cache: seeding marked every bucket it touched.
+
+use crate::contract::Contract;
+use crate::snapshot::ToBytes;
+use cc_primitives::fx::{bucket_of, BucketMask, RawFxMap, RAW_SHARD_BUCKETS, RAW_TABLE_SHARDS};
+use cc_primitives::hash::{Hash256, Sha256};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+const LEAF_TAG: u8 = 0x00;
+const NODE_TAG: u8 = 0x01;
+const CELL_TAG: u8 = 0x02;
+const VEC_TAG: u8 = 0x03;
+
+/// Children per interior node.
+const FANOUT: usize = 16;
+/// Leaves of a map field's tree.
+const LEAVES: usize = RAW_TABLE_SHARDS * RAW_SHARD_BUCKETS;
+/// Lowest interior level: one node per 16 leaves.
+const LOW_NODES: usize = LEAVES / FANOUT;
+/// Low nodes under one high node; each high node spans one shard.
+const LOW_PER_SHARD: usize = RAW_SHARD_BUCKETS / FANOUT;
+
+/// Counts of the work state roots did over a world's lifetime: where the
+/// root's cost goes now that it is proportional to what was written. Read
+/// through [`crate::World::root_stats`]; compare two readings with
+/// [`StateRootStats::since`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StateRootStats {
+    /// Map-field leaf buckets re-hashed because a write had marked them.
+    pub dirty_leaves: u64,
+    /// Map-field entries re-encoded while re-hashing those leaves.
+    pub entries_rehashed: u64,
+    /// Bytes fed to SHA-256 for field digests (leaves, interior nodes,
+    /// cells and vectors).
+    pub bytes_hashed: u64,
+    /// Map fields whose tree was built for the first time (a root over
+    /// state no earlier root had cached).
+    pub cold_builds: u64,
+}
+
+impl StateRootStats {
+    /// The work done between an earlier reading and this one (counters
+    /// are monotone; saturates rather than underflows if swapped).
+    pub fn since(&self, earlier: &StateRootStats) -> StateRootStats {
+        StateRootStats {
+            dirty_leaves: self.dirty_leaves.saturating_sub(earlier.dirty_leaves),
+            entries_rehashed: self
+                .entries_rehashed
+                .saturating_sub(earlier.entries_rehashed),
+            bytes_hashed: self.bytes_hashed.saturating_sub(earlier.bytes_hashed),
+            cold_builds: self.cold_builds.saturating_sub(earlier.cold_builds),
+        }
+    }
+}
+
+/// The live counters behind [`StateRootStats`], on relaxed atomics (they
+/// publish no other data). Opaque: a world owns one and hands it to the
+/// fields it asks for digests.
+#[derive(Debug, Default)]
+pub struct RootCounters {
+    dirty_leaves: AtomicU64,
+    entries_rehashed: AtomicU64,
+    bytes_hashed: AtomicU64,
+    cold_builds: AtomicU64,
+}
+
+impl RootCounters {
+    pub(crate) fn stats(&self) -> StateRootStats {
+        StateRootStats {
+            dirty_leaves: self.dirty_leaves.load(Ordering::Relaxed),
+            entries_rehashed: self.entries_rehashed.load(Ordering::Relaxed),
+            bytes_hashed: self.bytes_hashed.load(Ordering::Relaxed),
+            cold_builds: self.cold_builds.load(Ordering::Relaxed),
+        }
+    }
+
+    fn hashed(&self, bytes: usize) {
+        self.bytes_hashed.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+}
+
+/// One interior node: which children are non-empty, and its digest (only
+/// meaningful while `occupied != 0`, or for the root).
+#[derive(Debug, Clone, Copy, Default)]
+struct Node {
+    occupied: u16,
+    digest: Hash256,
+}
+
+/// The occupancy mask of a node over `children`: bit `i` set when child
+/// `i` is itself non-empty.
+fn occupancy(children: &[Node]) -> u16 {
+    (children.iter().enumerate())
+        .filter(|(_, child)| child.occupied != 0)
+        .fold(0, |mask, (i, _)| mask | 1 << i)
+}
+
+/// `H(0x01 ‖ mask ‖ non-empty children)`.
+fn node_digest<'a>(
+    occupied: u16,
+    children: impl Iterator<Item = &'a Hash256>,
+    counters: &RootCounters,
+) -> Hash256 {
+    let mut hasher = Sha256::new();
+    let [lo, hi] = occupied.to_le_bytes();
+    hasher.update(&[NODE_TAG, lo, hi]);
+    for (i, child) in children.enumerate() {
+        if occupied & (1 << i) != 0 {
+            hasher.update(child.as_bytes());
+        }
+    }
+    counters.hashed(3 + 32 * occupied.count_ones() as usize);
+    hasher.finalize()
+}
+
+/// The cached tree of one map field: every leaf digest and both interior
+/// levels below the root.
+struct Tree {
+    leaves: Vec<Hash256>,
+    low: Vec<Node>,
+    high: [Node; RAW_TABLE_SHARDS],
+}
+
+/// One dirty entry encoded into the scratch arena as
+/// `bytes(key) ‖ bytes(value)` — exactly what its leaf hashes.
+#[derive(Debug, Clone, Copy)]
+struct EncodedEntry {
+    bucket: u8,
+    start: usize,
+    /// End of the key encoding (the key starts 8 bytes after `start`).
+    key_end: usize,
+    end: usize,
+}
+
+/// Appends `bytes(value)` to `out`.
+fn put_prefixed<T: ToBytes + ?Sized>(out: &mut Vec<u8>, value: &T) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    value.encode_into(out);
+    let len = (out.len() - at - 8) as u64;
+    out[at..at + 8].copy_from_slice(&len.to_le_bytes());
+}
+
+/// The cached commitment of one map or tally field. Allocates nothing
+/// until a bucket of the field is first written.
+#[derive(Default)]
+pub(crate) struct MapCommitment {
+    tree: Option<Box<Tree>>,
+    /// The field digest, while no shard was refreshed since it was taken.
+    root: Option<Hash256>,
+    /// Encodings of one shard's dirty entries; kept for its capacity.
+    scratch: Vec<u8>,
+    /// The same entries in hashing order; kept for its capacity.
+    order: Vec<EncodedEntry>,
+}
+
+impl std::fmt::Debug for MapCommitment {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Not the 4 096 leaf digests a derive would print.
+        f.debug_struct("MapCommitment")
+            .field("built", &self.tree.is_some())
+            .field("root", &self.root)
+            .finish()
+    }
+}
+
+impl MapCommitment {
+    /// Re-hashes the `dirty` buckets of shard `shard` from its backing
+    /// `table` — one pass over the shard's slots, filtering on the stored
+    /// fingerprint — and the interior nodes above them, short of the
+    /// root. `live` says which values are entries at all.
+    pub(crate) fn refresh_shard<K: ToBytes, V: ToBytes>(
+        &mut self,
+        shard: usize,
+        dirty: BucketMask,
+        table: &RawFxMap<K, V>,
+        live: impl Fn(&V) -> bool,
+        counters: &RootCounters,
+    ) {
+        let tree = self.tree.get_or_insert_with(|| {
+            counters.cold_builds.fetch_add(1, Ordering::Relaxed);
+            Box::new(Tree {
+                leaves: vec![Hash256::ZERO; LEAVES],
+                low: vec![Node::default(); LOW_NODES],
+                high: [Node::default(); RAW_TABLE_SHARDS],
+            })
+        });
+        self.root = None;
+
+        self.order.clear();
+        self.scratch.clear();
+        for (hash, key, value) in table.iter_hashed() {
+            let bucket = bucket_of(hash);
+            if dirty.contains(bucket) && live(value) {
+                let start = self.scratch.len();
+                put_prefixed(&mut self.scratch, key);
+                let key_end = self.scratch.len();
+                put_prefixed(&mut self.scratch, value);
+                self.order.push(EncodedEntry {
+                    bucket,
+                    start,
+                    key_end,
+                    end: self.scratch.len(),
+                });
+            }
+        }
+        let scratch = self.scratch.as_slice();
+        let key = |e: &EncodedEntry| &scratch[e.start + 8..e.key_end];
+        self.order.sort_unstable_by(|a, b| {
+            (a.bucket.cmp(&b.bucket))
+                .then_with(|| key(a).cmp(key(b)))
+                .then_with(|| scratch[a.key_end..a.end].cmp(&scratch[b.key_end..b.end]))
+        });
+
+        let mut rest = self.order.as_slice();
+        let mut touched_low = 0u16;
+        for bucket in dirty.iter() {
+            let run_len = rest.iter().take_while(|e| e.bucket == bucket).count();
+            let (run, after) = rest.split_at(run_len);
+            rest = after;
+            let leaf = shard * RAW_SHARD_BUCKETS + usize::from(bucket);
+            let parent = &mut tree.low[leaf / FANOUT];
+            let bit = 1u16 << (leaf % FANOUT);
+            if run.is_empty() {
+                parent.occupied &= !bit;
+            } else {
+                let mut hasher = Sha256::new();
+                hasher.update(&[LEAF_TAG]);
+                for e in run {
+                    hasher.update(&scratch[e.start..e.end]);
+                }
+                counters.hashed(1 + run.iter().map(|e| e.end - e.start).sum::<usize>());
+                tree.leaves[leaf] = hasher.finalize();
+                parent.occupied |= bit;
+            }
+            touched_low |= 1 << (usize::from(bucket) / FANOUT);
+        }
+        counters
+            .dirty_leaves
+            .fetch_add(dirty.len() as u64, Ordering::Relaxed);
+        counters
+            .entries_rehashed
+            .fetch_add(self.order.len() as u64, Ordering::Relaxed);
+
+        let first_low = shard * LOW_PER_SHARD;
+        for i in (0..LOW_PER_SHARD).filter(|i| touched_low & (1 << i) != 0) {
+            let node = &mut tree.low[first_low + i];
+            let first_leaf = (first_low + i) * FANOUT;
+            node.digest = node_digest(
+                node.occupied,
+                tree.leaves[first_leaf..first_leaf + FANOUT].iter(),
+                counters,
+            );
+        }
+        let lows = &tree.low[first_low..first_low + LOW_PER_SHARD];
+        let occupied = occupancy(lows);
+        tree.high[shard] = Node {
+            occupied,
+            digest: node_digest(occupied, lows.iter().map(|n| &n.digest), counters),
+        };
+    }
+
+    /// The field digest: the root node over the (already refreshed) high
+    /// nodes, cached until the next refresh.
+    pub(crate) fn root(&mut self, counters: &RootCounters) -> Hash256 {
+        let tree = &self.tree;
+        *self.root.get_or_insert_with(|| match tree {
+            None => node_digest(0, std::iter::empty(), counters),
+            Some(tree) => node_digest(
+                occupancy(&tree.high),
+                tree.high.iter().map(|n| &n.digest),
+                counters,
+            ),
+        })
+    }
+}
+
+/// `H(0x02 ‖ encoded value)`: the digest of a cell field.
+pub(crate) fn cell_digest(value: &impl ToBytes, counters: &RootCounters) -> Hash256 {
+    let mut bytes = vec![CELL_TAG];
+    value.encode_into(&mut bytes);
+    counters.hashed(bytes.len());
+    cc_primitives::sha256(&bytes)
+}
+
+/// `H(0x03 ‖ len ‖ bytes(item₀) ‖ …)`: the digest of a vector field.
+pub(crate) fn vec_digest(items: &[impl ToBytes], counters: &RootCounters) -> Hash256 {
+    let mut bytes = vec![VEC_TAG];
+    bytes.extend_from_slice(&(items.len() as u64).to_le_bytes());
+    for item in items {
+        put_prefixed(&mut bytes, item);
+    }
+    counters.hashed(bytes.len());
+    cc_primitives::sha256(&bytes)
+}
+
+/// The digest of one contract: its identity plus the (cached or freshly
+/// refreshed) digest of every storage field, in declaration order.
+pub(crate) fn contract_digest(contract: &dyn Contract, counters: &RootCounters) -> Hash256 {
+    let fields = contract.storage_fields();
+    let mut bytes = Vec::new();
+    put_prefixed(&mut bytes, contract.kind().0.as_bytes());
+    bytes.extend_from_slice(contract.address().as_bytes());
+    bytes.extend_from_slice(&(fields.len() as u64).to_le_bytes());
+    for field in fields {
+        put_prefixed(&mut bytes, field.name().as_bytes());
+        bytes.extend_from_slice(field.digest(counters).as_bytes());
+    }
+    cc_primitives::sha256(&bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::address::Address;
+    use crate::storage::{StorageCell, StorageCounterMap, StorageField, StorageMap, StorageVec};
+    use cc_primitives::fnv::fnv1a_of;
+    use cc_primitives::sha256;
+
+    fn node(mask: u16, children: &[Hash256]) -> Hash256 {
+        let mut bytes = vec![0x01];
+        bytes.extend_from_slice(&mask.to_le_bytes());
+        for child in children {
+            bytes.extend_from_slice(child.as_bytes());
+        }
+        sha256(&bytes)
+    }
+
+    /// Pins the digest definition: a one-entry map's tree, computed by
+    /// hand from the module docs, byte for byte.
+    #[test]
+    fn one_entry_tree_matches_the_hand_computed_digest() {
+        let counters = RootCounters::default();
+        let map: StorageMap<u64, u64> = StorageMap::new("pin.map");
+        assert_eq!(map.digest(&counters), node(0, &[]), "empty map");
+        assert_eq!(counters.stats().cold_builds, 0, "no tree for an empty map");
+
+        map.seed(7, 9);
+        let h = fnv1a_of(&7u64);
+        let (shard, bucket) = ((h % 16) as usize, ((h / 16) % 256) as usize);
+
+        // leaf = H(0x00 ‖ bytes(key) ‖ bytes(value)), u64 little-endian.
+        let mut leaf = vec![0x00];
+        leaf.extend_from_slice(&8u64.to_le_bytes());
+        leaf.extend_from_slice(&7u64.to_le_bytes());
+        leaf.extend_from_slice(&8u64.to_le_bytes());
+        leaf.extend_from_slice(&9u64.to_le_bytes());
+        // Three ancestors, each with exactly one non-empty child.
+        let low = node(1 << (bucket % 16), &[sha256(&leaf)]);
+        let high = node(1 << (bucket / 16), &[low]);
+        let root = node(1 << shard, &[high]);
+        assert_eq!(map.digest(&counters), root);
+
+        let stats = counters.stats();
+        assert_eq!(stats.cold_builds, 1);
+        assert_eq!(stats.dirty_leaves, 1);
+        assert_eq!(stats.entries_rehashed, 1);
+        // Empty root + leaf + three one-child nodes.
+        assert_eq!(stats.bytes_hashed, 3 + 33 + 3 * 35);
+
+        // A clean field answers from its cache.
+        assert_eq!(map.digest(&counters), root);
+        assert_eq!(counters.stats(), stats);
+
+        // Clones share the table, its marks and the cache.
+        map.clone().seed(7, 9);
+        assert_eq!(map.digest(&counters), root, "same content, same digest");
+        assert_eq!(counters.stats().dirty_leaves, 2, "re-marked, re-hashed");
+    }
+
+    #[test]
+    fn cell_vec_and_tally_digests_follow_the_definition() {
+        let counters = RootCounters::default();
+        let cell: StorageCell<u64> = StorageCell::new("pin.cell", 5);
+        let mut expected = vec![0x02];
+        expected.extend_from_slice(&5u64.to_le_bytes());
+        assert_eq!(cell.digest(&counters), sha256(&expected));
+
+        let vec: StorageVec<u8> = StorageVec::new("pin.vec");
+        vec.seed_push(4);
+        vec.seed_push(6);
+        let mut expected = vec![0x03];
+        expected.extend_from_slice(&2u64.to_le_bytes());
+        for item in [4u8, 6] {
+            expected.extend_from_slice(&1u64.to_le_bytes());
+            expected.push(item);
+        }
+        assert_eq!(vec.digest(&counters), sha256(&expected));
+
+        // A zero tally is not an entry: the field digest is the empty
+        // map's, and equals that of a tally map never touched.
+        let tally: StorageCounterMap<u64> = StorageCounterMap::new("pin.tally");
+        tally.seed(3, 0);
+        assert_eq!(tally.digest(&counters), node(0, &[]));
+        tally.seed(3, 2);
+        assert_ne!(tally.digest(&counters), node(0, &[]));
+        assert_eq!(counters.stats().cold_builds, 1);
+    }
+
+    /// A stale cache would be a consensus bug: every non-transactional
+    /// write after a root must move the next root.
+    #[test]
+    fn seed_after_a_root_changes_the_next_root() {
+        let counters = RootCounters::default();
+        let map: StorageMap<Address, u64> = StorageMap::new("stale.map");
+        for i in 0..100 {
+            map.seed(Address::from_index(i), i);
+        }
+        let before = map.digest(&counters);
+        map.seed(Address::from_index(5), 1_000);
+        let after = map.digest(&counters);
+        assert_ne!(before, after);
+        map.seed(Address::from_index(5), 5);
+        assert_eq!(
+            map.digest(&counters),
+            before,
+            "content-addressed, not history"
+        );
+
+        let cell: StorageCell<u64> = StorageCell::new("stale.cell", 1);
+        let before = cell.digest(&counters);
+        cell.seed(2);
+        assert_ne!(cell.digest(&counters), before);
+
+        let vec: StorageVec<u64> = StorageVec::new("stale.vec");
+        let before = vec.digest(&counters);
+        vec.seed_push(1);
+        assert_ne!(vec.digest(&counters), before);
+    }
+
+    /// The definition, written the slow way: bucket every entry by the
+    /// low 12 bits of its key fingerprint, hash non-empty leaves in key
+    /// order, then fold 16 children at a time with occupancy masks.
+    fn reference_map_digest(entries: &std::collections::BTreeMap<u64, u64>) -> Hash256 {
+        let mut leaves = vec![Vec::new(); LEAVES];
+        for (key, value) in entries {
+            let h = fnv1a_of(key);
+            let leaf = (h % 16) as usize * 256 + ((h / 16) % 256) as usize;
+            leaves[leaf].push((key.to_le_bytes(), value.to_le_bytes()));
+        }
+        let mut level: Vec<Option<Hash256>> = leaves
+            .into_iter()
+            .map(|mut entries| {
+                entries.sort();
+                let mut bytes = vec![0x00];
+                for (k, v) in &entries {
+                    bytes.extend_from_slice(&8u64.to_le_bytes());
+                    bytes.extend_from_slice(k);
+                    bytes.extend_from_slice(&8u64.to_le_bytes());
+                    bytes.extend_from_slice(v);
+                }
+                (!entries.is_empty()).then(|| sha256(&bytes))
+            })
+            .collect();
+        while level.len() > 1 {
+            level = level
+                .chunks(16)
+                .map(|children| {
+                    let mask = (children.iter().enumerate())
+                        .filter(|(_, c)| c.is_some())
+                        .fold(0u16, |m, (i, _)| m | 1 << i);
+                    let present: Vec<Hash256> = children.iter().flatten().copied().collect();
+                    // Only the root is hashed when empty.
+                    (mask != 0 || level.len() == 16).then(|| node(mask, &present))
+                })
+                .collect();
+        }
+        level[0].expect("the root always has a digest")
+    }
+
+    /// The incremental digest of a map equals both the cold digest of a
+    /// twin holding the same final contents and the definition computed
+    /// from scratch, whatever the history — including buckets that hold
+    /// several entries, and ones that fill up and drain again.
+    #[test]
+    fn incremental_digest_equals_cold_twin_and_reference_digests() {
+        let counters = RootCounters::default();
+        let map: StorageMap<u64, u64> = StorageMap::new("twin.map");
+        let mut reference = std::collections::BTreeMap::new();
+        assert_eq!(map.digest(&counters), reference_map_digest(&reference));
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 1..=6_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let key = (x >> 33) % 9_000;
+            map.seed(key, step);
+            reference.insert(key, step);
+            if step % 1_000 == 0 || step < 4 {
+                let twin: StorageMap<u64, u64> = StorageMap::new("twin.cold");
+                for (k, v) in &reference {
+                    twin.seed(*k, *v);
+                }
+                let digest = map.digest(&counters);
+                assert_eq!(digest, twin.digest(&RootCounters::default()));
+                assert_eq!(digest, reference_map_digest(&reference));
+            }
+        }
+    }
+}

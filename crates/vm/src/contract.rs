@@ -5,6 +5,7 @@ use crate::address::Address;
 use crate::context::CallContext;
 use crate::error::VmError;
 use crate::snapshot::ContractSnapshot;
+use crate::storage::StorageField;
 use std::fmt;
 
 /// A human-readable contract kind (e.g. `"Ballot"`), used in snapshots and
@@ -48,10 +49,26 @@ pub trait Contract: Send + Sync {
     ///   retry.
     fn call(&self, ctx: &mut CallContext<'_>, call: &CallData) -> Result<ReturnValue, VmError>;
 
+    /// Every persistent state variable of the contract, in declaration
+    /// order — the one list both the state commitment
+    /// ([`crate::World::state_root`]) and [`Contract::snapshot`] derive
+    /// from. A field left out is invisible to validators: two worlds
+    /// differing only in it would share a root.
+    fn storage_fields(&self) -> Vec<&dyn StorageField>;
+
     /// A canonical snapshot of the contract's entire persistent state,
-    /// used for state-root computation and cross-execution equality
+    /// used for durable world snapshots and cross-execution equality
     /// checks.
-    fn snapshot(&self) -> ContractSnapshot;
+    fn snapshot(&self) -> ContractSnapshot {
+        ContractSnapshot::new(
+            self.kind().0,
+            self.address(),
+            self.storage_fields()
+                .iter()
+                .map(|field| field.snapshot_field())
+                .collect(),
+        )
+    }
 }
 
 #[cfg(test)]

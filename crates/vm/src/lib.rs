@@ -16,7 +16,10 @@
 //!   collections of [`cc_stm`],
 //! * [`Contract`] + [`World`] — the contract trait, registry and the entry
 //!   point used by miners and validators to execute one call descriptor
-//!   inside a speculative (or replay) transaction.
+//!   inside a speculative (or replay) transaction,
+//! * [`commit`] — the incremental Merkle state commitment behind
+//!   [`World::state_root`]; [`snapshot`] — canonical full-state bytes for
+//!   durable snapshots.
 //!
 //! # Example
 //!
@@ -47,6 +50,7 @@
 
 pub mod abi;
 pub mod address;
+pub mod commit;
 pub mod context;
 pub mod contract;
 pub mod error;
@@ -63,6 +67,7 @@ pub mod world;
 
 pub use abi::{ArgValue, CallData, ReturnValue};
 pub use address::Address;
+pub use commit::StateRootStats;
 pub use context::{CallContext, TxnRef, TxnSavepoint};
 pub use contract::{Contract, ContractKind};
 pub use error::VmError;
@@ -71,6 +76,6 @@ pub use gas::{GasMeter, GasSchedule};
 pub use msg::Msg;
 pub use receipt::{ExecutionStatus, Receipt};
 pub use snapshot::{ContractSnapshot, FieldSnapshot, WorldSnapshot};
-pub use storage::{StorageCell, StorageCounterMap, StorageMap, StorageVec};
+pub use storage::{StorageCell, StorageCounterMap, StorageField, StorageMap, StorageVec};
 pub use value::Wei;
 pub use world::World;

@@ -1,140 +1,209 @@
-//! Deterministic state snapshots and state roots.
+//! Deterministic state snapshots.
 //!
-//! A block commits to the post-state of its transactions via a *state
-//! root*. The reproduction computes it by snapshotting every contract's
-//! storage into a canonical byte form, hashing each contract, and hashing
-//! the sorted list of per-contract digests. Any divergence between the
-//! miner's and a validator's final state therefore changes the root and
-//! causes the block to be rejected.
+//! A world snapshot is the full persistent state of every contract in a
+//! canonical byte form: what a durable snapshot file stores, and what
+//! recovery and the equivalence suites compare bit for bit. The *state
+//! root* block headers commit to is a separate, incrementally maintained
+//! Merkle commitment over the same storage fields (see [`crate::commit`]);
+//! both are derived from one field list per contract
+//! ([`crate::Contract::storage_fields`]).
 
 use crate::address::Address;
 use crate::value::Wei;
 use cc_primitives::codec::{DecodeError, Decoder, Encoder};
-use cc_primitives::hash::{Hash256, Sha256};
 
 /// Conversion into canonical bytes for state commitment.
 ///
 /// Implemented for the primitive field types contracts use; contract
-/// crates implement it for their own structs (e.g. `Voter`).
+/// crates implement it for their own structs (e.g. `Voter`). Encodings of
+/// distinct keys of one map must be distinct.
 pub trait ToBytes {
+    /// Appends the canonical byte encoding of the value to `out` (the
+    /// form the snapshot and state-root paths use: no allocation per
+    /// value).
+    fn encode_into(&self, out: &mut Vec<u8>);
+
     /// Canonical byte encoding of the value.
-    fn to_bytes(&self) -> Vec<u8>;
-}
-
-impl ToBytes for u64 {
     fn to_bytes(&self) -> Vec<u8> {
-        self.to_le_bytes().to_vec()
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
     }
 }
 
-impl ToBytes for u128 {
-    fn to_bytes(&self) -> Vec<u8> {
-        self.to_le_bytes().to_vec()
-    }
+macro_rules! le_bytes_to_bytes {
+    ($($ty:ty),*) => {$(
+        impl ToBytes for $ty {
+            fn encode_into(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+        }
+    )*};
 }
-
-impl ToBytes for u32 {
-    fn to_bytes(&self) -> Vec<u8> {
-        self.to_le_bytes().to_vec()
-    }
-}
-
-impl ToBytes for u8 {
-    fn to_bytes(&self) -> Vec<u8> {
-        vec![*self]
-    }
-}
-
-impl ToBytes for u16 {
-    fn to_bytes(&self) -> Vec<u8> {
-        self.to_le_bytes().to_vec()
-    }
-}
+le_bytes_to_bytes!(u8, u16, u32, u64, u128);
 
 impl ToBytes for usize {
-    fn to_bytes(&self) -> Vec<u8> {
-        (*self as u64).to_le_bytes().to_vec()
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        (*self as u64).encode_into(out);
     }
 }
 
 impl ToBytes for bool {
-    fn to_bytes(&self) -> Vec<u8> {
-        vec![u8::from(*self)]
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
     }
 }
 
 impl ToBytes for String {
-    fn to_bytes(&self) -> Vec<u8> {
-        self.as_bytes().to_vec()
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.as_bytes());
+    }
+}
+
+impl ToBytes for [u8] {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
     }
 }
 
 impl ToBytes for [u8; 32] {
-    fn to_bytes(&self) -> Vec<u8> {
-        self.to_vec()
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
+    }
+}
+
+impl<T: ToBytes + ?Sized> ToBytes for &T {
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        (**self).encode_into(out);
     }
 }
 
 impl ToBytes for Address {
-    fn to_bytes(&self) -> Vec<u8> {
-        self.as_bytes().to_vec()
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.as_bytes());
     }
 }
 
 impl ToBytes for Wei {
-    fn to_bytes(&self) -> Vec<u8> {
-        self.amount().to_le_bytes().to_vec()
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.amount().encode_into(out);
     }
+}
+
+/// Where one entry of a [`FieldSnapshot`] lies in its byte arena: the key
+/// encoding at `start`, the value encoding right behind it.
+#[derive(Debug, Clone, Copy)]
+struct EntrySpan {
+    start: usize,
+    key_len: usize,
+    value_len: usize,
 }
 
 /// Snapshot of one storage field (one boosted collection or cell): a
-/// sorted list of `(encoded key, encoded value)` pairs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// list of `(encoded key, encoded value)` pairs sorted by encoded key,
+/// held in one byte arena rather than two vectors per entry.
+#[derive(Debug, Clone)]
 pub struct FieldSnapshot {
     /// The field's stable name (e.g. `"Ballot.voters"`).
     pub name: String,
-    /// Entries sorted by encoded key.
-    pub entries: Vec<(Vec<u8>, Vec<u8>)>,
+    /// Key and value encodings of every entry, back to back.
+    arena: Vec<u8>,
+    /// One span per entry, in canonical (sorted) order once built.
+    spans: Vec<EntrySpan>,
 }
 
+impl PartialEq for FieldSnapshot {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.entries().eq(other.entries())
+    }
+}
+
+impl Eq for FieldSnapshot {}
+
 impl FieldSnapshot {
-    /// Builds a snapshot from unsorted entries, sorting them canonically.
-    pub fn new(name: impl Into<String>, mut entries: Vec<(Vec<u8>, Vec<u8>)>) -> Self {
-        entries.sort();
+    /// An entry-less snapshot with room for `entries` entries.
+    pub(crate) fn with_capacity(name: impl Into<String>, entries: usize) -> Self {
         FieldSnapshot {
             name: name.into(),
-            entries,
+            arena: Vec::new(),
+            spans: Vec::with_capacity(entries),
         }
     }
 
-    /// Builds a snapshot of a single scalar value.
-    pub fn scalar(name: impl Into<String>, value: &impl ToBytes) -> Self {
-        FieldSnapshot {
-            name: name.into(),
-            entries: vec![(Vec::new(), value.to_bytes())],
-        }
+    /// Appends one entry, encoding it straight into the arena. Entries
+    /// may arrive in any order; [`FieldSnapshot::sorted`] fixes it.
+    pub(crate) fn push<K, V>(&mut self, key: &K, value: &V)
+    where
+        K: ToBytes + ?Sized,
+        V: ToBytes + ?Sized,
+    {
+        let start = self.arena.len();
+        key.encode_into(&mut self.arena);
+        let key_len = self.arena.len() - start;
+        value.encode_into(&mut self.arena);
+        self.spans.push(EntrySpan {
+            start,
+            key_len,
+            value_len: self.arena.len() - start - key_len,
+        });
     }
 
-    /// Builds a snapshot from typed entries.
+    /// Puts the entries into canonical order: ascending by encoded key
+    /// (then value, so the order is total even for a faulty encoder).
+    pub(crate) fn sorted(mut self) -> Self {
+        let arena = &self.arena;
+        let key = |s: &EntrySpan| &arena[s.start..s.start + s.key_len];
+        let value = |s: &EntrySpan| &arena[s.start + s.key_len..][..s.value_len];
+        self.spans
+            .sort_unstable_by(|a, b| key(a).cmp(key(b)).then_with(|| value(a).cmp(value(b))));
+        self
+    }
+
+    /// Builds a snapshot of a single scalar value (one entry, empty key).
+    pub fn scalar(name: &str, value: &impl ToBytes) -> Self {
+        let mut field = FieldSnapshot::with_capacity(name, 1);
+        let no_key: &[u8] = &[];
+        field.push(no_key, value);
+        field
+    }
+
+    /// Builds a snapshot from typed entries in any order.
     pub fn from_typed<K: ToBytes, V: ToBytes>(
-        name: impl Into<String>,
+        name: &str,
         entries: impl IntoIterator<Item = (K, V)>,
     ) -> Self {
-        FieldSnapshot::new(
-            name,
-            entries
-                .into_iter()
-                .map(|(k, v)| (k.to_bytes(), v.to_bytes()))
-                .collect(),
-        )
+        let entries = entries.into_iter();
+        let mut field = FieldSnapshot::with_capacity(name, entries.size_hint().0);
+        for (key, value) in entries {
+            field.push(&key, &value);
+        }
+        field.sorted()
     }
 
-    /// Canonical encoding, used both for contract digests and for
-    /// serializing snapshot files.
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Whether the field holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// The `(encoded key, encoded value)` pairs in canonical order.
+    pub fn entries(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
+        self.spans.iter().map(|s| {
+            let (key, value) =
+                self.arena[s.start..s.start + s.key_len + s.value_len].split_at(s.key_len);
+            (key, value)
+        })
+    }
+
+    /// Canonical encoding, used for serializing snapshot files.
     pub fn encode(&self, enc: &mut Encoder) {
         enc.put_str(&self.name);
-        enc.put_u64(self.entries.len() as u64);
-        for (k, v) in &self.entries {
+        enc.put_u64(self.len() as u64);
+        for (k, v) in self.entries() {
             enc.put_bytes(k);
             enc.put_bytes(v);
         }
@@ -144,18 +213,36 @@ impl FieldSnapshot {
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] on truncated or malformed input.
+    /// Returns a [`DecodeError`] on truncated or malformed input, and on
+    /// **non-canonical** input — keys not in strictly ascending order
+    /// (unsorted or duplicated) — so no two byte strings decode to the
+    /// same logical field.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<FieldSnapshot, DecodeError> {
         let name = dec.get_string()?;
         let n = dec.get_u64()? as usize;
-        let mut entries = Vec::with_capacity(n.min(4096));
+        let mut field = FieldSnapshot::with_capacity(name, n.min(4096));
+        let mut previous: Option<&[u8]> = None;
         for _ in 0..n {
-            let k = dec.get_bytes()?;
-            let v = dec.get_bytes()?;
-            entries.push((k, v));
+            let key = get_slice(dec)?;
+            let value = get_slice(dec)?;
+            if previous.is_some_and(|p| p >= key) {
+                return Err(DecodeError {
+                    context: "field snapshot keys not strictly ascending",
+                });
+            }
+            previous = Some(key);
+            field.push(key, value);
         }
-        Ok(FieldSnapshot { name, entries })
+        Ok(field)
     }
+}
+
+/// Reads a `u64`-length-prefixed byte string without copying it.
+fn get_slice<'a>(dec: &mut Decoder<'a>) -> Result<&'a [u8], DecodeError> {
+    let len = usize::try_from(dec.get_u64()?).map_err(|_| DecodeError {
+        context: "bytes length",
+    })?;
+    dec.get_raw(len)
 }
 
 /// Snapshot of one contract's entire persistent state.
@@ -179,14 +266,7 @@ impl ContractSnapshot {
         }
     }
 
-    /// Canonical digest of this contract's state.
-    pub fn digest(&self) -> Hash256 {
-        let mut enc = Encoder::new();
-        self.encode(&mut enc);
-        cc_primitives::sha256(enc.as_slice())
-    }
-
-    /// Canonical encoding; the digest hashes exactly these bytes.
+    /// Canonical encoding of the contract's state.
     pub fn encode(&self, enc: &mut Encoder) {
         enc.put_str(&self.kind);
         enc.put_raw(self.address.as_bytes());
@@ -200,7 +280,8 @@ impl ContractSnapshot {
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] on truncated or malformed input.
+    /// Returns a [`DecodeError`] on truncated, malformed or non-canonical
+    /// input (see [`FieldSnapshot::decode`]).
     pub fn decode(dec: &mut Decoder<'_>) -> Result<ContractSnapshot, DecodeError> {
         let kind = dec.get_string()?;
         let raw = dec.get_raw(20)?;
@@ -234,16 +315,6 @@ impl WorldSnapshot {
         WorldSnapshot { contracts }
     }
 
-    /// The state root committed to in block headers.
-    pub fn state_root(&self) -> Hash256 {
-        let mut hasher = Sha256::new();
-        hasher.update_u64(self.contracts.len() as u64);
-        for contract in &self.contracts {
-            hasher.update(contract.digest().as_bytes());
-        }
-        hasher.finalize()
-    }
-
     /// Serializes the full snapshot to canonical bytes. Recovery compares
     /// these bytes bit-for-bit against a re-executed world, so the
     /// encoding must stay deterministic.
@@ -265,14 +336,43 @@ impl WorldSnapshot {
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] on truncated or malformed input.
+    /// Returns a [`DecodeError`] on truncated or malformed input, and on
+    /// **non-canonical** input: contract addresses not in strictly
+    /// ascending order (unsorted or duplicated), or a non-canonical field
+    /// (see [`FieldSnapshot::decode`]).
     pub fn decode(dec: &mut Decoder<'_>) -> Result<WorldSnapshot, DecodeError> {
         let n = dec.get_u64()? as usize;
-        let mut contracts = Vec::with_capacity(n.min(4096));
+        let mut contracts: Vec<ContractSnapshot> = Vec::with_capacity(n.min(4096));
         for _ in 0..n {
-            contracts.push(ContractSnapshot::decode(dec)?);
+            let contract = ContractSnapshot::decode(dec)?;
+            if contracts
+                .last()
+                .is_some_and(|p| p.address >= contract.address)
+            {
+                return Err(DecodeError {
+                    context: "world snapshot contract addresses not strictly ascending",
+                });
+            }
+            contracts.push(contract);
         }
         Ok(WorldSnapshot { contracts })
+    }
+
+    /// Decodes a world snapshot that must span all of `bytes` — the form
+    /// snapshot files store ([`WorldSnapshot::to_bytes`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`WorldSnapshot::decode`], plus trailing bytes.
+    pub fn from_bytes(bytes: &[u8]) -> Result<WorldSnapshot, DecodeError> {
+        let mut dec = Decoder::new(bytes);
+        let snapshot = WorldSnapshot::decode(&mut dec)?;
+        if !dec.is_empty() {
+            return Err(DecodeError {
+                context: "trailing bytes after world snapshot",
+            });
+        }
+        Ok(snapshot)
     }
 }
 
@@ -280,77 +380,132 @@ impl WorldSnapshot {
 mod tests {
     use super::*;
 
+    fn pairs(field: &FieldSnapshot) -> Vec<(Vec<u8>, Vec<u8>)> {
+        field
+            .entries()
+            .map(|(k, v)| (k.to_vec(), v.to_vec()))
+            .collect()
+    }
+
     #[test]
-    fn field_snapshot_sorts_entries() {
-        let f = FieldSnapshot::new("m", vec![(vec![2], vec![20]), (vec![1], vec![10])]);
-        assert_eq!(f.entries[0].0, vec![1]);
+    fn field_snapshot_sorts_entries_by_encoded_key() {
+        let f = FieldSnapshot::from_typed("m", vec![(2u8, 20u8), (1u8, 10u8)]);
+        assert_eq!(pairs(&f), vec![(vec![1], vec![10]), (vec![2], vec![20])]);
+        // Equality is logical: arena layout (insertion order) is invisible.
+        assert_eq!(
+            f,
+            FieldSnapshot::from_typed("m", vec![(1u8, 10u8), (2u8, 20u8)])
+        );
+        assert_ne!(
+            f,
+            FieldSnapshot::from_typed("m", vec![(1u8, 10u8), (2u8, 21u8)])
+        );
     }
 
     #[test]
     fn typed_and_scalar_snapshots() {
         let f = FieldSnapshot::from_typed("counts", vec![(2u64, 20u64), (1u64, 10u64)]);
-        assert_eq!(f.entries.len(), 2);
+        assert_eq!(f.len(), 2);
         let s = FieldSnapshot::scalar("highest", &42u64);
-        assert_eq!(s.entries.len(), 1);
-        assert!(s.entries[0].0.is_empty());
+        assert_eq!(s.len(), 1);
+        assert!(s.entries().next().unwrap().0.is_empty());
+        assert!(FieldSnapshot::from_typed::<u64, u64>("none", vec![]).is_empty());
     }
 
-    #[test]
-    fn digest_changes_with_content() {
-        let a = ContractSnapshot::new(
-            "Ballot",
-            Address::from_index(1),
-            vec![FieldSnapshot::from_typed("votes", vec![(1u64, 5u64)])],
-        );
-        let mut b = a.clone();
-        b.fields = vec![FieldSnapshot::from_typed("votes", vec![(1u64, 6u64)])];
-        assert_ne!(a.digest(), b.digest());
-    }
-
-    #[test]
-    fn state_root_independent_of_insertion_order() {
-        let c1 = ContractSnapshot::new("A", Address::from_index(1), vec![]);
-        let c2 = ContractSnapshot::new("B", Address::from_index(2), vec![]);
-        let w1 = WorldSnapshot::new(vec![c1.clone(), c2.clone()]);
-        let w2 = WorldSnapshot::new(vec![c2, c1]);
-        assert_eq!(w1.state_root(), w2.state_root());
-    }
-
-    #[test]
-    fn state_root_sensitive_to_state() {
-        let base = WorldSnapshot::new(vec![ContractSnapshot::new(
-            "A",
-            Address::from_index(1),
-            vec![FieldSnapshot::from_typed("m", vec![(1u64, 1u64)])],
-        )]);
-        let changed = WorldSnapshot::new(vec![ContractSnapshot::new(
-            "A",
-            Address::from_index(1),
-            vec![FieldSnapshot::from_typed("m", vec![(1u64, 2u64)])],
-        )]);
-        assert_ne!(base.state_root(), changed.state_root());
-    }
-
-    #[test]
-    fn world_snapshot_roundtrip() {
-        let w = WorldSnapshot::new(vec![
+    fn sample_world() -> WorldSnapshot {
+        WorldSnapshot::new(vec![
             ContractSnapshot::new(
                 "Ballot",
                 Address::from_index(2),
                 vec![
-                    FieldSnapshot::from_typed("votes", vec![(1u64, 5u64)]),
+                    FieldSnapshot::from_typed("votes", vec![(1u64, 5u64), (0u64, 9u64)]),
                     FieldSnapshot::scalar("chair", &7u64),
                 ],
             ),
             ContractSnapshot::new("Auction", Address::from_index(1), vec![]),
-        ]);
+        ])
+    }
+
+    #[test]
+    fn world_snapshot_roundtrip() {
+        let w = sample_world();
+        assert_eq!(w.contracts[0].kind, "Auction", "sorted by address");
         let bytes = w.to_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let decoded = WorldSnapshot::decode(&mut dec).unwrap();
-        assert!(dec.is_empty());
+        let decoded = WorldSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(decoded, w);
-        assert_eq!(decoded.state_root(), w.state_root());
         assert_eq!(decoded.to_bytes(), bytes);
+        let mut trailing = bytes;
+        trailing.push(0);
+        assert!(WorldSnapshot::from_bytes(&trailing).is_err());
+    }
+
+    /// The bytes of a one-field contract whose entries are written in the
+    /// given order, bypassing the canonicalizing constructors.
+    fn raw_field_bytes(entries: &[(&[u8], &[u8])]) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_str("m");
+        enc.put_u64(entries.len() as u64);
+        for (k, v) in entries {
+            enc.put_bytes(k);
+            enc.put_bytes(v);
+        }
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn decode_rejects_unsorted_field_keys() {
+        let canonical = raw_field_bytes(&[(&[1], &[10]), (&[2], &[20])]);
+        assert!(FieldSnapshot::decode(&mut Decoder::new(&canonical)).is_ok());
+        let unsorted = raw_field_bytes(&[(&[2], &[20]), (&[1], &[10])]);
+        assert_eq!(
+            FieldSnapshot::decode(&mut Decoder::new(&unsorted)),
+            Err(DecodeError {
+                context: "field snapshot keys not strictly ascending"
+            })
+        );
+    }
+
+    #[test]
+    fn decode_rejects_duplicate_field_keys() {
+        let duplicate = raw_field_bytes(&[(&[1], &[10]), (&[1], &[11])]);
+        assert_eq!(
+            FieldSnapshot::decode(&mut Decoder::new(&duplicate)),
+            Err(DecodeError {
+                context: "field snapshot keys not strictly ascending"
+            })
+        );
+    }
+
+    /// World bytes listing empty contracts at the given addresses, in the
+    /// given order.
+    fn raw_world_bytes(indices: &[u64]) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_u64(indices.len() as u64);
+        for &i in indices {
+            ContractSnapshot::new("C", Address::from_index(i), vec![]).encode(&mut enc);
+        }
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn decode_rejects_unsorted_contract_addresses() {
+        assert!(WorldSnapshot::from_bytes(&raw_world_bytes(&[1, 2])).is_ok());
+        assert_eq!(
+            WorldSnapshot::from_bytes(&raw_world_bytes(&[2, 1])),
+            Err(DecodeError {
+                context: "world snapshot contract addresses not strictly ascending"
+            })
+        );
+    }
+
+    #[test]
+    fn decode_rejects_duplicate_contract_addresses() {
+        assert_eq!(
+            WorldSnapshot::from_bytes(&raw_world_bytes(&[1, 1])),
+            Err(DecodeError {
+                context: "world snapshot contract addresses not strictly ascending"
+            })
+        );
     }
 
     #[test]
@@ -359,10 +514,16 @@ mod tests {
         assert_eq!(7u32.to_bytes().len(), 4);
         assert_eq!(7u128.to_bytes().len(), 16);
         assert_eq!(7usize.to_bytes().len(), 8);
+        assert_eq!(7u16.to_bytes(), vec![7, 0]);
+        assert_eq!(7u8.to_bytes(), vec![7]);
         assert_eq!(true.to_bytes(), vec![1]);
         assert_eq!("ab".to_string().to_bytes(), b"ab".to_vec());
         assert_eq!([1u8; 32].to_bytes().len(), 32);
         assert_eq!(Address::from_index(1).to_bytes().len(), 20);
         assert_eq!(Wei::new(9).to_bytes().len(), 16);
+        // `encode_into` appends; `to_bytes` is exactly what it appends.
+        let mut out = vec![0xff];
+        7u32.encode_into(&mut out);
+        assert_eq!(out, [&[0xff][..], &7u32.to_bytes()].concat());
     }
 }

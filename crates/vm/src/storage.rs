@@ -17,6 +17,7 @@
 //! block finalization flattens committed versions back into the boosted
 //! base.
 
+use crate::commit::{cell_digest, vec_digest, MapCommitment, RootCounters};
 use crate::context::{CallContext, TxnRef};
 use crate::error::VmError;
 use crate::snapshot::{FieldSnapshot, ToBytes};
@@ -24,9 +25,31 @@ use cc_mvcc::{
     CellBase, MapBase, MvccTxn, TallyBase, VecBase, VersionedCell, VersionedCounterMap,
     VersionedMap, VersionedVec,
 };
+use cc_primitives::hash::Hash256;
 use cc_stm::{BoostedCell, BoostedCounterMap, BoostedMap, BoostedVec};
+use parking_lot::Mutex;
 use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
+
+/// One persistent state variable of a contract, as the state commitment
+/// and the snapshot path see it. Implemented by the four storage
+/// wrappers; a contract lists its fields once
+/// ([`crate::Contract::storage_fields`]) and both views derive from that
+/// list.
+pub trait StorageField: Send + Sync {
+    /// The field's stable, globally unique name (`"Ballot.voters"`).
+    fn name(&self) -> &str;
+
+    /// Canonical full copy of the field, for world snapshots.
+    fn snapshot_field(&self) -> FieldSnapshot;
+
+    /// The field's state-commitment digest (see [`crate::commit`]):
+    /// re-hashes what was written since the previous call and answers
+    /// from the cache otherwise. Consistent only while no transaction is
+    /// running against the field — the contract every non-transactional
+    /// storage accessor carries.
+    fn digest(&self, counters: &RootCounters) -> Hash256;
+}
 
 /// Adapter: a boosted map as the single-version base of a versioned map.
 struct MapBackend<K, V>(BoostedMap<K, V>);
@@ -107,6 +130,7 @@ where
 pub struct StorageMap<K, V> {
     inner: BoostedMap<K, V>,
     overlay: Arc<OnceLock<VersionedMap<K, V>>>,
+    commitment: Arc<Mutex<MapCommitment>>,
 }
 
 impl<K, V> StorageMap<K, V>
@@ -120,6 +144,7 @@ where
         StorageMap {
             inner: BoostedMap::new(name),
             overlay: Arc::new(OnceLock::new()),
+            commitment: Arc::default(),
         }
     }
 
@@ -296,14 +321,27 @@ where
     }
 }
 
-impl<K, V> StorageMap<K, V>
+impl<K, V> StorageField for StorageMap<K, V>
 where
     K: Hash + Eq + Clone + Send + Sync + ToBytes + 'static,
     V: Clone + Send + Sync + ToBytes + 'static,
 {
-    /// Canonical snapshot of the field for state-root computation.
-    pub fn snapshot_field(&self) -> FieldSnapshot {
-        FieldSnapshot::from_typed(self.inner.name(), self.inner.snapshot())
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn snapshot_field(&self) -> FieldSnapshot {
+        let mut field = FieldSnapshot::with_capacity(self.inner.name(), self.inner.snapshot_len());
+        self.inner.for_each(|key, value| field.push(key, value));
+        field.sorted()
+    }
+
+    fn digest(&self, counters: &RootCounters) -> Hash256 {
+        let mut commitment = self.commitment.lock();
+        self.inner.drain_dirty(|shard, dirty, table| {
+            commitment.refresh_shard(shard, dirty, table, |_| true, counters);
+        });
+        commitment.root(counters)
     }
 }
 
@@ -312,6 +350,8 @@ where
 pub struct StorageCell<T> {
     inner: BoostedCell<T>,
     overlay: Arc<OnceLock<VersionedCell<T>>>,
+    /// The digest as of the last drain of the cell's dirty mark.
+    digest: Arc<Mutex<Hash256>>,
 }
 
 impl<T> StorageCell<T>
@@ -323,6 +363,7 @@ where
         StorageCell {
             inner: BoostedCell::new(name, initial),
             overlay: Arc::new(OnceLock::new()),
+            digest: Arc::default(),
         }
     }
 
@@ -410,13 +451,24 @@ where
     }
 }
 
-impl<T> StorageCell<T>
+impl<T> StorageField for StorageCell<T>
 where
     T: Clone + Send + Sync + ToBytes + 'static,
 {
-    /// Canonical snapshot of the scalar for state-root computation.
-    pub fn snapshot_field(&self) -> FieldSnapshot {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn snapshot_field(&self) -> FieldSnapshot {
         FieldSnapshot::scalar(self.inner.name(), &self.inner.peek())
+    }
+
+    fn digest(&self, counters: &RootCounters) -> Hash256 {
+        let mut cached = self.digest.lock();
+        if let Some(fresh) = self.inner.drain_dirty(|value| cell_digest(value, counters)) {
+            *cached = fresh;
+        }
+        *cached
     }
 }
 
@@ -425,6 +477,8 @@ where
 pub struct StorageVec<T> {
     inner: BoostedVec<T>,
     overlay: Arc<OnceLock<VersionedVec<T>>>,
+    /// The digest as of the last drain of the vector's dirty mark.
+    digest: Arc<Mutex<Hash256>>,
 }
 
 impl<T> StorageVec<T>
@@ -436,6 +490,7 @@ where
         StorageVec {
             inner: BoostedVec::new(name),
             overlay: Arc::new(OnceLock::new()),
+            digest: Arc::default(),
         }
     }
 
@@ -571,20 +626,27 @@ where
     }
 }
 
-impl<T> StorageVec<T>
+impl<T> StorageField for StorageVec<T>
 where
     T: Clone + Send + Sync + ToBytes + 'static,
 {
-    /// Canonical snapshot of the array for state-root computation.
-    pub fn snapshot_field(&self) -> FieldSnapshot {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn snapshot_field(&self) -> FieldSnapshot {
         FieldSnapshot::from_typed(
             self.inner.name(),
-            self.inner
-                .snapshot()
-                .into_iter()
-                .enumerate()
-                .map(|(i, v)| (i as u64, v)),
+            (self.inner.snapshot().iter().enumerate()).map(|(i, v)| (i as u64, v)),
         )
+    }
+
+    fn digest(&self, counters: &RootCounters) -> Hash256 {
+        let mut cached = self.digest.lock();
+        if let Some(fresh) = self.inner.drain_dirty(|items| vec_digest(items, counters)) {
+            *cached = fresh;
+        }
+        *cached
     }
 }
 
@@ -594,6 +656,7 @@ where
 pub struct StorageCounterMap<K> {
     inner: BoostedCounterMap<K>,
     overlay: Arc<OnceLock<VersionedCounterMap<K>>>,
+    commitment: Arc<Mutex<MapCommitment>>,
 }
 
 impl<K> StorageCounterMap<K>
@@ -605,6 +668,7 @@ where
         StorageCounterMap {
             inner: BoostedCounterMap::new(name),
             overlay: Arc::new(OnceLock::new()),
+            commitment: Arc::default(),
         }
     }
 
@@ -677,12 +741,75 @@ where
     }
 }
 
-impl<K> StorageCounterMap<K>
+impl<K> StorageField for StorageCounterMap<K>
 where
     K: Hash + Eq + Clone + Send + Sync + ToBytes + 'static,
 {
-    /// Canonical snapshot of the tallies for state-root computation.
-    pub fn snapshot_field(&self) -> FieldSnapshot {
-        FieldSnapshot::from_typed(self.inner.name(), self.inner.snapshot())
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn snapshot_field(&self) -> FieldSnapshot {
+        let mut field = FieldSnapshot::with_capacity(self.inner.name(), 0);
+        self.inner.for_each(|key, tally| field.push(key, &tally));
+        field.sorted()
+    }
+
+    fn digest(&self, counters: &RootCounters) -> Hash256 {
+        let mut commitment = self.commitment.lock();
+        self.inner.drain_dirty(|shard, dirty, table| {
+            // A zero tally is not an entry (see `BoostedCounterMap::for_each`).
+            commitment.refresh_shard(shard, dirty, table, |tally| *tally != 0, counters);
+        });
+        commitment.root(counters)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `restore` and `clear` on the backing collections are reachable only
+    /// through the multi-version flatten adapters, but they mutate base
+    /// state all the same: the next digest must be the cold digest of a
+    /// twin holding what they left behind.
+    #[test]
+    fn restore_and_clear_move_the_digest_to_the_cold_twins() {
+        let counters = RootCounters::default();
+        let map: StorageMap<u64, u64> = StorageMap::new("rc.map");
+        let tally: StorageCounterMap<u64> = StorageCounterMap::new("rc.tally");
+        let items: StorageVec<u64> = StorageVec::new("rc.items");
+        for i in 0..200 {
+            map.seed(i, i);
+            tally.seed(i, i + 1);
+            items.seed_push(i);
+        }
+        let populated = (
+            map.digest(&counters),
+            tally.digest(&counters),
+            items.digest(&counters),
+        );
+
+        map.inner.restore(vec![(1, 1), (500, 5)]);
+        tally.inner.restore(vec![(2, 2)]);
+        VecBackend(items.inner.clone()).store(vec![9, 8]);
+        let twin_map: StorageMap<u64, u64> = StorageMap::new("rc.map.twin");
+        twin_map.seed(500, 5);
+        twin_map.seed(1, 1);
+        let twin_tally: StorageCounterMap<u64> = StorageCounterMap::new("rc.tally.twin");
+        twin_tally.seed(2, 2);
+        let twin_items: StorageVec<u64> = StorageVec::new("rc.items.twin");
+        twin_items.seed_push(9);
+        twin_items.seed_push(8);
+        assert_ne!(map.digest(&counters), populated.0);
+        assert_eq!(map.digest(&counters), twin_map.digest(&counters));
+        assert_eq!(tally.digest(&counters), twin_tally.digest(&counters));
+        assert_ne!(tally.digest(&counters), populated.1);
+        assert_eq!(items.digest(&counters), twin_items.digest(&counters));
+        assert_ne!(items.digest(&counters), populated.2);
+
+        map.inner.clear();
+        let empty: StorageMap<u64, u64> = StorageMap::new("rc.map.empty");
+        assert_eq!(map.digest(&counters), empty.digest(&counters));
     }
 }

@@ -7,8 +7,7 @@ use crate::address::Address;
 use crate::context::CallContext;
 use crate::contract::{Contract, ContractKind};
 use crate::error::VmError;
-use crate::snapshot::ContractSnapshot;
-use crate::storage::{StorageCell, StorageCounterMap, StorageMap};
+use crate::storage::{StorageCell, StorageCounterMap, StorageField, StorageMap};
 use crate::value::Wei;
 
 /// A tiny contract with a per-sender counter, a global total and a
@@ -88,16 +87,8 @@ impl Contract for CounterContract {
         }
     }
 
-    fn snapshot(&self) -> ContractSnapshot {
-        ContractSnapshot::new(
-            "Counter",
-            self.address,
-            vec![
-                self.counts.snapshot_field(),
-                self.total.snapshot_field(),
-                self.deposits.snapshot_field(),
-            ],
-        )
+    fn storage_fields(&self) -> Vec<&dyn StorageField> {
+        vec![&self.counts, &self.total, &self.deposits]
     }
 }
 
@@ -176,8 +167,8 @@ impl Contract for ProxyContract {
         }
     }
 
-    fn snapshot(&self) -> ContractSnapshot {
-        ContractSnapshot::new("Proxy", self.address, vec![self.forwarded.snapshot_field()])
+    fn storage_fields(&self) -> Vec<&dyn StorageField> {
+        vec![&self.forwarded]
     }
 }
 

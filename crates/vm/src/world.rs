@@ -2,6 +2,7 @@
 
 use crate::abi::CallData;
 use crate::address::Address;
+use crate::commit::{contract_digest, RootCounters, StateRootStats};
 use crate::context::{CallContext, TxnRef};
 use crate::contract::Contract;
 use crate::error::VmError;
@@ -11,7 +12,7 @@ use crate::receipt::{ExecutionStatus, Receipt};
 use crate::snapshot::WorldSnapshot;
 use cc_mvcc::MvccRuntime;
 use cc_primitives::fx::FxHashMap;
-use cc_primitives::hash::Hash256;
+use cc_primitives::hash::{Hash256, Sha256};
 use cc_stm::{Stm, StmError, Transaction};
 use parking_lot::RwLock;
 use std::cell::RefCell;
@@ -49,6 +50,8 @@ pub struct World {
     /// snapshot, so [`World::registry`] can detect staleness with one
     /// atomic load instead of crossing the `resolved` lock.
     registry_generation: AtomicU64,
+    /// Work counters of every state root taken on this world.
+    root_counters: RootCounters,
 }
 
 /// Source of unique [`World::world_id`] values.
@@ -92,6 +95,7 @@ impl World {
             resolved: RwLock::new(Arc::new(FxHashMap::default())),
             world_id: NEXT_WORLD_ID.fetch_add(1, Ordering::Relaxed),
             registry_generation: AtomicU64::new(0),
+            root_counters: RootCounters::default(),
         }
     }
 
@@ -310,9 +314,30 @@ impl World {
         )
     }
 
-    /// The state root committing to the current world state.
+    /// The state root committing to the current world state: the hash of
+    /// every contract's digest in address order (see [`crate::commit`]
+    /// for the full definition).
+    ///
+    /// Incremental: only storage written since the previous root —
+    /// transactionally, by undo replay, by seeding or by flattening a
+    /// multi-version overlay — is re-hashed; clean fields answer from
+    /// their cached digests. Like [`World::snapshot`] it reads base state
+    /// non-transactionally, so callers quiesce execution first (every
+    /// miner, validator and pending-chain commit does).
     pub fn state_root(&self) -> Hash256 {
-        self.snapshot().state_root()
+        let contracts = self.contracts.read();
+        let mut hasher = Sha256::new();
+        hasher.update_u64(contracts.len() as u64);
+        for contract in contracts.values() {
+            hasher.update(contract_digest(contract.as_ref(), &self.root_counters).as_bytes());
+        }
+        hasher.finalize()
+    }
+
+    /// How much work this world's state roots have done so far: leaves
+    /// re-hashed, entries re-encoded, bytes hashed and trees built.
+    pub fn root_stats(&self) -> StateRootStats {
+        self.root_counters.stats()
     }
 }
 
@@ -426,7 +451,7 @@ mod tests {
             .snapshot()
             .fields
             .iter()
-            .all(|f| f.entries.iter().all(|(_, v)| v.iter().all(|&b| b == 0))));
+            .all(|f| f.entries().all(|(_, v)| v.iter().all(|&b| b == 0))));
     }
 
     #[test]
@@ -611,6 +636,57 @@ mod tests {
             0,
             "steady-state execution must not acquire any RwLock"
         );
+    }
+
+    #[test]
+    fn root_stats_count_what_the_roots_re_hashed() {
+        let (world, addr) = world_with_counter();
+        let genesis = world.state_root();
+        let at_genesis = world.root_stats();
+        assert_eq!(at_genesis.cold_builds, 0, "empty maps build no tree");
+        assert_eq!(at_genesis.dirty_leaves, 0);
+
+        let txn = world.stm().begin();
+        world.call(
+            &txn,
+            Msg::from_sender(Address::from_index(1)),
+            addr,
+            &CallData::new("increment", vec![ArgValue::Uint(3)]),
+            1_000_000,
+        );
+        txn.commit().unwrap();
+        assert_ne!(world.state_root(), genesis);
+        let block = world.root_stats().since(&at_genesis);
+        // `counts[sender]` and `total[0]`: one leaf, one entry, one new
+        // tree each; the untouched deposit cell answers from its cache.
+        assert_eq!(
+            (
+                block.dirty_leaves,
+                block.entries_rehashed,
+                block.cold_builds
+            ),
+            (2, 2, 2)
+        );
+        assert!(block.bytes_hashed > 0);
+
+        let before = world.root_stats();
+        world.state_root();
+        assert_eq!(
+            world.root_stats(),
+            before,
+            "a clean world re-hashes nothing"
+        );
+    }
+
+    #[test]
+    fn a_world_holding_one_cell_builds_no_tree() {
+        let world = World::new();
+        let proxy = Address::from_name("lonely-proxy");
+        world.deploy(Arc::new(ProxyContract::new(proxy, Address::ZERO)));
+        world.state_root();
+        let stats = world.root_stats();
+        assert_eq!((stats.cold_builds, stats.dirty_leaves), (0, 0));
+        assert!(stats.bytes_hashed > 0, "the cell itself was hashed");
     }
 
     #[test]
