@@ -59,6 +59,7 @@ use crate::stats::ValidationReport;
 use crate::validator::{ParallelValidator, SerialValidator, Validator};
 use cc_ledger::{Block, Transaction};
 use cc_primitives::hash::Hash256;
+use cc_primitives::pool::{PoolStats, WorkerPool};
 use cc_stm::RetryPolicy;
 use cc_vm::World;
 use std::fmt;
@@ -245,6 +246,16 @@ impl EngineConfig {
                 reason: "retry budget must allow at least one attempt".into(),
             });
         }
+        // One execution pool per engine, shared by its miner and its
+        // validator (and by every clone of the engine). Helper threads
+        // start with the first block that can use them, not here; the
+        // serial strategy never uses it.
+        let pool = Arc::new(WorkerPool::new(self.threads));
+        let fork_join_validator = || {
+            Arc::new(
+                ParallelValidator::on_pool(Arc::clone(&pool)).with_trace_checks(self.check_traces),
+            )
+        };
         let (miner, validator): (
             Arc<dyn Miner + Send + Sync>,
             Arc<dyn Validator + Send + Sync>,
@@ -255,15 +266,15 @@ impl EngineConfig {
             ),
             ExecutionStrategy::SpeculativeStm => (
                 Arc::new(
-                    ParallelMiner::new(self.threads)
+                    ParallelMiner::on_pool(Arc::clone(&pool))
                         .with_retry_policy(self.retry)
                         .with_schedule_capture(self.capture_schedule),
                 ),
-                Arc::new(ParallelValidator::new(self.threads).with_trace_checks(self.check_traces)),
+                fork_join_validator(),
             ),
             ExecutionStrategy::OptimisticMvcc => (
                 Arc::new(
-                    MvccMiner::new(self.threads)
+                    MvccMiner::on_pool(Arc::clone(&pool))
                         .with_retry_policy(self.retry)
                         .with_schedule_capture(self.capture_schedule),
                 ),
@@ -271,11 +282,12 @@ impl EngineConfig {
                 // metadata (profiles + happens-before edges) as the
                 // speculative one, so the fork-join validator is reused
                 // unchanged — validators stay strategy-agnostic.
-                Arc::new(ParallelValidator::new(self.threads).with_trace_checks(self.check_traces)),
+                fork_join_validator(),
             ),
         };
         Ok(Engine {
             config: self,
+            pool,
             miner,
             validator,
         })
@@ -286,10 +298,13 @@ impl EngineConfig {
 ///
 /// The engine is cheap to clone (the strategy internals are shared) and
 /// is the only execution entry point the benches, examples and
-/// integration tests use.
+/// integration tests use. It owns the one execution pool its miner and
+/// validator run blocks on; clones share it, and a clone that finds the
+/// pool busy executes its block on the calling thread alone.
 #[derive(Clone)]
 pub struct Engine {
     config: EngineConfig,
+    pool: Arc<WorkerPool>,
     miner: Arc<dyn Miner + Send + Sync>,
     validator: Arc<dyn Validator + Send + Sync>,
 }
@@ -363,6 +378,12 @@ impl Engine {
                 self.config.threads
             }
         }
+    }
+
+    /// Activity of the engine's execution pool: one run per block mined
+    /// or fork-join validated, and how many helper wake-ups they cost.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.pool.stats()
     }
 
     /// The strategy's miner, for call sites that need the raw trait
@@ -474,6 +495,37 @@ mod tests {
         let report = engine.validate(&counter_world(), &mined.block).unwrap();
         assert_eq!(report.state_root, mined.block.header.state_root);
         assert_eq!(report.threads, 3);
+    }
+
+    #[test]
+    fn miner_and_validator_run_on_the_engines_one_pool() {
+        let engine = Engine::speculative(3).unwrap();
+        assert_eq!(engine.pool_stats(), PoolStats::default());
+
+        let mined = engine.mine(&counter_world(), counter_txs(8)).unwrap();
+        assert_eq!(engine.pool_stats().runs, 1);
+        engine.validate(&counter_world(), &mined.block).unwrap();
+        // One run each, two helper wake-ups each; a clone sees the same pool.
+        assert_eq!(
+            engine.clone().pool_stats(),
+            PoolStats {
+                runs: 2,
+                helper_wakes: 4,
+                caller_only_runs: 0
+            }
+        );
+
+        // A one-transaction block never leaves the calling thread.
+        let single = engine.mine(&counter_world(), counter_txs(1)).unwrap();
+        engine.validate(&counter_world(), &single.block).unwrap();
+        let stats = engine.pool_stats();
+        assert_eq!((stats.helper_wakes, stats.caller_only_runs), (4, 2));
+
+        // The serial strategy has no use for the pool.
+        let serial = Engine::serial();
+        let mined = serial.mine(&counter_world(), counter_txs(8)).unwrap();
+        serial.validate(&counter_world(), &mined.block).unwrap();
+        assert_eq!(serial.pool_stats(), PoolStats::default());
     }
 
     #[test]

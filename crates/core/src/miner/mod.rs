@@ -1,6 +1,7 @@
 //! Block mining: the serial baseline, the speculative parallel miner and
 //! the optimistic multi-version miner.
 
+mod driver;
 mod mvcc;
 mod parallel;
 mod serial;

@@ -17,16 +17,17 @@
 //! at their snapshot timestamps.
 
 use crate::error::CoreError;
+use crate::miner::driver::{capture_schedule, execute_block, Attempt};
 use crate::miner::{MinedBlock, Miner};
-use crate::schedule::HappensBeforeGraph;
 use crate::stats::MinerStats;
 use cc_ledger::{Block, Transaction};
 use cc_mvcc::MvccCommit;
 use cc_primitives::hash::Hash256;
+use cc_primitives::pool::WorkerPool;
 use cc_stm::{LockProfile, ProfileEntry, RetryPolicy, StmError};
 use cc_vm::{Receipt, TxnRef, World};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Garbage-collect versions below the oldest active snapshot after this
@@ -49,17 +50,22 @@ const GC_COMMIT_INTERVAL: u64 = 64;
 /// footprints.
 #[derive(Debug, Clone)]
 pub struct MvccMiner {
-    threads: usize,
+    pool: Arc<WorkerPool>,
     retry: RetryPolicy,
     capture_schedule: bool,
 }
 
 impl MvccMiner {
-    /// Creates a miner with `threads` worker threads and the default
-    /// retry policy.
+    /// Creates a miner with `threads` worker threads on an execution pool
+    /// of its own, and the default retry policy.
     pub fn new(threads: usize) -> Self {
+        MvccMiner::on_pool(Arc::new(WorkerPool::new(threads)))
+    }
+
+    /// Creates a miner that runs its blocks on the engine's shared `pool`.
+    pub(crate) fn on_pool(pool: Arc<WorkerPool>) -> Self {
         MvccMiner {
-            threads: threads.max(1),
+            pool,
             retry: RetryPolicy::default(),
             capture_schedule: true,
         }
@@ -80,7 +86,7 @@ impl MvccMiner {
 
     /// Number of worker threads this miner uses.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pool.workers()
     }
 }
 
@@ -101,119 +107,50 @@ impl Miner for MvccMiner {
         // The optimistic path takes no abstract locks; report a zero lock
         // delta (with the manager's structural shard count intact).
         let locks_baseline = world.stm().lock_stats();
-
         let n = transactions.len();
-        let next = AtomicUsize::new(0);
-        let retries = AtomicU64::new(0);
         let commits_done = AtomicU64::new(0);
-        let failed = AtomicBool::new(false);
-        let failure: Mutex<Option<CoreError>> = Mutex::new(None);
 
-        let worker_results: Vec<Vec<(usize, Receipt, MvccCommit)>> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..self.threads)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut local: Vec<(usize, Receipt, MvccCommit)> = Vec::new();
-                        loop {
-                            if failed.load(Ordering::Acquire) {
-                                break;
+        let (committed, retries) = execute_block(
+            &self.pool,
+            n,
+            &self.retry,
+            || (),
+            |(), index, attempt| {
+                let tx = &transactions[index];
+                let txn = runtime.begin();
+                match world.execute_in(
+                    TxnRef::Mvcc(&txn),
+                    index,
+                    tx.msg(),
+                    tx.to,
+                    &tx.call,
+                    tx.gas_limit,
+                ) {
+                    Ok(receipt) => match txn.commit() {
+                        Ok(commit) => {
+                            let done = commits_done.fetch_add(1, Ordering::Relaxed) + 1;
+                            if done.is_multiple_of(GC_COMMIT_INTERVAL) {
+                                runtime.collect();
                             }
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            if index >= n {
-                                break;
-                            }
-                            let tx = &transactions[index];
-                            let mut attempt = 0u32;
-                            loop {
-                                if failed.load(Ordering::Acquire) {
-                                    break;
-                                }
-                                attempt += 1;
-                                let txn = runtime.begin();
-                                match world.execute_in(
-                                    TxnRef::Mvcc(&txn),
-                                    index,
-                                    tx.msg(),
-                                    tx.to,
-                                    &tx.call,
-                                    tx.gas_limit,
-                                ) {
-                                    Ok(receipt) => match txn.commit() {
-                                        Ok(commit) => {
-                                            local.push((index, receipt, commit));
-                                            let done =
-                                                commits_done.fetch_add(1, Ordering::Relaxed) + 1;
-                                            if done.is_multiple_of(GC_COMMIT_INTERVAL) {
-                                                runtime.collect();
-                                            }
-                                            break;
-                                        }
-                                        Err(_conflict) => {
-                                            // First-committer-wins loser:
-                                            // the buffered writes are
-                                            // simply dropped; retry from a
-                                            // fresh snapshot.
-                                            retries.fetch_add(1, Ordering::Relaxed);
-                                            if attempt >= self.retry.max_attempts {
-                                                failed.store(true, Ordering::Release);
-                                                failure.lock().get_or_insert(
-                                                    CoreError::MiningFailed {
-                                                        tx_index: index,
-                                                        source: StmError::RetriesExhausted {
-                                                            attempts: attempt,
-                                                        },
-                                                    },
-                                                );
-                                                break;
-                                            }
-                                            self.retry.backoff(attempt);
-                                        }
-                                    },
-                                    Err(source) => {
-                                        // Unreachable: optimistic execution
-                                        // raises no speculative errors
-                                        // mid-flight. Fail loudly if the
-                                        // seam ever changes.
-                                        let _ = txn.abort();
-                                        failed.store(true, Ordering::Release);
-                                        failure.lock().get_or_insert(CoreError::MiningFailed {
-                                            tx_index: index,
-                                            source,
-                                        });
-                                        break;
-                                    }
-                                }
-                            }
+                            Attempt::Committed((receipt, commit))
                         }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("miner worker panicked"))
-                .collect()
-        })
-        .expect("miner scope failed");
-
-        if let Some(err) = failure.into_inner() {
-            return Err(err);
-        }
-
-        let mut receipts: Vec<Option<Receipt>> = (0..n).map(|_| None).collect();
-        let mut commits: Vec<Option<MvccCommit>> = (0..n).map(|_| None).collect();
-        for (index, receipt, commit) in worker_results.into_iter().flatten() {
-            receipts[index] = Some(receipt);
-            commits[index] = Some(commit);
-        }
-        let receipts: Vec<Receipt> = receipts
-            .into_iter()
-            .map(|r| r.expect("every transaction has a receipt on success"))
-            .collect();
-        let commits: Vec<MvccCommit> = commits
-            .into_iter()
-            .map(|c| c.expect("every transaction has a commit record on success"))
-            .collect();
+                        // First-committer-wins loser: the buffered writes
+                        // are simply dropped; retry from a fresh snapshot.
+                        Err(_conflict) => {
+                            Attempt::Conflict(StmError::RetriesExhausted { attempts: attempt })
+                        }
+                    },
+                    Err(source) => {
+                        // Unreachable: optimistic execution raises no
+                        // speculative errors mid-flight. Fail loudly if
+                        // the seam ever changes.
+                        let _ = txn.abort();
+                        Attempt::Fatal(source)
+                    }
+                }
+            },
+        )?;
+        let (receipts, commits): (Vec<Receipt>, Vec<MvccCommit>) = committed.into_iter().unzip();
 
         // The MVCC serialization order: writers serialize at their commit
         // timestamps, read-only transactions at their snapshot timestamps
@@ -256,18 +193,8 @@ impl Miner for MvccMiner {
             })
             .collect();
 
-        let (schedule, critical_path, hb_edges) = if self.capture_schedule {
-            let graph = HappensBeforeGraph::from_profiles(&profiles);
-            let critical_path = graph.critical_path();
-            let hb_edges = graph.edge_count();
-            (
-                Some(graph.into_metadata(profiles)?),
-                critical_path,
-                hb_edges,
-            )
-        } else {
-            (None, 0, 0)
-        };
+        let (schedule, critical_path, hb_edges) =
+            capture_schedule(self.capture_schedule, profiles)?;
 
         // Flatten the block's committed versions into the boosted base
         // state *before* computing the state root (snapshots read the
@@ -287,9 +214,9 @@ impl Miner for MvccMiner {
         Ok(MinedBlock {
             block,
             stats: MinerStats {
-                threads: self.threads,
+                threads: self.threads(),
                 transactions: n,
-                retries: retries.load(Ordering::Relaxed),
+                retries,
                 elapsed,
                 gas_used,
                 critical_path,

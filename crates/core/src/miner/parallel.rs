@@ -1,15 +1,15 @@
 //! The speculative parallel miner (paper §3 and Algorithm 1).
 
 use crate::error::CoreError;
+use crate::miner::driver::{capture_schedule, execute_block, Attempt};
 use crate::miner::{MinedBlock, Miner};
-use crate::schedule::HappensBeforeGraph;
 use crate::stats::MinerStats;
 use cc_ledger::{Block, Transaction};
 use cc_primitives::hash::Hash256;
+use cc_primitives::pool::WorkerPool;
 use cc_stm::{LockMode, LockProfile, RetryPolicy};
 use cc_vm::{Receipt, World};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Mines a block by executing its transactions as speculative atomic
@@ -25,17 +25,25 @@ use std::time::Instant;
 /// profiles themselves.
 #[derive(Debug, Clone)]
 pub struct ParallelMiner {
-    threads: usize,
+    pool: Arc<WorkerPool>,
     retry: RetryPolicy,
     capture_schedule: bool,
 }
 
 impl ParallelMiner {
     /// Creates a miner with `threads` worker threads (the paper's
-    /// evaluation uses three) and the default retry policy.
+    /// evaluation uses three) on an execution pool of its own, and the
+    /// default retry policy.
     pub fn new(threads: usize) -> Self {
+        ParallelMiner::on_pool(Arc::new(WorkerPool::new(threads)))
+    }
+
+    /// Creates a miner that runs its blocks on `pool`, shared with whoever
+    /// else holds it: an [`crate::Engine`] hands one pool to its miner and
+    /// its validator.
+    pub(crate) fn on_pool(pool: Arc<WorkerPool>) -> Self {
         ParallelMiner {
-            threads: threads.max(1),
+            pool,
             retry: RetryPolicy::default(),
             capture_schedule: true,
         }
@@ -58,7 +66,7 @@ impl ParallelMiner {
 
     /// Number of worker threads this miner uses.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pool.workers()
     }
 }
 
@@ -78,135 +86,41 @@ impl Miner for ParallelMiner {
         let stm = world.stm();
         stm.begin_block();
         let locks_before = stm.lock_stats();
-
         let n = transactions.len();
-        let next = AtomicUsize::new(0);
-        let retries = AtomicU64::new(0);
-        let failed = AtomicBool::new(false);
-        let failure: Mutex<Option<CoreError>> = Mutex::new(None);
 
-        // Each index is claimed by exactly one worker (the `next` counter),
-        // so results need no per-slot synchronization: every worker
-        // accumulates its own `(index, receipt, profile)` triples and the
-        // scope join publishes them to this thread.
-        let worker_results: Vec<Vec<(usize, Receipt, LockProfile)>> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..self.threads)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        // Each worker recycles its transaction arenas across
-                        // the whole block: undo-log sinks, lock vectors and
-                        // trace buffers are allocated by the first attempts
-                        // and reused by every later one.
-                        let pool = stm.txn_scope();
-                        let mut local: Vec<(usize, Receipt, LockProfile)> = Vec::new();
-                        loop {
-                            if failed.load(Ordering::Acquire) {
-                                break;
-                            }
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            if index >= n {
-                                break;
-                            }
-                            let tx = &transactions[index];
-                            let mut attempt = 0u32;
-                            loop {
-                                // Another worker may have failed the whole
-                                // block while this one was backing off —
-                                // don't keep retrying a doomed block.
-                                if failed.load(Ordering::Acquire) {
-                                    break;
-                                }
-                                attempt += 1;
-                                let txn = pool.begin();
-                                match world.execute(
-                                    &txn,
-                                    index,
-                                    tx.msg(),
-                                    tx.to,
-                                    &tx.call,
-                                    tx.gas_limit,
-                                ) {
-                                    Ok(receipt) => match txn.commit() {
-                                        Ok(commit) => {
-                                            local.push((index, receipt, commit.profile));
-                                            break;
-                                        }
-                                        Err(source) => {
-                                            failed.store(true, Ordering::Release);
-                                            failure.lock().get_or_insert(CoreError::MiningFailed {
-                                                tx_index: index,
-                                                source,
-                                            });
-                                            break;
-                                        }
-                                    },
-                                    Err(source) => {
-                                        // Deadlock victim: undo and retry.
-                                        let _ = txn.abort();
-                                        retries.fetch_add(1, Ordering::Relaxed);
-                                        if attempt >= self.retry.max_attempts {
-                                            failed.store(true, Ordering::Release);
-                                            failure.lock().get_or_insert(CoreError::MiningFailed {
-                                                tx_index: index,
-                                                source,
-                                            });
-                                            break;
-                                        }
-                                        self.retry.backoff(attempt);
-                                    }
-                                }
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("miner worker panicked"))
-                .collect()
-        })
-        .expect("miner scope failed");
-
-        if let Some(err) = failure.into_inner() {
-            return Err(err);
-        }
-
-        let mut receipts: Vec<Option<Receipt>> = (0..n).map(|_| None).collect();
-        let mut profiles: Vec<Option<LockProfile>> = (0..n).map(|_| None).collect();
-        for (index, receipt, profile) in worker_results.into_iter().flatten() {
-            receipts[index] = Some(receipt);
-            profiles[index] = Some(profile);
-        }
-        let receipts: Vec<Receipt> = receipts
-            .into_iter()
-            .map(|r| r.expect("every transaction has a receipt on success"))
-            .collect();
-        let profiles: Vec<LockProfile> = profiles
-            .into_iter()
-            .map(|p| p.expect("every transaction has a profile on success"))
-            .collect();
+        let (committed, retries) = execute_block(
+            &self.pool,
+            n,
+            &self.retry,
+            // Each worker recycles its transaction arenas across the
+            // whole block: undo-log sinks, lock vectors and trace buffers
+            // are allocated by the first attempts and reused by every
+            // later one.
+            || stm.txn_scope(),
+            |arenas, index, _attempt| {
+                let tx = &transactions[index];
+                let txn = arenas.begin();
+                match world.execute(&txn, index, tx.msg(), tx.to, &tx.call, tx.gas_limit) {
+                    Ok(receipt) => match txn.commit() {
+                        Ok(commit) => Attempt::Committed((receipt, commit.profile)),
+                        Err(source) => Attempt::Fatal(source),
+                    },
+                    Err(source) => {
+                        // Deadlock victim: undo and retry.
+                        let _ = txn.abort();
+                        Attempt::Conflict(source)
+                    }
+                }
+            },
+        )?;
+        let (receipts, profiles): (Vec<Receipt>, Vec<LockProfile>) = committed.into_iter().unzip();
 
         let read_only = profiles
             .iter()
             .filter(|p| p.locks.iter().all(|e| e.mode == LockMode::Shared))
             .count() as u64;
-
-        // Algorithm 1: derive the happens-before graph from the lock log
-        // and produce the equivalent serial order by topological sort. The
-        // profiles move into the published metadata; nothing is cloned.
-        let (schedule, critical_path, hb_edges) = if self.capture_schedule {
-            let graph = HappensBeforeGraph::from_profiles(&profiles);
-            let critical_path = graph.critical_path();
-            let hb_edges = graph.edge_count();
-            (
-                Some(graph.into_metadata(profiles)?),
-                critical_path,
-                hb_edges,
-            )
-        } else {
-            (None, 0, 0)
-        };
+        let (schedule, critical_path, hb_edges) =
+            capture_schedule(self.capture_schedule, profiles)?;
 
         let elapsed = start.elapsed();
         let gas_used = receipts.iter().map(|r| r.gas_used).sum();
@@ -221,9 +135,9 @@ impl Miner for ParallelMiner {
         Ok(MinedBlock {
             block,
             stats: MinerStats {
-                threads: self.threads,
+                threads: self.threads(),
                 transactions: n,
-                retries: retries.load(Ordering::Relaxed),
+                retries,
                 elapsed,
                 gas_used,
                 critical_path,

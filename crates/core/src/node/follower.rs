@@ -50,12 +50,11 @@
 //! (the one check that needs the flattened base) stales the follower.
 
 use super::pending::PendingChain;
+use super::seal_worker::{self, SealAck, SealWorker};
 use super::Node;
 use crate::engine::ExecutionStrategy;
 use crate::error::CoreError;
 use cc_ledger::Block;
-use std::sync::mpsc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// Tuning for [`Node::run_follower_pipeline`].
@@ -109,10 +108,6 @@ pub struct FollowerReport {
     pub stalled: Duration,
 }
 
-/// A seal acknowledgement from the durability worker: block number plus
-/// the seal outcome (`io::Error` rendered, it is not `Clone`).
-type SealAck = (u64, Result<(), String>);
-
 impl Node {
     /// Whether the engine's configuration calls for lock-trace checks
     /// during speculative validation (a serial engine replays
@@ -140,7 +135,8 @@ impl Node {
     /// [`CoreError::MissingSchedule`], …) drains the valid pending
     /// prefix, drops the rest of the stream and propagates — the node
     /// stays fresh at the last accepted block. A commit-time state-root
-    /// mismatch or a seal/snapshot failure stales the node, rolls the
+    /// mismatch or a seal/snapshot failure (including a durability worker
+    /// that cannot be started, or panics) stales the node, rolls the
     /// in-memory chain back to the durable prefix and surfaces as
     /// [`CoreError::BlockRejected`] / [`CoreError::Durability`];
     /// [`Node::recover`] is the exit.
@@ -182,23 +178,16 @@ impl Node {
 
         let wal = state.wal.clone();
         let snapshot_interval = state.config.snapshot_interval;
-        let (work_tx, work_rx) = mpsc::sync_channel::<Block>(config.max_in_flight.max(1) - 1);
-        let (ack_tx, ack_rx) = mpsc::channel::<SealAck>();
-        let worker = thread::Builder::new()
-            .name("cc-durability".into())
-            .spawn(move || {
-                // In-order commit: one worker, FIFO channel. Stop at the
-                // first failure — later seals would lie about durability.
-                for block in work_rx {
-                    let number = block.header.number;
-                    let sealed = wal.seal_block(&block).map_err(|e| e.to_string());
-                    let failed = sealed.is_err();
-                    if ack_tx.send((number, sealed)).is_err() || failed {
-                        return;
-                    }
-                }
-            })
-            .expect("spawn durability worker");
+        // If the worker cannot start nothing is in flight yet, so the chain
+        // already is the durable prefix; stale like any durability failure.
+        let SealWorker {
+            work: work_tx,
+            acks: ack_rx,
+            handle: worker,
+        } = SealWorker::start(config.max_in_flight, move |block| {
+            wal.seal_block(block).map_err(|e| e.to_string())
+        })
+        .inspect_err(|_| self.stale = true)?;
 
         // Everything at or below `durable` is safe against a crash. The
         // run starts from a fully persisted head (the node is fresh).
@@ -317,7 +306,11 @@ impl Node {
             &mut failure,
         );
         report.stalled += drain.elapsed();
-        worker.join().expect("durability worker panicked");
+        if let Err(reason) = seal_worker::join(worker) {
+            // Blocks it never acknowledged stay above `durable` and are
+            // rolled back below, exactly like a failed seal.
+            failure.get_or_insert(reason);
+        }
 
         match (outcome, failure) {
             (Err(e), _) => {

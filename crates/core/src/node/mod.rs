@@ -6,6 +6,7 @@
 pub mod follower;
 pub mod pending;
 pub mod pipeline;
+mod seal_worker;
 
 use crate::engine::{Engine, EngineConfig};
 use crate::error::CoreError;

@@ -44,12 +44,11 @@
 //! harmless: recovery replays *sealed blocks* only, so unsealed tail
 //! records are ignored exactly as in the sequential path.
 
+use super::seal_worker::{self, SealAck, SealWorker};
 use super::Node;
 use crate::error::CoreError;
 use crate::miner::Miner;
 use cc_ledger::Block;
-use std::sync::mpsc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// Tuning for [`Node::run_pipeline`].
@@ -103,10 +102,6 @@ pub struct PipelineReport {
     pub stalled: Duration,
 }
 
-/// A seal acknowledgement from the durability worker: block number plus
-/// the seal outcome (`io::Error` rendered, it is not `Clone`).
-type SealAck = (u64, Result<(), String>);
-
 impl Node {
     /// Produces blocks from the mempool until no transaction is ready,
     /// overlapping each block's WAL seal/fsync with the mining of the
@@ -124,7 +119,8 @@ impl Node {
     /// # Errors
     ///
     /// Mining errors propagate as in [`Node::mine_and_append`]. A seal
-    /// or snapshot failure stales the node, rolls the in-memory chain
+    /// or snapshot failure — or a durability worker that cannot be
+    /// started, or panics — stales the node, rolls the in-memory chain
     /// back to the durable prefix, and surfaces as
     /// [`CoreError::Durability`]; transactions of discarded blocks are
     /// not returned to the mempool (recovery re-serves from the WAL).
@@ -149,23 +145,16 @@ impl Node {
 
         let wal = state.wal.clone();
         let snapshot_interval = state.config.snapshot_interval;
-        let (work_tx, work_rx) = mpsc::sync_channel::<Block>(config.max_in_flight.max(1) - 1);
-        let (ack_tx, ack_rx) = mpsc::channel::<SealAck>();
-        let worker = thread::Builder::new()
-            .name("cc-durability".into())
-            .spawn(move || {
-                // In-order commit: one worker, FIFO channel. Stop at the
-                // first failure — later seals would lie about durability.
-                for block in work_rx {
-                    let number = block.header.number;
-                    let sealed = wal.seal_block(&block).map_err(|e| e.to_string());
-                    let failed = sealed.is_err();
-                    if ack_tx.send((number, sealed)).is_err() || failed {
-                        return;
-                    }
-                }
-            })
-            .expect("spawn durability worker");
+        // If the worker cannot start nothing is in flight yet, so the chain
+        // already is the durable prefix; stale like any durability failure.
+        let SealWorker {
+            work: work_tx,
+            acks: ack_rx,
+            handle: worker,
+        } = SealWorker::start(config.max_in_flight, move |block| {
+            wal.seal_block(block).map_err(|e| e.to_string())
+        })
+        .inspect_err(|_| self.stale = true)?;
 
         // Everything at or below `durable` is safe against a crash. The
         // run starts from a fully persisted head (the node is fresh).
@@ -252,7 +241,11 @@ impl Node {
             &mut failure,
         );
         report.stalled += drain.elapsed();
-        worker.join().expect("durability worker panicked");
+        if let Err(reason) = seal_worker::join(worker) {
+            // Blocks it never acknowledged stay above `durable` and are
+            // rolled back below, exactly like a failed seal.
+            failure.get_or_insert(reason);
+        }
 
         match (outcome, failure) {
             (Err(e), _) => {

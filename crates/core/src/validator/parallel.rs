@@ -2,16 +2,18 @@
 //! Algorithm 2).
 
 use crate::error::CoreError;
-use crate::fork_join::run_fork_join;
+use crate::fork_join::run_fork_join_on;
 use crate::schedule::HappensBeforeGraph;
 use crate::stats::ValidationReport;
 use crate::validator::{receipt_mismatches, Validator};
 use cc_ledger::Block;
+use cc_primitives::pool::WorkerPool;
 use cc_stm::profile::collapse_trace;
 use cc_stm::{LockId, LockMode};
 use cc_vm::{Receipt, World};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Replays a block as the fork-join program derived from its published
@@ -34,15 +36,22 @@ use std::time::Instant;
 /// Any failure rejects the block.
 #[derive(Debug, Clone)]
 pub struct ParallelValidator {
-    threads: usize,
+    pool: Arc<WorkerPool>,
     check_traces: bool,
 }
 
 impl ParallelValidator {
-    /// Creates a validator with `threads` worker threads.
+    /// Creates a validator with `threads` worker threads on an execution
+    /// pool of its own.
     pub fn new(threads: usize) -> Self {
+        ParallelValidator::on_pool(Arc::new(WorkerPool::new(threads)))
+    }
+
+    /// Creates a validator that replays its blocks on the engine's shared
+    /// `pool`.
+    pub(crate) fn on_pool(pool: Arc<WorkerPool>) -> Self {
         ParallelValidator {
-            threads: threads.max(1),
+            pool,
             check_traces: true,
         }
     }
@@ -63,7 +72,7 @@ impl ParallelValidator {
 
     /// Number of worker threads this validator uses.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pool.workers()
     }
 }
 
@@ -88,7 +97,7 @@ impl Validator for ParallelValidator {
         type ReplaySlot = Mutex<Option<(Receipt, BTreeMap<LockId, LockMode>)>>;
         let results: Vec<ReplaySlot> = (0..n).map(|_| Mutex::new(None)).collect();
 
-        run_fork_join(&graph, self.threads, |index| {
+        run_fork_join_on(&self.pool, &graph, |index| {
             let tx = &block.transactions[index];
             let txn = stm.begin_replay();
             let receipt = world
@@ -132,7 +141,7 @@ impl Validator for ParallelValidator {
             return Err(CoreError::BlockRejected { reasons });
         }
         Ok(ValidationReport {
-            threads: self.threads,
+            threads: self.threads(),
             transactions: n,
             state_root,
             elapsed: start.elapsed(),

@@ -17,6 +17,8 @@
 //! * [`hex`] — tiny hex formatting helpers.
 //! * [`small`] — an inline small-vector ([`small::InlineVec`]) backing the
 //!   short per-transaction lists of the STM hot path.
+//! * [`pool`] — the persistent execution pool ([`pool::WorkerPool`]) the
+//!   miners and the fork-join validator run their blocks on.
 //!
 //! # Example
 //!
@@ -31,9 +33,11 @@
 //! assert_eq!(digest.to_hex().len(), 64);
 //! ```
 
-// `unsafe` is denied by default; the only exemption is the raw shared
+// `unsafe` is denied by default. The exemptions are the raw shared
 // tables in [`fx`], whose accesses are serialized by the STM's abstract
-// locks plus a word-sized per-shard latch (see `fx::ShardedRawTable`).
+// locks plus a word-sized per-shard latch (see `fx::ShardedRawTable`), and
+// the one lifetime erasure in [`pool`] that lends a borrowed job to parked
+// threads (argued at the block).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -43,6 +47,7 @@ pub mod fnv;
 pub mod fx;
 pub mod hash;
 pub mod hex;
+pub mod pool;
 pub mod small;
 pub mod ts;
 

@@ -158,6 +158,12 @@ impl Condvar {
         Condvar(sync::Condvar::new())
     }
 
+    /// Blocks on the guard's mutex until notified.
+    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        let inner = guard.0.take().expect("guard holds the lock");
+        guard.0 = Some(self.0.wait(inner).unwrap_or_else(PoisonError::into_inner));
+    }
+
     /// Blocks on the guard's mutex until notified or `timeout` elapses.
     pub fn wait_for<T>(
         &self,

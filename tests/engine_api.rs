@@ -13,24 +13,23 @@ use cc_workload::Benchmark;
 
 /// The five workloads the API contract is exercised on: the paper's four
 /// benchmarks plus the counter fixture the unit tests use.
-fn five_workloads() -> Vec<(String, World, Vec<Transaction>)> {
-    let mut workloads: Vec<(String, World, Vec<Transaction>)> = Benchmark::ALL
+fn five_workloads() -> Vec<(String, Vec<Transaction>)> {
+    let mut workloads: Vec<(String, Vec<Transaction>)> = Benchmark::ALL
         .iter()
         .map(|&benchmark| {
             let w = workload(benchmark, 60, 0.25, 19);
-            (benchmark.to_string(), w.build_world(), w.transactions())
+            (benchmark.to_string(), w.transactions())
         })
         .collect();
     workloads.push((
         "Counter".to_string(),
-        counter_world(),
         (0..60).map(|i| increment_tx(i, i % 7, 1)).collect(),
     ));
     workloads
 }
 
-/// Rebuilds the same initial world for a workload entry (worlds are
-/// single-use: mining mutates them).
+/// Builds the initial world for a workload entry (worlds are single-use:
+/// mining mutates them).
 fn rebuild(label: &str) -> World {
     if label == "Counter" {
         counter_world()
@@ -84,144 +83,159 @@ fn invalid_configs_are_rejected_at_build_time() {
     assert!(EngineConfig::serial().threads(0).build().is_err());
 }
 
+/// The serializability contract (paper §5) for one block: `engine` mines
+/// `txs` concurrently and publishes the serial order it is equivalent to;
+/// executing that order with the serial engine must reproduce state root,
+/// gas and every receipt exactly, and both engines' validators must accept
+/// the block. `rebuild` yields the initial world (worlds are single-use).
+fn assert_agrees_with_serial(
+    label: &str,
+    engine: &Engine,
+    rebuild: &dyn Fn() -> World,
+    txs: &[Transaction],
+) {
+    let serial = Engine::serial();
+    let mined = engine
+        .mine(&rebuild(), txs.to_vec())
+        .unwrap_or_else(|e| panic!("{label}: concurrent mining failed: {e}"));
+    let schedule = mined.block.schedule.as_ref().expect("schedule published");
+    let reordered: Vec<Transaction> = schedule
+        .serial_order
+        .iter()
+        .map(|&i| txs[i].clone())
+        .collect();
+    let baseline = serial
+        .mine(&rebuild(), reordered)
+        .unwrap_or_else(|e| panic!("{label}: serial mining failed: {e}"));
+
+    assert_eq!(
+        mined.block.header.state_root, baseline.block.header.state_root,
+        "{label}: concurrent and serial engines must land on the same state"
+    );
+    assert_eq!(
+        mined.block.header.gas_used, baseline.block.header.gas_used,
+        "{label}: total gas must match"
+    );
+
+    // Receipts are identical transaction-by-transaction once matched up
+    // by identity (the serial block stores them in schedule order, so
+    // compare ignoring position).
+    assert_eq!(
+        mined.block.receipts.len(),
+        baseline.block.receipts.len(),
+        "{label}"
+    );
+    for (serial_pos, &original_index) in schedule.serial_order.iter().enumerate() {
+        let concurrent: &Receipt = &mined.block.receipts[original_index];
+        let serial: &Receipt = &baseline.block.receipts[serial_pos];
+        assert_eq!(
+            concurrent.status, serial.status,
+            "{label}: tx {original_index} status"
+        );
+        assert_eq!(
+            concurrent.gas_used, serial.gas_used,
+            "{label}: tx {original_index} gas"
+        );
+        assert_eq!(
+            concurrent.output, serial.output,
+            "{label}: tx {original_index} output"
+        );
+        assert_eq!(
+            concurrent.events, serial.events,
+            "{label}: tx {original_index} events"
+        );
+    }
+
+    // The schedule metadata is strategy-agnostic: the engine's own
+    // fork-join validator and the serial one both accept the block.
+    engine
+        .validate(&rebuild(), &mined.block)
+        .unwrap_or_else(|e| panic!("{label}: fork-join validation failed: {e}"));
+    serial
+        .validate(&rebuild(), &mined.block)
+        .unwrap_or_else(|e| panic!("{label}: serial validation failed: {e}"));
+}
+
 #[test]
 fn serial_and_speculative_engines_agree_on_all_five_workloads() {
-    let serial = Engine::serial();
     let speculative = Engine::speculative(4).expect("valid thread count");
-
-    for (label, world, txs) in five_workloads() {
-        // Speculative execution publishes the serial order it is
-        // equivalent to; executing that order with the serial engine must
-        // reproduce the state root exactly (the paper's serializability
-        // claim, §5).
-        let mined = speculative
-            .mine(&world, txs.clone())
-            .unwrap_or_else(|e| panic!("{label}: speculative mining failed: {e}"));
-        let schedule = mined.block.schedule.as_ref().expect("schedule published");
-        let reordered: Vec<Transaction> = schedule
-            .serial_order
-            .iter()
-            .map(|&i| txs[i].clone())
-            .collect();
-        let baseline = serial
-            .mine(&rebuild(&label), reordered)
-            .unwrap_or_else(|e| panic!("{label}: serial mining failed: {e}"));
-
-        assert_eq!(
-            mined.block.header.state_root, baseline.block.header.state_root,
-            "{label}: speculative and serial engines must land on the same state"
-        );
-        assert_eq!(
-            mined.block.header.gas_used, baseline.block.header.gas_used,
-            "{label}: total gas must match"
-        );
-
-        // Receipts are identical transaction-by-transaction once matched
-        // up by identity (the serial block stores them in schedule order,
-        // so compare ignoring position).
-        assert_eq!(
-            mined.block.receipts.len(),
-            baseline.block.receipts.len(),
-            "{label}"
-        );
-        for (serial_pos, &original_index) in schedule.serial_order.iter().enumerate() {
-            let speculative_receipt: &Receipt = &mined.block.receipts[original_index];
-            let serial_receipt: &Receipt = &baseline.block.receipts[serial_pos];
-            assert_eq!(
-                speculative_receipt.status, serial_receipt.status,
-                "{label}: tx {original_index} status"
-            );
-            assert_eq!(
-                speculative_receipt.gas_used, serial_receipt.gas_used,
-                "{label}: tx {original_index} gas"
-            );
-            assert_eq!(
-                speculative_receipt.output, serial_receipt.output,
-                "{label}: tx {original_index} output"
-            );
-            assert_eq!(
-                speculative_receipt.events, serial_receipt.events,
-                "{label}: tx {original_index} events"
-            );
-        }
-
-        // And each engine's validator accepts the other's honest block.
-        speculative
-            .validate(&rebuild(&label), &mined.block)
-            .unwrap_or_else(|e| panic!("{label}: fork-join validation failed: {e}"));
-        serial
-            .validate(&rebuild(&label), &mined.block)
-            .unwrap_or_else(|e| panic!("{label}: serial validation failed: {e}"));
+    for (label, txs) in five_workloads() {
+        assert_agrees_with_serial(&label, &speculative, &|| rebuild(&label), &txs);
     }
 }
 
 #[test]
 fn optimistic_and_serial_engines_agree_on_all_five_workloads() {
-    let serial = Engine::serial();
     let optimistic = optimistic_engine(4);
+    for (label, txs) in five_workloads() {
+        assert_agrees_with_serial(&label, &optimistic, &|| rebuild(&label), &txs);
+    }
+}
 
-    for (label, world, txs) in five_workloads() {
-        // The optimistic miner publishes the serial order its
-        // first-committer-wins commits are equivalent to; replaying that
-        // order serially must reproduce state, gas and receipts exactly —
-        // the same serializability contract the speculative strategy
-        // honours.
-        let mined = optimistic
-            .mine(&world, txs.clone())
-            .unwrap_or_else(|e| panic!("{label}: optimistic mining failed: {e}"));
-        let schedule = mined.block.schedule.as_ref().expect("schedule published");
-        let reordered: Vec<Transaction> = schedule
-            .serial_order
-            .iter()
-            .map(|&i| txs[i].clone())
-            .collect();
-        let baseline = serial
-            .mine(&rebuild(&label), reordered)
-            .unwrap_or_else(|e| panic!("{label}: serial mining failed: {e}"));
-
-        assert_eq!(
-            mined.block.header.state_root, baseline.block.header.state_root,
-            "{label}: optimistic and serial engines must land on the same state"
-        );
-        assert_eq!(
-            mined.block.header.gas_used, baseline.block.header.gas_used,
-            "{label}: total gas must match"
-        );
-        assert_eq!(
-            mined.block.receipts.len(),
-            baseline.block.receipts.len(),
-            "{label}"
-        );
-        for (serial_pos, &original_index) in schedule.serial_order.iter().enumerate() {
-            let optimistic_receipt: &Receipt = &mined.block.receipts[original_index];
-            let serial_receipt: &Receipt = &baseline.block.receipts[serial_pos];
-            assert_eq!(
-                optimistic_receipt.status, serial_receipt.status,
-                "{label}: tx {original_index} status"
-            );
-            assert_eq!(
-                optimistic_receipt.gas_used, serial_receipt.gas_used,
-                "{label}: tx {original_index} gas"
-            );
-            assert_eq!(
-                optimistic_receipt.output, serial_receipt.output,
-                "{label}: tx {original_index} output"
-            );
-            assert_eq!(
-                optimistic_receipt.events, serial_receipt.events,
-                "{label}: tx {original_index} events"
-            );
+#[test]
+fn block_sizes_around_the_worker_count_agree_with_serial() {
+    // The execution pool's edges: no work at all, a block that runs
+    // inline (one transaction wakes no helper), fewer transactions than
+    // workers, exactly as many, and one more. Two senders, so neighbours
+    // conflict and the schedule is not trivially empty.
+    for threads in [1usize, 2, 3, 8] {
+        let engines = [
+            Engine::speculative(threads).expect("valid thread count"),
+            optimistic_engine(threads),
+        ];
+        for engine in &engines {
+            // One engine — one pool — mines and validates every size.
+            for size in [0, 1, 2, threads.saturating_sub(1), threads, threads + 1] {
+                let txs: Vec<Transaction> = (0..size as u64)
+                    .map(|i| increment_tx(i, i % 2, i + 1))
+                    .collect();
+                let label = format!("{} x{threads}, {size} txs", engine.strategy());
+                assert_agrees_with_serial(&label, engine, &counter_world, &txs);
+            }
         }
+    }
+}
 
-        // The optimistic block's schedule metadata is indistinguishable
-        // from a speculative one: the strategy-agnostic fork-join
-        // validator (and the serial one) both accept it.
-        optimistic
-            .validate(&rebuild(&label), &mined.block)
-            .unwrap_or_else(|e| panic!("{label}: fork-join validation failed: {e}"));
-        serial
-            .validate(&rebuild(&label), &mined.block)
-            .unwrap_or_else(|e| panic!("{label}: serial validation failed: {e}"));
+#[test]
+fn clones_of_one_engine_mine_two_worlds_from_two_threads() {
+    const ROUNDS: u64 = 25;
+    let txs: Vec<Transaction> = (0..24).map(|i| increment_tx(i, i % 5, 1)).collect();
+    // Increments commute, so the final state is order-independent.
+    let expected = Engine::serial()
+        .mine(&counter_world(), txs.clone())
+        .expect("serial mining succeeds")
+        .block
+        .header
+        .state_root;
+
+    for engine in [
+        Engine::speculative(3).expect("valid thread count"),
+        optimistic_engine(3),
+    ] {
+        // Both threads drive the one pool the clones share; whichever
+        // finds it busy executes its block on its own thread alone.
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let engine = engine.clone();
+                let txs = &txs;
+                scope.spawn(move || {
+                    for _ in 0..ROUNDS {
+                        let mined = engine
+                            .mine(&counter_world(), txs.clone())
+                            .expect("concurrent mining succeeds");
+                        assert_eq!(mined.block.header.state_root, expected);
+                        engine
+                            .validate(&counter_world(), &mined.block)
+                            .expect("honest block");
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            engine.pool_stats().runs,
+            2 * 2 * ROUNDS,
+            "every block mined or validated by either clone ran on the shared pool"
+        );
     }
 }
 
