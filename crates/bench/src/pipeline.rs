@@ -28,9 +28,9 @@
 //! `ingest-fsync-seq`.
 
 use cc_core::engine::{Engine, ExecutionStrategy};
-use cc_core::node::pipeline::PipelineConfig;
 use cc_core::node::{DurabilityConfig, Node};
 use cc_core::FollowerConfig;
+use cc_core::PipelineConfig;
 use cc_ledger::wal::DurabilityMode;
 use cc_ledger::{Block, Transaction};
 use cc_mempool::MempoolConfig;

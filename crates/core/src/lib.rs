@@ -97,7 +97,7 @@ pub mod validator;
 pub use engine::{Engine, EngineConfig, ExecutionStrategy};
 pub use error::CoreError;
 pub use miner::{MinedBlock, Miner, ParallelMiner, SerialMiner};
-pub use node::follower::{FollowerConfig, FollowerReport};
+pub use node::follower::FollowerConfig;
 pub use node::pending::{PendingChain, PendingState};
 pub use node::pipeline::{PipelineConfig, PipelineReport};
 pub use node::{DurabilityConfig, Node, NodeBuilder};

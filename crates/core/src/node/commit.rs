@@ -1,0 +1,534 @@
+//! The commit pipeline: one stage that appends, seals and snapshots
+//! blocks, fed by a block *source*.
+//!
+//! Every way a node's chain grows — [`Node::mine_pending`],
+//! [`Node::mine_and_append`], [`Node::validate_and_append`],
+//! [`Node::run_pipeline`], [`Node::run_follower_pipeline`] and the replay
+//! inside [`Node::recover`] — is the same loop: ask the source for the
+//! next block (its effects already in the base world), append it, seal it
+//! into the WAL, snapshot when the interval elapses, and on the way out
+//! run one failure epilogue. What differs is the source and the *window*:
+//!
+//! ```text
+//!   window 1:   [next N][seal+fsync N][next N+1][seal+fsync N+1]          (all on the caller)
+//!
+//!   window ≥ 2: [next N][next N+1][next N+2] …                            (caller)
+//!                       [seal+fsync N][seal+fsync N+1]                    (cc-durability worker)
+//! ```
+//!
+//! * **Sources.** [`Produce`] mines a batch (the caller's, or the
+//!   mempool's next) on the head. [`Validate`] replays one received block
+//!   on the base world with the engine's validator. [`Follow`] replays a
+//!   stream through a [`PendingChain`]: block N+1 validates against N's
+//!   uncommitted overlay, and the oldest overlay is flattened when the
+//!   stage asks for the next block.
+//! * **Window.** With a window of one, or with durability off, the seal
+//!   runs inline on the caller: no thread, no channel. With a wider
+//!   window the stage hands each appended block to a durability worker
+//!   over a bounded channel and the caller is already producing block N+1
+//!   while block N's fsync runs. The window is not an option of the
+//!   stage: the one-block calls are window 1, `run_pipeline` is
+//!   [`PIPELINED_WINDOW`], the follower's is its speculation depth.
+//!
+//! # Invariants
+//!
+//! * **In-order commit.** Blocks append, seal and acknowledge in chain
+//!   order (one worker, FIFO channel; overlays flatten oldest-first), so
+//!   the durable prefix is always a chain prefix, and only fully
+//!   validated blocks — state root included — reach the WAL.
+//! * **Bounded speculation.** At most `window` blocks are appended but
+//!   not yet durable; a full hand-off channel blocks the caller
+//!   (back-pressure, not queueing). A follower holds at most `window`
+//!   overlays on top of that.
+//! * **Stale on persist failure.** Whatever fails once the base world has
+//!   moved — a source's replay or mining, the append, a seal, a snapshot,
+//!   a worker that panics — takes the one epilogue: the node is marked
+//!   stale, the in-memory chain is truncated to the last durable block
+//!   (never advertising blocks a crash would forget), pending overlays
+//!   are discarded, and the error is returned. [`Node::recover`] is the
+//!   exit. A block a source turns away *before* touching the base world
+//!   (wrong parent, wrong number, a speculate-time rejection) leaves the
+//!   node fresh at the last accepted block.
+//! * **Quiesced snapshots.** A snapshot serializes the world, so the
+//!   stage first drains every in-flight seal (a barrier) and then
+//!   snapshots on the caller; the WAL reset never races a seal.
+//!
+//! With a worker, WAL records of block N+1's transactions may be flushed
+//! by block N's group commit (the log is shared). That is harmless:
+//! recovery replays *sealed blocks* only, so unsealed tail records are
+//! ignored exactly as with inline seals.
+
+use super::pending::PendingChain;
+use super::pipeline::PipelineReport;
+use super::seal_worker::{self, SealAck, SealWorker};
+use super::{DurabilityState, Node};
+use crate::engine::{Engine, ExecutionStrategy};
+use crate::error::CoreError;
+use crate::miner::Miner;
+use crate::stats::{MinerStats, ValidationReport};
+use crate::validator::Validator;
+use cc_ledger::{Block, Blockchain, ChainError, Transaction};
+use cc_mempool::Mempool;
+use cc_vm::World;
+use std::time::Instant;
+
+/// The window both pipelined entry points default to: one block sealing
+/// while the next is produced.
+pub(super) const PIPELINED_WINDOW: usize = 2;
+
+/// Why a source stopped before its input ran out.
+pub(super) enum Stop {
+    /// Turned away before anything touched the base world: the node stays
+    /// fresh at the last accepted block.
+    Clean(CoreError),
+    /// The base world holds effects the chain does not vouch for.
+    Moved(CoreError),
+}
+
+/// Where the commit stage gets its blocks.
+pub(super) trait Source {
+    /// The next block to append on `chain`'s head, its effects already in
+    /// the base world; `None` when the input ran out.
+    fn next(&mut self, chain: &Blockchain) -> Result<Option<Block>, Stop>;
+
+    /// Drops whatever the source holds above the base world. Called by
+    /// the failure epilogue only.
+    fn discard(&mut self) {}
+}
+
+/// The rejection `Blockchain::append` would give, raised before any replay.
+fn wrong_number(block: &Block, expected: u64) -> CoreError {
+    let claimed = block.header.number;
+    CoreError::rejected(ChainError::WrongNumber { claimed, expected }.to_string())
+}
+
+/// The produce source: mines each batch `batches` yields on the head.
+pub(super) struct Produce<'a, B> {
+    miner: &'a dyn Miner,
+    world: &'a World,
+    batches: B,
+    /// Mining statistics of the last block handed to the stage.
+    pub(super) stats: Option<MinerStats>,
+}
+
+impl<'a, B: FnMut() -> Option<Vec<Transaction>>> Produce<'a, B> {
+    pub(super) fn new(stage: &CommitStage<'a>, batches: B) -> Self {
+        Produce {
+            miner: stage.engine.miner(),
+            world: stage.world,
+            batches,
+            stats: None,
+        }
+    }
+}
+
+impl<B: FnMut() -> Option<Vec<Transaction>>> Source for Produce<'_, B> {
+    fn next(&mut self, chain: &Blockchain) -> Result<Option<Block>, Stop> {
+        let Some(batch) = (self.batches)() else {
+            return Ok(None);
+        };
+        let number = chain.head().header.number + 1;
+        // A miner returns its first failure with other workers' commits
+        // already in the world, so every mining error has moved it.
+        let mined = self
+            .miner
+            .mine_on(self.world, batch, chain.head_hash(), number)
+            .map_err(Stop::Moved)?;
+        self.stats = Some(mined.stats);
+        Ok(Some(mined.block))
+    }
+}
+
+/// The one-block follow source: the engine's validator on the base world.
+pub(super) struct Validate<'a> {
+    validator: &'a dyn Validator,
+    world: &'a World,
+    block: Option<&'a Block>,
+    /// The validator's report once the block was accepted.
+    pub(super) report: Option<ValidationReport>,
+}
+
+impl<'a> Validate<'a> {
+    pub(super) fn new(stage: &CommitStage<'a>, block: &'a Block) -> Self {
+        Validate {
+            validator: stage.engine.validator(),
+            world: stage.world,
+            block: Some(block),
+            report: None,
+        }
+    }
+}
+
+impl Source for Validate<'_> {
+    fn next(&mut self, chain: &Blockchain) -> Result<Option<Block>, Stop> {
+        let Some(block) = self.block.take() else {
+            return Ok(None);
+        };
+        if block.header.parent_hash != chain.head_hash() {
+            return Err(Stop::Clean(CoreError::rejected(
+                "block does not extend this node's head",
+            )));
+        }
+        let expected = chain.head().header.number + 1;
+        if block.header.number != expected {
+            return Err(Stop::Clean(wrong_number(block, expected)));
+        }
+        // Validation mutates the world (see [`Validator`]), so any
+        // rejection from here on is conservatively a moved world.
+        let report = self.validator.validate(self.world, block);
+        self.report = Some(report.map_err(Stop::Moved)?);
+        Ok(Some(block.clone()))
+    }
+}
+
+/// The run follow source: speculative validation of a block stream
+/// through a [`PendingChain`], committed oldest-first.
+pub(super) struct Follow<'a, I> {
+    blocks: std::iter::Fuse<I>,
+    pending: PendingChain<'a>,
+    /// A speculate-time rejection: stop consuming input, drain the valid
+    /// pending prefix into the chain, then return it.
+    rejection: Option<CoreError>,
+}
+
+impl<'a, I: Iterator<Item = Block>> Follow<'a, I> {
+    /// A follow source over the stage's world and head, holding at most
+    /// the stage's window of overlays.
+    pub(super) fn new(stage: &CommitStage<'a>, blocks: I) -> Self {
+        // A serial engine replays schedule-less blocks, which carry no
+        // profiles to check.
+        let engine = stage.engine;
+        let check_traces =
+            engine.config().check_traces && engine.strategy() != ExecutionStrategy::Serial;
+        Follow {
+            blocks: blocks.fuse(),
+            pending: PendingChain::new(stage.world, stage.chain.head_hash(), stage.window)
+                .with_trace_checks(check_traces),
+            rejection: None,
+        }
+    }
+}
+
+impl<I: Iterator<Item = Block>> Source for Follow<'_, I> {
+    fn next(&mut self, chain: &Blockchain) -> Result<Option<Block>, Stop> {
+        // Keep the speculation window full, so the next block validates
+        // against its predecessor's still-pending post-state while that
+        // predecessor's seal is in flight.
+        while !self.pending.is_full() && self.rejection.is_none() {
+            let Some(block) = self.blocks.next() else {
+                break;
+            };
+            let expected = chain.head().header.number + self.pending.len() as u64 + 1;
+            // A rejected block's overlay is already discarded; its
+            // descendants (the rest of the stream) are dropped unconsumed.
+            self.rejection = if block.header.number != expected {
+                Some(wrong_number(&block, expected))
+            } else {
+                self.pending
+                    .speculate(self.pending.tip_hash(), &block)
+                    .err()
+            };
+        }
+        match self.pending.oldest_hash() {
+            // A state-root mismatch has polluted the base.
+            Some(oldest) => self.pending.commit(&oldest).map(Some).map_err(Stop::Moved),
+            None => match self.rejection.take() {
+                Some(rejection) => Err(Stop::Clean(rejection)),
+                None => Ok(None),
+            },
+        }
+    }
+
+    fn discard(&mut self) {
+        self.pending.discard_all();
+    }
+}
+
+/// What the durability stage has acknowledged so far.
+struct Sealed {
+    /// Everything at or below this height is safe against a crash.
+    durable: u64,
+    /// Blocks handed to a seal and not yet acknowledged.
+    in_flight: usize,
+    /// The first seal failure; nothing is sealed after it.
+    failure: Option<String>,
+}
+
+impl Sealed {
+    fn absorb(&mut self, acks: impl Iterator<Item = SealAck>) {
+        for (number, sealed) in acks {
+            self.in_flight -= 1;
+            match sealed {
+                Ok(()) => self.durable = number,
+                Err(reason) => {
+                    self.failure = Some(format!("sealing block {number} failed: {reason}"));
+                    break;
+                }
+            }
+        }
+    }
+}
+
+/// The commit stage over one node's ledger (see the [module docs](self)),
+/// with the parts of the node its sources read.
+pub(super) struct CommitStage<'n> {
+    chain: &'n mut Blockchain,
+    world: &'n World,
+    engine: &'n Engine,
+    pub(super) mempool: &'n Mempool,
+    stale: &'n mut bool,
+    window: usize,
+    durability: Option<&'n DurabilityState>,
+    /// `Some` when seals run on the durability worker, `None` when they
+    /// run inline (or there is nothing to seal).
+    worker: Option<SealWorker>,
+    sealed: Sealed,
+    report: PipelineReport,
+}
+
+impl Node {
+    /// Opens a commit stage with the given window over this node's ledger.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BlockRejected`] when the node is stale;
+    /// [`CoreError::Durability`] (and a staled node) when the durability
+    /// worker cannot be started.
+    pub(super) fn commit_stage(&mut self, window: usize) -> Result<CommitStage<'_>, CoreError> {
+        self.ensure_fresh()?;
+        let durability = self.durability.as_ref();
+        let worker = match durability {
+            Some(state) if window > 1 => {
+                let wal = state.wal.clone();
+                let seal = move |block: &Block| wal.seal_block(block).map_err(|e| e.to_string());
+                // Nothing is in flight yet, so the chain already is the
+                // durable prefix; stale like any durability failure.
+                Some(SealWorker::start(window, seal).inspect_err(|_| self.stale = true)?)
+            }
+            _ => None,
+        };
+        Ok(CommitStage {
+            // The run starts from a fully persisted head (the node is fresh).
+            sealed: Sealed {
+                durable: self.chain.head().header.number,
+                in_flight: 0,
+                failure: None,
+            },
+            chain: &mut self.chain,
+            world: &self.world,
+            engine: &self.engine,
+            mempool: &self.mempool,
+            stale: &mut self.stale,
+            window,
+            durability,
+            worker,
+            report: PipelineReport::default(),
+        })
+    }
+}
+
+impl CommitStage<'_> {
+    /// Commits every block `source` yields, then runs the epilogue.
+    /// Returns once every committed block is durable.
+    ///
+    /// # Errors
+    ///
+    /// The source's [`Stop::Clean`] rejection, with the node fresh at the
+    /// last block accepted before it; otherwise the first failure after
+    /// the base world moved (a [`CoreError::Durability`] for seals and
+    /// snapshots), with the node staled and its chain truncated to the
+    /// durable prefix.
+    pub(super) fn run(mut self, source: &mut impl Source) -> Result<PipelineReport, CoreError> {
+        let outcome = loop {
+            // Collect whatever the durability stage finished meanwhile.
+            if let Some(worker) = &self.worker {
+                self.sealed.absorb(worker.acks.try_iter());
+            }
+            if self.sealed.failure.is_some() {
+                break Ok(());
+            }
+            match source.next(self.chain) {
+                Ok(Some(block)) => {
+                    if let Err(e) = self.commit(block) {
+                        break Err(Stop::Moved(e));
+                    }
+                }
+                Ok(None) => break Ok(()),
+                Err(stop) => break Err(stop),
+            }
+        };
+
+        // Final drain: close the hand-off, absorb outstanding acks, join.
+        if let Some(SealWorker { work, acks, handle }) = self.worker.take() {
+            drop(work);
+            let drain = Instant::now();
+            self.sealed.absorb(acks.iter());
+            self.report.stalled += drain.elapsed();
+            if let Err(reason) = seal_worker::join(handle) {
+                // Blocks it never acknowledged stay above `durable` and
+                // are rolled back below, exactly like a failed seal.
+                self.sealed.failure.get_or_insert(reason);
+            }
+        }
+
+        let error = match (outcome, self.sealed.failure.take()) {
+            (Err(Stop::Moved(e)), _) => e,
+            (_, Some(reason)) => CoreError::durability(reason),
+            (Err(Stop::Clean(e)), None) => return Err(e),
+            (Ok(()), None) => {
+                debug_assert_eq!(self.sealed.durable, self.chain.head().header.number);
+                return Ok(self.report);
+            }
+        };
+        // The base world or the in-memory chain is ahead of what the node
+        // can vouch for: never advertise blocks the WAL cannot recover.
+        source.discard();
+        *self.stale = true;
+        self.chain.truncate_to(self.sealed.durable);
+        Err(error)
+    }
+
+    /// Appends `block`, seals it (inline, or by handing it to the worker)
+    /// and takes the periodic snapshot behind a drain barrier.
+    fn commit(&mut self, block: Block) -> Result<(), CoreError> {
+        self.report.blocks += 1;
+        self.report.transactions += block.transactions.len();
+        self.chain
+            .append(block)
+            .map_err(|e| CoreError::rejected(e.to_string()))?;
+        let head = self.chain.head();
+        let number = head.header.number;
+        let Some(state) = self.durability else {
+            self.sealed.durable = number;
+            return Ok(());
+        };
+
+        // The worker's copy is made before the clock starts: `stalled`
+        // is time blocked on the durability stage, not time copying.
+        let handoff = self.worker.as_ref().map(|worker| (worker, head.clone()));
+        let stalled = Instant::now();
+        match handoff {
+            // A full channel is the back-pressure point. A closed channel
+            // means the worker hit a failure whose ack is (or will be)
+            // among its acks.
+            Some((worker, block)) => {
+                if worker.work.send(block).is_ok() {
+                    self.sealed.in_flight += 1;
+                }
+            }
+            None => {
+                let sealed = state.wal.seal_block(head).map_err(|e| e.to_string());
+                self.sealed.in_flight += 1;
+                self.sealed.absorb(std::iter::once((number, sealed)));
+            }
+        }
+        let snapshot = number.is_multiple_of(state.config.snapshot_interval);
+        if let (true, Some(worker)) = (snapshot, &self.worker) {
+            let in_flight = self.sealed.in_flight;
+            self.sealed.absorb(worker.acks.iter().take(in_flight));
+        }
+        self.report.stalled += stalled.elapsed();
+
+        // A failed seal is picked up by the loop; the quiesced world is
+        // serialized and the WAL reset only behind a clean barrier.
+        if snapshot && self.sealed.failure.is_none() {
+            state.write_snapshot(self.chain, self.world)?;
+            self.report.snapshots += 1;
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::EngineConfig;
+    use cc_vm::testing::CounterContract;
+    use cc_vm::{Address, ArgValue, CallData};
+    use std::collections::VecDeque;
+    use std::sync::Arc;
+
+    fn node() -> Node {
+        let world = World::new();
+        world.deploy(Arc::new(CounterContract::new(Address::from_name(
+            "counter-commit",
+        ))));
+        Node::builder()
+            .world(world)
+            .config(EngineConfig::new().threads(2))
+            .build()
+            .unwrap()
+    }
+
+    /// An honest block 1 over [`node`]'s world.
+    fn block_one() -> Block {
+        let txs = (0..4)
+            .map(|i| {
+                Transaction::new(
+                    i,
+                    Address::from_index(i),
+                    Address::from_name("counter-commit"),
+                    CallData::new("increment", vec![ArgValue::Uint(1)]),
+                    1_000_000,
+                )
+            })
+            .collect();
+        node().mine_and_append(txs).unwrap().block
+    }
+
+    /// A source that plays back a fixed script, so the epilogue can be
+    /// driven into every arm without a miner or validator that fails.
+    struct Script(VecDeque<Result<Option<Block>, Stop>>);
+
+    impl Source for Script {
+        fn next(&mut self, _: &Blockchain) -> Result<Option<Block>, Stop> {
+            self.0.pop_front().unwrap_or(Ok(None))
+        }
+    }
+
+    fn run(node: &mut Node, script: Vec<Result<Option<Block>, Stop>>) -> Result<u64, CoreError> {
+        let stage = node.commit_stage(1)?;
+        let report = stage.run(&mut Script(script.into()))?;
+        Ok(report.blocks)
+    }
+
+    #[test]
+    fn a_mining_failure_after_an_accepted_block_stales_the_node() {
+        let mut node = node();
+        let failure = CoreError::MiningFailed {
+            tx_index: 3,
+            source: cc_stm::StmError::RetriesExhausted { attempts: 3 },
+        };
+        let script = vec![Ok(Some(block_one())), Err(Stop::Moved(failure.clone()))];
+        assert_eq!(run(&mut node, script).unwrap_err(), failure);
+        assert!(node.is_stale(), "the miner left commits in the world");
+        assert_eq!(node.chain().len(), 2, "the accepted block stays");
+        assert!(run(&mut node, Vec::new())
+            .unwrap_err()
+            .to_string()
+            .contains("stale"));
+    }
+
+    #[test]
+    fn a_block_the_chain_refuses_stales_the_node() {
+        // The source vouched for it, so its effects are in the world.
+        let mut node = node();
+        let mut misnumbered = block_one();
+        misnumbered.header.number = 5;
+        let err = run(&mut node, vec![Ok(Some(misnumbered))]).unwrap_err();
+        assert!(matches!(err, CoreError::BlockRejected { .. }), "got: {err}");
+        assert!(node.is_stale());
+        assert_eq!(node.chain().len(), 1);
+    }
+
+    #[test]
+    fn a_clean_rejection_keeps_the_node_fresh_at_the_accepted_prefix() {
+        let mut node = node();
+        let rejection = CoreError::rejected("turned away at the door");
+        let script = vec![Ok(Some(block_one())), Err(Stop::Clean(rejection.clone()))];
+        assert_eq!(run(&mut node, script).unwrap_err(), rejection);
+        assert!(!node.is_stale());
+        assert_eq!(node.chain().len(), 2);
+        assert_eq!(run(&mut node, Vec::new()), Ok(0));
+    }
+}

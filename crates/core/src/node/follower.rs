@@ -13,49 +13,30 @@
 //!                                            [seal+fsync N]           [seal+fsync N+1]  (durability stage)
 //! ```
 //!
-//! [`Node::run_follower_pipeline`] keeps speculative validation and the
-//! overlay commit (see [`super::pending`]) on the calling thread and
-//! moves the WAL seal to a dedicated durability worker. While the
-//! worker fsyncs block N, the caller is already replaying block N+1
-//! against N's pending post-state. The stages are joined by a **bounded
-//! hand-off channel** ([`FollowerConfig::max_in_flight`]): when the
-//! durability stage falls behind, the hand-off blocks and validation
-//! stops speculating further ahead — back-pressure, not unbounded
-//! queueing.
-//!
-//! # Invariants
-//!
-//! * **In-order commit.** Overlays flatten oldest-first
-//!   ([`super::pending::PendingChain::commit`]), blocks append and seal
-//!   in chain order, and only *fully validated* blocks (state root
-//!   included) reach the WAL — recovery never replays a block this
-//!   follower did not accept.
-//! * **Bounded speculation.** At most `max_in_flight` blocks are
-//!   validated but not yet durable, counting both pending overlays and
-//!   sealed-but-unacknowledged blocks.
-//! * **Stale on persist failure** (the PR 8 invariant, preserved). If a
-//!   seal fails, the node marks itself stale, truncates the in-memory
-//!   chain back to the last durable block, discards every pending
-//!   overlay, and returns the failure. [`Node::recover`] is the exit.
-//! * **Quiesced snapshots.** Periodic snapshots drain all in-flight
-//!   seals (a barrier) before serializing the world, so the WAL reset
-//!   never races an in-flight seal.
+//! [`Node::run_follower_pipeline`] is the node's commit pipeline (one
+//! loop for every entry point; "Commit pipeline" in the crate README has
+//! the source × window table and the invariants) fed by a block stream:
+//! speculative validation and the overlay commit (see [`super::pending`])
+//! stay on the calling thread, the WAL seal moves to a dedicated
+//! durability worker behind a bounded hand-off
+//! ([`FollowerConfig::max_in_flight`]). While the worker fsyncs block N,
+//! the caller is already replaying block N+1 against N's pending
+//! post-state.
 //!
 //! A *speculate-time* rejection (bad receipts, bad traces, a hidden
-//! race) never touches the base state: the follower drains its valid
-//! pending predecessors into the chain, drops the rejected block and
-//! the rest of the stream, and returns the rejection **without staling
-//! the node** — unlike sequential validation, whose replay pollutes the
-//! world before it can reject. Only a commit-time state-root mismatch
-//! (the one check that needs the flattened base) stales the follower.
+//! race, a block that does not link) never touches the base state: the
+//! follower drains its valid pending predecessors into the chain, drops
+//! the rejected block and the rest of the stream, and returns the
+//! rejection **without staling the node** — unlike sequential
+//! validation, whose replay pollutes the world before it can reject.
+//! Only a commit-time state-root mismatch (the one check that needs the
+//! flattened base) stales the follower.
 
-use super::pending::PendingChain;
-use super::seal_worker::{self, SealAck, SealWorker};
+use super::commit::{Follow, PIPELINED_WINDOW};
+use super::pipeline::PipelineReport;
 use super::Node;
-use crate::engine::ExecutionStrategy;
 use crate::error::CoreError;
 use cc_ledger::Block;
-use std::time::{Duration, Instant};
 
 /// Tuning for [`Node::run_follower_pipeline`].
 #[derive(Debug, Clone, Copy)]
@@ -71,7 +52,7 @@ impl Default for FollowerConfig {
 
 impl FollowerConfig {
     /// Default bound on validated-but-not-yet-durable blocks.
-    pub const DEFAULT_MAX_IN_FLIGHT: usize = 2;
+    pub const DEFAULT_MAX_IN_FLIGHT: usize = PIPELINED_WINDOW;
 
     /// A follower pipeline with the default speculation depth.
     pub fn new() -> Self {
@@ -90,44 +71,18 @@ impl FollowerConfig {
     }
 }
 
-/// What a follower pipeline run produced (see
-/// [`Node::run_follower_pipeline`]).
-#[derive(Debug, Clone, Default)]
-pub struct FollowerReport {
-    /// Blocks validated, appended and made durable.
-    pub blocks: u64,
-    /// Transactions across those blocks.
-    pub transactions: usize,
-    /// Periodic snapshots written (each one a pipeline barrier).
-    pub snapshots: u64,
-    /// Time the validation stage spent blocked handing blocks to the
-    /// durability stage (back-pressure) or draining it (snapshot
-    /// barriers, final drain). The sequential path would have spent at
-    /// least this long sealing inline; a small value with durability on
-    /// means the fsyncs hid behind validation almost entirely.
-    pub stalled: Duration,
-}
-
 impl Node {
-    /// Whether the engine's configuration calls for lock-trace checks
-    /// during speculative validation (a serial engine replays
-    /// schedule-less blocks, which carry no profiles to check).
-    pub(super) fn speculation_checks_traces(&self) -> bool {
-        self.engine.config().check_traces && self.engine.strategy() != ExecutionStrategy::Serial
-    }
-
     /// Validates a stream of `blocks` against this node's chain,
     /// overlapping each block's WAL seal/fsync with the speculative
     /// validation of the next (see the [module docs](self) for the stage
-    /// diagram and invariants). Returns once every accepted block is
-    /// durable.
+    /// diagram). Returns once every accepted block is durable.
     ///
     /// The chain, world and durable artifacts are **byte-identical** to
     /// what the same stream produces through sequential
     /// [`Node::validate_and_append`] calls — the pipeline reorders work
     /// against the wall clock, never against the chain. Without
-    /// durability there is nothing to overlap and the loop degenerates
-    /// to speculate-then-commit per block.
+    /// durability there is nothing to overlap and the loop is
+    /// speculate-then-commit per window.
     ///
     /// # Errors
     ///
@@ -144,203 +99,13 @@ impl Node {
         &mut self,
         blocks: I,
         config: &FollowerConfig,
-    ) -> Result<FollowerReport, CoreError>
+    ) -> Result<PipelineReport, CoreError>
     where
         I: IntoIterator<Item = Block>,
     {
-        self.ensure_fresh()?;
-        let check_traces = self.speculation_checks_traces();
-        let mut report = FollowerReport::default();
-        let mut blocks = blocks.into_iter();
-
-        let Some(state) = &self.durability else {
-            // Nothing to overlap: speculate and commit back to back.
-            let mut pending =
-                PendingChain::new(&self.world, self.chain.head_hash(), config.max_in_flight)
-                    .with_trace_checks(check_traces);
-            for block in blocks {
-                let hash = pending.speculate(pending.tip_hash(), &block)?;
-                let committed = match pending.commit(&hash) {
-                    Ok(block) => block,
-                    Err(e) => {
-                        self.stale = true;
-                        return Err(e);
-                    }
-                };
-                report.blocks += 1;
-                report.transactions += committed.transactions.len();
-                self.chain
-                    .append(committed)
-                    .map_err(|e| CoreError::rejected(e.to_string()))?;
-            }
-            return Ok(report);
-        };
-
-        let wal = state.wal.clone();
-        let snapshot_interval = state.config.snapshot_interval;
-        // If the worker cannot start nothing is in flight yet, so the chain
-        // already is the durable prefix; stale like any durability failure.
-        let SealWorker {
-            work: work_tx,
-            acks: ack_rx,
-            handle: worker,
-        } = SealWorker::start(config.max_in_flight, move |block| {
-            wal.seal_block(block).map_err(|e| e.to_string())
-        })
-        .inspect_err(|_| self.stale = true)?;
-
-        // Everything at or below `durable` is safe against a crash. The
-        // run starts from a fully persisted head (the node is fresh).
-        let mut durable = self.chain.head().header.number;
-        let mut in_flight = 0u64;
-        let mut failure: Option<String> = None;
-        // A speculate-time rejection: remember it, stop consuming input,
-        // and drain the valid pending prefix before returning it.
-        let mut rejection: Option<CoreError> = None;
-        let mut exhausted = false;
-        let mut pending =
-            PendingChain::new(&self.world, self.chain.head_hash(), config.max_in_flight)
-                .with_trace_checks(check_traces);
-
-        let absorb = |acks: &mut dyn Iterator<Item = SealAck>,
-                      durable: &mut u64,
-                      in_flight: &mut u64,
-                      failure: &mut Option<String>| {
-            for (number, sealed) in acks {
-                *in_flight -= 1;
-                match sealed {
-                    Ok(()) => *durable = number,
-                    Err(reason) => {
-                        *failure = Some(format!("sealing block {number} failed: {reason}"));
-                        break;
-                    }
-                }
-            }
-        };
-
-        let outcome = loop {
-            // Collect whatever the durability stage finished meanwhile.
-            absorb(
-                &mut ack_rx.try_iter(),
-                &mut durable,
-                &mut in_flight,
-                &mut failure,
-            );
-            if failure.is_some() {
-                break Ok(());
-            }
-
-            // Keep the speculation window full, so the next block
-            // validates against its predecessor's still-pending
-            // post-state while that predecessor's seal is in flight.
-            while !pending.is_full() && !exhausted && rejection.is_none() {
-                match blocks.next() {
-                    Some(block) => {
-                        if let Err(e) = pending.speculate(pending.tip_hash(), &block) {
-                            // The rejected block's overlay is already
-                            // discarded; its descendants (the rest of
-                            // the stream) are dropped unconsumed.
-                            rejection = Some(e);
-                        }
-                    }
-                    None => exhausted = true,
-                }
-            }
-
-            // Commit the oldest pending overlay, append it and hand it
-            // to the durability stage. An empty window means the stream
-            // is drained (or rejected): flush and exit.
-            let Some(oldest) = pending.oldest_hash() else {
-                break Ok(());
-            };
-            let committed = match pending.commit(&oldest) {
-                // A state-root mismatch has polluted the base; the
-                // outcome arm below stales the node.
-                Err(e) => break Err(e),
-                Ok(block) => block,
-            };
-            report.blocks += 1;
-            report.transactions += committed.transactions.len();
-            let number = committed.header.number;
-            if let Err(e) = self.chain.append(committed.clone()) {
-                break Err(CoreError::rejected(e.to_string()));
-            }
-
-            // A full channel is the back-pressure point. A closed
-            // channel means the worker hit a failure whose ack is (or
-            // will be) in ack_rx.
-            let handoff = Instant::now();
-            if work_tx.send(committed).is_ok() {
-                in_flight += 1;
-            }
-            report.stalled += handoff.elapsed();
-
-            if number.is_multiple_of(snapshot_interval) {
-                // Snapshot barrier: drain the durability stage, then
-                // serialize the quiesced world and reset the WAL.
-                let drain = Instant::now();
-                absorb(
-                    &mut ack_rx.iter().take(in_flight as usize),
-                    &mut durable,
-                    &mut in_flight,
-                    &mut failure,
-                );
-                report.stalled += drain.elapsed();
-                if failure.is_some() {
-                    break Ok(());
-                }
-                if let Err(e) = self.write_snapshot() {
-                    break Err(e);
-                }
-                report.snapshots += 1;
-            }
-        };
-
-        // Final drain: close the hand-off, absorb outstanding acks, join.
-        drop(work_tx);
-        let drain = Instant::now();
-        absorb(
-            &mut ack_rx.iter(),
-            &mut durable,
-            &mut in_flight,
-            &mut failure,
-        );
-        report.stalled += drain.elapsed();
-        if let Err(reason) = seal_worker::join(worker) {
-            // Blocks it never acknowledged stay above `durable` and are
-            // rolled back below, exactly like a failed seal.
-            failure.get_or_insert(reason);
-        }
-
-        match (outcome, failure) {
-            (Err(e), _) => {
-                // Commit-time rejection or snapshot failure: the base
-                // world holds effects the chain does not vouch for.
-                pending.discard_all();
-                self.stale = true;
-                self.chain.truncate_to(durable);
-                Err(e)
-            }
-            (Ok(()), Some(reason)) => {
-                // The PR 8 invariant, pipelined: never let the in-memory
-                // chain advertise blocks the WAL cannot recover.
-                pending.discard_all();
-                self.stale = true;
-                self.chain.truncate_to(durable);
-                Err(CoreError::durability(reason))
-            }
-            (Ok(()), None) => {
-                debug_assert!(pending.is_empty());
-                debug_assert_eq!(durable, self.chain.head().header.number);
-                // The world and chain sit consistently at the last
-                // accepted block; a speculate-time rejection propagates
-                // without staling the node.
-                match rejection {
-                    Some(e) => Err(e),
-                    None => Ok(report),
-                }
-            }
-        }
+        let stage = self.commit_stage(config.max_in_flight)?;
+        let mut source = Follow::new(&stage, blocks.into_iter());
+        stage.run(&mut source)
     }
 }
 
@@ -447,27 +212,31 @@ mod tests {
 
     #[test]
     fn durable_follower_seals_snapshots_and_recovers() {
-        let dir = temp_dir("durable");
-        std::fs::remove_dir_all(&dir).ok();
         let blocks = mined_blocks(5);
-        let mut follower = durable_follower(&dir, 2);
-        let report = follower
-            .run_follower_pipeline(blocks.clone(), &FollowerConfig::new())
-            .unwrap();
-        assert_eq!(report.blocks, 5);
-        assert_eq!(report.snapshots, 2, "blocks 2 and 4 hit the interval");
-        assert_eq!(follower.chain().len(), 6);
+        // Window 1 seals inline on the caller, window 2 on the worker.
+        for window in [1, 2] {
+            let dir = temp_dir(&format!("durable-{window}"));
+            std::fs::remove_dir_all(&dir).ok();
+            let mut follower = durable_follower(&dir, 2);
+            let config = FollowerConfig::new().max_in_flight(window);
+            let report = follower
+                .run_follower_pipeline(blocks.clone(), &config)
+                .unwrap();
+            assert_eq!(report.blocks, 5);
+            assert_eq!(report.snapshots, 2, "blocks 2 and 4 hit the interval");
+            assert_eq!(follower.chain().len(), 6);
 
-        // Everything the pipeline accepted is recoverable.
-        let head = follower.chain().head_hash();
-        let world_bytes = follower.world().snapshot().to_bytes();
-        drop(follower);
-        let config = DurabilityConfig::new(&dir, DurabilityMode::Fsync);
-        let engine = EngineConfig::new().threads(2).build().unwrap();
-        let recovered = Node::recover(config, fresh_world(), engine).unwrap();
-        assert_eq!(recovered.chain().head_hash(), head);
-        assert_eq!(recovered.world().snapshot().to_bytes(), world_bytes);
-        std::fs::remove_dir_all(&dir).ok();
+            // Everything the pipeline accepted is recoverable.
+            let head = follower.chain().head_hash();
+            let world_bytes = follower.world().snapshot().to_bytes();
+            drop(follower);
+            let config = DurabilityConfig::new(&dir, DurabilityMode::Fsync);
+            let engine = EngineConfig::new().threads(2).build().unwrap();
+            let recovered = Node::recover(config, fresh_world(), engine).unwrap();
+            assert_eq!(recovered.chain().head_hash(), head);
+            assert_eq!(recovered.world().snapshot().to_bytes(), world_bytes);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! optionally a durable ledger (write-ahead log plus periodic snapshots)
 //! that [`Node::recover`] can rebuild the node from after a crash.
 
+mod commit;
 pub mod follower;
 pub mod pending;
 pub mod pipeline;
@@ -10,14 +11,14 @@ mod seal_worker;
 
 use crate::engine::{Engine, EngineConfig};
 use crate::error::CoreError;
-use crate::miner::{MinedBlock, Miner};
+use crate::miner::MinedBlock;
 use crate::stats::ValidationReport;
-use crate::validator::Validator;
 use cc_ledger::wal::{DurabilityMode, Wal, WAL_FILE};
-use cc_ledger::{Block, Blockchain, ChainError, SnapshotFile, Transaction};
+use cc_ledger::{Block, Blockchain, SnapshotFile, Transaction};
 use cc_mempool::{Mempool, MempoolConfig, SubmitOutcome};
 use cc_vm::World;
-use pending::PendingChain;
+use commit::{Produce, Validate};
+use follower::FollowerConfig;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -72,6 +73,34 @@ impl DurabilityConfig {
 struct DurabilityState {
     config: DurabilityConfig,
     wal: Arc<Wal>,
+}
+
+impl DurabilityState {
+    /// Attaches `wal` to `world`'s execution runtimes as their durability
+    /// sink.
+    fn attach(config: DurabilityConfig, wal: Wal, world: &World) -> Self {
+        let wal = Arc::new(wal);
+        world.stm().lock_manager().attach_durability(wal.clone());
+        world.mvcc().attach_durability(wal.clone());
+        DurabilityState { config, wal }
+    }
+
+    /// Writes a snapshot of `world` at `chain`'s head and resets the WAL
+    /// (its records are now redundant).
+    fn write_snapshot(&self, chain: &Blockchain, world: &World) -> Result<(), CoreError> {
+        let head = chain.head();
+        let snapshot = SnapshotFile {
+            height: head.header.number,
+            block_hash: head.hash(),
+            state_root: head.header.state_root,
+            blocks: chain.iter().cloned().collect(),
+            world_bytes: world.snapshot().to_bytes(),
+        };
+        snapshot
+            .write_to(self.config.dir())
+            .map_err(CoreError::durability)?;
+        self.wal.reset().map_err(CoreError::durability)
+    }
 }
 
 /// A node that owns a world, a chain and the [`Engine`] that executes
@@ -217,9 +246,9 @@ impl Node {
     /// built with (same deployed contracts and seeded state) — contracts
     /// are native code and cannot be serialized, so recovery is
     /// deterministic re-execution: the latest valid snapshot anchors the
-    /// chain, every recovered block is replayed through the same
-    /// speculative [`pending::PendingChain`] the follower pipeline uses
-    /// (any strategy works — blocks carry their schedules, and a serial
+    /// chain, every recovered block is replayed through
+    /// [`Node::run_follower_pipeline`] with no durability stage (any
+    /// strategy works — blocks carry their schedules, and a serial
     /// engine skips the trace checks), the replayed world is compared
     /// **bit-for-bit**
     /// against the snapshot's world bytes at the snapshot height, and
@@ -250,88 +279,41 @@ impl Node {
                 "supplied initial world does not match the recovered genesis state root",
             ));
         }
-        let genesis_hash = genesis.hash();
-        let check_snapshot = |world: &World| -> Result<(), CoreError> {
-            if world.snapshot().to_bytes() != recovered.snapshot_world_bytes {
-                return Err(CoreError::durability(format!(
-                    "replayed world diverges from snapshot bytes at height {}",
-                    recovered.snapshot_height
-                )));
-            }
-            Ok(())
+        // Replay through the node's own commit pipeline, fed by the
+        // recovered blocks with no durability stage: each block validates
+        // against its predecessor's pending post-state, and the in-order
+        // commit flattens the overlay *before* the bit-for-bit snapshot
+        // comparison at the snapshot height.
+        let mut node = Node::new(world, engine);
+        let mut blocks = recovered.chain.iter().skip(1).cloned();
+        let replay = |node: &mut Node, blocks: &mut dyn Iterator<Item = Block>| {
+            node.run_follower_pipeline(blocks, &FollowerConfig::new())
+                .map_err(|e| {
+                    let number = node.chain.head().header.number + 1;
+                    CoreError::durability(format!("replay of recovered block {number} failed: {e}"))
+                })
         };
-        if recovered.snapshot_height == 0 {
-            check_snapshot(&world)?;
+        let anchored = recovered.snapshot_height as usize;
+        replay(&mut node, &mut blocks.by_ref().take(anchored))?;
+        if node.world.snapshot().to_bytes() != recovered.snapshot_world_bytes {
+            return Err(CoreError::durability(format!(
+                "replayed world diverges from snapshot bytes at height {}",
+                recovered.snapshot_height
+            )));
         }
+        replay(&mut node, &mut blocks)?;
         // The rebuilt chain also seeds the fresh mempool's per-sender
         // nonce boundaries: post-recovery submissions resume where the
         // chain left off instead of parking behind already-mined nonces.
-        let mempool = Mempool::default();
-        {
-            // Replay through the same speculative pending chain the
-            // follower pipeline uses: each recovered block validates
-            // against its predecessor's pending post-state, and the
-            // in-order commit flattens the overlay *before* the
-            // bit-for-bit snapshot comparison at the snapshot height.
-            let check_traces = engine.config().check_traces
-                && engine.strategy() != crate::engine::ExecutionStrategy::Serial;
-            let mut pending = PendingChain::new(
-                &world,
-                genesis_hash,
-                follower::FollowerConfig::DEFAULT_MAX_IN_FLIGHT,
-            )
-            .with_trace_checks(check_traces);
-            let replay_err = |number: u64, e: CoreError| {
-                CoreError::durability(format!("replay of recovered block {number} failed: {e}"))
-            };
-            let commit_oldest = |pending: &mut PendingChain<'_>| -> Result<(), CoreError> {
-                let Some(oldest) = pending.oldest_hash() else {
-                    return Ok(());
-                };
-                let number = pending
-                    .pending_state(&oldest)
-                    .expect("oldest is pending")
-                    .number;
-                pending.commit(&oldest).map_err(|e| replay_err(number, e))?;
-                if number == recovered.snapshot_height {
-                    check_snapshot(&world)?;
-                }
-                Ok(())
-            };
-            for block in recovered.chain.iter().skip(1) {
-                if pending.is_full() {
-                    commit_oldest(&mut pending)?;
-                }
-                pending
-                    .speculate(pending.tip_hash(), block)
-                    .map_err(|e| replay_err(block.header.number, e))?;
-                for tx in &block.transactions {
-                    mempool.observe_consumed(tx.sender, tx.nonce + 1);
-                }
-            }
-            while !pending.is_empty() {
-                commit_oldest(&mut pending)?;
-            }
+        for tx in node.chain.iter().flat_map(|block| &block.transactions) {
+            node.mempool.observe_consumed(tx.sender, tx.nonce + 1);
         }
-        let durability = if config.mode() == DurabilityMode::Off {
-            None
-        } else {
-            let wal = Arc::new(
-                Wal::open_append(config.dir().join(WAL_FILE), config.mode())
-                    .map_err(CoreError::durability)?,
-            );
-            world.stm().lock_manager().attach_durability(wal.clone());
-            world.mvcc().attach_durability(wal.clone());
-            Some(DurabilityState { config, wal })
-        };
-        Ok(Node {
-            world,
-            chain: recovered.chain,
-            engine,
-            stale: false,
-            durability,
-            mempool,
-        })
+        if config.mode() != DurabilityMode::Off {
+            let wal = Wal::open_append(config.dir().join(WAL_FILE), config.mode())
+                .map_err(CoreError::durability)?;
+            node.durability = Some(DurabilityState::attach(config, wal, &node.world));
+        }
+        Ok(node)
     }
 
     /// Whether this node's state has been corrupted by a rejected
@@ -358,71 +340,14 @@ impl Node {
             return Ok(());
         }
         std::fs::create_dir_all(config.dir()).map_err(CoreError::durability)?;
-        let wal = Arc::new(
-            Wal::create(config.dir().join(WAL_FILE), config.mode())
-                .map_err(CoreError::durability)?,
-        );
-        self.world
-            .stm()
-            .lock_manager()
-            .attach_durability(wal.clone());
-        self.world.mvcc().attach_durability(wal.clone());
-        self.durability = Some(DurabilityState { config, wal });
+        let wal = Wal::create(config.dir().join(WAL_FILE), config.mode())
+            .map_err(CoreError::durability)?;
+        let state = self
+            .durability
+            .insert(DurabilityState::attach(config, wal, &self.world));
         // The genesis snapshot: recovery always has an anchor, even if
         // the node crashes before the first periodic snapshot.
-        self.write_snapshot()
-    }
-
-    /// Writes a world snapshot at the current head and resets the WAL
-    /// (its records are now redundant). No-op without durability.
-    fn write_snapshot(&self) -> Result<(), CoreError> {
-        let Some(state) = &self.durability else {
-            return Ok(());
-        };
-        let head = self.chain.head();
-        let snapshot = SnapshotFile {
-            height: head.header.number,
-            block_hash: head.hash(),
-            state_root: head.header.state_root,
-            blocks: self.chain.iter().cloned().collect(),
-            world_bytes: self.world.snapshot().to_bytes(),
-        };
-        snapshot
-            .write_to(state.config.dir())
-            .map_err(CoreError::durability)?;
-        state.wal.reset().map_err(CoreError::durability)
-    }
-
-    /// Seals `block` into the WAL (the group-commit point) and takes a
-    /// periodic snapshot when the configured interval elapses. No-op
-    /// without durability.
-    ///
-    /// The block is already on the in-memory chain when this runs, so a
-    /// persistence failure means durable state has fallen behind what
-    /// the node would keep serving: the node marks itself stale rather
-    /// than letting the two silently diverge (a later crash would
-    /// recover a shorter chain than the one the node advertised).
-    fn persist_block(&mut self, block: &Block) -> Result<(), CoreError> {
-        if let Err(e) = self.persist_block_inner(block) {
-            self.stale = true;
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    fn persist_block_inner(&self, block: &Block) -> Result<(), CoreError> {
-        let Some(state) = &self.durability else {
-            return Ok(());
-        };
-        state.wal.seal_block(block).map_err(CoreError::durability)?;
-        if block
-            .header
-            .number
-            .is_multiple_of(state.config.snapshot_interval)
-        {
-            self.write_snapshot()?;
-        }
-        Ok(())
+        state.write_snapshot(&self.chain, &self.world)
     }
 
     /// The node's world (current state).
@@ -511,31 +436,13 @@ impl Node {
         &mut self,
         transactions: Vec<Transaction>,
     ) -> Result<MinedBlock, CoreError> {
-        let miner = self.engine.clone();
-        self.mine_and_append_with(miner.miner(), transactions)
-    }
-
-    /// Like [`Node::mine_and_append`] but with an explicit miner — the
-    /// escape hatch for driving one node with several strategies (e.g.
-    /// the interoperability tests alternating serial and parallel blocks).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Node::mine_and_append`].
-    pub fn mine_and_append_with(
-        &mut self,
-        miner: &dyn Miner,
-        transactions: Vec<Transaction>,
-    ) -> Result<MinedBlock, CoreError> {
-        self.ensure_fresh()?;
-        let parent_hash = self.chain.head_hash();
-        let number = self.chain.head().header.number + 1;
-        let mined = miner.mine_on(&self.world, transactions, parent_hash, number)?;
-        self.chain
-            .append(mined.block.clone())
-            .map_err(|e: ChainError| CoreError::rejected(e.to_string()))?;
-        self.persist_block(&mined.block)?;
-        Ok(mined)
+        let stage = self.commit_stage(1)?;
+        let mut batch = Some(transactions);
+        let mut source = Produce::new(&stage, || batch.take());
+        stage.run(&mut source)?;
+        let stats = source.stats.expect("a completed run mined its one batch");
+        let block = self.chain.head().clone();
+        Ok(MinedBlock { block, stats })
     }
 
     /// Validates a block received from another node with the node's
@@ -553,43 +460,14 @@ impl Node {
     /// subsequent call fails fast — a real node discards that state and
     /// resynchronizes, and so must callers of this API (rebuild the node
     /// from a trusted world). Blocks turned away before the validator
-    /// runs (wrong parent) do not stale the node.
+    /// runs (wrong parent, wrong number) do not stale the node.
     pub fn validate_and_append(&mut self, block: &Block) -> Result<ValidationReport, CoreError> {
-        let engine = self.engine.clone();
-        self.validate_and_append_with(engine.validator(), block)
-    }
-
-    /// Like [`Node::validate_and_append`] but with an explicit validator
-    /// (e.g. a legacy replay validator for schedule-less blocks).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Node::validate_and_append`].
-    pub fn validate_and_append_with(
-        &mut self,
-        validator: &dyn Validator,
-        block: &Block,
-    ) -> Result<ValidationReport, CoreError> {
-        self.ensure_fresh()?;
-        if block.header.parent_hash != self.chain.head_hash() {
-            return Err(CoreError::rejected(
-                "block does not extend this node's head",
-            ));
-        }
-        let report = match validator.validate(&self.world, block) {
-            Ok(report) => report,
-            Err(err) => {
-                // The replay already mutated this node's world; nothing
-                // built on it can be trusted any more.
-                self.stale = true;
-                return Err(err);
-            }
-        };
-        self.chain
-            .append(block.clone())
-            .map_err(|e| CoreError::rejected(e.to_string()))?;
-        self.persist_block(block)?;
-        Ok(report)
+        let stage = self.commit_stage(1)?;
+        let mut source = Validate::new(&stage, block);
+        stage.run(&mut source)?;
+        Ok(source
+            .report
+            .expect("a completed run validated its one block"))
     }
 }
 
@@ -830,6 +708,26 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_inline_seal_rolls_back_to_the_durable_prefix() {
+        let dir = temp_dir("seal-fail");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut node = Node::builder()
+            .world(fresh_world())
+            .config(EngineConfig::new().threads(2))
+            .durability(DurabilityConfig::new(&dir, DurabilityMode::Fsync))
+            .build()
+            .unwrap();
+        node.mine_and_append(block_txs(0, 4)).unwrap();
+        // The one-block calls take the same epilogue as the pipelines.
+        node.wal().unwrap().inject_seal_failures(0);
+        let err = node.mine_and_append(block_txs(100, 4)).unwrap_err();
+        assert!(err.to_string().contains("sealing block 2"), "got: {err}");
+        assert!(node.is_stale());
+        assert_eq!(node.chain().len(), 2, "block 2 was never durable");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn durability_off_creates_nothing() {
         let dir = temp_dir("off");
         std::fs::remove_dir_all(&dir).ok();
@@ -912,25 +810,5 @@ mod tests {
         let mined = a.mine_and_append(block_txs(0, 5)).unwrap();
         b.validate_and_append(&mined.block).unwrap();
         assert_eq!(a.world().state_root(), b.world().state_root());
-    }
-
-    #[test]
-    fn explicit_miner_and_validator_escape_hatches() {
-        let mut node = engine_node(2);
-        let serial = Engine::serial();
-        let mined = node
-            .mine_and_append_with(serial.miner(), block_txs(0, 6))
-            .unwrap();
-        assert_eq!(mined.stats.threads, 1);
-        // The serially-mined block has no lock profiles, so replaying it
-        // with the node's strict fork-join validator fails — the lenient
-        // one accepts it.
-        let lenient = Engine::builder().check_traces(false).build().unwrap();
-        // Note the fresh node per attempt: a rejected validation leaves
-        // the world in an unspecified state, so it must be discarded.
-        assert!(engine_node(2).validate_and_append(&mined.block).is_err());
-        engine_node(2)
-            .validate_and_append_with(lenient.validator(), &mined.block)
-            .unwrap();
     }
 }

@@ -50,13 +50,12 @@
 
 use crate::error::CoreError;
 use crate::schedule::HappensBeforeGraph;
-use crate::validator::checks::trace_check_reasons;
-use crate::validator::receipt_mismatches;
+use crate::validator::checks;
 use cc_ledger::Block;
 use cc_mvcc::Timestamp;
 use cc_primitives::hash::Hash256;
 use cc_stm::{LockId, LockMode};
-use cc_vm::{Receipt, TxnRef, World};
+use cc_vm::{TxnRef, World};
 use std::collections::{BTreeMap, VecDeque};
 
 /// One speculatively validated block awaiting commit.
@@ -223,99 +222,54 @@ impl<'w> PendingChain<'w> {
         if block.header.parent_hash != prev {
             return Err(CoreError::rejected("block does not extend the pending tip"));
         }
-        if !block.is_well_formed() {
-            return Err(CoreError::rejected(
-                "block commitments do not match its body",
-            ));
-        }
+        checks::well_formed(block)?;
 
         let n = block.transactions.len();
-        let (schedule, graph) = if self.check_traces {
-            let schedule = block.schedule.as_ref().ok_or(CoreError::MissingSchedule)?;
-            let graph = HappensBeforeGraph::from_metadata(schedule, n)?;
-            (Some(schedule), Some(graph))
-        } else {
-            (None, None)
-        };
-
-        // Replay in the published serial order when present (the
-        // serialization the block's receipts and state commit to);
-        // otherwise plain block order.
-        let order: Vec<usize> = match &block.schedule {
-            Some(schedule) if schedule.serial_order.len() == n => schedule.serial_order.clone(),
-            _ => (0..n).collect(),
+        let graph = match (self.check_traces, &block.schedule) {
+            (false, _) => None,
+            (true, None) => return Err(CoreError::MissingSchedule),
+            (true, Some(schedule)) => Some(HappensBeforeGraph::from_metadata(schedule, n)?),
         };
 
         let rollback = self.tip_boundary();
         let runtime = self.world.mvcc();
-        let mut replayed: Vec<Option<Receipt>> = vec![None; n];
         let mut traces: Vec<BTreeMap<LockId, LockMode>> = vec![BTreeMap::new(); n];
-        for &index in &order {
-            let tx = &block.transactions[index];
+        let replayed = checks::replay_in_order(block, |index, tx| {
+            let failed = |e: &dyn std::fmt::Display| {
+                CoreError::rejected(format!("replay of transaction {index} failed: {e}"))
+            };
             let txn = runtime.begin();
-            let receipt = match self.world.execute_in(
-                TxnRef::Mvcc(&txn),
-                index,
-                tx.msg(),
-                tx.to,
-                &tx.call,
-                tx.gas_limit,
-            ) {
+            let txn_ref = TxnRef::Mvcc(&txn);
+            let executed =
+                self.world
+                    .execute_in(txn_ref, index, tx.msg(), tx.to, &tx.call, tx.gas_limit);
+            let receipt = match executed {
                 Ok(receipt) => receipt,
                 Err(e) => {
                     // Unreachable for the optimistic seam (it raises no
                     // speculative errors); kept as a guarded exit.
                     let _ = txn.abort();
-                    runtime.discard_above(rollback);
-                    return Err(CoreError::rejected(format!(
-                        "replay of transaction {index} failed: {e}"
-                    )));
+                    return Err(failed(&e));
                 }
             };
-            match txn.commit() {
-                Ok(commit) => {
-                    // One transaction at a time from a fresh snapshot:
-                    // first-committer-wins has nobody to lose to. The
-                    // footprint already carries the strongest mode per
-                    // lock, exactly what the trace checks compare.
-                    traces[index] = commit.footprint.into_iter().collect();
-                    replayed[index] = Some(receipt);
-                }
-                Err(e) => {
-                    runtime.discard_above(rollback);
-                    return Err(CoreError::rejected(format!(
-                        "replay of transaction {index} failed: {e}"
-                    )));
-                }
-            }
-        }
-        let replayed: Vec<Receipt> = match replayed
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.ok_or_else(|| {
-                    CoreError::rejected(format!(
-                        "transaction {i} missing from the published serial order"
-                    ))
-                })
-            })
-            .collect()
-        {
-            Ok(receipts) => receipts,
-            Err(e) => {
-                runtime.discard_above(rollback);
-                return Err(e);
-            }
-        };
-
-        let mut reasons = match (schedule, &graph) {
-            (Some(schedule), Some(graph)) => trace_check_reasons(schedule, graph, &traces),
-            _ => Vec::new(),
-        };
-        reasons.extend(receipt_mismatches(&block.receipts, &replayed));
-        if !reasons.is_empty() {
+            // One transaction at a time from a fresh snapshot:
+            // first-committer-wins has nobody to lose to. The footprint
+            // already carries the strongest mode per lock, exactly what
+            // the trace checks compare.
+            let commit = txn.commit().map_err(|e| failed(&e))?;
+            traces[index] = commit.footprint.into_iter().collect();
+            Ok(receipt)
+        });
+        // The state root is checked at commit, where the base exists to
+        // hash; everything else is decided here, and any rejection drops
+        // the partial overlay.
+        let verdict = replayed.and_then(|replayed| {
+            let published = block.schedule.as_ref().zip(graph.as_ref());
+            checks::verdict(block, published, &traces, &replayed, None)
+        });
+        if let Err(rejection) = verdict {
             runtime.discard_above(rollback);
-            return Err(CoreError::BlockRejected { reasons });
+            return Err(rejection);
         }
 
         let hash = block.hash();
@@ -353,17 +307,14 @@ impl<'w> PendingChain<'w> {
         let runtime = self.world.mvcc();
         runtime.finalize_below(entry.boundary);
         let state_root = self.world.state_root();
-        if state_root != entry.block.header.state_root {
+        if let Some(reason) = checks::state_root_mismatch(&entry.block, state_root) {
             // The bad block's effects are in the base now; nothing built
             // on them can be trusted. Drop every pending descendant and
             // report — the caller stales the node.
             runtime.discard_above(entry.boundary);
             self.entries.clear();
             return Err(CoreError::BlockRejected {
-                reasons: vec![format!(
-                    "state root mismatch: block commits to {}, replay produced {}",
-                    entry.block.header.state_root, state_root
-                )],
+                reasons: vec![reason],
             });
         }
         self.committed_hash = entry.hash;

@@ -12,71 +12,30 @@
 //!                                    [seal+fsync N]          [seal+fsync N+1]   (durability stage)
 //! ```
 //!
-//! [`Node::run_pipeline`] keeps block *assembly* (draining the mempool)
-//! and *mining* (speculative execution on the engine) on the calling
-//! thread, and moves the WAL seal to a dedicated durability worker.
-//! While the worker fsyncs block N, the caller is already assembling and
-//! mining block N+1. The stages are joined by a **bounded hand-off
-//! channel** ([`PipelineConfig::max_in_flight`]): when the durability
-//! stage falls behind, the hand-off blocks and production stops
-//! speculating further ahead — back-pressure, not unbounded queueing.
-//!
-//! # Invariants
-//!
-//! * **In-order commit.** A single worker seals blocks in hand-off
-//!   order, so the durable prefix is always a chain prefix; seal
-//!   acknowledgements arrive in block order.
-//! * **Bounded speculation.** At most `max_in_flight` blocks are mined
-//!   but not yet durable. The in-memory chain may run ahead of the WAL
-//!   by at most that many blocks.
-//! * **Stale on persist failure** (the PR 8 invariant, preserved). If a
-//!   seal fails, the node marks itself stale, *truncates the in-memory
-//!   chain back to the last durable block* — discarding mined-but-
-//!   unpersisted successors instead of advertising blocks a crash would
-//!   forget — and returns the failure. [`Node::recover`] is the exit.
-//! * **Quiesced snapshots.** Periodic snapshots serialize the world, so
-//!   the pipeline drains all in-flight seals (a barrier) before
-//!   snapshotting on the production thread; the WAL reset therefore
-//!   never races an in-flight seal.
-//!
-//! With pipelining, WAL records of block N+1's transactions may be
-//! flushed by block N's group commit (the log is shared). That is
-//! harmless: recovery replays *sealed blocks* only, so unsealed tail
-//! records are ignored exactly as in the sequential path.
+//! [`Node::run_pipeline`] is the node's commit pipeline (one loop for
+//! every entry point; "Commit pipeline" in the crate README has the
+//! source × window table and the invariants) fed by the mempool at a
+//! window of two: block *assembly* and *mining* stay on the calling
+//! thread, the WAL seal moves to a dedicated durability worker behind a
+//! bounded hand-off, and when that worker falls behind the hand-off
+//! blocks — back-pressure, not unbounded queueing.
 
-use super::seal_worker::{self, SealAck, SealWorker};
+use super::commit::{Produce, PIPELINED_WINDOW};
 use super::Node;
 use crate::error::CoreError;
-use crate::miner::Miner;
-use cc_ledger::Block;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tuning for [`Node::run_pipeline`].
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
     gas_limit: u64,
-    max_in_flight: usize,
 }
 
 impl PipelineConfig {
-    /// Default bound on mined-but-not-yet-durable blocks.
-    pub const DEFAULT_MAX_IN_FLIGHT: usize = 2;
-
     /// A pipeline assembling blocks of at most `gas_limit` total gas
     /// (see [`cc_mempool::Mempool::build_block`]).
     pub fn new(gas_limit: u64) -> Self {
-        PipelineConfig {
-            gas_limit,
-            max_in_flight: Self::DEFAULT_MAX_IN_FLIGHT,
-        }
-    }
-
-    /// Sets how many blocks may be mined but not yet durable (clamped to
-    /// at least 1). Raising this deepens the pipeline without changing
-    /// its output; it only moves the back-pressure point.
-    pub fn max_in_flight(mut self, depth: usize) -> Self {
-        self.max_in_flight = depth.max(1);
-        self
+        PipelineConfig { gas_limit }
     }
 
     /// The per-block gas budget.
@@ -85,28 +44,29 @@ impl PipelineConfig {
     }
 }
 
-/// What a pipeline run produced (see [`Node::run_pipeline`]).
+/// What a pipelined run produced (see [`Node::run_pipeline`] and
+/// [`Node::run_follower_pipeline`]).
 #[derive(Debug, Clone, Default)]
 pub struct PipelineReport {
-    /// Blocks mined, appended and made durable.
+    /// Blocks mined or validated, appended and made durable.
     pub blocks: u64,
     /// Transactions across those blocks.
     pub transactions: usize,
     /// Periodic snapshots written (each one a pipeline barrier).
     pub snapshots: u64,
-    /// Time the production stage spent blocked handing blocks to the
-    /// durability stage (back-pressure) or draining it (snapshot
+    /// Time the calling thread spent blocked on the durability stage:
+    /// handing blocks to it (back-pressure) or draining it (snapshot
     /// barriers, final drain). The sequential path would have spent at
     /// least this long sealing inline; a small value with durability on
-    /// means the fsyncs hid behind mining almost entirely.
+    /// means the fsyncs hid behind mining or validation almost entirely.
     pub stalled: Duration,
 }
 
 impl Node {
     /// Produces blocks from the mempool until no transaction is ready,
     /// overlapping each block's WAL seal/fsync with the mining of the
-    /// next (see the [module docs](self) for the stage diagram and
-    /// invariants). Returns once every produced block is durable.
+    /// next (see the [module docs](self) for the stage diagram). Returns
+    /// once every produced block is durable.
     ///
     /// The chain, world and durable artifacts are **byte-identical** to
     /// what the same submissions produce through sequential
@@ -114,175 +74,22 @@ impl Node {
     /// pipeline reorders work against the wall clock, never against the
     /// chain. (Only difference: an empty pool here produces no block
     /// rather than an empty one.) Without durability there is nothing to
-    /// overlap and the loop degenerates to sequential production.
+    /// overlap and the loop is sequential production.
     ///
     /// # Errors
     ///
-    /// Mining errors propagate as in [`Node::mine_and_append`]. A seal
-    /// or snapshot failure — or a durability worker that cannot be
-    /// started, or panics — stales the node, rolls the in-memory chain
-    /// back to the durable prefix, and surfaces as
-    /// [`CoreError::Durability`]; transactions of discarded blocks are
-    /// not returned to the mempool (recovery re-serves from the WAL).
+    /// A mining error, a seal or snapshot failure — or a durability
+    /// worker that cannot be started, or panics — stales the node, rolls
+    /// the in-memory chain back to the durable prefix, and surfaces as
+    /// the miner's error or [`CoreError::Durability`]; transactions of
+    /// discarded blocks are not returned to the mempool (recovery
+    /// re-serves from the WAL).
     pub fn run_pipeline(&mut self, config: &PipelineConfig) -> Result<PipelineReport, CoreError> {
-        self.ensure_fresh()?;
-        let engine = self.engine.clone();
-        let miner = engine.miner();
-        let mut report = PipelineReport::default();
-
-        let Some(state) = &self.durability else {
-            // Nothing to overlap: assemble and mine on this thread.
-            loop {
-                let batch = self.mempool.build_block(config.gas_limit);
-                if batch.is_empty() {
-                    return Ok(report);
-                }
-                report.transactions += batch.len();
-                report.blocks += 1;
-                self.mine_next(miner, batch)?;
-            }
-        };
-
-        let wal = state.wal.clone();
-        let snapshot_interval = state.config.snapshot_interval;
-        // If the worker cannot start nothing is in flight yet, so the chain
-        // already is the durable prefix; stale like any durability failure.
-        let SealWorker {
-            work: work_tx,
-            acks: ack_rx,
-            handle: worker,
-        } = SealWorker::start(config.max_in_flight, move |block| {
-            wal.seal_block(block).map_err(|e| e.to_string())
-        })
-        .inspect_err(|_| self.stale = true)?;
-
-        // Everything at or below `durable` is safe against a crash. The
-        // run starts from a fully persisted head (the node is fresh).
-        let mut durable = self.chain.head().header.number;
-        let mut in_flight = 0u64;
-        let mut failure: Option<String> = None;
-
-        let absorb = |acks: &mut dyn Iterator<Item = SealAck>,
-                      durable: &mut u64,
-                      in_flight: &mut u64,
-                      failure: &mut Option<String>| {
-            for (number, sealed) in acks {
-                *in_flight -= 1;
-                match sealed {
-                    Ok(()) => *durable = number,
-                    Err(reason) => {
-                        *failure = Some(format!("sealing block {number} failed: {reason}"));
-                        break;
-                    }
-                }
-            }
-        };
-
-        let outcome = loop {
-            // Collect whatever the durability stage finished meanwhile.
-            absorb(
-                &mut ack_rx.try_iter(),
-                &mut durable,
-                &mut in_flight,
-                &mut failure,
-            );
-            if failure.is_some() {
-                break Ok(());
-            }
-            let batch = self.mempool.build_block(config.gas_limit);
-            if batch.is_empty() {
-                break Ok(());
-            }
-            report.transactions += batch.len();
-            report.blocks += 1;
-            let block = match self.mine_next(miner, batch) {
-                Ok(block) => block,
-                Err(e) => break Err(e),
-            };
-            let number = block.header.number;
-
-            // Hand off to the durability stage; a full channel is the
-            // back-pressure point. A closed channel means the worker hit
-            // a failure whose ack is (or will be) in ack_rx.
-            let handoff = Instant::now();
-            if work_tx.send(block).is_ok() {
-                in_flight += 1;
-            }
-            report.stalled += handoff.elapsed();
-
-            if number.is_multiple_of(snapshot_interval) {
-                // Snapshot barrier: drain the durability stage, then
-                // serialize the quiesced world and reset the WAL.
-                let drain = Instant::now();
-                absorb(
-                    &mut ack_rx.iter().take(in_flight as usize),
-                    &mut durable,
-                    &mut in_flight,
-                    &mut failure,
-                );
-                report.stalled += drain.elapsed();
-                if failure.is_some() {
-                    break Ok(());
-                }
-                if let Err(e) = self.write_snapshot() {
-                    break Err(e);
-                }
-                report.snapshots += 1;
-            }
-        };
-
-        // Final drain: close the hand-off, absorb outstanding acks, join.
-        drop(work_tx);
-        let drain = Instant::now();
-        absorb(
-            &mut ack_rx.iter(),
-            &mut durable,
-            &mut in_flight,
-            &mut failure,
-        );
-        report.stalled += drain.elapsed();
-        if let Err(reason) = seal_worker::join(worker) {
-            // Blocks it never acknowledged stay above `durable` and are
-            // rolled back below, exactly like a failed seal.
-            failure.get_or_insert(reason);
-        }
-
-        match (outcome, failure) {
-            (Err(e), _) => {
-                // Mining/snapshot error. A snapshot failure leaves the
-                // node ahead of durable state exactly like a failed seal.
-                self.stale = true;
-                self.chain.truncate_to(durable);
-                Err(e)
-            }
-            (Ok(()), Some(reason)) => {
-                // The PR 8 invariant, pipelined: never let the in-memory
-                // chain advertise blocks the WAL cannot recover.
-                self.stale = true;
-                self.chain.truncate_to(durable);
-                Err(CoreError::durability(reason))
-            }
-            (Ok(()), None) => {
-                debug_assert_eq!(durable, self.chain.head().header.number);
-                Ok(report)
-            }
-        }
-    }
-
-    /// Mines `batch` on the current head and appends it (the production
-    /// stage of the pipeline: everything but persistence).
-    fn mine_next(
-        &mut self,
-        miner: &dyn Miner,
-        batch: Vec<cc_ledger::Transaction>,
-    ) -> Result<Block, CoreError> {
-        let parent_hash = self.chain.head_hash();
-        let number = self.chain.head().header.number + 1;
-        let mined = miner.mine_on(&self.world, batch, parent_hash, number)?;
-        self.chain
-            .append(mined.block.clone())
-            .map_err(|e| CoreError::rejected(e.to_string()))?;
-        Ok(mined.block)
+        let stage = self.commit_stage(PIPELINED_WINDOW)?;
+        let (mempool, gas_limit) = (stage.mempool, config.gas_limit);
+        let batches = || Some(mempool.build_block(gas_limit)).filter(|batch| !batch.is_empty());
+        let mut source = Produce::new(&stage, batches);
+        stage.run(&mut source)
     }
 }
 

@@ -1,12 +1,122 @@
-//! Schedule-integrity checks shared by the fork-join validator and the
-//! speculative pending chain: replayed lock traces against published
-//! profiles, and the hidden-data-race test over the happens-before graph.
+//! What every validator shares, whatever executes the replay (serial
+//! STM, fork-join STM replay, serial MVCC overlay) and wherever its
+//! effects land (base world, pending overlay): the replay order, the
+//! receipt collection, the state-root verdict, and the schedule-integrity
+//! checks — replayed lock traces against published profiles, and the
+//! hidden-data-race test over the happens-before graph.
 
+use crate::error::CoreError;
 use crate::schedule::HappensBeforeGraph;
-use cc_ledger::ScheduleMetadata;
+use cc_ledger::{Block, ScheduleMetadata, Transaction};
 use cc_primitives::fx::FxHashMap;
+use cc_primitives::hash::Hash256;
 use cc_stm::{LockId, LockMode};
+use cc_vm::Receipt;
 use std::collections::BTreeMap;
+
+/// The structural prologue: the header's commitments must match the
+/// body before anything is replayed.
+pub(crate) fn well_formed(block: &Block) -> Result<(), CoreError> {
+    if block.is_well_formed() {
+        return Ok(());
+    }
+    Err(CoreError::rejected(
+        "block commitments do not match its body",
+    ))
+}
+
+/// Runs `execute` on `block`'s transactions one at a time — in the
+/// published serial order when a schedule is present (it is the
+/// serialization the block's receipts and state commit to), otherwise in
+/// plain block order — and returns the receipts in block order.
+///
+/// # Errors
+///
+/// The first error `execute` returns, or [`CoreError::BlockRejected`]
+/// when the published order skips a transaction.
+pub(crate) fn replay_in_order(
+    block: &Block,
+    mut execute: impl FnMut(usize, &Transaction) -> Result<Receipt, CoreError>,
+) -> Result<Vec<Receipt>, CoreError> {
+    let n = block.transactions.len();
+    let order: Vec<usize> = match &block.schedule {
+        Some(schedule) if schedule.serial_order.len() == n => schedule.serial_order.clone(),
+        _ => (0..n).collect(),
+    };
+    let mut replayed: Vec<Option<Receipt>> = vec![None; n];
+    for index in order {
+        replayed[index] = Some(execute(index, &block.transactions[index])?);
+    }
+    let missing = |index: usize| {
+        CoreError::rejected(format!(
+            "transaction {index} missing from the published serial order"
+        ))
+    };
+    let receipts = replayed.into_iter().enumerate();
+    receipts
+        .map(|(index, receipt)| receipt.ok_or_else(|| missing(index)))
+        .collect()
+}
+
+/// The state-root reason: set when the root a replay produced is not the
+/// one `block` commits to.
+pub(crate) fn state_root_mismatch(block: &Block, replayed: Hash256) -> Option<String> {
+    (replayed != block.header.state_root).then(|| {
+        format!(
+            "state root mismatch: block commits to {}, replay produced {}",
+            block.header.state_root, replayed
+        )
+    })
+}
+
+/// The verdict over one replay of `block`, every check in one place:
+///
+/// * when the validator checks traces (`published` is the block's
+///   schedule and its graph), the replayed lock `traces` must match the
+///   published profiles and hide no data race ([`trace_check_reasons`]),
+/// * the `replayed` receipts must equal the block's,
+/// * when the replay landed on the base world, so there is a root to
+///   compare, `state_root` must equal the block's.
+///
+/// # Errors
+///
+/// [`CoreError::BlockRejected`] carrying every reason, if there is one.
+pub(crate) fn verdict(
+    block: &Block,
+    published: Option<(&ScheduleMetadata, &HappensBeforeGraph)>,
+    traces: &[BTreeMap<LockId, LockMode>],
+    replayed: &[Receipt],
+    state_root: Option<Hash256>,
+) -> Result<(), CoreError> {
+    let mut reasons = published.map_or_else(Vec::new, |(schedule, graph)| {
+        trace_check_reasons(schedule, graph, traces)
+    });
+    reasons.extend(receipt_mismatches(&block.receipts, replayed));
+    reasons.extend(state_root.and_then(|root| state_root_mismatch(block, root)));
+    if reasons.is_empty() {
+        return Ok(());
+    }
+    Err(CoreError::BlockRejected { reasons })
+}
+
+/// Compares replayed receipts against the block's receipts. Returns
+/// human-readable reasons for every mismatch.
+fn receipt_mismatches(expected: &[Receipt], actual: &[Receipt]) -> Vec<String> {
+    if expected.len() != actual.len() {
+        return vec![format!(
+            "receipt count mismatch: block has {}, replay produced {}",
+            expected.len(),
+            actual.len()
+        )];
+    }
+    let mut reasons = Vec::new();
+    for (i, (e, a)) in expected.iter().zip(actual.iter()).enumerate() {
+        if e != a {
+            reasons.push(format!("receipt {i} differs between block and replay"));
+        }
+    }
+    reasons
+}
 
 /// Checks the lock traces a replay recorded (one `BTreeMap` per
 /// transaction, in block order) against the published schedule:
@@ -18,7 +128,7 @@ use std::collections::BTreeMap;
 ///
 /// Returns a human-readable reason per violation; empty means the traces
 /// are consistent with the schedule.
-pub(crate) fn trace_check_reasons(
+fn trace_check_reasons(
     schedule: &ScheduleMetadata,
     graph: &HappensBeforeGraph,
     traces: &[BTreeMap<LockId, LockMode>],

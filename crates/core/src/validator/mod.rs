@@ -34,26 +34,3 @@ pub trait Validator {
     ///   when the schedule cannot be replayed at all.
     fn validate(&self, world: &World, block: &Block) -> Result<ValidationReport, CoreError>;
 }
-
-/// Shared check: compare replayed receipts against the block's receipts.
-/// Returns human-readable reasons for every mismatch.
-pub(crate) fn receipt_mismatches(
-    expected: &[cc_vm::Receipt],
-    actual: &[cc_vm::Receipt],
-) -> Vec<String> {
-    let mut reasons = Vec::new();
-    if expected.len() != actual.len() {
-        reasons.push(format!(
-            "receipt count mismatch: block has {}, replay produced {}",
-            expected.len(),
-            actual.len()
-        ));
-        return reasons;
-    }
-    for (i, (e, a)) in expected.iter().zip(actual.iter()).enumerate() {
-        if e != a {
-            reasons.push(format!("receipt {i} differs between block and replay"));
-        }
-    }
-    reasons
-}

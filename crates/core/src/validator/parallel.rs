@@ -5,7 +5,7 @@ use crate::error::CoreError;
 use crate::fork_join::run_fork_join_on;
 use crate::schedule::HappensBeforeGraph;
 use crate::stats::ValidationReport;
-use crate::validator::{receipt_mismatches, Validator};
+use crate::validator::{checks, Validator};
 use cc_ledger::Block;
 use cc_primitives::pool::WorkerPool;
 use cc_stm::profile::collapse_trace;
@@ -79,11 +79,7 @@ impl ParallelValidator {
 impl Validator for ParallelValidator {
     fn validate(&self, world: &World, block: &Block) -> Result<ValidationReport, CoreError> {
         let start = Instant::now();
-        if !block.is_well_formed() {
-            return Err(CoreError::rejected(
-                "block commitments do not match its body",
-            ));
-        }
+        checks::well_formed(block)?;
         let schedule = block.schedule.as_ref().ok_or(CoreError::MissingSchedule)?;
         let n = block.transactions.len();
         let graph = HappensBeforeGraph::from_metadata(schedule, n)?;
@@ -109,37 +105,19 @@ impl Validator for ParallelValidator {
             *results[index].lock() = Some((receipt, trace));
         });
 
-        let mut replayed_receipts = Vec::with_capacity(n);
+        let mut receipts = Vec::with_capacity(n);
         let mut traces = Vec::with_capacity(n);
         for slot in results {
             let (receipt, trace) = slot.into_inner().expect("every task ran");
-            replayed_receipts.push(receipt);
+            receipts.push(receipt);
             traces.push(trace);
         }
 
-        // (1) + (2): traces match the published profiles, and no hidden
-        // data races (shared with the speculative pending chain).
-        let mut reasons = if self.check_traces {
-            crate::validator::checks::trace_check_reasons(schedule, &graph, &traces)
-        } else {
-            Vec::new()
-        };
-
-        // (3) Receipts must match.
-        reasons.extend(receipt_mismatches(&block.receipts, &replayed_receipts));
-
-        // (4) State root must match.
+        // (1)–(4), shared with the serial validator and the speculative
+        // pending chain.
+        let published = self.check_traces.then_some((schedule, &graph));
         let state_root = world.state_root();
-        if state_root != block.header.state_root {
-            reasons.push(format!(
-                "state root mismatch: block commits to {}, replay produced {}",
-                block.header.state_root, state_root
-            ));
-        }
-
-        if !reasons.is_empty() {
-            return Err(CoreError::BlockRejected { reasons });
-        }
+        checks::verdict(block, published, &traces, &receipts, Some(state_root))?;
         Ok(ValidationReport {
             threads: self.threads(),
             transactions: n,

@@ -3,9 +3,9 @@
 
 use crate::error::CoreError;
 use crate::stats::ValidationReport;
-use crate::validator::{receipt_mismatches, Validator};
+use crate::validator::{checks, Validator};
 use cc_ledger::Block;
-use cc_vm::{Receipt, World};
+use cc_vm::World;
 use std::time::Instant;
 
 /// Re-executes the block sequentially and checks the state root, receipts
@@ -29,68 +29,24 @@ impl SerialValidator {
 impl Validator for SerialValidator {
     fn validate(&self, world: &World, block: &Block) -> Result<ValidationReport, CoreError> {
         let start = Instant::now();
-        if !block.is_well_formed() {
-            return Err(CoreError::rejected(
-                "block commitments do not match its body",
-            ));
-        }
-        let stm = world.stm();
-        let pool = stm.begin_block();
-
-        let n = block.transactions.len();
-        // Replay in the published serial order when a schedule is present
-        // (it is the serialization the block's receipts and state commit
-        // to); otherwise plain block order.
-        let order: Vec<usize> = match &block.schedule {
-            Some(schedule) if schedule.serial_order.len() == n => schedule.serial_order.clone(),
-            _ => (0..n).collect(),
-        };
-
-        let mut replayed: Vec<Option<Receipt>> = vec![None; n];
-        for &index in &order {
-            let tx = &block.transactions[index];
-            loop {
-                let txn = pool.begin();
-                match world.execute(&txn, index, tx.msg(), tx.to, &tx.call, tx.gas_limit) {
-                    Ok(receipt) => {
-                        txn.commit().map_err(|e| {
-                            CoreError::rejected(format!(
-                                "replay of transaction {index} failed: {e}"
-                            ))
-                        })?;
-                        replayed[index] = Some(receipt);
-                        break;
-                    }
-                    Err(_) => {
-                        let _ = txn.abort();
-                        continue;
-                    }
+        checks::well_formed(block)?;
+        let pool = world.stm().begin_block();
+        let replayed = checks::replay_in_order(block, |index, tx| loop {
+            let txn = pool.begin();
+            match world.execute(&txn, index, tx.msg(), tx.to, &tx.call, tx.gas_limit) {
+                Ok(receipt) => {
+                    txn.commit().map_err(|e| {
+                        CoreError::rejected(format!("replay of transaction {index} failed: {e}"))
+                    })?;
+                    break Ok(receipt);
+                }
+                Err(_) => {
+                    let _ = txn.abort();
                 }
             }
-        }
-        let replayed: Vec<Receipt> = replayed
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.ok_or_else(|| {
-                    CoreError::rejected(format!(
-                        "transaction {i} missing from the published serial order"
-                    ))
-                })
-            })
-            .collect::<Result<_, _>>()?;
-
-        let mut reasons = receipt_mismatches(&block.receipts, &replayed);
+        })?;
         let state_root = world.state_root();
-        if state_root != block.header.state_root {
-            reasons.push(format!(
-                "state root mismatch: block commits to {}, replay produced {}",
-                block.header.state_root, state_root
-            ));
-        }
-        if !reasons.is_empty() {
-            return Err(CoreError::BlockRejected { reasons });
-        }
+        checks::verdict(block, None, &[], &replayed, Some(state_root))?;
         Ok(ValidationReport {
             threads: 1,
             transactions: block.transactions.len(),

@@ -48,62 +48,55 @@ fn five_block_chain_of_each_benchmark_stays_consistent() {
 
 #[test]
 fn serial_and_parallel_nodes_interoperate() {
-    // A chain alternating between blocks mined serially and in parallel is
-    // accepted by both kinds of validators, demonstrating the paper's
-    // "miner-only" compatibility story.
+    // A serial node and a speculative node take turns producing a chain
+    // and following it, demonstrating the paper's "miner-only"
+    // compatibility story: the serial validator accepts both kinds of
+    // blocks, and the speculative validator accepts parallel-mined blocks
+    // and — a serially-mined block carries no lock profiles — serial ones
+    // with trace checks disabled (legacy mode).
     let spec = WorkloadSpec::new(Benchmark::Ballot, 40, 0.1);
     let template = spec.generate();
-    let speculative = engine(3);
-    let serial = serial_engine();
-    let mut miner_node = Node::builder()
+    let mut serial_node = Node::builder()
         .world(template.build_world())
-        .engine(speculative.clone())
+        .engine(serial_engine())
         .build()
         .unwrap();
-    let mut parallel_validator_node = Node::builder()
+    let mut speculative_node = Node::builder()
         .world(template.build_world())
-        .engine(speculative)
+        .engine(lenient_engine(3))
         .build()
         .unwrap();
-    let serial_validator_world = template.build_world();
 
     for block_number in 1..=4u64 {
         let block_workload = spec.with_seed(100 + block_number).generate();
-        let mined = if block_number % 2 == 0 {
-            miner_node.mine_and_append_with(serial.miner(), block_workload.transactions())
+        let (producer, follower) = if block_number % 2 == 0 {
+            (&mut serial_node, &mut speculative_node)
         } else {
-            miner_node.mine_and_append(block_workload.transactions())
-        }
-        .expect("mining succeeds");
-
-        // The serial engine's validator accepts both kinds of blocks.
-        serial
-            .validate(&serial_validator_world, &mined.block)
-            .expect("serial validator accepts");
-        // The speculative validator accepts parallel-mined blocks outright;
-        // a serially-mined block carries no lock profiles, so it is
-        // replayed with trace checks disabled (legacy mode).
-        if block_number % 2 == 0 {
-            let legacy = lenient_engine(3);
-            parallel_validator_node
-                .validate_and_append_with(legacy.validator(), &mined.block)
-                .expect("legacy replay accepts the serial block");
-        } else {
-            parallel_validator_node
-                .validate_and_append(&mined.block)
-                .expect("append parallel block");
-        }
+            (&mut speculative_node, &mut serial_node)
+        };
+        let mined = producer
+            .mine_and_append(block_workload.transactions())
+            .expect("mining succeeds");
+        assert_eq!(
+            mined.block.schedule.as_ref().unwrap().profiles.is_empty(),
+            block_number % 2 == 0,
+            "only the serial miner publishes no lock profiles"
+        );
+        follower
+            .validate_and_append(&mined.block)
+            .expect("the other kind of node accepts the block");
     }
 
     assert_eq!(
-        miner_node.world().state_root(),
-        parallel_validator_node.world().state_root()
+        serial_node.chain().head_hash(),
+        speculative_node.chain().head_hash()
     );
     assert_eq!(
-        miner_node.world().state_root(),
-        serial_validator_world.state_root()
+        serial_node.world().state_root(),
+        speculative_node.world().state_root()
     );
-    assert!(miner_node.chain().verify_structure());
+    assert!(serial_node.chain().verify_structure());
+    assert_eq!(serial_node.chain().len(), 5);
 }
 
 #[test]

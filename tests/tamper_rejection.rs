@@ -15,7 +15,10 @@
 
 use cc_core::error::CoreError;
 use cc_core::miner::MinedBlock;
-use cc_integration_tests::{engine, workload};
+use cc_core::node::{DurabilityConfig, Node};
+use cc_core::FollowerConfig;
+use cc_integration_tests::{counter_world, engine, increment_tx, workload};
+use cc_ledger::wal::DurabilityMode;
 use cc_ledger::Block;
 use cc_stm::{LockMode, LockProfile, ProfileEntry};
 use cc_workload::{Benchmark, Workload};
@@ -238,4 +241,67 @@ fn smuggling_in_an_extra_transaction_is_rejected() {
     }
     recommit(&mut block);
     let _err = expect_rejection(&w, &block);
+}
+
+/// A block whose only lie is `header.number` is well-formed and replays
+/// cleanly, so nothing but the node's own prologue stands between it and
+/// the world: every follower entry point must turn it away *before* any
+/// replay — node fresh, world and chain where they were — and then accept
+/// the honest block.
+#[test]
+fn forged_block_number_is_rejected_before_it_moves_the_world() {
+    let mut producer = Node::builder()
+        .world(counter_world())
+        .engine(engine(2))
+        .build()
+        .unwrap();
+    let txs = (0..6).map(|i| increment_tx(i, i, 1)).collect();
+    let honest = producer.mine_and_append(txs).unwrap().block;
+    let mut forged = honest.clone();
+    forged.header.number += 1;
+    assert!(
+        forged.is_well_formed(),
+        "the number is the block's only lie"
+    );
+
+    let dir = std::env::temp_dir().join(format!("cc-tamper-number-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    type Feed = fn(&mut Node, &Block) -> Result<(), CoreError>;
+    let one_block: Feed = |node, block| node.validate_and_append(block).map(drop);
+    let stream: Feed = |node, block| {
+        node.run_follower_pipeline(vec![block.clone()], &FollowerConfig::new())
+            .map(drop)
+    };
+    let cases = [
+        ("validate_and_append", DurabilityMode::Off, one_block),
+        ("follower, durability off", DurabilityMode::Off, stream),
+        ("follower, fsync", DurabilityMode::Fsync, stream),
+    ];
+    for (case, mode, feed) in cases {
+        let mut follower = Node::builder()
+            .world(counter_world())
+            .engine(engine(2))
+            .durability(DurabilityConfig::new(&dir, mode))
+            .build()
+            .unwrap();
+        let root = follower.world().state_root();
+
+        let err = feed(&mut follower, &forged).expect_err(case);
+        assert!(
+            err.to_string().contains("wrong block number"),
+            "{case}: {err}"
+        );
+        assert!(!follower.is_stale(), "{case}: a clean rejection stales");
+        assert_eq!(follower.world().state_root(), root, "{case}: world moved");
+        assert_eq!(follower.chain().len(), 1, "{case}");
+
+        feed(&mut follower, &honest).unwrap_or_else(|e| panic!("{case}: honest block: {e}"));
+        assert_eq!(follower.chain().head_hash(), honest.hash(), "{case}");
+        assert_eq!(
+            follower.world().state_root(),
+            producer.world().state_root(),
+            "{case}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
