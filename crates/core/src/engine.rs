@@ -56,6 +56,7 @@
 use crate::error::CoreError;
 use crate::miner::{MinedBlock, Miner, MvccMiner, ParallelMiner, SerialMiner};
 use crate::stats::ValidationReport;
+use crate::validator::replay::Order;
 use crate::validator::{ParallelValidator, SerialValidator, Validator};
 use cc_ledger::{Block, Transaction};
 use cc_primitives::hash::Hash256;
@@ -251,45 +252,44 @@ impl EngineConfig {
         // start with the first block that can use them, not here; the
         // serial strategy never uses it.
         let pool = Arc::new(WorkerPool::new(self.threads));
-        let fork_join_validator = || {
-            Arc::new(
-                ParallelValidator::on_pool(Arc::clone(&pool)).with_trace_checks(self.check_traces),
-            )
+        let miner: Arc<dyn Miner + Send + Sync> = match self.strategy {
+            ExecutionStrategy::Serial => {
+                Arc::new(SerialMiner::new().with_schedule_capture(self.capture_schedule))
+            }
+            ExecutionStrategy::SpeculativeStm => Arc::new(
+                ParallelMiner::on_pool(Arc::clone(&pool))
+                    .with_retry_policy(self.retry)
+                    .with_schedule_capture(self.capture_schedule),
+            ),
+            ExecutionStrategy::OptimisticMvcc => Arc::new(
+                MvccMiner::on_pool(Arc::clone(&pool))
+                    .with_retry_policy(self.retry)
+                    .with_schedule_capture(self.capture_schedule),
+            ),
         };
-        let (miner, validator): (
-            Arc<dyn Miner + Send + Sync>,
-            Arc<dyn Validator + Send + Sync>,
-        ) = match self.strategy {
-            ExecutionStrategy::Serial => (
-                Arc::new(SerialMiner::new().with_schedule_capture(self.capture_schedule)),
-                Arc::new(SerialValidator::new()),
-            ),
-            ExecutionStrategy::SpeculativeStm => (
-                Arc::new(
-                    ParallelMiner::on_pool(Arc::clone(&pool))
-                        .with_retry_policy(self.retry)
-                        .with_schedule_capture(self.capture_schedule),
-                ),
-                fork_join_validator(),
-            ),
-            ExecutionStrategy::OptimisticMvcc => (
-                Arc::new(
-                    MvccMiner::on_pool(Arc::clone(&pool))
-                        .with_retry_policy(self.retry)
-                        .with_schedule_capture(self.capture_schedule),
-                ),
-                // The optimistic miner publishes the same schedule
-                // metadata (profiles + happens-before edges) as the
-                // speculative one, so the fork-join validator is reused
-                // unchanged — validators stay strategy-agnostic.
-                fork_join_validator(),
-            ),
+        // How every block this engine validates or follows is replayed,
+        // decided here and nowhere else. A serial engine's blocks publish
+        // no lock profiles, so they replay in published order with no
+        // trace checks. The optimistic miner publishes the same schedule
+        // metadata (profiles + happens-before edges) as the speculative
+        // one, so both replay as the fork-join program of the published
+        // graph — validators stay strategy-agnostic.
+        let replay = match self.strategy {
+            ExecutionStrategy::Serial => Order::Published,
+            ExecutionStrategy::SpeculativeStm | ExecutionStrategy::OptimisticMvcc => {
+                Order::fork_join(Arc::clone(&pool)).with_trace_checks(self.check_traces)
+            }
+        };
+        let validator: Arc<dyn Validator + Send + Sync> = match &replay {
+            Order::Published => Arc::new(SerialValidator::new()),
+            Order::ForkJoin { .. } => Arc::new(ParallelValidator::in_order(replay.clone())),
         };
         Ok(Engine {
             config: self,
             pool,
             miner,
             validator,
+            replay,
         })
     }
 }
@@ -307,6 +307,7 @@ pub struct Engine {
     pool: Arc<WorkerPool>,
     miner: Arc<dyn Miner + Send + Sync>,
     validator: Arc<dyn Validator + Send + Sync>,
+    replay: Order,
 }
 
 impl Default for Engine {
@@ -395,6 +396,12 @@ impl Engine {
     /// The strategy's validator.
     pub fn validator(&self) -> &dyn Validator {
         self.validator.as_ref()
+    }
+
+    /// How this engine replays blocks: the order its validator runs them
+    /// in, for the node's pending chain to run them in too.
+    pub(crate) fn replay_order(&self) -> &Order {
+        &self.replay
     }
 
     /// Executes `transactions` against `world` and assembles a block at

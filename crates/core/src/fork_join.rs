@@ -167,18 +167,6 @@ impl Drop for StopOnUnwind<'_> {
     }
 }
 
-/// Runs the tasks strictly in the given serial order on the calling
-/// thread. Used by the serial validator baseline and by tests comparing
-/// serial and parallel replays.
-pub fn run_serial<F>(order: &[usize], task: F)
-where
-    F: Fn(usize),
-{
-    for &i in order {
-        task(i);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,12 +323,5 @@ mod tests {
             workers.lock().insert(std::thread::current().id());
         });
         assert_eq!(workers.into_inner().len(), 1);
-    }
-
-    #[test]
-    fn run_serial_follows_given_order() {
-        let log = Mutex::new(Vec::new());
-        run_serial(&[2, 0, 1], |i| log.lock().push(i));
-        assert_eq!(*log.lock(), vec![2, 0, 1]);
     }
 }

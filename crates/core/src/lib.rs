@@ -97,10 +97,10 @@ pub mod validator;
 pub use engine::{Engine, EngineConfig, ExecutionStrategy};
 pub use error::CoreError;
 pub use miner::{MinedBlock, Miner, ParallelMiner, SerialMiner};
-pub use node::follower::FollowerConfig;
 pub use node::pending::{PendingChain, PendingState};
-pub use node::pipeline::{PipelineConfig, PipelineReport};
-pub use node::{DurabilityConfig, Node, NodeBuilder};
+pub use node::{
+    DurabilityConfig, FollowerConfig, Node, NodeBuilder, PipelineConfig, PipelineReport,
+};
 pub use schedule::HappensBeforeGraph;
 pub use stats::{MinerStats, ValidationReport};
 pub use validator::{ParallelValidator, SerialValidator, Validator};

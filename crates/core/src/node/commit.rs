@@ -7,7 +7,9 @@
 //! inside [`Node::recover`] — is the same loop: ask the source for the
 //! next block (its effects already in the base world), append it, seal it
 //! into the WAL, snapshot when the interval elapses, and on the way out
-//! run one failure epilogue. What differs is the source and the *window*:
+//! run one failure epilogue. What differs is the source and the *window*
+//! (the two pipelined entry points, thin as they are, live here with
+//! their configs and their own stage diagrams):
 //!
 //! ```text
 //!   window 1:   [next N][seal+fsync N][next N+1][seal+fsync N+1]          (all on the caller)
@@ -19,9 +21,9 @@
 //! * **Sources.** [`Produce`] mines a batch (the caller's, or the
 //!   mempool's next) on the head. [`Validate`] replays one received block
 //!   on the base world with the engine's validator. [`Follow`] replays a
-//!   stream through a [`PendingChain`]: block N+1 validates against N's
-//!   uncommitted overlay, and the oldest overlay is flattened when the
-//!   stage asks for the next block.
+//!   stream through a [`PendingChain`] in the engine's replay order:
+//!   block N+1 validates against N's uncommitted overlay, and the oldest
+//!   overlay is flattened when the stage asks for the next block.
 //! * **Window.** With a window of one, or with durability off, the seal
 //!   runs inline on the caller: no thread, no channel. With a wider
 //!   window the stage hands each appended block to a durability worker
@@ -59,10 +61,9 @@
 //! ignored exactly as with inline seals.
 
 use super::pending::PendingChain;
-use super::pipeline::PipelineReport;
 use super::seal_worker::{self, SealAck, SealWorker};
 use super::{DurabilityState, Node};
-use crate::engine::{Engine, ExecutionStrategy};
+use crate::engine::Engine;
 use crate::error::CoreError;
 use crate::miner::Miner;
 use crate::stats::{MinerStats, ValidationReport};
@@ -70,11 +71,81 @@ use crate::validator::Validator;
 use cc_ledger::{Block, Blockchain, ChainError, Transaction};
 use cc_mempool::Mempool;
 use cc_vm::World;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The window both pipelined entry points default to: one block sealing
 /// while the next is produced.
 pub(super) const PIPELINED_WINDOW: usize = 2;
+
+/// Tuning for [`Node::run_pipeline`].
+#[derive(Debug, Clone, Copy)]
+pub struct PipelineConfig {
+    gas_limit: u64,
+}
+
+impl PipelineConfig {
+    /// A pipeline assembling blocks of at most `gas_limit` total gas
+    /// (see [`cc_mempool::Mempool::build_block`]).
+    pub fn new(gas_limit: u64) -> Self {
+        PipelineConfig { gas_limit }
+    }
+
+    /// The per-block gas budget.
+    pub fn gas_limit(&self) -> u64 {
+        self.gas_limit
+    }
+}
+
+/// Tuning for [`Node::run_follower_pipeline`].
+#[derive(Debug, Clone, Copy)]
+pub struct FollowerConfig {
+    max_in_flight: usize,
+}
+
+impl Default for FollowerConfig {
+    fn default() -> Self {
+        FollowerConfig::new()
+    }
+}
+
+impl FollowerConfig {
+    /// Default bound on validated-but-not-yet-durable blocks.
+    pub const DEFAULT_MAX_IN_FLIGHT: usize = PIPELINED_WINDOW;
+
+    /// A follower pipeline with the default speculation depth.
+    pub fn new() -> Self {
+        FollowerConfig {
+            max_in_flight: Self::DEFAULT_MAX_IN_FLIGHT,
+        }
+    }
+
+    /// Sets how many blocks may be validated but not yet durable
+    /// (clamped to at least 1). Raising this deepens the pipeline
+    /// without changing its output; it only moves the back-pressure
+    /// point.
+    pub fn max_in_flight(mut self, depth: usize) -> Self {
+        self.max_in_flight = depth.max(1);
+        self
+    }
+}
+
+/// What a pipelined run produced (see [`Node::run_pipeline`] and
+/// [`Node::run_follower_pipeline`]).
+#[derive(Debug, Clone, Default)]
+pub struct PipelineReport {
+    /// Blocks mined or validated, appended and made durable.
+    pub blocks: u64,
+    /// Transactions across those blocks.
+    pub transactions: usize,
+    /// Periodic snapshots written (each one a pipeline barrier).
+    pub snapshots: u64,
+    /// Time the calling thread spent blocked on the durability stage:
+    /// handing blocks to it (back-pressure) or draining it (snapshot
+    /// barriers, final drain). The sequential path would have spent at
+    /// least this long sealing inline; a small value with durability on
+    /// means the fsyncs hid behind mining or validation almost entirely.
+    pub stalled: Duration,
+}
 
 /// Why a source stopped before its input ran out.
 pub(super) enum Stop {
@@ -195,15 +266,11 @@ impl<'a, I: Iterator<Item = Block>> Follow<'a, I> {
     /// A follow source over the stage's world and head, holding at most
     /// the stage's window of overlays.
     pub(super) fn new(stage: &CommitStage<'a>, blocks: I) -> Self {
-        // A serial engine replays schedule-less blocks, which carry no
-        // profiles to check.
-        let engine = stage.engine;
-        let check_traces =
-            engine.config().check_traces && engine.strategy() != ExecutionStrategy::Serial;
+        let order = stage.engine.replay_order().clone();
         Follow {
             blocks: blocks.fuse(),
             pending: PendingChain::new(stage.world, stage.chain.head_hash(), stage.window)
-                .with_trace_checks(check_traces),
+                .in_order(order),
             rejection: None,
         }
     }
@@ -225,7 +292,7 @@ impl<I: Iterator<Item = Block>> Source for Follow<'_, I> {
                 Some(wrong_number(&block, expected))
             } else {
                 self.pending
-                    .speculate(self.pending.tip_hash(), &block)
+                    .speculate_owned(self.pending.tip_hash(), block)
                     .err()
             };
         }
@@ -324,6 +391,107 @@ impl Node {
             worker,
             report: PipelineReport::default(),
         })
+    }
+}
+
+impl Node {
+    /// Produces blocks from the mempool until no transaction is ready,
+    /// overlapping each block's WAL seal/fsync with the mining of the
+    /// next. Returns once every produced block is durable.
+    ///
+    /// Sequential production ([`Node::mine_pending`]) runs every stage of
+    /// a block back to back, so with durability on, the WAL seal — and in
+    /// [`cc_ledger::wal::DurabilityMode::Fsync`] mode the fsync — sits on
+    /// the critical path of every block. Here block *assembly* and
+    /// *mining* stay on the calling thread, the seal moves to the
+    /// durability worker behind a bounded hand-off, and when that worker
+    /// falls behind the hand-off blocks — back-pressure, not unbounded
+    /// queueing:
+    ///
+    /// ```text
+    ///   sequential:  [assemble N][mine N][seal+fsync N][assemble N+1][mine N+1][seal+fsync N+1]
+    ///
+    ///   pipelined:   [assemble N][mine N][assemble N+1][mine N+1][assemble N+2] …   (production stage)
+    ///                                    [seal+fsync N]          [seal+fsync N+1]   (durability stage)
+    /// ```
+    ///
+    /// The chain, world and durable artifacts are **byte-identical** to
+    /// what the same submissions produce through sequential
+    /// [`Node::mine_pending`] calls with the same gas limit — the
+    /// pipeline reorders work against the wall clock, never against the
+    /// chain. (Only difference: an empty pool here produces no block
+    /// rather than an empty one.) Without durability there is nothing to
+    /// overlap and the loop is sequential production.
+    ///
+    /// # Errors
+    ///
+    /// A mining error, a seal or snapshot failure — or a durability
+    /// worker that cannot be started, or panics — stales the node, rolls
+    /// the in-memory chain back to the durable prefix, and surfaces as
+    /// the miner's error or [`CoreError::Durability`]; transactions of
+    /// discarded blocks are not returned to the mempool (recovery
+    /// re-serves from the WAL).
+    pub fn run_pipeline(&mut self, config: &PipelineConfig) -> Result<PipelineReport, CoreError> {
+        let stage = self.commit_stage(PIPELINED_WINDOW)?;
+        let (mempool, gas_limit) = (stage.mempool, config.gas_limit);
+        let batches = || Some(mempool.build_block(gas_limit)).filter(|batch| !batch.is_empty());
+        let mut source = Produce::new(&stage, batches);
+        stage.run(&mut source)
+    }
+
+    /// Validates a stream of `blocks` against this node's chain,
+    /// overlapping each block's WAL seal/fsync with the speculative
+    /// validation of the next. Returns once every accepted block is
+    /// durable.
+    ///
+    /// Speculative validation and the overlay commit (see
+    /// [`super::pending`]) stay on the calling thread — and, for a
+    /// block's unordered transactions, on the engine's execution pool —
+    /// while the WAL seal moves to the durability worker behind a bounded
+    /// hand-off ([`FollowerConfig::max_in_flight`]): while the worker
+    /// fsyncs block N, the caller is already replaying block N+1 against
+    /// N's pending post-state.
+    ///
+    /// ```text
+    ///   sequential:  [validate N][seal+fsync N][validate N+1][seal+fsync N+1]
+    ///
+    ///   pipelined:   [speculate N][speculate N+1][commit N][speculate N+2][commit N+1] …  (validation stage)
+    ///                                            [seal+fsync N]           [seal+fsync N+1]  (durability stage)
+    /// ```
+    ///
+    /// The chain, world and durable artifacts are **byte-identical** to
+    /// what the same stream produces through sequential
+    /// [`Node::validate_and_append`] calls — the pipeline reorders work
+    /// against the wall clock, never against the chain. Without
+    /// durability there is nothing to overlap and the loop is
+    /// speculate-then-commit per window.
+    ///
+    /// # Errors
+    ///
+    /// A speculate-time rejection ([`CoreError::BlockRejected`],
+    /// [`CoreError::MissingSchedule`], … — bad receipts, bad traces, a
+    /// hidden race, a block that does not link) never touches the base
+    /// state: it drains the valid pending prefix into the chain, drops
+    /// the rejected block and the rest of the stream and propagates —
+    /// the node stays fresh at the last accepted block, unlike
+    /// sequential validation, whose replay pollutes the world before it
+    /// can reject. A commit-time state-root mismatch (the one check that
+    /// needs the flattened base) or a seal/snapshot failure (including a
+    /// durability worker that cannot be started, or panics) stales the
+    /// node, rolls the in-memory chain back to the durable prefix and
+    /// surfaces as [`CoreError::BlockRejected`] /
+    /// [`CoreError::Durability`]; [`Node::recover`] is the exit.
+    pub fn run_follower_pipeline<I>(
+        &mut self,
+        blocks: I,
+        config: &FollowerConfig,
+    ) -> Result<PipelineReport, CoreError>
+    where
+        I: IntoIterator<Item = Block>,
+    {
+        let stage = self.commit_stage(config.max_in_flight)?;
+        let mut source = Follow::new(&stage, blocks.into_iter());
+        stage.run(&mut source)
     }
 }
 
@@ -530,5 +698,367 @@ mod tests {
         assert!(!node.is_stale());
         assert_eq!(node.chain().len(), 2);
         assert_eq!(run(&mut node, Vec::new()), Ok(0));
+    }
+
+    /// [`Node::run_pipeline`] end to end.
+    mod pipeline {
+        use super::*;
+        use crate::engine::EngineConfig;
+        use crate::node::DurabilityConfig;
+        use cc_ledger::wal::DurabilityMode;
+        use cc_ledger::Transaction;
+        use cc_vm::testing::CounterContract;
+        use cc_vm::{Address, ArgValue, CallData, World};
+        use std::path::PathBuf;
+        use std::sync::Arc;
+
+        fn fresh_world() -> World {
+            let world = World::new();
+            world.deploy(Arc::new(CounterContract::new(Address::from_name(
+                "counter-pipe",
+            ))));
+            world
+        }
+
+        fn temp_dir(tag: &str) -> PathBuf {
+            let mut p = std::env::temp_dir();
+            p.push(format!("cc-pipeline-test-{}-{tag}", std::process::id()));
+            p
+        }
+
+        fn submit_traffic(node: &Node, senders: u64, per_sender: u64) {
+            for sender in 0..senders {
+                for nonce in 0..per_sender {
+                    let tx = Transaction::new(
+                        nonce,
+                        Address::from_index(sender),
+                        Address::from_name("counter-pipe"),
+                        CallData::new("increment", vec![ArgValue::Uint(1)]),
+                        100_000,
+                    )
+                    .priority_fee(sender + nonce);
+                    node.submit(tx).unwrap();
+                }
+            }
+        }
+
+        #[test]
+        fn pipeline_drains_the_pool_into_durable_blocks() {
+            let dir = temp_dir("drain");
+            std::fs::remove_dir_all(&dir).ok();
+            let mut node = Node::builder()
+                .world(fresh_world())
+                .config(EngineConfig::new().threads(2))
+                .durability(
+                    DurabilityConfig::new(&dir, DurabilityMode::Buffered).snapshot_interval(2),
+                )
+                .build()
+                .unwrap();
+            submit_traffic(&node, 6, 2);
+            // 12 txs at 100k gas, 400k per block => 3 blocks.
+            let report = node.run_pipeline(&PipelineConfig::new(400_000)).unwrap();
+            assert_eq!(report.blocks, 3);
+            assert_eq!(report.transactions, 12);
+            assert_eq!(report.snapshots, 1, "block 2 hits the interval");
+            assert!(node.mempool().is_empty());
+            assert_eq!(node.chain().len(), 4);
+            assert!(node.chain().verify_structure());
+
+            // Everything the pipeline produced is recoverable.
+            let config = DurabilityConfig::new(&dir, DurabilityMode::Buffered);
+            let engine = EngineConfig::new().threads(2).build().unwrap();
+            let head = node.chain().head_hash();
+            drop(node);
+            let recovered = Node::recover(config, fresh_world(), engine).unwrap();
+            assert_eq!(recovered.chain().head_hash(), head);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+
+        #[test]
+        fn pipeline_without_durability_is_plain_sequential_production() {
+            let mut node = Node::builder()
+                .world(fresh_world())
+                .config(EngineConfig::new().threads(2))
+                .build()
+                .unwrap();
+            submit_traffic(&node, 4, 1);
+            let report = node.run_pipeline(&PipelineConfig::new(200_000)).unwrap();
+            assert_eq!(report.blocks, 2);
+            assert_eq!(report.snapshots, 0);
+            assert_eq!(node.chain().len(), 3);
+        }
+
+        #[test]
+        fn empty_pool_produces_no_blocks() {
+            let mut node = Node::builder().world(fresh_world()).build().unwrap();
+            let report = node.run_pipeline(&PipelineConfig::new(1_000_000)).unwrap();
+            assert_eq!(report.blocks, 0);
+            assert_eq!(node.chain().len(), 1);
+        }
+
+        #[test]
+        fn seal_failure_stales_and_rolls_back_to_the_durable_prefix() {
+            let dir = temp_dir("seal-fail");
+            std::fs::remove_dir_all(&dir).ok();
+            let mut node = Node::builder()
+                .world(fresh_world())
+                .config(EngineConfig::new().threads(2))
+                // Interval past the run: no snapshot resets the failure arm.
+                .durability(
+                    DurabilityConfig::new(&dir, DurabilityMode::Fsync).snapshot_interval(100),
+                )
+                .build()
+                .unwrap();
+            submit_traffic(&node, 8, 2);
+            // Two seals succeed (blocks 1 and 2), the third fails mid-run.
+            node.wal().unwrap().inject_seal_failures(2);
+            let err = node
+                .run_pipeline(&PipelineConfig::new(400_000))
+                .unwrap_err();
+            assert!(err.to_string().contains("sealing block 3"), "got: {err}");
+            assert!(node.is_stale());
+            assert_eq!(
+                node.chain().head().header.number,
+                2,
+                "chain rolled back to the durable prefix"
+            );
+            // Stale node refuses further pipelining.
+            assert!(node.run_pipeline(&PipelineConfig::new(400_000)).is_err());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// [`Node::run_follower_pipeline`] end to end.
+    mod follower {
+        use super::*;
+        use crate::engine::EngineConfig;
+        use crate::node::DurabilityConfig;
+        use cc_ledger::wal::DurabilityMode;
+        use cc_ledger::Transaction;
+        use cc_vm::testing::CounterContract;
+        use cc_vm::{Address, ArgValue, CallData, World};
+        use std::path::PathBuf;
+        use std::sync::Arc;
+
+        fn fresh_world() -> World {
+            let world = World::new();
+            world.deploy(Arc::new(CounterContract::new(Address::from_name(
+                "counter-follower",
+            ))));
+            world
+        }
+
+        fn temp_dir(tag: &str) -> PathBuf {
+            let mut p = std::env::temp_dir();
+            p.push(format!("cc-follower-test-{}-{tag}", std::process::id()));
+            p
+        }
+
+        fn block_txs(base: u64, n: u64) -> Vec<Transaction> {
+            (0..n)
+                .map(|i| {
+                    Transaction::new(
+                        base + i,
+                        Address::from_index(i % 4),
+                        Address::from_name("counter-follower"),
+                        CallData::new("increment", vec![ArgValue::Uint(1)]),
+                        1_000_000,
+                    )
+                })
+                .collect()
+        }
+
+        fn mined_blocks(n: u64) -> Vec<Block> {
+            let mut producer = Node::builder()
+                .world(fresh_world())
+                .config(EngineConfig::new().threads(2))
+                .build()
+                .unwrap();
+            (0..n)
+                .map(|i| {
+                    producer
+                        .mine_and_append(block_txs(i * 100, 8))
+                        .unwrap()
+                        .block
+                })
+                .collect()
+        }
+
+        fn durable_follower(dir: &PathBuf, interval: u64) -> Node {
+            Node::builder()
+                .world(fresh_world())
+                .config(EngineConfig::new().threads(2))
+                .durability(
+                    DurabilityConfig::new(dir, DurabilityMode::Fsync).snapshot_interval(interval),
+                )
+                .build()
+                .unwrap()
+        }
+
+        #[test]
+        fn pipelined_follower_matches_sequential_validation() {
+            let blocks = mined_blocks(4);
+
+            let mut sequential = Node::builder()
+                .world(fresh_world())
+                .config(EngineConfig::new().threads(2))
+                .build()
+                .unwrap();
+            for block in &blocks {
+                sequential.validate_and_append(block).unwrap();
+            }
+
+            let mut pipelined = Node::builder()
+                .world(fresh_world())
+                .config(EngineConfig::new().threads(2))
+                .build()
+                .unwrap();
+            let report = pipelined
+                .run_follower_pipeline(blocks.clone(), &FollowerConfig::new().max_in_flight(3))
+                .unwrap();
+            assert_eq!(report.blocks, 4);
+            assert_eq!(report.transactions, 32);
+            assert_eq!(
+                pipelined.chain().head_hash(),
+                sequential.chain().head_hash()
+            );
+            assert_eq!(
+                pipelined.world().state_root(),
+                sequential.world().state_root()
+            );
+            assert!(pipelined.chain().verify_structure());
+        }
+
+        #[test]
+        fn durable_follower_seals_snapshots_and_recovers() {
+            let blocks = mined_blocks(5);
+            // Window 1 seals inline on the caller, window 2 on the worker.
+            for window in [1, 2] {
+                let dir = temp_dir(&format!("durable-{window}"));
+                std::fs::remove_dir_all(&dir).ok();
+                let mut follower = durable_follower(&dir, 2);
+                let config = FollowerConfig::new().max_in_flight(window);
+                let report = follower
+                    .run_follower_pipeline(blocks.clone(), &config)
+                    .unwrap();
+                assert_eq!(report.blocks, 5);
+                assert_eq!(report.snapshots, 2, "blocks 2 and 4 hit the interval");
+                assert_eq!(follower.chain().len(), 6);
+
+                // Everything the pipeline accepted is recoverable.
+                let head = follower.chain().head_hash();
+                let world_bytes = follower.world().snapshot().to_bytes();
+                drop(follower);
+                let config = DurabilityConfig::new(&dir, DurabilityMode::Fsync);
+                let engine = EngineConfig::new().threads(2).build().unwrap();
+                let recovered = Node::recover(config, fresh_world(), engine).unwrap();
+                assert_eq!(recovered.chain().head_hash(), head);
+                assert_eq!(recovered.world().snapshot().to_bytes(), world_bytes);
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+
+        #[test]
+        fn seal_failure_stales_and_rolls_back_to_the_durable_prefix() {
+            let dir = temp_dir("seal-fail");
+            std::fs::remove_dir_all(&dir).ok();
+            let blocks = mined_blocks(5);
+            // Interval past the run: no snapshot resets the failure arm.
+            let mut follower = durable_follower(&dir, 100);
+            // Two seals succeed (blocks 1 and 2), the third fails mid-run.
+            follower.wal().unwrap().inject_seal_failures(2);
+            let err = follower
+                .run_follower_pipeline(blocks, &FollowerConfig::new())
+                .unwrap_err();
+            assert!(err.to_string().contains("sealing block 3"), "got: {err}");
+            assert!(follower.is_stale());
+            assert_eq!(
+                follower.chain().head().header.number,
+                2,
+                "chain rolled back to the durable prefix"
+            );
+            // Stale node refuses further pipelining.
+            assert!(follower
+                .run_follower_pipeline(Vec::new(), &FollowerConfig::new())
+                .is_err());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+
+        #[test]
+        fn mid_stream_rejection_keeps_the_valid_prefix_without_staling() {
+            let blocks = mined_blocks(4);
+            let mut stream = blocks.clone();
+            // Tamper with block 3's receipts (re-committed so it stays
+            // well-formed): speculation rejects it before it touches the
+            // base, and block 4 is dropped as its descendant.
+            let mut receipts = stream[2].receipts.clone();
+            receipts[0].gas_used += 1;
+            stream[2] = Block::build(
+                stream[2].header.parent_hash,
+                stream[2].header.number,
+                stream[2].transactions.clone(),
+                receipts,
+                stream[2].header.state_root,
+                stream[2].schedule.clone(),
+            );
+
+            let mut follower = Node::builder()
+                .world(fresh_world())
+                .config(EngineConfig::new().threads(2))
+                .build()
+                .unwrap();
+            let err = follower
+                .run_follower_pipeline(stream, &FollowerConfig::new().max_in_flight(3))
+                .unwrap_err();
+            assert!(err.to_string().contains("receipt"), "got: {err}");
+            assert!(
+                !follower.is_stale(),
+                "a speculate-time rejection never pollutes the base"
+            );
+            assert_eq!(
+                follower.chain().head_hash(),
+                blocks[1].hash(),
+                "the valid prefix was committed"
+            );
+            // The follower keeps working: the honest remainder validates.
+            follower
+                .run_follower_pipeline(blocks[2..].to_vec(), &FollowerConfig::new())
+                .unwrap();
+            assert_eq!(follower.chain().head_hash(), blocks[3].hash());
+        }
+
+        #[test]
+        fn forged_state_root_stales_at_commit() {
+            let dir = temp_dir("forged-root");
+            std::fs::remove_dir_all(&dir).ok();
+            let blocks = mined_blocks(3);
+            let mut stream = blocks.clone();
+            stream[1].header.state_root = cc_primitives::sha256(b"forged");
+            // Re-link the descendant so speculation accepts the chain shape.
+            stream[2].header.parent_hash = stream[1].hash();
+
+            let mut follower = durable_follower(&dir, 100);
+            let err = follower
+                .run_follower_pipeline(stream, &FollowerConfig::new().max_in_flight(3))
+                .unwrap_err();
+            assert!(err.to_string().contains("state root"), "got: {err}");
+            assert!(follower.is_stale(), "a polluted base must stale the node");
+            assert_eq!(
+                follower.chain().head().header.number,
+                1,
+                "chain rolled back to the durable prefix"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+
+        #[test]
+        fn empty_stream_is_a_no_op() {
+            let mut follower = Node::builder().world(fresh_world()).build().unwrap();
+            let report = follower
+                .run_follower_pipeline(Vec::new(), &FollowerConfig::new())
+                .unwrap();
+            assert_eq!(report.blocks, 0);
+            assert_eq!(follower.chain().len(), 1);
+        }
     }
 }

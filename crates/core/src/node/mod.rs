@@ -4,9 +4,7 @@
 //! that [`Node::recover`] can rebuild the node from after a crash.
 
 mod commit;
-pub mod follower;
 pub mod pending;
-pub mod pipeline;
 mod seal_worker;
 
 use crate::engine::{Engine, EngineConfig};
@@ -17,8 +15,8 @@ use cc_ledger::wal::{DurabilityMode, Wal, WAL_FILE};
 use cc_ledger::{Block, Blockchain, SnapshotFile, Transaction};
 use cc_mempool::{Mempool, MempoolConfig, SubmitOutcome};
 use cc_vm::World;
+pub use commit::{FollowerConfig, PipelineConfig, PipelineReport};
 use commit::{Produce, Validate};
-use follower::FollowerConfig;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -405,8 +403,8 @@ impl Node {
     ///
     /// This is the *sequential* production path — assembly, mining,
     /// validation bookkeeping and the WAL seal/fsync all run on this
-    /// call. [`Node::run_pipeline`](pipeline) overlaps those stages
-    /// across consecutive blocks instead.
+    /// call. [`Node::run_pipeline`] overlaps those stages across
+    /// consecutive blocks instead.
     ///
     /// # Errors
     ///
@@ -424,9 +422,9 @@ impl Node {
     ///
     /// This is the raw, batch-at-a-time door used by the validator
     /// examples and benchmarks; a node serving client traffic takes
-    /// [`Node::submit`] + [`Node::mine_pending`] (or the
-    /// [pipeline](crate::node::pipeline)) instead, letting the mempool
-    /// pick the batch by fee priority.
+    /// [`Node::submit`] + [`Node::mine_pending`] (or
+    /// [`Node::run_pipeline`]) instead, letting the mempool pick the
+    /// batch by fee priority.
     ///
     /// # Errors
     ///

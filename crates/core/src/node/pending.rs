@@ -4,16 +4,18 @@
 //! Sequential validation ([`crate::node::Node::validate_and_append`])
 //! runs every stage of a block back to back, so the WAL seal of block N
 //! gates the replay of block N+1. A [`PendingChain`] breaks that chain:
-//! it replays each incoming block's transactions as optimistic
-//! multi-version transactions (see `cc_mvcc`), leaving the installed
-//! versions in place as a **pending overlay** stacked above the base
-//! state instead of flattening them. The next block's replay reads
-//! *through* that overlay — its snapshot sees the predecessor's
-//! uncommitted post-state — so validation of N+1 can proceed while N is
-//! still being sealed.
+//! it replays each incoming block through the validators' one kernel
+//! ([`crate::validator::replay`]) on the overlay target — the block's
+//! transactions run as optimistic multi-version transactions (see
+//! `cc_mvcc`) in the fork-join order of the published graph, and the
+//! versions they install stay in place as a **pending overlay** stacked
+//! above the base state instead of being flattened. The next block's
+//! replay reads *through* that overlay — its snapshots see the
+//! predecessor's uncommitted post-state — so validation of N+1 can
+//! proceed while N is still being sealed.
 //!
 //! Each pending block records a **boundary**: the oracle's newest commit
-//! timestamp when its replay finished. Every version the block installed
+//! timestamp once its replay has joined. Every version the block installed
 //! is at or below its boundary and above its predecessor's, which makes
 //! the overlay algebra exact:
 //!
@@ -33,13 +35,16 @@
 //! * **Bounded speculation.** At most `max_in_flight` overlays exist at
 //!   once; [`PendingChain::speculate`] refuses further blocks until one
 //!   commits or is discarded.
-//! * **Exclusive use.** Speculation, commit and discard reshape the
-//!   version lists and must not run concurrently with other execution on
-//!   the same world; in particular, MVCC garbage collection
+//! * **Exclusive use.** The workers of *one* fork-join run install
+//!   versions concurrently — the published edges order every conflicting
+//!   pair, so the installs land in a schedule-consistent order — and
+//!   nothing else executes on the world meanwhile. The boundary is read,
+//!   and `finalize_below` / `discard_above` are called, only between
+//!   runs, after the last one has joined; MVCC garbage collection
 //!   ([`cc_mvcc::MvccRuntime::collect`]) would merge overlay versions
-//!   across boundaries and must not run while overlays are pending.
-//!   The follower pipeline drives the world from one thread, which
-//!   satisfies both.
+//!   across boundaries and must not run while overlays are pending. The
+//!   follower pipeline drives the chain from one thread, one run at a
+//!   time, which satisfies all three.
 //!
 //! A block caught *before* its versions reach the base (a speculate-time
 //! rejection) leaves the trusted state intact: the partial overlay is
@@ -49,14 +54,15 @@
 //! rejected [`crate::node::Node::validate_and_append`].
 
 use crate::error::CoreError;
-use crate::schedule::HappensBeforeGraph;
 use crate::validator::checks;
+use crate::validator::replay::{Order, Target};
 use cc_ledger::Block;
 use cc_mvcc::Timestamp;
 use cc_primitives::hash::Hash256;
-use cc_stm::{LockId, LockMode};
-use cc_vm::{TxnRef, World};
-use std::collections::{BTreeMap, VecDeque};
+use cc_primitives::pool::WorkerPool;
+use cc_vm::World;
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// One speculatively validated block awaiting commit.
 #[derive(Debug)]
@@ -88,7 +94,8 @@ pub struct PendingState {
 pub struct PendingChain<'w> {
     world: &'w World,
     max_in_flight: usize,
-    check_traces: bool,
+    /// How speculation orders a block's replay.
+    order: Order,
     /// Hash of the last *committed* block — what the base state answers
     /// for.
     committed_hash: Hash256,
@@ -101,24 +108,33 @@ pub struct PendingChain<'w> {
 impl<'w> PendingChain<'w> {
     /// Creates a pending chain over `world`, whose base state is the
     /// post-state of the block `head_hash`, holding at most
-    /// `max_in_flight` pending overlays (clamped to at least 1).
+    /// `max_in_flight` pending overlays (clamped to at least 1). It
+    /// replays each block as its fork-join program on a one-worker pool
+    /// of its own.
     pub fn new(world: &'w World, head_hash: Hash256, max_in_flight: usize) -> Self {
         PendingChain {
             world,
             max_in_flight: max_in_flight.max(1),
-            check_traces: true,
+            order: Order::fork_join(Arc::new(WorkerPool::new(1))),
             committed_hash: head_hash,
             base_boundary: world.mvcc().oracle().latest(),
             entries: VecDeque::new(),
         }
     }
 
+    /// Replays in an engine's `order` instead: on its shared pool, or
+    /// the published order for a serial engine.
+    pub(crate) fn in_order(mut self, order: Order) -> Self {
+        self.order = order;
+        self
+    }
+
     /// Enables or disables the lock-trace and hidden-race checks during
-    /// speculation. Disable them for schedule-less (serially mined)
-    /// blocks, mirroring [`crate::validator::ParallelValidator`]'s
-    /// ablation mode.
+    /// speculation. Disable them for serially mined blocks, whose
+    /// sequential schedule carries no lock profiles, mirroring
+    /// [`crate::validator::ParallelValidator`]'s ablation mode.
     pub fn with_trace_checks(mut self, check: bool) -> Self {
-        self.check_traces = check;
+        self.order = self.order.with_trace_checks(check);
         self
     }
 
@@ -190,24 +206,36 @@ impl<'w> PendingChain<'w> {
     /// for [`PendingChain::pending_state`], [`PendingChain::commit`] and
     /// [`PendingChain::discard`].
     ///
-    /// Replay runs the transactions one at a time in the published
-    /// serial order (block order for schedule-less blocks) as optimistic
-    /// multi-version transactions, then checks everything that does not
-    /// require the flattened base: well-formedness, parent linkage,
-    /// receipts, and (unless disabled) the lock traces and hidden-race
-    /// freedom of the published schedule. The state root is checked at
-    /// [`PendingChain::commit`], where the base exists to hash.
+    /// Replay is the validators' one kernel on the overlay target: the
+    /// transactions run as optimistic multi-version transactions in the
+    /// fork-join order of the published graph (under a serial engine,
+    /// in the published serial order), and everything that does not
+    /// require the flattened base is checked — well-formedness, parent
+    /// linkage, receipts, and (unless disabled) the lock traces and
+    /// hidden-race freedom of the published schedule. The state root is
+    /// checked at [`PendingChain::commit`], where the base exists to
+    /// hash.
     ///
     /// # Errors
     ///
     /// [`CoreError::BlockRejected`] when the chain is full, `prev` is
     /// not the tip, the block does not link, or replay contradicts the
     /// block's commitments; [`CoreError::MissingSchedule`] /
-    /// [`CoreError::MalformedSchedule`] when trace checks are on and the
-    /// schedule cannot be replayed. A rejection discards the partial
-    /// overlay: the already-pending predecessors stay committable and
-    /// the base is untouched.
+    /// [`CoreError::MalformedSchedule`] when the schedule cannot be
+    /// replayed. A rejection discards the partial overlay: the
+    /// already-pending predecessors stay committable and the base is
+    /// untouched.
     pub fn speculate(&mut self, prev: Hash256, block: &Block) -> Result<Hash256, CoreError> {
+        self.speculate_owned(prev, block.clone())
+    }
+
+    /// [`PendingChain::speculate`] for a caller that owns the block: it is
+    /// parked as it is, not copied.
+    pub(crate) fn speculate_owned(
+        &mut self,
+        prev: Hash256,
+        block: Block,
+    ) -> Result<Hash256, CoreError> {
         if self.is_full() {
             return Err(CoreError::rejected(format!(
                 "pending chain is full ({} blocks in flight); commit or discard before speculating further",
@@ -222,59 +250,18 @@ impl<'w> PendingChain<'w> {
         if block.header.parent_hash != prev {
             return Err(CoreError::rejected("block does not extend the pending tip"));
         }
-        checks::well_formed(block)?;
-
-        let n = block.transactions.len();
-        let graph = match (self.check_traces, &block.schedule) {
-            (false, _) => None,
-            (true, None) => return Err(CoreError::MissingSchedule),
-            (true, Some(schedule)) => Some(HappensBeforeGraph::from_metadata(schedule, n)?),
-        };
-
+        // The workers of the one fork-join run install versions
+        // concurrently; the boundaries around it are read, and cut back
+        // to, only here — before the run starts and after it has joined.
         let rollback = self.tip_boundary();
         let runtime = self.world.mvcc();
-        let mut traces: Vec<BTreeMap<LockId, LockMode>> = vec![BTreeMap::new(); n];
-        let replayed = checks::replay_in_order(block, |index, tx| {
-            let failed = |e: &dyn std::fmt::Display| {
-                CoreError::rejected(format!("replay of transaction {index} failed: {e}"))
-            };
-            let txn = runtime.begin();
-            let txn_ref = TxnRef::Mvcc(&txn);
-            let executed =
-                self.world
-                    .execute_in(txn_ref, index, tx.msg(), tx.to, &tx.call, tx.gas_limit);
-            let receipt = match executed {
-                Ok(receipt) => receipt,
-                Err(e) => {
-                    // Unreachable for the optimistic seam (it raises no
-                    // speculative errors); kept as a guarded exit.
-                    let _ = txn.abort();
-                    return Err(failed(&e));
-                }
-            };
-            // One transaction at a time from a fresh snapshot:
-            // first-committer-wins has nobody to lose to. The footprint
-            // already carries the strongest mode per lock, exactly what
-            // the trace checks compare.
-            let commit = txn.commit().map_err(|e| failed(&e))?;
-            traces[index] = commit.footprint.into_iter().collect();
-            Ok(receipt)
-        });
-        // The state root is checked at commit, where the base exists to
-        // hash; everything else is decided here, and any rejection drops
-        // the partial overlay.
-        let verdict = replayed.and_then(|replayed| {
-            let published = block.schedule.as_ref().zip(graph.as_ref());
-            checks::verdict(block, published, &traces, &replayed, None)
-        });
-        if let Err(rejection) = verdict {
+        if let Err(rejection) = self.order.validate(Target::Overlay, self.world, &block) {
             runtime.discard_above(rollback);
             return Err(rejection);
         }
-
         let hash = block.hash();
         self.entries.push_back(PendingEntry {
-            block: block.clone(),
+            block,
             hash,
             boundary: runtime.oracle().latest(),
         });
@@ -313,9 +300,7 @@ impl<'w> PendingChain<'w> {
             // report — the caller stales the node.
             runtime.discard_above(entry.boundary);
             self.entries.clear();
-            return Err(CoreError::BlockRejected {
-                reasons: vec![reason],
-            });
+            return Err(CoreError::rejected(reason));
         }
         self.committed_hash = entry.hash;
         self.base_boundary = entry.boundary;
@@ -347,10 +332,8 @@ impl<'w> PendingChain<'w> {
     /// Returns the discarded blocks, oldest first; empty when nothing
     /// was pending.
     pub fn discard_all(&mut self) -> Vec<Block> {
-        match self.entries.front().map(|e| e.hash) {
-            Some(oldest) => self.discard(&oldest).expect("oldest is pending"),
-            None => Vec::new(),
-        }
+        self.world.mvcc().discard_above(self.base_boundary);
+        self.entries.drain(..).map(|e| e.block).collect()
     }
 }
 

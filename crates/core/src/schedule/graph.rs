@@ -424,23 +424,7 @@ impl HappensBeforeGraph {
     /// duplicate, the edge set is cyclic, or the serial order is
     /// inconsistent with the edges.
     pub fn from_metadata(meta: &ScheduleMetadata, n: usize) -> Result<Self, CoreError> {
-        if meta.serial_order.len() != n {
-            return Err(CoreError::MalformedSchedule {
-                reason: format!(
-                    "serial order covers {} transactions, block has {n}",
-                    meta.serial_order.len()
-                ),
-            });
-        }
-        let mut seen = vec![false; n];
-        for &i in &meta.serial_order {
-            if i >= n || seen[i] {
-                return Err(CoreError::MalformedSchedule {
-                    reason: "serial order is not a permutation of the block's transactions".into(),
-                });
-            }
-            seen[i] = true;
-        }
+        check_serial_order(&meta.serial_order, n)?;
         let mut list: Vec<(u32, u32)> = Vec::with_capacity(meta.edges.len());
         for &(a, b) in &meta.edges {
             if a >= n || b >= n || a == b {
@@ -481,6 +465,34 @@ impl HappensBeforeGraph {
         }
         Ok(graph)
     }
+}
+
+/// Checks that a published serial `order` is a permutation of `0..n`, so
+/// a replay that walks it indexes in range and runs every transaction
+/// exactly once.
+///
+/// # Errors
+///
+/// [`CoreError::MalformedSchedule`] if it is not.
+pub(crate) fn check_serial_order(order: &[usize], n: usize) -> Result<(), CoreError> {
+    if order.len() != n {
+        return Err(CoreError::MalformedSchedule {
+            reason: format!(
+                "serial order covers {} transactions, block has {n}",
+                order.len()
+            ),
+        });
+    }
+    let mut seen = vec![false; n];
+    for &i in order {
+        if i >= n || seen[i] {
+            return Err(CoreError::MalformedSchedule {
+                reason: "serial order is not a permutation of the block's transactions".into(),
+            });
+        }
+        seen[i] = true;
+    }
+    Ok(())
 }
 
 /// Precomputed reachability over a [`HappensBeforeGraph`].

@@ -3,5 +3,5 @@
 
 mod graph;
 
-pub(crate) use graph::for_each_consecutive_run_pair;
+pub(crate) use graph::{check_serial_order, for_each_consecutive_run_pair};
 pub use graph::{HappensBeforeGraph, Reachability};

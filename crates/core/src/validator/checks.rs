@@ -1,18 +1,17 @@
-//! What every validator shares, whatever executes the replay (serial
-//! STM, fork-join STM replay, serial MVCC overlay) and wherever its
-//! effects land (base world, pending overlay): the replay order, the
-//! receipt collection, the state-root verdict, and the schedule-integrity
-//! checks — replayed lock traces against published profiles, and the
-//! hidden-data-race test over the happens-before graph.
+//! What every cell of the replay table ([`super::replay`]) shares
+//! besides the replay itself: the structural prologue, the state-root
+//! verdict, and the schedule-integrity checks — replayed lock traces
+//! against published profiles, and the hidden-data-race test over the
+//! happens-before graph.
 
+use super::replay::Trace;
 use crate::error::CoreError;
 use crate::schedule::HappensBeforeGraph;
-use cc_ledger::{Block, ScheduleMetadata, Transaction};
+use cc_ledger::{Block, ScheduleMetadata};
 use cc_primitives::fx::FxHashMap;
 use cc_primitives::hash::Hash256;
 use cc_stm::{LockId, LockMode};
 use cc_vm::Receipt;
-use std::collections::BTreeMap;
 
 /// The structural prologue: the header's commitments must match the
 /// body before anything is replayed.
@@ -23,39 +22,6 @@ pub(crate) fn well_formed(block: &Block) -> Result<(), CoreError> {
     Err(CoreError::rejected(
         "block commitments do not match its body",
     ))
-}
-
-/// Runs `execute` on `block`'s transactions one at a time — in the
-/// published serial order when a schedule is present (it is the
-/// serialization the block's receipts and state commit to), otherwise in
-/// plain block order — and returns the receipts in block order.
-///
-/// # Errors
-///
-/// The first error `execute` returns, or [`CoreError::BlockRejected`]
-/// when the published order skips a transaction.
-pub(crate) fn replay_in_order(
-    block: &Block,
-    mut execute: impl FnMut(usize, &Transaction) -> Result<Receipt, CoreError>,
-) -> Result<Vec<Receipt>, CoreError> {
-    let n = block.transactions.len();
-    let order: Vec<usize> = match &block.schedule {
-        Some(schedule) if schedule.serial_order.len() == n => schedule.serial_order.clone(),
-        _ => (0..n).collect(),
-    };
-    let mut replayed: Vec<Option<Receipt>> = vec![None; n];
-    for index in order {
-        replayed[index] = Some(execute(index, &block.transactions[index])?);
-    }
-    let missing = |index: usize| {
-        CoreError::rejected(format!(
-            "transaction {index} missing from the published serial order"
-        ))
-    };
-    let receipts = replayed.into_iter().enumerate();
-    receipts
-        .map(|(index, receipt)| receipt.ok_or_else(|| missing(index)))
-        .collect()
 }
 
 /// The state-root reason: set when the root a replay produced is not the
@@ -84,7 +50,7 @@ pub(crate) fn state_root_mismatch(block: &Block, replayed: Hash256) -> Option<St
 pub(crate) fn verdict(
     block: &Block,
     published: Option<(&ScheduleMetadata, &HappensBeforeGraph)>,
-    traces: &[BTreeMap<LockId, LockMode>],
+    traces: &[Trace],
     replayed: &[Receipt],
     state_root: Option<Hash256>,
 ) -> Result<(), CoreError> {
@@ -118,7 +84,7 @@ fn receipt_mismatches(expected: &[Receipt], actual: &[Receipt]) -> Vec<String> {
     reasons
 }
 
-/// Checks the lock traces a replay recorded (one `BTreeMap` per
+/// Checks the lock traces a replay recorded (one [`Trace`] per
 /// transaction, in block order) against the published schedule:
 ///
 /// 1. every trace must equal the lock profile the miner published for
@@ -131,7 +97,7 @@ fn receipt_mismatches(expected: &[Receipt], actual: &[Receipt]) -> Vec<String> {
 fn trace_check_reasons(
     schedule: &ScheduleMetadata,
     graph: &HappensBeforeGraph,
-    traces: &[BTreeMap<LockId, LockMode>],
+    traces: &[Trace],
 ) -> Vec<String> {
     let mut reasons = Vec::new();
 

@@ -1,8 +1,9 @@
-//! Block validation: the serial baseline and the deterministic fork-join
-//! validator.
+//! Block validation: one replay kernel ([`replay`]), and the serial
+//! baseline and the deterministic fork-join validator as two of its cells.
 
 pub(crate) mod checks;
 mod parallel;
+pub(crate) mod replay;
 mod serial;
 
 pub use parallel::ParallelValidator;

@@ -2,19 +2,13 @@
 //! Algorithm 2).
 
 use crate::error::CoreError;
-use crate::fork_join::run_fork_join_on;
-use crate::schedule::HappensBeforeGraph;
 use crate::stats::ValidationReport;
-use crate::validator::{checks, Validator};
+use crate::validator::replay::{Order, Target};
+use crate::validator::Validator;
 use cc_ledger::Block;
 use cc_primitives::pool::WorkerPool;
-use cc_stm::profile::collapse_trace;
-use cc_stm::{LockId, LockMode};
-use cc_vm::{Receipt, World};
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use cc_vm::World;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Replays a block as the fork-join program derived from its published
 /// schedule.
@@ -36,24 +30,20 @@ use std::time::Instant;
 /// Any failure rejects the block.
 #[derive(Debug, Clone)]
 pub struct ParallelValidator {
-    pool: Arc<WorkerPool>,
-    check_traces: bool,
+    order: Order,
 }
 
 impl ParallelValidator {
     /// Creates a validator with `threads` worker threads on an execution
     /// pool of its own.
     pub fn new(threads: usize) -> Self {
-        ParallelValidator::on_pool(Arc::new(WorkerPool::new(threads)))
+        ParallelValidator::in_order(Order::fork_join(Arc::new(WorkerPool::new(threads))))
     }
 
-    /// Creates a validator that replays its blocks on the engine's shared
-    /// `pool`.
-    pub(crate) fn on_pool(pool: Arc<WorkerPool>) -> Self {
-        ParallelValidator {
-            pool,
-            check_traces: true,
-        }
+    /// Creates a validator that replays its blocks in an engine's
+    /// fork-join `order`, on the engine's shared pool.
+    pub(crate) fn in_order(order: Order) -> Self {
+        ParallelValidator { order }
     }
 
     /// Disables the lock-trace and race checks, leaving only the state /
@@ -66,65 +56,19 @@ impl ParallelValidator {
     /// Enables or disables the lock-trace and race checks (see
     /// [`ParallelValidator::without_trace_checks`]).
     pub fn with_trace_checks(mut self, check: bool) -> Self {
-        self.check_traces = check;
+        self.order = self.order.with_trace_checks(check);
         self
     }
 
     /// Number of worker threads this validator uses.
     pub fn threads(&self) -> usize {
-        self.pool.workers()
+        self.order.threads()
     }
 }
 
 impl Validator for ParallelValidator {
     fn validate(&self, world: &World, block: &Block) -> Result<ValidationReport, CoreError> {
-        let start = Instant::now();
-        checks::well_formed(block)?;
-        let schedule = block.schedule.as_ref().ok_or(CoreError::MissingSchedule)?;
-        let n = block.transactions.len();
-        let graph = HappensBeforeGraph::from_metadata(schedule, n)?;
-
-        // Paper Algorithm 2: one task per transaction, joining on its
-        // immediate predecessors. Tasks record receipts and lock traces.
-        let stm = world.stm();
-        stm.begin_block();
-        // One slot per transaction: the replayed receipt plus the lock
-        // trace the transaction would have taken.
-        type ReplaySlot = Mutex<Option<(Receipt, BTreeMap<LockId, LockMode>)>>;
-        let results: Vec<ReplaySlot> = (0..n).map(|_| Mutex::new(None)).collect();
-
-        run_fork_join_on(&self.pool, &graph, |index| {
-            let tx = &block.transactions[index];
-            let txn = stm.begin_replay();
-            let receipt = world
-                .execute(&txn, index, tx.msg(), tx.to, &tx.call, tx.gas_limit)
-                .expect("replay transactions cannot hit speculative conflicts");
-            // Consuming the transaction avoids cloning the whole trace on
-            // every replayed transaction and closes it like a commit.
-            let trace = collapse_trace(&txn.into_trace());
-            *results[index].lock() = Some((receipt, trace));
-        });
-
-        let mut receipts = Vec::with_capacity(n);
-        let mut traces = Vec::with_capacity(n);
-        for slot in results {
-            let (receipt, trace) = slot.into_inner().expect("every task ran");
-            receipts.push(receipt);
-            traces.push(trace);
-        }
-
-        // (1)–(4), shared with the serial validator and the speculative
-        // pending chain.
-        let published = self.check_traces.then_some((schedule, &graph));
-        let state_root = world.state_root();
-        checks::verdict(block, published, &traces, &receipts, Some(state_root))?;
-        Ok(ValidationReport {
-            threads: self.threads(),
-            transactions: n,
-            state_root,
-            elapsed: start.elapsed(),
-            critical_path: graph.critical_path(),
-        })
+        self.order.validate(Target::Base, world, block)
     }
 }
 
@@ -174,27 +118,18 @@ mod tests {
         world
     }
 
-    fn ballot_txs(voters: u64, double_voters: u64) -> Vec<Transaction> {
-        let mut txs = Vec::new();
-        for v in 1..=voters {
-            txs.push(Transaction::new(
-                v,
-                Address::from_index(v),
-                Address::from_name("Ballot-pv"),
-                CallData::new("vote", vec![ArgValue::Uint(0)]),
-                1_000_000,
-            ));
-        }
-        for v in 1..=double_voters {
-            txs.push(Transaction::new(
-                1000 + v,
-                Address::from_index(v),
-                Address::from_name("Ballot-pv"),
-                CallData::new("vote", vec![ArgValue::Uint(0)]),
-                1_000_000,
-            ));
-        }
-        txs
+    fn ballot_txs(voters: u64) -> Vec<Transaction> {
+        (1..=voters)
+            .map(|v| {
+                Transaction::new(
+                    v,
+                    Address::from_index(v),
+                    Address::from_name("Ballot-pv"),
+                    CallData::new("vote", vec![ArgValue::Uint(0)]),
+                    1_000_000,
+                )
+            })
+            .collect()
     }
 
     #[test]
@@ -208,30 +143,6 @@ mod tests {
         assert_eq!(report.state_root, mined.block.header.state_root);
         assert_eq!(report.transactions, 30);
         assert!(report.critical_path >= 1);
-    }
-
-    #[test]
-    fn ballot_block_with_reverts_validates() {
-        let mined = ParallelMiner::new(3)
-            .mine(&ballot_world(12), ballot_txs(12, 4))
-            .unwrap();
-        let report = ParallelValidator::new(4)
-            .validate(&ballot_world(12), &mined.block)
-            .unwrap();
-        assert_eq!(report.state_root, mined.block.header.state_root);
-    }
-
-    #[test]
-    fn replay_is_deterministic_across_thread_counts() {
-        let mined = ParallelMiner::new(3)
-            .mine(&ballot_world(16), ballot_txs(16, 5))
-            .unwrap();
-        for threads in [1, 2, 4, 8] {
-            let report = ParallelValidator::new(threads)
-                .validate(&ballot_world(16), &mined.block)
-                .unwrap();
-            assert_eq!(report.state_root, mined.block.header.state_root);
-        }
     }
 
     #[test]
@@ -293,7 +204,7 @@ mod tests {
     #[test]
     fn wrong_initial_state_is_rejected() {
         let mined = ParallelMiner::new(3)
-            .mine(&ballot_world(8), ballot_txs(8, 0))
+            .mine(&ballot_world(8), ballot_txs(8))
             .unwrap();
         // Validate against a world with a different set of registered
         // voters: replay diverges (receipts and state differ).

@@ -1,12 +1,12 @@
 //! The serial validator: today's behaviour — re-execute the block's
-//! transactions one at a time in block order.
+//! transactions one at a time on the calling thread.
 
 use crate::error::CoreError;
 use crate::stats::ValidationReport;
-use crate::validator::{checks, Validator};
+use crate::validator::replay::{Order, Target};
+use crate::validator::Validator;
 use cc_ledger::Block;
 use cc_vm::World;
-use std::time::Instant;
 
 /// Re-executes the block sequentially and checks the state root, receipts
 /// and gas usage.
@@ -28,32 +28,7 @@ impl SerialValidator {
 
 impl Validator for SerialValidator {
     fn validate(&self, world: &World, block: &Block) -> Result<ValidationReport, CoreError> {
-        let start = Instant::now();
-        checks::well_formed(block)?;
-        let pool = world.stm().begin_block();
-        let replayed = checks::replay_in_order(block, |index, tx| loop {
-            let txn = pool.begin();
-            match world.execute(&txn, index, tx.msg(), tx.to, &tx.call, tx.gas_limit) {
-                Ok(receipt) => {
-                    txn.commit().map_err(|e| {
-                        CoreError::rejected(format!("replay of transaction {index} failed: {e}"))
-                    })?;
-                    break Ok(receipt);
-                }
-                Err(_) => {
-                    let _ = txn.abort();
-                }
-            }
-        })?;
-        let state_root = world.state_root();
-        checks::verdict(block, None, &[], &replayed, Some(state_root))?;
-        Ok(ValidationReport {
-            threads: 1,
-            transactions: block.transactions.len(),
-            state_root,
-            elapsed: start.elapsed(),
-            critical_path: block.transactions.len(),
-        })
+        Order::Published.validate(Target::Base, world, block)
     }
 }
 

@@ -17,7 +17,7 @@ use cc_core::error::CoreError;
 use cc_core::miner::MinedBlock;
 use cc_core::node::{DurabilityConfig, Node};
 use cc_core::FollowerConfig;
-use cc_integration_tests::{counter_world, engine, increment_tx, workload};
+use cc_integration_tests::{counter_world, engine, increment_tx, serial_engine, workload};
 use cc_ledger::wal::DurabilityMode;
 use cc_ledger::Block;
 use cc_stm::{LockMode, LockProfile, ProfileEntry};
@@ -304,4 +304,88 @@ fn forged_block_number_is_rejected_before_it_moves_the_world() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `serial_order` that is not a permutation — one entry out of range,
+/// or one entry repeated — in an otherwise honest, re-committed block.
+/// Whatever order a follower's engine replays in, the order is checked
+/// before the first transaction runs: a typed error (never an
+/// out-of-bounds panic, never a transaction run twice), world and chain
+/// where they were, and the pipelined follower still fresh for the
+/// honest block.
+#[test]
+fn forged_serial_order_is_rejected_before_it_moves_the_world() {
+    let mut producer = Node::builder()
+        .world(counter_world())
+        .engine(engine(2))
+        .build()
+        .unwrap();
+    let txs = (0..4).map(|i| increment_tx(i, i, 1)).collect();
+    let honest = producer.mine_and_append(txs).unwrap().block;
+    let forge = |entry: usize, value: usize| {
+        let mut block = honest.clone();
+        let schedule = block.schedule.as_mut().unwrap();
+        schedule.serial_order[entry] = value;
+        block.header.schedule_digest = schedule.digest();
+        assert!(block.is_well_formed(), "the order is the block's only lie");
+        block
+    };
+    let repeated = honest.schedule.as_ref().unwrap().serial_order[0];
+    let forgeries = [
+        ("out of range", forge(3, 999)),
+        ("duplicate", forge(3, repeated)),
+    ];
+
+    type Feed = fn(&mut Node, &Block) -> Result<(), CoreError>;
+    let one_block: Feed = |node, block| node.validate_and_append(block).map(drop);
+    let stream: Feed = |node, block| {
+        node.run_follower_pipeline(vec![block.clone()], &FollowerConfig::new())
+            .map(drop)
+    };
+    let cases = [
+        (
+            "serial, validate_and_append",
+            serial_engine(),
+            one_block,
+            false,
+        ),
+        ("serial, follower", serial_engine(), stream, true),
+        (
+            "speculative, validate_and_append",
+            engine(2),
+            one_block,
+            false,
+        ),
+        ("speculative, follower", engine(2), stream, true),
+    ];
+    for (case, engine, feed, stays_fresh) in cases {
+        for (forgery, forged) in &forgeries {
+            let case = format!("{case}, {forgery}");
+            let mut follower = Node::builder()
+                .world(counter_world())
+                .engine(engine.clone())
+                .build()
+                .unwrap();
+            let root = follower.world().state_root();
+
+            let err = feed(&mut follower, forged).expect_err(&case);
+            assert!(
+                matches!(err, CoreError::MalformedSchedule { .. }),
+                "{case}: {err}"
+            );
+            assert_eq!(follower.world().state_root(), root, "{case}: world moved");
+            assert_eq!(follower.chain().len(), 1, "{case}");
+            if !stays_fresh {
+                continue;
+            }
+            assert!(!follower.is_stale(), "{case}: a clean rejection stales");
+            feed(&mut follower, &honest).unwrap_or_else(|e| panic!("{case}: honest block: {e}"));
+            assert_eq!(follower.chain().head_hash(), honest.hash(), "{case}");
+            assert_eq!(
+                follower.world().state_root(),
+                producer.world().state_root(),
+                "{case}"
+            );
+        }
+    }
 }
