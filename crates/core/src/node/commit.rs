@@ -51,9 +51,13 @@
 //!   exit. A block a source turns away *before* touching the base world
 //!   (wrong parent, wrong number, a speculate-time rejection) leaves the
 //!   node fresh at the last accepted block.
-//! * **Quiesced snapshots.** A snapshot serializes the world, so the
-//!   stage first drains every in-flight seal (a barrier) and then
-//!   snapshots on the caller; the WAL reset never races a seal.
+//! * **Quiesced snapshots.** A periodic snapshot is a checkpoint by
+//!   root: it reads the chain (the prefix through the head and the
+//!   head's state root), never the world, so it costs O(chain prefix)
+//!   and not O(world). It is also the WAL's reset point, so the stage
+//!   first drains every in-flight seal (a barrier) and then checkpoints
+//!   on the caller: the reset never races a seal, and a failed seal
+//!   never has its block checkpointed.
 //!
 //! With a worker, WAL records of block N+1's transactions may be flushed
 //! by block N's group commit (the log is shared). That is harmless:
@@ -597,10 +601,10 @@ impl CommitStage<'_> {
         }
         self.report.stalled += stalled.elapsed();
 
-        // A failed seal is picked up by the loop; the quiesced world is
-        // serialized and the WAL reset only behind a clean barrier.
+        // A failed seal is picked up by the loop; the checkpoint is
+        // written and the WAL reset only behind a clean barrier.
         if snapshot && self.sealed.failure.is_none() {
-            state.write_snapshot(self.chain, self.world)?;
+            state.write_snapshot(self.chain)?;
             self.report.snapshots += 1;
         }
         Ok(())

@@ -25,9 +25,11 @@ use std::sync::Arc;
 /// With a mode other than [`DurabilityMode::Off`], the node writes every
 /// transaction lifecycle event and every appended block to a write-ahead
 /// log in `dir` (one file write — and in [`DurabilityMode::Fsync`] one
-/// fsync — per block, via group commit), plus a full world snapshot
-/// every `snapshot_interval` blocks, after which the log is reset.
-/// [`Node::recover`] rebuilds a node from that directory.
+/// fsync — per block, via group commit), plus a checkpoint (the chain
+/// prefix and its state root — no world image) every
+/// `snapshot_interval` blocks, after which the log is reset and older
+/// checkpoints are pruned. [`Node::recover`] rebuilds a node from that
+/// directory.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     dir: PathBuf,
@@ -36,7 +38,7 @@ pub struct DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// Default number of blocks between world snapshots.
+    /// Default number of blocks between checkpoints.
     pub const DEFAULT_SNAPSHOT_INTERVAL: u64 = 16;
 
     /// Configures durability in `dir` with the given mode.
@@ -83,21 +85,26 @@ impl DurabilityState {
         DurabilityState { config, wal }
     }
 
-    /// Writes a snapshot of `world` at `chain`'s head and resets the WAL
-    /// (its records are now redundant).
-    fn write_snapshot(&self, chain: &Blockchain, world: &World) -> Result<(), CoreError> {
+    /// Writes a checkpoint at `chain`'s head — the chain prefix and the
+    /// head's state root, no world image (see [`cc_ledger::snapshot`]) —
+    /// then resets the WAL (its records are now redundant) and prunes
+    /// the checkpoints this one supersedes.
+    fn write_snapshot(&self, chain: &Blockchain) -> Result<(), CoreError> {
         let head = chain.head();
         let snapshot = SnapshotFile {
             height: head.header.number,
             block_hash: head.hash(),
             state_root: head.header.state_root,
             blocks: chain.iter().cloned().collect(),
-            world_bytes: world.snapshot().to_bytes(),
+            world_bytes: Vec::new(),
         };
-        snapshot
-            .write_to(self.config.dir())
-            .map_err(CoreError::durability)?;
-        self.wal.reset().map_err(CoreError::durability)
+        let dir = self.config.dir();
+        snapshot.write_to(dir).map_err(CoreError::durability)?;
+        self.wal.reset().map_err(CoreError::durability)?;
+        // The pruned files are redundant, so a failed unlink is not a
+        // durability failure; the next barrier retries it.
+        let _ = cc_ledger::prune(dir);
+        Ok(())
     }
 }
 
@@ -176,7 +183,7 @@ impl NodeBuilder {
         self
     }
 
-    /// Enables durable operation: a fresh WAL and a genesis snapshot are
+    /// Enables durable operation: a fresh WAL and a genesis checkpoint are
     /// created in the configured directory at build time (pre-existing
     /// log contents are discarded — use [`Node::recover`] to *resume*
     /// from a directory instead).
@@ -243,18 +250,23 @@ impl Node {
     /// `world` must be the same *initial* world the original node was
     /// built with (same deployed contracts and seeded state) — contracts
     /// are native code and cannot be serialized, so recovery is
-    /// deterministic re-execution: the latest valid snapshot anchors the
-    /// chain, every recovered block is replayed through
-    /// [`Node::run_follower_pipeline`] with no durability stage (any
+    /// deterministic re-execution: the latest valid checkpoint anchors
+    /// the chain, sealed blocks from the WAL's valid prefix extend it,
+    /// and the whole recovered chain is replayed in one
+    /// [`Node::run_follower_pipeline`] run with no durability stage (any
     /// strategy works — blocks carry their schedules, and a serial
-    /// engine skips the trace checks), the replayed world is compared
-    /// **bit-for-bit**
-    /// against the snapshot's world bytes at the snapshot height, and
-    /// sealed blocks from the WAL's valid prefix extend the chain past
-    /// it. Torn or corrupt WAL tails are dropped; effects of aborted or
-    /// unsealed transactions never survive because only sealed blocks
-    /// are replayed. The WAL is then reopened (truncating the torn
-    /// tail) and the node resumes durable operation.
+    /// engine skips the trace checks). Torn or corrupt WAL tails are
+    /// dropped; effects of aborted or unsealed transactions never
+    /// survive because only sealed blocks are replayed. The WAL is then
+    /// reopened (truncating the torn tail) and the node resumes durable
+    /// operation.
+    ///
+    /// There is no separate comparison of the replayed world with the
+    /// checkpoint, because it could not fire: a checkpoint only loads if
+    /// its `state_root` equals its anchor block's header root, the
+    /// replay holds the world to every block's header root (the anchor's
+    /// included) before committing it, and that root is a SHA-256
+    /// commitment over the same field list a world image is built from.
     ///
     /// # Errors
     ///
@@ -280,26 +292,15 @@ impl Node {
         // Replay through the node's own commit pipeline, fed by the
         // recovered blocks with no durability stage: each block validates
         // against its predecessor's pending post-state, and the in-order
-        // commit flattens the overlay *before* the bit-for-bit snapshot
-        // comparison at the snapshot height.
+        // commit checks the flattened world against the block's header
+        // root.
         let mut node = Node::new(world, engine);
-        let mut blocks = recovered.chain.iter().skip(1).cloned();
-        let replay = |node: &mut Node, blocks: &mut dyn Iterator<Item = Block>| {
-            node.run_follower_pipeline(blocks, &FollowerConfig::new())
-                .map_err(|e| {
-                    let number = node.chain.head().header.number + 1;
-                    CoreError::durability(format!("replay of recovered block {number} failed: {e}"))
-                })
-        };
-        let anchored = recovered.snapshot_height as usize;
-        replay(&mut node, &mut blocks.by_ref().take(anchored))?;
-        if node.world.snapshot().to_bytes() != recovered.snapshot_world_bytes {
-            return Err(CoreError::durability(format!(
-                "replayed world diverges from snapshot bytes at height {}",
-                recovered.snapshot_height
-            )));
-        }
-        replay(&mut node, &mut blocks)?;
+        let blocks = recovered.chain.iter().skip(1).cloned();
+        node.run_follower_pipeline(blocks, &FollowerConfig::new())
+            .map_err(|e| {
+                let number = node.chain.head().header.number + 1;
+                CoreError::durability(format!("replay of recovered block {number} failed: {e}"))
+            })?;
         // The rebuilt chain also seeds the fresh mempool's per-sender
         // nonce boundaries: post-recovery submissions resume where the
         // chain left off instead of parking behind already-mined nonces.
@@ -343,9 +344,9 @@ impl Node {
         let state = self
             .durability
             .insert(DurabilityState::attach(config, wal, &self.world));
-        // The genesis snapshot: recovery always has an anchor, even if
-        // the node crashes before the first periodic snapshot.
-        state.write_snapshot(&self.chain, &self.world)
+        // The genesis checkpoint: recovery always has an anchor, even if
+        // the node crashes before the first periodic one.
+        state.write_snapshot(&self.chain)
     }
 
     /// The node's world (current state).
@@ -677,6 +678,95 @@ mod tests {
         );
         recovered.mine_and_append(block_txs(0, 4)).unwrap();
         assert_eq!(recovered.chain().len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The names in `dir`, sorted.
+    fn dir_listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_checkpoint_costs_its_chain_prefix_not_the_world() {
+        let dir = temp_dir("checkpoint-size");
+        std::fs::remove_dir_all(&dir).ok();
+        // A world far larger than the chain: any O(world) term in a
+        // checkpoint dwarfs the 1 KiB of slack below.
+        let world = fresh_world();
+        let token = cc_contracts::Token::new(Address::from_name("token"), Address::from_index(0));
+        for account in 0..5_000u64 {
+            token.seed_balance(Address::from_index(account), 1 + u128::from(account));
+        }
+        world.deploy(Arc::new(token));
+        assert!(world.snapshot().to_bytes().len() > 100 * 1024);
+
+        let config = DurabilityConfig::new(&dir, DurabilityMode::Buffered).snapshot_interval(2);
+        let mut node = Node::builder()
+            .world(world)
+            .config(EngineConfig::new().threads(2))
+            .durability(config)
+            .build()
+            .unwrap();
+        let assert_chain_sized = |node: &Node, height: u64| {
+            let file = std::fs::metadata(dir.join(SnapshotFile::file_name(height))).unwrap();
+            let blocks = node.chain().iter().take(height as usize + 1);
+            let prefix: usize = blocks.map(|block| block.to_checked_bytes().len()).sum();
+            assert!(
+                file.len() <= prefix as u64 + 1024,
+                "checkpoint {height} is {} bytes over a {prefix}-byte chain prefix",
+                file.len()
+            );
+        };
+        assert_chain_sized(&node, 0);
+        for block_number in 0..3u64 {
+            node.mine_and_append(block_txs(block_number * 100, 8))
+                .unwrap();
+        }
+        assert_chain_sized(&node, 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn barriers_keep_the_two_newest_checkpoints_and_either_one_recovers() {
+        let dir = temp_dir("checkpoint-prune");
+        std::fs::remove_dir_all(&dir).ok();
+        let config = DurabilityConfig::new(&dir, DurabilityMode::Buffered).snapshot_interval(1);
+        let mut node = Node::builder()
+            .world(fresh_world())
+            .config(EngineConfig::new().threads(2))
+            .durability(config.clone())
+            .build()
+            .unwrap();
+        // What a checkpoint write that died before its rename leaves.
+        std::fs::write(dir.join(".snapshot-9.snap.tmp"), b"torn").unwrap();
+        for block_number in 0..5u64 {
+            node.mine_and_append(block_txs(block_number * 100, 4))
+                .unwrap();
+        }
+        assert_eq!(
+            dir_listing(&dir),
+            ["snapshot-4.snap", "snapshot-5.snap", WAL_FILE],
+            "five barriers: the two newest checkpoints, no temporary file"
+        );
+        let fourth = node.chain().block(4).unwrap().clone();
+        drop(node);
+
+        // The newest checkpoint and the log are lost: the other one is
+        // the anchor, and replaying its chain reaches its root.
+        std::fs::remove_file(dir.join("snapshot-5.snap")).unwrap();
+        std::fs::remove_file(dir.join(WAL_FILE)).unwrap();
+        let fallback = cc_ledger::load_latest(&dir).unwrap().expect("fallback");
+        assert_eq!(fallback.height, 4);
+        assert_eq!(fallback.state_root, fourth.header.state_root);
+        let engine = EngineConfig::new().threads(2).build().unwrap();
+        let recovered = Node::recover(config, fresh_world(), engine).unwrap();
+        assert_eq!(recovered.chain().head_hash(), fourth.hash());
+        assert_eq!(recovered.world().state_root(), fourth.header.state_root);
         std::fs::remove_dir_all(&dir).ok();
     }
 

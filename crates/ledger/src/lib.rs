@@ -54,6 +54,6 @@ pub use block::{Block, BlockCodecError, BlockHeader};
 pub use chain::{Blockchain, ChainError};
 pub use recovery::{recover, RecoveredLedger, RecoveryError};
 pub use schedule_meta::{ProfileRecord, ScheduleMetadata};
-pub use snapshot::{load_latest, SnapshotError, SnapshotFile};
+pub use snapshot::{load_latest, prune, SnapshotError, SnapshotFile};
 pub use tx::{Transaction, TxId};
 pub use wal::{DurabilityMode, Wal, WalRecord, WalScan, WAL_FILE};

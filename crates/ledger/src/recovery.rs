@@ -1,11 +1,15 @@
-//! Crash recovery: latest valid snapshot + WAL replay.
+//! Crash recovery: latest valid checkpoint + WAL replay.
 //!
 //! [`recover`] is the pure ledger half of recovery — it rebuilds the
-//! *chain* (and hands back the snapshot's canonical world bytes) without
-//! executing anything. The execution half — replaying the recovered
-//! blocks through an engine to rebuild the world — lives in `cc_core`,
+//! *chain* (and hands back the checkpoint's height and state root)
+//! without executing anything. The execution half — replaying the
+//! recovered blocks through an engine to rebuild the world, each block
+//! checked against the `state_root` in its header — lives in `cc_core`,
 //! which owns engines; keeping the split here means recovery works for
-//! any execution strategy.
+//! any execution strategy. No world image is read: the checkpoint's
+//! `state_root` is its anchor block's header root
+//! (`SnapshotFile::from_bytes` rejects a file where they differ), so the
+//! replay's per-block root check is the check against the checkpoint.
 //!
 //! Invariants (see `crates/ledger/README.md` for the full contract):
 //!
@@ -21,6 +25,7 @@ use crate::block::Block;
 use crate::chain::{Blockchain, ChainError};
 use crate::snapshot::{load_latest, SnapshotFile};
 use crate::wal::{self, WalRecord, WAL_FILE};
+use cc_primitives::hash::Hash256;
 use std::io;
 use std::path::Path;
 
@@ -72,17 +77,18 @@ impl From<io::Error> for RecoveryError {
     }
 }
 
-/// The outcome of [`recover`]: the rebuilt chain plus everything the
-/// execution layer needs to rebuild and cross-check the world.
+/// The outcome of [`recover`]: the rebuilt chain, which the execution
+/// layer replays to rebuild the world, plus where it came from.
 #[derive(Debug)]
 pub struct RecoveredLedger {
     /// The chain through the last sealed block.
     pub chain: Blockchain,
     /// Height the anchoring snapshot was taken at.
     pub snapshot_height: u64,
-    /// Canonical world bytes at `snapshot_height`; a replayed world must
-    /// match these bit-for-bit at that height.
-    pub snapshot_world_bytes: Vec<u8>,
+    /// The checkpoint's state root: the `state_root` in the header of
+    /// `chain`'s block at `snapshot_height`, which a replayed world must
+    /// reach at that height.
+    pub snapshot_state_root: Hash256,
     /// Sealed blocks recovered from the WAL (heights above the
     /// snapshot), in chain order.
     pub wal_blocks: Vec<Block>,
@@ -148,7 +154,7 @@ pub fn recover(dir: &Path) -> Result<RecoveredLedger, RecoveryError> {
     Ok(RecoveredLedger {
         chain,
         snapshot_height: snapshot.height,
-        snapshot_world_bytes: snapshot.world_bytes,
+        snapshot_state_root: snapshot.state_root,
         wal_blocks,
         wal_valid_len: scanned.valid_len,
         wal_dropped: scanned.total_len - scanned.valid_len,
@@ -161,7 +167,6 @@ mod tests {
     use crate::snapshot::SnapshotFile;
     use crate::tx::Transaction;
     use crate::wal::{DurabilityMode, Wal};
-    use cc_primitives::hash::Hash256;
     use cc_vm::{Address, ArgValue, CallData};
     use std::path::PathBuf;
 

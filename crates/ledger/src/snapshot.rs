@@ -1,21 +1,33 @@
-//! Durable world snapshots.
+//! Durable checkpoints: the chain anchor recovery starts from.
 //!
-//! A snapshot file freezes the full recoverable state at one block height:
-//! the chain up to and including that block (every block's checksummed
-//! bytes) and the canonical world-state bytes
-//! (`cc_vm::WorldSnapshot::to_bytes`). Files are named
-//! `snapshot-<height>.snap`, written to a temporary name, atomically
-//! renamed into place (with a directory fsync so the rename itself is
-//! durable), and guarded by a whole-file FNV-64 checksum —
-//! [`load_latest`] skips any file that fails its checksum or decode
-//! (the world bytes included: they must be a canonical
-//! `WorldSnapshot`) and falls back to the next-highest height.
+//! A checkpoint file freezes what recovery consumes at one block height:
+//! the height, the head hash, the head's `state_root`, and the chain up
+//! to and including that block (every block's checksummed bytes). It
+//! holds **no world image**: contracts are native code, so recovery
+//! rebuilds the world by replaying the chain from the caller's genesis
+//! world, and every replayed block is checked against the SHA-256
+//! `state_root` in its header — a commitment over exactly the field list
+//! a world image would be built from. The node therefore writes the
+//! image slot of the file empty (`world_len = 0`), and a checkpoint
+//! costs O(chain prefix), never O(world).
 //!
-//! Writing a snapshot is the WAL's garbage-collection point: once
+//! Files are named `snapshot-<height>.snap`, written to a temporary
+//! name, atomically renamed into place (with a directory fsync so the
+//! rename itself is durable), and guarded by a whole-file FNV-64
+//! checksum — [`load_latest`] skips any file that fails its checksum,
+//! its decode or its consistency check and falls back to the
+//! next-highest height. Files written before the image was dropped (and
+//! by the benchmark's probe) carry a non-empty image; they still load,
+//! provided the image is a canonical `cc_vm::WorldSnapshot`, and the
+//! image is otherwise ignored.
+//!
+//! Writing a checkpoint is the WAL's garbage-collection point: once
 //! `snapshot-<h>.snap` is durable, every WAL record at height ≤ `h` is
 //! redundant and the log is reset. A crash between the rename and the
 //! reset is benign — recovery skips sealed blocks at or below the
-//! snapshot height.
+//! checkpoint height. After the reset [`prune`] removes every checkpoint
+//! below the [`KEPT_CHECKPOINTS`] highest and every stale temporary
+//! file, so the directory holds a constant number of files.
 
 use crate::block::{Block, BlockCodecError};
 use cc_primitives::codec::{DecodeError, Decoder, Encoder};
@@ -25,7 +37,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// A decoded snapshot: everything needed to rebuild a node at `height`.
+/// A decoded checkpoint: the chain anchor at `height`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotFile {
     /// Block number of the chain head this snapshot captures.
@@ -36,9 +48,11 @@ pub struct SnapshotFile {
     pub state_root: Hash256,
     /// The full chain, genesis first, through `height`.
     pub blocks: Vec<Block>,
-    /// Canonical `WorldSnapshot::to_bytes` of the world at `height`;
-    /// recovery compares a replayed world against these bytes
-    /// bit-for-bit.
+    /// The world-image slot of the file format. The node writes it
+    /// empty and nothing reads it: `state_root` is the commitment a
+    /// replayed world is held to. A non-empty image (an older file, the
+    /// benchmark's probe) must be a canonical `WorldSnapshot::to_bytes`
+    /// to decode.
     pub world_bytes: Vec<u8>,
 }
 
@@ -113,6 +127,15 @@ impl SnapshotFile {
         format!("snapshot-{height}.snap")
     }
 
+    /// The height named by a checkpoint file name (the inverse of
+    /// [`SnapshotFile::file_name`]); `None` for any other name.
+    fn height_of(name: &str) -> Option<u64> {
+        name.strip_prefix("snapshot-")?
+            .strip_suffix(".snap")?
+            .parse()
+            .ok()
+    }
+
     /// Serializes the snapshot as `[checksum: u64][payload]`.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut payload = Encoder::new();
@@ -136,8 +159,8 @@ impl SnapshotFile {
     /// # Errors
     ///
     /// [`SnapshotError`] on checksum mismatch, decode failure (including
-    /// world bytes that are not a canonical `WorldSnapshot`), a rejected
-    /// embedded block, or mutually inconsistent fields.
+    /// a non-empty world image that is not a canonical `WorldSnapshot`),
+    /// a rejected embedded block, or mutually inconsistent fields.
     pub fn from_bytes(bytes: &[u8]) -> Result<SnapshotFile, SnapshotError> {
         let mut dec = Decoder::new(bytes);
         let stored = dec.get_u64()?;
@@ -159,11 +182,13 @@ impl SnapshotFile {
             blocks.push(Block::from_checked_bytes(&raw)?);
         }
         let world_bytes = dec.get_bytes()?;
-        // Recovery compares these bytes against a replayed world's
-        // canonical encoding, so bytes that are not themselves canonical
-        // (or not a world at all) can never match: reject them here, where
-        // the loader can still fall back to an older snapshot.
-        cc_vm::WorldSnapshot::from_bytes(&world_bytes)?;
+        // A checkpoint carries no image. A file that does carry one was
+        // written when images were compared bit-for-bit, so one that is
+        // not canonical (or not a world at all) is damage: reject it
+        // here, where the loader can still fall back to an older file.
+        if !world_bytes.is_empty() {
+            cc_vm::WorldSnapshot::from_bytes(&world_bytes)?;
+        }
         if !dec.is_empty() {
             return Err(SnapshotError::Decode(DecodeError {
                 context: "trailing bytes after snapshot",
@@ -236,6 +261,25 @@ impl SnapshotFile {
     }
 }
 
+/// Heights of the checkpoint files in `dir`, ascending, and the names of
+/// the temporary files (`.snapshot-*.snap.tmp`) left by writes that never
+/// reached their rename.
+fn list(dir: &Path) -> io::Result<(Vec<u64>, Vec<String>)> {
+    let mut heights = Vec::new();
+    let mut temporaries = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if let Some(height) = SnapshotFile::height_of(name) {
+            heights.push(height);
+        } else if name.starts_with(".snapshot-") && name.ends_with(".snap.tmp") {
+            temporaries.push(name.to_owned());
+        }
+    }
+    heights.sort_unstable();
+    Ok((heights, temporaries))
+}
+
 /// Finds and loads the highest-height **valid** snapshot in `dir`.
 /// Corrupt or undecodable snapshot files are skipped, not fatal — the
 /// next-highest valid snapshot wins. Returns `Ok(None)` when the
@@ -245,20 +289,7 @@ impl SnapshotFile {
 ///
 /// Only directory-listing I/O errors; per-file corruption is skipped.
 pub fn load_latest(dir: &Path) -> io::Result<Option<SnapshotFile>> {
-    let mut heights: Vec<u64> = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(height) = name
-            .strip_prefix("snapshot-")
-            .and_then(|rest| rest.strip_suffix(".snap"))
-            .and_then(|h| h.parse::<u64>().ok())
-        {
-            heights.push(height);
-        }
-    }
-    heights.sort_unstable();
+    let (heights, _) = list(dir)?;
     for height in heights.into_iter().rev() {
         let path = dir.join(SnapshotFile::file_name(height));
         if let Ok(snapshot) = SnapshotFile::load(&path) {
@@ -266,6 +297,38 @@ pub fn load_latest(dir: &Path) -> io::Result<Option<SnapshotFile>> {
         }
     }
     Ok(None)
+}
+
+/// How many checkpoint files [`prune`] keeps: the newest, plus the one
+/// [`load_latest`] falls back to should the newest rot on disk.
+pub const KEPT_CHECKPOINTS: usize = 2;
+
+/// Deletes every checkpoint file in `dir` below the
+/// [`KEPT_CHECKPOINTS`] highest, and every temporary file a write that
+/// died between create and rename left behind. Call it once the newest
+/// checkpoint is durably renamed and the WAL reset: each checkpoint
+/// embeds the whole chain prefix, so nothing below the newest valid one
+/// is ever read again.
+///
+/// # Errors
+///
+/// The directory-listing error, or the first failed unlink (every other
+/// file is still attempted). Neither costs durability — the files are
+/// redundant — so a caller may ignore the error; the next call retries.
+pub fn prune(dir: &Path) -> io::Result<()> {
+    let (mut heights, temporaries) = list(dir)?;
+    heights.truncate(heights.len().saturating_sub(KEPT_CHECKPOINTS));
+    let doomed = heights
+        .into_iter()
+        .map(SnapshotFile::file_name)
+        .chain(temporaries);
+    let mut outcome = Ok(());
+    for name in doomed {
+        if let Err(e) = fs::remove_file(dir.join(name)) {
+            outcome = outcome.and(Err(e));
+        }
+    }
+    outcome
 }
 
 #[cfg(test)]
@@ -408,6 +471,67 @@ mod tests {
 
         let loaded = load_latest(&dir).unwrap().expect("fallback snapshot");
         assert_eq!(loaded.height, 1);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_checkpoint_without_an_image_roundtrips() {
+        let mut snap = sample(3);
+        snap.world_bytes.clear();
+        let decoded = SnapshotFile::from_bytes(&snap.to_bytes()).unwrap();
+        assert_eq!(decoded, snap);
+    }
+
+    fn names_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn prune_keeps_the_two_highest_and_sweeps_temporaries() {
+        let dir = temp_dir("prune");
+        for len in [1, 3, 10, 11] {
+            sample(len).write_to(&dir).unwrap();
+        }
+        fs::write(dir.join(".snapshot-7.snap.tmp"), b"torn").unwrap();
+        fs::write(dir.join("wal.log"), b"not ours").unwrap();
+        fs::write(dir.join("snapshot-7.snap.bak"), b"not ours either").unwrap();
+        prune(&dir).unwrap();
+        // Highest by height, not by name: 9 and 10, not 2 and 9.
+        assert_eq!(
+            names_in(&dir),
+            [
+                "snapshot-10.snap",
+                "snapshot-7.snap.bak",
+                "snapshot-9.snap",
+                "wal.log"
+            ]
+        );
+        assert_eq!(load_latest(&dir).unwrap().unwrap().height, 10);
+        // Nothing left to do: pruning again is a no-op.
+        prune(&dir).unwrap();
+        assert_eq!(names_in(&dir).len(), 4);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn prune_reports_a_failed_unlink_and_still_removes_the_rest() {
+        let dir = temp_dir("prune-fail");
+        // A directory under a checkpoint's name cannot be unlinked.
+        fs::create_dir_all(dir.join(SnapshotFile::file_name(0))).unwrap();
+        for len in [2, 3, 4] {
+            sample(len).write_to(&dir).unwrap();
+        }
+        assert!(prune(&dir).is_err());
+        assert_eq!(
+            names_in(&dir),
+            ["snapshot-0.snap", "snapshot-2.snap", "snapshot-3.snap"]
+        );
+        assert_eq!(load_latest(&dir).unwrap().unwrap().height, 3);
         fs::remove_dir_all(&dir).ok();
     }
 

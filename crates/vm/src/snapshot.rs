@@ -1,12 +1,13 @@
 //! Deterministic state snapshots.
 //!
 //! A world snapshot is the full persistent state of every contract in a
-//! canonical byte form: what a durable snapshot file stores, and what
-//! recovery and the equivalence suites compare bit for bit. The *state
-//! root* block headers commit to is a separate, incrementally maintained
-//! Merkle commitment over the same storage fields (see [`crate::commit`]);
-//! both are derived from one field list per contract
-//! ([`crate::Contract::storage_fields`]).
+//! canonical byte form: what the equivalence suites compare bit for bit.
+//! The node does not store it — its checkpoints and its recovery rest on
+//! the *state root* block headers commit to, a separate, incrementally
+//! maintained Merkle commitment over the same storage fields (see
+//! [`crate::commit`]); both are derived from one field list per contract
+//! ([`crate::Contract::storage_fields`]), so the root moves exactly when
+//! the image does (`tests/state_root_incremental.rs`).
 
 use crate::address::Address;
 use crate::value::Wei;
@@ -315,9 +316,9 @@ impl WorldSnapshot {
         WorldSnapshot { contracts }
     }
 
-    /// Serializes the full snapshot to canonical bytes. Recovery compares
-    /// these bytes bit-for-bit against a re-executed world, so the
-    /// encoding must stay deterministic.
+    /// Serializes the full snapshot to canonical bytes. Two worlds are
+    /// compared by comparing these bytes, so the encoding must stay
+    /// deterministic.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         self.encode(&mut enc);

@@ -8,7 +8,9 @@
 //! contents and asked for its first root ever, which has no cache to be
 //! stale and whose every bucket is marked by the seeding itself. After
 //! every step of a random program the long-lived world's incremental
-//! root must equal its twin's cold root.
+//! root must equal its twin's cold root — and, because checkpoints and
+//! recovery hold a world to its root alone, the world's canonical image
+//! must equal its twin's and move exactly when the root moves.
 //!
 //! Part one drives every mutator of every storage wrapper through
 //! committed transactions, aborts, mid-transaction `rollback_to`,
@@ -242,6 +244,11 @@ fn run_program(optimistic: bool, seed: [Model; 2], steps: &[RawStep]) -> Result<
     let mut base = seed;
     let mut pending = base.clone();
     let mut base_boundary = world.mvcc().oracle().latest();
+    // The previous step's root and world image. Recovery checks replayed
+    // worlds by root alone, so the root must commit to everything the
+    // image holds: one moves exactly when the other does. (None before
+    // the first step: the world's first root is taken after it, as ever.)
+    let mut previous: Option<(Hash256, Vec<u8>)> = None;
 
     let in_txn = |body: &mut dyn FnMut(TxnRef<'_>) -> bool| transact(&world, optimistic, body);
 
@@ -302,18 +309,33 @@ fn run_program(optimistic: bool, seed: [Model; 2], steps: &[RawStep]) -> Result<
         if !optimistic {
             base = pending.clone();
         }
+        let twin = fresh_world(&base);
+        let (root, image) = (world.state_root(), world.snapshot().to_bytes());
+        prop_assert_eq!(root, twin.state_root(), "step {} (kind {})", step, kind % 8);
         prop_assert_eq!(
-            world.state_root(),
-            fresh_world(&base).state_root(),
-            "step {} (kind {})",
+            &image,
+            &twin.snapshot().to_bytes(),
+            "image, step {} (kind {})",
             step,
             kind % 8
         );
+        if let Some((previous_root, previous_image)) = &previous {
+            prop_assert_eq!(
+                root != *previous_root,
+                image != *previous_image,
+                "root and image must move together, step {} (kind {})",
+                step,
+                kind % 8
+            );
+        }
+        previous = Some((root, image));
     }
 
     if optimistic {
         world.mvcc().finalize_block();
-        prop_assert_eq!(world.state_root(), fresh_world(&pending).state_root());
+        let twin = fresh_world(&pending);
+        prop_assert_eq!(world.state_root(), twin.state_root());
+        prop_assert_eq!(world.snapshot().to_bytes(), twin.snapshot().to_bytes());
     }
     Ok(())
 }

@@ -19,9 +19,11 @@ use cc_core::node::{DurabilityConfig, Node};
 use cc_core::FollowerConfig;
 use cc_integration_tests::{counter_world, engine, increment_tx, serial_engine, workload};
 use cc_ledger::wal::DurabilityMode;
-use cc_ledger::Block;
+use cc_ledger::{Block, SnapshotError, SnapshotFile};
 use cc_stm::{LockMode, LockProfile, ProfileEntry};
+use cc_vm::{World, WorldSnapshot};
 use cc_workload::{Benchmark, Workload};
+use std::path::PathBuf;
 
 fn mined_reference(benchmark: Benchmark, conflict: f64) -> (Workload, MinedBlock) {
     let w = workload(benchmark, 80, conflict, 23);
@@ -388,4 +390,129 @@ fn forged_serial_order_is_rejected_before_it_moves_the_world() {
             );
         }
     }
+}
+
+// ---- checkpoints: what recovery trusts, and why --------------------------
+//
+// A checkpoint file is rewritable by anyone who can recompute an FNV-64,
+// so none of its fields is trusted on its own. Recovery rests on three
+// facts instead: a file loads only if its `state_root` is its anchor
+// block's header root; the replay holds the world to every block's
+// header root before committing it; and the root is a SHA-256 commitment
+// over everything a world image would hold. The rows below lie to each
+// of the first two in turn (`state_root_incremental.rs` pins the third).
+
+/// Two counters, so a world image has an order to get wrong.
+fn checkpointed_world() -> World {
+    let world = counter_world();
+    world.deploy(std::sync::Arc::new(cc_vm::testing::CounterContract::new(
+        cc_vm::Address::from_name("integration.counter.2"),
+    )));
+    world
+}
+
+/// A durable producer checkpointing every two blocks mines four and is
+/// dropped, leaving `snapshot-2.snap`, `snapshot-4.snap` and an empty
+/// log. Returns its directory and config, its chain (indexed by height)
+/// and its final world image.
+fn checkpointed_dir(tag: &str) -> (PathBuf, DurabilityConfig, Vec<Block>, WorldSnapshot) {
+    let dir = std::env::temp_dir().join(format!("cc-tamper-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = DurabilityConfig::new(&dir, DurabilityMode::Buffered).snapshot_interval(2);
+    let mut producer = Node::builder()
+        .world(checkpointed_world())
+        .engine(engine(2))
+        .durability(config.clone())
+        .build()
+        .unwrap();
+    for block in 0..4 {
+        let txs = (0..5).map(|i| increment_tx(block, i, 1 + block)).collect();
+        producer.mine_and_append(txs).unwrap();
+    }
+    let chain = producer.chain().iter().cloned().collect();
+    let image = producer.world().snapshot();
+    (dir, config, chain, image)
+}
+
+#[test]
+fn a_checkpoint_lying_about_its_state_root_is_skipped_for_the_previous_one() {
+    let (dir, config, chain, _) = checkpointed_dir("root-field");
+    let path = dir.join(SnapshotFile::file_name(4));
+    let mut file = SnapshotFile::load(&path).unwrap();
+    file.state_root = cc_primitives::sha256(b"a root no block vouches for");
+    file.write_to(&dir).unwrap(); // checksummed again over the lie
+    assert!(matches!(
+        SnapshotFile::load(&path),
+        Err(SnapshotError::Inconsistent)
+    ));
+
+    let ledger = cc_ledger::recover(&dir).unwrap();
+    assert_eq!(ledger.snapshot_height, 2);
+    assert_eq!(ledger.snapshot_state_root, chain[2].header.state_root);
+    let recovered = Node::recover(config, checkpointed_world(), engine(2)).unwrap();
+    assert_eq!(recovered.chain().head_hash(), chain[2].hash());
+    assert_eq!(recovered.world().state_root(), chain[2].header.state_root);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_checkpoint_whose_chain_forges_a_header_root_fails_recovery_at_that_block() {
+    // The anchor block itself, and one below it.
+    for forged_height in [4usize, 3] {
+        let (dir, config, _, _) = checkpointed_dir(&format!("header-root-{forged_height}"));
+        let path = dir.join(SnapshotFile::file_name(4));
+        let mut file = SnapshotFile::load(&path).unwrap();
+        file.blocks[forged_height].header.state_root = cc_primitives::sha256(b"forged");
+        // Re-hash the chain above the forgery and the file's own fields,
+        // so every structural check still holds.
+        for height in forged_height + 1..file.blocks.len() {
+            file.blocks[height].header.parent_hash = file.blocks[height - 1].hash();
+        }
+        let anchor = file.blocks.last().unwrap();
+        (file.block_hash, file.state_root) = (anchor.hash(), anchor.header.state_root);
+        file.write_to(&dir).unwrap();
+        SnapshotFile::load(&path).expect("the forged checkpoint is self-consistent");
+
+        // Never a node on the wrong state: the replay reaches the honest
+        // world, which the forged header does not commit to.
+        let err = Node::recover(config, checkpointed_world(), engine(2))
+            .expect_err("a forged header root must fail recovery");
+        assert!(matches!(err, CoreError::Durability { .. }), "got: {err}");
+        let named = format!("recovered block {forged_height}");
+        assert!(err.to_string().contains(&named), "got: {err}");
+        assert!(err.to_string().contains("state root"), "got: {err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Files written before checkpoints dropped the world image carry one.
+/// It is no longer compared with anything, but a file whose image is not
+/// a canonical world is still damaged goods.
+#[test]
+fn an_older_checkpoint_with_a_world_image_loads_only_if_the_image_is_canonical() {
+    let (dir, config, chain, image) = checkpointed_dir("image");
+    let path = dir.join(SnapshotFile::file_name(4));
+    let mut file = SnapshotFile::load(&path).unwrap();
+    assert!(file.world_bytes.is_empty(), "the node writes no image");
+
+    file.world_bytes = image.to_bytes();
+    file.write_to(&dir).unwrap();
+    assert_eq!(SnapshotFile::load(&path).unwrap(), file);
+    let recovered = Node::recover(config, checkpointed_world(), engine(2)).unwrap();
+    assert_eq!(recovered.chain().head_hash(), chain[4].hash());
+    assert_eq!(recovered.world().snapshot(), image);
+    drop(recovered);
+
+    // The same logical world, contracts listed in descending order.
+    let mut reordered = image;
+    reordered.contracts.reverse();
+    file.world_bytes = reordered.to_bytes();
+    file.write_to(&dir).unwrap();
+    assert!(matches!(
+        SnapshotFile::load(&path),
+        Err(SnapshotError::Decode(_))
+    ));
+    let fallback = cc_ledger::load_latest(&dir).unwrap().expect("fallback");
+    assert_eq!(fallback.height, 2);
+    std::fs::remove_dir_all(&dir).ok();
 }
