@@ -1,22 +1,12 @@
 //! Lock-manager contention harness: measures raw acquire/release
-//! throughput of the STM's synchronization core under configurable
-//! thread counts and key mixes, against three backends:
-//!
-//! * [`Backend::Global`] — a faithful copy of the **pre-sharding** manager
-//!   (one global mutex around a SipHash table, 2 ms condvar polling,
-//!   `notify_all` wakeups), kept here as the regression baseline the
-//!   sharded manager is measured against;
-//! * [`Backend::Sharded1`] — the current manager constrained to a single
-//!   stripe (isolates the hashing/wakeup improvements from sharding);
-//! * [`Backend::Sharded`] — the current manager at its default stripe
-//!   count.
-//!
-//! The `stm_contention` criterion bench and the `repro contention`
-//! command both call [`measure_contention`], so the numbers in
-//! `BENCH_*.json` and the bench output come from the same workload loop.
+//! throughput of the STM's synchronization core (the one
+//! [`LockManager`]) under configurable thread counts and key mixes.
+//! `repro contention` prints the table and records it in the
+//! `contention` section of `BENCH_BASELINE.json`: it is the lock
+//! manager's only raw number.
 
 use cc_stm::manager::LockManager;
-use cc_stm::{LockId, LockMode, LockSpace, StmError, TxnId};
+use cc_stm::{LockId, LockMode, LockSpace, TxnId};
 use std::fmt;
 use std::time::Instant;
 
@@ -51,67 +41,6 @@ impl fmt::Display for Mix {
     }
 }
 
-/// Which lock-manager implementation to measure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// The pre-sharding global-mutex manager (see [`baseline`]).
-    Global,
-    /// The sharded manager constrained to one stripe.
-    Sharded1,
-    /// The sharded manager at its default stripe count.
-    Sharded,
-}
-
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Backend::Global => f.write_str("global-mutex"),
-            Backend::Sharded1 => f.write_str("sharded-1"),
-            Backend::Sharded => f.write_str("sharded"),
-        }
-    }
-}
-
-/// The minimal manager surface the harness needs.
-trait LockBackend: Sync {
-    fn acquire(&self, txn: TxnId, lock: LockId, mode: LockMode) -> Result<bool, StmError>;
-    fn release_commit(&self, txn: TxnId, locks: &[LockId]);
-    fn release_abort(&self, txn: TxnId, locks: &[LockId]);
-    /// Cumulative number of blocking waits so far (0 where the backend
-    /// does not track them).
-    fn wait_count(&self) -> u64;
-}
-
-impl LockBackend for LockManager {
-    fn acquire(&self, txn: TxnId, lock: LockId, mode: LockMode) -> Result<bool, StmError> {
-        LockManager::acquire(self, txn, lock, mode)
-    }
-    fn release_commit(&self, txn: TxnId, locks: &[LockId]) {
-        LockManager::release_commit(self, txn, locks);
-    }
-    fn release_abort(&self, txn: TxnId, locks: &[LockId]) {
-        LockManager::release_abort(self, txn, locks);
-    }
-    fn wait_count(&self) -> u64 {
-        self.stats().waits
-    }
-}
-
-impl LockBackend for baseline::GlobalLockManager {
-    fn acquire(&self, txn: TxnId, lock: LockId, mode: LockMode) -> Result<bool, StmError> {
-        baseline::GlobalLockManager::acquire(self, txn, lock, mode)
-    }
-    fn release_commit(&self, txn: TxnId, locks: &[LockId]) {
-        baseline::GlobalLockManager::release_commit(self, txn, locks);
-    }
-    fn release_abort(&self, txn: TxnId, locks: &[LockId]) {
-        baseline::GlobalLockManager::release_abort(self, txn, locks);
-    }
-    fn wait_count(&self) -> u64 {
-        0
-    }
-}
-
 /// One measured configuration and its result.
 #[derive(Debug, Clone, Copy)]
 pub struct ContentionPoint {
@@ -119,8 +48,6 @@ pub struct ContentionPoint {
     pub threads: usize,
     /// Key mix (disjoint / hot / read-heavy).
     pub mix: Mix,
-    /// Manager implementation measured.
-    pub backend: Backend,
     /// Committed lock transactions per second (each takes
     /// [`LOCKS_PER_TXN`] locks for the disjoint mix, one for hot and
     /// read-heavy).
@@ -128,9 +55,7 @@ pub struct ContentionPoint {
     /// Blocking waits per 1000 transactions during the measured run — the
     /// conflict-rate metric that is meaningful even on a single-core host
     /// (raw throughput cannot show lock concurrency without parallelism,
-    /// but a reader that never blocks shows up here regardless). Zero for
-    /// backends that do not track waits (the global-mutex baseline polls
-    /// instead of counting).
+    /// but a reader that never blocks shows up here regardless).
     pub waits_per_1k: f64,
 }
 
@@ -144,11 +69,11 @@ pub const LOCKS_PER_TXN: usize = 4;
 /// size like a real block does.
 const KEY_POOL: u64 = 64;
 
-fn run_workload<B: LockBackend>(backend: &B, threads: usize, ops_per_thread: usize, mix: Mix) {
-    crossbeam::scope(|scope| {
+fn run_workload(manager: &LockManager, threads: usize, ops_per_thread: usize, mix: Mix) {
+    std::thread::scope(|scope| {
         for t in 0..threads as u64 {
             let space = LockSpace::new("contention");
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut locks: Vec<LockId> = Vec::with_capacity(LOCKS_PER_TXN);
                 for op in 0..ops_per_thread as u64 {
                     let txn = TxnId(t * ops_per_thread as u64 + op + 1);
@@ -172,7 +97,7 @@ fn run_workload<B: LockBackend>(backend: &B, threads: usize, ops_per_thread: usi
                     loop {
                         let mut acquired = 0;
                         for &lock in &locks {
-                            if backend.acquire(txn, lock, mode).is_err() {
+                            if manager.acquire(txn, lock, mode).is_err() {
                                 break;
                             }
                             acquired += 1;
@@ -183,40 +108,34 @@ fn run_workload<B: LockBackend>(backend: &B, threads: usize, ops_per_thread: usi
                         // Deadlock victim: give back exactly what was
                         // acquired (no use-counter increments) and retry,
                         // as the miner's worker loop would.
-                        backend.release_abort(txn, &locks[..acquired]);
+                        manager.release_abort(txn, &locks[..acquired]);
                     }
-                    backend.release_commit(txn, &locks);
+                    manager.release_commit(txn, &locks);
                 }
             });
         }
-    })
-    .expect("contention worker panicked");
+    });
 }
 
-fn throughput<B: LockBackend>(
-    backend: &B,
+fn throughput(
+    manager: &LockManager,
     threads: usize,
     ops_per_thread: usize,
     mix: Mix,
 ) -> (f64, f64) {
     // One warm-up pass populates the table and the allocator.
-    run_workload(backend, threads, ops_per_thread.min(512), mix);
-    let waits_before = backend.wait_count();
+    run_workload(manager, threads, ops_per_thread.min(512), mix);
+    let waits_before = manager.stats().waits;
     let start = Instant::now();
-    run_workload(backend, threads, ops_per_thread, mix);
+    run_workload(manager, threads, ops_per_thread, mix);
     let elapsed = start.elapsed().as_secs_f64();
     let txns = (threads * ops_per_thread) as f64;
-    let waits = backend.wait_count().saturating_sub(waits_before) as f64;
+    let waits = manager.stats().waits.saturating_sub(waits_before) as f64;
     (txns / elapsed, waits * 1000.0 / txns)
 }
 
-/// Measures one configuration, constructing a fresh backend.
-pub fn measure_contention(
-    backend: Backend,
-    threads: usize,
-    ops_per_thread: usize,
-    mix: Mix,
-) -> ContentionPoint {
+/// Measures one configuration, constructing a fresh manager per pass.
+pub fn measure_contention(threads: usize, ops_per_thread: usize, mix: Mix) -> ContentionPoint {
     // Each pass only takes milliseconds, so a single scheduler hiccup can
     // halve a one-shot measurement. Run a few passes and report the best
     // one — anything below the best is interference, not the lock manager
@@ -226,18 +145,7 @@ pub fn measure_contention(
     const PASSES: usize = 5;
     let mut best: Option<(f64, f64)> = None;
     for _ in 0..PASSES {
-        let sample = match backend {
-            Backend::Global => throughput(
-                &baseline::GlobalLockManager::new(),
-                threads,
-                ops_per_thread,
-                mix,
-            ),
-            Backend::Sharded1 => {
-                throughput(&LockManager::with_shards(1), threads, ops_per_thread, mix)
-            }
-            Backend::Sharded => throughput(&LockManager::new(), threads, ops_per_thread, mix),
-        };
+        let sample = throughput(&LockManager::new(), threads, ops_per_thread, mix);
         best = match best {
             Some(current) if current.0 >= sample.0 => Some(current),
             _ => Some(sample),
@@ -247,7 +155,6 @@ pub fn measure_contention(
     ContentionPoint {
         threads,
         mix,
-        backend,
         ops_per_sec,
         waits_per_1k,
     }
@@ -258,211 +165,25 @@ pub fn contention_threads() -> Vec<usize> {
     vec![1, 2, 4, 8]
 }
 
-/// The pre-sharding lock manager, preserved verbatim (minus the APIs the
-/// harness does not exercise) as the regression baseline: one global
-/// mutex over a SipHash-keyed table, a single condition variable polled
-/// every 2 ms by every blocked transaction, `notify_all` wakeups, and a
-/// linear-scan deadlock walk.
-pub mod baseline {
-    use cc_stm::{LockId, LockMode, StmError, TxnId};
-    use parking_lot::{Condvar, Mutex};
-    use std::collections::{HashMap, VecDeque};
-    use std::time::Duration;
-
-    #[derive(Debug, Default)]
-    struct LockEntry {
-        holders: HashMap<TxnId, LockMode>,
-        use_counter: u64,
-        waiters: VecDeque<TxnId>,
-    }
-
-    impl LockEntry {
-        fn can_grant(&self, txn: TxnId, mode: LockMode) -> bool {
-            if self.holders.is_empty() {
-                return true;
-            }
-            if let Some(held) = self.holders.get(&txn) {
-                if held.strongest(mode) == *held {
-                    return true;
-                }
-                return self.holders.len() == 1;
-            }
-            self.holders.values().all(|h| h.compatible(mode))
-        }
-    }
-
-    #[derive(Debug, Default)]
-    struct ManagerState {
-        locks: HashMap<LockId, LockEntry>,
-        waits_for: HashMap<TxnId, LockId>,
-    }
-
-    impl ManagerState {
-        fn would_deadlock(&self, requester: TxnId, lock: LockId) -> bool {
-            let mut stack: Vec<TxnId> = Vec::new();
-            let mut visited: Vec<TxnId> = Vec::new();
-            if let Some(entry) = self.locks.get(&lock) {
-                stack.extend(entry.holders.keys().copied().filter(|&h| h != requester));
-            }
-            while let Some(t) = stack.pop() {
-                if t == requester {
-                    return true;
-                }
-                if visited.contains(&t) {
-                    continue;
-                }
-                visited.push(t);
-                if let Some(waited) = self.waits_for.get(&t) {
-                    if let Some(entry) = self.locks.get(waited) {
-                        stack.extend(entry.holders.keys().copied());
-                    }
-                }
-            }
-            false
-        }
-    }
-
-    /// The pre-PR global-mutex manager (benchmark baseline only).
-    #[derive(Debug, Default)]
-    pub struct GlobalLockManager {
-        state: Mutex<ManagerState>,
-        available: Condvar,
-    }
-
-    impl GlobalLockManager {
-        /// Creates an empty baseline manager.
-        pub fn new() -> Self {
-            GlobalLockManager::default()
-        }
-
-        /// Blocking acquisition with the original 2 ms poll loop.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`StmError::Deadlock`] when blocking would close a
-        /// wait-for cycle.
-        pub fn acquire(&self, txn: TxnId, lock: LockId, mode: LockMode) -> Result<bool, StmError> {
-            let mut state = self.state.lock();
-            loop {
-                let entry = state.locks.entry(lock).or_default();
-                if entry.can_grant(txn, mode) {
-                    let newly = match entry.holders.get(&txn) {
-                        Some(held) => {
-                            let upgraded = held.strongest(mode);
-                            entry.holders.insert(txn, upgraded);
-                            false
-                        }
-                        None => {
-                            entry.holders.insert(txn, mode);
-                            true
-                        }
-                    };
-                    state.waits_for.remove(&txn);
-                    return Ok(newly);
-                }
-                if state.would_deadlock(txn, lock) {
-                    state.waits_for.remove(&txn);
-                    return Err(StmError::Deadlock { victim: txn, lock });
-                }
-                state.waits_for.insert(txn, lock);
-                state.locks.entry(lock).or_default().waiters.push_back(txn);
-                self.available
-                    .wait_for(&mut state, Duration::from_millis(2));
-                if let Some(entry) = state.locks.get_mut(&lock) {
-                    if let Some(pos) = entry.waiters.iter().position(|&t| t == txn) {
-                        entry.waiters.remove(pos);
-                    }
-                }
-            }
-        }
-
-        /// Commit-release with the original global `notify_all`.
-        pub fn release_commit(&self, txn: TxnId, locks: &[LockId]) -> Vec<u64> {
-            let mut state = self.state.lock();
-            let mut counters = Vec::with_capacity(locks.len());
-            for lock in locks {
-                let counter = match state.locks.get_mut(lock) {
-                    Some(entry) => {
-                        entry.holders.remove(&txn);
-                        entry.use_counter += 1;
-                        entry.use_counter
-                    }
-                    None => 0,
-                };
-                counters.push(counter);
-            }
-            state.waits_for.remove(&txn);
-            drop(state);
-            self.available.notify_all();
-            counters
-        }
-
-        /// Abort-release: holders removed, use counters untouched.
-        pub fn release_abort(&self, txn: TxnId, locks: &[LockId]) {
-            let mut state = self.state.lock();
-            for lock in locks {
-                if let Some(entry) = state.locks.get_mut(lock) {
-                    entry.holders.remove(&txn);
-                }
-            }
-            state.waits_for.remove(&txn);
-            drop(state);
-            self.available.notify_all();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn disjoint_throughput_is_positive_for_all_backends() {
-        for backend in [Backend::Global, Backend::Sharded1, Backend::Sharded] {
-            let p = measure_contention(backend, 2, 200, Mix::Disjoint);
-            assert!(p.ops_per_sec > 0.0, "{backend} produced no throughput");
-        }
+        let p = measure_contention(2, 200, Mix::Disjoint);
+        assert!(p.ops_per_sec > 0.0, "the manager produced no throughput");
     }
 
     #[test]
     fn hot_mix_serializes_but_completes() {
-        let p = measure_contention(Backend::Sharded, 4, 100, Mix::Hot);
+        let p = measure_contention(4, 100, Mix::Hot);
         assert!(p.ops_per_sec > 0.0);
     }
 
     #[test]
     fn read_heavy_mix_completes_on_all_backends() {
-        for backend in [Backend::Global, Backend::Sharded1, Backend::Sharded] {
-            let p = measure_contention(backend, 4, 200, Mix::ReadHeavy);
-            assert!(p.ops_per_sec > 0.0, "{backend} produced no throughput");
-        }
-    }
-
-    #[test]
-    fn baseline_manager_detects_deadlock() {
-        use std::sync::Arc;
-        let m = Arc::new(baseline::GlobalLockManager::new());
-        let space = LockSpace::new("baseline.dl");
-        let la = space.lock_for(&"a");
-        let lb = space.lock_for(&"b");
-        m.acquire(TxnId(1), la, LockMode::Exclusive).unwrap();
-        m.acquire(TxnId(2), lb, LockMode::Exclusive).unwrap();
-        let m1 = Arc::clone(&m);
-        let t = std::thread::spawn(move || {
-            let r = m1.acquire(TxnId(1), lb, LockMode::Exclusive);
-            m1.release_commit(TxnId(1), &[la]);
-            if r.is_ok() {
-                m1.release_commit(TxnId(1), &[lb]);
-            }
-            r
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let r2 = m.acquire(TxnId(2), la, LockMode::Exclusive);
-        m.release_commit(TxnId(2), &[lb]);
-        if r2.is_ok() {
-            m.release_commit(TxnId(2), &[la]);
-        }
-        let r1 = t.join().unwrap();
-        assert!(r1.is_err() || r2.is_err());
+        let p = measure_contention(4, 200, Mix::ReadHeavy);
+        assert!(p.ops_per_sec > 0.0, "the manager produced no throughput");
     }
 }

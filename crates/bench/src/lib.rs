@@ -5,22 +5,21 @@
 //! miner** and the **(parallel) validator**, collect the running time five
 //! times after three warm-up runs, and report the mean and standard
 //! deviation; speedups are relative to the serial miner on the same
-//! machine. This crate implements that loop once so the Criterion benches,
-//! the `repro` binary and the tests all measure the same thing.
+//! machine. This crate implements that loop once so the `repro` binary
+//! and the tests measure the same thing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod contention;
-pub mod durability;
 pub mod json;
 pub mod micro;
-pub mod pipeline;
 pub mod schedule;
 pub mod state_root;
+pub mod table;
 
 use cc_core::engine::{Engine, EngineConfig, ExecutionStrategy};
-use cc_workload::{Benchmark, Workload, WorkloadSpec};
+use cc_workload::Workload;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -99,17 +98,6 @@ impl Measurement {
     }
 }
 
-/// One row of a sweep: the parameter value and its measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepPoint {
-    /// Block size (number of transactions).
-    pub block_size: usize,
-    /// Data-conflict fraction (0.0–1.0).
-    pub conflict: f64,
-    /// The measured timings.
-    pub measurement: Measurement,
-}
-
 /// Measures one workload: serial mining, parallel mining and parallel
 /// validation, each with [`WARMUPS`] warm-ups and `repetitions` measured
 /// runs on fresh worlds.
@@ -180,7 +168,7 @@ pub fn measure_with(
 }
 
 /// Measures the serial validator instead of the parallel one (used by the
-/// ablation bench).
+/// `ablation` section).
 pub fn measure_serial_validation(
     workload: &Workload,
     threads: usize,
@@ -462,71 +450,10 @@ pub fn figure1_conflicts() -> Vec<f64> {
     (0..=10).map(|i| f64::from(i) / 10.0).collect()
 }
 
-/// Runs the block-size sweep for one benchmark (Figure 1, left column).
-pub fn sweep_block_size(
-    benchmark: Benchmark,
-    threads: usize,
-    repetitions: usize,
-    mut observer: impl FnMut(&SweepPoint),
-) -> Vec<SweepPoint> {
-    let mut points = Vec::new();
-    for block_size in figure1_block_sizes() {
-        let workload = WorkloadSpec::new(benchmark, block_size, 0.15).generate();
-        let measurement = measure(&workload, threads, repetitions);
-        let point = SweepPoint {
-            block_size,
-            conflict: 0.15,
-            measurement,
-        };
-        observer(&point);
-        points.push(point);
-    }
-    points
-}
-
-/// Runs the conflict sweep for one benchmark (Figure 1, right column).
-pub fn sweep_conflict(
-    benchmark: Benchmark,
-    threads: usize,
-    repetitions: usize,
-    mut observer: impl FnMut(&SweepPoint),
-) -> Vec<SweepPoint> {
-    let mut points = Vec::new();
-    for conflict in figure1_conflicts() {
-        let workload = WorkloadSpec::new(benchmark, 200, conflict).generate();
-        let measurement = measure(&workload, threads, repetitions);
-        let point = SweepPoint {
-            block_size: 200,
-            conflict,
-            measurement,
-        };
-        observer(&point);
-        points.push(point);
-    }
-    points
-}
-
-/// Average miner/validator speedups over a sweep (one cell of Table 1).
-pub fn average_speedups(points: &[SweepPoint]) -> (f64, f64) {
-    if points.is_empty() {
-        return (0.0, 0.0);
-    }
-    let miner = points
-        .iter()
-        .map(|p| p.measurement.miner_speedup())
-        .sum::<f64>()
-        / points.len() as f64;
-    let validator = points
-        .iter()
-        .map(|p| p.measurement.validator_speedup())
-        .sum::<f64>()
-        / points.len() as f64;
-    (miner, validator)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cc_workload::{Benchmark, WorkloadSpec};
 
     #[test]
     fn timing_statistics() {
@@ -559,13 +486,6 @@ mod tests {
         };
         assert!((m.miner_speedup() - 1.5).abs() < 0.01);
         assert!((m.validator_speedup() - 2.0).abs() < 0.01);
-        let (ms, vs) = average_speedups(&[SweepPoint {
-            block_size: 10,
-            conflict: 0.0,
-            measurement: m,
-        }]);
-        assert!(ms > 1.0 && vs > 1.0);
-        assert_eq!(average_speedups(&[]), (0.0, 0.0));
     }
 
     #[test]

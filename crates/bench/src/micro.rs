@@ -8,19 +8,11 @@
 //! numbers and `repro --json` records them in the `stm_micro` section of
 //! the perf-trajectory files, so per-op regressions are diffable across
 //! PRs (`repro diff OLD.json NEW.json`).
-//!
-//! One case, `map-insert-boxed-baseline`, re-creates the pre-typed-undo
-//! insert path (separate read of the prior value, a cloned `Option<V>`,
-//! and a boxed `FnOnce` inverse closure) against the same runtime, so the
-//! committed numbers carry their own before/after comparison.
 
 use cc_primitives::fnv::fnv1a_of;
 use cc_primitives::fx::ShardedRawTable;
-use cc_stm::{BoostedCell, BoostedCounterMap, BoostedMap, LockMode, LockSpace, Stm, Transaction};
-use parking_lot::RwLock;
-use std::collections::HashMap;
+use cc_stm::{BoostedCell, BoostedCounterMap, BoostedMap, Stm};
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One measured microbenchmark case.
@@ -62,35 +54,6 @@ fn time_case(ops: usize, mut op: impl FnMut(usize)) -> f64 {
 /// begin/acquire/commit overhead of the transaction itself.
 const OPS_PER_TXN: u64 = 16;
 
-/// A faithful copy of the **pre-typed-undo-log** `BoostedMap::insert`
-/// body: read-modify clone of the previous value plus a boxed inverse
-/// closure. Kept as the baseline the committed numbers are compared
-/// against.
-fn boxed_baseline_insert(
-    txn: &Transaction,
-    space: LockSpace,
-    inner: &Arc<RwLock<HashMap<u64, u64>>>,
-    key: u64,
-    value: u64,
-) {
-    txn.acquire(space.lock_for(&key), LockMode::Exclusive)
-        .expect("uncontended acquire");
-    let previous = inner.write().insert(key, value);
-    let inner = Arc::clone(inner);
-    let undo_prev = previous;
-    txn.log_undo(move || {
-        let mut map = inner.write();
-        match undo_prev {
-            Some(v) => {
-                map.insert(key, v);
-            }
-            None => {
-                map.remove(&key);
-            }
-        }
-    });
-}
-
 /// Runs every microbenchmark case with `ops` measured iterations each.
 pub fn run_micro(ops: usize) -> Vec<MicroPoint> {
     let ops = ops.max(64);
@@ -112,27 +75,6 @@ pub fn run_micro(ops: usize) -> Vec<MicroPoint> {
         }) / OPS_PER_TXN as f64;
         points.push(MicroPoint {
             name: "map-insert-commit",
-            ns_per_op: ns,
-        });
-    }
-
-    // -- mutation path: the pre-PR boxed-closure baseline ----------------
-    {
-        let stm = Stm::new();
-        let space = LockSpace::new("micro.map.boxed");
-        let inner: Arc<RwLock<HashMap<u64, u64>>> = Arc::new(RwLock::new(HashMap::new()));
-        let ns = time_case(ops / OPS_PER_TXN as usize, |i| {
-            let base = (i as u64 * OPS_PER_TXN) % 1024;
-            stm.run(|txn| {
-                for j in 0..OPS_PER_TXN {
-                    boxed_baseline_insert(txn, space, &inner, (base + j) % 1024, j);
-                }
-                Ok(())
-            })
-            .unwrap();
-        }) / OPS_PER_TXN as f64;
-        points.push(MicroPoint {
-            name: "map-insert-boxed-baseline",
             ns_per_op: ns,
         });
     }
@@ -355,7 +297,7 @@ mod tests {
     #[test]
     fn micro_suite_produces_positive_timings() {
         let points = run_micro(64);
-        assert_eq!(points.len(), 13);
+        assert_eq!(points.len(), 12);
         for p in &points {
             assert!(p.ns_per_op > 0.0, "{} measured nothing", p.name);
         }

@@ -972,7 +972,7 @@ mod tests {
             // Two seals succeed (blocks 1 and 2), the third fails mid-run.
             follower.wal().unwrap().inject_seal_failures(2);
             let err = follower
-                .run_follower_pipeline(blocks, &FollowerConfig::new())
+                .run_follower_pipeline(blocks.clone(), &FollowerConfig::new())
                 .unwrap_err();
             assert!(err.to_string().contains("sealing block 3"), "got: {err}");
             assert!(follower.is_stale());
@@ -985,6 +985,16 @@ mod tests {
             assert!(follower
                 .run_follower_pipeline(Vec::new(), &FollowerConfig::new())
                 .is_err());
+
+            // The directory recovers to exactly the durable prefix.
+            drop(follower);
+            let config = DurabilityConfig::new(&dir, DurabilityMode::Fsync);
+            let engine = EngineConfig::new().threads(2).build().unwrap();
+            let recovered = Node::recover(config, fresh_world(), engine).unwrap();
+            let head = &recovered.chain().head().header;
+            assert_eq!(head.number, 2);
+            assert_eq!(head.state_root, blocks[1].header.state_root);
+            assert_eq!(recovered.world().state_root(), blocks[1].header.state_root);
             std::fs::remove_dir_all(&dir).ok();
         }
 

@@ -69,31 +69,6 @@ pub trait UndoSink: Send + 'static {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// The fallback sink behind [`Transaction::log_undo`]: a stack of boxed
-/// inverse closures, for callers that are not a boosted collection.
-#[derive(Default)]
-struct ClosureSink {
-    ops: Vec<Box<dyn FnOnce() + Send>>,
-}
-
-impl UndoSink for ClosureSink {
-    fn undo_last(&mut self) {
-        if let Some(op) = self.ops.pop() {
-            op();
-        }
-    }
-    fn reset(&mut self) {
-        self.ops.clear();
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// Sink token reserved for [`Transaction::log_undo`] closures. Collection
-/// tokens are `Arc` storage addresses and therefore never zero.
-const CLOSURE_TOKEN: usize = 0;
-
 /// The transaction's undo log: typed sinks plus the global entry order.
 #[derive(Default)]
 struct UndoLog {
@@ -323,8 +298,8 @@ impl fmt::Debug for TxnInner {
 ///
 /// Created by [`Stm::begin`], [`Stm::begin_replay`] or the retrying helper
 /// [`Stm::run`]. Boosted collections take `&Transaction` and call
-/// [`Transaction::acquire`] / [`Transaction::log_undo`]; user code normally
-/// never calls those directly.
+/// [`Transaction::acquire`] / [`Transaction::log_undo_typed`]; user code
+/// normally never calls those directly.
 ///
 /// A transaction is **single-threaded by construction**: one worker owns
 /// it for its whole lifetime (blocking, if any, happens inside the shared
@@ -523,8 +498,7 @@ impl Transaction {
         }
         if inner.replaying {
             // Same contract as `log_undo_typed`: inverse operations must
-            // not log new entries. Mutate (matching the legacy closure
-            // path's behaviour) but skip the log.
+            // not log new entries. Mutate but skip the log.
             debug_assert!(
                 !inner.replaying,
                 "inverse operations must not re-enter boosted mutators"
@@ -538,18 +512,6 @@ impl Transaction {
         Ok(())
     }
 
-    /// Records an inverse operation that will be run if the transaction
-    /// (or the enclosing nested action / savepoint scope) rolls back.
-    ///
-    /// This is the **generic** (boxing) entry point; boosted collections
-    /// use [`Transaction::log_undo_typed`] instead, which allocates no
-    /// closure on the mutation path.
-    pub fn log_undo(&self, undo: impl FnOnce() + Send + 'static) {
-        self.log_undo_typed(CLOSURE_TOKEN, ClosureSink::default, |sink| {
-            sink.ops.push(Box::new(undo));
-        });
-    }
-
     /// Records a typed inverse entry with the sink identified by `token`.
     ///
     /// `token` must uniquely identify the logging collection for the
@@ -560,7 +522,7 @@ impl Transaction {
     /// `record` against the (downcast) sink, which is expected to push
     /// one `(key, prior value)` item by move.
     ///
-    /// A no-op on a closed transaction, like [`Transaction::log_undo`].
+    /// A no-op on a closed transaction.
     ///
     /// # Panics
     ///
@@ -599,8 +561,8 @@ impl Transaction {
 
     /// Replays (and discards) every undo entry logged at or after position
     /// `from`, most recent first. The undo state is moved out of the
-    /// `RefCell` for the duration so closure-based inverse operations may
-    /// re-enter the transaction; inverse operations must not log *new*
+    /// `RefCell` for the duration so inverse operations may re-enter the
+    /// transaction; inverse operations must not log *new*
     /// undo entries (see [`UndoSink`]).
     fn replay_undo_from(&self, from: usize) {
         let (mut sinks, index, tail) = {
@@ -771,7 +733,7 @@ impl Transaction {
             locks
         };
         // `closed` is already set, so inverse operations cannot log new
-        // undo entries even through the legacy closure path.
+        // undo entries.
         self.replay_undo_from(0);
         if self.kind == TxnKind::Speculative {
             self.manager.release_abort(self.id, &locks);
@@ -1115,6 +1077,31 @@ mod tests {
         Stm::new()
     }
 
+    /// A sink of boxed inverse closures, so a test can log an arbitrary
+    /// undo entry through [`Transaction::log_undo_typed`].
+    #[derive(Default)]
+    struct FnSink(Vec<Box<dyn FnOnce() + Send>>);
+
+    impl UndoSink for FnSink {
+        fn undo_last(&mut self) {
+            if let Some(op) = self.0.pop() {
+                op();
+            }
+        }
+        fn reset(&mut self) {
+            self.0.clear();
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Logs `undo` in the test sink (collection tokens are storage
+    /// addresses, so `1` never collides with one).
+    fn log_fn(txn: &Transaction, undo: impl FnOnce() + Send + 'static) {
+        txn.log_undo_typed(1, FnSink::default, |sink| sink.0.push(Box::new(undo)));
+    }
+
     #[test]
     fn commit_produces_profile_with_counters() {
         let stm = stm();
@@ -1136,7 +1123,7 @@ mod tests {
         let txn = stm.begin();
         let v = Arc::clone(&value);
         value.store(99, Ordering::SeqCst);
-        txn.log_undo(move || v.store(10, Ordering::SeqCst));
+        log_fn(&txn, move || v.store(10, Ordering::SeqCst));
         txn.abort().unwrap();
         assert_eq!(value.load(Ordering::SeqCst), 10);
     }
@@ -1153,7 +1140,7 @@ mod tests {
         for i in 0..3 {
             let seq = Arc::clone(&seq);
             let slots = Arc::clone(&slots);
-            txn.log_undo(move || {
+            log_fn(&txn, move || {
                 slots[i].store(seq.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
             });
         }
@@ -1173,7 +1160,7 @@ mod tests {
         let sp = txn.savepoint();
         value.store(7, Ordering::SeqCst);
         let v = Arc::clone(&value);
-        txn.log_undo(move || v.store(0, Ordering::SeqCst));
+        log_fn(&txn, move || v.store(0, Ordering::SeqCst));
         txn.rollback_to(sp);
         assert_eq!(value.load(Ordering::SeqCst), 0, "state rolled back");
         assert_eq!(txn.held_locks(), 1, "locks survive the rollback");
@@ -1212,7 +1199,7 @@ mod tests {
             t.acquire(space.lock_for(&"child"), LockMode::Exclusive)?;
             value.store(2, Ordering::SeqCst);
             let v2 = Arc::clone(&v);
-            t.log_undo(move || v2.store(1, Ordering::SeqCst));
+            log_fn(t, move || v2.store(1, Ordering::SeqCst));
             Err(StmError::Aborted {
                 reason: "child throws".into(),
             })
@@ -1360,7 +1347,7 @@ mod tests {
         let txn = stm.begin_replay();
         value.store(5, Ordering::SeqCst);
         let v = Arc::clone(&value);
-        txn.log_undo(move || v.store(0, Ordering::SeqCst));
+        log_fn(&txn, move || v.store(0, Ordering::SeqCst));
         let trace = txn.into_trace();
         assert!(trace.is_empty());
         assert_eq!(
