@@ -244,14 +244,19 @@ static SECTIONS: [Section; 10] = [
     Section {
         schema: Schema {
             name: "abort_rate",
-            title: "Abort rates: deadlock victims (speculative) vs. validation failures \
-                    (optimistic); read-only optimistic commits never abort",
+            title: "Abort rates: deadlock victims (speculative, slept between attempts) vs. \
+                    validation losers (optimistic, re-run at once; the fifth attempt is \
+                    exclusive); read-only optimistic commits never abort; serial_ms is \
+                    the serial miner on the same block",
             keys: FIGURE1_KEYS,
             metrics: &[
                 lower("speculative_retries_per_block", "count"),
                 lower("speculative_waits_per_block", "count"),
+                lower("speculative_slept_ms", "ms"),
                 lower("optimistic_retries_per_block", "count"),
+                lower("optimistic_exclusive_per_block", "count"),
                 higher("optimistic_read_only_per_block", "count"),
+                lower("serial_ms", "ms"),
                 lower("speculative_ms", "ms"),
                 lower("optimistic_ms", "ms"),
             ],
@@ -494,8 +499,11 @@ fn abort_rate(opts: &Options, _: &[Table]) -> Vec<Row> {
             let values = [
                 p.speculative_retries_per_block,
                 p.speculative_waits_per_block,
+                p.speculative_slept_ms,
                 p.optimistic_retries_per_block,
+                p.optimistic_exclusive_per_block,
                 p.optimistic_read_only_per_block,
+                p.serial_ms,
                 p.speculative_ms,
                 p.optimistic_ms,
             ];

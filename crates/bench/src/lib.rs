@@ -19,6 +19,7 @@ pub mod state_root;
 pub mod table;
 
 use cc_core::engine::{Engine, EngineConfig, ExecutionStrategy};
+use cc_core::MinerStats;
 use cc_workload::Workload;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -337,7 +338,8 @@ pub fn measure_read_heavy(
 
 /// One point of the abort-rate comparison: the same workload mined under
 /// the pessimistic (speculative STM) and the optimistic (MVCC) strategy,
-/// reporting how often each one aborts.
+/// reporting how often each one aborts and what it costs next to the
+/// serial miner on the same block.
 ///
 /// The two strategies abort for different reasons — speculative
 /// transactions die as deadlock victims while holding abstract locks,
@@ -356,11 +358,19 @@ pub struct AbortRatePoint {
     pub speculative_retries_per_block: f64,
     /// Mean lock-manager blocking waits per speculatively-mined block.
     pub speculative_waits_per_block: f64,
+    /// Mean time the speculative miner's victims slept per block (ms,
+    /// summed over workers).
+    pub speculative_slept_ms: f64,
     /// Mean validation-failure retries per optimistically-mined block.
     pub optimistic_retries_per_block: f64,
+    /// Mean optimistic attempts per block that ran holding the commit
+    /// mutex (a transaction's fifth attempt).
+    pub optimistic_exclusive_per_block: f64,
     /// Mean read-only (validation-free, abort-free) commits per
     /// optimistically-mined block.
     pub optimistic_read_only_per_block: f64,
+    /// Mean serial mining time of the same block (ms).
+    pub serial_ms: f64,
     /// Mean speculative mining time (ms).
     pub speculative_ms: f64,
     /// Mean optimistic mining time (ms).
@@ -379,54 +389,48 @@ impl AbortRatePoint {
     }
 }
 
-/// Mines `workload` repeatedly under both concurrent strategies and
-/// averages each one's abort accounting (one warm-up run plus
-/// `repetitions` measured runs per strategy, each on a fresh world).
+/// Mines `workload` repeatedly under the serial and both concurrent
+/// strategies and averages each one's abort accounting (one warm-up run
+/// plus `repetitions` measured runs per strategy, each on a fresh world).
 pub fn measure_abort_rate(
     workload: &Workload,
     threads: usize,
     repetitions: usize,
 ) -> AbortRatePoint {
-    let mine_stats = |strategy: ExecutionStrategy| {
+    let mine = |strategy: ExecutionStrategy| -> Vec<MinerStats> {
         let engine = engine(strategy, threads);
-        let mut retries = Vec::new();
-        let mut waits = Vec::new();
-        let mut read_only = Vec::new();
-        let mut elapsed = Vec::new();
-        for _ in 0..repetitions.max(1) + 1 {
-            let world = workload.build_world();
-            let mined = engine
-                .mine(&world, workload.transactions())
-                .expect("abort-rate block mines");
-            retries.push(mined.stats.retries as f64);
-            waits.push(mined.stats.locks.waits as f64);
-            read_only.push(mined.stats.read_only as f64);
-            elapsed.push(mined.stats.elapsed);
-        }
-        // Drop the warm-up run.
-        retries.remove(0);
-        waits.remove(0);
-        read_only.remove(0);
-        elapsed.remove(0);
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-        (
-            mean(&retries),
-            mean(&waits),
-            mean(&read_only),
-            Timing::from_samples(&elapsed).mean_ms(),
-        )
+        let mut runs: Vec<MinerStats> = (0..repetitions.max(1) + 1)
+            .map(|_| {
+                engine
+                    .mine(&workload.build_world(), workload.transactions())
+                    .expect("abort-rate block mines")
+                    .stats
+            })
+            .collect();
+        runs.remove(0); // the warm-up run
+        runs
     };
-    let (spec_retries, spec_waits, _, spec_ms) = mine_stats(ExecutionStrategy::SpeculativeStm);
-    let (opt_retries, _, opt_read_only, opt_ms) = mine_stats(ExecutionStrategy::OptimisticMvcc);
+    let mean = |runs: &[MinerStats], metric: fn(&MinerStats) -> f64| {
+        runs.iter().map(metric).sum::<f64>() / runs.len() as f64
+    };
+    fn ms(d: Duration) -> f64 {
+        d.as_secs_f64() * 1_000.0
+    }
+    let serial = mine(ExecutionStrategy::Serial);
+    let speculative = mine(ExecutionStrategy::SpeculativeStm);
+    let optimistic = mine(ExecutionStrategy::OptimisticMvcc);
     AbortRatePoint {
         block_size: workload.transactions().len(),
         conflict: workload.spec().conflict,
-        speculative_retries_per_block: spec_retries,
-        speculative_waits_per_block: spec_waits,
-        optimistic_retries_per_block: opt_retries,
-        optimistic_read_only_per_block: opt_read_only,
-        speculative_ms: spec_ms,
-        optimistic_ms: opt_ms,
+        speculative_retries_per_block: mean(&speculative, |s| s.retries as f64),
+        speculative_waits_per_block: mean(&speculative, |s| s.locks.waits as f64),
+        speculative_slept_ms: mean(&speculative, |s| ms(s.backoff)),
+        optimistic_retries_per_block: mean(&optimistic, |s| s.retries as f64),
+        optimistic_exclusive_per_block: mean(&optimistic, |s| s.exclusive as f64),
+        optimistic_read_only_per_block: mean(&optimistic, |s| s.read_only as f64),
+        serial_ms: mean(&serial, |s| ms(s.elapsed)),
+        speculative_ms: mean(&speculative, |s| ms(s.elapsed)),
+        optimistic_ms: mean(&optimistic, |s| ms(s.elapsed)),
     }
 }
 
@@ -540,8 +544,11 @@ mod tests {
         let point = measure_abort_rate(&workload, 2, 1);
         assert_eq!(point.block_size, 20);
         assert!((point.conflict - 0.5).abs() < f64::EPSILON);
+        assert!(point.serial_ms > 0.0);
         assert!(point.speculative_ms > 0.0);
         assert!(point.optimistic_ms > 0.0);
+        assert!(point.speculative_slept_ms >= 0.0);
+        assert!(point.optimistic_exclusive_per_block <= 20.0);
         assert!(point.speculative_abort_rate() >= 0.0);
         assert!(point.optimistic_abort_rate() >= 0.0);
     }

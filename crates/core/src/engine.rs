@@ -143,7 +143,9 @@ pub struct EngineConfig {
     /// Worker threads for parallel strategies (ignored by
     /// [`ExecutionStrategy::Serial`], which always runs one).
     pub threads: usize,
-    /// Retry/backoff budget for speculative deadlock victims.
+    /// Retry/backoff budget for speculative deadlock victims. The
+    /// optimistic strategy does not use it: its validation losers re-run
+    /// at once, and the fifth attempt holds the commit mutex.
     pub retry: RetryPolicy,
     /// Whether the miner publishes schedule metadata (happens-before
     /// graph + lock profiles) in the block. Disabling is benchmark-only:
@@ -262,9 +264,7 @@ impl EngineConfig {
                     .with_schedule_capture(self.capture_schedule),
             ),
             ExecutionStrategy::OptimisticMvcc => Arc::new(
-                MvccMiner::on_pool(Arc::clone(&pool))
-                    .with_retry_policy(self.retry)
-                    .with_schedule_capture(self.capture_schedule),
+                MvccMiner::on_pool(Arc::clone(&pool)).with_schedule_capture(self.capture_schedule),
             ),
         };
         // How every block this engine validates or follows is replayed,

@@ -5,7 +5,7 @@ use crate::error::CoreError;
 use crate::schedule::HappensBeforeGraph;
 use cc_ledger::ScheduleMetadata;
 use cc_primitives::pool::WorkerPool;
-use cc_stm::{LockProfile, RetryPolicy, StmError};
+use cc_stm::{LockProfile, StmError};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -14,17 +14,19 @@ pub(crate) enum Attempt<T> {
     /// Committed; `T` is what the miner publishes for it.
     Committed(T),
     /// A conflict victim (deadlock or failed validation), already rolled
-    /// back: retried after backoff, and the error the block fails with
-    /// once the retry budget is spent.
+    /// back: retried at once (a miner that wants a pause takes it before
+    /// returning this), and the error the block fails with once the
+    /// attempt budget is spent.
     Conflict(StmError),
     /// Not retryable: the block fails.
     Fatal(StmError),
 }
 
 /// Executes transactions `0..n` on `pool`: every worker claims the next
-/// unexecuted index, retries it under `retry` until it commits, and keeps
-/// its results locally until it runs out of indices. Returns the committed
-/// values by transaction index, plus the number of retries.
+/// unexecuted index, retries it until it commits or `max_attempts` are
+/// spent, and keeps its results locally until it runs out of indices.
+/// Returns the committed values by transaction index, plus the number of
+/// retries.
 ///
 /// `worker_state` is called once per worker and its value handed to every
 /// `attempt(state, index, attempt_number)` that worker makes. The first
@@ -32,7 +34,7 @@ pub(crate) enum Attempt<T> {
 pub(crate) fn execute_block<S, T: Send>(
     pool: &WorkerPool,
     n: usize,
-    retry: &RetryPolicy,
+    max_attempts: u32,
     worker_state: impl Fn() -> S + Sync,
     attempt: impl Fn(&mut S, usize, u32) -> Attempt<T> + Sync,
 ) -> Result<(Vec<T>, u64), CoreError> {
@@ -55,7 +57,8 @@ pub(crate) fn execute_block<S, T: Send>(
             }
             let mut attempt_number = 0u32;
             // Another worker may fail the whole block while this one is
-            // backing off — don't keep retrying a doomed block.
+            // executing or pausing between attempts — don't keep retrying
+            // a doomed block.
             while !failed.load(Ordering::Acquire) {
                 attempt_number += 1;
                 let source = match attempt(&mut state, index, attempt_number) {
@@ -65,8 +68,7 @@ pub(crate) fn execute_block<S, T: Send>(
                     }
                     Attempt::Conflict(source) => {
                         retries.fetch_add(1, Ordering::Relaxed);
-                        if attempt_number < retry.max_attempts {
-                            retry.backoff(attempt_number);
+                        if attempt_number < max_attempts {
                             continue;
                         }
                         source

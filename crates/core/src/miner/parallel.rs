@@ -9,8 +9,9 @@ use cc_primitives::hash::Hash256;
 use cc_primitives::pool::WorkerPool;
 use cc_stm::{LockMode, LockProfile, RetryPolicy};
 use cc_vm::{Receipt, World};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Mines a block by executing its transactions as speculative atomic
 /// actions on a fixed pool of worker threads.
@@ -18,11 +19,11 @@ use std::time::Instant;
 /// Each worker repeatedly takes the next unexecuted transaction, runs it
 /// inside a speculative STM transaction (acquiring abstract locks and
 /// logging inverses), and commits. Deadlock victims roll back and retry
-/// with backoff. When all transactions have committed, the miner derives
-/// the happens-before graph from the registered lock profiles, computes an
-/// equivalent serial order by topological sort (Algorithm 1's
-/// `MineInParallel`), and publishes both in the block together with the
-/// profiles themselves.
+/// after a backoff sleep (reported in [`MinerStats::backoff`]). When all
+/// transactions have committed, the miner derives the happens-before
+/// graph from the registered lock profiles, computes an equivalent serial
+/// order by topological sort (Algorithm 1's `MineInParallel`), and
+/// publishes both in the block together with the profiles themselves.
 #[derive(Debug, Clone)]
 pub struct ParallelMiner {
     pool: Arc<WorkerPool>,
@@ -87,17 +88,18 @@ impl Miner for ParallelMiner {
         stm.begin_block();
         let locks_before = stm.lock_stats();
         let n = transactions.len();
+        let slept_ns = AtomicU64::new(0);
 
         let (committed, retries) = execute_block(
             &self.pool,
             n,
-            &self.retry,
+            self.retry.max_attempts,
             // Each worker recycles its transaction arenas across the
             // whole block: undo-log sinks, lock vectors and trace buffers
             // are allocated by the first attempts and reused by every
             // later one.
             || stm.txn_scope(),
-            |arenas, index, _attempt| {
+            |arenas, index, attempt| {
                 let tx = &transactions[index];
                 let txn = arenas.begin();
                 match world.execute(&txn, index, tx.msg(), tx.to, &tx.call, tx.gas_limit) {
@@ -106,8 +108,18 @@ impl Miner for ParallelMiner {
                         Err(source) => Attempt::Fatal(source),
                     },
                     Err(source) => {
-                        // Deadlock victim: undo and retry.
+                        // Deadlock victim: undo, then sleep before the
+                        // retry. The pause is load-bearing here: the winner
+                        // of the upgrade deadlock is still executing, and a
+                        // victim that re-runs at once takes its shared lock
+                        // again and re-enters the same deadlock.
                         let _ = txn.abort();
+                        if attempt < self.retry.max_attempts {
+                            let slept = Instant::now();
+                            self.retry.backoff(attempt);
+                            slept_ns
+                                .fetch_add(slept.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                        }
                         Attempt::Conflict(source)
                     }
                 }
@@ -138,6 +150,8 @@ impl Miner for ParallelMiner {
                 threads: self.threads(),
                 transactions: n,
                 retries,
+                backoff: Duration::from_nanos(slept_ns.into_inner()),
+                exclusive: 0,
                 elapsed,
                 gas_used,
                 critical_path,

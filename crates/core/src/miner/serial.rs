@@ -127,6 +127,7 @@ impl Miner for SerialMiner {
                 hb_edges,
                 locks: stm.lock_stats().since(&locks_before),
                 read_only,
+                ..MinerStats::default()
             },
         })
     }

@@ -13,8 +13,15 @@ pub struct MinerStats {
     /// Number of transactions in the block.
     pub transactions: usize,
     /// How many speculative executions were aborted and retried
-    /// (deadlock victims).
+    /// (deadlock victims or validation losers).
     pub retries: u64,
+    /// Total time the speculative miner's deadlock victims slept between
+    /// attempts, summed over workers. The optimistic miner never sleeps,
+    /// so its value is always zero.
+    pub backoff: Duration,
+    /// Attempts the optimistic miner ran holding the commit mutex (the
+    /// last resort that cannot lose validation). Zero for other miners.
+    pub exclusive: u64,
     /// Wall-clock time spent executing the block's transactions.
     pub elapsed: Duration,
     /// Total gas charged across all transactions.
@@ -40,11 +47,13 @@ impl fmt::Display for MinerStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} txns on {} thread(s) in {:?} ({} retries, {} read-only, critical path {}, {} edges; locks: {} acquired, {} waits, {} deadlocks over {} shards)",
+            "{} txns on {} thread(s) in {:?} ({} retries, {:?} backoff, {} exclusive, {} read-only, critical path {}, {} edges; locks: {} acquired, {} waits, {} deadlocks over {} shards)",
             self.transactions,
             self.threads,
             self.elapsed,
             self.retries,
+            self.backoff,
+            self.exclusive,
             self.read_only,
             self.critical_path,
             self.hb_edges,
@@ -92,6 +101,8 @@ mod tests {
             threads: 3,
             transactions: 200,
             retries: 5,
+            backoff: Duration::from_micros(120),
+            exclusive: 2,
             elapsed: Duration::from_millis(12),
             gas_used: 1_000,
             critical_path: 7,
@@ -109,6 +120,7 @@ mod tests {
         assert!(s.contains("200 txns"));
         assert!(s.contains("3 thread"));
         assert!(s.contains("40 read-only"));
+        assert!(s.contains("2 exclusive"));
         assert!(s.contains("420 acquired"));
         assert!(s.contains("16 shards"));
 

@@ -18,9 +18,6 @@ pub enum MvccError {
         /// The loser's snapshot instant.
         begin_ts: Timestamp,
     },
-    /// An operation was attempted on a transaction that already committed
-    /// or aborted.
-    TransactionClosed,
 }
 
 impl MvccError {
@@ -37,7 +34,6 @@ impl fmt::Display for MvccError {
                 f,
                 "first-committer-wins validation failed for snapshot {begin_ts}"
             ),
-            MvccError::TransactionClosed => f.write_str("transaction already committed or aborted"),
         }
     }
 }

@@ -79,6 +79,9 @@ mod tests {
     use parking_lot::Mutex;
     use proptest::prelude::*;
     use std::collections::HashMap;
+    use std::sync::{mpsc, Arc};
+    use std::thread;
+    use std::time::Duration;
 
     struct TestBase(Mutex<HashMap<u64, u64>>);
 
@@ -159,6 +162,115 @@ mod tests {
         assert_eq!(seen, 101);
         map.insert(&retry, 1, seen + 7);
         retry.commit().expect("no conflict on retry");
+    }
+
+    /// How long a test waits on another thread before calling it wedged.
+    const TIMEOUT: Duration = Duration::from_secs(10);
+
+    type Shared = Arc<(MvccRuntime, VersionedMap<u64, u64>)>;
+
+    /// Increments key 1 in a fresh optimistic transaction.
+    fn increment(shared: &Shared) -> Result<MvccCommit, MvccError> {
+        let (runtime, map) = &**shared;
+        let txn = runtime.begin();
+        let seen = map.get(&txn, &1).unwrap();
+        map.insert(&txn, 1, seen + 1);
+        txn.commit()
+    }
+
+    /// Whether an optimistic increment on a thread of its own commits
+    /// within [`TIMEOUT`]; a commit mutex nobody releases makes it `false`
+    /// instead of wedging the test (the thread is joined only when done).
+    fn increment_commits_in_time(shared: &Shared) -> bool {
+        let shared = Arc::clone(shared);
+        let (done, result) = mpsc::channel();
+        let writer = thread::spawn(move || done.send(increment(&shared).is_ok()));
+        result.recv_timeout(TIMEOUT).unwrap_or(false) && writer.join().is_ok()
+    }
+
+    #[test]
+    fn exclusive_transaction_holds_off_a_concurrent_writer() {
+        let shared: Shared = Arc::new(fixture());
+        let (runtime, map) = &*shared;
+        let exclusive = runtime.begin_exclusive();
+        let seen = map.get(&exclusive, &1).unwrap();
+        map.insert(&exclusive, 1, seen + 10);
+
+        // A writer of the same key whose snapshot predates the exclusive
+        // commit: it reaches its commit while the mutex is held.
+        let (began, writer_began) = mpsc::channel();
+        let (done, writer_done) = mpsc::channel();
+        let writer = Arc::clone(&shared);
+        let writer_thread = thread::spawn(move || {
+            let (runtime, map) = &*writer;
+            let txn = runtime.begin();
+            let seen = map.get(&txn, &1).unwrap();
+            map.insert(&txn, 1, seen + 1);
+            began.send(()).unwrap();
+            let first = txn.commit();
+            done.send((first, increment(&writer))).unwrap();
+        });
+        writer_began
+            .recv_timeout(TIMEOUT)
+            .expect("the writer begins");
+        // The channel fixes the order of the snapshots; the pause only gives
+        // a broken mutex time to let the writer through.
+        thread::sleep(Duration::from_millis(50));
+        assert!(
+            writer_done.try_recv().is_err(),
+            "the writer cannot commit while the exclusive transaction runs"
+        );
+
+        let won = exclusive
+            .commit()
+            .expect("an exclusive transaction cannot lose");
+        let (first, rerun) = writer_done
+            .recv_timeout(TIMEOUT)
+            .expect("the writer resumes");
+        assert!(first.expect_err("stale snapshot loses").is_retryable());
+        assert!(rerun.expect("a fresh snapshot wins").ts > won.ts);
+        writer_thread
+            .join()
+            .expect("the writer thread finishes cleanly");
+        let check = runtime.begin();
+        assert_eq!(map.get(&check, &1), Some(111));
+        check.commit().unwrap();
+    }
+
+    #[test]
+    fn abort_and_drop_release_the_commit_mutex() {
+        let shared: Shared = Arc::new(fixture());
+        let (runtime, map) = &*shared;
+
+        let aborted = runtime.begin_exclusive();
+        map.insert(&aborted, 1, 0);
+        aborted.abort();
+        assert!(increment_commits_in_time(&shared), "abort releases it");
+
+        let dropped = runtime.begin_exclusive();
+        map.insert(&dropped, 1, 0);
+        drop(dropped); // in flight: neither committed nor aborted
+        assert!(increment_commits_in_time(&shared), "drop releases it");
+
+        assert_eq!(runtime.oracle().active_count(), 0);
+        let check = runtime.begin();
+        assert_eq!(map.get(&check, &1), Some(102), "only the increments landed");
+        check.commit().unwrap();
+    }
+
+    #[test]
+    fn read_only_exclusive_transaction_commits_at_its_snapshot() {
+        let shared: Shared = Arc::new(fixture());
+        let (runtime, map) = &*shared;
+        let first = increment(&shared).unwrap();
+
+        let reader = runtime.begin_exclusive();
+        assert_eq!(reader.begin_ts(), first.ts);
+        assert_eq!(map.get(&reader, &1), Some(101));
+        let commit = reader.commit().expect("readers never abort");
+        assert!(commit.read_only);
+        assert_eq!(commit.ts, first.ts);
+        assert!(increment_commits_in_time(&shared), "commit releases it");
     }
 
     #[test]
@@ -507,7 +619,7 @@ mod tests {
                     txn.commit().unwrap();
                     reference = speculative;
                 } else {
-                    txn.abort().unwrap();
+                    txn.abort();
                 }
 
                 // A fresh snapshot sees exactly the committed reference —

@@ -31,11 +31,25 @@ impl MvccRuntime {
 
     /// Starts an optimistic transaction at the current snapshot.
     pub fn begin(&self) -> MvccTxn<'_> {
+        self.begin_holding(None)
+    }
+
+    /// Starts a transaction that holds the commit mutex from before its
+    /// snapshot is fixed until it commits, aborts or is dropped. No other
+    /// update transaction can commit in between, so its validation cannot
+    /// fail: a loser re-run this way is guaranteed to commit. Every other
+    /// committer waits on the mutex meanwhile, so use it only as the last
+    /// resort of a retry loop.
+    pub fn begin_exclusive(&self) -> MvccTxn<'_> {
+        self.begin_holding(Some(self.commit_guard()))
+    }
+
+    fn begin_holding<'rt>(&'rt self, commit: Option<MutexGuard<'rt, ()>>) -> MvccTxn<'rt> {
         let begin_ts = self.oracle.begin();
         if let Some(sink) = self.durability.get() {
             sink.txn_begin(begin_ts.raw());
         }
-        MvccTxn::new(self, begin_ts)
+        MvccTxn::new(self, begin_ts, commit)
     }
 
     /// Attaches a durability sink; every subsequent transaction lifecycle

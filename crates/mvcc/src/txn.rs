@@ -10,6 +10,17 @@
 //! transaction with no buffered writes skips validation entirely, which is
 //! the structural reason read-only transactions never abort.
 //!
+//! A loser lost to a writer that has **already published**, so the caller
+//! re-runs it at once: a fresh snapshot sees the winner, and there is
+//! nothing to wait for. Re-running alone does not bound the retries — a
+//! loser whose execution is no shorter than a neighbour's can keep losing
+//! to that neighbour's next commit. The bound is
+//! [`MvccRuntime::begin_exclusive`]: that transaction takes the commit
+//! mutex *before* fixing its snapshot and keeps it until it closes, so no
+//! conflicting version can be installed past its snapshot and its
+//! validation (which still runs) cannot fail. A retry loop that ends in
+//! one exclusive attempt therefore always terminates.
+//!
 //! The transaction also records a **lock footprint**: the `(LockId,
 //! LockMode)` pairs the equivalent boosted (pessimistic) execution would
 //! have acquired. The footprint never influences optimistic concurrency
@@ -24,6 +35,7 @@ use cc_primitives::durability::FootprintRecord;
 use cc_primitives::fx::FxHashMap;
 use cc_primitives::ts::Timestamp;
 use cc_stm::{LockId, LockMode};
+use parking_lot::MutexGuard;
 use std::any::Any;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -59,7 +71,6 @@ struct TxnInner {
     /// with modes strengthened in place.
     footprint: Vec<(LockId, LockMode)>,
     footprint_index: FxHashMap<LockId, usize>,
-    closed: bool,
 }
 
 /// A position in the write journal; see [`MvccTxn::savepoint`].
@@ -85,20 +96,31 @@ pub struct MvccCommit {
 
 /// A single optimistic transaction over a runtime's versioned collections.
 ///
-/// Not `Sync`: like the pessimistic `Transaction`, it lives on one worker
-/// thread for its whole life.
+/// Neither `Send` nor `Sync`: like the pessimistic `Transaction`, it lives
+/// on one worker thread for its whole life — and an exclusive one holds
+/// the commit mutex, which the thread that took it must release.
 pub struct MvccTxn<'rt> {
     runtime: &'rt MvccRuntime,
     begin_ts: Timestamp,
     inner: RefCell<TxnInner>,
+    /// The commit mutex, held from begin to close by a transaction from
+    /// [`MvccRuntime::begin_exclusive`]; released by commit, abort or drop.
+    /// (A plain field, not a `Cell`, keeps the type covariant in `'rt`;
+    /// that is why commit and abort consume the transaction.)
+    exclusive: Option<MutexGuard<'rt, ()>>,
 }
 
 impl<'rt> MvccTxn<'rt> {
-    pub(crate) fn new(runtime: &'rt MvccRuntime, begin_ts: Timestamp) -> Self {
+    pub(crate) fn new(
+        runtime: &'rt MvccRuntime,
+        begin_ts: Timestamp,
+        exclusive: Option<MutexGuard<'rt, ()>>,
+    ) -> Self {
         MvccTxn {
             runtime,
             begin_ts,
             inner: RefCell::new(TxnInner::default()),
+            exclusive,
         }
     }
 
@@ -143,7 +165,6 @@ impl<'rt> MvccTxn<'rt> {
     {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        debug_assert!(!inner.closed, "storage access on a closed transaction");
         let slot = inner.slots.entry(token).or_insert_with(|| Slot {
             pending: Box::<P>::default(),
             collection: collection(),
@@ -223,61 +244,58 @@ impl<'rt> MvccTxn<'rt> {
     ///
     /// A transaction with no buffered writes commits immediately at its
     /// begin timestamp — no validation, no installs, no way to abort. An
-    /// update transaction takes the runtime's commit mutex, validates
-    /// first-committer-wins over its read and write sets, and on success
-    /// installs every buffered write as a new version at a fresh commit
-    /// timestamp.
+    /// update transaction takes the runtime's commit mutex (an exclusive
+    /// one already holds it), validates first-committer-wins over its read
+    /// and write sets, and on success installs every buffered write as a
+    /// new version at a fresh commit timestamp. Either way the mutex is
+    /// released before this returns.
     ///
     /// # Errors
     ///
     /// [`MvccError::Conflict`] when validation fails (retry with a fresh
-    /// transaction), [`MvccError::TransactionClosed`] when already closed.
-    pub fn commit(&self) -> Result<MvccCommit, MvccError> {
-        let result = {
-            let mut inner = self.inner.borrow_mut();
-            if inner.closed {
-                return Err(MvccError::TransactionClosed);
-            }
-            inner.closed = true;
-            let inner = &mut *inner;
-            let footprint = std::mem::take(&mut inner.footprint);
-            let has_writes = inner.slots.values().any(|s| s.pending.has_writes());
-            if !has_writes {
+    /// transaction).
+    pub fn commit(mut self) -> Result<MvccCommit, MvccError> {
+        let inner = self.inner.get_mut();
+        let footprint = std::mem::take(&mut inner.footprint);
+        let has_writes = inner.slots.values().any(|s| s.pending.has_writes());
+        let result = if !has_writes {
+            Ok(MvccCommit {
+                ts: self.begin_ts,
+                read_only: true,
+                footprint,
+            })
+        } else {
+            // First-committer-wins critical section.
+            let runtime = self.runtime;
+            let guard = self
+                .exclusive
+                .take()
+                .unwrap_or_else(|| runtime.commit_guard());
+            let valid = inner
+                .slots
+                .values()
+                .all(|s| s.collection.validate(s.pending.any_ref(), self.begin_ts));
+            if valid {
+                let ts = runtime.oracle().latest().next();
+                for slot in inner.slots.values_mut() {
+                    slot.collection.install(slot.pending.any_mut(), ts);
+                }
+                // Publish only after every version is in place, so a
+                // concurrent `begin` can never observe a half-installed
+                // commit.
+                runtime.oracle().publish(ts);
+                drop(guard);
                 Ok(MvccCommit {
-                    ts: self.begin_ts,
-                    read_only: true,
+                    ts,
+                    read_only: false,
                     footprint,
                 })
             } else {
-                // First-committer-wins critical section.
-                let guard = self.runtime.commit_guard();
-                let valid = inner
-                    .slots
-                    .values()
-                    .all(|s| s.collection.validate(s.pending.any_ref(), self.begin_ts));
-                if valid {
-                    let ts = self.runtime.oracle().latest().next();
-                    for slot in inner.slots.values_mut() {
-                        slot.collection.install(slot.pending.any_mut(), ts);
-                    }
-                    // Publish only after every version is in place, so a
-                    // concurrent `begin` can never observe a half-installed
-                    // commit.
-                    self.runtime.oracle().publish(ts);
-                    drop(guard);
-                    Ok(MvccCommit {
-                        ts,
-                        read_only: false,
-                        footprint,
-                    })
-                } else {
-                    Err(MvccError::Conflict {
-                        begin_ts: self.begin_ts,
-                    })
-                }
+                Err(MvccError::Conflict {
+                    begin_ts: self.begin_ts,
+                })
             }
         };
-        self.runtime.oracle().finish(self.begin_ts);
         if let Some(sink) = self.runtime.durability() {
             match &result {
                 Ok(commit) => {
@@ -302,37 +320,20 @@ impl<'rt> MvccTxn<'rt> {
 
     /// Aborts the transaction: buffered writes are discarded (the shared
     /// version lists were never touched).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MvccError::TransactionClosed`] if already closed.
-    pub fn abort(&self) -> Result<(), MvccError> {
-        {
-            let mut inner = self.inner.borrow_mut();
-            if inner.closed {
-                return Err(MvccError::TransactionClosed);
-            }
-            inner.closed = true;
-        }
-        self.runtime.oracle().finish(self.begin_ts);
+    pub fn abort(self) {
         if let Some(sink) = self.runtime.durability() {
             sink.txn_abort(self.begin_ts.raw());
         }
-        Ok(())
     }
 }
 
 impl Drop for MvccTxn<'_> {
+    /// Ends the transaction in the oracle, whether it committed, aborted
+    /// or was dropped in flight (panic, early return): the
+    /// garbage-collection horizon must move on. An exclusive transaction
+    /// still holding the commit mutex releases it when its field drops.
     fn drop(&mut self) {
-        let closed = {
-            let mut inner = self.inner.borrow_mut();
-            std::mem::replace(&mut inner.closed, true)
-        };
-        if !closed {
-            // A dropped-in-flight transaction (panic, early return) must
-            // still unblock the garbage-collection horizon.
-            self.runtime.oracle().finish(self.begin_ts);
-        }
+        self.runtime.oracle().finish(self.begin_ts);
     }
 }
 
@@ -344,7 +345,7 @@ impl std::fmt::Debug for MvccTxn<'_> {
             .field("collections", &inner.slots.len())
             .field("journal", &inner.order.len())
             .field("footprint", &inner.footprint.len())
-            .field("closed", &inner.closed)
+            .field("exclusive", &self.exclusive.is_some())
             .finish()
     }
 }

@@ -5,9 +5,12 @@ use std::time::Duration;
 /// Controls how [`crate::Stm::run`] retries a speculative transaction that
 /// was chosen as a deadlock victim.
 ///
-/// Retries use bounded exponential backoff with a deterministic per-attempt
-/// jitter (derived from the attempt number) so that two repeatedly
-/// colliding transactions do not stay in lock-step.
+/// Retries use bounded exponential backoff: attempt `k` sleeps
+/// `2·base · 2^(k−1)` µs, capped at `max_backoff_us`, plus a deterministic
+/// jitter below `base`. The jitter is a function of the attempt number
+/// only, so it moves one transaction's successive sleeps off round
+/// numbers, but two victims on the same attempt sleep identically — it
+/// does not break lock-step between them.
 ///
 /// # Example
 ///
@@ -22,7 +25,8 @@ pub struct RetryPolicy {
     /// Maximum number of attempts before giving up with
     /// [`crate::StmError::RetriesExhausted`].
     pub max_attempts: u32,
-    /// Base backoff in microseconds for the first retry.
+    /// Base backoff in microseconds: the first retry sleeps twice this,
+    /// each later one twice the one before, and the jitter stays below it.
     pub base_backoff_us: u64,
     /// Upper bound on the backoff in microseconds.
     pub max_backoff_us: u64,
@@ -87,9 +91,22 @@ mod tests {
 
     #[test]
     fn delay_grows_then_saturates() {
-        let p = RetryPolicy::new(10, 10, 500);
-        assert!(p.delay_for(1) <= p.delay_for(6) || p.delay_for(6) >= Duration::from_micros(500));
-        assert!(p.delay_for(30) <= Duration::from_micros(500 + 10));
+        let base = 10;
+        let p = RetryPolicy::new(10, base, 500);
+        for attempt in 1..=30u32 {
+            let floor = ((2 * base) << (attempt - 1)).min(500);
+            let delay = p.delay_for(attempt).as_micros() as u64;
+            assert!(
+                (floor..floor + base).contains(&delay),
+                "attempt {attempt}: {delay} µs, want {floor} plus jitter below {base}"
+            );
+        }
+        // The default schedule, jitter (< 20 µs) rounded away.
+        let default = RetryPolicy::default();
+        let floors: Vec<u64> = (1..=9)
+            .map(|k| default.delay_for(k).as_micros() as u64 / 20 * 20)
+            .collect();
+        assert_eq!(floors, [40, 80, 160, 320, 640, 1_280, 2_560, 5_000, 5_000]);
     }
 
     #[test]

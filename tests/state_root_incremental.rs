@@ -222,7 +222,7 @@ fn transact(world: &World, optimistic: bool, body: &mut dyn FnMut(TxnRef<'_>) ->
             txn.commit()
                 .expect("a lone optimistic transaction validates");
         } else {
-            txn.abort().expect("abort");
+            txn.abort();
         }
     } else {
         let txn = world.stm().begin();
