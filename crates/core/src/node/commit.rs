@@ -58,11 +58,6 @@
 //!   first drains every in-flight seal (a barrier) and then checkpoints
 //!   on the caller: the reset never races a seal, and a failed seal
 //!   never has its block checkpointed.
-//!
-//! With a worker, WAL records of block N+1's transactions may be flushed
-//! by block N's group commit (the log is shared). That is harmless:
-//! recovery replays *sealed blocks* only, so unsealed tail records are
-//! ignored exactly as with inline seals.
 
 use super::pending::PendingChain;
 use super::seal_worker::{self, SealAck, SealWorker};

@@ -23,13 +23,12 @@ use std::sync::Arc;
 /// Where and how eagerly a node persists its ledger.
 ///
 /// With a mode other than [`DurabilityMode::Off`], the node writes every
-/// transaction lifecycle event and every appended block to a write-ahead
-/// log in `dir` (one file write — and in [`DurabilityMode::Fsync`] one
-/// fsync — per block, via group commit), plus a checkpoint (the chain
-/// prefix and its state root — no world image) every
-/// `snapshot_interval` blocks, after which the log is reset and older
-/// checkpoints are pruned. [`Node::recover`] rebuilds a node from that
-/// directory.
+/// appended block to a write-ahead log in `dir` (one frame and one file
+/// write — and in [`DurabilityMode::Fsync`] one fsync — per block; the
+/// log holds nothing else), plus a checkpoint (the chain prefix and its
+/// state root — no world image) every `snapshot_interval` blocks, after
+/// which the log is reset and the other checkpoints are pruned.
+/// [`Node::recover`] rebuilds a node from that directory.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     dir: PathBuf,
@@ -67,8 +66,9 @@ impl DurabilityConfig {
     }
 }
 
-/// Live durability machinery of a node: its config plus the open WAL
-/// (shared with the execution runtimes as their durability sink).
+/// Live durability machinery of a node: its config plus the open WAL,
+/// which the commit stage seals each appended block into (shared with
+/// the seal worker). The execution runtimes never see it.
 #[derive(Debug)]
 struct DurabilityState {
     config: DurabilityConfig,
@@ -76,19 +76,10 @@ struct DurabilityState {
 }
 
 impl DurabilityState {
-    /// Attaches `wal` to `world`'s execution runtimes as their durability
-    /// sink.
-    fn attach(config: DurabilityConfig, wal: Wal, world: &World) -> Self {
-        let wal = Arc::new(wal);
-        world.stm().lock_manager().attach_durability(wal.clone());
-        world.mvcc().attach_durability(wal.clone());
-        DurabilityState { config, wal }
-    }
-
     /// Writes a checkpoint at `chain`'s head — the chain prefix and the
     /// head's state root, no world image (see [`cc_ledger::snapshot`]) —
-    /// then resets the WAL (its records are now redundant) and prunes
-    /// the checkpoints this one supersedes.
+    /// then resets the WAL (its seals are now redundant) and prunes
+    /// every other checkpoint but the one before it.
     fn write_snapshot(&self, chain: &Blockchain) -> Result<(), CoreError> {
         let head = chain.head();
         let snapshot = SnapshotFile {
@@ -103,7 +94,7 @@ impl DurabilityState {
         self.wal.reset().map_err(CoreError::durability)?;
         // The pruned files are redundant, so a failed unlink is not a
         // durability failure; the next barrier retries it.
-        let _ = cc_ledger::prune(dir);
+        let _ = cc_ledger::prune(dir, snapshot.height);
         Ok(())
     }
 }
@@ -185,8 +176,8 @@ impl NodeBuilder {
 
     /// Enables durable operation: a fresh WAL and a genesis checkpoint are
     /// created in the configured directory at build time (pre-existing
-    /// log contents are discarded — use [`Node::recover`] to *resume*
-    /// from a directory instead).
+    /// log contents and every checkpoint above genesis are discarded —
+    /// use [`Node::recover`] to *resume* from a directory instead).
     pub fn durability(mut self, config: DurabilityConfig) -> Self {
         self.durability = Some(config);
         self
@@ -310,7 +301,10 @@ impl Node {
         if config.mode() != DurabilityMode::Off {
             let wal = Wal::open_append(config.dir().join(WAL_FILE), config.mode())
                 .map_err(CoreError::durability)?;
-            node.durability = Some(DurabilityState::attach(config, wal, &node.world));
+            node.durability = Some(DurabilityState {
+                config,
+                wal: Arc::new(wal),
+            });
         }
         Ok(node)
     }
@@ -341,9 +335,10 @@ impl Node {
         std::fs::create_dir_all(config.dir()).map_err(CoreError::durability)?;
         let wal = Wal::create(config.dir().join(WAL_FILE), config.mode())
             .map_err(CoreError::durability)?;
-        let state = self
-            .durability
-            .insert(DurabilityState::attach(config, wal, &self.world));
+        let state = self.durability.insert(DurabilityState {
+            config,
+            wal: Arc::new(wal),
+        });
         // The genesis checkpoint: recovery always has an anchor, even if
         // the node crashes before the first periodic one.
         state.write_snapshot(&self.chain)
@@ -767,6 +762,107 @@ mod tests {
         let recovered = Node::recover(config, fresh_world(), engine).unwrap();
         assert_eq!(recovered.chain().head_hash(), fourth.hash());
         assert_eq!(recovered.world().state_root(), fourth.header.state_root);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What the WAL must hold after `node`'s head, with a checkpoint
+    /// every `interval` blocks: one seal frame — 12 bytes of frame header,
+    /// a tag byte, a `u64` length and the encoded block — per block since
+    /// the last checkpoint, and nothing else.
+    fn seal_bytes(node: &Node, interval: u64) -> u64 {
+        let head = node.chain().head().header.number;
+        let checkpoint = head - head % interval;
+        let blocks = node.chain().iter().skip(checkpoint as usize + 1);
+        blocks.map(|b| 21 + b.to_checked_bytes().len() as u64).sum()
+    }
+
+    #[test]
+    fn the_wal_holds_exactly_its_seals() {
+        use cc_workload::{Benchmark, WorkloadSpec};
+        const INTERVAL: u64 = 3;
+        // 100 % conflict: miners retry and abort, followers replay.
+        for benchmark in [Benchmark::SimpleAuction, Benchmark::EtherDoc] {
+            for (name, config) in [
+                ("stm", EngineConfig::new()),
+                ("mvcc", EngineConfig::optimistic()),
+            ] {
+                let workload = WorkloadSpec::new(benchmark, 24, 1.0).generate();
+                let dir = |role: &str| temp_dir(&format!("seals-{benchmark}-{name}-{role}"));
+                let durable = |role: &str| {
+                    let dir = dir(role);
+                    std::fs::remove_dir_all(&dir).ok();
+                    Node::builder()
+                        .world(workload.build_world())
+                        .config(config.clone().threads(2))
+                        .durability(
+                            DurabilityConfig::new(dir, DurabilityMode::Buffered)
+                                .snapshot_interval(INTERVAL),
+                        )
+                        .build()
+                        .unwrap()
+                };
+                let holds_only_seals = |node: &Node| {
+                    let written = node.wal().unwrap().written_len();
+                    assert_eq!(written, seal_bytes(node, INTERVAL), "{benchmark} {name}");
+                };
+                let mut miner = durable("miner");
+                for _ in 0..4 {
+                    miner.mine_and_append(workload.transactions()).unwrap();
+                    holds_only_seals(&miner);
+                }
+                let mut follower = durable("follower");
+                for block in miner.chain().iter().skip(1) {
+                    let one = std::iter::once(block.clone());
+                    follower
+                        .run_follower_pipeline(one, &FollowerConfig::new())
+                        .unwrap();
+                    holds_only_seals(&follower);
+                }
+                for role in ["miner", "follower"] {
+                    std::fs::remove_dir_all(dir(role)).ok();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_node_built_over_a_used_directory_recovers_its_own_chain() {
+        let dir = temp_dir("used-dir");
+        std::fs::remove_dir_all(&dir).ok();
+        let config = DurabilityConfig::new(&dir, DurabilityMode::Buffered);
+        // Another history over the same genesis world leaves a
+        // checkpoint at height 8 behind.
+        let mut other = Node::builder()
+            .world(fresh_world())
+            .config(EngineConfig::new().threads(2))
+            .durability(config.clone().snapshot_interval(8))
+            .build()
+            .unwrap();
+        for block_number in 0..8u64 {
+            other
+                .mine_and_append(block_txs(5_000 + block_number * 100, 2))
+                .unwrap();
+        }
+        drop(other);
+        assert!(dir.join(SnapshotFile::file_name(8)).exists());
+
+        let mut node = Node::builder()
+            .world(fresh_world())
+            .config(EngineConfig::new().threads(2))
+            .durability(config.clone())
+            .build()
+            .unwrap();
+        for block_number in 0..2u64 {
+            node.mine_and_append(block_txs(block_number * 100, 4))
+                .unwrap();
+        }
+        let head = node.chain().head().clone();
+        drop(node);
+
+        let engine = EngineConfig::new().threads(2).build().unwrap();
+        let recovered = Node::recover(config, fresh_world(), engine).unwrap();
+        assert_eq!(recovered.chain().head_hash(), head.hash());
+        assert_eq!(recovered.world().state_root(), head.header.state_root);
         std::fs::remove_dir_all(&dir).ok();
     }
 

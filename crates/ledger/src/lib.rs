@@ -56,4 +56,4 @@ pub use recovery::{recover, RecoveredLedger, RecoveryError};
 pub use schedule_meta::{ProfileRecord, ScheduleMetadata};
 pub use snapshot::{load_latest, prune, SnapshotError, SnapshotFile};
 pub use tx::{Transaction, TxId};
-pub use wal::{DurabilityMode, Wal, WalRecord, WalScan, WAL_FILE};
+pub use wal::{DurabilityMode, Wal, WalScan, WAL_FILE};

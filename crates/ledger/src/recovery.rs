@@ -13,18 +13,18 @@
 //!
 //! Invariants (see `crates/ledger/README.md` for the full contract):
 //!
-//! * Only **sealed** blocks from the WAL's valid prefix are replayed;
-//!   transaction-level records inform diagnostics, never state.
+//! * The WAL holds sealed blocks only (legacy transaction records in an
+//!   older log are skipped by the scan), so what is replayed is exactly
+//!   the blocks of its valid prefix.
 //! * The WAL's torn or corrupt tail is dropped wholesale — recovery can
 //!   lose at most the blocks sealed after the last intact seal record,
 //!   never a prefix block and never part of a block.
 //! * Sealed blocks at or below the snapshot height are skipped, which
 //!   makes a crash between snapshot-write and WAL-reset harmless.
 
-use crate::block::Block;
 use crate::chain::{Blockchain, ChainError};
 use crate::snapshot::{load_latest, SnapshotFile};
-use crate::wal::{self, WalRecord, WAL_FILE};
+use crate::wal::{self, WAL_FILE};
 use cc_primitives::hash::Hash256;
 use std::io;
 use std::path::Path;
@@ -89,9 +89,6 @@ pub struct RecoveredLedger {
     /// `chain`'s block at `snapshot_height`, which a replayed world must
     /// reach at that height.
     pub snapshot_state_root: Hash256,
-    /// Sealed blocks recovered from the WAL (heights above the
-    /// snapshot), in chain order.
-    pub wal_blocks: Vec<Block>,
     /// Bytes of the WAL's valid prefix.
     pub wal_valid_len: u64,
     /// Bytes dropped from the WAL's torn or corrupt tail (0 for a clean
@@ -138,16 +135,9 @@ pub fn recover(dir: &Path) -> Result<RecoveredLedger, RecoveryError> {
     // below the snapshot height are already in the chain (crash between
     // snapshot-write and WAL-reset); anything newer must extend the tip.
     let scanned = wal::scan(&dir.join(WAL_FILE))?;
-    let mut wal_blocks = Vec::new();
-    for record in scanned.records {
-        if let WalRecord::BlockSeal(block) = record {
-            if block.header.number <= chain.head().header.number {
-                continue;
-            }
-            chain
-                .append((*block).clone())
-                .map_err(RecoveryError::BadWalBlock)?;
-            wal_blocks.push(*block);
+    for block in scanned.blocks {
+        if block.header.number > chain.head().header.number {
+            chain.append(block).map_err(RecoveryError::BadWalBlock)?;
         }
     }
 
@@ -155,7 +145,6 @@ pub fn recover(dir: &Path) -> Result<RecoveredLedger, RecoveryError> {
         chain,
         snapshot_height: snapshot.height,
         snapshot_state_root: snapshot.state_root,
-        wal_blocks,
         wal_valid_len: scanned.valid_len,
         wal_dropped: scanned.total_len - scanned.valid_len,
     })
@@ -164,6 +153,7 @@ pub fn recover(dir: &Path) -> Result<RecoveredLedger, RecoveryError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::Block;
     use crate::snapshot::SnapshotFile;
     use crate::tx::Transaction;
     use crate::wal::{DurabilityMode, Wal};
@@ -225,9 +215,8 @@ mod tests {
         let recovered = recover(&dir).unwrap();
         assert_eq!(recovered.height(), 3);
         assert_eq!(recovered.snapshot_height, 0);
-        assert_eq!(recovered.wal_blocks.len(), 3);
         assert_eq!(recovered.wal_dropped, 0);
-        assert_eq!(recovered.chain.head_hash(), chain.head_hash());
+        assert!(recovered.chain.iter().eq(chain.iter()), "the sealed chain");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -283,8 +272,8 @@ mod tests {
 
         let recovered = recover(&dir).unwrap();
         assert_eq!(recovered.snapshot_height, 2);
-        assert_eq!(recovered.height(), 2);
-        assert!(recovered.wal_blocks.is_empty(), "all seals were ≤ snapshot");
+        assert_eq!(recovered.height(), 2, "all seals were ≤ snapshot");
+        assert!(recovered.chain.iter().eq(chain.iter()));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -26,8 +26,9 @@
 //! redundant and the log is reset. A crash between the rename and the
 //! reset is benign — recovery skips sealed blocks at or below the
 //! checkpoint height. After the reset [`prune`] removes every checkpoint
-//! below the [`KEPT_CHECKPOINTS`] highest and every stale temporary
-//! file, so the directory holds a constant number of files.
+//! above the new one, every one below the [`KEPT_CHECKPOINTS`] highest
+//! and every stale temporary file, so the directory holds a constant
+//! number of files, all of them from the node's own chain.
 
 use crate::block::{Block, BlockCodecError};
 use cc_primitives::codec::{DecodeError, Decoder, Encoder};
@@ -303,24 +304,29 @@ pub fn load_latest(dir: &Path) -> io::Result<Option<SnapshotFile>> {
 /// [`load_latest`] falls back to should the newest rot on disk.
 pub const KEPT_CHECKPOINTS: usize = 2;
 
-/// Deletes every checkpoint file in `dir` below the
-/// [`KEPT_CHECKPOINTS`] highest, and every temporary file a write that
-/// died between create and rename left behind. Call it once the newest
-/// checkpoint is durably renamed and the WAL reset: each checkpoint
-/// embeds the whole chain prefix, so nothing below the newest valid one
-/// is ever read again.
+/// Prunes `dir` after a checkpoint at `height`: deletes every checkpoint
+/// file above `height`, every one below the [`KEPT_CHECKPOINTS`] highest
+/// at or below it, and every temporary file a write that died between
+/// create and rename left behind. Call it once the checkpoint at `height`
+/// is durably renamed and the WAL reset: each checkpoint embeds the whole
+/// chain prefix, so nothing below it is ever read again — and nothing
+/// above it belongs to this chain (a node built over a used directory
+/// must not leave another history's higher checkpoint in charge of
+/// recovery). At a barrier of a node that owns its directory there is
+/// nothing above `height`.
 ///
 /// # Errors
 ///
 /// The directory-listing error, or the first failed unlink (every other
 /// file is still attempted). Neither costs durability — the files are
 /// redundant — so a caller may ignore the error; the next call retries.
-pub fn prune(dir: &Path) -> io::Result<()> {
-    let (mut heights, temporaries) = list(dir)?;
-    heights.truncate(heights.len().saturating_sub(KEPT_CHECKPOINTS));
-    let doomed = heights
-        .into_iter()
-        .map(SnapshotFile::file_name)
+pub fn prune(dir: &Path, height: u64) -> io::Result<()> {
+    let (heights, temporaries) = list(dir)?;
+    let (at_or_below, above) = heights.split_at(heights.partition_point(|&h| h <= height));
+    let doomed = at_or_below[..at_or_below.len().saturating_sub(KEPT_CHECKPOINTS)]
+        .iter()
+        .chain(above)
+        .map(|&h| SnapshotFile::file_name(h))
         .chain(temporaries);
     let mut outcome = Ok(());
     for name in doomed {
@@ -500,7 +506,7 @@ mod tests {
         fs::write(dir.join(".snapshot-7.snap.tmp"), b"torn").unwrap();
         fs::write(dir.join("wal.log"), b"not ours").unwrap();
         fs::write(dir.join("snapshot-7.snap.bak"), b"not ours either").unwrap();
-        prune(&dir).unwrap();
+        prune(&dir, 10).unwrap();
         // Highest by height, not by name: 9 and 10, not 2 and 9.
         assert_eq!(
             names_in(&dir),
@@ -513,8 +519,22 @@ mod tests {
         );
         assert_eq!(load_latest(&dir).unwrap().unwrap().height, 10);
         // Nothing left to do: pruning again is a no-op.
-        prune(&dir).unwrap();
+        prune(&dir, 10).unwrap();
         assert_eq!(names_in(&dir).len(), 4);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn prune_deletes_every_checkpoint_above_the_one_just_written() {
+        // Another history's checkpoints at 2 and 9 outrank a fresh
+        // genesis checkpoint; pruning after it deletes both.
+        let dir = temp_dir("prune-above");
+        for len in [3, 10, 1] {
+            sample(len).write_to(&dir).unwrap();
+        }
+        prune(&dir, 0).unwrap();
+        assert_eq!(names_in(&dir), ["snapshot-0.snap"]);
+        assert_eq!(load_latest(&dir).unwrap().unwrap().height, 0);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -526,7 +546,7 @@ mod tests {
         for len in [2, 3, 4] {
             sample(len).write_to(&dir).unwrap();
         }
-        assert!(prune(&dir).is_err());
+        assert!(prune(&dir, 3).is_err());
         assert_eq!(
             names_in(&dir),
             ["snapshot-0.snap", "snapshot-2.snap", "snapshot-3.snap"]

@@ -1,24 +1,27 @@
-//! The checksummed, length-prefixed write-ahead log.
+//! The checksummed, length-prefixed write-ahead log of sealed blocks.
 //!
 //! Every record is framed as `[len: u32][checksum: u64][payload]` (all
-//! little-endian), where `checksum = fnv1a(payload)`. The log carries five
-//! record kinds — transaction begin/op/commit/abort plus **block seal** —
-//! and is written with **group commit**: transaction records accumulate in
-//! an in-memory buffer (the sink calls arrive from concurrent miner
-//! workers) and reach the file in a single `write` when a block seals, so
-//! one fsync amortizes across the whole block.
+//! little-endian), where `checksum = fnv1a(payload)`. The log holds one
+//! record kind, the **block seal**: one frame per appended block, written
+//! in a single `write` (plus one `fdatasync` in [`DurabilityMode::Fsync`])
+//! when the block seals. The block — its transactions plus the published
+//! schedule — is the unit recovery re-executes, so nothing finer is
+//! logged: a transaction's effects exist durably only inside a sealed
+//! block.
 //!
 //! Recovery semantics are *prefix* semantics: [`scan`] walks frames from
 //! the start and stops at the first torn, truncated or corrupt frame.
 //! Everything before that point is the valid prefix; everything after —
-//! even well-formed frames beyond a corrupt one — is dropped. Because
-//! only **sealed blocks** are replayed, a crash mid-block loses at most
-//! the unsealed block being built, and an aborted transaction's effects
-//! can never survive (they are simply never part of a sealed block).
+//! even well-formed frames beyond a corrupt one — is dropped. A crash
+//! mid-block loses at most the unsealed block being built.
+//!
+//! Logs written by earlier versions also carry transaction begin, op,
+//! commit and abort frames (tags 1–4) between their seals. Nothing ever
+//! replayed them, and [`scan`] skips them, so such a log still recovers
+//! and [`Wal::open_append`] keeps every seal in it.
 
 use crate::block::{Block, BlockCodecError};
 use cc_primitives::codec::{DecodeError, Decoder};
-use cc_primitives::durability::{DurabilitySink, FootprintRecord};
 use cc_primitives::fnv::fnv1a;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -36,8 +39,8 @@ pub enum DurabilityMode {
     /// stm_micro CI gate protects).
     #[default]
     Off,
-    /// Records are written to the OS at every block seal but not fsynced;
-    /// a process crash loses nothing, a machine crash may lose the tail.
+    /// Each seal is written to the OS but not fsynced; a process crash
+    /// loses nothing, a machine crash may lose the tail.
     Buffered,
     /// Every block seal ends with `fdatasync`: a machine crash loses at
     /// most the block being built.
@@ -54,87 +57,37 @@ impl std::fmt::Display for DurabilityMode {
     }
 }
 
-/// Record tags (first payload byte).
-const TAG_TXN_BEGIN: u8 = 1;
-const TAG_TXN_OP: u8 = 2;
-const TAG_TXN_COMMIT: u8 = 3;
-const TAG_TXN_ABORT: u8 = 4;
+/// Record tag (first payload byte) of a block seal.
 const TAG_BLOCK_SEAL: u8 = 5;
 
-/// One decoded WAL record.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WalRecord {
-    /// A transaction began execution.
-    TxnBegin {
-        /// Runtime transaction id (STM txn id or MVCC begin timestamp).
-        txn_id: u64,
-    },
-    /// One entry of a committing transaction's lock footprint.
-    TxnOp {
-        /// The owning transaction.
-        txn_id: u64,
-        /// Abstract lock-space fingerprint.
-        space: u64,
-        /// Key fingerprint within the space.
-        key: u64,
-        /// Access-mode byte (`cc_stm::LockMode::to_byte`).
-        mode: u8,
-    },
-    /// The transaction committed; its op records precede this one.
-    TxnCommit {
-        /// The committing transaction.
-        txn_id: u64,
-    },
-    /// The transaction aborted; none of its effects survive.
-    TxnAbort {
-        /// The aborting transaction.
-        txn_id: u64,
-    },
-    /// A block was appended to the chain. The only record kind recovery
-    /// replays.
-    BlockSeal(Box<Block>),
-}
-
-fn decode_record(payload: &[u8]) -> Result<WalRecord, DecodeError> {
+/// Decodes one checksummed payload: `Some(block)` for a seal, `None` for
+/// a legacy transaction record.
+fn decode_record(payload: &[u8]) -> Result<Option<Block>, DecodeError> {
     let mut dec = Decoder::new(payload);
-    let record = match dec.get_u8()? {
-        TAG_TXN_BEGIN => WalRecord::TxnBegin {
-            txn_id: dec.get_u64()?,
-        },
-        TAG_TXN_OP => WalRecord::TxnOp {
-            txn_id: dec.get_u64()?,
-            space: dec.get_u64()?,
-            key: dec.get_u64()?,
-            mode: dec.get_u8()?,
-        },
-        TAG_TXN_COMMIT => WalRecord::TxnCommit {
-            txn_id: dec.get_u64()?,
-        },
-        TAG_TXN_ABORT => WalRecord::TxnAbort {
-            txn_id: dec.get_u64()?,
-        },
-        TAG_BLOCK_SEAL => {
-            let bytes = dec.get_bytes()?;
-            let block = Block::from_checked_bytes(&bytes).map_err(|e| match e {
-                BlockCodecError::Decode(inner) => inner,
-                _ => DecodeError {
-                    context: "sealed block rejected",
-                },
-            })?;
-            WalRecord::BlockSeal(Box::new(block))
-        }
+    match dec.get_u8()? {
+        TAG_BLOCK_SEAL => {}
+        // Legacy transaction record (begin, op, commit, abort) from a log
+        // written before the WAL held seals only: skipped, never state.
+        1..=4 => return Ok(None),
         _ => {
             return Err(DecodeError {
                 context: "unknown WAL record tag",
             })
         }
-    };
+    }
+    let bytes = dec.get_bytes()?;
+    let block = Block::from_checked_bytes(&bytes).map_err(|e| match e {
+        BlockCodecError::Decode(inner) => inner,
+        _ => DecodeError {
+            context: "sealed block rejected",
+        },
+    })?;
     if !dec.is_empty() {
         return Err(DecodeError {
             context: "trailing bytes in WAL record",
         });
     }
-    Ok(record)
+    Ok(Some(block))
 }
 
 /// Appends one framed record to `buf`.
@@ -144,8 +97,16 @@ fn push_frame(buf: &mut Vec<u8>, payload: &[u8]) {
     buf.extend_from_slice(payload);
 }
 
-fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// The framed seal record of `block`.
+fn seal_frame(block: &Block) -> Vec<u8> {
+    let bytes = block.to_checked_bytes();
+    let mut payload = Vec::with_capacity(9 + bytes.len());
+    payload.push(TAG_BLOCK_SEAL);
+    payload.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+    payload.extend_from_slice(&bytes);
+    let mut frame = Vec::with_capacity(12 + payload.len());
+    push_frame(&mut frame, &payload);
+    frame
 }
 
 /// Fsyncs the directory holding `path`, making its directory entries
@@ -158,52 +119,43 @@ pub(crate) fn sync_parent_dir(path: &Path) -> io::Result<()> {
     }
 }
 
-struct WalBuffer {
-    /// Records framed but not yet written to the file (group commit).
-    pending: Vec<u8>,
+#[derive(Debug)]
+struct WalIo {
+    file: File,
+    /// Bytes handed to the OS so far (the file length, absent a crash
+    /// mid-write).
+    written: u64,
     /// Fault injection (see [`Wal::inject_seal_failures`]): `Some(n)`
     /// means the next `n` seals succeed and every seal after that fails
     /// with an injected I/O error, as if the disk went away.
     seals_until_failure: Option<u64>,
 }
 
-struct WalIo {
-    file: File,
-    /// Bytes handed to the OS so far (the file length, absent a crash
-    /// mid-write).
-    written: u64,
-}
-
-/// The write-ahead log: a [`DurabilitySink`] whose records reach the file
-/// once per sealed block.
+/// The write-ahead log: one frame per sealed block.
 ///
-/// Record emission and file I/O are guarded by *separate* mutexes so a
-/// seal's write/fsync never blocks miner workers framing the next
-/// block's records: `buffer` covers the group-commit byte buffer (the
-/// hot path every committing transaction takes), `io` covers the file
-/// and its length (held across the seal's `write` + `fdatasync`). Lock
-/// order is `io` before `buffer` wherever both are held.
+/// One mutex covers the file, its length and the fault-injection count;
+/// it is held across a seal's `write` + `fdatasync`, so concurrent sealers
+/// write whole frames in lock order.
+#[derive(Debug)]
 pub struct Wal {
     path: PathBuf,
     mode: DurabilityMode,
-    buffer: Mutex<WalBuffer>,
     io: Mutex<WalIo>,
 }
 
-impl std::fmt::Debug for Wal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let io = self.io.lock().expect("wal io mutex");
-        let buffer = self.buffer.lock().expect("wal buffer mutex");
-        f.debug_struct("Wal")
-            .field("path", &self.path)
-            .field("mode", &self.mode)
-            .field("pending", &buffer.pending.len())
-            .field("written", &io.written)
-            .finish()
-    }
-}
-
 impl Wal {
+    fn with_file(path: PathBuf, mode: DurabilityMode, file: File, written: u64) -> Wal {
+        Wal {
+            path,
+            mode,
+            io: Mutex::new(WalIo {
+                file,
+                written,
+                seals_until_failure: None,
+            }),
+        }
+    }
+
     /// Creates (or truncates) a log at `path`.
     ///
     /// In [`DurabilityMode::Fsync`] the parent directory is fsynced so
@@ -224,15 +176,7 @@ impl Wal {
         if mode == DurabilityMode::Fsync {
             sync_parent_dir(&path)?;
         }
-        Ok(Wal {
-            path,
-            mode,
-            buffer: Mutex::new(WalBuffer {
-                pending: Vec::new(),
-                seals_until_failure: None,
-            }),
-            io: Mutex::new(WalIo { file, written: 0 }),
-        })
+        Ok(Wal::with_file(path, mode, file, 0))
     }
 
     /// Opens an existing log for appending: scans it, truncates any torn
@@ -249,26 +193,14 @@ impl Wal {
         let scanned = scan(&path)?;
         // `truncate(false)`: the valid prefix must survive the open —
         // only the torn tail is cut, by the `set_len` below.
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .create(true)
             .truncate(false)
             .write(true)
             .open(&path)?;
         file.set_len(scanned.valid_len)?;
-        let mut file = file;
         file.seek(SeekFrom::Start(scanned.valid_len))?;
-        Ok(Wal {
-            path,
-            mode,
-            buffer: Mutex::new(WalBuffer {
-                pending: Vec::new(),
-                seals_until_failure: None,
-            }),
-            io: Mutex::new(WalIo {
-                file,
-                written: scanned.valid_len,
-            }),
-        })
+        Ok(Wal::with_file(path, mode, file, scanned.valid_len))
     }
 
     /// The log's file path.
@@ -281,11 +213,6 @@ impl Wal {
         self.mode
     }
 
-    /// Bytes buffered but not yet written (diagnostics/tests).
-    pub fn pending_len(&self) -> usize {
-        self.buffer.lock().expect("wal buffer mutex").pending.len()
-    }
-
     /// Bytes written to the OS so far (diagnostics/tests).
     pub fn written_len(&self) -> u64 {
         self.io.lock().expect("wal io mutex").written
@@ -296,69 +223,39 @@ impl Wal {
     /// and every call after that fails with an injected I/O error —
     /// deterministically simulating a disk that goes away mid-run, where
     /// [`crate::faultsim::kill_at`] simulates the on-disk aftermath of a
-    /// crash. Buffered records are kept and the file is untouched, exactly
-    /// like a real failed seal.
+    /// crash. A failed seal leaves the file at its last good length,
+    /// exactly like a real one.
     pub fn inject_seal_failures(&self, after: u64) {
-        self.buffer
-            .lock()
-            .expect("wal buffer mutex")
-            .seals_until_failure = Some(after);
+        self.io.lock().expect("wal io mutex").seals_until_failure = Some(after);
     }
 
-    fn append_payload(&self, payload: &[u8]) {
-        let mut buffer = self.buffer.lock().expect("wal buffer mutex");
-        push_frame(&mut buffer.pending, payload);
-    }
-
-    /// Seals a block: appends the seal record and flushes every buffered
-    /// record in one write (plus one `fdatasync` in
-    /// [`DurabilityMode::Fsync`]). This is the group-commit point.
+    /// Seals a block: writes its frame in one write (plus one
+    /// `fdatasync` in [`DurabilityMode::Fsync`]).
     ///
-    /// The buffer lock is held only long enough to take the batch, so
-    /// record emission — miner workers committing the *next* block's
-    /// transactions — proceeds while this seal's write and fsync run.
-    /// Without that split, pipelined production stalls on every commit
-    /// for the length of the fsync it was meant to overlap.
+    /// On an I/O error the file is rolled back to the last known-good
+    /// length, so a partial write never sits inside the valid prefix. The
+    /// frame is not kept for a retry: no caller seals again on a log that
+    /// failed (the seal worker stops, the inline path stales the node, and
+    /// recovery opens a fresh `Wal`).
     ///
     /// # Errors
     ///
     /// Any I/O error writing or syncing the file.
     pub fn seal_block(&self, block: &Block) -> io::Result<()> {
-        let mut payload = Vec::new();
-        payload.push(TAG_BLOCK_SEAL);
-        let bytes = block.to_checked_bytes();
-        push_u64(&mut payload, bytes.len() as u64);
-        payload.extend_from_slice(&bytes);
-
-        // The io lock is taken *before* the batch so concurrent sealers
-        // cannot take batches in one order and write them in another.
+        let frame = seal_frame(block);
         let io = &mut *self.io.lock().expect("wal io mutex");
-        let batch = {
-            let mut buffer = self.buffer.lock().expect("wal buffer mutex");
-            if let Some(remaining) = &mut buffer.seals_until_failure {
-                if *remaining == 0 {
-                    return Err(io::Error::other("injected seal failure (faultsim)"));
-                }
-                *remaining -= 1;
+        if let Some(remaining) = &mut io.seals_until_failure {
+            if *remaining == 0 {
+                return Err(io::Error::other("injected seal failure (faultsim)"));
             }
-            push_frame(&mut buffer.pending, &payload);
-            std::mem::take(&mut buffer.pending)
-        };
-        // Drain the batch only once the write has fully succeeded: on an
-        // I/O error every buffered frame — including this seal — goes
-        // back in the queue for a retry, *ahead of* any records framed
-        // while the write was in flight, and the file is rolled back to
-        // the last known-good length so a partial write can never sit
-        // between the valid prefix and a later successful seal.
-        if let Err(e) = io.file.write_all(&batch) {
+            *remaining -= 1;
+        }
+        if let Err(e) = io.file.write_all(&frame) {
             let _ = io.file.set_len(io.written);
             let _ = io.file.seek(SeekFrom::Start(io.written));
-            let mut buffer = self.buffer.lock().expect("wal buffer mutex");
-            let newer = std::mem::replace(&mut buffer.pending, batch);
-            buffer.pending.extend_from_slice(&newer);
             return Err(e);
         }
-        io.written += batch.len() as u64;
+        io.written += frame.len() as u64;
         if self.mode == DurabilityMode::Fsync {
             io.file.sync_data()?;
         }
@@ -374,11 +271,6 @@ impl Wal {
     /// Any I/O error truncating the file.
     pub fn reset(&self) -> io::Result<()> {
         let mut io = self.io.lock().expect("wal io mutex");
-        self.buffer
-            .lock()
-            .expect("wal buffer mutex")
-            .pending
-            .clear();
         io.file.set_len(0)?;
         io.file.seek(SeekFrom::Start(0))?;
         io.written = 0;
@@ -389,48 +281,12 @@ impl Wal {
     }
 }
 
-impl DurabilitySink for Wal {
-    fn txn_begin(&self, txn_id: u64) {
-        let mut payload = Vec::with_capacity(9);
-        payload.push(TAG_TXN_BEGIN);
-        push_u64(&mut payload, txn_id);
-        self.append_payload(&payload);
-    }
-
-    fn txn_commit(&self, txn_id: u64, footprint: &[FootprintRecord]) {
-        // One op record per footprint entry, then the commit record, all
-        // framed into the pending buffer under a single lock acquisition.
-        let mut buffer = self.buffer.lock().expect("wal buffer mutex");
-        let mut payload = Vec::with_capacity(26);
-        for op in footprint {
-            payload.clear();
-            payload.push(TAG_TXN_OP);
-            push_u64(&mut payload, txn_id);
-            push_u64(&mut payload, op.space);
-            push_u64(&mut payload, op.key);
-            payload.push(op.mode);
-            push_frame(&mut buffer.pending, &payload);
-        }
-        payload.clear();
-        payload.push(TAG_TXN_COMMIT);
-        push_u64(&mut payload, txn_id);
-        push_frame(&mut buffer.pending, &payload);
-    }
-
-    fn txn_abort(&self, txn_id: u64) {
-        let mut payload = Vec::with_capacity(9);
-        payload.push(TAG_TXN_ABORT);
-        push_u64(&mut payload, txn_id);
-        self.append_payload(&payload);
-    }
-}
-
-/// The result of scanning a log file: the decoded records of the valid
+/// The result of scanning a log file: the sealed blocks of the valid
 /// prefix and where that prefix ends.
 #[derive(Debug)]
 pub struct WalScan {
-    /// Records of the valid prefix, in log order.
-    pub records: Vec<WalRecord>,
+    /// Sealed blocks of the valid prefix, in log order.
+    pub blocks: Vec<Block>,
     /// Byte length of the valid prefix.
     pub valid_len: u64,
     /// Total file length as read.
@@ -443,17 +299,9 @@ impl WalScan {
     pub fn torn(&self) -> bool {
         self.valid_len < self.total_len
     }
-
-    /// The sealed blocks of the valid prefix, in log order.
-    pub fn sealed_blocks(&self) -> impl Iterator<Item = &Block> {
-        self.records.iter().filter_map(|r| match r {
-            WalRecord::BlockSeal(block) => Some(block.as_ref()),
-            _ => None,
-        })
-    }
 }
 
-/// Scans the log at `path`, decoding records until the first torn,
+/// Scans the log at `path`, decoding seals until the first torn,
 /// truncated or corrupt frame. A missing file is an empty (not an
 /// errored) log, so a node can recover from a directory whose WAL was
 /// never created.
@@ -471,7 +319,7 @@ pub fn scan(path: &Path) -> io::Result<WalScan> {
         Err(e) => return Err(e),
     }
     let total_len = bytes.len() as u64;
-    let mut records = Vec::new();
+    let mut blocks = Vec::new();
     let mut offset = 0usize;
     loop {
         let rest = &bytes[offset..];
@@ -489,11 +337,11 @@ pub fn scan(path: &Path) -> io::Result<WalScan> {
         let Ok(record) = decode_record(payload) else {
             break; // checksummed garbage (e.g. written by a newer version)
         };
-        records.push(record);
+        blocks.extend(record);
         offset += 12 + len;
     }
     Ok(WalScan {
-        records,
+        blocks,
         valid_len: offset as u64,
         total_len,
     })
@@ -523,45 +371,50 @@ mod tests {
         Block::build(parent, number, vec![tx], Vec::new(), Hash256::ZERO, None)
     }
 
-    #[test]
-    fn group_commit_buffers_until_seal() {
-        let path = temp_path("group-commit");
-        let wal = Wal::create(&path, DurabilityMode::Buffered).unwrap();
-        wal.txn_begin(1);
-        wal.txn_commit(
-            1,
-            &[FootprintRecord {
-                space: 7,
-                key: 9,
-                mode: 2,
-            }],
-        );
-        wal.txn_abort(2);
-        assert!(wal.pending_len() > 0, "records buffer in memory");
-        assert_eq!(wal.written_len(), 0, "nothing on disk before the seal");
+    /// Frames a record in the legacy transaction-record layout: the tag,
+    /// the `u64` fields (`txn_id` first), then `tail`.
+    fn push_legacy(buf: &mut Vec<u8>, tag: u8, fields: &[u64], tail: &[u8]) {
+        let mut payload = vec![tag];
+        for field in fields {
+            payload.extend_from_slice(&field.to_le_bytes());
+        }
+        payload.extend_from_slice(tail);
+        push_frame(buf, &payload);
+    }
 
-        let block = sample_block(1, Hash256::ZERO);
-        wal.seal_block(&block).unwrap();
-        assert_eq!(wal.pending_len(), 0);
-        assert!(wal.written_len() > 0);
+    #[test]
+    fn legacy_transaction_records_are_skipped() {
+        // What an earlier version wrote for one block: a begin, one op
+        // (txn, space, key, mode) and a commit record, the seal, then an
+        // abort of the next block's first attempt.
+        let path = temp_path("legacy");
+        let b1 = sample_block(1, Hash256::ZERO);
+        let mut log = Vec::new();
+        push_legacy(&mut log, 1, &[7], &[]);
+        push_legacy(&mut log, 2, &[7, 3, 9], &[2]);
+        push_legacy(&mut log, 3, &[7], &[]);
+        log.extend_from_slice(&seal_frame(&b1));
+        push_legacy(&mut log, 4, &[8], &[]);
+        std::fs::write(&path, &log).unwrap();
+
+        let wal = Wal::open_append(&path, DurabilityMode::Buffered).unwrap();
+        assert_eq!(wal.written_len(), log.len() as u64, "nothing truncated");
+        let b2 = sample_block(2, b1.hash());
+        wal.seal_block(&b2).unwrap();
+        drop(wal);
 
         let scanned = scan(&path).unwrap();
         assert!(!scanned.torn());
-        assert_eq!(
-            scanned.records,
-            vec![
-                WalRecord::TxnBegin { txn_id: 1 },
-                WalRecord::TxnOp {
-                    txn_id: 1,
-                    space: 7,
-                    key: 9,
-                    mode: 2
-                },
-                WalRecord::TxnCommit { txn_id: 1 },
-                WalRecord::TxnAbort { txn_id: 2 },
-                WalRecord::BlockSeal(Box::new(block)),
-            ]
-        );
+        assert_eq!(scanned.blocks, vec![b1, b2]);
+
+        // Any other tag is still the end of the valid prefix.
+        let valid = std::fs::read(&path).unwrap();
+        let mut unknown = valid.clone();
+        push_legacy(&mut unknown, 9, &[1], &[]);
+        std::fs::write(&path, &unknown).unwrap();
+        let scanned = scan(&path).unwrap();
+        assert_eq!(scanned.valid_len, valid.len() as u64);
+        assert_eq!(scanned.blocks.len(), 2);
         std::fs::remove_file(&path).ok();
     }
 
@@ -584,7 +437,7 @@ mod tests {
             let scanned = scan(&path).unwrap();
             assert!(scanned.torn());
             assert_eq!(scanned.valid_len, cut);
-            assert_eq!(scanned.sealed_blocks().count(), 1);
+            assert_eq!(scanned.blocks.len(), 1);
         }
 
         // Corrupt a payload byte of the second frame: same outcome.
@@ -602,7 +455,7 @@ mod tests {
         std::fs::write(&path, &corrupt).unwrap();
         let scanned = scan(&path).unwrap();
         assert_eq!(scanned.valid_len, 0);
-        assert_eq!(scanned.records.len(), 0);
+        assert!(scanned.blocks.is_empty());
         std::fs::remove_file(&path).ok();
     }
 
@@ -628,7 +481,7 @@ mod tests {
 
         let scanned = scan(&path).unwrap();
         assert!(!scanned.torn());
-        let sealed: Vec<u64> = scanned.sealed_blocks().map(|b| b.header.number).collect();
+        let sealed: Vec<u64> = scanned.blocks.iter().map(|b| b.header.number).collect();
         assert_eq!(sealed, vec![1, 2]);
         std::fs::remove_file(&path).ok();
     }
@@ -647,7 +500,7 @@ mod tests {
         drop(wal);
 
         let scanned = scan(&path).unwrap();
-        assert_eq!(scanned.sealed_blocks().count(), 1);
+        assert_eq!(scanned.blocks.len(), 1);
         std::fs::remove_file(&path).ok();
     }
 
@@ -658,7 +511,7 @@ mod tests {
         let scanned = scan(&path).unwrap();
         assert_eq!(scanned.total_len, 0);
         assert!(!scanned.torn());
-        assert!(scanned.records.is_empty());
+        assert!(scanned.blocks.is_empty());
     }
 
     #[test]
@@ -666,12 +519,10 @@ mod tests {
         let path = temp_path("reset");
         let wal = Wal::create(&path, DurabilityMode::Buffered).unwrap();
         wal.seal_block(&sample_block(1, Hash256::ZERO)).unwrap();
-        wal.txn_begin(42);
         wal.reset().unwrap();
         assert_eq!(wal.written_len(), 0);
-        assert_eq!(wal.pending_len(), 0);
         let scanned = scan(&path).unwrap();
-        assert!(scanned.records.is_empty());
+        assert!(scanned.blocks.is_empty());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -4,7 +4,6 @@
 use crate::oracle::TimestampOracle;
 use crate::store::MvccCollection;
 use crate::txn::MvccTxn;
-use cc_primitives::durability::{DurabilitySink, SinkSlot};
 use parking_lot::{Mutex, MutexGuard};
 use std::fmt;
 use std::sync::Arc;
@@ -18,9 +17,6 @@ pub struct MvccRuntime {
     oracle: TimestampOracle,
     commit: Mutex<()>,
     collections: Mutex<Vec<Arc<dyn MvccCollection>>>,
-    /// Optional durability sink (the ledger's WAL). Unset, the cost per
-    /// transaction is one acquire-load and an untaken branch.
-    durability: SinkSlot,
 }
 
 impl MvccRuntime {
@@ -45,24 +41,7 @@ impl MvccRuntime {
     }
 
     fn begin_holding<'rt>(&'rt self, commit: Option<MutexGuard<'rt, ()>>) -> MvccTxn<'rt> {
-        let begin_ts = self.oracle.begin();
-        if let Some(sink) = self.durability.get() {
-            sink.txn_begin(begin_ts.raw());
-        }
-        MvccTxn::new(self, begin_ts, commit)
-    }
-
-    /// Attaches a durability sink; every subsequent transaction lifecycle
-    /// event is reported to it. Write-once: returns `false` (and keeps the
-    /// original) if a sink was already attached.
-    pub fn attach_durability(&self, sink: Arc<dyn DurabilitySink>) -> bool {
-        self.durability.attach(sink)
-    }
-
-    /// The attached durability sink, if any.
-    #[inline]
-    pub(crate) fn durability(&self) -> Option<&Arc<dyn DurabilitySink>> {
-        self.durability.get()
+        MvccTxn::new(self, self.oracle.begin(), commit)
     }
 
     /// The runtime's timestamp oracle.

@@ -31,7 +31,6 @@
 use crate::error::MvccError;
 use crate::runtime::MvccRuntime;
 use crate::store::MvccCollection;
-use cc_primitives::durability::FootprintRecord;
 use cc_primitives::fx::FxHashMap;
 use cc_primitives::ts::Timestamp;
 use cc_stm::{LockId, LockMode};
@@ -258,7 +257,7 @@ impl<'rt> MvccTxn<'rt> {
         let inner = self.inner.get_mut();
         let footprint = std::mem::take(&mut inner.footprint);
         let has_writes = inner.slots.values().any(|s| s.pending.has_writes());
-        let result = if !has_writes {
+        if !has_writes {
             Ok(MvccCommit {
                 ts: self.begin_ts,
                 read_only: true,
@@ -295,36 +294,13 @@ impl<'rt> MvccTxn<'rt> {
                     begin_ts: self.begin_ts,
                 })
             }
-        };
-        if let Some(sink) = self.runtime.durability() {
-            match &result {
-                Ok(commit) => {
-                    let footprint: Vec<FootprintRecord> = commit
-                        .footprint
-                        .iter()
-                        .map(|&(lock, mode)| FootprintRecord {
-                            space: lock.space(),
-                            key: lock.key(),
-                            mode: mode.to_byte(),
-                        })
-                        .collect();
-                    sink.txn_commit(self.begin_ts.raw(), &footprint);
-                }
-                // A validation conflict closes the transaction without any
-                // of its effects becoming visible — durably an abort.
-                Err(_) => sink.txn_abort(self.begin_ts.raw()),
-            }
         }
-        result
     }
 
     /// Aborts the transaction: buffered writes are discarded (the shared
-    /// version lists were never touched).
-    pub fn abort(self) {
-        if let Some(sink) = self.runtime.durability() {
-            sink.txn_abort(self.begin_ts.raw());
-        }
-    }
+    /// version lists were never touched). This is exactly what dropping it
+    /// does; the method names the intent at the call site.
+    pub fn abort(self) {}
 }
 
 impl Drop for MvccTxn<'_> {

@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod durability;
 pub mod fnv;
 pub mod fx;
 pub mod hash;

@@ -280,12 +280,6 @@ pub struct LockManager {
     /// value is published as [`crate::CommitProfile::sequence`]. Reset by
     /// [`LockManager::reset_counters`] at block boundaries.
     commit_seq: AtomicU64,
-    /// Optional durability sink (the ledger's write-ahead log). Lives on
-    /// the manager because [`crate::Transaction`] reaches only the manager
-    /// at commit/abort time. Unset, it costs one acquire-load and an
-    /// untaken branch per commit — `Durability::Off` must stay inside the
-    /// strict stm_micro CI gate.
-    durability: cc_primitives::durability::SinkSlot,
 }
 
 impl Default for LockManager {
@@ -318,26 +312,7 @@ impl LockManager {
             registry: Mutex::new(WaitRegistry::default()),
             stats: StatCounters::default(),
             commit_seq: AtomicU64::new(0),
-            durability: cc_primitives::durability::SinkSlot::new(),
         }
-    }
-
-    /// Attaches a durability sink; every subsequent speculative
-    /// commit/abort is reported to it. Write-once: returns `false` (and
-    /// keeps the original) if a sink was already attached.
-    pub fn attach_durability(
-        &self,
-        sink: std::sync::Arc<dyn cc_primitives::durability::DurabilitySink>,
-    ) -> bool {
-        self.durability.attach(sink)
-    }
-
-    /// The attached durability sink, if any.
-    #[inline]
-    pub(crate) fn durability(
-        &self,
-    ) -> Option<&std::sync::Arc<dyn cc_primitives::durability::DurabilitySink>> {
-        self.durability.get()
     }
 
     /// Claims the next commit-sequence number. Called once per committing

@@ -6,7 +6,6 @@ use crate::lock::{LockId, LockMode};
 use crate::manager::{LockManager, LockStats};
 use crate::profile::{CommitProfile, LockProfile, ProfileEntry, TraceEntry};
 use crate::retry::RetryPolicy;
-use cc_primitives::durability::FootprintRecord;
 use cc_primitives::fx::FxHashMap;
 use cc_primitives::small::InlineVec;
 use std::any::Any;
@@ -693,17 +692,6 @@ impl Transaction {
         }
         if self.kind == TxnKind::Speculative {
             self.manager.release_commit_entries(self.id, &mut entries);
-            if let Some(sink) = self.manager.durability() {
-                let footprint: Vec<FootprintRecord> = entries
-                    .iter()
-                    .map(|e| FootprintRecord {
-                        space: e.lock.space(),
-                        key: e.lock.key(),
-                        mode: e.mode.to_byte(),
-                    })
-                    .collect();
-                sink.txn_commit(self.id.0, &footprint);
-            }
         }
         Ok(CommitProfile {
             txn: self.id,
@@ -737,9 +725,6 @@ impl Transaction {
         self.replay_undo_from(0);
         if self.kind == TxnKind::Speculative {
             self.manager.release_abort(self.id, &locks);
-            if let Some(sink) = self.manager.durability() {
-                sink.txn_abort(self.id.0);
-            }
         }
         Ok(())
     }
@@ -775,11 +760,6 @@ impl Transaction {
         };
         if self.kind == TxnKind::Speculative {
             self.manager.release_abort(self.id, &locks);
-            if let Some(sink) = self.manager.durability() {
-                // No use counters were claimed, so the durable record is
-                // an abort: the state it replayed was never this txn's.
-                sink.txn_abort(self.id.0);
-            }
         }
         trace
     }
@@ -884,9 +864,6 @@ impl Stm {
     /// calling [`Transaction::commit`] or [`Transaction::abort`].
     pub fn begin(&self) -> Transaction {
         let id = TxnId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        if let Some(sink) = self.manager.durability() {
-            sink.txn_begin(id.0);
-        }
         Transaction::new(id, TxnKind::Speculative, Arc::clone(&self.manager))
     }
 
@@ -969,9 +946,6 @@ impl TxnScope {
     /// as [`Transaction`]'s own drop behaviour).
     pub fn begin(&self) -> PooledTxn<'_> {
         let id = TxnId(self.stm.next_id.fetch_add(1, Ordering::Relaxed));
-        if let Some(sink) = self.stm.manager.durability() {
-            sink.txn_begin(id.0);
-        }
         let txn = match self.free.borrow_mut().pop() {
             // The arena was recycled on its way into the free list; only
             // the identity needs stamping.

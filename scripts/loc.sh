@@ -1,0 +1,14 @@
+#!/bin/sh
+# Prints the size a design change reports: non-blank, non-comment lines
+# of Rust under crates/ and shims/, counting each file only up to its
+# first `#[cfg(test)]` line (so in-file test modules are left out).
+#
+# Usage: scripts/loc.sh [checkout]   (default: the current directory)
+#
+# Run it on two checkouts to compare commits, e.g. one made with
+# `git archive <rev> | tar -x -C <dir>`.
+set -eu
+cd "${1:-.}"
+find crates shims -name '*.rs' -not -path '*/target/*' | LC_ALL=C sort |
+    xargs awk 'FNR == 1 { in_tests = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 } !in_tests' |
+    grep -cvE '^[[:space:]]*(//|$)'

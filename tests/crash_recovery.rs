@@ -217,9 +217,10 @@ fn snapshots_floor_recovery_when_the_wal_is_lost() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Kills at an arbitrary *record boundary* (any frame edge, not just
-    /// block edges — mid-block cuts drop the block's torn group) under a
-    /// strategy picked per case, and asserts exact prefix recovery.
+    /// Kills at an arbitrary *record boundary* under a strategy picked
+    /// per case, and asserts exact prefix recovery. The log holds one
+    /// seal frame per block and nothing else, so every frame edge is a
+    /// block edge and each cut recovers exactly the blocks before it.
     #[test]
     fn prop_kill_at_any_record_boundary_recovers_exact_prefix(
         boundary_seed in 0u64..10_000,
