@@ -1,20 +1,17 @@
-//! The unified engine: one configurable entry point for executing blocks.
+//! The engine: the one way to mine or validate a block.
 //!
-//! The paper contributes two algorithms — speculative parallel mining and
-//! deterministic fork-join validation — and the repo previously exposed
-//! them as four unrelated structs whose constructors every consumer wired
-//! up by hand. [`EngineConfig`] replaces that wiring: it names an
-//! [`ExecutionStrategy`], a worker-thread count, a retry/backoff budget
-//! and the schedule-capture / trace-check toggles, and [`EngineConfig::build`]
-//! turns it into an [`Engine`] holding the matching [`Miner`] +
-//! [`Validator`] pair. Everything above `cc_stm` — the benchmark harness,
-//! the `repro` binary, the examples and the integration tests — goes
-//! through this module.
+//! An [`EngineConfig`] names an [`ExecutionStrategy`], a worker-thread
+//! count and whether validation checks lock traces;
+//! [`EngineConfig::build`] turns it into an [`Engine`]: one execution pool,
+//! the mining driver that runs the strategy's per-transaction attempt on
+//! it, and the replay order its validator and its node's followers use.
+//! Everything above `cc_stm` — the benchmark harness, the `repro` binary,
+//! the examples and the integration tests — goes through this module.
 //!
 //! The strategy enum is the extension seam for future concurrency
-//! back-ends (e.g. OptSmart-style optimistic multi-version execution):
-//! adding a variant plus a `build` arm is all a new strategy needs for
-//! every consumer to be able to select and benchmark it.
+//! back-ends: a variant, its attempt and how its schedule is published
+//! are all a new strategy needs for every consumer to be able to select
+//! and benchmark it.
 //!
 //! # Example
 //!
@@ -54,14 +51,12 @@
 //! ```
 
 use crate::error::CoreError;
-use crate::miner::{MinedBlock, Miner, MvccMiner, ParallelMiner, SerialMiner};
+use crate::miner::{self, MinedBlock};
 use crate::stats::ValidationReport;
-use crate::validator::replay::Order;
-use crate::validator::{ParallelValidator, SerialValidator, Validator};
+use crate::validator::replay::{Order, Target};
 use cc_ledger::{Block, Transaction};
 use cc_primitives::hash::Hash256;
 use cc_primitives::pool::{PoolStats, WorkerPool};
-use cc_stm::RetryPolicy;
 use cc_vm::World;
 use std::fmt;
 use std::str::FromStr;
@@ -132,8 +127,7 @@ impl FromStr for ExecutionStrategy {
 /// use cc_core::engine::{EngineConfig, ExecutionStrategy};
 /// let config = EngineConfig::new()
 ///     .strategy(ExecutionStrategy::SpeculativeStm)
-///     .threads(4)
-///     .capture_schedule(true);
+///     .threads(4);
 /// assert_eq!(config.threads, 4);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -143,14 +137,6 @@ pub struct EngineConfig {
     /// Worker threads for parallel strategies (ignored by
     /// [`ExecutionStrategy::Serial`], which always runs one).
     pub threads: usize,
-    /// Retry/backoff budget for speculative deadlock victims. The
-    /// optimistic strategy does not use it: its validation losers re-run
-    /// at once, and the fifth attempt holds the commit mutex.
-    pub retry: RetryPolicy,
-    /// Whether the miner publishes schedule metadata (happens-before
-    /// graph + lock profiles) in the block. Disabling is benchmark-only:
-    /// without a schedule the fork-join validator must reject the block.
-    pub capture_schedule: bool,
     /// Whether the validator replays and cross-checks lock traces
     /// (rejecting hidden data races). Disabling is ablation-only.
     pub check_traces: bool,
@@ -161,8 +147,6 @@ impl Default for EngineConfig {
         EngineConfig {
             strategy: ExecutionStrategy::default(),
             threads: EngineConfig::DEFAULT_THREADS,
-            retry: RetryPolicy::default(),
-            capture_schedule: true,
             check_traces: true,
         }
     }
@@ -173,8 +157,8 @@ impl EngineConfig {
     /// is the single place that number lives.
     pub const DEFAULT_THREADS: usize = 3;
 
-    /// The default configuration: speculative STM, three threads,
-    /// default retry budget, schedule capture and trace checks on.
+    /// The default configuration: speculative STM, three threads, trace
+    /// checks on.
     pub fn new() -> Self {
         EngineConfig::default()
     }
@@ -207,25 +191,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the full retry/backoff policy for speculative execution.
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Caps how many times a deadlock victim is retried before the block
-    /// fails to mine (keeps the rest of the retry policy unchanged).
-    pub fn max_retries(mut self, max_attempts: u32) -> Self {
-        self.retry.max_attempts = max_attempts;
-        self
-    }
-
-    /// Toggles publication of schedule metadata by the miner.
-    pub fn capture_schedule(mut self, capture: bool) -> Self {
-        self.capture_schedule = capture;
-        self
-    }
-
     /// Toggles the validator's lock-trace / data-race checks.
     pub fn check_traces(mut self, check: bool) -> Self {
         self.check_traces = check;
@@ -236,77 +201,56 @@ impl EngineConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] if `threads` is zero or the
-    /// retry budget allows no attempts at all.
+    /// Returns [`CoreError::InvalidConfig`] if `threads` is zero.
     pub fn build(self) -> Result<Engine, CoreError> {
         if self.threads == 0 {
             return Err(CoreError::InvalidConfig {
                 reason: "worker thread count must be at least 1".into(),
             });
         }
-        if self.retry.max_attempts == 0 {
-            return Err(CoreError::InvalidConfig {
-                reason: "retry budget must allow at least one attempt".into(),
-            });
-        }
         // One execution pool per engine, shared by its miner and its
         // validator (and by every clone of the engine). Helper threads
         // start with the first block that can use them, not here; the
-        // serial strategy never uses it.
-        let pool = Arc::new(WorkerPool::new(self.threads));
-        let miner: Arc<dyn Miner + Send + Sync> = match self.strategy {
-            ExecutionStrategy::Serial => {
-                Arc::new(SerialMiner::new().with_schedule_capture(self.capture_schedule))
-            }
-            ExecutionStrategy::SpeculativeStm => Arc::new(
-                ParallelMiner::on_pool(Arc::clone(&pool))
-                    .with_retry_policy(self.retry)
-                    .with_schedule_capture(self.capture_schedule),
-            ),
-            ExecutionStrategy::OptimisticMvcc => Arc::new(
-                MvccMiner::on_pool(Arc::clone(&pool)).with_schedule_capture(self.capture_schedule),
-            ),
+        // serial strategy's pool has none.
+        let workers = match self.strategy {
+            ExecutionStrategy::Serial => 1,
+            ExecutionStrategy::SpeculativeStm | ExecutionStrategy::OptimisticMvcc => self.threads,
         };
+        let pool = Arc::new(WorkerPool::new(workers));
         // How every block this engine validates or follows is replayed,
         // decided here and nowhere else. A serial engine's blocks publish
         // no lock profiles, so they replay in published order with no
-        // trace checks. The optimistic miner publishes the same schedule
-        // metadata (profiles + happens-before edges) as the speculative
-        // one, so both replay as the fork-join program of the published
-        // graph — validators stay strategy-agnostic.
+        // trace checks. The optimistic strategy publishes the same
+        // schedule metadata (profiles + happens-before edges) as the
+        // speculative one, so both replay as the fork-join program of the
+        // published graph — validators stay strategy-agnostic.
         let replay = match self.strategy {
             ExecutionStrategy::Serial => Order::Published,
             ExecutionStrategy::SpeculativeStm | ExecutionStrategy::OptimisticMvcc => {
-                Order::fork_join(Arc::clone(&pool)).with_trace_checks(self.check_traces)
+                Order::ForkJoin {
+                    pool: Arc::clone(&pool),
+                    check_traces: self.check_traces,
+                }
             }
-        };
-        let validator: Arc<dyn Validator + Send + Sync> = match &replay {
-            Order::Published => Arc::new(SerialValidator::new()),
-            Order::ForkJoin { .. } => Arc::new(ParallelValidator::in_order(replay.clone())),
         };
         Ok(Engine {
             config: self,
             pool,
-            miner,
-            validator,
             replay,
         })
     }
 }
 
-/// A miner + validator pair constructed from one [`EngineConfig`].
+/// The one way to mine and validate blocks, built from an
+/// [`EngineConfig`].
 ///
-/// The engine is cheap to clone (the strategy internals are shared) and
-/// is the only execution entry point the benches, examples and
-/// integration tests use. It owns the one execution pool its miner and
-/// validator run blocks on; clones share it, and a clone that finds the
+/// The engine is cheap to clone. It owns the one execution pool it mines
+/// and validates blocks on; clones share it, and a clone that finds the
 /// pool busy executes its block on the calling thread alone.
 #[derive(Clone)]
 pub struct Engine {
     config: EngineConfig,
     pool: Arc<WorkerPool>,
-    miner: Arc<dyn Miner + Send + Sync>,
-    validator: Arc<dyn Validator + Send + Sync>,
     replay: Order,
 }
 
@@ -373,29 +317,13 @@ impl Engine {
     /// Worker threads actually used when executing blocks (1 for the
     /// serial strategy regardless of the configured count).
     pub fn threads(&self) -> usize {
-        match self.config.strategy {
-            ExecutionStrategy::Serial => 1,
-            ExecutionStrategy::SpeculativeStm | ExecutionStrategy::OptimisticMvcc => {
-                self.config.threads
-            }
-        }
+        self.pool.workers()
     }
 
     /// Activity of the engine's execution pool: one run per block mined
     /// or fork-join validated, and how many helper wake-ups they cost.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
-    }
-
-    /// The strategy's miner, for call sites that need the raw trait
-    /// object (e.g. driving someone else's [`crate::node::Node`]).
-    pub fn miner(&self) -> &dyn Miner {
-        self.miner.as_ref()
-    }
-
-    /// The strategy's validator.
-    pub fn validator(&self) -> &dyn Validator {
-        self.validator.as_ref()
     }
 
     /// How this engine replays blocks: the order its validator runs them
@@ -405,24 +333,30 @@ impl Engine {
     }
 
     /// Executes `transactions` against `world` and assembles a block at
-    /// height 1 (see [`Miner::mine`]).
+    /// height 1 on a zero parent (see [`Engine::mine_on`]).
     ///
     /// # Errors
     ///
-    /// Propagates the miner's [`CoreError::MiningFailed`].
+    /// [`CoreError::MiningFailed`], as [`Engine::mine_on`].
     pub fn mine(
         &self,
         world: &World,
         transactions: Vec<Transaction>,
     ) -> Result<MinedBlock, CoreError> {
-        self.miner.mine(world, transactions)
+        self.mine_on(world, transactions, Hash256::ZERO, 1)
     }
 
-    /// Mines on top of an explicit parent (see [`Miner::mine_on`]).
+    /// Executes `transactions` against `world` and assembles block
+    /// `number` on top of `parent_hash`.
+    ///
+    /// Mining **mutates** the world: afterwards it holds the block's
+    /// post-state, which is what the block's state root commits to.
     ///
     /// # Errors
     ///
-    /// Propagates the miner's [`CoreError::MiningFailed`].
+    /// [`CoreError::MiningFailed`] if a transaction cannot be committed,
+    /// or is still a conflict victim once its attempts are spent; the
+    /// world then holds other transactions' commits.
     pub fn mine_on(
         &self,
         world: &World,
@@ -430,25 +364,45 @@ impl Engine {
         parent_hash: Hash256,
         number: u64,
     ) -> Result<MinedBlock, CoreError> {
-        self.miner.mine_on(world, transactions, parent_hash, number)
+        let strategy = self.config.strategy;
+        miner::mine_on(
+            strategy,
+            &self.pool,
+            world,
+            transactions,
+            parent_hash,
+            number,
+        )
     }
 
-    /// Replays `block` on `world` and checks every commitment (see
-    /// [`Validator::validate`]).
+    /// Replays `block` on top of `world` and checks every commitment.
+    ///
+    /// Validation **mutates** the world: on success the world holds the
+    /// block's post-state (so the same world can then validate the next
+    /// block of a chain). On rejection the world contents are unspecified
+    /// — a real node discards that state and resynchronizes, and the tests
+    /// follow the same discipline.
     ///
     /// # Errors
     ///
-    /// Propagates the validator's rejection.
+    /// * [`CoreError::BlockRejected`] when the block is dishonest: the
+    ///   recomputed state root, receipts or gas differ, a replayed
+    ///   transaction's lock trace is inconsistent with the published
+    ///   profile, or the published schedule hides a data race.
+    /// * [`CoreError::MissingSchedule`] / [`CoreError::MalformedSchedule`]
+    ///   when the schedule cannot be replayed at all.
     pub fn validate(&self, world: &World, block: &Block) -> Result<ValidationReport, CoreError> {
-        self.validator.validate(world, block)
+        self.replay.validate(Target::Base, world, block)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Node;
     use cc_vm::testing::CounterContract;
     use cc_vm::{Address, ArgValue, CallData};
+    use cc_workload::{Benchmark, WorkloadSpec};
 
     fn counter_world() -> World {
         let world = World::new();
@@ -472,24 +426,36 @@ mod tests {
             .collect()
     }
 
+    /// The serial engine and both concurrent ones, on three threads.
+    fn every_engine() -> [Engine; 3] {
+        [
+            Engine::serial(),
+            Engine::speculative(3).unwrap(),
+            Engine::optimistic(3).unwrap(),
+        ]
+    }
+
+    /// `block` as a miner that publishes no schedule would send it.
+    fn without_schedule(block: &Block) -> Block {
+        let mut bare = block.clone();
+        bare.schedule = None;
+        bare.header.schedule_digest = Hash256::ZERO;
+        bare
+    }
+
     #[test]
     fn default_config_matches_the_paper() {
         let config = EngineConfig::default();
         assert_eq!(config.strategy, ExecutionStrategy::SpeculativeStm);
         assert_eq!(config.threads, EngineConfig::DEFAULT_THREADS);
         assert_eq!(config.threads, 3, "the paper's fixed pool of three threads");
-        assert!(config.capture_schedule);
         assert!(config.check_traces);
     }
 
     #[test]
-    fn zero_threads_and_zero_retries_are_rejected() {
+    fn zero_threads_are_rejected() {
         assert!(matches!(
             EngineConfig::new().threads(0).build(),
-            Err(CoreError::InvalidConfig { .. })
-        ));
-        assert!(matches!(
-            EngineConfig::new().max_retries(0).build(),
             Err(CoreError::InvalidConfig { .. })
         ));
         assert!(Engine::speculative(0).is_err());
@@ -528,11 +494,46 @@ mod tests {
         let stats = engine.pool_stats();
         assert_eq!((stats.helper_wakes, stats.caller_only_runs), (4, 2));
 
-        // The serial strategy has no use for the pool.
+        // The serial strategy's pool has one worker: it starts no helper.
         let serial = Engine::serial();
         let mined = serial.mine(&counter_world(), counter_txs(8)).unwrap();
         serial.validate(&counter_world(), &mined.block).unwrap();
-        assert_eq!(serial.pool_stats(), PoolStats::default());
+        assert_eq!(serial.pool_stats().helper_wakes, 0);
+    }
+
+    #[test]
+    fn blocks_keep_their_bytes() {
+        let workload = WorkloadSpec::new(Benchmark::Mixed, 120, 0.6)
+            .with_seed(5)
+            .generate();
+        let engines = [
+            (
+                Engine::serial(),
+                "83608b333e3af977cd6b48bb3ec7c56b758d1b27d262caf24eef99e5e11ce3c1",
+            ),
+            (
+                Engine::speculative(1).unwrap(),
+                "2f72714297d7d6be7139a654c5dddd0db3f9a870135d967cef23e1cf5e7f6fb9",
+            ),
+            (
+                Engine::optimistic(1).unwrap(),
+                "5615e5f2604187ccaef729a021ccf3b002b389bbb5b6d8ca272079bf4798e398",
+            ),
+        ];
+        for (engine, expected) in engines {
+            let mined = engine
+                .mine(&workload.build_world(), workload.transactions())
+                .unwrap();
+            let strategy = engine.strategy();
+            assert_eq!(mined.block.hash().to_string(), expected, "{strategy}");
+            if strategy == ExecutionStrategy::Serial {
+                let stats = &mined.stats;
+                assert_eq!(stats.threads, 1);
+                assert_eq!(stats.retries, 0);
+                assert_eq!((stats.critical_path, stats.hb_edges), (120, 119));
+                assert_eq!(stats.read_only, 28);
+            }
+        }
     }
 
     #[test]
@@ -547,26 +548,44 @@ mod tests {
     }
 
     #[test]
-    fn capture_toggle_removes_the_schedule() {
-        let engine = Engine::builder().capture_schedule(false).build().unwrap();
-        let mined = engine.mine(&counter_world(), counter_txs(8)).unwrap();
-        assert!(mined.block.schedule.is_none());
-        assert!(mined.block.is_well_formed());
-        // Without a published schedule the fork-join validator must
-        // reject the block.
-        assert!(matches!(
-            engine.validate(&counter_world(), &mined.block),
-            Err(CoreError::MissingSchedule)
-        ));
-        // A serial engine without capture also mines schedule-less blocks
-        // and its validator still accepts them (block-order replay).
-        let serial = EngineConfig::serial()
-            .capture_schedule(false)
-            .build()
+    fn schedule_less_blocks_are_outside_input() {
+        let mut follower = Node::new(counter_world(), Engine::serial());
+        let genesis = follower.chain().head_hash();
+        let mined = Engine::serial()
+            .mine_on(&counter_world(), counter_txs(8), genesis, 1)
             .unwrap();
-        let mined = serial.mine(&counter_world(), counter_txs(8)).unwrap();
-        assert!(mined.block.schedule.is_none());
-        serial.validate(&counter_world(), &mined.block).unwrap();
+        let transactions = mined.block.transactions.clone();
+        let receipts = mined.block.receipts.clone();
+        let header = &mined.block.header;
+        let bare = Block::build(
+            header.parent_hash,
+            header.number,
+            transactions,
+            receipts,
+            header.state_root,
+            None,
+        );
+        assert!(bare.is_well_formed());
+        assert_eq!(bare, without_schedule(&mined.block));
+
+        // The serial engine replays it in block order; the fork-join
+        // engines have nothing to replay and must reject it.
+        for engine in every_engine() {
+            let strategy = engine.strategy();
+            let validated = engine.validate(&counter_world(), &bare);
+            match strategy {
+                ExecutionStrategy::Serial => assert!(validated.is_ok(), "{validated:?}"),
+                _ => assert!(
+                    matches!(validated, Err(CoreError::MissingSchedule)),
+                    "{strategy}: {validated:?}"
+                ),
+            }
+        }
+
+        // So does a serial engine's node following it.
+        let followed = follower.run_follower_pipeline([bare], &Default::default());
+        assert_eq!(followed.unwrap().blocks, 1);
+        assert_eq!(follower.world().state_root(), header.state_root);
     }
 
     #[test]
@@ -630,17 +649,5 @@ mod tests {
         // validator, exactly like a speculatively-mined block.
         let report = optimistic.validate(&counter_world(), &mined.block).unwrap();
         assert_eq!(report.state_root, mined.block.header.state_root);
-    }
-
-    #[test]
-    fn custom_retry_policy_is_threaded_through() {
-        let config = EngineConfig::new()
-            .retry_policy(RetryPolicy::no_backoff(16))
-            .max_retries(8);
-        assert_eq!(config.retry.max_attempts, 8);
-        assert_eq!(config.retry.base_backoff_us, 0);
-        let engine = config.build().unwrap();
-        let mined = engine.mine(&counter_world(), counter_txs(30)).unwrap();
-        assert_eq!(mined.block.len(), 30);
     }
 }

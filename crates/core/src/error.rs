@@ -32,7 +32,7 @@ pub enum CoreError {
         reason: String,
     },
     /// An [`crate::engine::EngineConfig`] could not be turned into an
-    /// engine (zero worker threads, empty retry budget, …).
+    /// engine (zero worker threads), or a strategy name did not parse.
     InvalidConfig {
         /// Description of the rejected setting.
         reason: String,

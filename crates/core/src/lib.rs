@@ -4,8 +4,9 @@
 //! *Adding Concurrency to Smart Contracts* (Dickerson, Gazzillo, Herlihy,
 //! Koskinen — PODC 2017):
 //!
-//! 1. **Speculative parallel mining** ([`miner::ParallelMiner`], paper
-//!    Algorithm 1). A fixed pool of worker threads executes a block's
+//! 1. **Speculative parallel mining** ([`Engine::mine`] under
+//!    [`ExecutionStrategy::SpeculativeStm`], paper Algorithm 1). A fixed
+//!    pool of worker threads executes a block's
 //!    transactions as speculative atomic actions on the transactional-
 //!    boosting runtime of [`cc_stm`]. Conflicts are detected at run time
 //!    through abstract locks; deadlock victims roll back (replaying their
@@ -16,8 +17,8 @@
 //!    from them the miner builds a **happens-before graph**, topologically
 //!    sorts it into an equivalent serial order, and publishes both in the
 //!    block ([`cc_ledger::ScheduleMetadata`]).
-//! 3. **Deterministic concurrent validation**
-//!    ([`validator::ParallelValidator`], paper Algorithm 2). A validator
+//! 3. **Deterministic concurrent validation** ([`Engine::validate`],
+//!    paper Algorithm 2). A validator
 //!    turns the published graph into a **fork-join program**
 //!    ([`fork_join`]): each transaction is a task that joins on its
 //!    immediate predecessors, so conflicting transactions never run
@@ -28,15 +29,17 @@
 //!    schedule hides a data race, or if the final state or receipts
 //!    differ from the block's commitments.
 //!
-//! The serial baselines used throughout the paper's evaluation are
-//! [`miner::SerialMiner`] and [`validator::SerialValidator`].
+//! The serial baseline used throughout the paper's evaluation is the
+//! same engine under [`ExecutionStrategy::Serial`]: one transaction at a
+//! time, in block order, replayed in the published order.
 //!
 //! All of the above is selected and wired through **one entry point**:
 //! the [`engine`] module. An [`engine::EngineConfig`] names an
-//! [`engine::ExecutionStrategy`] (serial baseline or the paper's
-//! speculative-STM pair), a worker-thread count, a retry budget and the
-//! schedule-capture / trace-check toggles; building it yields an
-//! [`engine::Engine`] that mines and validates blocks.
+//! [`engine::ExecutionStrategy`] (the serial baseline, the paper's
+//! speculative-STM pair, or optimistic multi-version execution), a
+//! worker-thread count and whether validation checks lock traces;
+//! building it yields an [`engine::Engine`], the only way to mine or
+//! validate a block.
 //!
 //! # Example
 //!
@@ -92,15 +95,14 @@ pub mod miner;
 pub mod node;
 pub mod schedule;
 pub mod stats;
-pub mod validator;
+mod validator;
 
 pub use engine::{Engine, EngineConfig, ExecutionStrategy};
 pub use error::CoreError;
-pub use miner::{MinedBlock, Miner, ParallelMiner, SerialMiner};
+pub use miner::MinedBlock;
 pub use node::pending::{PendingChain, PendingState};
 pub use node::{
     DurabilityConfig, FollowerConfig, Node, NodeBuilder, PipelineConfig, PipelineReport,
 };
 pub use schedule::HappensBeforeGraph;
 pub use stats::{MinerStats, ValidationReport};
-pub use validator::{ParallelValidator, SerialValidator, Validator};

@@ -1,16 +1,23 @@
-//! What the two concurrent miners share: the block driver that spreads a
-//! block's transactions over the execution pool, and schedule capture.
+//! The one mining driver: [`mine_on`] runs a block's transactions on the
+//! execution pool with a strategy's per-transaction attempt
+//! ([`execute_block`]), publishes the schedule and assembles the block.
 
+use super::{mvcc, parallel, MinedBlock};
+use crate::engine::ExecutionStrategy;
 use crate::error::CoreError;
 use crate::schedule::HappensBeforeGraph;
-use cc_ledger::ScheduleMetadata;
+use crate::stats::MinerStats;
+use cc_ledger::{Block, ScheduleMetadata, Transaction};
+use cc_primitives::hash::Hash256;
 use cc_primitives::pool::WorkerPool;
 use cc_stm::{LockProfile, StmError};
+use cc_vm::{Receipt, World};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 /// Outcome of one attempt to execute and commit a transaction.
-pub(crate) enum Attempt<T> {
+pub(super) enum Attempt<T> {
     /// Committed; `T` is what the miner publishes for it.
     Committed(T),
     /// A conflict victim (deadlock or failed validation), already rolled
@@ -22,6 +29,99 @@ pub(crate) enum Attempt<T> {
     Fatal(StmError),
 }
 
+/// What a strategy's run of a block hands back to [`mine_on`].
+pub(super) struct Executed {
+    /// Receipts by transaction index.
+    pub(super) receipts: Vec<Receipt>,
+    /// The lock profile of every committed transaction, by index.
+    pub(super) profiles: Vec<LockProfile>,
+    /// Attempts that lost a conflict and ran again.
+    pub(super) retries: u64,
+    /// Time deadlock victims slept between attempts, summed over workers.
+    pub(super) backoff: Duration,
+    /// Attempts run holding the optimistic runtime's commit mutex.
+    pub(super) exclusive: u64,
+    /// Commits that wrote nothing.
+    pub(super) read_only: u64,
+}
+
+/// Mines `transactions` on `world` under `strategy`, on `pool`, as block
+/// `number` on top of `parent_hash`.
+///
+/// The serial baseline is the pessimistic attempt on a one-worker pool:
+/// one transaction at a time, in block order, and it publishes that order
+/// as its schedule. The two concurrent strategies publish Algorithm 1's
+/// tail — the happens-before graph of the committed lock profiles and the
+/// serial order it sorts into; the profiles move into the metadata,
+/// nothing is cloned.
+///
+/// # Errors
+///
+/// [`CoreError::MiningFailed`] when a transaction fails, or is still a
+/// conflict victim once its attempts are spent; the other workers'
+/// commits are already in the world by then.
+pub(crate) fn mine_on(
+    strategy: ExecutionStrategy,
+    pool: &WorkerPool,
+    world: &World,
+    transactions: Vec<Transaction>,
+    parent_hash: Hash256,
+    number: u64,
+) -> Result<MinedBlock, CoreError> {
+    let start = Instant::now();
+    let locks_before = world.stm().lock_stats();
+    let executed = match strategy {
+        ExecutionStrategy::Serial | ExecutionStrategy::SpeculativeStm => {
+            parallel::execute(pool, world, &transactions)?
+        }
+        ExecutionStrategy::OptimisticMvcc => mvcc::execute(pool, world, &transactions)?,
+    };
+    let n = transactions.len();
+    let (schedule, critical_path, hb_edges) = match strategy {
+        ExecutionStrategy::Serial => {
+            let schedule = ScheduleMetadata::sequential(n);
+            let (critical_path, hb_edges) = (schedule.critical_path(), schedule.edges.len());
+            (schedule, critical_path, hb_edges)
+        }
+        ExecutionStrategy::SpeculativeStm | ExecutionStrategy::OptimisticMvcc => {
+            let graph = HappensBeforeGraph::from_profiles(&executed.profiles);
+            let (critical_path, hb_edges) = (graph.critical_path(), graph.edge_count());
+            (
+                graph.into_metadata(executed.profiles)?,
+                critical_path,
+                hb_edges,
+            )
+        }
+    };
+
+    let elapsed = start.elapsed();
+    let gas_used = executed.receipts.iter().map(|r| r.gas_used).sum();
+    let block = Block::build(
+        parent_hash,
+        number,
+        transactions,
+        executed.receipts,
+        world.state_root(),
+        Some(schedule),
+    );
+    Ok(MinedBlock {
+        block,
+        stats: MinerStats {
+            threads: pool.workers(),
+            transactions: n,
+            retries: executed.retries,
+            backoff: executed.backoff,
+            exclusive: executed.exclusive,
+            elapsed,
+            gas_used,
+            critical_path,
+            hb_edges,
+            locks: world.stm().lock_stats().since(&locks_before),
+            read_only: executed.read_only,
+        },
+    })
+}
+
 /// Executes transactions `0..n` on `pool`: every worker claims the next
 /// unexecuted index, retries it until it commits or `max_attempts` are
 /// spent, and keeps its results locally until it runs out of indices.
@@ -31,7 +131,7 @@ pub(crate) enum Attempt<T> {
 /// `worker_state` is called once per worker and its value handed to every
 /// `attempt(state, index, attempt_number)` that worker makes. The first
 /// failure dooms the block: other workers stop at their next attempt.
-pub(crate) fn execute_block<S, T: Send>(
+pub(super) fn execute_block<S, T: Send>(
     pool: &WorkerPool,
     n: usize,
     max_attempts: u32,
@@ -99,24 +199,63 @@ pub(crate) fn execute_block<S, T: Send>(
     Ok((values, retries.into_inner()))
 }
 
-/// Algorithm 1's tail: derive the happens-before graph from the committed
-/// lock profiles and produce the equivalent serial order by topological
-/// sort. The profiles move into the published metadata; nothing is cloned.
-/// Returns the metadata (none when capture is off) with the graph's
-/// critical path and edge count.
-pub(crate) fn capture_schedule(
-    capture: bool,
-    profiles: Vec<LockProfile>,
-) -> Result<(Option<ScheduleMetadata>, usize, usize), CoreError> {
-    if !capture {
-        return Ok((None, 0, 0));
+#[cfg(test)]
+mod tests {
+    use crate::engine::Engine;
+    use cc_ledger::Transaction;
+    use cc_vm::testing::CounterContract;
+    use cc_vm::{Address, ArgValue, CallData, Receipt, World};
+    use std::sync::Arc;
+
+    fn counter_world() -> (World, Address) {
+        let world = World::new();
+        let addr = Address::from_name("counter-serial");
+        world.deploy(Arc::new(CounterContract::new(addr)));
+        (world, addr)
     }
-    let graph = HappensBeforeGraph::from_profiles(&profiles);
-    let critical_path = graph.critical_path();
-    let hb_edges = graph.edge_count();
-    Ok((
-        Some(graph.into_metadata(profiles)?),
-        critical_path,
-        hb_edges,
-    ))
+
+    fn increment_tx(i: u64, to: Address) -> Transaction {
+        Transaction::new(
+            i,
+            Address::from_index(i),
+            to,
+            CallData::new("increment", vec![ArgValue::Uint(1)]),
+            1_000_000,
+        )
+    }
+
+    #[test]
+    fn mines_a_block_and_applies_state() {
+        let (world, addr) = counter_world();
+        let txs: Vec<Transaction> = (0..10).map(|i| increment_tx(i, addr)).collect();
+        let mined = Engine::serial().mine(&world, txs).unwrap();
+        assert_eq!(mined.block.len(), 10);
+        assert!(mined.block.is_well_formed());
+        assert_eq!(mined.block.header.state_root, world.state_root());
+        assert_eq!(mined.stats.threads, 1);
+        assert_eq!(mined.stats.transactions, 10);
+        assert!(mined.block.receipts.iter().all(Receipt::succeeded));
+        // A sequential schedule is published.
+        assert_eq!(mined.block.schedule.as_ref().unwrap().critical_path(), 10);
+    }
+
+    #[test]
+    fn empty_block() {
+        let (world, _) = counter_world();
+        let mined = Engine::serial().mine(&world, Vec::new()).unwrap();
+        assert!(mined.block.is_empty());
+        assert!(mined.block.is_well_formed());
+    }
+
+    #[test]
+    fn mine_on_links_to_parent() {
+        let (world, addr) = counter_world();
+        let parent = cc_primitives::sha256(b"parent");
+        let mined = Engine::serial()
+            .mine_on(&world, vec![increment_tx(0, addr)], parent, 7)
+            .unwrap();
+        assert_eq!(mined.block.header.parent_hash, parent);
+        assert_eq!(mined.block.header.number, 7);
+        assert_eq!(mined.state_root(), world.state_root());
+    }
 }

@@ -1,12 +1,12 @@
-//! The optimistic multi-version miner (OptSmart over the paper's
+//! The optimistic multi-version attempt (OptSmart over the paper's
 //! framework).
 //!
-//! Where the speculative STM miner acquires abstract locks pessimistically
-//! and resolves contention with deadlock detection, this miner runs each
-//! transaction against a fixed **snapshot** of the versioned storage
-//! overlays, buffers its writes privately, and validates
-//! first-committer-wins when it commits (see `cc_mvcc`). Read-only
-//! transactions commit without validation and therefore never abort.
+//! Where the pessimistic attempt acquires abstract locks and resolves
+//! contention with deadlock detection, this one runs each transaction
+//! against a fixed **snapshot** of the versioned storage overlays,
+//! buffers its writes privately, and validates first-committer-wins when
+//! it commits (see `cc_mvcc`). Read-only transactions commit without
+//! validation and therefore never abort.
 //!
 //! A validation loser lost to a writer that has already published, so it
 //! re-runs **at once** from a fresh snapshot, which sees the winner;
@@ -18,27 +18,23 @@
 //! appear past that snapshot, and its validation cannot fail. Every
 //! transaction therefore commits within five attempts.
 //!
-//! The miner publishes the same [`cc_ledger::ScheduleMetadata`] as the
-//! pessimistic miner, so validators stay strategy-agnostic: every
-//! committed transaction carries a lock-footprint profile (the versioned
-//! collections record exactly the `(lock, mode)` pairs their boosted twins
-//! would acquire), and the profile counters are synthesized from the
-//! MVCC serialization order — writers at their commit timestamps, readers
-//! at their snapshot timestamps.
+//! The driver publishes the same [`cc_ledger::ScheduleMetadata`] for it
+//! as for the pessimistic attempt, so validators stay strategy-agnostic:
+//! every committed transaction carries a lock-footprint profile (the
+//! versioned collections record exactly the `(lock, mode)` pairs their
+//! boosted twins would acquire), and the profile counters are synthesized
+//! from the MVCC serialization order — writers at their commit
+//! timestamps, readers at their snapshot timestamps.
 
+use super::driver::{execute_block, Attempt, Executed};
 use crate::error::CoreError;
-use crate::miner::driver::{capture_schedule, execute_block, Attempt};
-use crate::miner::{MinedBlock, Miner};
-use crate::stats::MinerStats;
-use cc_ledger::{Block, Transaction};
+use cc_ledger::Transaction;
 use cc_mvcc::MvccCommit;
-use cc_primitives::hash::Hash256;
 use cc_primitives::pool::WorkerPool;
 use cc_stm::{LockProfile, ProfileEntry, StmError};
 use cc_vm::{Receipt, TxnRef, World};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Garbage-collect versions below the oldest active snapshot after this
 /// many commits. GC is cheap (a pass over the version lists under their
@@ -53,210 +49,140 @@ const GC_COMMIT_INTERVAL: u64 = 64;
 /// 75.0 µs/txn): an exclusive attempt parks every other committer.
 const EXCLUSIVE_ATTEMPT: u32 = 5;
 
-/// Mines a block by executing its transactions as optimistic multi-version
-/// transactions on a fixed pool of worker threads.
+/// Executes `transactions` on `world` as optimistic multi-version
+/// transactions on `pool`, then finalizes the block's versions into the
+/// base state.
 ///
 /// Each worker repeatedly takes the next unexecuted transaction, runs it
 /// against a snapshot (no locks, writes buffered), and commits under
 /// first-committer-wins validation. Validation losers roll back and re-run
-/// at once, counted in [`MinerStats::retries`] exactly like the
-/// pessimistic miner's deadlock victims; the fifth attempt holds the
-/// commit mutex (counted in [`MinerStats::exclusive`]) and cannot lose.
-/// When all transactions have committed, the block's versions are
-/// finalized into the base state and the happens-before graph is derived
-/// from the committed read/write footprints.
-#[derive(Debug, Clone)]
-pub struct MvccMiner {
-    pool: Arc<WorkerPool>,
-    capture_schedule: bool,
-}
+/// at once, counted as retries exactly like the pessimistic attempt's
+/// deadlock victims; the fifth attempt holds the commit mutex (counted as
+/// exclusive) and cannot lose. The profiles are synthesized from the
+/// committed read/write footprints.
+pub(super) fn execute(
+    pool: &WorkerPool,
+    world: &World,
+    transactions: &[Transaction],
+) -> Result<Executed, CoreError> {
+    let runtime = world.mvcc();
+    let n = transactions.len();
+    let commits_done = AtomicU64::new(0);
+    let exclusive_attempts = AtomicU64::new(0);
 
-impl MvccMiner {
-    /// Creates a miner with `threads` worker threads on an execution pool
-    /// of its own.
-    pub fn new(threads: usize) -> Self {
-        MvccMiner::on_pool(Arc::new(WorkerPool::new(threads)))
-    }
-
-    /// Creates a miner that runs its blocks on the engine's shared `pool`.
-    pub(crate) fn on_pool(pool: Arc<WorkerPool>) -> Self {
-        MvccMiner {
-            pool,
-            capture_schedule: true,
-        }
-    }
-
-    /// Enables or disables schedule capture (benchmark-only; without a
-    /// schedule the fork-join validator must reject the block).
-    pub fn with_schedule_capture(mut self, capture: bool) -> Self {
-        self.capture_schedule = capture;
-        self
-    }
-
-    /// Number of worker threads this miner uses.
-    pub fn threads(&self) -> usize {
-        self.pool.workers()
-    }
-}
-
-impl Miner for MvccMiner {
-    fn mine(&self, world: &World, transactions: Vec<Transaction>) -> Result<MinedBlock, CoreError> {
-        self.mine_on(world, transactions, Hash256::ZERO, 1)
-    }
-
-    fn mine_on(
-        &self,
-        world: &World,
-        transactions: Vec<Transaction>,
-        parent_hash: Hash256,
-        number: u64,
-    ) -> Result<MinedBlock, CoreError> {
-        let start = Instant::now();
-        let runtime = world.mvcc();
-        // The optimistic path takes no abstract locks; report a zero lock
-        // delta (with the manager's structural shard count intact).
-        let locks_baseline = world.stm().lock_stats();
-        let n = transactions.len();
-        let commits_done = AtomicU64::new(0);
-        let exclusive_attempts = AtomicU64::new(0);
-
-        let (committed, retries) = execute_block(
-            &self.pool,
-            n,
-            EXCLUSIVE_ATTEMPT,
-            || (),
-            |(), index, attempt| {
-                let tx = &transactions[index];
-                let exclusive = attempt == EXCLUSIVE_ATTEMPT;
-                let txn = if exclusive {
-                    exclusive_attempts.fetch_add(1, Ordering::Relaxed);
-                    runtime.begin_exclusive()
-                } else {
-                    runtime.begin()
-                };
-                match world.execute_in(
-                    TxnRef::Mvcc(&txn),
-                    index,
-                    tx.msg(),
-                    tx.to,
-                    &tx.call,
-                    tx.gas_limit,
-                ) {
-                    Ok(receipt) => match txn.commit() {
-                        Ok(commit) => {
-                            let done = commits_done.fetch_add(1, Ordering::Relaxed) + 1;
-                            if done.is_multiple_of(GC_COMMIT_INTERVAL) {
-                                runtime.collect();
-                            }
-                            Attempt::Committed((receipt, commit))
+    let (committed, retries) = execute_block(
+        pool,
+        n,
+        EXCLUSIVE_ATTEMPT,
+        || (),
+        |(), index, attempt| {
+            let tx = &transactions[index];
+            let exclusive = attempt == EXCLUSIVE_ATTEMPT;
+            let txn = if exclusive {
+                exclusive_attempts.fetch_add(1, Ordering::Relaxed);
+                runtime.begin_exclusive()
+            } else {
+                runtime.begin()
+            };
+            match world.execute_in(
+                TxnRef::Mvcc(&txn),
+                index,
+                tx.msg(),
+                tx.to,
+                &tx.call,
+                tx.gas_limit,
+            ) {
+                Ok(receipt) => match txn.commit() {
+                    Ok(commit) => {
+                        let done = commits_done.fetch_add(1, Ordering::Relaxed) + 1;
+                        if done.is_multiple_of(GC_COMMIT_INTERVAL) {
+                            runtime.collect();
                         }
-                        // First-committer-wins loser: the buffered writes
-                        // are simply dropped; re-run at once from a fresh
-                        // snapshot, which already sees the winner.
-                        Err(_conflict) if !exclusive => {
-                            Attempt::Conflict(StmError::RetriesExhausted { attempts: attempt })
-                        }
-                        // Nothing can commit past an exclusive snapshot, so
-                        // this is a broken invariant, not a retry.
-                        Err(conflict) => Attempt::Fatal(StmError::Aborted {
-                            reason: format!("exclusive attempt lost validation: {conflict}"),
-                        }),
-                    },
-                    Err(source) => {
-                        // Unreachable: optimistic execution raises no
-                        // speculative errors mid-flight. Fail loudly if
-                        // the seam ever changes.
-                        txn.abort();
-                        Attempt::Fatal(source)
+                        Attempt::Committed((receipt, commit))
                     }
+                    // First-committer-wins loser: the buffered writes
+                    // are simply dropped; re-run at once from a fresh
+                    // snapshot, which already sees the winner.
+                    Err(_conflict) if !exclusive => {
+                        Attempt::Conflict(StmError::RetriesExhausted { attempts: attempt })
+                    }
+                    // Nothing can commit past an exclusive snapshot, so
+                    // this is a broken invariant, not a retry.
+                    Err(conflict) => Attempt::Fatal(StmError::Aborted {
+                        reason: format!("exclusive attempt lost validation: {conflict}"),
+                    }),
+                },
+                Err(source) => {
+                    // Unreachable: optimistic execution raises no
+                    // speculative errors mid-flight. Fail loudly if
+                    // the seam ever changes.
+                    txn.abort();
+                    Attempt::Fatal(source)
                 }
-            },
-        )?;
-        let (receipts, commits): (Vec<Receipt>, Vec<MvccCommit>) = committed.into_iter().unzip();
+            }
+        },
+    )?;
+    let (receipts, commits): (Vec<Receipt>, Vec<MvccCommit>) = committed.into_iter().unzip();
 
-        // The MVCC serialization order: writers serialize at their commit
-        // timestamps, read-only transactions at their snapshot timestamps
-        // — after every writer with that timestamp (a snapshot at `t` has
-        // observed the install that published `t`). Ties between readers
-        // carry no constraint; block position breaks them
-        // deterministically.
-        let mut order: Vec<(u64, u8, usize)> = commits
-            .iter()
-            .enumerate()
-            .map(|(index, c)| (c.ts.raw(), u8::from(c.read_only), index))
-            .collect();
-        order.sort_unstable();
-        let mut counters: Vec<u64> = vec![0; n];
-        for (position, &(_, _, index)) in order.iter().enumerate() {
-            counters[index] = position as u64 + 1;
-        }
-        let read_only = commits.iter().filter(|c| c.read_only).count() as u64;
-
-        // Synthesize the per-transaction lock profiles the pessimistic
-        // miner would have registered: the validated footprint provides
-        // the `(lock, mode)` pairs, the serialization position provides a
-        // consistent use counter for every lock the transaction touched.
-        let profiles: Vec<LockProfile> = commits
-            .into_iter()
-            .enumerate()
-            .map(|(index, commit)| {
-                let counter = counters[index];
-                LockProfile::new(
-                    commit
-                        .footprint
-                        .into_iter()
-                        .map(|(lock, mode)| ProfileEntry {
-                            lock,
-                            mode,
-                            counter,
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-
-        let (schedule, critical_path, hb_edges) =
-            capture_schedule(self.capture_schedule, profiles)?;
-
-        // Flatten the block's committed versions into the boosted base
-        // state *before* computing the state root (snapshots read the
-        // base).
-        runtime.finalize_block();
-
-        let elapsed = start.elapsed();
-        let gas_used = receipts.iter().map(|r| r.gas_used).sum();
-        let block = Block::build(
-            parent_hash,
-            number,
-            transactions,
-            receipts,
-            world.state_root(),
-            schedule,
-        );
-        Ok(MinedBlock {
-            block,
-            stats: MinerStats {
-                threads: self.threads(),
-                transactions: n,
-                retries,
-                backoff: Duration::ZERO,
-                exclusive: exclusive_attempts.into_inner(),
-                elapsed,
-                gas_used,
-                critical_path,
-                hb_edges,
-                locks: world.stm().lock_stats().since(&locks_baseline),
-                read_only,
-            },
-        })
+    // The MVCC serialization order: writers serialize at their commit
+    // timestamps, read-only transactions at their snapshot timestamps
+    // — after every writer with that timestamp (a snapshot at `t` has
+    // observed the install that published `t`). Ties between readers
+    // carry no constraint; block position breaks them
+    // deterministically.
+    let mut order: Vec<(u64, u8, usize)> = commits
+        .iter()
+        .enumerate()
+        .map(|(index, c)| (c.ts.raw(), u8::from(c.read_only), index))
+        .collect();
+    order.sort_unstable();
+    let mut counters: Vec<u64> = vec![0; n];
+    for (position, &(_, _, index)) in order.iter().enumerate() {
+        counters[index] = position as u64 + 1;
     }
+    let read_only = commits.iter().filter(|c| c.read_only).count() as u64;
+
+    // Synthesize the per-transaction lock profiles the pessimistic
+    // miner would have registered: the validated footprint provides
+    // the `(lock, mode)` pairs, the serialization position provides a
+    // consistent use counter for every lock the transaction touched.
+    let profiles: Vec<LockProfile> = commits
+        .into_iter()
+        .enumerate()
+        .map(|(index, commit)| {
+            let counter = counters[index];
+            LockProfile::new(
+                commit
+                    .footprint
+                    .into_iter()
+                    .map(|(lock, mode)| ProfileEntry {
+                        lock,
+                        mode,
+                        counter,
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+
+    // Flatten the block's committed versions into the boosted base
+    // state before the driver computes the state root (snapshots read
+    // the base).
+    runtime.finalize_block();
+    Ok(Executed {
+        receipts,
+        profiles,
+        retries,
+        backoff: Duration::ZERO,
+        exclusive: exclusive_attempts.into_inner(),
+        read_only,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::miner::SerialMiner;
-    use crate::validator::{ParallelValidator, Validator};
+    use crate::engine::Engine;
     use cc_contracts::{Ballot, SimpleAuction};
     use cc_vm::testing::CounterContract;
     use cc_vm::{Address, ArgValue, CallData, ExecutionStatus};
@@ -288,10 +214,13 @@ mod tests {
             (world, txs)
         };
         let (world_serial, txs) = build();
-        let serial = SerialMiner::new().mine(&world_serial, txs.clone()).unwrap();
+        let serial = Engine::serial().mine(&world_serial, txs.clone()).unwrap();
 
         let (world_mvcc, _) = build();
-        let optimistic = MvccMiner::new(4).mine(&world_mvcc, txs).unwrap();
+        let optimistic = Engine::optimistic(4)
+            .unwrap()
+            .mine(&world_mvcc, txs)
+            .unwrap();
 
         assert_eq!(
             serial.block.header.state_root,
@@ -309,7 +238,7 @@ mod tests {
         // chain, possibly through retries, but the final tally is exact.
         let (world, addr) = counter_world();
         let txs: Vec<Transaction> = (0..24).map(|i| increment_tx(i, 0, addr)).collect();
-        let mined = MvccMiner::new(4).mine(&world, txs).unwrap();
+        let mined = Engine::optimistic(4).unwrap().mine(&world, txs).unwrap();
         assert!(mined.block.receipts.iter().all(Receipt::succeeded));
         let schedule = mined.block.schedule.as_ref().unwrap();
         assert_eq!(
@@ -354,7 +283,7 @@ mod tests {
             ));
         }
 
-        let mined = MvccMiner::new(3).mine(&world, txs).unwrap();
+        let mined = Engine::optimistic(3).unwrap().mine(&world, txs).unwrap();
         let reverted = mined
             .block
             .receipts
@@ -384,7 +313,7 @@ mod tests {
                 )
             })
             .collect();
-        let mined = MvccMiner::new(4).mine(&world, txs).unwrap();
+        let mined = Engine::optimistic(4).unwrap().mine(&world, txs).unwrap();
         assert!(mined.block.receipts.iter().all(Receipt::succeeded));
         assert_eq!(auction.current_highest_bid(), 12);
         assert_eq!(mined.block.schedule.as_ref().unwrap().critical_path(), 12);
@@ -409,7 +338,10 @@ mod tests {
                 )
             })
             .collect();
-        let mined = MvccMiner::new(4).mine(&world, readers).unwrap();
+        let mined = Engine::optimistic(4)
+            .unwrap()
+            .mine(&world, readers)
+            .unwrap();
         assert!(mined.block.receipts.iter().all(Receipt::succeeded));
         assert_eq!(mined.stats.retries, 0, "readers never fail validation");
         assert_eq!(mined.stats.read_only, 30, "every commit was read-only");
@@ -430,7 +362,7 @@ mod tests {
             })
             .collect();
         txs.extend((0..10).map(|i| increment_tx(100 + i, 0, addr)));
-        let mined = MvccMiner::new(4).mine(&world, txs).unwrap();
+        let mined = Engine::optimistic(4).unwrap().mine(&world, txs).unwrap();
         assert!(mined.block.receipts.iter().all(Receipt::succeeded));
         assert_eq!(
             mined.stats.read_only, 20,
@@ -447,7 +379,8 @@ mod tests {
         for benchmark in [Benchmark::SimpleAuction, Benchmark::EtherDoc] {
             let workload = WorkloadSpec::new(benchmark, 200, 1.0).generate();
             for threads in [1, 2, 3, 8] {
-                let mined = MvccMiner::new(threads)
+                let engine = Engine::optimistic(threads).unwrap();
+                let mined = engine
                     .mine(&workload.build_world(), workload.transactions())
                     .unwrap_or_else(|e| panic!("{benchmark} on {threads} thread(s): {e}"));
                 let stats = &mined.stats;
@@ -455,7 +388,7 @@ mod tests {
                 let losses_per_txn = u64::from(EXCLUSIVE_ATTEMPT - 1);
                 assert!(stats.retries <= losses_per_txn * 200, "{stats}");
                 assert!(stats.exclusive * losses_per_txn <= stats.retries, "{stats}");
-                ParallelValidator::new(threads)
+                engine
                     .validate(&workload.build_world(), &mined.block)
                     .unwrap_or_else(|e| panic!("{benchmark} on {threads} thread(s): {e}"));
             }
@@ -466,12 +399,16 @@ mod tests {
     fn single_thread_and_empty_block() {
         let (world, addr) = counter_world();
         let txs: Vec<Transaction> = (0..5).map(|i| increment_tx(i, i, addr)).collect();
-        let mined = MvccMiner::new(1).mine(&world, txs).unwrap();
+        let engine = Engine::optimistic(1).unwrap();
+        let mined = engine.mine(&world, txs).unwrap();
         assert_eq!(mined.block.len(), 5);
-        assert_eq!(MvccMiner::new(0).threads(), 1);
+        assert_eq!(engine.threads(), 1);
 
         let (world, _) = counter_world();
-        let mined = MvccMiner::new(3).mine(&world, Vec::new()).unwrap();
+        let mined = Engine::optimistic(3)
+            .unwrap()
+            .mine(&world, Vec::new())
+            .unwrap();
         assert!(mined.block.is_empty());
         assert!(mined.block.is_well_formed());
     }

@@ -1,172 +1,89 @@
-//! The speculative parallel miner (paper §3 and Algorithm 1).
+//! The pessimistic boosted attempt (paper §3 and Algorithm 1).
+//!
+//! On the engine's pool it is the paper's speculative miner; on a
+//! one-worker pool it is the serial baseline every speedup is measured
+//! against — one transaction at a time, in block order, through the same
+//! STM, so `throw` semantics and gas accounting are byte-for-byte those of
+//! the speculative miner.
+//!
+//! Each worker repeatedly takes the next unexecuted transaction, runs it
+//! inside a speculative STM transaction (acquiring abstract locks and
+//! logging inverses), and commits. Deadlock victims roll back and retry
+//! after the [`cc_stm::retry`] back-off (reported in
+//! [`crate::MinerStats::backoff`]).
 
+use super::driver::{execute_block, Attempt, Executed};
 use crate::error::CoreError;
-use crate::miner::driver::{capture_schedule, execute_block, Attempt};
-use crate::miner::{MinedBlock, Miner};
-use crate::stats::MinerStats;
-use cc_ledger::{Block, Transaction};
-use cc_primitives::hash::Hash256;
+use cc_ledger::Transaction;
 use cc_primitives::pool::WorkerPool;
-use cc_stm::{LockMode, LockProfile, RetryPolicy};
+use cc_stm::{retry, LockMode, LockProfile};
 use cc_vm::{Receipt, World};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Mines a block by executing its transactions as speculative atomic
-/// actions on a fixed pool of worker threads.
-///
-/// Each worker repeatedly takes the next unexecuted transaction, runs it
-/// inside a speculative STM transaction (acquiring abstract locks and
-/// logging inverses), and commits. Deadlock victims roll back and retry
-/// after a backoff sleep (reported in [`MinerStats::backoff`]). When all
-/// transactions have committed, the miner derives the happens-before
-/// graph from the registered lock profiles, computes an equivalent serial
-/// order by topological sort (Algorithm 1's `MineInParallel`), and
-/// publishes both in the block together with the profiles themselves.
-#[derive(Debug, Clone)]
-pub struct ParallelMiner {
-    pool: Arc<WorkerPool>,
-    retry: RetryPolicy,
-    capture_schedule: bool,
-}
+/// Executes `transactions` on `world` as speculative atomic actions on
+/// `pool`, leaving their effects in the world.
+pub(super) fn execute(
+    pool: &WorkerPool,
+    world: &World,
+    transactions: &[Transaction],
+) -> Result<Executed, CoreError> {
+    let stm = world.stm();
+    stm.begin_block();
+    let slept_ns = AtomicU64::new(0);
 
-impl ParallelMiner {
-    /// Creates a miner with `threads` worker threads (the paper's
-    /// evaluation uses three) on an execution pool of its own, and the
-    /// default retry policy.
-    pub fn new(threads: usize) -> Self {
-        ParallelMiner::on_pool(Arc::new(WorkerPool::new(threads)))
-    }
-
-    /// Creates a miner that runs its blocks on `pool`, shared with whoever
-    /// else holds it: an [`crate::Engine`] hands one pool to its miner and
-    /// its validator.
-    pub(crate) fn on_pool(pool: Arc<WorkerPool>) -> Self {
-        ParallelMiner {
-            pool,
-            retry: RetryPolicy::default(),
-            capture_schedule: true,
-        }
-    }
-
-    /// Overrides the retry policy used for deadlock victims.
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Enables or disables schedule capture. When disabled the miner
-    /// still executes speculatively but publishes no schedule metadata,
-    /// so blocks cannot be validated by the fork-join validator —
-    /// benchmark-only, to measure what capture itself costs.
-    pub fn with_schedule_capture(mut self, capture: bool) -> Self {
-        self.capture_schedule = capture;
-        self
-    }
-
-    /// Number of worker threads this miner uses.
-    pub fn threads(&self) -> usize {
-        self.pool.workers()
-    }
-}
-
-impl Miner for ParallelMiner {
-    fn mine(&self, world: &World, transactions: Vec<Transaction>) -> Result<MinedBlock, CoreError> {
-        self.mine_on(world, transactions, Hash256::ZERO, 1)
-    }
-
-    fn mine_on(
-        &self,
-        world: &World,
-        transactions: Vec<Transaction>,
-        parent_hash: Hash256,
-        number: u64,
-    ) -> Result<MinedBlock, CoreError> {
-        let start = Instant::now();
-        let stm = world.stm();
-        stm.begin_block();
-        let locks_before = stm.lock_stats();
-        let n = transactions.len();
-        let slept_ns = AtomicU64::new(0);
-
-        let (committed, retries) = execute_block(
-            &self.pool,
-            n,
-            self.retry.max_attempts,
-            // Each worker recycles its transaction arenas across the
-            // whole block: undo-log sinks, lock vectors and trace buffers
-            // are allocated by the first attempts and reused by every
-            // later one.
-            || stm.txn_scope(),
-            |arenas, index, attempt| {
-                let tx = &transactions[index];
-                let txn = arenas.begin();
-                match world.execute(&txn, index, tx.msg(), tx.to, &tx.call, tx.gas_limit) {
-                    Ok(receipt) => match txn.commit() {
-                        Ok(commit) => Attempt::Committed((receipt, commit.profile)),
-                        Err(source) => Attempt::Fatal(source),
-                    },
-                    Err(source) => {
-                        // Deadlock victim: undo, then sleep before the
-                        // retry. The pause is load-bearing here: the winner
-                        // of the upgrade deadlock is still executing, and a
-                        // victim that re-runs at once takes its shared lock
-                        // again and re-enters the same deadlock.
-                        let _ = txn.abort();
-                        if attempt < self.retry.max_attempts {
-                            let slept = Instant::now();
-                            self.retry.backoff(attempt);
-                            slept_ns
-                                .fetch_add(slept.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        }
-                        Attempt::Conflict(source)
+    let (committed, retries) = execute_block(
+        pool,
+        transactions.len(),
+        retry::MAX_ATTEMPTS,
+        // Each worker recycles its transaction arenas across the whole
+        // block: undo-log sinks, lock vectors and trace buffers are
+        // allocated by the first attempts and reused by every later one.
+        || stm.txn_scope(),
+        |arenas, index, attempt| {
+            let tx = &transactions[index];
+            let txn = arenas.begin();
+            match world.execute(&txn, index, tx.msg(), tx.to, &tx.call, tx.gas_limit) {
+                Ok(receipt) => match txn.commit() {
+                    Ok(commit) => Attempt::Committed((receipt, commit.profile)),
+                    Err(source) => Attempt::Fatal(source),
+                },
+                Err(source) => {
+                    // Deadlock victim: undo, then sleep before the retry.
+                    // The pause is load-bearing here: the winner of the
+                    // upgrade deadlock is still executing, and a victim
+                    // that re-runs at once takes its shared lock again and
+                    // re-enters the same deadlock.
+                    let _ = txn.abort();
+                    if attempt < retry::MAX_ATTEMPTS {
+                        let slept = Instant::now();
+                        retry::backoff(attempt);
+                        slept_ns.fetch_add(slept.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     }
+                    Attempt::Conflict(source)
                 }
-            },
-        )?;
-        let (receipts, profiles): (Vec<Receipt>, Vec<LockProfile>) = committed.into_iter().unzip();
-
-        let read_only = profiles
-            .iter()
-            .filter(|p| p.locks.iter().all(|e| e.mode == LockMode::Shared))
-            .count() as u64;
-        let (schedule, critical_path, hb_edges) =
-            capture_schedule(self.capture_schedule, profiles)?;
-
-        let elapsed = start.elapsed();
-        let gas_used = receipts.iter().map(|r| r.gas_used).sum();
-        let block = Block::build(
-            parent_hash,
-            number,
-            transactions,
-            receipts,
-            world.state_root(),
-            schedule,
-        );
-        Ok(MinedBlock {
-            block,
-            stats: MinerStats {
-                threads: self.threads(),
-                transactions: n,
-                retries,
-                backoff: Duration::from_nanos(slept_ns.into_inner()),
-                exclusive: 0,
-                elapsed,
-                gas_used,
-                critical_path,
-                hb_edges,
-                locks: stm.lock_stats().since(&locks_before),
-                read_only,
-            },
-        })
-    }
+            }
+        },
+    )?;
+    let (receipts, profiles): (Vec<Receipt>, Vec<LockProfile>) = committed.into_iter().unzip();
+    let read_only = profiles
+        .iter()
+        .filter(|p| p.locks.iter().all(|e| e.mode == LockMode::Shared))
+        .count() as u64;
+    Ok(Executed {
+        receipts,
+        profiles,
+        retries,
+        backoff: Duration::from_nanos(slept_ns.into_inner()),
+        exclusive: 0,
+        read_only,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::miner::SerialMiner;
+    use crate::engine::Engine;
     use cc_contracts::{Ballot, SimpleAuction};
     use cc_vm::testing::CounterContract;
     use cc_vm::{Address, ArgValue, CallData, ExecutionStatus};
@@ -197,10 +114,13 @@ mod tests {
             (world, txs)
         };
         let (world_serial, txs) = build();
-        let serial = SerialMiner::new().mine(&world_serial, txs.clone()).unwrap();
+        let serial = Engine::serial().mine(&world_serial, txs.clone()).unwrap();
 
         let (world_parallel, _) = build();
-        let parallel = ParallelMiner::new(4).mine(&world_parallel, txs).unwrap();
+        let parallel = Engine::speculative(4)
+            .unwrap()
+            .mine(&world_parallel, txs)
+            .unwrap();
 
         assert_eq!(
             serial.block.header.state_root,
@@ -228,7 +148,7 @@ mod tests {
                 )
             })
             .collect();
-        let mined = ParallelMiner::new(3).mine(&world, txs).unwrap();
+        let mined = Engine::speculative(3).unwrap().mine(&world, txs).unwrap();
         let schedule = mined.block.schedule.as_ref().unwrap();
         assert_eq!(schedule.profiles.len(), 20);
         assert!(
@@ -282,7 +202,7 @@ mod tests {
             ));
         }
 
-        let mined = ParallelMiner::new(3).mine(&world, txs).unwrap();
+        let mined = Engine::speculative(3).unwrap().mine(&world, txs).unwrap();
         let reverted = mined
             .block
             .receipts
@@ -312,7 +232,7 @@ mod tests {
                 )
             })
             .collect();
-        let mined = ParallelMiner::new(4).mine(&world, txs).unwrap();
+        let mined = Engine::speculative(4).unwrap().mine(&world, txs).unwrap();
         assert!(mined.block.receipts.iter().all(Receipt::succeeded));
         assert_eq!(auction.current_highest_bid(), 12);
         // All bids touch the highest-bid cell, so the schedule is a chain.
@@ -383,10 +303,7 @@ mod tests {
                 )
             })
             .collect();
-        let mined = ParallelMiner::new(2)
-            .with_retry_policy(RetryPolicy::no_backoff(64))
-            .mine(&world, txs)
-            .unwrap();
+        let mined = Engine::speculative(2).unwrap().mine(&world, txs).unwrap();
         assert!(mined.block.receipts.iter().all(Receipt::succeeded));
         assert!(
             mined.stats.retries >= 1,
@@ -404,15 +321,19 @@ mod tests {
     fn single_thread_parallel_miner_still_works() {
         let (world, addr) = counter_world();
         let txs: Vec<Transaction> = (0..5).map(|i| increment_tx(i, addr)).collect();
-        let mined = ParallelMiner::new(1).mine(&world, txs).unwrap();
+        let engine = Engine::speculative(1).unwrap();
+        let mined = engine.mine(&world, txs).unwrap();
         assert_eq!(mined.block.len(), 5);
-        assert_eq!(ParallelMiner::new(0).threads(), 1);
+        assert_eq!(engine.threads(), 1);
     }
 
     #[test]
     fn empty_block_mines() {
         let (world, _) = counter_world();
-        let mined = ParallelMiner::new(3).mine(&world, Vec::new()).unwrap();
+        let mined = Engine::speculative(3)
+            .unwrap()
+            .mine(&world, Vec::new())
+            .unwrap();
         assert!(mined.block.is_empty());
         assert!(mined.block.is_well_formed());
     }

@@ -64,9 +64,7 @@ use super::seal_worker::{self, SealAck, SealWorker};
 use super::{DurabilityState, Node};
 use crate::engine::Engine;
 use crate::error::CoreError;
-use crate::miner::Miner;
 use crate::stats::{MinerStats, ValidationReport};
-use crate::validator::Validator;
 use cc_ledger::{Block, Blockchain, ChainError, Transaction};
 use cc_mempool::Mempool;
 use cc_vm::World;
@@ -174,7 +172,7 @@ fn wrong_number(block: &Block, expected: u64) -> CoreError {
 
 /// The produce source: mines each batch `batches` yields on the head.
 pub(super) struct Produce<'a, B> {
-    miner: &'a dyn Miner,
+    engine: &'a Engine,
     world: &'a World,
     batches: B,
     /// Mining statistics of the last block handed to the stage.
@@ -184,7 +182,7 @@ pub(super) struct Produce<'a, B> {
 impl<'a, B: FnMut() -> Option<Vec<Transaction>>> Produce<'a, B> {
     pub(super) fn new(stage: &CommitStage<'a>, batches: B) -> Self {
         Produce {
-            miner: stage.engine.miner(),
+            engine: stage.engine,
             world: stage.world,
             batches,
             stats: None,
@@ -201,7 +199,7 @@ impl<B: FnMut() -> Option<Vec<Transaction>>> Source for Produce<'_, B> {
         // A miner returns its first failure with other workers' commits
         // already in the world, so every mining error has moved it.
         let mined = self
-            .miner
+            .engine
             .mine_on(self.world, batch, chain.head_hash(), number)
             .map_err(Stop::Moved)?;
         self.stats = Some(mined.stats);
@@ -211,7 +209,7 @@ impl<B: FnMut() -> Option<Vec<Transaction>>> Source for Produce<'_, B> {
 
 /// The one-block follow source: the engine's validator on the base world.
 pub(super) struct Validate<'a> {
-    validator: &'a dyn Validator,
+    engine: &'a Engine,
     world: &'a World,
     block: Option<&'a Block>,
     /// The validator's report once the block was accepted.
@@ -221,7 +219,7 @@ pub(super) struct Validate<'a> {
 impl<'a> Validate<'a> {
     pub(super) fn new(stage: &CommitStage<'a>, block: &'a Block) -> Self {
         Validate {
-            validator: stage.engine.validator(),
+            engine: stage.engine,
             world: stage.world,
             block: Some(block),
             report: None,
@@ -243,9 +241,9 @@ impl Source for Validate<'_> {
         if block.header.number != expected {
             return Err(Stop::Clean(wrong_number(block, expected)));
         }
-        // Validation mutates the world (see [`Validator`]), so any
+        // Validation mutates the world (see [`Engine::validate`]), so any
         // rejection from here on is conservatively a moved world.
-        let report = self.validator.validate(self.world, block);
+        let report = self.engine.validate(self.world, block);
         self.report = Some(report.map_err(Stop::Moved)?);
         Ok(Some(block.clone()))
     }

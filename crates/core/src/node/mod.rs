@@ -434,6 +434,7 @@ impl Node {
         let mut batch = Some(transactions);
         let mut source = Produce::new(&stage, || batch.take());
         stage.run(&mut source)?;
+        // A run that returns `Ok` asked its source once and appended what it mined.
         let stats = source.stats.expect("a completed run mined its one batch");
         let block = self.chain.head().clone();
         Ok(MinedBlock { block, stats })
@@ -449,7 +450,7 @@ impl Node {
     ///
     /// A rejection may leave the world holding effects of the rejected
     /// block (validation mutates the world; see
-    /// [`crate::validator::Validator`]), so the node conservatively
+    /// [`Engine::validate`]), so the node conservatively
     /// marks itself stale on *any* validator rejection and every
     /// subsequent call fails fast — a real node discards that state and
     /// resynchronizes, and so must callers of this API (rebuild the node
@@ -459,6 +460,7 @@ impl Node {
         let stage = self.commit_stage(1)?;
         let mut source = Validate::new(&stage, block);
         stage.run(&mut source)?;
+        // A run that returns `Ok` asked its source once and appended what it validated.
         Ok(source
             .report
             .expect("a completed run validated its one block"))

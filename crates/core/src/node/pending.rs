@@ -5,7 +5,7 @@
 //! runs every stage of a block back to back, so the WAL seal of block N
 //! gates the replay of block N+1. A [`PendingChain`] breaks that chain:
 //! it replays each incoming block through the validators' one kernel
-//! ([`crate::validator::replay`]) on the overlay target — the block's
+//! (`validator::replay`) on the overlay target — the block's
 //! transactions run as optimistic multi-version transactions (see
 //! `cc_mvcc`) in the fork-join order of the published graph, and the
 //! versions they install stay in place as a **pending overlay** stacked
@@ -126,15 +126,6 @@ impl<'w> PendingChain<'w> {
     /// the published order for a serial engine.
     pub(crate) fn in_order(mut self, order: Order) -> Self {
         self.order = order;
-        self
-    }
-
-    /// Enables or disables the lock-trace and hidden-race checks during
-    /// speculation. Disable them for serially mined blocks, whose
-    /// sequential schedule carries no lock profiles, mirroring
-    /// [`crate::validator::ParallelValidator`]'s ablation mode.
-    pub fn with_trace_checks(mut self, check: bool) -> Self {
-        self.order = self.order.with_trace_checks(check);
         self
     }
 
@@ -281,16 +272,14 @@ impl<'w> PendingChain<'w> {
     /// already polluted the base: every pending descendant is discarded
     /// and the caller must treat the world as stale.
     pub fn commit(&mut self, hash: &Hash256) -> Result<Block, CoreError> {
-        let Some(oldest) = self.entries.front() else {
+        let Some(oldest) = self.oldest_hash() else {
             return Err(CoreError::rejected("no block is pending"));
         };
-        if oldest.hash != *hash {
+        let Some(entry) = self.entries.pop_front_if(|entry| entry.hash == *hash) else {
             return Err(CoreError::rejected(format!(
-                "pending blocks commit in order: expected block {}, not {hash}",
-                oldest.hash
+                "pending blocks commit in order: expected block {oldest}, not {hash}"
             )));
-        }
-        let entry = self.entries.pop_front().expect("front exists");
+        };
         let runtime = self.world.mvcc();
         runtime.finalize_below(entry.boundary);
         let state_root = self.world.state_root();
@@ -555,7 +544,8 @@ mod tests {
 
         // A serially-mined block publishes a sequential schedule with no
         // lock profiles; strict trace checks must reject it, mirroring
-        // the fork-join validator.
+        // the fork-join validator. The published order, a serial
+        // engine's, checks no traces.
         let strict_world = fresh_world();
         let mut strict = PendingChain::new(&strict_world, block.header.parent_hash, 2);
         let err = strict.speculate(strict.tip_hash(), &block).unwrap_err();
@@ -563,7 +553,7 @@ mod tests {
 
         let world = fresh_world();
         let mut lenient =
-            PendingChain::new(&world, block.header.parent_hash, 2).with_trace_checks(false);
+            PendingChain::new(&world, block.header.parent_hash, 2).in_order(Order::Published);
         let hash = lenient.speculate(lenient.tip_hash(), &block).unwrap();
         lenient.commit(&hash).unwrap();
         assert_eq!(world.state_root(), block.header.state_root);

@@ -1,85 +1,17 @@
-//! The deterministic, concurrent fork-join validator (paper §4 and
-//! Algorithm 2).
-
-use crate::error::CoreError;
-use crate::stats::ValidationReport;
-use crate::validator::replay::{Order, Target};
-use crate::validator::Validator;
-use cc_ledger::Block;
-use cc_primitives::pool::WorkerPool;
-use cc_vm::World;
-use std::sync::Arc;
-
-/// Replays a block as the fork-join program derived from its published
-/// schedule.
-///
-/// Each transaction is a task that runs only after its happens-before
-/// predecessors have completed, so conflicting transactions never execute
-/// concurrently and **no abstract locks, conflict detection or rollback
-/// machinery** are needed. While replaying, every transaction records the
-/// trace of abstract locks it *would* have acquired; afterwards the
-/// validator checks:
-///
-/// 1. every replayed trace matches the lock profile the miner published
-///    for that transaction,
-/// 2. every pair of transactions whose traces conflict is ordered by the
-///    published happens-before graph (no hidden data race),
-/// 3. the replayed receipts equal the block's receipts,
-/// 4. the recomputed state root equals the block's state root.
-///
-/// Any failure rejects the block.
-#[derive(Debug, Clone)]
-pub struct ParallelValidator {
-    order: Order,
-}
-
-impl ParallelValidator {
-    /// Creates a validator with `threads` worker threads on an execution
-    /// pool of its own.
-    pub fn new(threads: usize) -> Self {
-        ParallelValidator::in_order(Order::fork_join(Arc::new(WorkerPool::new(threads))))
-    }
-
-    /// Creates a validator that replays its blocks in an engine's
-    /// fork-join `order`, on the engine's shared pool.
-    pub(crate) fn in_order(order: Order) -> Self {
-        ParallelValidator { order }
-    }
-
-    /// Disables the lock-trace and race checks, leaving only the state /
-    /// receipt comparison. Used by the ablation benchmark to measure what
-    /// the trace verification costs; a real validator never does this.
-    pub fn without_trace_checks(self) -> Self {
-        self.with_trace_checks(false)
-    }
-
-    /// Enables or disables the lock-trace and race checks (see
-    /// [`ParallelValidator::without_trace_checks`]).
-    pub fn with_trace_checks(mut self, check: bool) -> Self {
-        self.order = self.order.with_trace_checks(check);
-        self
-    }
-
-    /// Number of worker threads this validator uses.
-    pub fn threads(&self) -> usize {
-        self.order.threads()
-    }
-}
-
-impl Validator for ParallelValidator {
-    fn validate(&self, world: &World, block: &Block) -> Result<ValidationReport, CoreError> {
-        self.order.validate(Target::Base, world, block)
-    }
-}
+//! Validation by the fork-join engines: the speculative and the optimistic
+//! engine both replay a block as the fork-join program of its published
+//! happens-before graph (`replay::Order::ForkJoin`), checking each
+//! replayed lock trace against the published profile unless trace checks
+//! are off. Every case here runs on both.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::miner::{Miner, ParallelMiner};
+    use crate::engine::Engine;
+    use crate::error::CoreError;
     use cc_contracts::Ballot;
     use cc_ledger::Transaction;
     use cc_vm::testing::CounterContract;
-    use cc_vm::{Address, ArgValue, CallData};
+    use cc_vm::{Address, ArgValue, CallData, World};
     use std::sync::Arc;
 
     fn counter_world() -> World {
@@ -132,31 +64,49 @@ mod tests {
             .collect()
     }
 
+    /// The speculative and the optimistic engine, on `threads` workers.
+    fn fork_join_engines(threads: usize) -> [Engine; 2] {
+        [
+            Engine::speculative(threads).unwrap(),
+            Engine::optimistic(threads).unwrap(),
+        ]
+    }
+
+    /// `engine` with its validator's trace checks off.
+    fn lenient(engine: &Engine) -> Engine {
+        engine.config().clone().check_traces(false).build().unwrap()
+    }
+
     #[test]
     fn honest_parallel_block_is_accepted() {
-        let mined = ParallelMiner::new(3)
-            .mine(&counter_world(), counter_txs(30))
-            .unwrap();
-        let report = ParallelValidator::new(3)
-            .validate(&counter_world(), &mined.block)
-            .unwrap();
-        assert_eq!(report.state_root, mined.block.header.state_root);
-        assert_eq!(report.transactions, 30);
-        assert!(report.critical_path >= 1);
+        for engine in fork_join_engines(3) {
+            let strategy = engine.strategy();
+            let mined = engine.mine(&counter_world(), counter_txs(30)).unwrap();
+            let report = engine.validate(&counter_world(), &mined.block).unwrap();
+            assert_eq!(
+                report.state_root, mined.block.header.state_root,
+                "{strategy}"
+            );
+            assert_eq!(report.transactions, 30, "{strategy}");
+            assert_eq!(report.threads, 3, "{strategy}");
+            assert!(report.critical_path >= 1, "{strategy}");
+        }
     }
 
     #[test]
     fn missing_schedule_is_rejected() {
-        let mined = ParallelMiner::new(2)
-            .mine(&counter_world(), counter_txs(4))
-            .unwrap();
-        let mut block = mined.block.clone();
-        block.schedule = None;
-        block.header.schedule_digest = cc_primitives::Hash256::ZERO;
-        let err = ParallelValidator::new(2)
-            .validate(&counter_world(), &block)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::MissingSchedule));
+        for engine in fork_join_engines(2) {
+            let strategy = engine.strategy();
+            let mined = engine.mine(&counter_world(), counter_txs(4)).unwrap();
+            let mut block = mined.block.clone();
+            block.schedule = None;
+            block.header.schedule_digest = cc_primitives::Hash256::ZERO;
+            let err = engine.validate(&counter_world(), &block).unwrap_err();
+            assert!(
+                matches!(err, CoreError::MissingSchedule),
+                "{strategy}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -164,87 +114,93 @@ mod tests {
         // Transactions from the same sender conflict on the sender's
         // counts entry; removing the edge between two of them while
         // keeping the header consistent must be caught by the race check.
-        let mined = ParallelMiner::new(3)
-            .mine(&counter_world(), counter_txs(12))
-            .unwrap();
-        let mut block = mined.block.clone();
-        let schedule = block.schedule.as_mut().unwrap();
-        assert!(!schedule.edges.is_empty());
-        schedule.edges.clear();
-        // Re-commit the tampered schedule so the block stays well-formed
-        // (a dishonest miner would do exactly this).
-        block.header.schedule_digest = schedule.digest();
-        let err = ParallelValidator::new(3)
-            .validate(&counter_world(), &block)
-            .unwrap_err();
-        match err {
-            CoreError::BlockRejected { reasons } => {
-                assert!(
-                    reasons.iter().any(|r| r.contains("data race")),
-                    "expected a data-race rejection, got: {reasons:?}"
-                );
+        for engine in fork_join_engines(3) {
+            let strategy = engine.strategy();
+            let mined = engine.mine(&counter_world(), counter_txs(12)).unwrap();
+            let mut block = mined.block.clone();
+            let schedule = block.schedule.as_mut().unwrap();
+            assert!(!schedule.edges.is_empty(), "{strategy}");
+            schedule.edges.clear();
+            // Re-commit the tampered schedule so the block stays well-formed
+            // (a dishonest miner would do exactly this).
+            block.header.schedule_digest = schedule.digest();
+            let err = engine.validate(&counter_world(), &block).unwrap_err();
+            match err {
+                CoreError::BlockRejected { reasons } => {
+                    assert!(
+                        reasons.iter().any(|r| r.contains("data race")),
+                        "{strategy}: expected a data-race rejection, got: {reasons:?}"
+                    );
+                }
+                other => panic!("{strategy}: expected rejection, got {other:?}"),
             }
-            other => panic!("expected rejection, got {other:?}"),
         }
     }
 
     #[test]
     fn forged_state_root_is_rejected() {
-        let mined = ParallelMiner::new(3)
-            .mine(&counter_world(), counter_txs(8))
-            .unwrap();
-        let mut block = mined.block.clone();
-        block.header.state_root = cc_primitives::sha256(b"forged");
-        let err = ParallelValidator::new(3)
-            .validate(&counter_world(), &block)
-            .unwrap_err();
-        assert!(err.to_string().contains("state root"));
+        for engine in fork_join_engines(3) {
+            let strategy = engine.strategy();
+            let mined = engine.mine(&counter_world(), counter_txs(8)).unwrap();
+            let mut block = mined.block.clone();
+            block.header.state_root = cc_primitives::sha256(b"forged");
+            let err = engine.validate(&counter_world(), &block).unwrap_err();
+            assert!(err.to_string().contains("state root"), "{strategy}: {err}");
+        }
     }
 
     #[test]
     fn wrong_initial_state_is_rejected() {
-        let mined = ParallelMiner::new(3)
-            .mine(&ballot_world(8), ballot_txs(8))
-            .unwrap();
-        // Validate against a world with a different set of registered
-        // voters: replay diverges (receipts and state differ).
-        let err = ParallelValidator::new(3)
-            .validate(&ballot_world(4), &mined.block)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::BlockRejected { .. }));
+        for engine in fork_join_engines(3) {
+            let strategy = engine.strategy();
+            let mined = engine.mine(&ballot_world(8), ballot_txs(8)).unwrap();
+            // Validate against a world with a different set of registered
+            // voters: replay diverges (receipts and state differ).
+            let err = engine.validate(&ballot_world(4), &mined.block).unwrap_err();
+            assert!(
+                matches!(err, CoreError::BlockRejected { .. }),
+                "{strategy}: {err:?}"
+            );
+        }
     }
 
     #[test]
     fn ablation_mode_skips_trace_checks_but_still_checks_state() {
-        let mined = ParallelMiner::new(3)
-            .mine(&counter_world(), counter_txs(8))
-            .unwrap();
-        let report = ParallelValidator::new(3)
-            .without_trace_checks()
-            .validate(&counter_world(), &mined.block)
-            .unwrap();
-        assert_eq!(report.state_root, mined.block.header.state_root);
-        let mut block = mined.block.clone();
-        block.header.state_root = cc_primitives::sha256(b"forged");
-        assert!(ParallelValidator::new(3)
-            .without_trace_checks()
-            .validate(&counter_world(), &block)
-            .is_err());
+        for engine in fork_join_engines(3) {
+            let strategy = engine.strategy();
+            let mined = engine.mine(&counter_world(), counter_txs(8)).unwrap();
+            let lenient = lenient(&engine);
+            let report = lenient.validate(&counter_world(), &mined.block).unwrap();
+            assert_eq!(
+                report.state_root, mined.block.header.state_root,
+                "{strategy}"
+            );
+            let mut block = mined.block.clone();
+            block.header.state_root = cc_primitives::sha256(b"forged");
+            assert!(
+                lenient.validate(&counter_world(), &block).is_err(),
+                "{strategy}"
+            );
+        }
     }
 
     #[test]
     fn serial_blocks_are_also_validatable_in_parallel() {
-        use crate::miner::SerialMiner;
-        let mined = SerialMiner::new()
+        let mined = Engine::serial()
             .mine(&counter_world(), counter_txs(6))
             .unwrap();
         // A sequential schedule has no profiles; the trace check would
-        // reject it, which is the correct behaviour for a parallel
+        // reject it, which is the correct behaviour for a fork-join
         // validator — but the ablation mode can still replay it.
-        let report = ParallelValidator::new(2)
-            .without_trace_checks()
-            .validate(&counter_world(), &mined.block)
-            .unwrap();
-        assert_eq!(report.state_root, mined.block.header.state_root);
+        for engine in fork_join_engines(2) {
+            let strategy = engine.strategy();
+            let report = lenient(&engine)
+                .validate(&counter_world(), &mined.block)
+                .unwrap();
+            assert_eq!(
+                report.state_root, mined.block.header.state_root,
+                "{strategy}"
+            );
+        }
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! | order ↓ · target → | base world ([`Target::Base`]) | pending overlay ([`Target::Overlay`]) |
 //! |---|---|---|
-//! | [`Order::Published`] | `SerialValidator` | `PendingChain` under a serial engine |
-//! | [`Order::ForkJoin`] | `ParallelValidator` | `PendingChain` otherwise |
+//! | [`Order::Published`] | a serial engine's `validate` | `PendingChain` under a serial engine |
+//! | [`Order::ForkJoin`] | a concurrent engine's `validate` | `PendingChain` otherwise |
 //!
 //! — and all of them are [`Order::validate`]: well-formedness, [`replay`],
 //! the verdict of [`checks`].
@@ -159,14 +159,6 @@ impl Order {
         Order::ForkJoin { pool, check_traces }
     }
 
-    /// Enables or disables a fork-join order's trace checks.
-    pub(crate) fn with_trace_checks(mut self, check: bool) -> Self {
-        if let Order::ForkJoin { check_traces, .. } = &mut self {
-            *check_traces = check;
-        }
-        self
-    }
-
     /// Threads a replay in this order runs on.
     pub(crate) fn threads(&self) -> usize {
         match self {
@@ -219,11 +211,9 @@ impl Order {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
-    use crate::miner::{Miner, MvccMiner, ParallelMiner, SerialMiner};
+    use crate::engine::{Engine, EngineConfig};
     use crate::node::pending::PendingChain;
     use crate::node::Node;
-    use crate::validator::{ParallelValidator, SerialValidator, Validator};
     use cc_contracts::{Ballot, EtherDoc, SimpleAuction};
     use cc_primitives::hash::Hash256;
     use cc_vm::testing::CounterContract;
@@ -333,18 +323,18 @@ mod tests {
         (receipts, traces, world.state_root())
     }
 
-    /// The public entry point that names the cell `order` × `target`.
+    /// The public entry point that names the cell `order` × `target`: an
+    /// engine replaying in `order`, or a pending chain.
     fn accept(order: &Order, target: Target, world: &World, block: &Block) -> Hash256 {
         match (target, order) {
             (Target::Base, Order::Published) => {
-                let report = SerialValidator::new().validate(world, block).unwrap();
+                let report = Engine::serial().validate(world, block).unwrap();
                 assert_eq!(report.threads, 1);
                 report.state_root
             }
             (Target::Base, Order::ForkJoin { .. }) => {
-                let report = ParallelValidator::in_order(order.clone())
-                    .validate(world, block)
-                    .unwrap();
+                let engine = Engine::speculative(order.threads()).unwrap();
+                let report = engine.validate(world, block).unwrap();
                 assert_eq!(report.threads, order.threads());
                 report.state_root
             }
@@ -369,10 +359,11 @@ mod tests {
         ];
         for (i, (name, build_world, txs)) in fixtures.into_iter().enumerate() {
             // Both concurrent miners take turns producing the block.
-            let mined = match i % 2 {
-                0 => ParallelMiner::new(3).mine(&build_world(), txs),
-                _ => MvccMiner::new(3).mine(&build_world(), txs),
+            let miner = match i % 2 {
+                0 => Engine::speculative(3),
+                _ => Engine::optimistic(3),
             };
+            let mined = miner.unwrap().mine(&build_world(), txs);
             let block = mined.unwrap().block;
             let root = block.header.state_root;
             let (_, reference, _) =
@@ -397,7 +388,8 @@ mod tests {
 
     #[test]
     fn published_order_is_checked_before_anything_runs() {
-        let honest = ParallelMiner::new(2)
+        let honest = Engine::speculative(2)
+            .unwrap()
             .mine(&counter_world(), counter_txs(0, 4))
             .unwrap()
             .block;
@@ -430,12 +422,12 @@ mod tests {
         }
 
         // A block with no schedule at all replays in block order.
-        let bare = SerialMiner::new()
-            .with_schedule_capture(false)
+        let mut bare = Engine::serial()
             .mine(&counter_world(), counter_txs(0, 4))
             .unwrap()
             .block;
-        assert!(bare.schedule.is_none());
+        bare.schedule = None;
+        bare.header.schedule_digest = Hash256::ZERO;
         for target in [Target::Base, Target::Overlay] {
             let root = accept(&Order::Published, target, &counter_world(), &bare);
             assert_eq!(root, bare.header.state_root, "{target:?}");
@@ -444,7 +436,8 @@ mod tests {
 
     #[test]
     fn a_failing_transaction_is_a_rejection_naming_the_lowest_index() {
-        let block = ParallelMiner::new(2)
+        let block = Engine::speculative(2)
+            .unwrap()
             .mine(&counter_world(), counter_txs(0, 12))
             .unwrap()
             .block;

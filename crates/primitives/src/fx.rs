@@ -635,7 +635,7 @@ struct RawShard<K, V> {
 ///   raw access.
 /// * **Physical structure** (probe chains, rehashes, item counters) is
 ///   shared between *distinct* keys that land in the same shard, which
-///   abstract locks do not serialize. The per-shard [`Latch`] covers
+///   abstract locks do not serialize. The per-shard `Latch` covers
 ///   exactly that window: every access runs its closure under the shard
 ///   latch. Disjoint-key transactions touching different shards never
 ///   interact at all.

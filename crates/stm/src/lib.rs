@@ -70,5 +70,4 @@ pub use error::StmError;
 pub use lock::{LockId, LockMode, LockSpace};
 pub use manager::LockManager;
 pub use profile::{CommitProfile, LockProfile, ProfileEntry, TraceEntry};
-pub use retry::RetryPolicy;
 pub use txn::{PooledTxn, Savepoint, Stm, Transaction, TxnId, TxnKind, TxnScope, UndoSink};

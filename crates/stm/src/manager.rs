@@ -27,14 +27,14 @@
 //! ## Wakeup protocol
 //!
 //! Blocking is **targeted**: a blocked transaction parks on its own
-//! [`WaitNode`] registered with the lock entry it is waiting for, and a
+//! `WaitNode` registered with the lock entry it is waiting for, and a
 //! release wakes *only that lock's* waiters (there is no global condition
 //! variable, no periodic poll and no `notify_all` thundering herd). Woken
 //! waiters re-contend under the stripe mutex — barging is allowed, i.e. a
 //! newly arriving transaction may win the lock ahead of an already-queued
-//! waiter. This trades strict FIFO fairness for a shorter hot path; the
-//! miner's retry/backoff layer already tolerates arbitrary acquisition
-//! order.
+//! waiter. This trades strict FIFO fairness for a shorter hot path; a
+//! deadlock victim backs off and retries ([`crate::retry`]), which already
+//! tolerates arbitrary acquisition order.
 //!
 //! ## Cross-shard deadlock detection
 //!
@@ -55,7 +55,7 @@
 //! transaction adds the closing edge; a stale snapshot can at worst cause a
 //! spurious victim (a conservative abort, which the retry layer absorbs),
 //! never a missed deadlock that wedges the miner. A coarse fallback timeout
-//! ([`WAIT_FALLBACK`]) backstops the protocol: a waiter that somehow sleeps
+//! (`WAIT_FALLBACK`) backstops the protocol: a waiter that somehow sleeps
 //! through a wakeup re-evaluates from scratch.
 
 use crate::error::StmError;

@@ -5,10 +5,11 @@ use crate::error::StmError;
 use crate::lock::{LockId, LockMode};
 use crate::manager::{LockManager, LockStats};
 use crate::profile::{CommitProfile, LockProfile, ProfileEntry, TraceEntry};
-use crate::retry::RetryPolicy;
+use crate::retry;
 use cc_primitives::fx::FxHashMap;
 use cc_primitives::small::InlineVec;
 use std::any::Any;
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -800,7 +801,6 @@ impl Drop for Transaction {
 pub struct Stm {
     manager: Arc<LockManager>,
     next_id: Arc<AtomicU64>,
-    retry: RetryPolicy,
 }
 
 impl Default for Stm {
@@ -810,20 +810,11 @@ impl Default for Stm {
 }
 
 impl Stm {
-    /// Creates a new runtime with the default retry policy.
+    /// Creates a new runtime.
     pub fn new() -> Self {
         Stm {
             manager: Arc::new(LockManager::new()),
             next_id: Arc::new(AtomicU64::new(1)),
-            retry: RetryPolicy::default(),
-        }
-    }
-
-    /// Creates a runtime with a custom retry policy for [`Stm::run`].
-    pub fn with_retry_policy(retry: RetryPolicy) -> Self {
-        Stm {
-            retry,
-            ..Stm::new()
         }
     }
 
@@ -875,7 +866,7 @@ impl Stm {
     }
 
     /// Runs `body` as a speculative transaction, retrying automatically on
-    /// deadlock aborts according to the runtime's [`RetryPolicy`].
+    /// deadlock aborts after the [`retry`] back-off.
     ///
     /// `body` returning `Ok` commits; returning `Err` aborts and propagates
     /// the error (retrying only if the error is retryable).
@@ -883,31 +874,39 @@ impl Stm {
     /// # Errors
     ///
     /// Propagates the body's terminal error, or
-    /// [`StmError::RetriesExhausted`] if the retry budget runs out.
+    /// [`StmError::RetriesExhausted`] after [`retry::MAX_ATTEMPTS`].
     pub fn run<R>(
         &self,
-        mut body: impl FnMut(&Transaction) -> Result<R, StmError>,
+        body: impl FnMut(&Transaction) -> Result<R, StmError>,
     ) -> Result<(R, CommitProfile), StmError> {
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let txn = self.begin();
-            match body(&txn) {
-                Ok(value) => {
-                    let profile = txn.commit()?;
-                    return Ok((value, profile));
-                }
-                Err(err) => {
-                    let _ = txn.abort();
-                    if err.is_retryable() && attempt < self.retry.max_attempts {
-                        self.retry.backoff(attempt);
-                        continue;
-                    }
-                    if err.is_retryable() {
-                        return Err(StmError::RetriesExhausted { attempts: attempt });
-                    }
+        run_retrying(|| self.begin(), body)
+    }
+}
+
+/// The loop behind [`Stm::run`] and [`TxnScope::run`]: `body` in a
+/// transaction from `begin`, committed on `Ok`; on `Err` aborted, and
+/// re-run after the back-off while the error is retryable and attempts
+/// remain.
+fn run_retrying<T: Borrow<Transaction>, R>(
+    begin: impl Fn() -> T,
+    mut body: impl FnMut(&Transaction) -> Result<R, StmError>,
+) -> Result<(R, CommitProfile), StmError> {
+    let mut attempt = 0u32;
+    loop {
+        attempt += 1;
+        let owned = begin();
+        let txn = owned.borrow();
+        match body(txn) {
+            Ok(value) => return Ok((value, txn.commit()?)),
+            Err(err) => {
+                let _ = txn.abort();
+                if !err.is_retryable() {
                     return Err(err);
                 }
+                if attempt == retry::MAX_ATTEMPTS {
+                    return Err(StmError::RetriesExhausted { attempts: attempt });
+                }
+                retry::backoff(attempt);
             }
         }
     }
@@ -923,7 +922,7 @@ impl Stm {
 /// [`Transaction`]s instead: [`TxnScope::begin`] pops a finished arena,
 /// stamps a fresh [`TxnId`], and hands it back with every allocation (held
 /// spill, sink boxes and their entry capacity, trace buffer, index
-/// buckets) still warm. [`TxnInner::recycle`] restores the pristine
+/// buckets) still warm. `TxnInner::recycle` restores the pristine
 /// logical state, and the fresh-vs-pooled property test in
 /// `boosted::tests` pins that no state leaks between lives.
 ///
@@ -972,34 +971,12 @@ impl TxnScope {
     /// # Errors
     ///
     /// Propagates the body's terminal error, or
-    /// [`StmError::RetriesExhausted`] if the retry budget runs out.
+    /// [`StmError::RetriesExhausted`] after [`retry::MAX_ATTEMPTS`].
     pub fn run<R>(
         &self,
-        mut body: impl FnMut(&Transaction) -> Result<R, StmError>,
+        body: impl FnMut(&Transaction) -> Result<R, StmError>,
     ) -> Result<(R, CommitProfile), StmError> {
-        let retry = self.stm.retry;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let txn = self.begin();
-            match body(&txn) {
-                Ok(value) => {
-                    let profile = txn.commit()?;
-                    return Ok((value, profile));
-                }
-                Err(err) => {
-                    let _ = txn.abort();
-                    if err.is_retryable() && attempt < retry.max_attempts {
-                        retry.backoff(attempt);
-                        continue;
-                    }
-                    if err.is_retryable() {
-                        return Err(StmError::RetriesExhausted { attempts: attempt });
-                    }
-                    return Err(err);
-                }
-            }
-        }
+        run_retrying(|| self.begin(), body)
     }
 
     /// Number of idle arenas currently in the pool (diagnostics/tests).
@@ -1030,6 +1007,12 @@ impl std::ops::Deref for PooledTxn<'_> {
     type Target = Transaction;
     fn deref(&self) -> &Transaction {
         self.txn.as_deref().expect("arena present until drop")
+    }
+}
+
+impl Borrow<Transaction> for PooledTxn<'_> {
+    fn borrow(&self) -> &Transaction {
+        self
     }
 }
 

@@ -212,8 +212,7 @@ pub(crate) fn contending_count(n: usize, c: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_core::miner::{Miner, ParallelMiner, SerialMiner};
-    use cc_core::validator::{ParallelValidator, Validator};
+    use cc_core::Engine;
     use cc_vm::ExecutionStatus;
 
     #[test]
@@ -266,9 +265,8 @@ mod tests {
     fn serial_and_parallel_mining_agree_on_every_benchmark() {
         for benchmark in Benchmark::ALL {
             let w = WorkloadSpec::new(benchmark, 60, 0.25).generate();
-            let parallel = ParallelMiner::new(3)
-                .mine(&w.build_world(), w.transactions())
-                .unwrap();
+            let engine = Engine::speculative(3).unwrap();
+            let parallel = engine.mine(&w.build_world(), w.transactions()).unwrap();
             // Serializability: running the published serial order one
             // transaction at a time reproduces the parallel state. (Plain
             // block order is not used here because SimpleAuction's final
@@ -280,16 +278,12 @@ mod tests {
                 .iter()
                 .map(|&i| txs[i].clone())
                 .collect();
-            let serial = SerialMiner::new()
-                .mine(&w.build_world(), reordered)
-                .unwrap();
+            let serial = Engine::serial().mine(&w.build_world(), reordered).unwrap();
             assert_eq!(
                 serial.block.header.state_root, parallel.block.header.state_root,
                 "{benchmark}: parallel mining must be equivalent to its published serial order"
             );
-            let report = ParallelValidator::new(3)
-                .validate(&w.build_world(), &parallel.block)
-                .unwrap();
+            let report = engine.validate(&w.build_world(), &parallel.block).unwrap();
             assert_eq!(report.state_root, parallel.block.header.state_root);
         }
     }
@@ -297,7 +291,8 @@ mod tests {
     #[test]
     fn zero_conflict_ballot_blocks_have_no_reverts() {
         let w = WorkloadSpec::new(Benchmark::Ballot, 80, 0.0).generate();
-        let mined = ParallelMiner::new(3)
+        let mined = Engine::speculative(3)
+            .unwrap()
             .mine(&w.build_world(), w.transactions())
             .unwrap();
         assert!(mined.block.receipts.iter().all(|r| r.succeeded()));
@@ -306,7 +301,7 @@ mod tests {
     #[test]
     fn conflicting_ballot_transactions_produce_reverts() {
         let w = WorkloadSpec::new(Benchmark::Ballot, 80, 0.5).generate();
-        let mined = SerialMiner::new()
+        let mined = Engine::serial()
             .mine(&w.build_world(), w.transactions())
             .unwrap();
         let reverted = mined
@@ -322,17 +317,14 @@ mod tests {
     #[test]
     fn full_conflict_auction_still_validates() {
         let w = WorkloadSpec::new(Benchmark::SimpleAuction, 40, 1.0).generate();
-        let mined = ParallelMiner::new(3)
-            .mine(&w.build_world(), w.transactions())
-            .unwrap();
+        let engine = Engine::speculative(3).unwrap();
+        let mined = engine.mine(&w.build_world(), w.transactions()).unwrap();
         assert_eq!(
             mined.block.schedule.as_ref().unwrap().critical_path(),
             40,
             "all bidPlusOne transactions serialize"
         );
-        ParallelValidator::new(3)
-            .validate(&w.build_world(), &mined.block)
-            .unwrap();
+        engine.validate(&w.build_world(), &mined.block).unwrap();
     }
 
     #[test]

@@ -51,9 +51,9 @@ fn main() {
     print_mined("serial engine", &serial.block, &serial.stats);
 
     // 2. The paper's configuration is the default: speculative mining on
-    //    a fixed pool of three threads, schedule capture on. The same
-    //    `EngineConfig` builder also selects thread counts, retry budgets
-    //    and strategies — one entry point for every consumer.
+    //    a fixed pool of three threads. The same `EngineConfig` builder
+    //    also selects thread counts, strategies and trace checks — one
+    //    entry point for every consumer.
     let engine = EngineConfig::new()
         .strategy(ExecutionStrategy::SpeculativeStm)
         .threads(EngineConfig::DEFAULT_THREADS)

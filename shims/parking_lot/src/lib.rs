@@ -95,7 +95,7 @@ thread_local! {
 }
 
 /// Returns this thread's running count of `RwLock::read`/`RwLock::write`
-/// acquisitions. Debug builds only; see [`RWLOCK_ACQUISITIONS`].
+/// acquisitions. Debug builds only; see `RWLOCK_ACQUISITIONS`.
 #[cfg(debug_assertions)]
 pub fn rwlock_acquisition_count() -> u64 {
     RWLOCK_ACQUISITIONS.with(|c| c.get())

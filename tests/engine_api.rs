@@ -7,7 +7,6 @@ use cc_core::error::CoreError;
 use cc_core::node::Node;
 use cc_integration_tests::{counter_world, increment_tx, optimistic_engine, workload};
 use cc_ledger::Transaction;
-use cc_stm::RetryPolicy;
 use cc_vm::{Receipt, World};
 use cc_workload::Benchmark;
 
@@ -48,8 +47,6 @@ fn config_defaults_match_the_paper() {
     assert_eq!(config.strategy, ExecutionStrategy::SpeculativeStm);
     assert_eq!(config.threads, EngineConfig::DEFAULT_THREADS);
     assert_eq!(config.threads, 3, "the paper's fixed pool of three threads");
-    assert_eq!(config.retry, RetryPolicy::default());
-    assert!(config.capture_schedule);
     assert!(config.check_traces);
     assert_eq!(EngineConfig::new(), EngineConfig::default());
 
@@ -57,14 +54,10 @@ fn config_defaults_match_the_paper() {
     let custom = EngineConfig::new()
         .strategy(ExecutionStrategy::Serial)
         .threads(7)
-        .capture_schedule(false)
-        .check_traces(false)
-        .max_retries(5);
+        .check_traces(false);
     assert_eq!(custom.strategy, ExecutionStrategy::Serial);
     assert_eq!(custom.threads, 7);
-    assert!(!custom.capture_schedule);
     assert!(!custom.check_traces);
-    assert_eq!(custom.retry.max_attempts, 5);
 }
 
 #[test]
@@ -72,10 +65,6 @@ fn invalid_configs_are_rejected_at_build_time() {
     let err = EngineConfig::new().threads(0).build().unwrap_err();
     assert!(matches!(err, CoreError::InvalidConfig { .. }));
     assert!(err.to_string().contains("thread"));
-
-    let err = EngineConfig::new().max_retries(0).build().unwrap_err();
-    assert!(matches!(err, CoreError::InvalidConfig { .. }));
-    assert!(err.to_string().contains("retry"));
 
     assert!(Engine::speculative(0).is_err());
     // The serial strategy still rejects a zero thread count rather than
