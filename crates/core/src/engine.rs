@@ -52,8 +52,9 @@
 
 use crate::error::CoreError;
 use crate::miner::{self, MinedBlock};
+use crate::node::pending::PendingChain;
 use crate::stats::ValidationReport;
-use crate::validator::replay::{Order, Target};
+use crate::validator::replay::Order;
 use cc_ledger::{Block, Transaction};
 use cc_primitives::hash::Hash256;
 use cc_primitives::pool::{PoolStats, WorkerPool};
@@ -377,22 +378,32 @@ impl Engine {
 
     /// Replays `block` on top of `world` and checks every commitment.
     ///
-    /// Validation **mutates** the world: on success the world holds the
-    /// block's post-state (so the same world can then validate the next
-    /// block of a chain). On rejection the world contents are unspecified
-    /// — a real node discards that state and resynchronizes, and the tests
-    /// follow the same discipline.
+    /// This is a one-block [`PendingChain`] on the block's parent: the
+    /// replay lands in a pending overlay above `world`, and committing
+    /// flattens it into `world` and checks the state root. On success
+    /// the world holds the block's post-state (so the same world can then
+    /// validate the next block of a chain).
     ///
     /// # Errors
     ///
     /// * [`CoreError::BlockRejected`] when the block is dishonest: the
-    ///   recomputed state root, receipts or gas differ, a replayed
-    ///   transaction's lock trace is inconsistent with the published
-    ///   profile, or the published schedule hides a data race.
+    ///   replayed receipts or gas differ, a replayed transaction's lock
+    ///   trace is inconsistent with the published profile, the published
+    ///   schedule hides a data race, or the recomputed state root
+    ///   differs.
     /// * [`CoreError::MissingSchedule`] / [`CoreError::MalformedSchedule`]
     ///   when the schedule cannot be replayed at all.
+    ///
+    /// Every rejection but a state-root mismatch is raised before the
+    /// overlay reaches the base, and leaves `world` unmoved. A root
+    /// mismatch is found only once the block's effects are in `world`,
+    /// which is then no longer a chain state — a real node discards it
+    /// and resynchronizes.
     pub fn validate(&self, world: &World, block: &Block) -> Result<ValidationReport, CoreError> {
-        self.replay.validate(Target::Base, world, block)
+        let parent = block.header.parent_hash;
+        let mut pending = PendingChain::in_order(world, parent, 1, self.replay.clone());
+        let hash = pending.speculate(parent, block)?;
+        pending.commit_reported(&hash).map(|(_, report)| report)
     }
 }
 

@@ -22,12 +22,15 @@
 //!    turns the published graph into a **fork-join program**
 //!    ([`fork_join`]): each transaction is a task that joins on its
 //!    immediate predecessors, so conflicting transactions never run
-//!    concurrently and no locks, conflict detection or rollback are
-//!    needed. While replaying, the validator records the abstract locks
-//!    each transaction *would* have taken and rejects the block if the
-//!    traces are inconsistent with the published profiles, if the
-//!    schedule hides a data race, or if the final state or receipts
-//!    differ from the block's commitments.
+//!    concurrently, no locks are taken and nothing is retried. Each
+//!    transaction runs as a multi-version transaction whose writes stay in
+//!    a pending overlay above the world ([`node::pending`]); its footprint
+//!    is the set of abstract locks it *would* have taken. The validator
+//!    rejects the block — discarding the overlay, so the world is unmoved
+//!    — if the traces are inconsistent with the published profiles, if
+//!    the schedule hides a data race, or if the receipts differ from the
+//!    block's; the final state is held to the block's root when the
+//!    overlay is flattened into the world.
 //!
 //! The serial baseline used throughout the paper's evaluation is the
 //! same engine under [`ExecutionStrategy::Serial`]: one transaction at a

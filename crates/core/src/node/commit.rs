@@ -19,11 +19,12 @@
 //! ```
 //!
 //! * **Sources.** [`Produce`] mines a batch (the caller's, or the
-//!   mempool's next) on the head. [`Validate`] replays one received block
-//!   on the base world with the engine's validator. [`Follow`] replays a
-//!   stream through a [`PendingChain`] in the engine's replay order:
-//!   block N+1 validates against N's uncommitted overlay, and the oldest
-//!   overlay is flattened when the stage asks for the next block.
+//!   mempool's next) on the head. [`Follow`] replays received blocks
+//!   through a [`PendingChain`] in the engine's replay order — one block
+//!   for [`Node::validate_and_append`], a stream for the follower
+//!   pipeline and recovery: block N+1 validates against N's uncommitted
+//!   overlay, and the oldest overlay is flattened (and held to its header
+//!   root) when the stage asks for the next block.
 //! * **Window.** With a window of one, or with durability off, the seal
 //!   runs inline on the caller: no thread, no channel. With a wider
 //!   window the stage hands each appended block to a durability worker
@@ -49,8 +50,9 @@
 //!   (never advertising blocks a crash would forget), pending overlays
 //!   are discarded, and the error is returned. [`Node::recover`] is the
 //!   exit. A block a source turns away *before* touching the base world
-//!   (wrong parent, wrong number, a speculate-time rejection) leaves the
-//!   node fresh at the last accepted block.
+//!   (wrong parent, wrong number, any rejection of its replay) leaves the
+//!   node fresh at the last accepted block; only a forged state root,
+//!   found once the overlay is flattened, stales it.
 //! * **Quiesced snapshots.** A periodic snapshot is a checkpoint by
 //!   root: it reads the chain (the prefix through the head and the
 //!   head's state root), never the world, so it costs O(chain prefix)
@@ -67,6 +69,7 @@ use crate::error::CoreError;
 use crate::stats::{MinerStats, ValidationReport};
 use cc_ledger::{Block, Blockchain, ChainError, Transaction};
 use cc_mempool::Mempool;
+use cc_primitives::hash::Hash256;
 use cc_vm::World;
 use std::time::{Duration, Instant};
 
@@ -164,10 +167,20 @@ pub(super) trait Source {
     fn discard(&mut self) {}
 }
 
-/// The rejection `Blockchain::append` would give, raised before any replay.
-fn wrong_number(block: &Block, expected: u64) -> CoreError {
+/// The linkage `Blockchain::append` would check — `block` sits on `tip`
+/// at height `expected` — raised before any replay.
+fn extends(block: &Block, tip: Hash256, expected: u64) -> Result<(), CoreError> {
+    if block.header.parent_hash != tip {
+        return Err(CoreError::rejected(
+            "block does not extend this node's head",
+        ));
+    }
     let claimed = block.header.number;
-    CoreError::rejected(ChainError::WrongNumber { claimed, expected }.to_string())
+    if claimed != expected {
+        let wrong = ChainError::WrongNumber { claimed, expected };
+        return Err(CoreError::rejected(wrong.to_string()));
+    }
+    Ok(())
 }
 
 /// The produce source: mines each batch `batches` yields on the head.
@@ -207,56 +220,16 @@ impl<B: FnMut() -> Option<Vec<Transaction>>> Source for Produce<'_, B> {
     }
 }
 
-/// The one-block follow source: the engine's validator on the base world.
-pub(super) struct Validate<'a> {
-    engine: &'a Engine,
-    world: &'a World,
-    block: Option<&'a Block>,
-    /// The validator's report once the block was accepted.
-    pub(super) report: Option<ValidationReport>,
-}
-
-impl<'a> Validate<'a> {
-    pub(super) fn new(stage: &CommitStage<'a>, block: &'a Block) -> Self {
-        Validate {
-            engine: stage.engine,
-            world: stage.world,
-            block: Some(block),
-            report: None,
-        }
-    }
-}
-
-impl Source for Validate<'_> {
-    fn next(&mut self, chain: &Blockchain) -> Result<Option<Block>, Stop> {
-        let Some(block) = self.block.take() else {
-            return Ok(None);
-        };
-        if block.header.parent_hash != chain.head_hash() {
-            return Err(Stop::Clean(CoreError::rejected(
-                "block does not extend this node's head",
-            )));
-        }
-        let expected = chain.head().header.number + 1;
-        if block.header.number != expected {
-            return Err(Stop::Clean(wrong_number(block, expected)));
-        }
-        // Validation mutates the world (see [`Engine::validate`]), so any
-        // rejection from here on is conservatively a moved world.
-        let report = self.engine.validate(self.world, block);
-        self.report = Some(report.map_err(Stop::Moved)?);
-        Ok(Some(block.clone()))
-    }
-}
-
-/// The run follow source: speculative validation of a block stream
-/// through a [`PendingChain`], committed oldest-first.
+/// The follow source: speculative validation of received blocks through
+/// a [`PendingChain`], committed oldest-first.
 pub(super) struct Follow<'a, I> {
     blocks: std::iter::Fuse<I>,
     pending: PendingChain<'a>,
     /// A speculate-time rejection: stop consuming input, drain the valid
     /// pending prefix into the chain, then return it.
     rejection: Option<CoreError>,
+    /// The validation report of the last block handed to the stage.
+    pub(super) report: Option<ValidationReport>,
 }
 
 impl<'a, I: Iterator<Item = Block>> Follow<'a, I> {
@@ -264,11 +237,12 @@ impl<'a, I: Iterator<Item = Block>> Follow<'a, I> {
     /// the stage's window of overlays.
     pub(super) fn new(stage: &CommitStage<'a>, blocks: I) -> Self {
         let order = stage.engine.replay_order().clone();
+        let head = stage.chain.head_hash();
         Follow {
             blocks: blocks.fuse(),
-            pending: PendingChain::new(stage.world, stage.chain.head_hash(), stage.window)
-                .in_order(order),
+            pending: PendingChain::in_order(stage.world, head, stage.window, order),
             rejection: None,
+            report: None,
         }
     }
 }
@@ -282,20 +256,21 @@ impl<I: Iterator<Item = Block>> Source for Follow<'_, I> {
             let Some(block) = self.blocks.next() else {
                 break;
             };
+            let tip = self.pending.tip_hash();
             let expected = chain.head().header.number + self.pending.len() as u64 + 1;
             // A rejected block's overlay is already discarded; its
             // descendants (the rest of the stream) are dropped unconsumed.
-            self.rejection = if block.header.number != expected {
-                Some(wrong_number(&block, expected))
-            } else {
-                self.pending
-                    .speculate_owned(self.pending.tip_hash(), block)
-                    .err()
-            };
+            self.rejection = extends(&block, tip, expected)
+                .and_then(|()| self.pending.speculate_owned(tip, block))
+                .err();
         }
         match self.pending.oldest_hash() {
-            // A state-root mismatch has polluted the base.
-            Some(oldest) => self.pending.commit(&oldest).map(Some).map_err(Stop::Moved),
+            Some(oldest) => {
+                // A state-root mismatch has polluted the base.
+                let (block, report) = self.pending.commit_reported(&oldest).map_err(Stop::Moved)?;
+                self.report = Some(report);
+                Ok(Some(block))
+            }
             None => match self.rejection.take() {
                 Some(rejection) => Err(Stop::Clean(rejection)),
                 None => Ok(None),
@@ -470,14 +445,14 @@ impl Node {
     /// hidden race, a block that does not link) never touches the base
     /// state: it drains the valid pending prefix into the chain, drops
     /// the rejected block and the rest of the stream and propagates —
-    /// the node stays fresh at the last accepted block, unlike
-    /// sequential validation, whose replay pollutes the world before it
-    /// can reject. A commit-time state-root mismatch (the one check that
-    /// needs the flattened base) or a seal/snapshot failure (including a
-    /// durability worker that cannot be started, or panics) stales the
-    /// node, rolls the in-memory chain back to the durable prefix and
-    /// surfaces as [`CoreError::BlockRejected`] /
-    /// [`CoreError::Durability`]; [`Node::recover`] is the exit.
+    /// the node stays fresh at the last accepted block, exactly as
+    /// [`Node::validate_and_append`] does. A commit-time state-root
+    /// mismatch (the one check that needs the flattened base) or a
+    /// seal/snapshot failure (including a durability worker that cannot
+    /// be started, or panics) stales the node, rolls the in-memory chain
+    /// back to the durable prefix and surfaces as
+    /// [`CoreError::BlockRejected`] / [`CoreError::Durability`];
+    /// [`Node::recover`] is the exit.
     pub fn run_follower_pipeline<I>(
         &mut self,
         blocks: I,

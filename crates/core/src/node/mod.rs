@@ -15,8 +15,8 @@ use cc_ledger::wal::{DurabilityMode, Wal, WAL_FILE};
 use cc_ledger::{Block, Blockchain, SnapshotFile, Transaction};
 use cc_mempool::{Mempool, MempoolConfig, SubmitOutcome};
 use cc_vm::World;
+use commit::{Follow, Produce};
 pub use commit::{FollowerConfig, PipelineConfig, PipelineReport};
-use commit::{Produce, Validate};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -109,7 +109,8 @@ impl DurabilityState {
 ///   transactions with its engine's miner and extend its chain;
 /// * a **validating node** calls [`Node::validate_and_append`] with blocks
 ///   received from the network; its world is advanced only when the block
-///   is accepted.
+///   is accepted (a block whose state root is forged is the one
+///   exception, and stales the node).
 ///
 /// Build one with [`Node::builder`]:
 ///
@@ -131,12 +132,13 @@ pub struct Node {
     chain: Blockchain,
     engine: Engine,
     /// Set when the in-memory state can no longer be trusted to match
-    /// what the node has promised: a validation rejected a block *after*
-    /// replaying it (the world holds effects of a block that was never
-    /// appended), or persisting an appended block failed (the in-memory
-    /// chain is ahead of what the WAL can recover). A stale node refuses
-    /// further work; rebuild it with [`Node::recover`] (when durability
-    /// is on) or from a trusted state.
+    /// what the node has promised: a block's forged state root was found
+    /// only after its effects were flattened into the world (which now
+    /// holds a block that was never appended), mining failed part-way, or
+    /// persisting an appended block failed (the in-memory chain is ahead
+    /// of what the WAL can recover). A stale node refuses further work;
+    /// rebuild it with [`Node::recover`] (when durability is on) or from
+    /// a trusted state.
     stale: bool,
     durability: Option<DurabilityState>,
     mempool: Mempool,
@@ -309,10 +311,13 @@ impl Node {
         Ok(node)
     }
 
-    /// Whether this node's state has been corrupted by a rejected
-    /// validation (see [`Node::validate_and_append`]) or by a failed
-    /// block persistence (the in-memory chain advanced past what the
-    /// WAL can recover). A stale node refuses to mine or validate;
+    /// Whether this node's state can no longer be trusted: a received
+    /// block's forged state root was caught only after its effects
+    /// reached the world (see [`Node::validate_and_append`]), a mining
+    /// failure left other transactions' commits in the world, or a
+    /// failed block persistence left the in-memory chain ahead of what
+    /// the WAL can recover. Every other rejection of a received block
+    /// leaves the node fresh. A stale node refuses to mine or validate;
     /// rebuild it with [`Node::recover`] from its durability directory,
     /// or from a trusted state.
     pub fn is_stale(&self) -> bool {
@@ -441,26 +446,26 @@ impl Node {
     }
 
     /// Validates a block received from another node with the node's
-    /// engine and appends it on success.
+    /// engine and appends it on success: the follower pipeline
+    /// ([`Node::run_follower_pipeline`]) over one block with a window of
+    /// one, so the block is replayed onto a pending overlay, flattened
+    /// into the world, held to its state root and sealed inline.
     ///
     /// # Errors
     ///
-    /// Propagates the validator's rejection, or rejects blocks that do not
-    /// extend this node's chain.
-    ///
-    /// A rejection may leave the world holding effects of the rejected
-    /// block (validation mutates the world; see
-    /// [`Engine::validate`]), so the node conservatively
-    /// marks itself stale on *any* validator rejection and every
-    /// subsequent call fails fast — a real node discards that state and
-    /// resynchronizes, and so must callers of this API (rebuild the node
-    /// from a trusted world). Blocks turned away before the validator
-    /// runs (wrong parent, wrong number) do not stale the node.
+    /// Rejects blocks that do not extend this node's chain (wrong parent,
+    /// wrong number), and propagates the validator's rejection. All of
+    /// these leave the world and the chain where they were and the node
+    /// fresh — the rejected block's overlay is discarded — except a
+    /// forged state root: it is found only once the block's effects are
+    /// in the world, so the node marks itself stale and every subsequent
+    /// call fails fast until it is rebuilt ([`Node::recover`], or from a
+    /// trusted world). A seal or snapshot failure stales it too.
     pub fn validate_and_append(&mut self, block: &Block) -> Result<ValidationReport, CoreError> {
         let stage = self.commit_stage(1)?;
-        let mut source = Validate::new(&stage, block);
+        let mut source = Follow::new(&stage, std::iter::once(block.clone()));
         stage.run(&mut source)?;
-        // A run that returns `Ok` asked its source once and appended what it validated.
+        // A run that returns `Ok` committed its one block.
         Ok(source
             .report
             .expect("a completed run validated its one block"))

@@ -1,18 +1,17 @@
 //! Speculative pending states: validate block N+1 against block N's
 //! still-uncommitted post-state.
 //!
-//! Sequential validation ([`crate::node::Node::validate_and_append`])
-//! runs every stage of a block back to back, so the WAL seal of block N
-//! gates the replay of block N+1. A [`PendingChain`] breaks that chain:
-//! it replays each incoming block through the validators' one kernel
-//! (`validator::replay`) on the overlay target — the block's
+//! Every validation is a [`PendingChain`]: [`crate::Engine::validate`]
+//! and [`crate::node::Node::validate_and_append`] are one-block chains,
+//! the follower pipeline a window of them. It replays each incoming block
+//! through the validators' one kernel (`validator::replay`) — the block's
 //! transactions run as optimistic multi-version transactions (see
 //! `cc_mvcc`) in the fork-join order of the published graph, and the
 //! versions they install stay in place as a **pending overlay** stacked
 //! above the base state instead of being flattened. The next block's
 //! replay reads *through* that overlay — its snapshots see the
-//! predecessor's uncommitted post-state — so validation of N+1 can
-//! proceed while N is still being sealed.
+//! predecessor's uncommitted post-state — so with a window of two or more
+//! validation of N+1 can proceed while N is still being sealed.
 //!
 //! Each pending block records a **boundary**: the oracle's newest commit
 //! timestamp once its replay has joined. Every version the block installed
@@ -50,12 +49,13 @@
 //! rejection) leaves the trusted state intact: the partial overlay is
 //! discarded and earlier pending blocks remain committable. A block
 //! caught *at* commit (a forged state root) has already polluted the
-//! base; the caller must treat the world as stale, exactly like a
-//! rejected [`crate::node::Node::validate_and_append`].
+//! base; the caller must treat the world as stale — the one rejection
+//! that stales a node.
 
 use crate::error::CoreError;
+use crate::stats::ValidationReport;
 use crate::validator::checks;
-use crate::validator::replay::{Order, Target};
+use crate::validator::replay::Order;
 use cc_ledger::Block;
 use cc_mvcc::Timestamp;
 use cc_primitives::hash::Hash256;
@@ -63,6 +63,7 @@ use cc_primitives::pool::WorkerPool;
 use cc_vm::World;
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// One speculatively validated block awaiting commit.
 #[derive(Debug)]
@@ -72,6 +73,9 @@ struct PendingEntry {
     /// Newest commit timestamp of the block's replay; every version the
     /// block installed is at or below it (and above the predecessor's).
     boundary: Timestamp,
+    /// What the block's replay reported; its root is the block's claim
+    /// until commit holds the flattened base to it.
+    report: ValidationReport,
 }
 
 /// A read-only view of one pending block (see
@@ -112,21 +116,26 @@ impl<'w> PendingChain<'w> {
     /// replays each block as its fork-join program on a one-worker pool
     /// of its own.
     pub fn new(world: &'w World, head_hash: Hash256, max_in_flight: usize) -> Self {
+        let order = Order::fork_join(Arc::new(WorkerPool::new(1)));
+        PendingChain::in_order(world, head_hash, max_in_flight, order)
+    }
+
+    /// [`PendingChain::new`] replaying in an engine's `order` instead: on
+    /// its shared pool, or the published order for a serial engine.
+    pub(crate) fn in_order(
+        world: &'w World,
+        head_hash: Hash256,
+        max_in_flight: usize,
+        order: Order,
+    ) -> Self {
         PendingChain {
             world,
             max_in_flight: max_in_flight.max(1),
-            order: Order::fork_join(Arc::new(WorkerPool::new(1))),
+            order,
             committed_hash: head_hash,
             base_boundary: world.mvcc().oracle().latest(),
             entries: VecDeque::new(),
         }
-    }
-
-    /// Replays in an engine's `order` instead: on its shared pool, or
-    /// the published order for a serial engine.
-    pub(crate) fn in_order(mut self, order: Order) -> Self {
-        self.order = order;
-        self
     }
 
     /// Number of pending (speculated, uncommitted) blocks.
@@ -197,10 +206,10 @@ impl<'w> PendingChain<'w> {
     /// for [`PendingChain::pending_state`], [`PendingChain::commit`] and
     /// [`PendingChain::discard`].
     ///
-    /// Replay is the validators' one kernel on the overlay target: the
-    /// transactions run as optimistic multi-version transactions in the
-    /// fork-join order of the published graph (under a serial engine,
-    /// in the published serial order), and everything that does not
+    /// Replay is the validators' one kernel: the transactions run as
+    /// optimistic multi-version transactions in the fork-join order of
+    /// the published graph (under a serial engine, in the published
+    /// serial order), and everything that does not
     /// require the flattened base is checked — well-formedness, parent
     /// linkage, receipts, and (unless disabled) the lock traces and
     /// hidden-race freedom of the published schedule. The state root is
@@ -246,15 +255,16 @@ impl<'w> PendingChain<'w> {
         // to, only here — before the run starts and after it has joined.
         let rollback = self.tip_boundary();
         let runtime = self.world.mvcc();
-        if let Err(rejection) = self.order.validate(Target::Overlay, self.world, &block) {
-            runtime.discard_above(rollback);
-            return Err(rejection);
-        }
+        let report = self
+            .order
+            .validate(self.world, &block)
+            .inspect_err(|_| runtime.discard_above(rollback))?;
         let hash = block.hash();
         self.entries.push_back(PendingEntry {
             block,
             hash,
             boundary: runtime.oracle().latest(),
+            report,
         });
         Ok(hash)
     }
@@ -272,6 +282,15 @@ impl<'w> PendingChain<'w> {
     /// already polluted the base: every pending descendant is discarded
     /// and the caller must treat the world as stale.
     pub fn commit(&mut self, hash: &Hash256) -> Result<Block, CoreError> {
+        self.commit_reported(hash).map(|(block, _)| block)
+    }
+
+    /// [`PendingChain::commit`], also handing back the block's validation
+    /// report, whose time now includes the flatten and the root check.
+    pub(crate) fn commit_reported(
+        &mut self,
+        hash: &Hash256,
+    ) -> Result<(Block, ValidationReport), CoreError> {
         let Some(oldest) = self.oldest_hash() else {
             return Err(CoreError::rejected("no block is pending"));
         };
@@ -280,6 +299,7 @@ impl<'w> PendingChain<'w> {
                 "pending blocks commit in order: expected block {oldest}, not {hash}"
             )));
         };
+        let flatten = Instant::now();
         let runtime = self.world.mvcc();
         runtime.finalize_below(entry.boundary);
         let state_root = self.world.state_root();
@@ -293,7 +313,9 @@ impl<'w> PendingChain<'w> {
         }
         self.committed_hash = entry.hash;
         self.base_boundary = entry.boundary;
-        Ok(entry.block)
+        let mut report = entry.report;
+        report.elapsed += flatten.elapsed();
+        Ok((entry.block, report))
     }
 
     /// Discards the pending block `hash` **and every pending descendant**,
@@ -553,7 +575,7 @@ mod tests {
 
         let world = fresh_world();
         let mut lenient =
-            PendingChain::new(&world, block.header.parent_hash, 2).in_order(Order::Published);
+            PendingChain::in_order(&world, block.header.parent_hash, 2, Order::Published);
         let hash = lenient.speculate(lenient.tip_hash(), &block).unwrap();
         lenient.commit(&hash).unwrap();
         assert_eq!(world.state_root(), block.header.state_root);

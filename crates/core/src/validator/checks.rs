@@ -1,8 +1,9 @@
-//! What every cell of the replay table ([`super::replay`]) shares
-//! besides the replay itself: the structural prologue, the state-root
-//! verdict, and the schedule-integrity checks — replayed lock traces
+//! What every row of the replay table ([`super::replay`]) shares
+//! besides the replay itself: the structural prologue, the verdict over
+//! receipts and the schedule-integrity checks — replayed lock traces
 //! against published profiles, and the hidden-data-race test over the
-//! happens-before graph.
+//! happens-before graph — and the state-root reason `PendingChain::commit`
+//! gives once the overlay is flattened.
 
 use super::replay::Trace;
 use crate::error::CoreError;
@@ -40,9 +41,10 @@ pub(crate) fn state_root_mismatch(block: &Block, replayed: Hash256) -> Option<St
 /// * when the validator checks traces (`published` is the block's
 ///   schedule and its graph), the replayed lock `traces` must match the
 ///   published profiles and hide no data race ([`trace_check_reasons`]),
-/// * the `replayed` receipts must equal the block's,
-/// * when the replay landed on the base world, so there is a root to
-///   compare, `state_root` must equal the block's.
+/// * the `replayed` receipts must equal the block's.
+///
+/// The state root is not here: it exists only once the overlay the
+/// replay left is flattened (see [`state_root_mismatch`]).
 ///
 /// # Errors
 ///
@@ -52,13 +54,11 @@ pub(crate) fn verdict(
     published: Option<(&ScheduleMetadata, &HappensBeforeGraph)>,
     traces: &[Trace],
     replayed: &[Receipt],
-    state_root: Option<Hash256>,
 ) -> Result<(), CoreError> {
     let mut reasons = published.map_or_else(Vec::new, |(schedule, graph)| {
         trace_check_reasons(schedule, graph, traces)
     });
     reasons.extend(receipt_mismatches(&block.receipts, replayed));
-    reasons.extend(state_root.and_then(|root| state_root_mismatch(block, root)));
     if reasons.is_empty() {
         return Ok(());
     }

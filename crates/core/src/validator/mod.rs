@@ -1,6 +1,6 @@
-//! Block validation: one replay kernel (`replay`), whose cells are every
-//! way a block is validated — [`crate::Engine::validate`] on the base
-//! world, the node's pending chain on an overlay — and the verdict
+//! Block validation: one replay kernel (`replay`) onto one target, the
+//! pending overlay — [`crate::Engine::validate`] is a one-block pending
+//! chain, the node's followers a longer one — and the verdict
 //! (`checks`).
 
 pub(crate) mod checks;

@@ -1,14 +1,17 @@
 //! The one replay (paper Algorithm 2): re-execute a block's transactions
 //! in an order its published schedule allows, collect receipts and lock
-//! traces, compare. Every validator is a cell of one table —
+//! traces, compare. Every transaction runs as a multi-version transaction
+//! whose versions stay stacked above the base as a pending overlay (see
+//! [`crate::node::pending`]), so every validator is a row of one column —
 //!
-//! | order ↓ · target → | base world ([`Target::Base`]) | pending overlay ([`Target::Overlay`]) |
-//! |---|---|---|
-//! | [`Order::Published`] | a serial engine's `validate` | `PendingChain` under a serial engine |
-//! | [`Order::ForkJoin`] | a concurrent engine's `validate` | `PendingChain` otherwise |
+//! | order ↓ | replayed onto the pending overlay |
+//! |---|---|
+//! | [`Order::Published`] | a serial engine's `validate` and `PendingChain` |
+//! | [`Order::ForkJoin`] | a concurrent engine's `validate` and `PendingChain` |
 //!
 //! — and all of them are [`Order::validate`]: well-formedness, [`replay`],
-//! the verdict of [`checks`].
+//! the verdict of [`checks`]. The state root is checked once the overlay
+//! is flattened, by `PendingChain::commit`.
 
 use super::checks;
 use crate::error::CoreError;
@@ -17,7 +20,6 @@ use crate::schedule::{check_serial_order, HappensBeforeGraph};
 use crate::stats::ValidationReport;
 use cc_ledger::{Block, Transaction};
 use cc_primitives::pool::WorkerPool;
-use cc_stm::profile::collapse_trace;
 use cc_stm::{LockId, LockMode};
 use cc_vm::{Receipt, TxnRef, World};
 use std::collections::BTreeMap;
@@ -57,48 +59,28 @@ pub(crate) enum Order {
     },
 }
 
-/// Where a replay's effects land.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Target {
-    /// The world's base state, through lock-free replay transactions. The
-    /// order already keeps conflicting transactions apart, so there is
-    /// nobody to exclude and nothing to retry.
-    Base,
-    /// Multi-version transactions whose versions stay stacked above the
-    /// base as a pending overlay (see [`crate::node::pending`]).
-    Overlay,
-}
-
-impl Target {
-    /// Executes transaction `index` of a block on `world`.
-    fn execute(self, world: &World, index: usize, tx: &Transaction) -> Replayed {
-        let call = |txn: TxnRef<'_>| {
-            let executed = world.execute_in(txn, index, tx.msg(), tx.to, &tx.call, tx.gas_limit);
-            executed.map_err(|e| e.to_string())
-        };
-        match self {
-            Target::Base => {
-                let txn = world.stm().begin_replay();
-                let receipt = call(TxnRef::Stm(&txn))?;
-                // Consuming the transaction avoids cloning the trace and
-                // closes it like a commit.
-                Ok((receipt, collapse_trace(&txn.into_trace())))
-            }
-            Target::Overlay => {
-                let txn = world.mvcc().begin();
-                let receipt = call(TxnRef::Mvcc(&txn))?;
-                // Every conflicting predecessor committed before this
-                // snapshot was taken, so first-committer-wins can only
-                // fail when the schedule leaves a conflicting pair
-                // unordered. The footprint already carries the strongest
-                // mode per lock, exactly what the trace checks compare.
-                let commit = txn.commit().map_err(|e| {
-                    format!("{e} (a data race: the published schedule does not order it after a conflicting transaction)")
-                })?;
-                Ok((receipt, commit.footprint.into_iter().collect()))
-            }
-        }
-    }
+/// Executes transaction `index` of a block on `world` as a multi-version
+/// transaction whose versions stay in the pending overlay. The order
+/// keeps conflicting transactions apart, so nothing is retried.
+fn execute(world: &World, index: usize, tx: &Transaction) -> Replayed {
+    let txn = world.mvcc().begin();
+    let executed = world.execute_in(
+        TxnRef::Mvcc(&txn),
+        index,
+        tx.msg(),
+        tx.to,
+        &tx.call,
+        tx.gas_limit,
+    );
+    let receipt = executed.map_err(|e| e.to_string())?;
+    // Every conflicting predecessor committed before this snapshot was
+    // taken, so first-committer-wins can only fail when the schedule
+    // leaves a conflicting pair unordered. The footprint already carries
+    // the strongest mode per lock, exactly what the trace checks compare.
+    let commit = txn.commit().map_err(|e| {
+        format!("{e} (a data race: the published schedule does not order it after a conflicting transaction)")
+    })?;
+    Ok((receipt, commit.footprint.into_iter().collect()))
 }
 
 /// Runs `execute` once per transaction of `block` in the given `order`
@@ -167,41 +149,38 @@ impl Order {
         }
     }
 
-    /// Validates `block` on `world`: the structural prologue, the replay
-    /// in the cell this order × `target` names, and the verdict —
-    /// including the state root when the replay landed on the base, where
-    /// there is one to hash. (On the overlay the report's root is the
-    /// block's claim, checked when the overlay is flattened.)
+    /// Validates `block` on `world`'s pending overlay: the structural
+    /// prologue, the replay in this order, and the verdict. The report's
+    /// root is the block's claim, checked when the overlay is flattened
+    /// (`PendingChain::commit`).
     ///
     /// # Errors
     ///
     /// [`CoreError::MissingSchedule`] / [`CoreError::MalformedSchedule`]
     /// when the order cannot be built from the block;
-    /// [`CoreError::BlockRejected`] when the block is dishonest — the
-    /// only one that can leave effects of the block behind.
+    /// [`CoreError::BlockRejected`] when the block is dishonest. Any of
+    /// them may leave versions of the block in the overlay, for the
+    /// caller to discard.
     pub(crate) fn validate(
         &self,
-        target: Target,
         world: &World,
         block: &Block,
     ) -> Result<ValidationReport, CoreError> {
         let start = Instant::now();
         checks::well_formed(block)?;
-        let execute = |index: usize, tx: &Transaction| target.execute(world, index, tx);
-        let (receipts, traces, graph) = replay(block, self, execute)?;
+        let (receipts, traces, graph) = replay(block, self, |index, tx| execute(world, index, tx))?;
         let published = match self {
             Order::ForkJoin { check_traces, .. } if *check_traces => {
                 block.schedule.as_ref().zip(graph.as_ref())
             }
             _ => None,
         };
-        let state_root = (target == Target::Base).then(|| world.state_root());
-        checks::verdict(block, published, &traces, &receipts, state_root)?;
+        checks::verdict(block, published, &traces, &receipts)?;
         let n = block.transactions.len();
         Ok(ValidationReport {
             threads: self.threads(),
             transactions: n,
-            state_root: state_root.unwrap_or(block.header.state_root),
+            state_root: block.header.state_root,
             elapsed: start.elapsed(),
             critical_path: graph.map_or(n, |graph| graph.critical_path()),
         })
@@ -308,44 +287,26 @@ mod tests {
         orders
     }
 
-    /// The kernel alone, in the cell `order` × `target` of a fresh world:
-    /// the receipts, the traces, and the root once the effects are in the
-    /// base.
+    /// The kernel alone, in `order` on a fresh world: the receipts, the
+    /// traces, and the root once the overlay is flattened.
     fn replay_cell(
         order: &Order,
-        target: Target,
         world: &World,
         block: &Block,
     ) -> (Vec<Receipt>, Vec<Trace>, Hash256) {
-        let execute = |index: usize, tx: &Transaction| target.execute(world, index, tx);
-        let (receipts, traces, _) = replay(block, order, execute).unwrap();
+        let (receipts, traces, _) =
+            replay(block, order, |index, tx| execute(world, index, tx)).unwrap();
         world.mvcc().finalize_block();
         (receipts, traces, world.state_root())
     }
 
-    /// The public entry point that names the cell `order` × `target`: an
-    /// engine replaying in `order`, or a pending chain.
-    fn accept(order: &Order, target: Target, world: &World, block: &Block) -> Hash256 {
-        match (target, order) {
-            (Target::Base, Order::Published) => {
-                let report = Engine::serial().validate(world, block).unwrap();
-                assert_eq!(report.threads, 1);
-                report.state_root
-            }
-            (Target::Base, Order::ForkJoin { .. }) => {
-                let engine = Engine::speculative(order.threads()).unwrap();
-                let report = engine.validate(world, block).unwrap();
-                assert_eq!(report.threads, order.threads());
-                report.state_root
-            }
-            (Target::Overlay, _) => {
-                let parent = block.header.parent_hash;
-                let mut pending = PendingChain::new(world, parent, 1).in_order(order.clone());
-                let hash = pending.speculate(parent, block).unwrap();
-                pending.commit(&hash).unwrap();
-                world.state_root()
-            }
-        }
+    /// The public entry point that replays in `order`: a pending chain.
+    fn accept(order: &Order, world: &World, block: &Block) -> Hash256 {
+        let parent = block.header.parent_hash;
+        let mut pending = PendingChain::in_order(world, parent, 1, order.clone());
+        let hash = pending.speculate(parent, block).unwrap();
+        pending.commit(&hash).unwrap();
+        world.state_root()
     }
 
     #[test]
@@ -366,22 +327,14 @@ mod tests {
             let mined = miner.unwrap().mine(&build_world(), txs);
             let block = mined.unwrap().block;
             let root = block.header.state_root;
-            let (_, reference, _) =
-                replay_cell(&Order::Published, Target::Base, &build_world(), &block);
+            let (_, reference, _) = replay_cell(&Order::Published, &build_world(), &block);
             for order in orders() {
-                for target in [Target::Base, Target::Overlay] {
-                    let cell = format!("{name}, {target:?}, {} thread(s)", order.threads());
-                    let (receipts, traces, replayed_root) =
-                        replay_cell(&order, target, &build_world(), &block);
-                    assert_eq!(receipts, block.receipts, "{cell}");
-                    assert_eq!(traces, reference, "{cell}");
-                    assert_eq!(replayed_root, root, "{cell}");
-                    assert_eq!(
-                        accept(&order, target, &build_world(), &block),
-                        root,
-                        "{cell}"
-                    );
-                }
+                let cell = format!("{name}, {} thread(s)", order.threads());
+                let (receipts, traces, replayed_root) = replay_cell(&order, &build_world(), &block);
+                assert_eq!(receipts, block.receipts, "{cell}");
+                assert_eq!(traces, reference, "{cell}");
+                assert_eq!(replayed_root, root, "{cell}");
+                assert_eq!(accept(&order, &build_world(), &block), root, "{cell}");
             }
         }
     }
@@ -407,7 +360,7 @@ mod tests {
             let world = counter_world();
             let err = replay(&block, &Order::Published, |index, tx| {
                 ran.fetch_add(1, Ordering::Relaxed);
-                Target::Base.execute(&world, index, tx)
+                execute(&world, index, tx)
             })
             .unwrap_err();
             assert!(
@@ -428,10 +381,8 @@ mod tests {
             .block;
         bare.schedule = None;
         bare.header.schedule_digest = Hash256::ZERO;
-        for target in [Target::Base, Target::Overlay] {
-            let root = accept(&Order::Published, target, &counter_world(), &bare);
-            assert_eq!(root, bare.header.state_root, "{target:?}");
-        }
+        let root = accept(&Order::Published, &counter_world(), &bare);
+        assert_eq!(root, bare.header.state_root);
     }
 
     #[test]
@@ -445,7 +396,7 @@ mod tests {
             let world = counter_world();
             let err = replay(&block, &order, |index, tx| match index {
                 5 | 9 => Err(format!("no {index}")),
-                _ => Target::Base.execute(&world, index, tx),
+                _ => execute(&world, index, tx),
             })
             .unwrap_err();
             let expected = CoreError::rejected("replay of transaction 5 failed: no 5");
@@ -483,23 +434,13 @@ mod tests {
         let genesis = blocks[0].header.parent_hash;
         for order in orders().into_iter().skip(1) {
             let cell = format!("{} thread(s)", order.threads());
-
+            // The rejected block is dropped whole: its pending predecessor
+            // still commits, and so does the honest block in its place.
             let world = counter_world();
-            accept(&order, Target::Base, &world, &blocks[0]);
-            let err = order.validate(Target::Base, &world, &racy).unwrap_err();
-            assert!(err.to_string().contains("data race"), "base, {cell}: {err}");
-
-            // On the overlay the rejected block is dropped whole: its
-            // pending predecessor still commits, and so does the honest
-            // block in its place.
-            let world = counter_world();
-            let mut pending = PendingChain::new(&world, genesis, 2).in_order(order);
+            let mut pending = PendingChain::in_order(&world, genesis, 2, order);
             let first = pending.speculate(genesis, &blocks[0]).unwrap();
             let err = pending.speculate(first, &racy).unwrap_err();
-            assert!(
-                err.to_string().contains("data race"),
-                "overlay, {cell}: {err}"
-            );
+            assert!(err.to_string().contains("data race"), "{cell}: {err}");
             assert_eq!(pending.len(), 1, "{cell}");
             let second = pending.speculate(first, &blocks[1]).unwrap();
             pending.commit(&first).unwrap();
@@ -527,7 +468,7 @@ mod tests {
         for order in orders().into_iter().skip(1) {
             let cell = format!("{} thread(s)", order.threads());
             let world = counter_world();
-            let mut pending = PendingChain::new(&world, genesis, 3).in_order(order);
+            let mut pending = PendingChain::in_order(&world, genesis, 3, order);
             let first = pending.speculate(genesis, &blocks[0]).unwrap();
             let second = pending.speculate(first, &blocks[1]).unwrap();
             let third = pending.speculate(second, &blocks[2]).unwrap();

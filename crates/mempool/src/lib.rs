@@ -203,12 +203,10 @@ impl SenderQueue {
     }
 
     /// Removes the highest pending nonce (the transaction [`Self::evictable`]
-    /// returned).
-    fn evict_tail(&mut self) -> Option<PendingTx> {
-        if let Some((&nonce, _)) = self.gapped.last_key_value() {
-            self.gapped.remove(&nonce)
-        } else {
-            self.ready.pop_back()
+    /// returned), if any.
+    fn evict_tail(&mut self) {
+        if self.gapped.pop_last().is_none() {
+            self.ready.pop_back();
         }
     }
 }
@@ -223,15 +221,37 @@ struct Shard {
 }
 
 impl Shard {
-    /// The cheapest evictable transaction in the shard:
-    /// `(sender, fee, seq)` of the minimum-priority sender tail.
-    fn cheapest_evictable(&self) -> Option<(Address, u64, u64)> {
-        self.senders
-            .iter()
-            .filter_map(|(addr, q)| q.evictable().map(|p| (*addr, p)))
-            .min_by_key(|(_, p)| p.priority())
-            .map(|(addr, p)| (addr, p.tx.priority_fee, p.seq))
+    /// Makes room in a full shard for a transaction bidding `fee`: evicts
+    /// the cheapest evictable transaction (the minimum-priority sender
+    /// tail) if `fee` outbids it.
+    fn evict_for(&mut self, fee: u64) -> Result<(), MempoolError> {
+        let cheapest = self
+            .senders
+            .values_mut()
+            .filter_map(|queue| Some((queue.evictable()?.priority(), queue)))
+            .min_by_key(|&(priority, _)| priority);
+        // Unreachable: a full shard holds a transaction, so some sender
+        // has a tail. Were it reached, the shard would overshoot by one.
+        let Some(((fee_floor, _), victim)) = cheapest else {
+            return Ok(());
+        };
+        if fee <= fee_floor {
+            return Err(MempoolError::Underpriced { fee_floor });
+        }
+        // evict_tail takes the last gapped entry first, so the evicted
+        // transaction was ready iff the victim had no gapped entries.
+        self.ready -= usize::from(victim.gapped.is_empty());
+        victim.evict_tail();
+        self.len -= 1;
+        Ok(())
     }
+}
+
+/// Locks one shard.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    // Poisoned only if a holder panicked part-way through an update, so
+    // the shard's counters can no longer be trusted: propagate the panic.
+    shard.lock().expect("a mempool shard holder panicked")
 }
 
 /// The pool. See the [crate docs](crate) for the policies it enforces.
@@ -286,8 +306,7 @@ impl Mempool {
     /// replacement does not raise the fee, or a full shard's fee floor is
     /// not outbid. The pool is unchanged on error.
     pub fn submit(&self, tx: Transaction) -> Result<SubmitOutcome, MempoolError> {
-        let shard_idx = self.shard_of(&tx.sender);
-        let mut shard = self.shards[shard_idx].lock().expect("mempool shard");
+        let mut shard = lock(&self.shards[self.shard_of(&tx.sender)]);
         let queue = shard.senders.entry(tx.sender).or_default();
 
         if tx.nonce < queue.next {
@@ -324,24 +343,7 @@ impl Mempool {
 
         // Fresh insertion: make room first so the shard never overshoots.
         if shard.len >= self.shard_capacity {
-            let (victim, fee_floor, _) = shard
-                .cheapest_evictable()
-                .expect("full shard has an evictable tx");
-            if tx.priority_fee <= fee_floor {
-                return Err(MempoolError::Underpriced { fee_floor });
-            }
-            let victim_queue = shard
-                .senders
-                .get_mut(&victim)
-                .expect("victim sender exists");
-            // evict_tail takes the last gapped entry first, so the evicted
-            // transaction was ready iff the victim had no gapped entries.
-            let tail_was_ready = victim_queue.gapped.is_empty();
-            victim_queue.evict_tail().expect("victim has a tail");
-            shard.len -= 1;
-            if tail_was_ready {
-                shard.ready -= 1;
-            }
+            shard.evict_for(tx.priority_fee)?;
             self.evicted.fetch_add(1, Ordering::Relaxed);
             // The victim may be this very sender; `queue` is re-fetched
             // below either way.
@@ -379,8 +381,7 @@ impl Mempool {
     /// backwards), drops pending transactions the boundary overran, and
     /// promotes gapped transactions the new boundary reaches.
     pub fn observe_consumed(&self, sender: Address, next: u64) {
-        let shard_idx = self.shard_of(&sender);
-        let mut shard = self.shards[shard_idx].lock().expect("mempool shard");
+        let mut shard = lock(&self.shards[self.shard_of(&sender)]);
         let queue = shard.senders.entry(sender).or_default();
         if next <= queue.next {
             return;
@@ -431,11 +432,7 @@ impl Mempool {
     /// snapshot and the result is deterministic for a given submission
     /// history.
     pub fn build_block(&self, gas_limit: u64) -> Vec<Transaction> {
-        let mut guards: Vec<MutexGuard<'_, Shard>> = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("mempool shard"))
-            .collect();
+        let mut guards: Vec<MutexGuard<'_, Shard>> = self.shards.iter().map(lock).collect();
 
         // Max-heap of each sender's ready head, keyed by priority.
         #[derive(PartialEq, Eq)]
@@ -474,22 +471,18 @@ impl Mempool {
         let mut remaining = gas_limit;
         while let Some(head) = heap.pop() {
             let shard = &mut *guards[head.shard];
+            // Every heap entry names a sender of its shard, and no sender
+            // leaves a shard while its guard is held.
             let queue = shard
                 .senders
                 .get_mut(&head.sender)
                 .expect("heap sender exists");
-            let cost = queue
-                .ready
-                .front()
-                .expect("heap head is ready")
-                .tx
-                .gas_limit;
-            if cost > remaining {
+            let Some(taken) = queue.ready.pop_front_if(|p| p.tx.gas_limit <= remaining) else {
                 // Can't take this sender's next nonce ⇒ none of its later
                 // nonces either. Drop the sender for this block.
                 continue;
-            }
-            let taken = queue.ready.pop_front().expect("checked front");
+            };
+            let cost = taken.tx.gas_limit;
             queue.next = taken.tx.nonce + 1;
             remaining -= cost;
             shard.len -= 1;
@@ -512,10 +505,7 @@ impl Mempool {
 
     /// Total pending transactions (ready + gapped).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("mempool shard").len)
-            .sum()
+        self.shards.iter().map(|shard| lock(shard).len).sum()
     }
 
     /// True when no transactions are pending.
@@ -530,7 +520,7 @@ impl Mempool {
             ..MempoolStats::default()
         };
         for shard in &self.shards {
-            let guard = shard.lock().expect("mempool shard");
+            let guard = lock(shard);
             stats.ready += guard.ready;
             stats.gapped += guard.len - guard.ready;
         }

@@ -69,5 +69,5 @@ pub use boosted::{BoostedCell, BoostedCounterMap, BoostedMap, BoostedVec};
 pub use error::StmError;
 pub use lock::{LockId, LockMode, LockSpace};
 pub use manager::LockManager;
-pub use profile::{CommitProfile, LockProfile, ProfileEntry, TraceEntry};
-pub use txn::{PooledTxn, Savepoint, Stm, Transaction, TxnId, TxnKind, TxnScope, UndoSink};
+pub use profile::{CommitProfile, LockProfile, ProfileEntry};
+pub use txn::{PooledTxn, Savepoint, Stm, Transaction, TxnId, TxnScope, UndoSink};

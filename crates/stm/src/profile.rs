@@ -1,4 +1,4 @@
-//! Lock profiles and traces.
+//! Lock profiles.
 //!
 //! When a speculative action commits, it increments the use counter of each
 //! abstract lock it holds and registers a **lock profile** — the set of
@@ -7,10 +7,11 @@
 //! profiles reconstructs the happens-before order the miner actually
 //! executed.
 //!
-//! During validation, transactions run without any locking but record a
-//! **trace** of the locks they *would* have acquired. The validator
-//! compares traces against the published profiles and rejects the block on
-//! any mismatch.
+//! During validation each transaction is replayed as a multi-version
+//! transaction (`cc_mvcc`), and the footprint its commit reports — the
+//! abstract locks it touched, strongest mode per lock — is its **trace**.
+//! The validator compares traces against [`LockProfile::lock_set`] and
+//! rejects the block on any mismatch.
 
 use crate::lock::{LockId, LockMode};
 use crate::txn::TxnId;
@@ -106,28 +107,6 @@ pub struct CommitProfile {
     pub sequence: u64,
 }
 
-/// One entry of a validator-side trace: a lock the replayed transaction
-/// *would* have acquired, in the mode it would have needed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TraceEntry {
-    /// The abstract lock.
-    pub lock: LockId,
-    /// The required mode.
-    pub mode: LockMode,
-}
-
-/// Collapses a raw trace (one entry per storage operation) into the
-/// per-lock strongest-mode set comparable with [`LockProfile::lock_set`].
-pub fn collapse_trace(trace: &[TraceEntry]) -> BTreeMap<LockId, LockMode> {
-    let mut out: BTreeMap<LockId, LockMode> = BTreeMap::new();
-    for entry in trace {
-        out.entry(entry.lock)
-            .and_modify(|m| *m = m.strongest(entry.mode))
-            .or_insert(entry.mode);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,28 +150,6 @@ mod tests {
         let a = LockProfile::new(vec![entry("voters", 1, LockMode::Exclusive, 1)]);
         let b = LockProfile::new(vec![entry("voters", 2, LockMode::Exclusive, 1)]);
         assert!(!a.conflicts_with(&b));
-    }
-
-    #[test]
-    fn trace_collapse_takes_strongest_mode() {
-        let lock = LockSpace::new("bid").whole();
-        let trace = vec![
-            TraceEntry {
-                lock,
-                mode: LockMode::Additive,
-            },
-            TraceEntry {
-                lock,
-                mode: LockMode::Exclusive,
-            },
-            TraceEntry {
-                lock,
-                mode: LockMode::Additive,
-            },
-        ];
-        let collapsed = collapse_trace(&trace);
-        assert_eq!(collapsed.len(), 1);
-        assert_eq!(collapsed[&lock], LockMode::Exclusive);
     }
 
     #[test]

@@ -1,10 +1,13 @@
-//! Speculative transactions: undo logs, nested actions, savepoints,
-//! commit/abort, and replay-mode tracing.
+//! Speculative transactions: undo logs, nested actions, savepoints and
+//! commit/abort. There is one kind: every transaction acquires the
+//! abstract locks of what it touches. Validators replay blocks as
+//! multi-version transactions (`cc_mvcc`), whose footprint is the trace
+//! they compare against the published lock profiles.
 
 use crate::error::StmError;
 use crate::lock::{LockId, LockMode};
 use crate::manager::{LockManager, LockStats};
-use crate::profile::{CommitProfile, LockProfile, ProfileEntry, TraceEntry};
+use crate::profile::{CommitProfile, LockProfile, ProfileEntry};
 use crate::retry;
 use cc_primitives::fx::FxHashMap;
 use cc_primitives::small::InlineVec;
@@ -24,22 +27,6 @@ impl fmt::Display for TxnId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "txn#{}", self.0)
     }
-}
-
-/// How a transaction synchronizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnKind {
-    /// Miner-side speculative execution: abstract locks are acquired and
-    /// inverse operations logged; the transaction may block, deadlock and
-    /// retry.
-    Speculative,
-    /// Validator-side deterministic replay: no locks are taken (the
-    /// published fork-join schedule already orders conflicting
-    /// transactions); instead each would-be acquisition is recorded in a
-    /// thread-local trace that is later compared against the miner's lock
-    /// profile. Inverse operations are still logged so contract-level
-    /// `throw` can roll back.
-    Replay,
 }
 
 /// A typed undo sink: the per-collection half of the undo log.
@@ -88,13 +75,6 @@ struct UndoLog {
 impl UndoLog {
     fn len(&self) -> usize {
         self.order.len()
-    }
-
-    fn clear(&mut self) {
-        self.order.clear();
-        self.sinks.clear();
-        self.index.clear();
-        self.last = None;
     }
 
     /// Empties the log while **keeping** the typed sinks, their token
@@ -180,8 +160,6 @@ struct TxnInner {
     /// code overwhelmingly does `get` → `insert` on the same key; the
     /// cache resolves the second acquisition without scanning.
     last_held: Option<(LockId, u32)>,
-    /// Validator-side trace of would-be acquisitions.
-    trace: Vec<TraceEntry>,
     /// Nested-action bookkeeping: each open frame is a mark into
     /// `held` — everything pushed after the mark was acquired by
     /// the frame (locks are only appended while the single-threaded frame
@@ -202,7 +180,6 @@ impl Default for TxnInner {
             held: InlineVec::new(),
             held_index: FxHashMap::default(),
             last_held: None,
-            trace: Vec::new(),
             frames: InlineVec::new(),
             closed: false,
             replaying: false,
@@ -213,15 +190,14 @@ impl Default for TxnInner {
 impl TxnInner {
     /// Returns the arena to the pristine post-construction state while
     /// keeping every allocation: the undo log's typed sinks (and their
-    /// entry capacity), the held set's spill, the index maps' buckets and
-    /// the trace buffer all survive into the next transaction. This is
+    /// entry capacity), the held set's spill and the index maps' buckets
+    /// all survive into the next transaction. This is
     /// what makes a pooled begin ([`TxnScope::begin`]) allocation-free.
     fn recycle(&mut self) {
         self.undo.reset();
         self.held.clear();
         self.held_index.clear();
         self.last_held = None;
-        self.trace.clear();
         self.frames.clear();
         self.closed = false;
         self.replaying = false;
@@ -294,10 +270,9 @@ impl fmt::Debug for TxnInner {
     }
 }
 
-/// A speculative atomic action (or a deterministic replay of one).
+/// A speculative atomic action.
 ///
-/// Created by [`Stm::begin`], [`Stm::begin_replay`] or the retrying helper
-/// [`Stm::run`]. Boosted collections take `&Transaction` and call
+/// Created by [`Stm::begin`] or the retrying helper [`Stm::run`]. Boosted collections take `&Transaction` and call
 /// [`Transaction::acquire`] / [`Transaction::log_undo_typed`]; user code
 /// normally never calls those directly.
 ///
@@ -314,7 +289,6 @@ impl fmt::Debug for TxnInner {
 /// ```
 pub struct Transaction {
     id: TxnId,
-    kind: TxnKind,
     manager: Arc<LockManager>,
     inner: RefCell<TxnInner>,
 }
@@ -323,17 +297,15 @@ impl fmt::Debug for Transaction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Transaction")
             .field("id", &self.id)
-            .field("kind", &self.kind)
             .field("inner", &*self.inner.borrow())
             .finish()
     }
 }
 
 impl Transaction {
-    fn new(id: TxnId, kind: TxnKind, manager: Arc<LockManager>) -> Self {
+    fn new(id: TxnId, manager: Arc<LockManager>) -> Self {
         Transaction {
             id,
-            kind,
             manager,
             inner: RefCell::new(TxnInner::default()),
         }
@@ -349,16 +321,11 @@ impl Transaction {
     /// raw store, so a collection that forgot to acquire fails loudly in
     /// debug/test builds instead of racing silently. (Mutations go through
     /// [`Transaction::acquire_and_log`], which performs the same check
-    /// internally.) Replay transactions are exempt: they take no locks by
-    /// design — the published fork-join schedule already orders
-    /// conflicting replays.
+    /// internally.) There is no exemption: every transaction acquires.
     ///
     /// Compiled to nothing in release builds.
     #[cfg(debug_assertions)]
     pub fn debug_assert_held(&self, lock: LockId) {
-        if self.kind == TxnKind::Replay {
-            return;
-        }
         let inner = self.inner.borrow();
         assert!(
             inner.held_pos(lock).is_some(),
@@ -376,22 +343,16 @@ impl Transaction {
         self.id
     }
 
-    /// Whether this is a speculative (mining) or replay (validation)
-    /// transaction.
-    pub fn kind(&self) -> TxnKind {
-        self.kind
-    }
-
-    /// Acquires `lock` in `mode` (speculative) or records it in the trace
-    /// (replay).
+    /// Acquires `lock` in `mode`, blocking while a conflicting holder
+    /// has it.
     ///
     /// Boosted collections call this before every storage operation.
     ///
     /// # Errors
     ///
-    /// * [`StmError::Deadlock`] if blocking would deadlock (speculative
-    ///   mode only); the caller should propagate this so the whole
-    ///   transaction aborts and retries.
+    /// * [`StmError::Deadlock`] if blocking would deadlock; the caller
+    ///   should propagate this so the whole transaction aborts and
+    ///   retries.
     /// * [`StmError::TransactionClosed`] if the transaction already
     ///   committed or aborted.
     pub fn acquire(&self, lock: LockId, mode: LockMode) -> Result<(), StmError> {
@@ -399,22 +360,14 @@ impl Transaction {
         if inner.closed {
             return Err(StmError::TransactionClosed);
         }
-        match self.kind {
-            TxnKind::Replay => {
-                inner.trace.push(TraceEntry { lock, mode });
-                Ok(())
-            }
-            TxnKind::Speculative => {
-                if inner.held_sufficient(lock, mode) {
-                    return Ok(());
-                }
-                // Release the borrow while potentially blocking in the
-                // manager: an undo closure of a boosted collection must be
-                // able to re-enter the transaction if it ever needs to.
-                drop(inner);
-                self.acquire_slow(lock, mode)
-            }
+        if inner.held_sufficient(lock, mode) {
+            return Ok(());
         }
+        // Release the borrow while potentially blocking in the manager: an
+        // undo closure of a boosted collection must be able to re-enter
+        // the transaction if it ever needs to.
+        drop(inner);
+        self.acquire_slow(lock, mode)
     }
 
     /// Acquires through the shared manager (blocking if contended) and
@@ -480,22 +433,17 @@ impl Transaction {
         if inner.closed {
             return Err(StmError::TransactionClosed);
         }
-        match self.kind {
-            TxnKind::Replay => inner.trace.push(TraceEntry { lock, mode }),
-            TxnKind::Speculative => {
-                if !inner.held_sufficient(lock, mode) {
-                    drop(inner);
-                    self.acquire_slow(lock, mode)?;
-                    inner = self.inner.borrow_mut();
-                }
-                // Same proof obligation as `debug_assert_held`: the raw
-                // mutation below is licensed by the abstract lock.
-                debug_assert!(
-                    inner.held_pos(lock).is_some(),
-                    "raw backing-store mutation without holding abstract lock {lock:?}"
-                );
-            }
+        if !inner.held_sufficient(lock, mode) {
+            drop(inner);
+            self.acquire_slow(lock, mode)?;
+            inner = self.inner.borrow_mut();
         }
+        // Same proof obligation as `debug_assert_held`: the raw mutation
+        // below is licensed by the abstract lock.
+        debug_assert!(
+            inner.held_pos(lock).is_some(),
+            "raw backing-store mutation without holding abstract lock {lock:?}"
+        );
         if inner.replaying {
             // Same contract as `log_undo_typed`: inverse operations must
             // not log new entries. Mutate but skip the log.
@@ -643,9 +591,7 @@ impl Transaction {
                     inner.last_held = None;
                     child_pairs.into_iter().map(|(l, _)| l).collect()
                 };
-                if self.kind == TxnKind::Speculative {
-                    self.manager.release_abort(self.id, &child_locks);
-                }
+                self.manager.release_abort(self.id, &child_locks);
                 Err(err)
             }
         }
@@ -691,9 +637,7 @@ impl Transaction {
             // with the per-lock use-counter order.
             sequence = self.manager.next_commit_seq();
         }
-        if self.kind == TxnKind::Speculative {
-            self.manager.release_commit_entries(self.id, &mut entries);
-        }
+        self.manager.release_commit_entries(self.id, &mut entries);
         Ok(CommitProfile {
             txn: self.id,
             profile: LockProfile::new(entries),
@@ -724,45 +668,8 @@ impl Transaction {
         // `closed` is already set, so inverse operations cannot log new
         // undo entries.
         self.replay_undo_from(0);
-        if self.kind == TxnKind::Speculative {
-            self.manager.release_abort(self.id, &locks);
-        }
+        self.manager.release_abort(self.id, &locks);
         Ok(())
-    }
-
-    /// The validator-side trace accumulated so far (empty for speculative
-    /// transactions).
-    ///
-    /// Clones the trace; a replay loop that is done with the transaction
-    /// should prefer [`Transaction::into_trace`].
-    pub fn trace(&self) -> Vec<TraceEntry> {
-        self.inner.borrow().trace.clone()
-    }
-
-    /// Consumes the transaction and returns its trace without cloning.
-    ///
-    /// The transaction is closed as if committed: the undo log is
-    /// discarded (replayed state stays put) and, for the speculative kind,
-    /// all locks are released without touching use counters — though in
-    /// practice only replay transactions carry a trace.
-    pub fn into_trace(self) -> Vec<TraceEntry> {
-        let (trace, locks) = {
-            let mut inner = self.inner.borrow_mut();
-            if inner.closed {
-                return Vec::new();
-            }
-            inner.closed = true;
-            inner.undo.clear();
-            let locks: Vec<LockId> = inner.held.iter().map(|&(l, _)| l).collect();
-            inner.held.clear();
-            inner.held_index.clear();
-            inner.last_held = None;
-            (std::mem::take(&mut inner.trace), locks)
-        };
-        if self.kind == TxnKind::Speculative {
-            self.manager.release_abort(self.id, &locks);
-        }
-        trace
     }
 
     /// Number of locks currently held (diagnostics and tests).
@@ -855,14 +762,7 @@ impl Stm {
     /// calling [`Transaction::commit`] or [`Transaction::abort`].
     pub fn begin(&self) -> Transaction {
         let id = TxnId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        Transaction::new(id, TxnKind::Speculative, Arc::clone(&self.manager))
-    }
-
-    /// Begins a replay (validation) transaction: no locks are acquired, a
-    /// trace of would-be acquisitions is recorded instead.
-    pub fn begin_replay(&self) -> Transaction {
-        let id = TxnId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        Transaction::new(id, TxnKind::Replay, Arc::clone(&self.manager))
+        Transaction::new(id, Arc::clone(&self.manager))
     }
 
     /// Runs `body` as a speculative transaction, retrying automatically on
@@ -921,8 +821,7 @@ fn run_retrying<T: Borrow<Transaction>, R>(
 /// fixed cost *is* the throughput. A scope recycles whole boxed
 /// [`Transaction`]s instead: [`TxnScope::begin`] pops a finished arena,
 /// stamps a fresh [`TxnId`], and hands it back with every allocation (held
-/// spill, sink boxes and their entry capacity, trace buffer, index
-/// buckets) still warm. `TxnInner::recycle` restores the pristine
+/// spill, sink boxes and their entry capacity, index buckets) still warm. `TxnInner::recycle` restores the pristine
 /// logical state, and the fresh-vs-pooled property test in
 /// `boosted::tests` pins that no state leaks between lives.
 ///
@@ -952,11 +851,7 @@ impl TxnScope {
                 txn.id = id;
                 txn
             }
-            None => Box::new(Transaction::new(
-                id,
-                TxnKind::Speculative,
-                Arc::clone(&self.stm.manager),
-            )),
+            None => Box::new(Transaction::new(id, Arc::clone(&self.stm.manager))),
         };
         PooledTxn {
             txn: Some(txn),
@@ -1175,21 +1070,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_mode_records_trace_and_takes_no_locks() {
-        let stm = stm();
-        let space = LockSpace::new("replay");
-        let txn = stm.begin_replay();
-        txn.acquire(space.lock_for(&1u64), LockMode::Exclusive)
-            .unwrap();
-        txn.acquire(space.lock_for(&1u64), LockMode::Additive)
-            .unwrap();
-        assert_eq!(txn.trace().len(), 2);
-        assert_eq!(stm.lock_manager().held_lock_count(), 0);
-        let commit = txn.commit().unwrap();
-        assert!(commit.profile.is_empty());
-    }
-
-    #[test]
     fn run_retries_on_deadlock_and_commits() {
         // Construct an artificial deadlock between two threads and verify
         // both eventually commit via Stm::run retry. The barrier forces the
@@ -1280,50 +1160,5 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<Transaction>();
         assert_send::<Stm>();
-    }
-
-    #[test]
-    fn into_trace_consumes_without_cloning() {
-        let stm = stm();
-        let space = LockSpace::new("into");
-        let txn = stm.begin_replay();
-        txn.acquire(space.lock_for(&1u64), LockMode::Exclusive)
-            .unwrap();
-        txn.acquire(space.lock_for(&2u64), LockMode::Additive)
-            .unwrap();
-        let trace = txn.into_trace();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(stm.lock_manager().held_lock_count(), 0);
-    }
-
-    #[test]
-    fn into_trace_closes_like_commit() {
-        // The undo log is discarded, not replayed: replayed state stays.
-        let stm = stm();
-        let value = Arc::new(AtomicI64::new(0));
-        let txn = stm.begin_replay();
-        value.store(5, Ordering::SeqCst);
-        let v = Arc::clone(&value);
-        log_fn(&txn, move || v.store(0, Ordering::SeqCst));
-        let trace = txn.into_trace();
-        assert!(trace.is_empty());
-        assert_eq!(
-            value.load(Ordering::SeqCst),
-            5,
-            "undo log discarded, replayed state kept"
-        );
-    }
-
-    #[test]
-    fn into_trace_on_speculative_releases_locks() {
-        let stm = stm();
-        let space = LockSpace::new("into.spec");
-        let txn = stm.begin();
-        txn.acquire(space.whole(), LockMode::Exclusive).unwrap();
-        assert!(
-            txn.into_trace().is_empty(),
-            "speculative txns trace nothing"
-        );
-        assert_eq!(stm.lock_manager().held_lock_count(), 0);
     }
 }

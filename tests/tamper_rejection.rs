@@ -33,10 +33,21 @@ fn mined_reference(benchmark: Benchmark, conflict: f64) -> (Workload, MinedBlock
     (w, mined)
 }
 
+/// Validates `block` on a fresh world and returns the rejection. Every
+/// lie but a forged state root is caught before the replay's overlay
+/// reaches the base, so the world must not have moved.
 fn expect_rejection(w: &Workload, block: &Block) -> CoreError {
-    engine(3)
-        .validate(&w.build_world(), block)
-        .expect_err("tampered block must be rejected")
+    let world = w.build_world();
+    let root = world.state_root();
+    let err = engine(3)
+        .validate(&world, block)
+        .expect_err("tampered block must be rejected");
+    assert_eq!(
+        world.state_root(),
+        root,
+        "the rejection moved the world: {err}"
+    );
+    err
 }
 
 /// Recomputes the header commitments a dishonest miner would recompute so
@@ -58,7 +69,10 @@ fn forged_state_root_is_rejected() {
     let (w, mined) = mined_reference(Benchmark::Ballot, 0.2);
     let mut block = mined.block.clone();
     block.header.state_root = cc_primitives::sha256(b"i promise this is fine");
-    let err = expect_rejection(&w, &block);
+    // Found only once the block's effects are in the world.
+    let err = engine(3)
+        .validate(&w.build_world(), &block)
+        .expect_err("tampered block must be rejected");
     assert!(err.to_string().contains("state root"));
 }
 
@@ -313,8 +327,7 @@ fn forged_block_number_is_rejected_before_it_moves_the_world() {
 /// Whatever order a follower's engine replays in, the order is checked
 /// before the first transaction runs: a typed error (never an
 /// out-of-bounds panic, never a transaction run twice), world and chain
-/// where they were, and the pipelined follower still fresh for the
-/// honest block.
+/// where they were, and every follower still fresh for the honest block.
 #[test]
 fn forged_serial_order_is_rejected_before_it_moves_the_world() {
     let mut producer = Node::builder()
@@ -345,22 +358,12 @@ fn forged_serial_order_is_rejected_before_it_moves_the_world() {
             .map(drop)
     };
     let cases = [
-        (
-            "serial, validate_and_append",
-            serial_engine(),
-            one_block,
-            false,
-        ),
-        ("serial, follower", serial_engine(), stream, true),
-        (
-            "speculative, validate_and_append",
-            engine(2),
-            one_block,
-            false,
-        ),
-        ("speculative, follower", engine(2), stream, true),
+        ("serial, validate_and_append", serial_engine(), one_block),
+        ("serial, follower", serial_engine(), stream),
+        ("speculative, validate_and_append", engine(2), one_block),
+        ("speculative, follower", engine(2), stream),
     ];
-    for (case, engine, feed, stays_fresh) in cases {
+    for (case, engine, feed) in cases {
         for (forgery, forged) in &forgeries {
             let case = format!("{case}, {forgery}");
             let mut follower = Node::builder()
@@ -377,9 +380,6 @@ fn forged_serial_order_is_rejected_before_it_moves_the_world() {
             );
             assert_eq!(follower.world().state_root(), root, "{case}: world moved");
             assert_eq!(follower.chain().len(), 1, "{case}");
-            if !stays_fresh {
-                continue;
-            }
             assert!(!follower.is_stale(), "{case}: a clean rejection stales");
             feed(&mut follower, &honest).unwrap_or_else(|e| panic!("{case}: honest block: {e}"));
             assert_eq!(follower.chain().head_hash(), honest.hash(), "{case}");
@@ -390,6 +390,92 @@ fn forged_serial_order_is_rejected_before_it_moves_the_world() {
             );
         }
     }
+}
+
+/// Lies only the replay can catch — a forged receipt, a dropped
+/// happens-before edge, a lying lock profile, each re-committed so the
+/// block is well-formed — are rejected by every follower entry point
+/// before the block's overlay reaches the base: world and chain where
+/// they were, the node fresh, and the honest block accepted next.
+#[test]
+fn replay_time_rejections_leave_the_follower_fresh() {
+    let mut producer = Node::builder()
+        .world(counter_world())
+        .engine(engine(2))
+        .build()
+        .unwrap();
+    // Two senders: same-sender increments conflict, so the schedule has
+    // edges to drop.
+    let txs = (0..6).map(|i| increment_tx(i, i % 2, 1)).collect();
+    let honest = producer.mine_and_append(txs).unwrap().block;
+    let forge = |lie: fn(&mut Block)| {
+        let mut block = honest.clone();
+        lie(&mut block);
+        recommit(&mut block);
+        assert!(block.is_well_formed(), "the recommitted lie is well-formed");
+        block
+    };
+    let forgeries = [
+        (
+            "forged receipt",
+            forge(|block| block.receipts[0].gas_used += 1),
+            "receipt",
+        ),
+        (
+            "dropped edge",
+            forge(|block| block.schedule.as_mut().unwrap().edges.clear()),
+            "data race",
+        ),
+        (
+            "lying lock profile",
+            forge(|block| {
+                block.schedule.as_mut().unwrap().profiles[0].profile = LockProfile::default()
+            }),
+            "lock trace",
+        ),
+    ];
+    assert!(!honest.schedule.as_ref().unwrap().edges.is_empty());
+
+    let dir = std::env::temp_dir().join(format!("cc-tamper-replay-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    type Feed = fn(&mut Node, &Block) -> Result<(), CoreError>;
+    let one_block: Feed = |node, block| node.validate_and_append(block).map(drop);
+    let stream: Feed = |node, block| {
+        node.run_follower_pipeline(vec![block.clone()], &FollowerConfig::new())
+            .map(drop)
+    };
+    let cases = [
+        ("validate_and_append", DurabilityMode::Off, one_block),
+        ("follower, durability off", DurabilityMode::Off, stream),
+        ("follower, fsync", DurabilityMode::Fsync, stream),
+    ];
+    for (case, mode, feed) in cases {
+        for (forgery, forged, reason) in &forgeries {
+            let case = format!("{case}, {forgery}");
+            let mut follower = Node::builder()
+                .world(counter_world())
+                .engine(engine(2))
+                .durability(DurabilityConfig::new(&dir, mode))
+                .build()
+                .unwrap();
+            let root = follower.world().state_root();
+
+            let err = feed(&mut follower, forged).expect_err(&case);
+            assert!(err.to_string().contains(reason), "{case}: {err}");
+            assert_eq!(follower.world().state_root(), root, "{case}: world moved");
+            assert_eq!(follower.chain().len(), 1, "{case}");
+            assert!(!follower.is_stale(), "{case}: a clean rejection stales");
+
+            feed(&mut follower, &honest).unwrap_or_else(|e| panic!("{case}: honest block: {e}"));
+            assert_eq!(follower.chain().head_hash(), honest.hash(), "{case}");
+            assert_eq!(
+                follower.world().state_root(),
+                producer.world().state_root(),
+                "{case}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---- checkpoints: what recovery trusts, and why --------------------------
