@@ -4,14 +4,15 @@
 //! count and whether validation checks lock traces;
 //! [`EngineConfig::build`] turns it into an [`Engine`]: one execution pool,
 //! the mining driver that runs the strategy's per-transaction attempt on
-//! it, and the replay order its validator and its node's followers use.
+//! it, and the validator that replays a block as the fork-join program of
+//! the graph its lock profiles derive, on the same pool.
 //! Everything above `cc_stm` — the benchmark harness, the `repro` binary,
 //! the examples and the integration tests — goes through this module.
 //!
 //! The strategy enum is the extension seam for future concurrency
-//! back-ends: a variant, its attempt and how its schedule is published
-//! are all a new strategy needs for every consumer to be able to select
-//! and benchmark it.
+//! back-ends: a variant and its attempt — which must commit lock profiles
+//! whose counters follow its commit order — are all a new strategy needs
+//! for every consumer to be able to select and benchmark it.
 //!
 //! # Example
 //!
@@ -72,7 +73,9 @@ use std::sync::Arc;
 pub enum ExecutionStrategy {
     /// One transaction at a time, in block order — today's Ethereum
     /// behaviour and the baseline all the paper's speedups are measured
-    /// against.
+    /// against. It is the speculative strategy on a one-worker pool: its
+    /// blocks publish the same lock profiles, and it validates any block
+    /// as the others do, on its one worker.
     Serial,
     /// The paper's pair: speculative STM mining (Algorithm 1) plus
     /// deterministic fork-join validation of the published schedule
@@ -138,8 +141,8 @@ pub struct EngineConfig {
     /// Worker threads for parallel strategies (ignored by
     /// [`ExecutionStrategy::Serial`], which always runs one).
     pub threads: usize,
-    /// Whether the validator replays and cross-checks lock traces
-    /// (rejecting hidden data races). Disabling is ablation-only.
+    /// Whether the validator compares every replayed lock trace with the
+    /// block's published profile. Disabling is ablation-only.
     pub check_traces: bool,
 }
 
@@ -192,7 +195,7 @@ impl EngineConfig {
         self
     }
 
-    /// Toggles the validator's lock-trace / data-race checks.
+    /// Toggles the validator's lock-trace checks.
     pub fn check_traces(mut self, check: bool) -> Self {
         self.check_traces = check;
         self
@@ -211,34 +214,18 @@ impl EngineConfig {
         }
         // One execution pool per engine, shared by its miner and its
         // validator (and by every clone of the engine). Helper threads
-        // start with the first block that can use them, not here; the
-        // serial strategy's pool has none.
+        // start with the first block that can use them, not here. This is
+        // the one thing the serial strategy changes: its pool has one
+        // worker, so it mines with the pessimistic attempt one transaction
+        // at a time and replays a block's derived fork-join program as a
+        // walk on the calling thread. Every strategy publishes the graph
+        // of its lock profiles and every engine validates alike.
         let workers = match self.strategy {
             ExecutionStrategy::Serial => 1,
             ExecutionStrategy::SpeculativeStm | ExecutionStrategy::OptimisticMvcc => self.threads,
         };
         let pool = Arc::new(WorkerPool::new(workers));
-        // How every block this engine validates or follows is replayed,
-        // decided here and nowhere else. A serial engine's blocks publish
-        // no lock profiles, so they replay in published order with no
-        // trace checks. The optimistic strategy publishes the same
-        // schedule metadata (profiles + happens-before edges) as the
-        // speculative one, so both replay as the fork-join program of the
-        // published graph — validators stay strategy-agnostic.
-        let replay = match self.strategy {
-            ExecutionStrategy::Serial => Order::Published,
-            ExecutionStrategy::SpeculativeStm | ExecutionStrategy::OptimisticMvcc => {
-                Order::ForkJoin {
-                    pool: Arc::clone(&pool),
-                    check_traces: self.check_traces,
-                }
-            }
-        };
-        Ok(Engine {
-            config: self,
-            pool,
-            replay,
-        })
+        Ok(Engine { config: self, pool })
     }
 }
 
@@ -252,7 +239,6 @@ impl EngineConfig {
 pub struct Engine {
     config: EngineConfig,
     pool: Arc<WorkerPool>,
-    replay: Order,
 }
 
 impl Default for Engine {
@@ -327,10 +313,11 @@ impl Engine {
         self.pool.stats()
     }
 
-    /// How this engine replays blocks: the order its validator runs them
-    /// in, for the node's pending chain to run them in too.
-    pub(crate) fn replay_order(&self) -> &Order {
-        &self.replay
+    /// How this engine replays blocks: on its pool, with its trace
+    /// checks — for its validator and its node's pending chains alike.
+    pub(crate) fn replay_order(&self) -> Order {
+        let (pool, check_traces) = (Arc::clone(&self.pool), self.config.check_traces);
+        Order { pool, check_traces }
     }
 
     /// Executes `transactions` against `world` and assembles a block at
@@ -388,11 +375,14 @@ impl Engine {
     ///
     /// * [`CoreError::BlockRejected`] when the block is dishonest: the
     ///   replayed receipts or gas differ, a replayed transaction's lock
-    ///   trace is inconsistent with the published profile, the published
-    ///   schedule hides a data race, or the recomputed state root
-    ///   differs.
-    /// * [`CoreError::MissingSchedule`] / [`CoreError::MalformedSchedule`]
-    ///   when the schedule cannot be replayed at all.
+    ///   trace differs from its published profile, or the recomputed
+    ///   state root differs.
+    /// * [`CoreError::MissingSchedule`] when the block carries no
+    ///   schedule, which no engine's miner publishes.
+    /// * [`CoreError::MalformedSchedule`] when the schedule's lock
+    ///   profiles are not one per transaction in block order, derive a
+    ///   cyclic graph, or derive edges or a serial order other than the
+    ///   published ones.
     ///
     /// Every rejection but a state-root mismatch is raised before the
     /// overlay reaches the base, and leaves `world` unmoved. A root
@@ -401,7 +391,7 @@ impl Engine {
     /// and resynchronizes.
     pub fn validate(&self, world: &World, block: &Block) -> Result<ValidationReport, CoreError> {
         let parent = block.header.parent_hash;
-        let mut pending = PendingChain::in_order(world, parent, 1, self.replay.clone());
+        let mut pending = PendingChain::in_order(world, parent, 1, self.replay_order());
         let hash = pending.speculate(parent, block)?;
         pending.commit_reported(&hash).map(|(_, report)| report)
     }
@@ -518,9 +508,11 @@ mod tests {
             .with_seed(5)
             .generate();
         let engines = [
+            // The serial engine is the speculative one on one worker, and
+            // publishes the same schedule: the same block.
             (
                 Engine::serial(),
-                "83608b333e3af977cd6b48bb3ec7c56b758d1b27d262caf24eef99e5e11ce3c1",
+                "2f72714297d7d6be7139a654c5dddd0db3f9a870135d967cef23e1cf5e7f6fb9",
             ),
             (
                 Engine::speculative(1).unwrap(),
@@ -541,7 +533,7 @@ mod tests {
                 let stats = &mined.stats;
                 assert_eq!(stats.threads, 1);
                 assert_eq!(stats.retries, 0);
-                assert_eq!((stats.critical_path, stats.hb_edges), (120, 119));
+                assert_eq!((stats.critical_path, stats.hb_edges), (24, 58));
                 assert_eq!(stats.read_only, 28);
             }
         }
@@ -579,41 +571,50 @@ mod tests {
         assert!(bare.is_well_formed());
         assert_eq!(bare, without_schedule(&mined.block));
 
-        // The serial engine replays it in block order; the fork-join
-        // engines have nothing to replay and must reject it.
+        // No in-tree miner publishes such a block, and no engine has a
+        // profile to derive its replay from: every one rejects it.
         for engine in every_engine() {
             let strategy = engine.strategy();
             let validated = engine.validate(&counter_world(), &bare);
-            match strategy {
-                ExecutionStrategy::Serial => assert!(validated.is_ok(), "{validated:?}"),
-                _ => assert!(
-                    matches!(validated, Err(CoreError::MissingSchedule)),
-                    "{strategy}: {validated:?}"
-                ),
-            }
+            assert!(
+                matches!(validated, Err(CoreError::MissingSchedule)),
+                "{strategy}: {validated:?}"
+            );
         }
 
-        // So does a serial engine's node following it.
+        // So does a serial engine's node following it, and stays fresh.
+        let root = follower.world().state_root();
         let followed = follower.run_follower_pipeline([bare], &Default::default());
-        assert_eq!(followed.unwrap().blocks, 1);
-        assert_eq!(follower.world().state_root(), header.state_root);
+        assert!(matches!(followed, Err(CoreError::MissingSchedule)));
+        assert!(!follower.is_stale());
+        assert_eq!(follower.world().state_root(), root);
+        assert_eq!(follower.chain().len(), 1);
     }
 
     #[test]
     fn trace_check_toggle_reaches_the_validator() {
-        // A serially-mined block has no lock profiles; the speculative
-        // validator accepts it only with trace checks disabled.
-        let serial_block = Engine::serial()
-            .mine(&counter_world(), counter_txs(6))
-            .unwrap();
-        let strict = Engine::default();
-        assert!(strict
-            .validate(&counter_world(), &serial_block.block)
-            .is_err());
-        let lenient = Engine::builder().check_traces(false).build().unwrap();
-        lenient
-            .validate(&counter_world(), &serial_block.block)
-            .unwrap();
+        // A phantom exclusive lock in a space nobody else touches adds no
+        // edge, so the derived graph still matches the published one and
+        // only the trace check can reject the profile's lie.
+        for engine in every_engine() {
+            let strategy = engine.strategy();
+            let mut block = engine.mine(&counter_world(), counter_txs(6)).unwrap().block;
+            let schedule = block.schedule.as_mut().unwrap();
+            let mut locks = schedule.profiles[0].profile.locks.clone();
+            locks.push(cc_stm::ProfileEntry {
+                lock: cc_stm::LockSpace::new("engine.phantom").whole(),
+                mode: cc_stm::LockMode::Exclusive,
+                counter: 1,
+            });
+            schedule.profiles[0].profile = cc_stm::LockProfile::new(locks);
+            block.header.schedule_digest = schedule.digest();
+
+            let err = engine.validate(&counter_world(), &block).unwrap_err();
+            assert!(err.to_string().contains("lock trace"), "{strategy}: {err}");
+            let lenient = engine.config().clone().check_traces(false).build();
+            let report = lenient.unwrap().validate(&counter_world(), &block);
+            assert_eq!(report.unwrap().state_root, block.header.state_root);
+        }
     }
 
     #[test]

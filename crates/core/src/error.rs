@@ -16,17 +16,19 @@ pub enum CoreError {
         source: StmError,
     },
     /// The block under validation was rejected. The reasons list every
-    /// check that failed (state root, receipts, schedule consistency,
-    /// data races, missing profiles).
+    /// check that failed (state root, receipts, lock traces against the
+    /// published profiles), or the replayed transaction that failed.
     BlockRejected {
         /// Human-readable reasons, one per failed check.
         reasons: Vec<String>,
     },
-    /// The block's schedule metadata is missing but the validator was
-    /// asked to replay it in parallel.
+    /// The block carries no schedule metadata, so there are no lock
+    /// profiles to derive its fork-join program from.
     MissingSchedule,
-    /// The schedule is malformed (wrong length, cyclic, or indices out of
-    /// range) and cannot even be turned into a fork-join program.
+    /// The schedule does not stand for one fork-join program: its lock
+    /// profiles are not one per transaction in block order, name a lock
+    /// twice, derive a cyclic graph, or derive edges or a serial order other than the
+    /// published ones.
     MalformedSchedule {
         /// Description of the structural problem.
         reason: String,

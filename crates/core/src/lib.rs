@@ -19,7 +19,9 @@
 //!    block ([`cc_ledger::ScheduleMetadata`]).
 //! 3. **Deterministic concurrent validation** ([`Engine::validate`],
 //!    paper Algorithm 2). A validator
-//!    turns the published graph into a **fork-join program**
+//!    derives the happens-before graph from the published profiles
+//!    (the published edges and serial order must equal what it derives)
+//!    and turns it into a **fork-join program**
 //!    ([`fork_join`]): each transaction is a task that joins on its
 //!    immediate predecessors, so conflicting transactions never run
 //!    concurrently, no locks are taken and nothing is retried. Each
@@ -27,14 +29,14 @@
 //!    a pending overlay above the world ([`node::pending`]); its footprint
 //!    is the set of abstract locks it *would* have taken. The validator
 //!    rejects the block — discarding the overlay, so the world is unmoved
-//!    — if the traces are inconsistent with the published profiles, if
-//!    the schedule hides a data race, or if the receipts differ from the
-//!    block's; the final state is held to the block's root when the
-//!    overlay is flattened into the world.
+//!    — if the traces differ from the published profiles or the receipts
+//!    from the block's; the final state is held to the block's root when
+//!    the overlay is flattened into the world.
 //!
 //! The serial baseline used throughout the paper's evaluation is the
-//! same engine under [`ExecutionStrategy::Serial`]: one transaction at a
-//! time, in block order, replayed in the published order.
+//! same engine under [`ExecutionStrategy::Serial`]: one worker, so one
+//! transaction at a time, in block order; it publishes and validates
+//! schedules like the others.
 //!
 //! All of the above is selected and wired through **one entry point**:
 //! the [`engine`] module. An [`engine::EngineConfig`] names an

@@ -236,7 +236,7 @@ impl<'a, I: Iterator<Item = Block>> Follow<'a, I> {
     /// A follow source over the stage's world and head, holding at most
     /// the stage's window of overlays.
     pub(super) fn new(stage: &CommitStage<'a>, blocks: I) -> Self {
-        let order = stage.engine.replay_order().clone();
+        let order = stage.engine.replay_order();
         let head = stage.chain.head_hash();
         Follow {
             blocks: blocks.fuse(),
@@ -441,9 +441,10 @@ impl Node {
     /// # Errors
     ///
     /// A speculate-time rejection ([`CoreError::BlockRejected`],
-    /// [`CoreError::MissingSchedule`], … — bad receipts, bad traces, a
-    /// hidden race, a block that does not link) never touches the base
-    /// state: it drains the valid pending prefix into the chain, drops
+    /// [`CoreError::MalformedSchedule`], … — bad receipts, bad traces, a
+    /// schedule its profiles do not derive, a block that does not link)
+    /// never touches the base state: it drains the valid pending prefix
+    /// into the chain, drops
     /// the rejected block and the rest of the stream and propagates —
     /// the node stays fresh at the last accepted block, exactly as
     /// [`Node::validate_and_append`] does. A commit-time state-root

@@ -247,8 +247,8 @@ impl Node {
     /// the chain, sealed blocks from the WAL's valid prefix extend it,
     /// and the whole recovered chain is replayed in one
     /// [`Node::run_follower_pipeline`] run with no durability stage (any
-    /// strategy works — blocks carry their schedules, and a serial
-    /// engine skips the trace checks). Torn or corrupt WAL tails are
+    /// strategy works — every engine replays the schedule a block's lock
+    /// profiles derive). Torn or corrupt WAL tails are
     /// dropped; effects of aborted or unsealed transactions never
     /// survive because only sealed blocks are replayed. The WAL is then
     /// reopened (truncating the torn tail) and the node resumes durable

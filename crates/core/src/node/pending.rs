@@ -6,7 +6,8 @@
 //! the follower pipeline a window of them. It replays each incoming block
 //! through the validators' one kernel (`validator::replay`) — the block's
 //! transactions run as optimistic multi-version transactions (see
-//! `cc_mvcc`) in the fork-join order of the published graph, and the
+//! `cc_mvcc`) in the fork-join order of the graph the block's lock
+//! profiles derive, and the
 //! versions they install stay in place as a **pending overlay** stacked
 //! above the base state instead of being flattened. The next block's
 //! replay reads *through* that overlay — its snapshots see the
@@ -35,7 +36,7 @@
 //!   once; [`PendingChain::speculate`] refuses further blocks until one
 //!   commits or is discarded.
 //! * **Exclusive use.** The workers of *one* fork-join run install
-//!   versions concurrently — the published edges order every conflicting
+//!   versions concurrently — the derived edges order every conflicting
 //!   pair, so the installs land in a schedule-consistent order — and
 //!   nothing else executes on the world meanwhile. The boundary is read,
 //!   and `finalize_below` / `discard_above` are called, only between
@@ -121,7 +122,7 @@ impl<'w> PendingChain<'w> {
     }
 
     /// [`PendingChain::new`] replaying in an engine's `order` instead: on
-    /// its shared pool, or the published order for a serial engine.
+    /// its shared pool, with its trace checks.
     pub(crate) fn in_order(
         world: &'w World,
         head_hash: Hash256,
@@ -208,11 +209,10 @@ impl<'w> PendingChain<'w> {
     ///
     /// Replay is the validators' one kernel: the transactions run as
     /// optimistic multi-version transactions in the fork-join order of
-    /// the published graph (under a serial engine, in the published
-    /// serial order), and everything that does not
-    /// require the flattened base is checked — well-formedness, parent
-    /// linkage, receipts, and (unless disabled) the lock traces and
-    /// hidden-race freedom of the published schedule. The state root is
+    /// the graph the block's lock profiles derive, and everything that
+    /// does not require the flattened base is checked — well-formedness,
+    /// parent linkage, the published schedule against the derived one,
+    /// receipts, and (unless disabled) the lock traces. The state root is
     /// checked at [`PendingChain::commit`], where the base exists to
     /// hash.
     ///
@@ -221,8 +221,8 @@ impl<'w> PendingChain<'w> {
     /// [`CoreError::BlockRejected`] when the chain is full, `prev` is
     /// not the tip, the block does not link, or replay contradicts the
     /// block's commitments; [`CoreError::MissingSchedule`] /
-    /// [`CoreError::MalformedSchedule`] when the schedule cannot be
-    /// replayed. A rejection discards the partial overlay: the
+    /// [`CoreError::MalformedSchedule`] when no fork-join program can be
+    /// derived from the schedule. A rejection discards the partial overlay: the
     /// already-pending predecessors stay committable and the base is
     /// untouched.
     pub fn speculate(&mut self, prev: Hash256, block: &Block) -> Result<Hash256, CoreError> {
@@ -556,28 +556,36 @@ mod tests {
     }
 
     #[test]
-    fn schedule_less_blocks_need_trace_checks_off() {
+    fn serial_blocks_pass_trace_checks_and_bare_ones_are_missing_a_schedule() {
         let mut producer = Node::builder()
             .world(fresh_world())
             .engine(crate::engine::Engine::serial())
             .build()
             .unwrap();
         let block = producer.mine_and_append(block_txs(0, 5)).unwrap().block;
+        let mut bare = block.clone();
+        bare.schedule = None;
+        bare.header.schedule_digest = Hash256::ZERO;
 
-        // A serially-mined block publishes a sequential schedule with no
-        // lock profiles; strict trace checks must reject it, mirroring
-        // the fork-join validator. The published order, a serial
-        // engine's, checks no traces.
-        let strict_world = fresh_world();
-        let mut strict = PendingChain::new(&strict_world, block.header.parent_hash, 2);
-        let err = strict.speculate(strict.tip_hash(), &block).unwrap_err();
-        assert!(err.to_string().contains("profile"), "got: {err}");
-
+        // A serially-mined block publishes its lock profiles like any
+        // other, so the strict chain replays it. One without a schedule is
+        // refused with trace checks on or off, before anything runs, and
+        // the honest block still follows.
         let world = fresh_world();
-        let mut lenient =
-            PendingChain::in_order(&world, block.header.parent_hash, 2, Order::Published);
-        let hash = lenient.speculate(lenient.tip_hash(), &block).unwrap();
-        lenient.commit(&hash).unwrap();
+        let parent = block.header.parent_hash;
+        let lenient = Order {
+            check_traces: false,
+            ..Order::fork_join(Arc::new(WorkerPool::new(2)))
+        };
+        let mut lenient = PendingChain::in_order(&world, parent, 2, lenient);
+        let mut strict = PendingChain::new(&world, parent, 2);
+        for pending in [&mut lenient, &mut strict] {
+            let err = pending.speculate(parent, &bare).unwrap_err();
+            assert_eq!(err, CoreError::MissingSchedule);
+            assert!(pending.is_empty());
+        }
+        let hash = strict.speculate(parent, &block).unwrap();
+        strict.commit(&hash).unwrap();
         assert_eq!(world.state_root(), block.header.state_root);
     }
 }

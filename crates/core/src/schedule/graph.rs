@@ -4,7 +4,10 @@
 //! speculative action increments the counters of the locks it holds and
 //! publishes the resulting lock profile. "If an abstract lock has counter
 //! value 1 in A's profile and 2 in C's profile, then C must be scheduled
-//! after A." This module reconstructs that ordering.
+//! after A." This module reconstructs that ordering — on the miner's side
+//! from the profiles it just committed, on every validator's side from the
+//! profiles the block publishes ([`from_metadata`]): "from this profile
+//! information, validators can construct a fork-join program".
 //!
 //! Two representation choices keep the schedule pipeline cheap per
 //! transaction (schedules ship inside blocks and are re-validated by every
@@ -31,6 +34,7 @@
 //!   times and the validator a fourth.
 //!
 //! [`from_profiles`]: HappensBeforeGraph::from_profiles
+//! [`from_metadata`]: HappensBeforeGraph::from_metadata
 //! [`topological_sort`]: HappensBeforeGraph::topological_sort
 //! [`critical_path`]: HappensBeforeGraph::critical_path
 //! [`reachability`]: HappensBeforeGraph::reachability
@@ -38,42 +42,9 @@
 
 use crate::error::CoreError;
 use cc_ledger::{ProfileRecord, ScheduleMetadata};
-use cc_primitives::fx::FxHashMap;
-use cc_stm::{LockId, LockMode, LockProfile};
+use cc_stm::{LockMode, LockProfile};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Splits `holders` (already sorted — by counter on the miner side, by
-/// serial position on the validator side) into maximal runs of
-/// mutually-commuting modes and calls `pair(prev_run, next_run)` for each
-/// consecutive pair of runs; `pair` returning `false` stops the walk.
-///
-/// This is the one definition of a "run" shared by the reduced
-/// construction ([`HappensBeforeGraph::from_profiles`]) and the
-/// validator's race check — the two consensus-critical sides must agree
-/// on run boundaries, so they must share this code.
-pub(crate) fn for_each_consecutive_run_pair<T>(
-    holders: &[T],
-    mode_of: impl Fn(&T) -> LockMode,
-    mut pair: impl FnMut(&[T], &[T]) -> bool,
-) {
-    let mut run_start = 0usize;
-    let mut prev_run: Option<(usize, usize)> = None;
-    for i in 1..=holders.len() {
-        let boundary =
-            i == holders.len() || mode_of(&holders[i]).conflicts(mode_of(&holders[run_start]));
-        if !boundary {
-            continue;
-        }
-        if let Some((p0, p1)) = prev_run {
-            if !pair(&holders[p0..p1], &holders[run_start..i]) {
-                return;
-            }
-        }
-        prev_run = Some((run_start, i));
-        run_start = i;
-    }
-}
 
 /// A directed acyclic graph whose vertices are the block's transaction
 /// indices and whose edges order conflicting transactions according to the
@@ -240,12 +211,12 @@ impl HappensBeforeGraph {
     /// All edges as `(before, after)` pairs, sorted.
     pub fn edges(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::with_capacity(self.succs.len());
-        for v in 0..self.n {
-            for &succ in self.succ_slice(v) {
-                out.push((v, succ as usize));
-            }
-        }
+        out.extend(self.edge_pairs());
         out
+    }
+
+    fn edge_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.n).flat_map(move |v| self.successors(v).map(move |succ| (v, succ)))
     }
 
     /// Number of edges.
@@ -269,40 +240,47 @@ impl HappensBeforeGraph {
     /// is the per-lock transitive reduction of the all-ordered-pairs
     /// graph: same reachability, same critical path, h−1 edges instead of
     /// h(h−1)/2 for an exclusive chain of h holders.
-    pub fn from_profiles(profiles: &[LockProfile]) -> Self {
-        let n = profiles.len();
-        // lock -> [(counter, tx_index, mode)]
-        let mut by_lock: FxHashMap<LockId, Vec<(u64, u32, LockMode)>> = FxHashMap::default();
-        for (tx_index, profile) in profiles.iter().enumerate() {
-            for entry in &profile.locks {
-                by_lock.entry(entry.lock).or_default().push((
-                    entry.counter,
-                    tx_index as u32,
-                    entry.mode,
-                ));
-            }
+    ///
+    /// The profiles are borrowed one by one (`&Vec<LockProfile>`, or the
+    /// profiles of a block's published records), never collected.
+    pub fn from_profiles<'a>(profiles: impl IntoIterator<Item = &'a LockProfile>) -> Self {
+        // (lock space, lock key, counter, tx_index, mode)
+        type Holder = (u64, u64, u64, u32, LockMode);
+        // Every holder of every lock in one sorted list: each lock's holders
+        // are contiguous and in counter order. A sort, not a hash map keyed
+        // by lock: a block's profiles are outside input, and ids chosen to
+        // collide would make a hash map quadratic.
+        let mut n = 0;
+        let mut held: Vec<Holder> = Vec::new();
+        for profile in profiles {
+            let tx = n as u32;
+            held.extend(profile.locks.iter().map(|e| {
+                let (space, key) = (e.lock.space(), e.lock.key());
+                (space, key, e.counter, tx, e.mode)
+            }));
+            n += 1;
         }
+        held.sort_unstable();
         let mut edges: Vec<(u32, u32)> = Vec::new();
-        for holders in by_lock.values_mut() {
-            holders.sort_unstable();
+        for holders in held.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
             // Split the counter-ordered holders into maximal runs of
             // mutually-commuting modes. A holder extends the current run
             // iff its mode commutes with the run's mode, i.e. the modes
             // are equal and non-exclusive; every boundary is therefore a
             // conflicting pair, and so is every cross pair of two
             // consecutive runs.
-            for_each_consecutive_run_pair(
-                holders,
-                |&(_, _, mode)| mode,
-                |prev, next| {
-                    for &(_, before, _) in prev {
-                        for &(_, after, _) in next {
-                            edges.push((before, after));
-                        }
-                    }
-                    true
-                },
-            );
+            let mut prev_run: &[Holder] = &[];
+            let mut run_start = 0;
+            for i in 1..=holders.len() {
+                if i < holders.len() && !holders[i].4.conflicts(holders[run_start].4) {
+                    continue;
+                }
+                let run = &holders[run_start..i];
+                for &(.., before, _) in prev_run {
+                    edges.extend(run.iter().map(|&(.., after, _)| (before, after)));
+                }
+                (prev_run, run_start) = (run, i);
+            }
         }
         Self::build(n, edges)
     }
@@ -336,9 +314,8 @@ impl HappensBeforeGraph {
         depth.into_iter().max().unwrap_or(0)
     }
 
-    /// Computes reachability (the transitive closure), used by validators
-    /// to check that every pair of conflicting transactions is ordered by
-    /// the published schedule.
+    /// Computes reachability (the transitive closure): whether the graph
+    /// orders two transactions, directly or through others.
     pub fn reachability(&self) -> Reachability {
         let words = self.n.div_ceil(64);
         let mut reach = vec![vec![0u64; words]; self.n];
@@ -406,93 +383,53 @@ impl HappensBeforeGraph {
         self.clone().into_metadata(profiles.to_vec())
     }
 
-    /// Reconstructs a graph from published metadata, validating its shape.
-    ///
-    /// Note on the duplicate-edge rule: rejecting duplicates is a
-    /// **validation tightening** over the original representation (which
-    /// silently collapsed them), i.e. it shrinks the set of blocks
-    /// validators accept. Honest miners have never published duplicates —
-    /// the canonical encoding is produced from a deduplicated edge set —
-    /// so only adversarial blocks are affected, but in a network where
-    /// schedule rules are consensus, such a change must ship to all
-    /// validators together.
+    /// Derives the graph a block's published schedule stands for: the one
+    /// [`Self::from_profiles`] builds from its lock profiles. The
+    /// published `edges` and `serial_order` are not trusted, only
+    /// compared: they must be exactly what the profiles derive, so they
+    /// cannot vary on their own. (Counters still can: only their order per
+    /// lock matters, so rescaling them derives the same graph.)
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::MalformedSchedule`] if the serial order is not
-    /// a permutation of `0..n`, an edge is out of range, a self-loop or a
-    /// duplicate, the edge set is cyclic, or the serial order is
-    /// inconsistent with the edges.
+    /// Returns [`CoreError::MalformedSchedule`] unless the schedule carries
+    /// one profile record per transaction, in block order, each naming a
+    /// lock at most once; if the derived
+    /// graph is cyclic; or if the published edges or serial order differ
+    /// from the derived ones.
     pub fn from_metadata(meta: &ScheduleMetadata, n: usize) -> Result<Self, CoreError> {
-        check_serial_order(&meta.serial_order, n)?;
-        let mut list: Vec<(u32, u32)> = Vec::with_capacity(meta.edges.len());
-        for &(a, b) in &meta.edges {
-            if a >= n || b >= n || a == b {
-                return Err(CoreError::MalformedSchedule {
-                    reason: format!("edge ({a}, {b}) is out of range"),
-                });
+        let malformed = |reason: String| Err(CoreError::MalformedSchedule { reason });
+        let records = &meta.profiles;
+        if records.len() != n {
+            let published = records.len();
+            return malformed(format!(
+                "{published} lock profiles published for {n} transactions"
+            ));
+        }
+        for (i, record) in records.iter().enumerate() {
+            let named = record.tx_index;
+            if named != i {
+                return malformed(format!("profile record {i} names transaction {named}"));
             }
-            list.push((a as u32, b as u32));
-        }
-        let published = list.len();
-        let graph = Self::build(n, list);
-        // The canonical representation has no duplicate edges; published
-        // duplicates would silently vanish in the CSR dedup, so reject
-        // them instead of letting the digest cover bytes the graph
-        // ignores. Out-of-range and self edges were rejected above, so
-        // the build can only have shrunk the list by deduplicating.
-        if graph.edge_count() != published {
-            return Err(CoreError::MalformedSchedule {
-                reason: "duplicate happens-before edge".into(),
-            });
-        }
-        if graph.topo.is_none() {
-            return Err(CoreError::MalformedSchedule {
-                reason: "published edges contain a cycle".into(),
-            });
-        }
-        // The published serial order must itself respect every edge.
-        let mut position = vec![0usize; n];
-        for (pos, &tx) in meta.serial_order.iter().enumerate() {
-            position[tx] = pos;
-        }
-        for &(a, b) in &meta.edges {
-            if position[a] > position[b] {
-                return Err(CoreError::MalformedSchedule {
-                    reason: format!("serial order places {b} before its predecessor {a}"),
-                });
+            // A profile is sorted by lock, so one entry per lock is strictly
+            // increasing ids. Checked before deriving: a lock repeated k
+            // times in two modes would put one transaction in two adjacent
+            // runs and make `from_profiles` push k² pairs.
+            if !record.profile.locks.is_sorted_by(|a, b| a.lock < b.lock) {
+                return malformed(format!("profile record {i} lists a lock more than once"));
             }
+        }
+        let graph = Self::from_profiles(records.iter().map(|record| &record.profile));
+        let Some(order) = graph.serial_order() else {
+            return malformed("the lock profiles derive a cyclic happens-before graph".into());
+        };
+        if meta.serial_order != order || !graph.edge_pairs().eq(meta.edges.iter().copied()) {
+            return malformed(
+                "published edges or serial order differ from what the lock profiles derive".into(),
+            );
         }
         Ok(graph)
     }
-}
-
-/// Checks that a published serial `order` is a permutation of `0..n`, so
-/// a replay that walks it indexes in range and runs every transaction
-/// exactly once.
-///
-/// # Errors
-///
-/// [`CoreError::MalformedSchedule`] if it is not.
-pub(crate) fn check_serial_order(order: &[usize], n: usize) -> Result<(), CoreError> {
-    if order.len() != n {
-        return Err(CoreError::MalformedSchedule {
-            reason: format!(
-                "serial order covers {} transactions, block has {n}",
-                order.len()
-            ),
-        });
-    }
-    let mut seen = vec![false; n];
-    for &i in order {
-        if i >= n || seen[i] {
-            return Err(CoreError::MalformedSchedule {
-                reason: "serial order is not a permutation of the block's transactions".into(),
-            });
-        }
-        seen[i] = true;
-    }
-    Ok(())
 }
 
 /// Precomputed reachability over a [`HappensBeforeGraph`].
@@ -520,7 +457,7 @@ impl Reachability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_stm::{LockSpace, ProfileEntry};
+    use cc_stm::{LockId, LockSpace, ProfileEntry};
 
     fn profile(entries: &[(LockId, LockMode, u64)]) -> LockProfile {
         LockProfile::new(
@@ -750,44 +687,90 @@ mod tests {
 
     #[test]
     fn malformed_metadata_is_rejected() {
-        // Wrong length.
-        let meta = ScheduleMetadata::sequential(3);
-        assert!(HappensBeforeGraph::from_metadata(&meta, 2).is_err());
-        // Not a permutation.
-        let meta = ScheduleMetadata {
-            serial_order: vec![0, 0],
-            edges: vec![],
-            profiles: vec![],
+        let (a, b) = (LockSpace::new("a").whole(), LockSpace::new("b").whole());
+        // Transactions 0 and 2 conflict on `a`; 1 commutes with both.
+        let profiles = vec![
+            profile(&[(a, LockMode::Exclusive, 1)]),
+            profile(&[(b, LockMode::Shared, 1)]),
+            profile(&[(a, LockMode::Exclusive, 2)]),
+        ];
+        let honest = HappensBeforeGraph::from_profiles(&profiles)
+            .to_metadata(&profiles)
+            .unwrap();
+        assert!(HappensBeforeGraph::from_metadata(&honest, 3).is_ok());
+        type Lie = fn(&mut ScheduleMetadata);
+        let forged = |lie: Lie| {
+            let mut meta = honest.clone();
+            lie(&mut meta);
+            HappensBeforeGraph::from_metadata(&meta, 3).unwrap_err()
         };
-        assert!(HappensBeforeGraph::from_metadata(&meta, 2).is_err());
-        // Edge out of range.
-        let meta = ScheduleMetadata {
-            serial_order: vec![0, 1],
-            edges: vec![(0, 5)],
-            profiles: vec![],
-        };
-        assert!(HappensBeforeGraph::from_metadata(&meta, 2).is_err());
-        // Duplicate edge.
-        let meta = ScheduleMetadata {
-            serial_order: vec![0, 1],
-            edges: vec![(0, 1), (0, 1)],
-            profiles: vec![],
-        };
-        assert!(HappensBeforeGraph::from_metadata(&meta, 2).is_err());
-        // Cyclic edges.
+        let lies: [(&str, Lie); 8] = [
+            ("a profile-less chain", |m| m.profiles.clear()),
+            ("a record too many", |m| {
+                m.profiles.push(m.profiles[0].clone())
+            }),
+            ("records out of order", |m| m.profiles.swap(0, 1)),
+            ("a repeated entry", |m| {
+                let locks = &mut m.profiles[0].profile.locks;
+                locks.push(locks[0]);
+            }),
+            ("a dropped edge", |m| m.edges.clear()),
+            ("an edge the order agrees with", |m| m.edges.push((1, 2))),
+            ("another topological order", |m| m.serial_order.swap(0, 1)),
+            ("an order that is no permutation", |m| m.serial_order[2] = 0),
+        ];
+        for (case, lie) in lies {
+            let err = forged(lie);
+            assert!(
+                matches!(err, CoreError::MalformedSchedule { .. }),
+                "{case}: {err}"
+            );
+        }
+        assert!(HappensBeforeGraph::from_metadata(&honest, 2).is_err());
+
+        // Counters that order two transactions both ways on two locks.
+        let cyclic = [
+            profile(&[(a, LockMode::Exclusive, 1), (b, LockMode::Exclusive, 2)]),
+            profile(&[(a, LockMode::Exclusive, 2), (b, LockMode::Exclusive, 1)]),
+        ];
         let meta = ScheduleMetadata {
             serial_order: vec![0, 1],
             edges: vec![(0, 1), (1, 0)],
-            profiles: vec![],
+            profiles: cyclic
+                .into_iter()
+                .enumerate()
+                .map(|(tx_index, profile)| ProfileRecord { tx_index, profile })
+                .collect(),
         };
-        assert!(HappensBeforeGraph::from_metadata(&meta, 2).is_err());
-        // Serial order contradicting an edge.
+        let err = HappensBeforeGraph::from_metadata(&meta, 2).unwrap_err();
+        assert!(err.to_string().contains("cyclic"), "{err}");
+    }
+
+    #[test]
+    fn repeated_locks_are_rejected_before_any_graph_is_built() {
+        // One transaction holds one lock k times shared, then k times
+        // additive: two adjacent runs, k² self-pairs for `from_profiles`
+        // to push and `build` to drop. The derived graph is the honest
+        // single vertex, so only the up-front check can refuse it.
+        let k = 2_000;
+        let lock = LockSpace::new("hot").whole();
+        let entry = |mode, counter| ProfileEntry {
+            lock,
+            mode,
+            counter,
+        };
+        let mut locks = vec![entry(LockMode::Shared, 1); k];
+        locks.extend(vec![entry(LockMode::Additive, 2); k]);
         let meta = ScheduleMetadata {
-            serial_order: vec![1, 0],
-            edges: vec![(0, 1)],
-            profiles: vec![],
+            serial_order: vec![0],
+            edges: Vec::new(),
+            profiles: vec![ProfileRecord {
+                tx_index: 0,
+                profile: LockProfile { locks },
+            }],
         };
-        assert!(HappensBeforeGraph::from_metadata(&meta, 2).is_err());
+        let err = HappensBeforeGraph::from_metadata(&meta, 1).unwrap_err();
+        assert!(err.to_string().contains("more than once"), "{err}");
     }
 
     #[test]

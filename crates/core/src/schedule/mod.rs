@@ -3,5 +3,4 @@
 
 mod graph;
 
-pub(crate) use graph::{check_serial_order, for_each_consecutive_run_pair};
 pub use graph::{HappensBeforeGraph, Reachability};

@@ -1,12 +1,14 @@
-//! Block validation: one replay kernel (`replay`) onto one target, the
-//! pending overlay — [`crate::Engine::validate`] is a one-block pending
-//! chain, the node's followers a longer one — and the verdict
-//! (`checks`).
+//! Block validation: one replay kernel (`replay`) in one order, the
+//! fork-join program of the graph a block's lock profiles derive, onto one
+//! target, the pending overlay — [`crate::Engine::validate`] is a
+//! one-block pending chain, the node's followers a longer one — and the
+//! verdict (`checks`).
 
 pub(crate) mod checks;
 pub(crate) mod replay;
 
-// The kernel's two orders as the engines use them, one test module each.
+// The kernel on the concurrent engines' pools and on the serial engine's
+// one worker, one test module each.
 #[cfg(test)]
 mod parallel;
 #[cfg(test)]

@@ -1,8 +1,8 @@
-//! Validation by the fork-join engines: the speculative and the optimistic
-//! engine both replay a block as the fork-join program of its published
-//! happens-before graph (`replay::Order::ForkJoin`), checking each
-//! replayed lock trace against the published profile unless trace checks
-//! are off. Every case here runs on both.
+//! Validation by the concurrent engines: the speculative and the optimistic
+//! engine both replay a block as the fork-join program of the
+//! happens-before graph its lock profiles derive, on their pool, checking
+//! each replayed lock trace against the published profile unless trace
+//! checks are off. Every case here runs on both.
 
 #[cfg(test)]
 mod tests {
@@ -110,10 +110,11 @@ mod tests {
     }
 
     #[test]
-    fn dropping_a_dependency_edge_is_detected_as_a_race() {
+    fn dropping_a_dependency_edge_is_malformed() {
         // Transactions from the same sender conflict on the sender's
         // counts entry; removing the edge between two of them while
-        // keeping the header consistent must be caught by the race check.
+        // keeping the header consistent leaves a schedule the profiles do
+        // not derive.
         for engine in fork_join_engines(3) {
             let strategy = engine.strategy();
             let mined = engine.mine(&counter_world(), counter_txs(12)).unwrap();
@@ -125,15 +126,10 @@ mod tests {
             // (a dishonest miner would do exactly this).
             block.header.schedule_digest = schedule.digest();
             let err = engine.validate(&counter_world(), &block).unwrap_err();
-            match err {
-                CoreError::BlockRejected { reasons } => {
-                    assert!(
-                        reasons.iter().any(|r| r.contains("data race")),
-                        "{strategy}: expected a data-race rejection, got: {reasons:?}"
-                    );
-                }
-                other => panic!("{strategy}: expected rejection, got {other:?}"),
-            }
+            assert!(
+                matches!(err, CoreError::MalformedSchedule { .. }),
+                "{strategy}: {err:?}"
+            );
         }
     }
 
@@ -189,14 +185,11 @@ mod tests {
         let mined = Engine::serial()
             .mine(&counter_world(), counter_txs(6))
             .unwrap();
-        // A sequential schedule has no profiles; the trace check would
-        // reject it, which is the correct behaviour for a fork-join
-        // validator — but the ablation mode can still replay it.
+        // The serial miner publishes its lock profiles like the others, so
+        // the strict fork-join validators replay its block.
         for engine in fork_join_engines(2) {
             let strategy = engine.strategy();
-            let report = lenient(&engine)
-                .validate(&counter_world(), &mined.block)
-                .unwrap();
+            let report = engine.validate(&counter_world(), &mined.block).unwrap();
             assert_eq!(
                 report.state_root, mined.block.header.state_root,
                 "{strategy}"

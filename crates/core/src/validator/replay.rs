@@ -1,22 +1,20 @@
-//! The one replay (paper Algorithm 2): re-execute a block's transactions
-//! in an order its published schedule allows, collect receipts and lock
-//! traces, compare. Every transaction runs as a multi-version transaction
-//! whose versions stay stacked above the base as a pending overlay (see
-//! [`crate::node::pending`]), so every validator is a row of one column —
-//!
-//! | order ↓ | replayed onto the pending overlay |
-//! |---|---|
-//! | [`Order::Published`] | a serial engine's `validate` and `PendingChain` |
-//! | [`Order::ForkJoin`] | a concurrent engine's `validate` and `PendingChain` |
-//!
-//! — and all of them are [`Order::validate`]: well-formedness, [`replay`],
-//! the verdict of [`checks`]. The state root is checked once the overlay
-//! is flattened, by `PendingChain::commit`.
+//! The one replay (paper Algorithm 2): derive the happens-before graph
+//! from the lock profiles a block publishes
+//! ([`HappensBeforeGraph::from_metadata`]), re-execute the block's
+//! transactions as its fork-join program on the engine's pool, collect
+//! receipts and lock traces, compare. Every transaction runs as a
+//! multi-version transaction whose versions stay stacked above the base
+//! as a pending overlay (see [`crate::node::pending`]). Every engine
+//! replays this way; the serial one does it on its one-worker pool, where
+//! the fork-join program is a walk on the calling thread. Every validation
+//! entry point is [`Order::validate`]: well-formedness, [`replay`], the
+//! verdict of [`checks`]. The state root is checked once the overlay is
+//! flattened, by `PendingChain::commit`.
 
 use super::checks;
 use crate::error::CoreError;
 use crate::fork_join::run_fork_join_on;
-use crate::schedule::{check_serial_order, HappensBeforeGraph};
+use crate::schedule::HappensBeforeGraph;
 use crate::stats::ValidationReport;
 use cc_ledger::{Block, Transaction};
 use cc_primitives::pool::WorkerPool;
@@ -34,29 +32,18 @@ pub(crate) type Trace = BTreeMap<LockId, LockMode>;
 type Replayed = Result<(Receipt, Trace), String>;
 
 /// What a block's replay recorded: receipts and traces in block order,
-/// and the graph a fork-join order was built from.
-pub(crate) type Recorded = (Vec<Receipt>, Vec<Trace>, Option<HappensBeforeGraph>);
+/// and the graph the fork-join program was built from.
+pub(crate) type Recorded = (Vec<Receipt>, Vec<Trace>, HappensBeforeGraph);
 
-/// How a replay orders a block's transactions. An engine chooses once,
-/// for every block its validator and its node's followers replay.
+/// How an engine replays blocks — for its validator and for its node's
+/// followers alike.
 #[derive(Debug, Clone)]
-pub(crate) enum Order {
-    /// On the calling thread, in the published serial order — the
-    /// serialization the block's receipts and state commit to — or in
-    /// block order when the block carries no schedule. No trace checks:
-    /// the blocks of a serial engine publish no lock profiles to check
-    /// against.
-    Published,
-    /// As the fork-join program of the published happens-before graph:
-    /// a transaction runs once its predecessors have, unordered ones
-    /// concurrently on `pool`.
-    ForkJoin {
-        /// The pool the fork-join program runs on.
-        pool: Arc<WorkerPool>,
-        /// Whether the verdict checks the replayed traces against the
-        /// schedule (lock profiles, hidden races). Off: ablation only.
-        check_traces: bool,
-    },
+pub(crate) struct Order {
+    /// The pool the fork-join program runs on.
+    pub(crate) pool: Arc<WorkerPool>,
+    /// Whether the verdict checks the replayed traces against the
+    /// published profiles. Off: ablation only.
+    pub(crate) check_traces: bool,
 }
 
 /// Executes transaction `index` of a block on `world` as a multi-version
@@ -74,56 +61,42 @@ fn execute(world: &World, index: usize, tx: &Transaction) -> Replayed {
     );
     let receipt = executed.map_err(|e| e.to_string())?;
     // Every conflicting predecessor committed before this snapshot was
-    // taken, so first-committer-wins can only fail when the schedule
-    // leaves a conflicting pair unordered. The footprint already carries
-    // the strongest mode per lock, exactly what the trace checks compare.
+    // taken, so first-committer-wins can only fail when the transaction
+    // touched what its profile does not claim, which the trace check
+    // rejects anyway. The footprint already carries the strongest mode
+    // per lock, exactly what the trace check compares.
     let commit = txn.commit().map_err(|e| {
-        format!("{e} (a data race: the published schedule does not order it after a conflicting transaction)")
+        format!("{e} (a data race: the derived schedule does not order it after a conflicting transaction)")
     })?;
     Ok((receipt, commit.footprint.into_iter().collect()))
 }
 
-/// Runs `execute` once per transaction of `block` in the given `order`
-/// and returns what it recorded.
+/// Runs `execute` once per transaction of `block`, as the fork-join
+/// program of the graph its schedule derives, on `pool`, and returns what
+/// it recorded.
 ///
 /// # Errors
 ///
-/// Before anything runs: [`CoreError::MissingSchedule`] when a fork-join
-/// order finds no schedule, [`CoreError::MalformedSchedule`] when the
-/// published order does not cover the block's transactions exactly once
-/// or contradicts the published edges. Afterwards
+/// Before anything runs: [`CoreError::MissingSchedule`] when the block
+/// carries no schedule, [`CoreError::MalformedSchedule`] when its
+/// profiles derive no graph or not the published one
+/// ([`HappensBeforeGraph::from_metadata`]). Afterwards
 /// [`CoreError::BlockRejected`], naming the lowest-index transaction
 /// whose `execute` failed.
 pub(crate) fn replay(
     block: &Block,
-    order: &Order,
+    pool: &WorkerPool,
     execute: impl Fn(usize, &Transaction) -> Replayed + Sync,
 ) -> Result<Recorded, CoreError> {
     let txs = &block.transactions;
+    let schedule = block.schedule.as_ref().ok_or(CoreError::MissingSchedule)?;
+    let graph = HappensBeforeGraph::from_metadata(schedule, txs.len())?;
     // One slot per transaction; a failure stays in its slot instead of
     // unwinding through the pool.
     let slots: Vec<OnceLock<Replayed>> = txs.iter().map(|_| OnceLock::new()).collect();
-    let run = |index: usize| {
+    run_fork_join_on(pool, &graph, |index| {
         let _ = slots[index].set(execute(index, &txs[index]));
-    };
-    let graph = match order {
-        Order::Published => {
-            match &block.schedule {
-                Some(schedule) => {
-                    check_serial_order(&schedule.serial_order, txs.len())?;
-                    schedule.serial_order.iter().for_each(|&index| run(index));
-                }
-                None => (0..txs.len()).for_each(run),
-            }
-            None
-        }
-        Order::ForkJoin { pool, .. } => {
-            let schedule = block.schedule.as_ref().ok_or(CoreError::MissingSchedule)?;
-            let graph = HappensBeforeGraph::from_metadata(schedule, txs.len())?;
-            run_fork_join_on(pool, &graph, run);
-            Some(graph)
-        }
-    };
+    });
     let replayed = slots.into_iter().enumerate().map(|(index, slot)| {
         let outcome = slot.into_inner();
         outcome
@@ -135,29 +108,21 @@ pub(crate) fn replay(
 }
 
 impl Order {
-    /// The fork-join order on `pool`, with the trace checks on.
+    /// The order on `pool`, with the trace checks on.
     pub(crate) fn fork_join(pool: Arc<WorkerPool>) -> Self {
         let check_traces = true;
-        Order::ForkJoin { pool, check_traces }
-    }
-
-    /// Threads a replay in this order runs on.
-    pub(crate) fn threads(&self) -> usize {
-        match self {
-            Order::Published => 1,
-            Order::ForkJoin { pool, .. } => pool.workers(),
-        }
+        Order { pool, check_traces }
     }
 
     /// Validates `block` on `world`'s pending overlay: the structural
-    /// prologue, the replay in this order, and the verdict. The report's
-    /// root is the block's claim, checked when the overlay is flattened
+    /// prologue, the replay, and the verdict. The report's root is the
+    /// block's claim, checked when the overlay is flattened
     /// (`PendingChain::commit`).
     ///
     /// # Errors
     ///
     /// [`CoreError::MissingSchedule`] / [`CoreError::MalformedSchedule`]
-    /// when the order cannot be built from the block;
+    /// when no fork-join program can be derived from the block;
     /// [`CoreError::BlockRejected`] when the block is dishonest. Any of
     /// them may leave versions of the block in the overlay, for the
     /// caller to discard.
@@ -168,21 +133,16 @@ impl Order {
     ) -> Result<ValidationReport, CoreError> {
         let start = Instant::now();
         checks::well_formed(block)?;
-        let (receipts, traces, graph) = replay(block, self, |index, tx| execute(world, index, tx))?;
-        let published = match self {
-            Order::ForkJoin { check_traces, .. } if *check_traces => {
-                block.schedule.as_ref().zip(graph.as_ref())
-            }
-            _ => None,
-        };
+        let (receipts, traces, graph) =
+            replay(block, &self.pool, |index, tx| execute(world, index, tx))?;
+        let published = block.schedule.as_ref().filter(|_| self.check_traces);
         checks::verdict(block, published, &traces, &receipts)?;
-        let n = block.transactions.len();
         Ok(ValidationReport {
-            threads: self.threads(),
-            transactions: n,
+            threads: self.pool.workers(),
+            transactions: block.transactions.len(),
             state_root: block.header.state_root,
             elapsed: start.elapsed(),
-            critical_path: graph.map_or(n, |graph| graph.critical_path()),
+            critical_path: graph.critical_path(),
         })
     }
 }
@@ -278,13 +238,10 @@ mod tests {
         transfers.chain(checks).collect()
     }
 
-    /// Every order of the table: the published one, and fork-join on
-    /// pools of each size.
+    /// The order on pools of each size.
     fn orders() -> Vec<Order> {
-        let fork_join = |workers| Order::fork_join(Arc::new(WorkerPool::new(workers)));
-        let mut orders = vec![Order::Published];
-        orders.extend(POOLS.map(fork_join));
-        orders
+        let on_pool = |workers| Order::fork_join(Arc::new(WorkerPool::new(workers)));
+        POOLS.map(on_pool).into()
     }
 
     /// The kernel alone, in `order` on a fresh world: the receipts, the
@@ -295,7 +252,7 @@ mod tests {
         block: &Block,
     ) -> (Vec<Receipt>, Vec<Trace>, Hash256) {
         let (receipts, traces, _) =
-            replay(block, order, |index, tx| execute(world, index, tx)).unwrap();
+            replay(block, &order.pool, |index, tx| execute(world, index, tx)).unwrap();
         world.mvcc().finalize_block();
         (receipts, traces, world.state_root())
     }
@@ -319,20 +276,21 @@ mod tests {
             ("counter", counter_world, counter_txs(0, 30)),
         ];
         for (i, (name, build_world, txs)) in fixtures.into_iter().enumerate() {
-            // Both concurrent miners take turns producing the block.
-            let miner = match i % 2 {
-                0 => Engine::speculative(3),
-                _ => Engine::optimistic(3),
+            // Every miner takes its turn producing the block.
+            let miner = match i % 3 {
+                0 => Engine::speculative(3).unwrap(),
+                1 => Engine::optimistic(3).unwrap(),
+                _ => Engine::serial(),
             };
-            let mined = miner.unwrap().mine(&build_world(), txs);
-            let block = mined.unwrap().block;
+            let block = miner.mine(&build_world(), txs).unwrap().block;
             let root = block.header.state_root;
-            let (_, reference, _) = replay_cell(&Order::Published, &build_world(), &block);
+            let records = &block.schedule.as_ref().unwrap().profiles;
+            let profiles: Vec<Trace> = records.iter().map(|r| r.profile.lock_set()).collect();
             for order in orders() {
-                let cell = format!("{name}, {} thread(s)", order.threads());
+                let cell = format!("{name}, {} thread(s)", order.pool.workers());
                 let (receipts, traces, replayed_root) = replay_cell(&order, &build_world(), &block);
                 assert_eq!(receipts, block.receipts, "{cell}");
-                assert_eq!(traces, reference, "{cell}");
+                assert_eq!(traces, profiles, "{cell}");
                 assert_eq!(replayed_root, root, "{cell}");
                 assert_eq!(accept(&order, &build_world(), &block), root, "{cell}");
             }
@@ -341,48 +299,44 @@ mod tests {
 
     #[test]
     fn published_order_is_checked_before_anything_runs() {
-        let honest = Engine::speculative(2)
-            .unwrap()
-            .mine(&counter_world(), counter_txs(0, 4))
+        // Eight increments from four senders, mined one at a time:
+        // 0 → 4, 1 → 5, 2 → 6, 3 → 7, and 0 and 1 are unordered.
+        let honest = Engine::serial()
+            .mine(&counter_world(), counter_txs(0, 8))
             .unwrap()
             .block;
-        let forge = |entry: usize, value: usize| {
+        let forge = |lie: fn(&mut Vec<usize>)| {
             let mut block = honest.clone();
-            block.schedule.as_mut().unwrap().serial_order[entry] = value;
+            lie(&mut block.schedule.as_mut().unwrap().serial_order);
             block
         };
-        let duplicate = honest.schedule.as_ref().unwrap().serial_order[0];
-        for (case, block) in [
-            ("out of range", forge(3, 999)),
-            ("duplicate", forge(3, duplicate)),
-        ] {
-            let ran = AtomicUsize::new(0);
-            let world = counter_world();
-            let err = replay(&block, &Order::Published, |index, tx| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                execute(&world, index, tx)
-            })
-            .unwrap_err();
-            assert!(
-                matches!(err, CoreError::MalformedSchedule { .. }),
-                "{case}: {err}"
-            );
-            assert!(
-                err.to_string().contains("not a permutation"),
-                "{case}: {err}"
-            );
-            assert_eq!(ran.into_inner(), 0, "{case}: nothing may run");
-        }
-
-        // A block with no schedule at all replays in block order.
-        let mut bare = Engine::serial()
-            .mine(&counter_world(), counter_txs(0, 4))
-            .unwrap()
-            .block;
+        let mut bare = honest.clone();
         bare.schedule = None;
-        bare.header.schedule_digest = Hash256::ZERO;
-        let root = accept(&Order::Published, &counter_world(), &bare);
-        assert_eq!(root, bare.header.state_root);
+        let forgeries = [
+            ("out of range", forge(|order| order[3] = 999)),
+            ("duplicate", forge(|order| order[3] = order[0])),
+            ("another topological order", forge(|order| order.swap(0, 1))),
+            ("no schedule", bare),
+        ];
+        for order in orders() {
+            for (case, block) in &forgeries {
+                let case = format!("{case}, {} thread(s)", order.pool.workers());
+                let ran = AtomicUsize::new(0);
+                let world = counter_world();
+                let err = replay(block, &order.pool, |index, tx| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    execute(&world, index, tx)
+                })
+                .unwrap_err();
+                let typed = match err {
+                    CoreError::MissingSchedule => block.schedule.is_none(),
+                    CoreError::MalformedSchedule { .. } => block.schedule.is_some(),
+                    _ => false,
+                };
+                assert!(typed, "{case}: {err}");
+                assert_eq!(ran.into_inner(), 0, "{case}: nothing may run");
+            }
+        }
     }
 
     #[test]
@@ -394,13 +348,13 @@ mod tests {
             .block;
         for order in orders() {
             let world = counter_world();
-            let err = replay(&block, &order, |index, tx| match index {
+            let err = replay(&block, &order.pool, |index, tx| match index {
                 5 | 9 => Err(format!("no {index}")),
                 _ => execute(&world, index, tx),
             })
             .unwrap_err();
             let expected = CoreError::rejected("replay of transaction 5 failed: no 5");
-            assert_eq!(err, expected, "{} thread(s)", order.threads());
+            assert_eq!(err, expected, "{} thread(s)", order.pool.workers());
         }
     }
 
@@ -429,18 +383,21 @@ mod tests {
     }
 
     #[test]
-    fn a_dropped_edge_is_a_data_race_in_every_fork_join_cell() {
+    fn a_dropped_edge_is_malformed_in_every_cell() {
         let (blocks, racy) = chain_with_dropped_edges();
         let genesis = blocks[0].header.parent_hash;
-        for order in orders().into_iter().skip(1) {
-            let cell = format!("{} thread(s)", order.threads());
+        for order in orders() {
+            let cell = format!("{} thread(s)", order.pool.workers());
             // The rejected block is dropped whole: its pending predecessor
             // still commits, and so does the honest block in its place.
             let world = counter_world();
             let mut pending = PendingChain::in_order(&world, genesis, 2, order);
             let first = pending.speculate(genesis, &blocks[0]).unwrap();
             let err = pending.speculate(first, &racy).unwrap_err();
-            assert!(err.to_string().contains("data race"), "{cell}: {err}");
+            assert!(
+                matches!(err, CoreError::MalformedSchedule { .. }),
+                "{cell}: {err}"
+            );
             assert_eq!(pending.len(), 1, "{cell}");
             let second = pending.speculate(first, &blocks[1]).unwrap();
             pending.commit(&first).unwrap();
@@ -465,8 +422,8 @@ mod tests {
         };
         let blocks = [mine(0), mine(100), mine(200)];
         let genesis = blocks[0].header.parent_hash;
-        for order in orders().into_iter().skip(1) {
-            let cell = format!("{} thread(s)", order.threads());
+        for order in orders() {
+            let cell = format!("{} thread(s)", order.pool.workers());
             let world = counter_world();
             let mut pending = PendingChain::in_order(&world, genesis, 3, order);
             let first = pending.speculate(genesis, &blocks[0]).unwrap();

@@ -1,10 +1,10 @@
-//! Validation by the serial engine: `replay::Order::Published` replays a
-//! block's transactions one at a time in block order and checks every
-//! commitment, with no schedule to follow and no lock traces to check.
+//! Validation by the serial engine: the same replay as every engine's, the
+//! fork-join program of the derived graph, on a one-worker pool — a walk
+//! on the calling thread that checks every commitment and lock trace.
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::{Engine, EngineConfig};
+    use crate::engine::Engine;
     use crate::error::CoreError;
     use cc_ledger::Transaction;
     use cc_primitives::hash::Hash256;
@@ -81,35 +81,5 @@ mod tests {
         let mined = engine.mine(&miner_world, txs(addr, 4)).unwrap();
         let err = engine.validate(&miner_world, &mined.block).unwrap_err();
         assert!(matches!(err, CoreError::BlockRejected { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn schedule_and_trace_checks_do_not_change_the_verdict() {
-        // Block order is the order: a schedule stripped of its edges, or
-        // no schedule at all, replays the same, with trace checks on or
-        // off; a forged root is rejected either way.
-        let (miner_world, _, addr) = setup();
-        let mined = Engine::serial().mine(&miner_world, txs(addr, 6)).unwrap();
-        let mut no_edges = mined.block.clone();
-        let schedule = no_edges.schedule.as_mut().unwrap();
-        assert!(!schedule.edges.is_empty());
-        schedule.edges.clear();
-        no_edges.header.schedule_digest = schedule.digest();
-        let mut no_schedule = mined.block.clone();
-        no_schedule.schedule = None;
-        no_schedule.header.schedule_digest = Hash256::ZERO;
-        let mut forged = mined.block.clone();
-        forged.header.state_root = cc_primitives::sha256(b"forged");
-
-        let lenient = EngineConfig::serial().check_traces(false).build().unwrap();
-        for engine in [Engine::serial(), lenient] {
-            for block in [&mined.block, &no_edges, &no_schedule] {
-                let (_, world, _) = setup();
-                let report = engine.validate(&world, block).unwrap();
-                assert_eq!(report.state_root, block.header.state_root);
-            }
-            let (_, world, _) = setup();
-            assert!(engine.validate(&world, &forged).is_err());
-        }
     }
 }

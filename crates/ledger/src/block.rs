@@ -76,8 +76,8 @@ pub struct BlockHeader {
     pub state_root: Hash256,
     /// Commitment to the receipts.
     pub receipts_root: Hash256,
-    /// Commitment to the published schedule (zero when the miner published
-    /// no parallel schedule, i.e. a purely sequential block).
+    /// Commitment to the published schedule (zero when the block carries
+    /// none, which no validator accepts).
     pub schedule_digest: Hash256,
     /// Total gas consumed by the block's transactions.
     pub gas_used: u64,
@@ -355,7 +355,7 @@ mod tests {
             vec![tx(0), tx(1)],
             vec![receipt(0), receipt(1)],
             Hash256::ZERO,
-            Some(ScheduleMetadata::sequential(2)),
+            Some(ScheduleMetadata::chain(2)),
         );
         assert!(block.is_well_formed());
         assert_eq!(block.header.gas_used, 42_000);
@@ -371,7 +371,7 @@ mod tests {
             vec![tx(0), tx(1)],
             vec![receipt(0), receipt(1)],
             Hash256::ZERO,
-            Some(ScheduleMetadata::sequential(2)),
+            Some(ScheduleMetadata::chain(2)),
         );
         block.transactions.pop();
         assert!(!block.is_well_formed());
@@ -385,7 +385,7 @@ mod tests {
             vec![tx(0), tx(1)],
             vec![receipt(0), receipt(1)],
             Hash256::ZERO,
-            Some(ScheduleMetadata::sequential(2)),
+            Some(ScheduleMetadata::chain(2)),
         );
         block.schedule.as_mut().unwrap().edges.clear();
         assert!(!block.is_well_formed());
@@ -415,7 +415,7 @@ mod tests {
 
     #[test]
     fn checked_bytes_roundtrip() {
-        for schedule in [None, Some(ScheduleMetadata::sequential(2))] {
+        for schedule in [None, Some(ScheduleMetadata::chain(2))] {
             let block = Block::build(
                 Hash256::ZERO,
                 1,

@@ -220,7 +220,7 @@ mod tests {
             txs,
             receipts,
             Hash256::ZERO,
-            Some(ScheduleMetadata::sequential(ntx as usize)),
+            Some(ScheduleMetadata::chain(ntx as usize)),
         )
     }
 

@@ -11,8 +11,8 @@
 //!
 //! * [`Transaction`] — a signed call descriptor (sender, target contract,
 //!   function, arguments, gas limit),
-//! * [`ScheduleMetadata`] — serial order, happens-before edges and lock
-//!   profiles published by the miner,
+//! * [`ScheduleMetadata`] — the lock profiles published by the miner, with
+//!   the happens-before edges and serial order they derive,
 //! * [`Block`] / [`BlockHeader`] — the chain element, committing to its
 //!   parent, its transactions, its receipts, its final state and its
 //!   schedule,

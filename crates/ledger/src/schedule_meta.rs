@@ -21,13 +21,18 @@ pub struct ProfileRecord {
 
 /// The schedule a miner discovered while executing a block speculatively.
 ///
-/// * `serial_order` — a serialization of the block equivalent to the
-///   concurrent execution (a topological sort of the happens-before graph).
-/// * `edges` — the happens-before graph as `(before, after)` pairs of
-///   transaction indices.
-/// * `profiles` — per-transaction lock profiles, letting validators verify
-///   that the published graph is consistent with what re-execution
-///   actually accesses.
+/// * `profiles` — one lock profile per transaction, in block order: the
+///   schedule itself. Validators derive the happens-before graph from
+///   them (`cc_core::HappensBeforeGraph::from_metadata`) and check every
+///   replayed transaction's locks against its profile.
+/// * `edges` — the happens-before graph the profiles derive, as
+///   `(before, after)` pairs of transaction indices, sorted.
+/// * `serial_order` — the derived graph's canonical topological sort (the
+///   smallest ready index first).
+///
+/// The last two say nothing the profiles do not, and a validator rejects a
+/// block whose copies differ from what it derives. They stay on the wire
+/// only until the benchmark stops reading them.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ScheduleMetadata {
     /// Equivalent serial order of transaction indices.
@@ -39,26 +44,6 @@ pub struct ScheduleMetadata {
 }
 
 impl ScheduleMetadata {
-    /// The schedule of a block mined serially: transactions totally
-    /// ordered by their block position.
-    pub fn sequential(n: usize) -> Self {
-        ScheduleMetadata {
-            serial_order: (0..n).collect(),
-            edges: (1..n).map(|i| (i - 1, i)).collect(),
-            profiles: Vec::new(),
-        }
-    }
-
-    /// A schedule with no constraints at all (used in tests and as the
-    /// degenerate case for an empty block).
-    pub fn unconstrained(n: usize) -> Self {
-        ScheduleMetadata {
-            serial_order: (0..n).collect(),
-            edges: Vec::new(),
-            profiles: Vec::new(),
-        }
-    }
-
     /// Number of transactions the schedule covers.
     pub fn len(&self) -> usize {
         self.serial_order.len()
@@ -220,6 +205,19 @@ impl fmt::Display for ScheduleMetadata {
 }
 
 #[cfg(test)]
+impl ScheduleMetadata {
+    /// The profile-less chain `0 → 1 → … → n−1` in block order — the shape
+    /// serial blocks published before every miner published its profiles.
+    pub(crate) fn chain(n: usize) -> Self {
+        ScheduleMetadata {
+            serial_order: (0..n).collect(),
+            edges: (1..n).map(|i| (i - 1, i)).collect(),
+            profiles: Vec::new(),
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use cc_stm::LockSpace;
@@ -242,7 +240,7 @@ mod tests {
 
     #[test]
     fn sequential_schedule_shape() {
-        let s = ScheduleMetadata::sequential(4);
+        let s = ScheduleMetadata::chain(4);
         assert_eq!(s.serial_order, vec![0, 1, 2, 3]);
         assert_eq!(s.edges.len(), 3);
         assert_eq!(s.critical_path(), 4);
@@ -252,9 +250,12 @@ mod tests {
 
     #[test]
     fn unconstrained_critical_path_is_one() {
-        let s = ScheduleMetadata::unconstrained(10);
-        assert_eq!(s.critical_path(), 1);
-        assert_eq!(ScheduleMetadata::unconstrained(0).critical_path(), 0);
+        let unconstrained = |n: usize| ScheduleMetadata {
+            serial_order: (0..n).collect(),
+            ..ScheduleMetadata::default()
+        };
+        assert_eq!(unconstrained(10).critical_path(), 1);
+        assert_eq!(unconstrained(0).critical_path(), 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! rules are enforced.
 
 use cc_core::node::Node;
-use cc_integration_tests::{engine, lenient_engine, serial_engine, workload};
+use cc_integration_tests::{engine, serial_engine, workload};
 use cc_workload::{Benchmark, WorkloadSpec};
 
 #[test]
@@ -50,10 +50,8 @@ fn five_block_chain_of_each_benchmark_stays_consistent() {
 fn serial_and_parallel_nodes_interoperate() {
     // A serial node and a speculative node take turns producing a chain
     // and following it, demonstrating the paper's "miner-only"
-    // compatibility story: the serial validator accepts both kinds of
-    // blocks, and the speculative validator accepts parallel-mined blocks
-    // and — a serially-mined block carries no lock profiles — serial ones
-    // with trace checks disabled (legacy mode).
+    // compatibility story: every miner publishes its lock profiles, and
+    // each validator, trace checks on, accepts the other kind's blocks.
     let spec = WorkloadSpec::new(Benchmark::Ballot, 40, 0.1);
     let template = spec.generate();
     let mut serial_node = Node::builder()
@@ -63,7 +61,7 @@ fn serial_and_parallel_nodes_interoperate() {
         .unwrap();
     let mut speculative_node = Node::builder()
         .world(template.build_world())
-        .engine(lenient_engine(3))
+        .engine(engine(3))
         .build()
         .unwrap();
 
@@ -78,9 +76,9 @@ fn serial_and_parallel_nodes_interoperate() {
             .mine_and_append(block_workload.transactions())
             .expect("mining succeeds");
         assert_eq!(
-            mined.block.schedule.as_ref().unwrap().profiles.is_empty(),
-            block_number % 2 == 0,
-            "only the serial miner publishes no lock profiles"
+            mined.block.schedule.as_ref().unwrap().profiles.len(),
+            mined.block.len(),
+            "every miner publishes one lock profile per transaction"
         );
         follower
             .validate_and_append(&mined.block)

@@ -4,7 +4,9 @@
 //! construction, but with **identical reachability and critical path**.
 //! The invariant is reachability-preserving, not edge-preserving; these
 //! tests pin it against a reference all-pairs implementation and against
-//! the paper's hot-lock auction block.
+//! the paper's hot-lock auction block. A second property is what lets the
+//! validator trust the graph it derives: it orders every conflicting pair,
+//! whatever the profiles claim.
 
 use cc_bench::schedule::{all_pairs_edges, SplitMix64};
 use cc_contracts::SimpleAuction;
@@ -15,6 +17,7 @@ use cc_ledger::Transaction;
 use cc_stm::{LockMode, LockProfile, LockSpace, ProfileEntry};
 use cc_vm::{Address, CallData, Receipt, World};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The pre-reduction reference: every ordered conflicting pair per lock
@@ -104,6 +107,72 @@ proptest! {
         let rebuilt = HappensBeforeGraph::from_metadata(&meta, n).unwrap();
         prop_assert_eq!(&rebuilt, &reduced);
         prop_assert_eq!(meta.critical_path(), reference.critical_path());
+    }
+}
+
+/// Cases of `prop_derived_graphs_order_every_conflicting_pair`: the
+/// referee for the validator having no race check of its own.
+const SOUNDNESS_CASES: u32 = 256;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(SOUNDNESS_CASES))]
+
+    /// Whatever a block's profiles claim — arbitrary and repeated
+    /// counters, one lock listed twice in a profile, every mode — the
+    /// graph `from_profiles` derives is either cyclic (the validator
+    /// rejects the block) or orders every two transactions whose strongest
+    /// modes on some lock conflict. A replay whose traces equal the
+    /// profiles therefore never runs a conflicting pair unordered.
+    #[test]
+    fn prop_derived_graphs_order_every_conflicting_pair(
+        raw in proptest::collection::vec(
+            proptest::collection::vec((0u64..4, 0u8..3, 0u64..4), 0..4),
+            2..10,
+        ),
+    ) {
+        let space = LockSpace::new("soundness.prop");
+        let modes = [LockMode::Shared, LockMode::Additive, LockMode::Exclusive];
+        let profiles: Vec<LockProfile> = raw
+            .iter()
+            .map(|entries| {
+                let entries = entries.iter().map(|&(key, mode, counter)| ProfileEntry {
+                    lock: space.lock_for(&key),
+                    mode: modes[mode as usize],
+                    counter,
+                });
+                LockProfile::new(entries.collect())
+            })
+            .collect();
+        let graph = HappensBeforeGraph::from_profiles(&profiles);
+        if graph.topological_sort().is_none() {
+            return Ok(());
+        }
+        let reach = graph.reachability();
+        // Each transaction's strongest mode per lock.
+        let strongest: Vec<BTreeMap<_, LockMode>> = profiles
+            .iter()
+            .map(|profile| {
+                let mut modes = BTreeMap::new();
+                for entry in &profile.locks {
+                    modes
+                        .entry(entry.lock)
+                        .and_modify(|mode: &mut LockMode| *mode = mode.strongest(entry.mode))
+                        .or_insert(entry.mode);
+                }
+                modes
+            })
+            .collect();
+        for (a, held_a) in strongest.iter().enumerate() {
+            for (b, held_b) in strongest.iter().enumerate().skip(a + 1) {
+                for (lock, &mode) in held_a {
+                    let conflict = held_b.get(lock).is_some_and(|&other| mode.conflicts(other));
+                    prop_assert!(
+                        !conflict || reach.ordered(a, b),
+                        "transactions {a} and {b} conflict on {lock} but are unordered"
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -30,8 +30,9 @@ pub fn optimistic_engine(threads: usize) -> Engine {
         .expect("test engine config is valid")
 }
 
-/// A speculative engine whose validator skips lock-trace checks — the
-/// legacy replay mode used for schedule-less (serially mined) blocks.
+/// A speculative engine whose validator does not compare replayed lock
+/// traces with the published profiles — the ablation mode. It still
+/// derives every block's schedule from its profiles.
 pub fn lenient_engine(threads: usize) -> Engine {
     EngineConfig::new()
         .threads(threads)

@@ -13,16 +13,22 @@
 //! catch torn writes and bit rot, but anyone who can rewrite the bytes
 //! can trivially recompute them.
 
+use cc_contracts::SimpleAuction;
 use cc_core::error::CoreError;
 use cc_core::miner::MinedBlock;
 use cc_core::node::{DurabilityConfig, Node};
-use cc_core::FollowerConfig;
-use cc_integration_tests::{counter_world, engine, increment_tx, serial_engine, workload};
+use cc_core::{Engine, FollowerConfig, HappensBeforeGraph};
+use cc_integration_tests::{
+    counter_world, engine, increment_tx, lenient_engine, optimistic_engine, serial_engine, workload,
+};
 use cc_ledger::wal::DurabilityMode;
-use cc_ledger::{Block, SnapshotError, SnapshotFile};
+use cc_ledger::{
+    Block, ProfileRecord, ScheduleMetadata, SnapshotError, SnapshotFile, Transaction, Wal, WAL_FILE,
+};
 use cc_stm::{LockMode, LockProfile, ProfileEntry};
-use cc_vm::{World, WorldSnapshot};
+use cc_vm::{Address, CallData, World, WorldSnapshot};
 use cc_workload::{Benchmark, Workload};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 fn mined_reference(benchmark: Benchmark, conflict: f64) -> (Workload, MinedBlock) {
@@ -37,10 +43,14 @@ fn mined_reference(benchmark: Benchmark, conflict: f64) -> (Workload, MinedBlock
 /// lie but a forged state root is caught before the replay's overlay
 /// reaches the base, so the world must not have moved.
 fn expect_rejection(w: &Workload, block: &Block) -> CoreError {
-    let world = w.build_world();
+    rejection(&engine(3), &w.build_world(), block)
+}
+
+/// [`expect_rejection`] by `engine` on `world`.
+fn rejection(engine: &Engine, world: &World, block: &Block) -> CoreError {
     let root = world.state_root();
-    let err = engine(3)
-        .validate(&world, block)
+    let err = engine
+        .validate(world, block)
         .expect_err("tampered block must be rejected");
     assert_eq!(
         world.state_root(),
@@ -87,7 +97,7 @@ fn forged_receipt_is_rejected() {
 }
 
 #[test]
-fn dropped_happens_before_edges_are_rejected_as_a_race() {
+fn dropped_happens_before_edges_are_malformed() {
     let (w, mined) = mined_reference(Benchmark::EtherDoc, 0.5);
     let mut block = mined.block.clone();
     let schedule = block.schedule.as_mut().unwrap();
@@ -98,7 +108,10 @@ fn dropped_happens_before_edges_are_rejected_as_a_race() {
     schedule.edges.clear();
     recommit(&mut block);
     let err = expect_rejection(&w, &block);
-    assert!(err.to_string().contains("data race"), "got: {err}");
+    assert!(
+        matches!(err, CoreError::MalformedSchedule { .. }),
+        "got: {err}"
+    );
 }
 
 #[test]
@@ -122,17 +135,23 @@ fn reordering_the_serial_order_across_a_dependency_is_rejected() {
 #[test]
 fn lying_about_lock_profiles_is_rejected() {
     let (w, mined) = mined_reference(Benchmark::Ballot, 0.3);
+    // Pretend a transaction that is ordered against another touched
+    // nothing at all: the profiles no longer derive the published edges.
     let mut block = mined.block.clone();
     {
         let schedule = block.schedule.as_mut().unwrap();
-        // Pretend transaction 0 touched nothing at all.
-        schedule.profiles[0].profile = LockProfile::default();
+        let (liar, _) = schedule.edges[0];
+        schedule.profiles[liar].profile = LockProfile::default();
         recommit(&mut block);
     }
     let err = expect_rejection(&w, &block);
-    assert!(err.to_string().contains("lock trace"), "got: {err}");
+    assert!(
+        matches!(err, CoreError::MalformedSchedule { .. }),
+        "got: {err}"
+    );
 
-    // Claiming extra locks is caught the same way.
+    // Claiming an extra lock nobody else holds derives the same graph;
+    // the replayed trace catches it.
     let mut block = mined.block.clone();
     {
         let schedule = block.schedule.as_mut().unwrap();
@@ -259,202 +278,43 @@ fn smuggling_in_an_extra_transaction_is_rejected() {
     let _err = expect_rejection(&w, &block);
 }
 
-/// A block whose only lie is `header.number` is well-formed and replays
-/// cleanly, so nothing but the node's own prologue stands between it and
-/// the world: every follower entry point must turn it away *before* any
-/// replay — node fresh, world and chain where they were — and then accept
-/// the honest block.
-#[test]
-fn forged_block_number_is_rejected_before_it_moves_the_world() {
-    let mut producer = Node::builder()
-        .world(counter_world())
-        .engine(engine(2))
-        .build()
-        .unwrap();
-    let txs = (0..6).map(|i| increment_tx(i, i, 1)).collect();
-    let honest = producer.mine_and_append(txs).unwrap().block;
-    let mut forged = honest.clone();
-    forged.header.number += 1;
-    assert!(
-        forged.is_well_formed(),
-        "the number is the block's only lie"
-    );
+type Feed = fn(&mut Node, &Block) -> Result<(), CoreError>;
 
-    let dir = std::env::temp_dir().join(format!("cc-tamper-number-{}", std::process::id()));
+/// `validate_and_append`: one block, inline.
+const ONE_BLOCK: Feed = |node, block| node.validate_and_append(block).map(drop);
+
+/// The follower pipeline, over a stream of one block.
+const STREAM: Feed = |node, block| {
+    node.run_follower_pipeline(vec![block.clone()], &FollowerConfig::new())
+        .map(drop)
+};
+
+/// Feeds every forgery to a fresh node on `engine` over `world()`, through
+/// each entry point a received block takes — `validate_and_append`, and the
+/// follower pipeline with durability off and with fsync. Each forgery must
+/// be rejected with an error naming its `reason`, leave world and chain
+/// where they were and the node fresh; the honest block must then be
+/// accepted and reach its root.
+fn assert_followers_turn_away(
+    tag: &str,
+    world: fn() -> World,
+    engine: &Engine,
+    honest: &Block,
+    forgeries: &[(&str, Block, &str)],
+) {
+    let dir = std::env::temp_dir().join(format!("cc-tamper-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    type Feed = fn(&mut Node, &Block) -> Result<(), CoreError>;
-    let one_block: Feed = |node, block| node.validate_and_append(block).map(drop);
-    let stream: Feed = |node, block| {
-        node.run_follower_pipeline(vec![block.clone()], &FollowerConfig::new())
-            .map(drop)
-    };
     let cases = [
-        ("validate_and_append", DurabilityMode::Off, one_block),
-        ("follower, durability off", DurabilityMode::Off, stream),
-        ("follower, fsync", DurabilityMode::Fsync, stream),
+        ("validate_and_append", DurabilityMode::Off, ONE_BLOCK),
+        ("follower, durability off", DurabilityMode::Off, STREAM),
+        ("follower, fsync", DurabilityMode::Fsync, STREAM),
     ];
     for (case, mode, feed) in cases {
-        let mut follower = Node::builder()
-            .world(counter_world())
-            .engine(engine(2))
-            .durability(DurabilityConfig::new(&dir, mode))
-            .build()
-            .unwrap();
-        let root = follower.world().state_root();
-
-        let err = feed(&mut follower, &forged).expect_err(case);
-        assert!(
-            err.to_string().contains("wrong block number"),
-            "{case}: {err}"
-        );
-        assert!(!follower.is_stale(), "{case}: a clean rejection stales");
-        assert_eq!(follower.world().state_root(), root, "{case}: world moved");
-        assert_eq!(follower.chain().len(), 1, "{case}");
-
-        feed(&mut follower, &honest).unwrap_or_else(|e| panic!("{case}: honest block: {e}"));
-        assert_eq!(follower.chain().head_hash(), honest.hash(), "{case}");
-        assert_eq!(
-            follower.world().state_root(),
-            producer.world().state_root(),
-            "{case}"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A `serial_order` that is not a permutation — one entry out of range,
-/// or one entry repeated — in an otherwise honest, re-committed block.
-/// Whatever order a follower's engine replays in, the order is checked
-/// before the first transaction runs: a typed error (never an
-/// out-of-bounds panic, never a transaction run twice), world and chain
-/// where they were, and every follower still fresh for the honest block.
-#[test]
-fn forged_serial_order_is_rejected_before_it_moves_the_world() {
-    let mut producer = Node::builder()
-        .world(counter_world())
-        .engine(engine(2))
-        .build()
-        .unwrap();
-    let txs = (0..4).map(|i| increment_tx(i, i, 1)).collect();
-    let honest = producer.mine_and_append(txs).unwrap().block;
-    let forge = |entry: usize, value: usize| {
-        let mut block = honest.clone();
-        let schedule = block.schedule.as_mut().unwrap();
-        schedule.serial_order[entry] = value;
-        block.header.schedule_digest = schedule.digest();
-        assert!(block.is_well_formed(), "the order is the block's only lie");
-        block
-    };
-    let repeated = honest.schedule.as_ref().unwrap().serial_order[0];
-    let forgeries = [
-        ("out of range", forge(3, 999)),
-        ("duplicate", forge(3, repeated)),
-    ];
-
-    type Feed = fn(&mut Node, &Block) -> Result<(), CoreError>;
-    let one_block: Feed = |node, block| node.validate_and_append(block).map(drop);
-    let stream: Feed = |node, block| {
-        node.run_follower_pipeline(vec![block.clone()], &FollowerConfig::new())
-            .map(drop)
-    };
-    let cases = [
-        ("serial, validate_and_append", serial_engine(), one_block),
-        ("serial, follower", serial_engine(), stream),
-        ("speculative, validate_and_append", engine(2), one_block),
-        ("speculative, follower", engine(2), stream),
-    ];
-    for (case, engine, feed) in cases {
-        for (forgery, forged) in &forgeries {
-            let case = format!("{case}, {forgery}");
+        for (forgery, forged, reason) in forgeries {
+            let case = format!("{}, {case}, {forgery}", engine.strategy());
             let mut follower = Node::builder()
-                .world(counter_world())
+                .world(world())
                 .engine(engine.clone())
-                .build()
-                .unwrap();
-            let root = follower.world().state_root();
-
-            let err = feed(&mut follower, forged).expect_err(&case);
-            assert!(
-                matches!(err, CoreError::MalformedSchedule { .. }),
-                "{case}: {err}"
-            );
-            assert_eq!(follower.world().state_root(), root, "{case}: world moved");
-            assert_eq!(follower.chain().len(), 1, "{case}");
-            assert!(!follower.is_stale(), "{case}: a clean rejection stales");
-            feed(&mut follower, &honest).unwrap_or_else(|e| panic!("{case}: honest block: {e}"));
-            assert_eq!(follower.chain().head_hash(), honest.hash(), "{case}");
-            assert_eq!(
-                follower.world().state_root(),
-                producer.world().state_root(),
-                "{case}"
-            );
-        }
-    }
-}
-
-/// Lies only the replay can catch — a forged receipt, a dropped
-/// happens-before edge, a lying lock profile, each re-committed so the
-/// block is well-formed — are rejected by every follower entry point
-/// before the block's overlay reaches the base: world and chain where
-/// they were, the node fresh, and the honest block accepted next.
-#[test]
-fn replay_time_rejections_leave_the_follower_fresh() {
-    let mut producer = Node::builder()
-        .world(counter_world())
-        .engine(engine(2))
-        .build()
-        .unwrap();
-    // Two senders: same-sender increments conflict, so the schedule has
-    // edges to drop.
-    let txs = (0..6).map(|i| increment_tx(i, i % 2, 1)).collect();
-    let honest = producer.mine_and_append(txs).unwrap().block;
-    let forge = |lie: fn(&mut Block)| {
-        let mut block = honest.clone();
-        lie(&mut block);
-        recommit(&mut block);
-        assert!(block.is_well_formed(), "the recommitted lie is well-formed");
-        block
-    };
-    let forgeries = [
-        (
-            "forged receipt",
-            forge(|block| block.receipts[0].gas_used += 1),
-            "receipt",
-        ),
-        (
-            "dropped edge",
-            forge(|block| block.schedule.as_mut().unwrap().edges.clear()),
-            "data race",
-        ),
-        (
-            "lying lock profile",
-            forge(|block| {
-                block.schedule.as_mut().unwrap().profiles[0].profile = LockProfile::default()
-            }),
-            "lock trace",
-        ),
-    ];
-    assert!(!honest.schedule.as_ref().unwrap().edges.is_empty());
-
-    let dir = std::env::temp_dir().join(format!("cc-tamper-replay-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    type Feed = fn(&mut Node, &Block) -> Result<(), CoreError>;
-    let one_block: Feed = |node, block| node.validate_and_append(block).map(drop);
-    let stream: Feed = |node, block| {
-        node.run_follower_pipeline(vec![block.clone()], &FollowerConfig::new())
-            .map(drop)
-    };
-    let cases = [
-        ("validate_and_append", DurabilityMode::Off, one_block),
-        ("follower, durability off", DurabilityMode::Off, stream),
-        ("follower, fsync", DurabilityMode::Fsync, stream),
-    ];
-    for (case, mode, feed) in cases {
-        for (forgery, forged, reason) in &forgeries {
-            let case = format!("{case}, {forgery}");
-            let mut follower = Node::builder()
-                .world(counter_world())
-                .engine(engine(2))
                 .durability(DurabilityConfig::new(&dir, mode))
                 .build()
                 .unwrap();
@@ -466,15 +326,300 @@ fn replay_time_rejections_leave_the_follower_fresh() {
             assert_eq!(follower.chain().len(), 1, "{case}");
             assert!(!follower.is_stale(), "{case}: a clean rejection stales");
 
-            feed(&mut follower, &honest).unwrap_or_else(|e| panic!("{case}: honest block: {e}"));
+            feed(&mut follower, honest).unwrap_or_else(|e| panic!("{case}: honest block: {e}"));
             assert_eq!(follower.chain().head_hash(), honest.hash(), "{case}");
-            assert_eq!(
-                follower.world().state_root(),
-                producer.world().state_root(),
-                "{case}"
-            );
+            let reached = follower.world().state_root();
+            assert_eq!(reached, honest.header.state_root, "{case}");
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Block 1 of a counter chain: six increments from `senders` senders,
+/// mined by the serial engine, so its schedule does not depend on timing.
+fn honest_counter_block(senders: u64) -> Block {
+    let mut producer = Node::new(counter_world(), serial_engine());
+    let txs = (0..6).map(|i| increment_tx(i, i % senders, 1)).collect();
+    producer.mine_and_append(txs).unwrap().block
+}
+
+/// `honest` with `lie` told and its header re-committed to it, as a
+/// dishonest miner would send it: well-formed.
+fn forge(honest: &Block, lie: impl FnOnce(&mut Block)) -> Block {
+    let mut block = honest.clone();
+    lie(&mut block);
+    recommit(&mut block);
+    assert!(block.is_well_formed(), "the recommitted lie is well-formed");
+    block
+}
+
+/// The schedule of a block a test is about to forge.
+fn schedule(block: &mut Block) -> &mut ScheduleMetadata {
+    block.schedule.as_mut().unwrap()
+}
+
+/// A block whose only lie is `header.number` is well-formed and replays
+/// cleanly, so nothing but the node's own prologue stands between it and
+/// the world: every follower entry point must turn it away *before* any
+/// replay — node fresh, world and chain where they were — and then accept
+/// the honest block.
+#[test]
+fn forged_block_number_is_rejected_before_it_moves_the_world() {
+    let honest = honest_counter_block(6);
+    let mut forged = honest.clone();
+    forged.header.number += 1;
+    assert!(
+        forged.is_well_formed(),
+        "the number is the block's only lie"
+    );
+    let forgeries = [("forged number", forged, "wrong block number")];
+    assert_followers_turn_away("number", counter_world, &engine(2), &honest, &forgeries);
+}
+
+/// A `serial_order` that is not a permutation — one entry out of range,
+/// or one entry repeated — in an otherwise honest, re-committed block.
+/// Whatever engine a follower runs, the order is checked before the first
+/// transaction runs: a typed error (never an out-of-bounds panic, never a
+/// transaction run twice), world and chain where they were, and every
+/// follower still fresh for the honest block.
+#[test]
+fn forged_serial_order_is_rejected_before_it_moves_the_world() {
+    let honest = honest_counter_block(4);
+    let repeated = honest.schedule.as_ref().unwrap().serial_order[0];
+    let forged = |entry: usize, value: usize| {
+        forge(&honest, |block| schedule(block).serial_order[entry] = value)
+    };
+    let forgeries = [
+        ("out of range", forged(3, 999), "malformed schedule"),
+        ("duplicate", forged(3, repeated), "malformed schedule"),
+    ];
+    for engine in [serial_engine(), engine(2)] {
+        assert_followers_turn_away("order", counter_world, &engine, &honest, &forgeries);
+    }
+}
+
+/// Lies only the replay can catch — a forged receipt, a lock profile
+/// claiming a lock nobody else holds (it derives the same graph) — are
+/// rejected by every follower entry point before the block's overlay
+/// reaches the base: world and chain where they were, the node fresh, and
+/// the honest block accepted next.
+#[test]
+fn replay_time_rejections_leave_the_follower_fresh() {
+    let honest = honest_counter_block(2);
+    let phantom = ProfileEntry {
+        lock: cc_stm::LockSpace::new("tamper.phantom").whole(),
+        mode: LockMode::Exclusive,
+        counter: 1,
+    };
+    let forgeries = [
+        (
+            "forged receipt",
+            forge(&honest, |block| block.receipts[0].gas_used += 1),
+            "receipt",
+        ),
+        (
+            "lying lock profile",
+            forge(&honest, |block| {
+                let record = &mut schedule(block).profiles[0];
+                let mut locks = record.profile.locks.clone();
+                locks.push(phantom);
+                record.profile = LockProfile::new(locks);
+            }),
+            "lock trace",
+        ),
+    ];
+    assert_followers_turn_away("replay", counter_world, &engine(2), &honest, &forgeries);
+}
+
+/// A block re-committed to a schedule its lock profiles do not derive is
+/// malformed, whatever else in it is honest: the published edges, order
+/// and lock sets cannot vary on their own. Each of these used to be
+/// accepted with its content unchanged — a different block hash for the
+/// same block — or, for the last two, to be caught only by replaying it.
+#[test]
+fn schedules_the_profiles_do_not_derive_are_malformed() {
+    // Two senders: 0 → 2 → 4 and 1 → 3 → 5, serial order 0, 1, …, 5.
+    let honest = honest_counter_block(2);
+    assert_eq!(
+        honest.schedule.as_ref().unwrap().edges,
+        vec![(0, 2), (1, 3), (2, 4), (3, 5)]
+    );
+    let forgeries = [
+        (
+            "a profile record for a transaction the block lacks",
+            forge(&honest, |block| {
+                let profiles = &mut schedule(block).profiles;
+                let profile = profiles[0].profile.clone();
+                profiles.push(ProfileRecord {
+                    tx_index: 6,
+                    profile,
+                });
+            }),
+        ),
+        (
+            "a second, contradictory record for transaction 0",
+            forge(&honest, |block| {
+                let profile = LockProfile::default();
+                schedule(block).profiles.push(ProfileRecord {
+                    tx_index: 0,
+                    profile,
+                });
+            }),
+        ),
+        (
+            "an extra edge the serial order agrees with",
+            forge(&honest, |block| schedule(block).edges.insert(0, (0, 1))),
+        ),
+        (
+            "another topological order",
+            forge(&honest, |block| schedule(block).serial_order.swap(0, 1)),
+        ),
+        (
+            "a profile entry listed twice",
+            forge(&honest, |block| {
+                let record = &mut schedule(block).profiles[0];
+                let mut locks = record.profile.locks.clone();
+                locks.push(locks[0]);
+                record.profile = LockProfile::new(locks);
+            }),
+        ),
+        (
+            "a dropped edge",
+            forge(&honest, |block| {
+                schedule(block).edges.remove(0);
+            }),
+        ),
+        (
+            "a profile emptied of its locks",
+            forge(&honest, |block| {
+                schedule(block).profiles[0].profile = LockProfile::default()
+            }),
+        ),
+    ];
+    for (forgery, forged) in &forgeries {
+        let err = rejection(&engine(2), &counter_world(), forged);
+        assert!(
+            matches!(err, CoreError::MalformedSchedule { .. }),
+            "{forgery}: {err}"
+        );
+    }
+    let forgeries = forgeries.map(|(forgery, forged)| (forgery, forged, "malformed schedule"));
+    assert_followers_turn_away("derive", counter_world, &engine(2), &honest, &forgeries);
+}
+
+fn auction_world() -> World {
+    let world = World::new();
+    let auction = SimpleAuction::new(Address::from_name("tamper.auction"), Address::from_index(0));
+    world.deploy(std::sync::Arc::new(auction));
+    world
+}
+
+/// A miner that lies about the commit order with consistent counters
+/// passes every shape check: its profiles derive the published schedule.
+/// Two consecutive SimpleAuction bidders swap their counters on every
+/// lock they share, and the schedule is derived again from the lie. The
+/// replay then runs them the other way round, and their receipts (the
+/// amounts they bid) give the lie away — before the world moves.
+#[test]
+fn lying_counters_are_rejected_on_receipts() {
+    let mut producer = Node::builder()
+        .world(auction_world())
+        .engine(engine(2))
+        .build()
+        .unwrap();
+    let bid = |i: u64| {
+        let to = Address::from_name("tamper.auction");
+        let call = CallData::nullary("bidPlusOne");
+        Transaction::new(i, Address::from_index(i), to, call, 1_000_000)
+    };
+    let honest = producer
+        .mine_and_append((1..=6).map(bid).collect())
+        .unwrap()
+        .block;
+
+    let schedule = honest.schedule.as_ref().unwrap();
+    let (first, second) = (schedule.serial_order[0], schedule.serial_order[1]);
+    let mut profiles: Vec<LockProfile> = schedule
+        .profiles
+        .iter()
+        .map(|record| record.profile.clone())
+        .collect();
+    let counters = |profile: &LockProfile| -> BTreeMap<_, _> {
+        profile.locks.iter().map(|e| (e.lock, e.counter)).collect()
+    };
+    let (of_first, of_second) = (counters(&profiles[first]), counters(&profiles[second]));
+    let take = |profile: &LockProfile, theirs: &BTreeMap<_, u64>| {
+        let entries = profile.locks.iter().map(|&entry| ProfileEntry {
+            counter: theirs.get(&entry.lock).copied().unwrap_or(entry.counter),
+            ..entry
+        });
+        LockProfile::new(entries.collect())
+    };
+    profiles[first] = take(&profiles[first], &of_second);
+    profiles[second] = take(&profiles[second], &of_first);
+    let lied = HappensBeforeGraph::from_profiles(&profiles)
+        .to_metadata(&profiles)
+        .unwrap();
+    assert_eq!(lied.serial_order[..2], [second, first]);
+    HappensBeforeGraph::from_metadata(&lied, honest.len()).expect("the lie is well-shaped");
+    let forged = forge(&honest, |block| block.schedule = Some(lied));
+
+    let err = rejection(&engine(2), &auction_world(), &forged);
+    assert!(err.to_string().contains("receipt"), "got: {err}");
+    let forgeries = [("lying counters", forged, "receipt")];
+    assert_followers_turn_away("counters", auction_world, &engine(2), &honest, &forgeries);
+}
+
+/// Before every miner published its lock profiles, a serial engine
+/// published a profile-less chain `0 → 1 → … → n−1`. No engine derives a
+/// schedule from that — trace checks on or off — and a log an old serial
+/// node wrote is refused with a typed error, never replayed some other way.
+#[test]
+fn an_old_serial_block_is_malformed_and_its_log_is_refused() {
+    let dir = std::env::temp_dir().join(format!("cc-tamper-old-serial-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = DurabilityConfig::new(&dir, DurabilityMode::Fsync);
+    let genesis = Node::builder()
+        .world(counter_world())
+        .engine(serial_engine())
+        .durability(config.clone())
+        .build()
+        .unwrap()
+        .chain()
+        .head_hash();
+    let txs = (0..5).map(|i| increment_tx(i, i % 2, 1)).collect();
+    let mined = serial_engine().mine_on(&counter_world(), txs, genesis, 1);
+    let old = forge(&mined.unwrap().block, |block| {
+        let n = block.len();
+        block.schedule = Some(ScheduleMetadata {
+            serial_order: (0..n).collect(),
+            edges: (1..n).map(|i| (i - 1, i)).collect(),
+            profiles: Vec::new(),
+        });
+    });
+
+    let engines = [
+        serial_engine(),
+        engine(2),
+        optimistic_engine(2),
+        lenient_engine(2),
+    ];
+    for engine in engines {
+        let err = rejection(&engine, &counter_world(), &old);
+        assert!(
+            matches!(err, CoreError::MalformedSchedule { .. }),
+            "{}: {err}",
+            engine.strategy()
+        );
+    }
+
+    let wal = Wal::open_append(dir.join(WAL_FILE), DurabilityMode::Fsync).unwrap();
+    wal.seal_block(&old).unwrap();
+    drop(wal);
+    let err = Node::recover(config, counter_world(), serial_engine())
+        .expect_err("an old serial log must not recover");
+    assert!(matches!(err, CoreError::Durability { .. }), "got: {err}");
+    assert!(err.to_string().contains("malformed schedule"), "got: {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
