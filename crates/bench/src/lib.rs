@@ -356,11 +356,9 @@ pub struct AbortRatePoint {
     pub conflict: f64,
     /// Mean deadlock-victim retries per speculatively-mined block.
     pub speculative_retries_per_block: f64,
-    /// Mean lock-manager blocking waits per speculatively-mined block.
+    /// Mean lock-manager blocking waits per speculatively-mined block
+    /// (deadlock victims waiting on the lock they lost on included).
     pub speculative_waits_per_block: f64,
-    /// Mean time the speculative miner's victims slept per block (ms,
-    /// summed over workers).
-    pub speculative_slept_ms: f64,
     /// Mean validation-failure retries per optimistically-mined block.
     pub optimistic_retries_per_block: f64,
     /// Mean optimistic attempts per block that ran holding the commit
@@ -424,7 +422,6 @@ pub fn measure_abort_rate(
         conflict: workload.spec().conflict,
         speculative_retries_per_block: mean(&speculative, |s| s.retries as f64),
         speculative_waits_per_block: mean(&speculative, |s| s.locks.waits as f64),
-        speculative_slept_ms: mean(&speculative, |s| ms(s.backoff)),
         optimistic_retries_per_block: mean(&optimistic, |s| s.retries as f64),
         optimistic_exclusive_per_block: mean(&optimistic, |s| s.exclusive as f64),
         optimistic_read_only_per_block: mean(&optimistic, |s| s.read_only as f64),
@@ -547,7 +544,6 @@ mod tests {
         assert!(point.serial_ms > 0.0);
         assert!(point.speculative_ms > 0.0);
         assert!(point.optimistic_ms > 0.0);
-        assert!(point.speculative_slept_ms >= 0.0);
         assert!(point.optimistic_exclusive_per_block <= 20.0);
         assert!(point.speculative_abort_rate() >= 0.0);
         assert!(point.optimistic_abort_rate() >= 0.0);

@@ -14,15 +14,15 @@ use cc_stm::{LockProfile, StmError};
 use cc_vm::{Receipt, World};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Outcome of one attempt to execute and commit a transaction.
 pub(super) enum Attempt<T> {
     /// Committed; `T` is what the miner publishes for it.
     Committed(T),
     /// A conflict victim (deadlock or failed validation), already rolled
-    /// back: retried at once (a miner that wants a pause takes it before
-    /// returning this), and the error the block fails with once the
+    /// back: retried at once (a miner that waits for its winner does so
+    /// before returning this), and the error the block fails with once the
     /// attempt budget is spent.
     Conflict(StmError),
     /// Not retryable: the block fails.
@@ -37,8 +37,6 @@ pub(super) struct Executed {
     pub(super) profiles: Vec<LockProfile>,
     /// Attempts that lost a conflict and ran again.
     pub(super) retries: u64,
-    /// Time deadlock victims slept between attempts, summed over workers.
-    pub(super) backoff: Duration,
     /// Attempts run holding the optimistic runtime's commit mutex.
     pub(super) exclusive: u64,
     /// Commits that wrote nothing.
@@ -95,7 +93,6 @@ pub(crate) fn mine_on(
             threads: pool.workers(),
             transactions: n,
             retries: executed.retries,
-            backoff: executed.backoff,
             exclusive: executed.exclusive,
             elapsed,
             gas_used,

@@ -34,7 +34,6 @@ use cc_primitives::pool::WorkerPool;
 use cc_stm::{LockProfile, ProfileEntry, StmError};
 use cc_vm::{Receipt, TxnRef, World};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Garbage-collect versions below the oldest active snapshot after this
 /// many commits. GC is cheap (a pass over the version lists under their
@@ -173,7 +172,6 @@ pub(super) fn execute(
         receipts,
         profiles,
         retries,
-        backoff: Duration::ZERO,
         exclusive: exclusive_attempts.into_inner(),
         read_only,
     })
@@ -384,7 +382,6 @@ mod tests {
                     .mine(&workload.build_world(), workload.transactions())
                     .unwrap_or_else(|e| panic!("{benchmark} on {threads} thread(s): {e}"));
                 let stats = &mined.stats;
-                assert!(stats.backoff.is_zero(), "the optimistic miner never sleeps");
                 let losses_per_txn = u64::from(EXCLUSIVE_ATTEMPT - 1);
                 assert!(stats.retries <= losses_per_txn * 200, "{stats}");
                 assert!(stats.exclusive * losses_per_txn <= stats.retries, "{stats}");

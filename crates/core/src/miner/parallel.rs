@@ -8,18 +8,18 @@
 //!
 //! Each worker repeatedly takes the next unexecuted transaction, runs it
 //! inside a speculative STM transaction (acquiring abstract locks and
-//! logging inverses), and commits. Deadlock victims roll back and retry
-//! after the [`cc_stm::retry`] back-off (reported in
-//! [`crate::MinerStats::backoff`]).
+//! logging inverses), and commits. A deadlock victim rolls back, waits on
+//! the lock it lost on until that lock changes hands
+//! ([`cc_stm::manager::LockManager::await_release`]), and re-runs; the
+//! lock manager's update mode keeps its retry from taking a shared lock it
+//! will have to upgrade again.
 
 use super::driver::{execute_block, Attempt, Executed};
 use crate::error::CoreError;
 use cc_ledger::Transaction;
 use cc_primitives::pool::WorkerPool;
-use cc_stm::{retry, LockMode, LockProfile};
+use cc_stm::{retry, LockMode, LockProfile, StmError};
 use cc_vm::{Receipt, World};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 /// Executes `transactions` on `world` as speculative atomic actions on
 /// `pool`, leaving their effects in the world.
@@ -30,7 +30,6 @@ pub(super) fn execute(
 ) -> Result<Executed, CoreError> {
     let stm = world.stm();
     stm.begin_block();
-    let slept_ns = AtomicU64::new(0);
 
     let (committed, retries) = execute_block(
         pool,
@@ -40,7 +39,7 @@ pub(super) fn execute(
         // block: undo-log sinks, lock vectors and trace buffers are
         // allocated by the first attempts and reused by every later one.
         || stm.txn_scope(),
-        |arenas, index, attempt| {
+        |arenas, index, _attempt| {
             let tx = &transactions[index];
             let txn = arenas.begin();
             match world.execute(&txn, index, tx.msg(), tx.to, &tx.call, tx.gas_limit) {
@@ -49,16 +48,12 @@ pub(super) fn execute(
                     Err(source) => Attempt::Fatal(source),
                 },
                 Err(source) => {
-                    // Deadlock victim: undo, then sleep before the retry.
-                    // The pause is load-bearing here: the winner of the
-                    // upgrade deadlock is still executing, and a victim
-                    // that re-runs at once takes its shared lock again and
-                    // re-enters the same deadlock.
+                    // Deadlock victim: undo, then wait for the winner to
+                    // let go of the lock this attempt lost on. Re-running
+                    // at once would find the winner still executing.
                     let _ = txn.abort();
-                    if attempt < retry::MAX_ATTEMPTS {
-                        let slept = Instant::now();
-                        retry::backoff(attempt);
-                        slept_ns.fetch_add(slept.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    if let StmError::Deadlock { lock, .. } = source {
+                        stm.lock_manager().await_release(lock);
                     }
                     Attempt::Conflict(source)
                 }
@@ -74,7 +69,6 @@ pub(super) fn execute(
         receipts,
         profiles,
         retries,
-        backoff: Duration::from_nanos(slept_ns.into_inner()),
         exclusive: 0,
         read_only,
     })
@@ -239,11 +233,11 @@ mod tests {
         assert_eq!(mined.block.schedule.as_ref().unwrap().critical_path(), 12);
     }
 
-    /// A contract whose single method reads a cell under a shared lock,
+    /// A contract whose `readThenBump` reads a cell under a shared lock,
     /// dawdles while holding it, then writes the cell back — the classic
     /// read-then-upgrade pattern. Two concurrent calls both hold the
     /// shared lock and both request the exclusive upgrade, so one of them
-    /// must die as a deadlock victim.
+    /// must die as a deadlock victim. `read` only reads the cell.
     #[derive(Debug)]
     struct UpgradingContract {
         address: Address,
@@ -273,6 +267,7 @@ mod tests {
                     self.cell.set(ctx, seen + 1)?;
                     Ok(cc_vm::ReturnValue::Uint(u128::from(seen + 1)))
                 }
+                "read" => Ok(cc_vm::ReturnValue::Uint(u128::from(self.cell.get(ctx)?))),
                 other => Err(cc_vm::VmError::UnknownFunction {
                     function: other.to_string(),
                 }),
@@ -284,25 +279,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn upgrade_deadlock_victims_are_counted_as_retries() {
+    fn upgrading_world() -> (World, Address) {
         let world = World::new();
         let addr = Address::from_name("upgrade-deadlock");
         world.deploy(Arc::new(UpgradingContract {
             address: addr,
             cell: cc_vm::StorageCell::new("Upgrading.cell", 0),
         }));
-        let txs: Vec<Transaction> = (0..2)
-            .map(|i| {
+        (world, addr)
+    }
+
+    /// One transaction per method name, from distinct senders.
+    fn upgrading_calls(addr: Address, methods: &[&'static str]) -> Vec<Transaction> {
+        (0..)
+            .zip(methods)
+            .map(|(i, method)| {
                 Transaction::new(
                     i,
                     Address::from_index(i),
                     addr,
-                    CallData::nullary("readThenBump"),
+                    CallData::nullary(*method),
                     1_000_000,
                 )
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn upgrade_deadlock_victims_are_counted_as_retries() {
+        let (world, addr) = upgrading_world();
+        let txs = upgrading_calls(addr, &["readThenBump"; 2]);
         let mined = Engine::speculative(2).unwrap().mine(&world, txs).unwrap();
         assert!(mined.block.receipts.iter().all(Receipt::succeeded));
         assert!(
@@ -315,6 +321,65 @@ mod tests {
             mined.stats.locks.deadlocks, mined.stats.retries,
             "every pessimistic retry in this block is a deadlock victim"
         );
+    }
+
+    #[test]
+    fn an_upgrade_deadlock_puts_its_lock_in_update_mode() {
+        // Every pair of overlapping calls would deadlock on the upgrade.
+        // A victim that slept and re-ran took the shared lock again and
+        // deadlocked with the next call, so this block used to see seven
+        // deadlocks. Now, after the first one, the cell's lock is taken
+        // exclusively, and the victim waits for its winner's commit.
+        let (world, addr) = upgrading_world();
+        let txs = upgrading_calls(addr, &["readThenBump"; 8]);
+        let mined = Engine::speculative(2).unwrap().mine(&world, txs).unwrap();
+        assert!(mined.block.receipts.iter().all(Receipt::succeeded));
+        let stats = &mined.stats;
+        assert!(stats.locks.deadlocks <= 1, "{stats}");
+        assert_eq!(stats.locks.deadlocks, stats.retries, "{stats}");
+    }
+
+    #[test]
+    fn readers_of_an_update_mode_lock_publish_shared_and_validate() {
+        // The update-mode readers hold the cell exclusively while mining,
+        // but publish the mode they asked for: no read-read edges, and the
+        // validator's trace check accepts every profile.
+        let methods = [
+            "readThenBump",
+            "readThenBump",
+            "read",
+            "read",
+            "readThenBump",
+            "read",
+        ];
+        let (world, addr) = upgrading_world();
+        let engine = Engine::speculative(2).unwrap();
+        assert!(engine.config().check_traces);
+        let mined = engine
+            .mine(&world, upgrading_calls(addr, &methods))
+            .unwrap();
+        assert!(mined.block.receipts.iter().all(Receipt::succeeded));
+        assert!(
+            mined.stats.locks.deadlocks >= 1,
+            "the first two calls overlap on the upgrade: {}",
+            mined.stats
+        );
+        let schedule = mined.block.schedule.as_ref().unwrap();
+        let reader = |i: usize| methods[i] == "read";
+        for record in schedule.profiles.iter().filter(|r| reader(r.tx_index)) {
+            let locks = &record.profile.locks;
+            assert!(
+                locks.iter().all(|e| e.mode == LockMode::Shared),
+                "{record:?}"
+            );
+        }
+        assert!(
+            !schedule.edges.iter().any(|&(a, b)| reader(a) && reader(b)),
+            "readers stay unordered: {:?}",
+            schedule.edges
+        );
+        let (fresh, _) = upgrading_world();
+        engine.validate(&fresh, &mined.block).unwrap();
     }
 
     #[test]

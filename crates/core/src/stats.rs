@@ -13,12 +13,10 @@ pub struct MinerStats {
     /// Number of transactions in the block.
     pub transactions: usize,
     /// How many speculative executions were aborted and retried
-    /// (deadlock victims or validation losers).
+    /// (deadlock victims or validation losers). Neither kind sleeps: a
+    /// deadlock victim waits on the lock it lost on (counted in
+    /// `locks.waits`), a validation loser re-runs at once.
     pub retries: u64,
-    /// Total time the speculative miner's deadlock victims slept between
-    /// attempts, summed over workers. The optimistic miner never sleeps,
-    /// so its value is always zero.
-    pub backoff: Duration,
     /// Attempts the optimistic miner ran holding the commit mutex (the
     /// last resort that cannot lose validation). Zero for other miners.
     pub exclusive: u64,
@@ -36,10 +34,10 @@ pub struct MinerStats {
     /// only shared locks.
     pub read_only: u64,
     /// Lock-manager activity while this block was mined: acquisitions,
-    /// blocking waits, deadlocks, targeted wakeups, and the stripe count
-    /// of the sharded lock table. The serial miner still acquires locks
-    /// (its transactions run through the same STM), but its waits and
-    /// deadlocks are always zero.
+    /// blocking waits, deadlocks, targeted and fallback-timer wakeups, and
+    /// the stripe count of the sharded lock table. The serial miner still
+    /// acquires locks (its transactions run through the same STM), but its
+    /// waits and deadlocks are always zero.
     pub locks: LockStats,
 }
 
@@ -47,12 +45,11 @@ impl fmt::Display for MinerStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} txns on {} thread(s) in {:?} ({} retries, {:?} backoff, {} exclusive, {} read-only, critical path {}, {} edges; locks: {} acquired, {} waits, {} deadlocks over {} shards)",
+            "{} txns on {} thread(s) in {:?} ({} retries, {} exclusive, {} read-only, critical path {}, {} edges; locks: {} acquired, {} waits, {} deadlocks, {} fallback wakes over {} shards)",
             self.transactions,
             self.threads,
             self.elapsed,
             self.retries,
-            self.backoff,
             self.exclusive,
             self.read_only,
             self.critical_path,
@@ -60,6 +57,7 @@ impl fmt::Display for MinerStats {
             self.locks.acquisitions,
             self.locks.waits,
             self.locks.deadlocks,
+            self.locks.fallback_wakes,
             self.locks.shards
         )
     }
@@ -101,7 +99,6 @@ mod tests {
             threads: 3,
             transactions: 200,
             retries: 5,
-            backoff: Duration::from_micros(120),
             exclusive: 2,
             elapsed: Duration::from_millis(12),
             gas_used: 1_000,
@@ -113,6 +110,7 @@ mod tests {
                 waits: 12,
                 deadlocks: 5,
                 wakeups: 12,
+                fallback_wakes: 1,
                 shards: 16,
             },
         };
@@ -122,6 +120,7 @@ mod tests {
         assert!(s.contains("40 read-only"));
         assert!(s.contains("2 exclusive"));
         assert!(s.contains("420 acquired"));
+        assert!(s.contains("1 fallback wakes"));
         assert!(s.contains("16 shards"));
 
         let report = ValidationReport {

@@ -22,7 +22,9 @@
 //!   action** ([`Transaction::nested`]) that can abort without aborting its
 //!   parent,
 //! * deadlocks are detected on the wait-for graph and resolved by aborting
-//!   the requester,
+//!   the requester, which then waits on the lock it lost on before its
+//!   retry; after an upgrade deadlock the lock is granted exclusively to
+//!   new holders for the rest of the block,
 //! * the lock table is sharded into independently-locked stripes with
 //!   targeted per-lock wakeups, so transactions over disjoint locks never
 //!   serialize in the runtime itself (see `README.md` and the [`manager`]

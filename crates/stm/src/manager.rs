@@ -7,7 +7,10 @@
 //! * lock upgrades (additive → exclusive) for a sole holder,
 //! * deadlock detection on the wait-for graph, resolved by aborting the
 //!   requesting transaction (the paper: "deadlocks are detected and
-//!   resolved by aborting one execution"),
+//!   resolved by aborting one execution"), which then waits on the lock it
+//!   lost on,
+//! * update mode for a lock whose upgrade deadlocked (see "Wakeup
+//!   protocol"),
 //! * per-lock **use counters** incremented by committing transactions,
 //!   which is the raw material for the published lock profiles.
 //!
@@ -32,9 +35,22 @@
 //! variable, no periodic poll and no `notify_all` thundering herd). Woken
 //! waiters re-contend under the stripe mutex — barging is allowed, i.e. a
 //! newly arriving transaction may win the lock ahead of an already-queued
-//! waiter. This trades strict FIFO fairness for a shorter hot path; a
-//! deadlock victim backs off and retries ([`crate::retry`]), which already
-//! tolerates arbitrary acquisition order.
+//! waiter. This trades strict FIFO fairness for a shorter hot path.
+//!
+//! A deadlock victim waits on the lock it lost, not on a timer: after its
+//! abort has released everything, [`LockManager::await_release`] parks it
+//! on that lock's entry, exactly like a blocked acquirer, until the entry's
+//! holder set changes. It holds nothing, so it publishes no wait-for edge.
+//!
+//! **Update mode.** Once a shared → exclusive (or additive → exclusive)
+//! upgrade on a lock has deadlocked, every later *new* holder of that lock
+//! in the block is granted it `Exclusive`. Otherwise the victim's retry,
+//! and every later reader-then-writer, takes the shared lock again and
+//! re-enters the same deadlock. The transaction still records the mode it
+//! requested, so its published profile states what it needed: readers of
+//! an update-mode lock publish `Shared` and stay unordered among
+//! themselves. The mark lives on the lock entry and is cleared by
+//! [`LockManager::reset_counters`] at the next block start.
 //!
 //! ## Cross-shard deadlock detection
 //!
@@ -56,13 +72,15 @@
 //! spurious victim (a conservative abort, which the retry layer absorbs),
 //! never a missed deadlock that wedges the miner. A coarse fallback timeout
 //! (`WAIT_FALLBACK`) backstops the protocol: a waiter that somehow sleeps
-//! through a wakeup re-evaluates from scratch.
+//! through a wakeup re-evaluates from scratch. Every such timer wake is
+//! counted in [`LockStats::fallback_wakes`], so a lost wakeup shows as a
+//! nonzero count instead of hiding behind the timer.
 
 use crate::error::StmError;
 use crate::lock::{LockId, LockMode};
 use crate::txn::TxnId;
 use cc_primitives::fx::{FxHashMap, FxHashSet};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -84,6 +102,11 @@ pub struct LockStats {
     pub deadlocks: u64,
     /// Number of targeted waiter wakeups issued by grants and releases.
     pub wakeups: u64,
+    /// Number of parked waiters woken by the `WAIT_FALLBACK` timer rather
+    /// than by a targeted wakeup. A waiter whose wait outlasts the timer
+    /// counts here too, but with prompt releases any nonzero value is a
+    /// lost wakeup.
+    pub fallback_wakes: u64,
     /// Number of stripes the lock table is sharded into (configuration,
     /// not a counter; reported so stats consumers can normalize).
     pub shards: u64,
@@ -98,6 +121,7 @@ impl LockStats {
             waits: self.waits.saturating_sub(earlier.waits),
             deadlocks: self.deadlocks.saturating_sub(earlier.deadlocks),
             wakeups: self.wakeups.saturating_sub(earlier.wakeups),
+            fallback_wakes: self.fallback_wakes.saturating_sub(earlier.fallback_wakes),
             shards: self.shards,
         }
     }
@@ -111,6 +135,7 @@ struct StatCounters {
     waits: AtomicU64,
     deadlocks: AtomicU64,
     wakeups: AtomicU64,
+    fallback_wakes: AtomicU64,
 }
 
 /// One parked waiter: a private flag + condvar pair the releaser flips.
@@ -124,12 +149,15 @@ struct WaitNode {
 }
 
 impl WaitNode {
-    /// Parks until notified or the fallback interval elapses.
-    fn park(&self) {
+    /// Parks until notified or the fallback interval elapses; returns
+    /// whether it was notified (`false`: the timer, or a spurious wakeup,
+    /// woke it).
+    fn park(&self) -> bool {
         let mut ready = self.ready.lock();
         if !*ready {
             self.cv.wait_for(&mut ready, WAIT_FALLBACK);
         }
+        *ready
     }
 
     /// Flips the flag and wakes the parked owner.
@@ -152,6 +180,9 @@ struct LockEntry {
     /// Wait nodes of transactions currently parked on this lock. Drained
     /// wholesale whenever the holder set changes.
     waiters: Vec<Arc<WaitNode>>,
+    /// An upgrade on this lock has deadlocked this block: new holders take
+    /// it `Exclusive` (update mode; see the module docs).
+    update_mode: bool,
 }
 
 impl LockEntry {
@@ -160,10 +191,16 @@ impl LockEntry {
     /// = `txn` was not a holder before) and `None` when the request must
     /// wait. The empty-holders case — the entire fast path of an
     /// uncontended acquisition, shared reads included — is decided on the
-    /// first branch.
+    /// first branch. In update mode a new holder is granted `Exclusive`;
+    /// a re-entrant request keeps its own mode.
     fn try_grant(&mut self, txn: TxnId, mode: LockMode) -> Option<bool> {
+        let new_mode = if self.update_mode {
+            LockMode::Exclusive
+        } else {
+            mode
+        };
         if self.holders.is_empty() {
-            self.holders.push((txn, mode));
+            self.holders.push((txn, new_mode));
             return Some(true);
         }
         let mut ours: Option<usize> = None;
@@ -171,7 +208,7 @@ impl LockEntry {
         for (i, &(t, m)) in self.holders.iter().enumerate() {
             if t == txn {
                 ours = Some(i);
-            } else if !m.compatible(mode) {
+            } else if !m.compatible(new_mode) {
                 others_compatible = false;
             }
         }
@@ -191,7 +228,7 @@ impl LockEntry {
             }
             // New holder: every current holder must be compatible.
             None if others_compatible => {
-                self.holders.push((txn, mode));
+                self.holders.push((txn, new_mode));
                 Some(true)
             }
             None => None,
@@ -400,21 +437,47 @@ impl LockManager {
                 if registry.would_deadlock(txn, &holders) {
                     registry.blocked.remove(&txn);
                     drop(registry);
+                    // The requester already holds the lock: an upgrade
+                    // deadlocked, so the lock goes to update mode.
+                    entry.update_mode |= entry.holders.iter().any(|&(t, _)| t == txn);
                     self.stats.deadlocks.fetch_add(1, Ordering::Relaxed);
                     return Err(StmError::Deadlock { victim: txn, lock });
                 }
                 registry.blocked.insert(txn, BlockedOn { holders });
             }
-            self.stats.waits.fetch_add(1, Ordering::Relaxed);
-            let node = Arc::new(WaitNode::default());
-            entry.waiters.push(Arc::clone(&node));
             parked = true;
-            drop(state);
-            node.park();
+            self.park(lock, state);
             state = shard.locks.lock();
-            if let Some(entry) = state.get_mut(&lock) {
-                // After a fallback-timeout wake the node is still queued;
-                // a notified node was already drained by the waker.
+        }
+    }
+
+    /// Parks the caller until the holder set of `lock` changes; returns at
+    /// once if nobody holds it.
+    ///
+    /// A deadlock victim calls this after its abort released everything it
+    /// held, with the lock it lost on: it waits for the transaction it lost
+    /// to instead of re-running straight back into the same cycle. Holding
+    /// nothing, it publishes no wait-for edge and can close no cycle.
+    pub fn await_release(&self, lock: LockId) {
+        let state = self.shard(lock).locks.lock();
+        if state.get(&lock).is_some_and(|e| !e.holders.is_empty()) {
+            self.park(lock, state);
+        }
+    }
+
+    /// Counts a wait, queues a wait node on `lock`'s entry, releases the
+    /// stripe mutex and parks. A notified node was already drained by the
+    /// waker; after a fallback-timer wake the node is still queued, so it
+    /// is removed and the wake counted.
+    fn park(&self, lock: LockId, mut state: MutexGuard<'_, FxHashMap<LockId, LockEntry>>) {
+        self.stats.waits.fetch_add(1, Ordering::Relaxed);
+        let node = Arc::new(WaitNode::default());
+        let entry = state.entry(lock).or_default();
+        entry.waiters.push(Arc::clone(&node));
+        drop(state);
+        if !node.park() {
+            self.stats.fallback_wakes.fetch_add(1, Ordering::Relaxed);
+            if let Some(entry) = self.shard(lock).locks.lock().get_mut(&lock) {
                 entry.remove_waiter(&node);
             }
         }
@@ -482,9 +545,10 @@ impl LockManager {
         self.notify_waiters(wake);
     }
 
-    /// Resets all use counters and forgets idle locks. The miner calls this
-    /// when it starts assembling a new block (paper §4: "When a miner
-    /// starts a block, it sets these counters to zero").
+    /// Resets all use counters and update-mode marks and forgets idle
+    /// locks. The miner calls this when it starts assembling a new block
+    /// (paper §4: "When a miner starts a block, it sets these counters to
+    /// zero").
     pub fn reset_counters(&self) {
         self.commit_seq.store(0, Ordering::Relaxed);
         for shard in self.shards.iter() {
@@ -492,6 +556,7 @@ impl LockManager {
             state.retain(|_, entry| !entry.is_idle());
             for entry in state.values_mut() {
                 entry.use_counter = 0;
+                entry.update_mode = false;
             }
         }
     }
@@ -503,6 +568,7 @@ impl LockManager {
             waits: self.stats.waits.load(Ordering::Relaxed),
             deadlocks: self.stats.deadlocks.load(Ordering::Relaxed),
             wakeups: self.stats.wakeups.load(Ordering::Relaxed),
+            fallback_wakes: self.stats.fallback_wakes.load(Ordering::Relaxed),
             shards: self.shards.len() as u64,
         }
     }
@@ -973,10 +1039,10 @@ mod tests {
     #[test]
     fn waiters_are_woken_by_targeted_wakeups() {
         // The wakeups counter is incremented only on the targeted notify
-        // path (the fallback timeout wakes without counting), so observing
-        // it proves the release actually woke its waiter. No wall-clock
-        // assertion: the single-core CI container schedules too coarsely
-        // for latency bounds to be reliable.
+        // path (a fallback-timer wake counts in `fallback_wakes` instead),
+        // so observing it proves the release actually woke its waiter. No
+        // wall-clock assertion: the single-core CI container schedules too
+        // coarsely for latency bounds to be reliable.
         let m = Arc::new(LockManager::new());
         let l = lock("wake", 0);
         m.acquire(TxnId(1), l, LockMode::Exclusive).unwrap();
@@ -994,5 +1060,112 @@ mod tests {
         waiter.join().unwrap();
         assert!(m.stats().wakeups >= 1);
         assert!(m.stats().waits >= 1);
+        assert_eq!(m.stats().fallback_wakes, 0, "no wakeup was lost");
+    }
+
+    /// Polls until `m` has counted a wait beyond `before`, failing if
+    /// `thread` finished without blocking.
+    fn until_parked<T>(m: &LockManager, before: u64, thread: &thread::JoinHandle<T>) {
+        while m.stats().waits == before {
+            assert!(!thread.is_finished(), "the request did not wait");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Two shared holders of `l` both upgrade. T1 parks first, so T2's
+    /// request closes the cycle: T2 is the victim, and T1 upgrades and
+    /// commits. Leaves `l` free.
+    fn upgrade_deadlock(m: &Arc<LockManager>, l: LockId) {
+        m.acquire(TxnId(1), l, LockMode::Shared).unwrap();
+        m.acquire(TxnId(2), l, LockMode::Shared).unwrap();
+        let before = m.stats().waits;
+        let m1 = Arc::clone(m);
+        let t1 = thread::spawn(move || {
+            m1.acquire(TxnId(1), l, LockMode::Exclusive).unwrap();
+            m1.release_commit(TxnId(1), &[l]);
+        });
+        until_parked(m, before, &t1);
+        let r2 = m.acquire(TxnId(2), l, LockMode::Exclusive);
+        assert!(matches!(r2, Err(StmError::Deadlock { .. })), "{r2:?}");
+        m.release_abort(TxnId(2), &[l]);
+        t1.join().unwrap();
+    }
+
+    #[test]
+    fn after_an_upgrade_deadlock_new_readers_exclude_each_other() {
+        let m = Arc::new(LockManager::new());
+        let l = lock("update-mode", 0);
+        upgrade_deadlock(&m, l);
+        // A fresh reader is granted the lock in update mode, so a second
+        // fresh reader waits for it.
+        m.acquire(TxnId(3), l, LockMode::Shared).unwrap();
+        let before = m.stats().waits;
+        let m4 = Arc::clone(&m);
+        let reader = thread::spawn(move || {
+            m4.acquire(TxnId(4), l, LockMode::Shared).unwrap();
+            m4.release_commit(TxnId(4), &[l])
+        });
+        until_parked(&m, before, &reader);
+        assert_eq!(m.release_commit(TxnId(3), &[l]), vec![2]);
+        assert_eq!(reader.join().unwrap(), vec![3]);
+        assert_eq!(m.stats().deadlocks, 1);
+        assert_eq!(m.stats().fallback_wakes, 0);
+    }
+
+    #[test]
+    fn a_lock_order_inversion_leaves_its_locks_shareable() {
+        // The victim of an inversion did not hold the lock it requested,
+        // so neither lock goes to update mode.
+        let m = Arc::new(LockManager::new());
+        let (la, lb) = (lock("inversion", 0), lock("inversion", 1));
+        assert_deadlock_resolved(Arc::clone(&m), la, lb);
+        let before = m.stats().waits;
+        for l in [la, lb] {
+            m.acquire(TxnId(3), l, LockMode::Shared).unwrap();
+            m.acquire(TxnId(4), l, LockMode::Shared).unwrap();
+        }
+        assert_eq!(m.stats().waits, before, "readers share both locks");
+        m.release_commit(TxnId(3), &[la, lb]);
+        m.release_commit(TxnId(4), &[la, lb]);
+        assert_eq!(m.stats().fallback_wakes, 0);
+    }
+
+    #[test]
+    fn await_release_returns_once_the_holder_set_changes() {
+        let m = Arc::new(LockManager::new());
+        let l = lock("await", 0);
+        // A lock never taken, and one taken and released: no wait.
+        m.await_release(l);
+        m.acquire(TxnId(1), l, LockMode::Exclusive).unwrap();
+        m.release_commit(TxnId(1), &[l]);
+        m.await_release(l);
+        assert_eq!(m.stats().waits, 0);
+
+        // A held lock: the caller parks until the holder commits, and as
+        // it holds nothing it publishes no wait-for edge.
+        m.acquire(TxnId(2), l, LockMode::Exclusive).unwrap();
+        let m3 = Arc::clone(&m);
+        let victim = thread::spawn(move || m3.await_release(l));
+        until_parked(&m, 0, &victim);
+        assert_eq!(m.blocked_count(), 0);
+        m.release_commit(TxnId(2), &[l]);
+        victim.join().unwrap();
+        assert_eq!(m.stats().wakeups, 1);
+        assert_eq!(m.stats().fallback_wakes, 0);
+    }
+
+    #[test]
+    fn reset_counters_clears_update_mode() {
+        let m = Arc::new(LockManager::new());
+        let l = lock("update-mode-reset", 0);
+        upgrade_deadlock(&m, l);
+        m.reset_counters();
+        let before = m.stats().waits;
+        m.acquire(TxnId(3), l, LockMode::Shared).unwrap();
+        m.acquire(TxnId(4), l, LockMode::Shared).unwrap();
+        assert_eq!(m.stats().waits, before, "readers share again");
+        m.release_commit(TxnId(3), &[l]);
+        m.release_commit(TxnId(4), &[l]);
+        assert_eq!(m.stats().fallback_wakes, 0);
     }
 }

@@ -766,7 +766,8 @@ impl Stm {
     }
 
     /// Runs `body` as a speculative transaction, retrying automatically on
-    /// deadlock aborts after the [`retry`] back-off.
+    /// deadlock aborts once the lock the victim lost on changes hands
+    /// ([`LockManager::await_release`]).
     ///
     /// `body` returning `Ok` commits; returning `Err` aborts and propagates
     /// the error (retrying only if the error is retryable).
@@ -779,15 +780,16 @@ impl Stm {
         &self,
         body: impl FnMut(&Transaction) -> Result<R, StmError>,
     ) -> Result<(R, CommitProfile), StmError> {
-        run_retrying(|| self.begin(), body)
+        run_retrying(&self.manager, || self.begin(), body)
     }
 }
 
 /// The loop behind [`Stm::run`] and [`TxnScope::run`]: `body` in a
 /// transaction from `begin`, committed on `Ok`; on `Err` aborted, and
-/// re-run after the back-off while the error is retryable and attempts
-/// remain.
+/// re-run while the error is retryable and attempts remain — a deadlock
+/// victim first waits on the lock it lost on.
 fn run_retrying<T: Borrow<Transaction>, R>(
+    manager: &LockManager,
     begin: impl Fn() -> T,
     mut body: impl FnMut(&Transaction) -> Result<R, StmError>,
 ) -> Result<(R, CommitProfile), StmError> {
@@ -800,13 +802,13 @@ fn run_retrying<T: Borrow<Transaction>, R>(
             Ok(value) => return Ok((value, txn.commit()?)),
             Err(err) => {
                 let _ = txn.abort();
-                if !err.is_retryable() {
+                let StmError::Deadlock { lock, .. } = err else {
                     return Err(err);
-                }
+                };
                 if attempt == retry::MAX_ATTEMPTS {
                     return Err(StmError::RetriesExhausted { attempts: attempt });
                 }
-                retry::backoff(attempt);
+                manager.await_release(lock);
             }
         }
     }
@@ -871,7 +873,7 @@ impl TxnScope {
         &self,
         body: impl FnMut(&Transaction) -> Result<R, StmError>,
     ) -> Result<(R, CommitProfile), StmError> {
-        run_retrying(|| self.begin(), body)
+        run_retrying(&self.stm.manager, || self.begin(), body)
     }
 
     /// Number of idle arenas currently in the pool (diagnostics/tests).
