@@ -11,40 +11,25 @@
 //! * [`TimestampOracle`] — issues snapshot instants, tracks the active set
 //!   and exposes the garbage-collection horizon.
 //! * [`VersionedMap`] / [`VersionedCell`] / [`VersionedVec`] /
-//!   [`VersionedCounterMap`] — per-key version lists over a single-version
-//!   backing store (the `*Base` traits), mirroring the boosted collection
-//!   APIs one-for-one, including the `(LockId, LockMode)` footprint the
-//!   pessimistic twin would acquire.
+//!   [`VersionedCounterMap`] — per-key version lists over the boosted
+//!   twin each one owns (the `cc_stm` collection holding the committed
+//!   single-version state), mirroring the boosted APIs one-for-one,
+//!   including the `(LockId, LockMode)` footprint the twin would acquire.
 //! * [`MvccTxn`] — read-set/write-set transactions with savepoints and
 //!   nested speculative actions; read-only transactions commit without
 //!   validation and therefore **never abort**.
 //! * [`MvccRuntime`] — the per-world oracle + commit mutex + collection
-//!   registry; finalizes blocks by flattening newest versions into the
-//!   backing store and garbage-collects below the oldest active snapshot.
+//!   registry; flattens versions at or below a boundary into the boosted
+//!   twins, discards versions above one, and garbage-collects below the
+//!   oldest active snapshot.
 //!
 //! ```
-//! use cc_mvcc::{MapBase, MvccRuntime, VersionedMap};
-//! use cc_stm::LockSpace;
-//! use parking_lot::Mutex;
-//! use std::collections::HashMap;
-//!
-//! struct Base(Mutex<HashMap<u64, u64>>);
-//! impl MapBase<u64, u64> for Base {
-//!     fn load(&self, k: &u64) -> Option<u64> {
-//!         self.0.lock().get(k).copied()
-//!     }
-//!     fn store(&self, k: &u64, v: Option<u64>) {
-//!         let mut base = self.0.lock();
-//!         match v {
-//!             Some(v) => base.insert(*k, v),
-//!             None => base.remove(k),
-//!         };
-//!     }
-//! }
+//! use cc_mvcc::{MvccRuntime, VersionedMap};
+//! use cc_stm::BoostedMap;
 //!
 //! let runtime = MvccRuntime::new();
-//! let map = VersionedMap::new(LockSpace::new("demo"), Base(Mutex::new(HashMap::new())));
-//! runtime.register(map.handle());
+//! let base: BoostedMap<u64, u64> = BoostedMap::new("demo");
+//! let map = VersionedMap::new(&runtime, base.clone());
 //!
 //! let writer = runtime.begin();
 //! map.insert(&writer, 1, 10);
@@ -54,6 +39,10 @@
 //! let reader = runtime.begin();
 //! assert_eq!(map.get(&reader, &1), Some(10));
 //! assert!(reader.commit().expect("readers never abort").read_only);
+//!
+//! assert_eq!(base.peek(&1), None, "versions stay above the twin…");
+//! runtime.finalize_block();
+//! assert_eq!(base.peek(&1), Some(10), "…until the block is flattened");
 //! ```
 
 pub mod error;
@@ -66,55 +55,41 @@ pub use cc_primitives::ts::Timestamp;
 pub use error::MvccError;
 pub use oracle::TimestampOracle;
 pub use runtime::MvccRuntime;
-pub use store::{
-    CellBase, MapBase, MvccCollection, TallyBase, VecBase, VersionedCell, VersionedCounterMap,
-    VersionedMap, VersionedVec,
-};
+pub use store::{VersionedCell, VersionedCounterMap, VersionedMap, VersionedVec};
 pub use txn::{MvccCommit, MvccSavepoint, MvccTxn};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_stm::{LockMode, LockSpace};
-    use parking_lot::Mutex;
+    use cc_stm::{BoostedCell, BoostedCounterMap, BoostedMap, BoostedVec, LockMode, LockSpace};
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
     use std::sync::{mpsc, Arc};
     use std::thread;
     use std::time::Duration;
 
-    struct TestBase(Mutex<HashMap<u64, u64>>);
-
-    impl TestBase {
-        fn new(entries: &[(u64, u64)]) -> Self {
-            TestBase(Mutex::new(entries.iter().copied().collect()))
+    /// A versioned map over a boosted twin named `name` seeded with
+    /// `entries`; the twin is returned too, to inspect what was flattened.
+    fn map_over(
+        runtime: &MvccRuntime,
+        name: &str,
+        entries: &[(u64, u64)],
+    ) -> (VersionedMap<u64, u64>, BoostedMap<u64, u64>) {
+        let base = BoostedMap::new(name);
+        for &(key, value) in entries {
+            base.seed(key, value);
         }
+        (VersionedMap::new(runtime, base.clone()), base)
     }
 
-    impl MapBase<u64, u64> for TestBase {
-        fn load(&self, key: &u64) -> Option<u64> {
-            self.0.lock().get(key).copied()
-        }
-        fn store(&self, key: &u64, value: Option<u64>) {
-            let mut base = self.0.lock();
-            match value {
-                Some(v) => {
-                    base.insert(*key, v);
-                }
-                None => {
-                    base.remove(key);
-                }
-            }
-        }
+    /// The twin's content, sorted.
+    fn contents(base: &BoostedMap<u64, u64>) -> BTreeMap<u64, u64> {
+        base.snapshot().into_iter().collect()
     }
 
     fn fixture() -> (MvccRuntime, VersionedMap<u64, u64>) {
         let runtime = MvccRuntime::new();
-        let map = VersionedMap::new(
-            LockSpace::new("test.map"),
-            TestBase::new(&[(1, 100), (2, 200)]),
-        );
-        runtime.register(map.handle());
+        let (map, _) = map_over(&runtime, "test.map", &[(1, 100), (2, 200)]);
         (runtime, map)
     }
 
@@ -362,12 +337,8 @@ mod tests {
 
     #[test]
     fn finalize_below_commits_overlays_in_order() {
-        let shared = SharedBase(std::sync::Arc::new(Mutex::new(
-            [(1u64, 100u64), (2, 200)].into_iter().collect(),
-        )));
         let runtime = MvccRuntime::new();
-        let map = VersionedMap::new(LockSpace::new("test.overlay"), shared.clone());
-        runtime.register(map.handle());
+        let (map, base) = map_over(&runtime, "test.overlay", &[(1, 100), (2, 200)]);
 
         // Two "blocks" of speculated writes, each bounded by the oracle
         // instant recorded after its last commit.
@@ -386,8 +357,8 @@ mod tests {
         // Committing the first overlay flattens only its versions…
         runtime.finalize_below(boundary1);
         assert_eq!(
-            shared.0.lock().clone(),
-            [(1u64, 111u64), (2, 200), (3, 333)].into_iter().collect(),
+            contents(&base),
+            [(1, 111), (2, 200), (3, 333)].into(),
             "only the first block reached the base"
         );
         // …while readers above the boundary still see the second overlay.
@@ -397,20 +368,13 @@ mod tests {
         reader.commit().unwrap();
 
         runtime.finalize_below(boundary2);
-        assert_eq!(
-            shared.0.lock().clone(),
-            [(1u64, 222u64), (3, 333)].into_iter().collect(),
-        );
+        assert_eq!(contents(&base), [(1, 222), (3, 333)].into());
     }
 
     #[test]
     fn discard_above_rolls_pending_overlays_away() {
-        let shared = SharedBase(std::sync::Arc::new(Mutex::new(
-            [(1u64, 100u64)].into_iter().collect(),
-        )));
         let runtime = MvccRuntime::new();
-        let map = VersionedMap::new(LockSpace::new("test.discard"), shared.clone());
-        runtime.register(map.handle());
+        let (map, base) = map_over(&runtime, "test.discard", &[(1, 100)]);
 
         let txn = runtime.begin();
         map.insert(&txn, 1, 111);
@@ -428,25 +392,10 @@ mod tests {
         assert_eq!(map.get(&reader, &1), Some(111), "first overlay intact");
         assert_eq!(map.get(&reader, &2), None, "discarded write invisible");
         reader.commit().unwrap();
-        assert_eq!(shared.0.lock().get(&1), Some(&100));
+        assert_eq!(base.peek(&1), Some(100));
 
         runtime.finalize_below(boundary1);
-        assert_eq!(
-            shared.0.lock().clone(),
-            [(1u64, 111u64)].into_iter().collect()
-        );
-    }
-
-    #[derive(Clone)]
-    struct TallyShared(std::sync::Arc<Mutex<HashMap<u64, u64>>>);
-
-    impl TallyBase<u64> for TallyShared {
-        fn load(&self, key: &u64) -> u64 {
-            self.0.lock().get(key).copied().unwrap_or(0)
-        }
-        fn store(&self, key: &u64, value: u64) {
-            self.0.lock().insert(*key, value);
-        }
+        assert_eq!(contents(&base), [(1, 111)].into());
     }
 
     #[test]
@@ -454,10 +403,9 @@ mod tests {
         // Counter versions store materialized totals; flattening an older
         // overlay must not re-apply deltas the newer totals already
         // include.
-        let shared = TallyShared(std::sync::Arc::new(Mutex::new(HashMap::new())));
         let runtime = MvccRuntime::new();
-        let tally = VersionedCounterMap::new(LockSpace::new("test.tally"), shared.clone());
-        runtime.register(tally.handle());
+        let base = BoostedCounterMap::new("test.tally");
+        let tally = VersionedCounterMap::new(&runtime, base.clone());
 
         let txn = runtime.begin();
         tally.add(&txn, 7, 3);
@@ -470,13 +418,13 @@ mod tests {
         let boundary2 = runtime.oracle().latest();
 
         runtime.finalize_below(boundary1);
-        assert_eq!(shared.0.lock().get(&7), Some(&3));
+        assert_eq!(base.peek(&7), 3);
         let reader = runtime.begin();
         assert_eq!(tally.get(&reader, &7), 7, "newer total still visible");
         reader.commit().unwrap();
 
         runtime.finalize_below(boundary2);
-        assert_eq!(shared.0.lock().get(&7), Some(&7), "no double counting");
+        assert_eq!(base.peek(&7), 7, "no double counting");
 
         let txn = runtime.begin();
         tally.add(&txn, 7, 5);
@@ -487,27 +435,12 @@ mod tests {
         reader.commit().unwrap();
     }
 
-    #[derive(Clone)]
-    struct VecShared(std::sync::Arc<Mutex<Vec<u64>>>);
-
-    impl VecBase<u64> for VecShared {
-        fn len(&self) -> usize {
-            self.0.lock().len()
-        }
-        fn load(&self, i: usize) -> Option<u64> {
-            self.0.lock().get(i).copied()
-        }
-        fn store(&self, items: Vec<u64>) {
-            *self.0.lock() = items;
-        }
-    }
-
     #[test]
     fn vec_overlays_slice_length_and_elements_consistently() {
-        let shared = VecShared(std::sync::Arc::new(Mutex::new(vec![10, 20])));
         let runtime = MvccRuntime::new();
-        let vec = VersionedVec::new(LockSpace::new("test.vec"), shared.clone());
-        runtime.register(vec.handle());
+        let base = BoostedVec::new("test.vec");
+        base.restore([10, 20]);
+        let vec = VersionedVec::new(&runtime, base.clone());
 
         let txn = runtime.begin();
         vec.push(&txn, 30);
@@ -516,23 +449,23 @@ mod tests {
         let boundary1 = runtime.oracle().latest();
 
         let txn = runtime.begin();
-        assert_eq!(vec.pop(&txn), Some(30));
-        assert_eq!(vec.pop(&txn), Some(20));
+        assert_eq!(vec.push(&txn, 40), 3);
+        assert!(vec.set(&txn, 1, 21));
         txn.commit().unwrap();
         let boundary2 = runtime.oracle().latest();
 
         runtime.finalize_below(boundary1);
-        assert_eq!(*shared.0.lock(), vec![11, 20, 30], "first overlay only");
+        assert_eq!(base.snapshot(), vec![11, 20, 30], "first overlay only");
         let reader = runtime.begin();
         assert_eq!(
             reader_contents(&vec, &reader),
-            vec![11],
-            "pops still pending"
+            vec![11, 21, 30, 40],
+            "second overlay still pending"
         );
         reader.commit().unwrap();
 
         runtime.finalize_below(boundary2);
-        assert_eq!(*shared.0.lock(), vec![11]);
+        assert_eq!(base.snapshot(), vec![11, 21, 30, 40]);
     }
 
     fn reader_contents(vec: &VersionedVec<u64>, txn: &MvccTxn<'_>) -> Vec<u64> {
@@ -541,103 +474,346 @@ mod tests {
             .collect()
     }
 
-    /// A backing store the test keeps a handle to, so finalized content
-    /// can be inspected after the `VersionedMap` consumed it.
-    #[derive(Clone)]
-    struct SharedBase(std::sync::Arc<Mutex<HashMap<u64, u64>>>);
+    /// One random operation: `(selector, key or index, value)`.
+    type Op = (u8, u64, u64);
 
-    impl MapBase<u64, u64> for SharedBase {
-        fn load(&self, key: &u64) -> Option<u64> {
-            self.0.lock().get(key).copied()
-        }
-        fn store(&self, key: &u64, value: Option<u64>) {
-            let mut base = self.0.lock();
-            match value {
-                Some(v) => {
-                    base.insert(*key, v);
-                }
-                None => {
-                    base.remove(key);
-                }
+    /// Transactions of random operations, each with whether it commits
+    /// and what happens to the overlays after it (see [`Lifecycle`]).
+    type Program = Vec<(Vec<Op>, bool, u8)>;
+
+    fn program() -> impl Strategy<Value = Program> {
+        proptest::collection::vec(
+            (
+                proptest::collection::vec((0u8..5, 0u64..8, 0u64..1000), 0..6),
+                any::<bool>(),
+                0u8..5,
+            ),
+            0..14,
+        )
+    }
+
+    /// A versioned collection over a real boosted base, beside the
+    /// single-version reference it must agree with.
+    trait Subject {
+        /// The collection's whole content, as the reference keeps it.
+        type State: Clone + PartialEq + std::fmt::Debug;
+        /// Applies `op` through `txn` and to `state`, checking whatever
+        /// the operation returns against the reference.
+        fn apply(&self, txn: &MvccTxn<'_>, op: Op, state: &mut Self::State) -> TestCaseResult;
+        /// The whole content as `txn` sees it.
+        fn view(&self, txn: &MvccTxn<'_>) -> Self::State;
+        /// The boosted base's content.
+        fn base(&self) -> Self::State;
+    }
+
+    /// What a transaction's lifecycle byte does after it closes.
+    enum Lifecycle {
+        /// The block goes on.
+        Continue,
+        /// The block ends and stacks as a pending overlay; with more than
+        /// two stacked, the oldest is flattened.
+        Seal,
+        /// The block ends and the oldest pending overlay is flattened.
+        Flatten,
+        /// The block in progress is discarded back to the newest overlay.
+        DiscardBlock,
+        /// Every pending overlay is discarded back to the base.
+        DiscardAll,
+    }
+
+    impl Lifecycle {
+        fn decode(byte: u8) -> Self {
+            match byte % 5 {
+                0 => Lifecycle::Continue,
+                1 => Lifecycle::Seal,
+                2 => Lifecycle::Flatten,
+                3 => Lifecycle::DiscardBlock,
+                _ => Lifecycle::DiscardAll,
             }
         }
     }
 
-    proptest::proptest! {
-        /// A serial stream of optimistic transactions over the versioned
-        /// map must behave exactly like the same operations applied to a
-        /// plain single-version `HashMap`: uncommitted effects are
-        /// private, committed ones are visible to later snapshots,
-        /// aborted ones vanish, fresh readers always see the committed
-        /// reference, GC never changes any observable read, and
-        /// finalizing flattens the version lists to exactly the
-        /// reference content.
-        #[test]
-        fn prop_versioned_map_matches_single_version_reference(
-            seed_entries in proptest::collection::vec((0u64..16, 0u64..1000), 0..8),
-            txns in proptest::collection::vec(
-                (
-                    proptest::collection::vec((0u8..3, 0u64..16, 0u64..1000), 0..8),
-                    any::<bool>(),
-                ),
-                0..12,
-            ),
-        ) {
-            let runtime = MvccRuntime::new();
-            let shared = SharedBase(std::sync::Arc::new(Mutex::new(
-                seed_entries.iter().copied().collect(),
-            )));
-            let map = VersionedMap::new(LockSpace::new("test.prop"), shared.clone());
-            runtime.register(map.handle());
-            let mut reference: HashMap<u64, u64> = seed_entries.iter().copied().collect();
+    /// Runs `program` serially against `subject` and its reference:
+    /// read-your-writes after every operation, fresh-snapshot reads after
+    /// every commit and abort, GC with a snapshot pinned before the
+    /// writer, stacked overlays flattened (`finalize_below`) or rolled
+    /// away (`discard_above`) at random, and the base equal to the
+    /// reference at the newest flattened boundary throughout.
+    fn check_against_reference<S: Subject>(
+        runtime: &MvccRuntime,
+        subject: &S,
+        program: &Program,
+    ) -> TestCaseResult {
+        let mut state = subject.base();
+        // The last flattened boundary with its state, and the sealed
+        // overlays stacked above it, oldest first.
+        let mut base = (runtime.oracle().latest(), state.clone());
+        let mut pending: Vec<(Timestamp, S::State)> = Vec::new();
+        let seal = |pending: &mut Vec<(Timestamp, S::State)>, state: &S::State| {
+            pending.push((runtime.oracle().latest(), state.clone()));
+        };
 
-            for (ops, commit) in &txns {
-                let txn = runtime.begin();
-                let mut speculative = reference.clone();
-                for (op, key, value) in ops {
-                    match op % 3 {
-                        0 => {
-                            map.insert(&txn, *key, *value);
-                            speculative.insert(*key, *value);
-                        }
-                        1 => {
-                            map.remove(&txn, key);
-                            speculative.remove(key);
-                        }
-                        _ => {
-                            map.update_or(&txn, *key, 0, |x| *x = x.wrapping_add(*value));
-                            let next = speculative.get(key).copied().unwrap_or(0).wrapping_add(*value);
-                            speculative.insert(*key, next);
-                        }
-                    }
-                    // Read-your-writes: the transaction sees its own
-                    // buffered effects atop its snapshot.
-                    prop_assert_eq!(map.get(&txn, key), speculative.get(key).copied());
-                    prop_assert_eq!(map.contains_key(&txn, key), speculative.contains_key(key));
-                }
-                if *commit {
-                    txn.commit().unwrap();
-                    reference = speculative;
-                } else {
-                    txn.abort();
-                }
-
-                // A fresh snapshot sees exactly the committed reference —
-                // and, being read-only, commits without ever aborting.
-                let reader = runtime.begin();
-                for key in 0u64..16 {
-                    prop_assert_eq!(map.get(&reader, &key), reference.get(&key).copied());
-                }
-                prop_assert!(reader.commit().unwrap().read_only);
-
-                // GC under no active snapshots must not disturb anything
-                // a later reader can observe.
-                runtime.collect();
+        for (ops, commit, lifecycle) in program {
+            let pinned = (runtime.begin(), state.clone());
+            let txn = runtime.begin();
+            let mut speculative = state.clone();
+            for &op in ops {
+                subject.apply(&txn, op, &mut speculative)?;
+                prop_assert_eq!(subject.view(&txn), speculative.clone());
+            }
+            if *commit {
+                txn.commit().unwrap();
+                state = speculative;
+            } else {
+                txn.abort();
             }
 
-            runtime.finalize_block();
-            let base = shared.0.lock().clone();
-            prop_assert_eq!(base, reference);
+            // GC keeps the pinned snapshot's resolution. It may only run
+            // while no sealed overlay waits below the horizon: it would
+            // prune the versions `finalize_below` flattens.
+            if pending.is_empty() {
+                runtime.collect();
+            }
+            prop_assert_eq!(subject.view(&pinned.0), pinned.1);
+            drop(pinned);
+
+            match Lifecycle::decode(*lifecycle) {
+                Lifecycle::Continue => {}
+                Lifecycle::Seal => {
+                    seal(&mut pending, &state);
+                    if pending.len() > 2 {
+                        base = pending.remove(0);
+                        runtime.finalize_below(base.0);
+                    }
+                }
+                Lifecycle::Flatten => {
+                    seal(&mut pending, &state);
+                    base = pending.remove(0);
+                    runtime.finalize_below(base.0);
+                }
+                Lifecycle::DiscardBlock => {
+                    let (boundary, kept) = pending.last().unwrap_or(&base).clone();
+                    runtime.discard_above(boundary);
+                    state = kept;
+                }
+                Lifecycle::DiscardAll => {
+                    runtime.discard_above(base.0);
+                    pending.clear();
+                    state = base.1.clone();
+                }
+            }
+            prop_assert_eq!(subject.base(), base.1.clone());
+
+            // A fresh snapshot sees exactly the reference — and, being
+            // read-only, commits without ever aborting.
+            let reader = runtime.begin();
+            prop_assert_eq!(subject.view(&reader), state.clone());
+            prop_assert!(reader.commit().unwrap().read_only);
+        }
+
+        runtime.finalize_block();
+        prop_assert_eq!(subject.base(), state);
+        Ok(())
+    }
+
+    struct MapSubject(VersionedMap<u64, u64>, BoostedMap<u64, u64>);
+
+    impl Subject for MapSubject {
+        type State = BTreeMap<u64, u64>;
+
+        fn apply(&self, txn: &MvccTxn<'_>, op: Op, state: &mut Self::State) -> TestCaseResult {
+            let MapSubject(map, _) = self;
+            let (selector, key, value) = op;
+            match selector {
+                0 => {
+                    map.insert(txn, key, value);
+                    state.insert(key, value);
+                }
+                1 => prop_assert_eq!(map.remove(txn, &key), state.remove(&key).is_some()),
+                2 => {
+                    map.update_or(txn, key, 0, |x| *x = x.wrapping_add(value));
+                    let next = state.get(&key).copied().unwrap_or(0).wrapping_add(value);
+                    state.insert(key, next);
+                }
+                3 => prop_assert_eq!(map.replace(txn, key, value), state.insert(key, value)),
+                _ => prop_assert_eq!(map.take(txn, &key), state.remove(&key)),
+            }
+            Ok(())
+        }
+
+        fn view(&self, txn: &MvccTxn<'_>) -> Self::State {
+            (0..8)
+                .filter_map(|key| self.0.get(txn, &key).map(|value| (key, value)))
+                .collect()
+        }
+
+        fn base(&self) -> Self::State {
+            self.1.snapshot().into_iter().collect()
+        }
+    }
+
+    struct CounterSubject(VersionedCounterMap<u64>, BoostedCounterMap<u64>);
+
+    impl Subject for CounterSubject {
+        /// The tallies of keys 0 to 7.
+        type State = Vec<u64>;
+
+        fn apply(&self, txn: &MvccTxn<'_>, op: Op, state: &mut Self::State) -> TestCaseResult {
+            let CounterSubject(tally, _) = self;
+            let (selector, key, value) = op;
+            match selector % 3 {
+                0 => {
+                    tally.add(txn, key, value);
+                    state[key as usize] += value;
+                }
+                1 => {
+                    tally.set(txn, key, value);
+                    state[key as usize] = value;
+                }
+                _ => prop_assert_eq!(tally.get(txn, &key), state[key as usize]),
+            }
+            Ok(())
+        }
+
+        fn view(&self, txn: &MvccTxn<'_>) -> Self::State {
+            (0..8).map(|key| self.0.get(txn, &key)).collect()
+        }
+
+        fn base(&self) -> Self::State {
+            (0..8).map(|key| self.1.peek(&key)).collect()
+        }
+    }
+
+    struct CellSubject(VersionedCell<u64>, BoostedCell<u64>);
+
+    impl Subject for CellSubject {
+        type State = u64;
+
+        fn apply(&self, txn: &MvccTxn<'_>, op: Op, state: &mut Self::State) -> TestCaseResult {
+            let CellSubject(cell, _) = self;
+            let (selector, _, value) = op;
+            match selector % 3 {
+                0 => {
+                    cell.set(txn, value);
+                    *state = value;
+                }
+                1 => {
+                    *state = state.wrapping_add(value);
+                    prop_assert_eq!(cell.modify(txn, |x| *x = x.wrapping_add(value)), *state);
+                }
+                _ => prop_assert_eq!(cell.with(txn, |x| *x), *state),
+            }
+            Ok(())
+        }
+
+        fn view(&self, txn: &MvccTxn<'_>) -> Self::State {
+            self.0.get(txn)
+        }
+
+        fn base(&self) -> Self::State {
+            self.1.peek()
+        }
+    }
+
+    struct VecSubject(VersionedVec<u64>, BoostedVec<u64>);
+
+    impl Subject for VecSubject {
+        type State = Vec<u64>;
+
+        fn apply(&self, txn: &MvccTxn<'_>, op: Op, state: &mut Self::State) -> TestCaseResult {
+            let VecSubject(vec, _) = self;
+            let (selector, index, value) = op;
+            // Indices reach one past the end, so bounds checks fail too.
+            let i = index as usize % (state.len() + 1);
+            match selector % 4 {
+                0 | 1 => {
+                    prop_assert_eq!(vec.push(txn, value), state.len());
+                    state.push(value);
+                }
+                2 => {
+                    let in_bounds = i < state.len();
+                    prop_assert_eq!(vec.set(txn, i, value), in_bounds);
+                    if in_bounds {
+                        state[i] = value;
+                    }
+                }
+                _ => {
+                    let updated = state.get_mut(i).map(|x| {
+                        *x = x.wrapping_add(value);
+                        *x
+                    });
+                    prop_assert_eq!(vec.modify(txn, i, |x| *x = x.wrapping_add(value)), updated);
+                }
+            }
+            Ok(())
+        }
+
+        fn view(&self, txn: &MvccTxn<'_>) -> Self::State {
+            (0..self.0.len(txn))
+                .map(|i| self.0.get(txn, i).expect("in bounds"))
+                .collect()
+        }
+
+        fn base(&self) -> Self::State {
+            self.1.snapshot()
+        }
+    }
+
+    proptest::proptest! {
+        /// A serial stream of optimistic transactions over each versioned
+        /// collection behaves exactly like the same operations on a plain
+        /// single-version reference (see `check_against_reference`).
+        #[test]
+        fn prop_versioned_map_matches_single_version_reference(
+            seed in proptest::collection::vec((0u64..8, 0u64..1000), 0..8),
+            program in program(),
+        ) {
+            let runtime = MvccRuntime::new();
+            let base = BoostedMap::new("test.prop.map");
+            for (key, value) in seed {
+                base.seed(key, value);
+            }
+            let map = VersionedMap::new(&runtime, base.clone());
+            check_against_reference(&runtime, &MapSubject(map, base), &program)?;
+        }
+
+        #[test]
+        fn prop_versioned_counter_map_matches_single_version_reference(
+            seed in proptest::collection::vec((0u64..8, 0u64..1000), 0..8),
+            program in program(),
+        ) {
+            let runtime = MvccRuntime::new();
+            let base = BoostedCounterMap::new("test.prop.tally");
+            for (key, value) in seed {
+                base.seed(key, value);
+            }
+            let tally = VersionedCounterMap::new(&runtime, base.clone());
+            check_against_reference(&runtime, &CounterSubject(tally, base), &program)?;
+        }
+
+        #[test]
+        fn prop_versioned_cell_matches_single_version_reference(
+            seed in 0u64..1000,
+            program in program(),
+        ) {
+            let runtime = MvccRuntime::new();
+            let base = BoostedCell::new("test.prop.cell", seed);
+            let cell = VersionedCell::new(&runtime, base.clone());
+            check_against_reference(&runtime, &CellSubject(cell, base), &program)?;
+        }
+
+        #[test]
+        fn prop_versioned_vec_matches_single_version_reference(
+            seed in proptest::collection::vec(0u64..1000, 0..6),
+            program in program(),
+        ) {
+            let runtime = MvccRuntime::new();
+            let base = BoostedVec::new("test.prop.vec");
+            for value in seed {
+                base.seed_push(value);
+            }
+            let vec = VersionedVec::new(&runtime, base.clone());
+            check_against_reference(&runtime, &VecSubject(vec, base), &program)?;
         }
     }
 }

@@ -4,6 +4,7 @@
 use crate::oracle::TimestampOracle;
 use crate::store::MvccCollection;
 use crate::txn::MvccTxn;
+use cc_primitives::ts::Timestamp;
 use parking_lot::{Mutex, MutexGuard};
 use std::fmt;
 use std::sync::Arc;
@@ -49,45 +50,41 @@ impl MvccRuntime {
         &self.oracle
     }
 
-    /// Registers a versioned collection so [`MvccRuntime::finalize_block`]
-    /// and [`MvccRuntime::collect`] reach it. Idempotent per collection.
-    pub fn register(&self, collection: Arc<dyn MvccCollection>) {
-        let mut collections = self.collections.lock();
-        if !collections.iter().any(|c| Arc::ptr_eq(c, &collection)) {
-            collections.push(collection);
-        }
+    /// Registers a versioned collection (each registers itself when
+    /// built) so the block lifecycle and [`MvccRuntime::collect`] reach it.
+    pub(crate) fn register(&self, collection: Arc<dyn MvccCollection>) {
+        self.collections.lock().push(collection);
     }
 
-    /// Flattens the newest committed version of every key into the backing
-    /// stores and clears all version lists. Called by the miner after the
-    /// last transaction of a block committed, before the state root is
+    /// Flattens every committed version into the boosted twins, leaving
+    /// the version lists empty: [`MvccRuntime::finalize_below`] at the
+    /// newest published timestamp. Called by the miner after the last
+    /// transaction of a block committed, before the state root is
     /// computed; must not run concurrently with active transactions.
     pub fn finalize_block(&self) {
-        for collection in self.collections.lock().iter() {
-            collection.finalize();
-        }
+        self.finalize_below(self.oracle.latest());
     }
 
-    /// Flattens every version at or below `boundary` into the backing
-    /// stores, keeping newer versions stacked above the base — the
+    /// Flattens every version at or below `boundary` into the boosted
+    /// twins, keeping newer versions stacked above them — the
     /// **pending-overlay commit**. A speculatively validated block's
     /// versions all carry timestamps at or below the oracle instant
     /// recorded when its replay finished; flattening up to that boundary
     /// commits exactly that block while later speculated blocks stay
     /// pending. Like [`MvccRuntime::finalize_block`], this must not run
     /// concurrently with active transactions.
-    pub fn finalize_below(&self, boundary: cc_primitives::ts::Timestamp) {
+    pub fn finalize_below(&self, boundary: Timestamp) {
         for collection in self.collections.lock().iter() {
             collection.finalize_below(boundary);
         }
     }
 
     /// Drops every version newer than `boundary` without touching the
-    /// backing stores — the **pending-overlay discard**. Rolls the
+    /// boosted twins — the **pending-overlay discard**. Rolls the
     /// versioned state back to the boundary of the last trusted block
     /// when a speculated block (or its predecessor) fails validation.
     /// Must not run concurrently with active transactions.
-    pub fn discard_above(&self, boundary: cc_primitives::ts::Timestamp) {
+    pub fn discard_above(&self, boundary: Timestamp) {
         for collection in self.collections.lock().iter() {
             collection.discard_above(boundary);
         }
@@ -95,18 +92,16 @@ impl MvccRuntime {
 
     /// Garbage-collects versions that no active or future snapshot can
     /// read: in every version list, versions older than the newest one at
-    /// or below the oldest active begin timestamp are dropped. Safe to run
+    /// or below the oldest active begin timestamp are dropped. It only
+    /// prunes (nothing reaches the boosted twins), so it must not run
+    /// while a pending overlay's boundary lies below the horizon: it would
+    /// drop versions that overlay's `finalize_below` flattens. Safe to run
     /// concurrently with transactions.
     pub fn collect(&self) {
         let horizon = self.oracle.horizon();
         for collection in self.collections.lock().iter() {
             collection.collect(horizon);
         }
-    }
-
-    /// Number of registered collections (diagnostics).
-    pub fn collection_count(&self) -> usize {
-        self.collections.lock().len()
     }
 
     /// The first-committer-wins critical section.

@@ -1,40 +1,22 @@
 //! A versioned scalar.
 
-use super::{newer_than, prune, read_at, MvccCollection, Version};
+use super::{MvccCollection, Versions};
+use crate::runtime::MvccRuntime;
 use crate::txn::{MvccTxn, PendingOps};
 use cc_primitives::ts::Timestamp;
-use cc_stm::{LockId, LockMode};
-use parking_lot::RwLock;
-use std::any::Any;
+use cc_stm::{BoostedCell, LockMode};
 use std::sync::Arc;
 
-/// The single-version backing store a [`VersionedCell`] overlays.
-pub trait CellBase<T>: Send + Sync {
-    /// Reads the committed base value.
-    fn load(&self) -> T;
-    /// Applies the finalized value.
-    fn store(&self, value: T);
-}
-
 /// Buffered per-transaction state for one versioned cell.
-pub(crate) struct CellPending<T> {
+struct CellPending<T> {
+    core: Arc<CellCore<T>>,
     write: Option<T>,
     read: bool,
     /// Journal of prior `write` buffers.
     undo: Vec<Option<T>>,
 }
 
-impl<T> Default for CellPending<T> {
-    fn default() -> Self {
-        CellPending {
-            write: None,
-            read: false,
-            undo: Vec::new(),
-        }
-    }
-}
-
-impl<T: Send + 'static> PendingOps for CellPending<T> {
+impl<T: Clone + Send + Sync + 'static> PendingOps for CellPending<T> {
     fn undo_last(&mut self) {
         self.write = self.undo.pop().expect("undo entry exists");
     }
@@ -47,139 +29,94 @@ impl<T: Send + 'static> PendingOps for CellPending<T> {
         self.write.is_some()
     }
 
-    fn any_ref(&self) -> &dyn Any {
-        self
+    fn validate(&self, begin_ts: Timestamp) -> bool {
+        let touched = self.read || self.write.is_some();
+        !self
+            .core
+            .versions
+            .conflicted(begin_ts, touched.then_some((&(), false)))
     }
 
-    fn any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn install(&mut self, commit_ts: Timestamp) {
+        let write = self.write.take().map(|value| ((), value));
+        self.core
+            .versions
+            .install(commit_ts, write, |_, _, value| (value, false));
     }
 }
 
+/// The version list (keyed by `()`) over the boosted twin.
 struct CellCore<T> {
-    lock: LockId,
-    versions: RwLock<Vec<Version<T>>>,
-    base: Box<dyn CellBase<T>>,
+    versions: Versions<(), T>,
+    base: BoostedCell<T>,
 }
 
-impl<T> MvccCollection for CellCore<T>
-where
-    T: Clone + Send + Sync + 'static,
-{
-    fn validate(&self, pending: &dyn Any, begin_ts: Timestamp) -> bool {
-        let p = pending
-            .downcast_ref::<CellPending<T>>()
-            .expect("cell pending state");
-        if !p.read && p.write.is_none() {
-            return true;
-        }
-        !newer_than(&self.versions.read(), begin_ts)
-    }
-
-    fn install(&self, pending: &mut dyn Any, commit_ts: Timestamp) {
-        let p = pending
-            .downcast_mut::<CellPending<T>>()
-            .expect("cell pending state");
-        if let Some(value) = p.write.take() {
-            self.versions.write().push(Version {
-                ts: commit_ts,
-                additive: false,
-                value,
-            });
-        }
-    }
-
-    fn finalize(&self) {
-        let mut versions = self.versions.write();
-        let newest = versions.drain(..).next_back();
-        if let Some(newest) = newest {
-            self.base.store(newest.value);
-        }
-    }
-
+impl<T: Clone + Send + Sync + 'static> MvccCollection for CellCore<T> {
     fn finalize_below(&self, boundary: Timestamp) {
-        let mut versions = self.versions.write();
-        if let Some(newest) = super::take_below(&mut versions, boundary) {
-            self.base.store(newest);
-        }
+        self.versions
+            .finalize_below(boundary, |(), value| self.base.seed(value));
     }
 
     fn discard_above(&self, boundary: Timestamp) {
-        super::drop_above(&mut self.versions.write(), boundary);
+        self.versions.discard_above(boundary);
     }
 
     fn collect(&self, horizon: Timestamp) {
-        prune(&mut self.versions.write(), horizon);
+        self.versions.collect(horizon);
     }
 }
 
 /// A multi-version scalar: snapshot reads, one buffered write per
-/// transaction, base fall-through.
+/// transaction, fall-through to the boosted twin.
 pub struct VersionedCell<T> {
     core: Arc<CellCore<T>>,
 }
 
-impl<T> VersionedCell<T>
-where
-    T: Clone + Send + Sync + 'static,
-{
-    /// Creates a versioned overlay guarded by the same whole-cell lock id
-    /// as the pessimistic twin, over `base`.
-    pub fn new(lock: LockId, base: impl CellBase<T> + 'static) -> Self {
-        VersionedCell {
-            core: Arc::new(CellCore {
-                lock,
-                versions: RwLock::new(Vec::new()),
-                base: Box::new(base),
-            }),
-        }
+impl<T: Clone + Send + Sync + 'static> VersionedCell<T> {
+    /// Creates a versioned overlay over `base`, guarded by the twin's
+    /// whole-cell lock id so footprints match, and registers it with
+    /// `runtime`.
+    pub fn new(runtime: &MvccRuntime, base: BoostedCell<T>) -> Self {
+        let core = Arc::new(CellCore {
+            versions: Versions::default(),
+            base,
+        });
+        runtime.register(core.clone());
+        VersionedCell { core }
     }
 
-    /// The collection's commit/lifecycle handle.
-    pub fn handle(&self) -> Arc<dyn MvccCollection> {
-        Arc::clone(&self.core) as Arc<dyn MvccCollection>
-    }
-
-    fn token(&self) -> usize {
-        Arc::as_ptr(&self.core) as *const () as usize
+    /// Runs `f` over `txn`'s buffered state for this cell.
+    fn pending<R>(&self, txn: &MvccTxn<'_>, f: impl FnOnce(&mut CellPending<T>) -> R) -> R {
+        let init = |core| CellPending {
+            core,
+            write: None,
+            read: false,
+            undo: Vec::new(),
+        };
+        txn.with_pending(&self.core, init, f)
     }
 
     /// Value as seen by `txn`, marking the cell read.
     fn read(&self, txn: &MvccTxn<'_>) -> T {
-        let buffered = txn.with_pending(
-            self.token(),
-            || self.handle(),
-            |p: &mut CellPending<T>| {
-                p.read = true;
-                p.write.clone()
-            },
-        );
-        if let Some(value) = buffered {
-            return value;
-        }
-        {
-            let versions = self.core.versions.read();
-            if let Some(version) = read_at(&versions, txn.begin_ts()) {
-                return version.value.clone();
-            }
-        }
-        self.core.base.load()
+        let buffered = self.pending(txn, |p| {
+            p.read = true;
+            p.write.clone()
+        });
+        buffered
+            .or_else(|| self.core.versions.read_at(&(), txn.begin_ts()))
+            .unwrap_or_else(|| self.core.base.peek())
     }
 
     fn buffer(&self, txn: &MvccTxn<'_>, value: T) {
-        txn.with_pending(
-            self.token(),
-            || self.handle(),
-            |p: &mut CellPending<T>| {
-                let prior = p.write.replace(value);
-                p.undo.push(prior);
-            },
-        );
+        self.pending(txn, |p| {
+            let prior = p.write.replace(value);
+            p.undo.push(prior);
+        });
     }
 
     /// Reads the value (pessimistic twin: shared cell lock).
     pub fn get(&self, txn: &MvccTxn<'_>) -> T {
-        txn.footprint(self.core.lock, LockMode::Shared);
+        txn.footprint(self.core.base.lock_id(), LockMode::Shared);
         self.read(txn)
     }
 
@@ -190,13 +127,13 @@ where
 
     /// Overwrites the value (pessimistic twin: exclusive cell lock).
     pub fn set(&self, txn: &MvccTxn<'_>, value: T) {
-        txn.footprint(self.core.lock, LockMode::Exclusive);
+        txn.footprint(self.core.base.lock_id(), LockMode::Exclusive);
         self.buffer(txn, value);
     }
 
     /// Read-modify-write; returns the updated value.
     pub fn modify(&self, txn: &MvccTxn<'_>, f: impl FnOnce(&mut T)) -> T {
-        txn.footprint(self.core.lock, LockMode::Exclusive);
+        txn.footprint(self.core.base.lock_id(), LockMode::Exclusive);
         let mut value = self.read(txn);
         f(&mut value);
         self.buffer(txn, value.clone());
@@ -215,7 +152,7 @@ impl<T> Clone for VersionedCell<T> {
 impl<T> std::fmt::Debug for VersionedCell<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VersionedCell")
-            .field("versions", &self.core.versions.read().len())
+            .field("keys_with_versions", &self.core.versions.len())
             .finish()
     }
 }

@@ -7,63 +7,41 @@
 //! installs its delta on top of the newest total — concurrent adders all
 //! commit, exactly like the pessimistic `Additive` lock mode.
 
-use super::{newer_exclusive_than, newer_than, prune, read_at, MvccCollection, Version};
+use super::{MvccCollection, Versions};
+use crate::runtime::MvccRuntime;
 use crate::txn::{MvccTxn, PendingOps};
 use cc_primitives::fx::{FxHashMap, FxHashSet};
 use cc_primitives::ts::Timestamp;
-use cc_stm::{LockMode, LockSpace};
-use parking_lot::RwLock;
-use std::any::Any;
+use cc_stm::{BoostedCounterMap, LockMode};
 use std::hash::Hash;
 use std::sync::Arc;
 
-/// The single-version backing store a [`VersionedCounterMap`] overlays.
-pub trait TallyBase<K>: Send + Sync {
-    /// Reads the committed base tally (0 when absent).
-    fn load(&self, key: &K) -> u64;
-    /// Applies a finalized tally.
-    fn store(&self, key: &K, value: u64);
-}
-
 /// One key's buffered arithmetic: an optional overwrite followed by a
 /// delta (`set` clobbers earlier buffered state; `add` accumulates).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Tally {
     set: Option<u64>,
     delta: u64,
 }
 
 /// Buffered per-transaction state for one versioned counter map.
-pub(crate) struct CounterPending<K> {
+struct CounterPending<K> {
+    core: Arc<CounterCore<K>>,
     ops: FxHashMap<K, Tally>,
     reads: FxHashSet<K>,
     undo: Vec<(K, Option<Tally>)>,
 }
 
-impl<K> Default for CounterPending<K> {
-    fn default() -> Self {
-        CounterPending {
-            ops: FxHashMap::default(),
-            reads: FxHashSet::default(),
-            undo: Vec::new(),
-        }
-    }
-}
-
 impl<K> PendingOps for CounterPending<K>
 where
-    K: Hash + Eq + Clone + Send + 'static,
+    K: Hash + Eq + Clone + Send + Sync + 'static,
 {
     fn undo_last(&mut self) {
         let (key, prior) = self.undo.pop().expect("undo entry exists");
         match prior {
-            Some(tally) => {
-                self.ops.insert(key, tally);
-            }
-            None => {
-                self.ops.remove(&key);
-            }
-        }
+            Some(tally) => self.ops.insert(key, tally),
+            None => self.ops.remove(&key),
+        };
     }
 
     fn undo_len(&self) -> usize {
@@ -74,123 +52,53 @@ where
         !self.ops.is_empty()
     }
 
-    fn any_ref(&self) -> &dyn Any {
-        self
+    fn validate(&self, begin_ts: Timestamp) -> bool {
+        // A pure add commutes with other adds; only a newer overwrite (or
+        // a newer version of a key this transaction read) invalidates it.
+        let reads = self.reads.iter().map(|key| (key, false));
+        let ops = self
+            .ops
+            .iter()
+            .map(|(key, tally)| (key, tally.set.is_none()));
+        !self.core.versions.conflicted(begin_ts, reads.chain(ops))
     }
 
-    fn any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn install(&mut self, commit_ts: Timestamp) {
+        let core = &self.core;
+        core.versions
+            .install(commit_ts, self.ops.drain(), |key, newest, tally| {
+                let current = || newest.copied().unwrap_or_else(|| core.base.peek(key));
+                let total = tally.set.unwrap_or_else(current) + tally.delta;
+                (total, tally.set.is_none())
+            });
     }
 }
 
+/// The version lists (running totals) over the boosted twin.
 struct CounterCore<K> {
-    space: LockSpace,
-    versions: RwLock<FxHashMap<K, Vec<Version<u64>>>>,
-    base: Box<dyn TallyBase<K>>,
-}
-
-impl<K> CounterCore<K>
-where
-    K: Hash + Eq + Clone + Send + Sync + 'static,
-{
-    /// The newest total regardless of snapshot (commit-time view).
-    fn latest_total(&self, versions: &FxHashMap<K, Vec<Version<u64>>>, key: &K) -> u64 {
-        versions
-            .get(key)
-            .and_then(|list| list.last())
-            .map(|v| v.value)
-            .unwrap_or_else(|| self.base.load(key))
-    }
+    versions: Versions<K, u64>,
+    base: BoostedCounterMap<K>,
 }
 
 impl<K> MvccCollection for CounterCore<K>
 where
     K: Hash + Eq + Clone + Send + Sync + 'static,
 {
-    fn validate(&self, pending: &dyn Any, begin_ts: Timestamp) -> bool {
-        let p = pending
-            .downcast_ref::<CounterPending<K>>()
-            .expect("counter pending state");
-        let versions = self.versions.read();
-        for key in &p.reads {
-            if versions
-                .get(key)
-                .is_some_and(|list| newer_than(list, begin_ts))
-            {
-                return false;
-            }
-        }
-        for (key, tally) in &p.ops {
-            let Some(list) = versions.get(key) else {
-                continue;
-            };
-            let conflicted = if tally.set.is_some() {
-                newer_than(list, begin_ts)
-            } else {
-                // A pure add commutes with other adds; only a newer
-                // overwrite (or a read-validated key, handled above)
-                // invalidates it.
-                newer_exclusive_than(list, begin_ts)
-            };
-            if conflicted {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn install(&self, pending: &mut dyn Any, commit_ts: Timestamp) {
-        let p = pending
-            .downcast_mut::<CounterPending<K>>()
-            .expect("counter pending state");
-        let mut versions = self.versions.write();
-        for (key, tally) in p.ops.drain() {
-            let current = self.latest_total(&versions, &key);
-            let total = tally.set.unwrap_or(current) + tally.delta;
-            versions.entry(key).or_default().push(Version {
-                ts: commit_ts,
-                additive: tally.set.is_none(),
-                value: total,
-            });
-        }
-    }
-
-    fn finalize(&self) {
-        let mut versions = self.versions.write();
-        for (key, list) in versions.drain() {
-            if let Some(newest) = list.last() {
-                self.base.store(&key, newest.value);
-            }
-        }
-    }
-
     fn finalize_below(&self, boundary: Timestamp) {
         // Versions hold materialized running totals, so slicing by
         // timestamp is exact: the newest total at or below the boundary
-        // moves to the base, and the retained newer totals already
+        // moves to the twin, and the retained newer totals already
         // include it.
-        let mut versions = self.versions.write();
-        versions.retain(|key, list| {
-            if let Some(newest) = super::take_below(list, boundary) {
-                self.base.store(key, newest);
-            }
-            !list.is_empty()
-        });
+        self.versions
+            .finalize_below(boundary, |key, total| self.base.seed(key.clone(), total));
     }
 
     fn discard_above(&self, boundary: Timestamp) {
-        let mut versions = self.versions.write();
-        versions.retain(|_, list| {
-            super::drop_above(list, boundary);
-            !list.is_empty()
-        });
+        self.versions.discard_above(boundary);
     }
 
     fn collect(&self, horizon: Timestamp) {
-        let mut versions = self.versions.write();
-        for list in versions.values_mut() {
-            prune(list, horizon);
-        }
+        self.versions.collect(horizon);
     }
 }
 
@@ -203,99 +111,75 @@ impl<K> VersionedCounterMap<K>
 where
     K: Hash + Eq + Clone + Send + Sync + 'static,
 {
-    /// Creates a versioned overlay for the lock space `space` over `base`.
-    pub fn new(space: LockSpace, base: impl TallyBase<K> + 'static) -> Self {
-        VersionedCounterMap {
-            core: Arc::new(CounterCore {
-                space,
-                versions: RwLock::new(FxHashMap::default()),
-                base: Box::new(base),
-            }),
-        }
+    /// Creates a versioned overlay over `base`, sharing its lock space so
+    /// footprints match, and registers it with `runtime`.
+    pub fn new(runtime: &MvccRuntime, base: BoostedCounterMap<K>) -> Self {
+        let core = Arc::new(CounterCore {
+            versions: Versions::default(),
+            base,
+        });
+        runtime.register(core.clone());
+        VersionedCounterMap { core }
     }
 
-    /// The collection's commit/lifecycle handle.
-    pub fn handle(&self) -> Arc<dyn MvccCollection> {
-        Arc::clone(&self.core) as Arc<dyn MvccCollection>
+    /// Records `key` in the footprint under `mode`.
+    fn footprint(&self, txn: &MvccTxn<'_>, key: &K, mode: LockMode) {
+        txn.footprint(self.core.base.lock_space().lock_for(key), mode);
     }
 
-    fn token(&self) -> usize {
-        Arc::as_ptr(&self.core) as *const () as usize
+    /// Runs `f` over `txn`'s buffered state for this map.
+    fn pending<R>(&self, txn: &MvccTxn<'_>, f: impl FnOnce(&mut CounterPending<K>) -> R) -> R {
+        let init = |core| CounterPending {
+            core,
+            ops: FxHashMap::default(),
+            reads: FxHashSet::default(),
+            undo: Vec::new(),
+        };
+        txn.with_pending(&self.core, init, f)
     }
 
-    /// The tally as of the snapshot, before this transaction's buffered
-    /// arithmetic.
-    fn snapshot_total(&self, txn: &MvccTxn<'_>, key: &K) -> u64 {
-        {
-            let versions = self.core.versions.read();
-            if let Some(list) = versions.get(key) {
-                if let Some(version) = read_at(list, txn.begin_ts()) {
-                    return version.value;
-                }
-            }
-        }
-        self.core.base.load(key)
+    /// Buffers `update` of `key`'s tally, journaling the prior one.
+    fn buffer(&self, txn: &MvccTxn<'_>, key: K, mode: LockMode, update: impl FnOnce(&mut Tally)) {
+        self.footprint(txn, &key, mode);
+        self.pending(txn, |p| {
+            let prior = p.ops.get(&key).cloned();
+            update(p.ops.entry(key.clone()).or_default());
+            p.undo.push((key, prior));
+        });
     }
 
     /// Adds `delta` to the tally (pessimistic twin: additive key lock);
     /// commutes with concurrent adds to the same key.
     pub fn add(&self, txn: &MvccTxn<'_>, key: K, delta: u64) {
-        txn.footprint(self.core.space.lock_for(&key), LockMode::Additive);
-        txn.with_pending(
-            self.token(),
-            || self.handle(),
-            |p: &mut CounterPending<K>| {
-                let prior = p.ops.get(&key).cloned();
-                let mut tally = prior.clone().unwrap_or(Tally {
-                    set: None,
-                    delta: 0,
-                });
-                tally.delta += delta;
-                p.ops.insert(key.clone(), tally);
-                p.undo.push((key.clone(), prior));
-            },
-        );
+        self.buffer(txn, key, LockMode::Additive, |tally| tally.delta += delta);
     }
 
     /// Reads the tally (pessimistic twin: shared key lock); orders against
     /// concurrent adds.
     pub fn get(&self, txn: &MvccTxn<'_>, key: &K) -> u64 {
-        txn.footprint(self.core.space.lock_for(key), LockMode::Shared);
-        let pending = txn.with_pending(
-            self.token(),
-            || self.handle(),
-            |p: &mut CounterPending<K>| {
-                p.reads.insert(key.clone());
-                p.ops.get(key).cloned()
-            },
-        );
-        match pending {
-            Some(Tally {
-                set: Some(base),
-                delta,
-            }) => base + delta,
-            Some(Tally { set: None, delta }) => self.snapshot_total(txn, key) + delta,
-            None => self.snapshot_total(txn, key),
-        }
+        self.footprint(txn, key, LockMode::Shared);
+        let pending = self.pending(txn, |p| {
+            p.reads.insert(key.clone());
+            p.ops.get(key).cloned()
+        });
+        let Tally { set, delta } = pending.unwrap_or_default();
+        let snapshot = || {
+            self.core
+                .versions
+                .read_at(key, txn.begin_ts())
+                .unwrap_or_else(|| self.core.base.peek(key))
+        };
+        set.unwrap_or_else(snapshot) + delta
     }
 
     /// Overwrites the tally (pessimistic twin: exclusive key lock).
     pub fn set(&self, txn: &MvccTxn<'_>, key: K, value: u64) {
-        txn.footprint(self.core.space.lock_for(&key), LockMode::Exclusive);
-        txn.with_pending(
-            self.token(),
-            || self.handle(),
-            |p: &mut CounterPending<K>| {
-                let prior = p.ops.insert(
-                    key.clone(),
-                    Tally {
-                        set: Some(value),
-                        delta: 0,
-                    },
-                );
-                p.undo.push((key.clone(), prior));
-            },
-        );
+        self.buffer(txn, key, LockMode::Exclusive, |tally| {
+            *tally = Tally {
+                set: Some(value),
+                delta: 0,
+            }
+        });
     }
 }
 
@@ -310,7 +194,7 @@ impl<K> Clone for VersionedCounterMap<K> {
 impl<K> std::fmt::Debug for VersionedCounterMap<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VersionedCounterMap")
-            .field("keys_with_versions", &self.core.versions.read().len())
+            .field("keys_with_versions", &self.core.versions.len())
             .finish()
     }
 }

@@ -1,26 +1,17 @@
 //! A versioned `mapping(K => V)`.
 
-use super::{newer_than, prune, read_at, MvccCollection, Version};
+use super::{MvccCollection, Versions};
+use crate::runtime::MvccRuntime;
 use crate::txn::{MvccTxn, PendingOps};
 use cc_primitives::fx::{FxHashMap, FxHashSet};
 use cc_primitives::ts::Timestamp;
-use cc_stm::{LockMode, LockSpace};
-use parking_lot::RwLock;
-use std::any::Any;
+use cc_stm::{BoostedMap, LockMode};
 use std::hash::Hash;
 use std::sync::Arc;
 
-/// The single-version backing store a [`VersionedMap`] overlays (in the
-/// VM, an adapter over the boosted map; in tests, any mutex-wrapped map).
-pub trait MapBase<K, V>: Send + Sync {
-    /// Reads the committed base binding for `key`.
-    fn load(&self, key: &K) -> Option<V>;
-    /// Applies a finalized binding: `Some` upserts, `None` removes.
-    fn store(&self, key: &K, value: Option<V>);
-}
-
 /// Buffered per-transaction state for one versioned map.
-pub(crate) struct MapPending<K, V> {
+struct MapPending<K, V> {
+    core: Arc<MapCore<K, V>>,
     /// Last buffered write per key (`None` = pending removal).
     writes: FxHashMap<K, Option<V>>,
     /// Keys whose committed value this transaction observed.
@@ -29,31 +20,17 @@ pub(crate) struct MapPending<K, V> {
     undo: Vec<(K, Option<Option<V>>)>,
 }
 
-impl<K, V> Default for MapPending<K, V> {
-    fn default() -> Self {
-        MapPending {
-            writes: FxHashMap::default(),
-            reads: FxHashSet::default(),
-            undo: Vec::new(),
-        }
-    }
-}
-
 impl<K, V> PendingOps for MapPending<K, V>
 where
-    K: Hash + Eq + Clone + Send + 'static,
-    V: Send + 'static,
+    K: Hash + Eq + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
 {
     fn undo_last(&mut self) {
         let (key, prior) = self.undo.pop().expect("undo entry exists");
         match prior {
-            Some(binding) => {
-                self.writes.insert(key, binding);
-            }
-            None => {
-                self.writes.remove(&key);
-            }
-        }
+            Some(binding) => self.writes.insert(key, binding),
+            None => self.writes.remove(&key),
+        };
     }
 
     fn undo_len(&self) -> usize {
@@ -64,19 +41,26 @@ where
         !self.writes.is_empty()
     }
 
-    fn any_ref(&self) -> &dyn Any {
-        self
+    fn validate(&self, begin_ts: Timestamp) -> bool {
+        let keys = self.reads.iter().chain(self.writes.keys());
+        !self
+            .core
+            .versions
+            .conflicted(begin_ts, keys.map(|key| (key, false)))
     }
 
-    fn any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn install(&mut self, commit_ts: Timestamp) {
+        self.core
+            .versions
+            .install(commit_ts, self.writes.drain(), |_, _, value| (value, false));
     }
 }
 
+/// The version lists (deletions are `None` versions) over the boosted
+/// twin.
 struct MapCore<K, V> {
-    space: LockSpace,
-    versions: RwLock<FxHashMap<K, Vec<Version<Option<V>>>>>,
-    base: Box<dyn MapBase<K, V>>,
+    versions: Versions<K, Option<V>>,
+    base: BoostedMap<K, V>,
 }
 
 impl<K, V> MvccCollection for MapCore<K, V>
@@ -84,69 +68,25 @@ where
     K: Hash + Eq + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
 {
-    fn validate(&self, pending: &dyn Any, begin_ts: Timestamp) -> bool {
-        let p = pending
-            .downcast_ref::<MapPending<K, V>>()
-            .expect("map pending state");
-        let versions = self.versions.read();
-        let conflicted = |key: &K| {
-            versions
-                .get(key)
-                .is_some_and(|list| newer_than(list, begin_ts))
-        };
-        !p.reads.iter().any(conflicted) && !p.writes.keys().any(conflicted)
-    }
-
-    fn install(&self, pending: &mut dyn Any, commit_ts: Timestamp) {
-        let p = pending
-            .downcast_mut::<MapPending<K, V>>()
-            .expect("map pending state");
-        let mut versions = self.versions.write();
-        for (key, value) in p.writes.drain() {
-            versions.entry(key).or_default().push(Version {
-                ts: commit_ts,
-                additive: false,
-                value,
-            });
-        }
-    }
-
-    fn finalize(&self) {
-        let mut versions = self.versions.write();
-        for (key, list) in versions.drain() {
-            if let Some(newest) = list.into_iter().next_back() {
-                self.base.store(&key, newest.value);
-            }
-        }
-    }
-
     fn finalize_below(&self, boundary: Timestamp) {
-        let mut versions = self.versions.write();
-        versions.retain(|key, list| {
-            if let Some(newest) = super::take_below(list, boundary) {
-                self.base.store(key, newest);
-            }
-            !list.is_empty()
-        });
+        self.versions
+            .finalize_below(boundary, |key, newest| match newest {
+                Some(value) => self.base.seed(key.clone(), value),
+                None => self.base.seed_remove(key),
+            });
     }
 
     fn discard_above(&self, boundary: Timestamp) {
-        let mut versions = self.versions.write();
-        versions.retain(|_, list| {
-            super::drop_above(list, boundary);
-            !list.is_empty()
-        });
+        self.versions.discard_above(boundary);
     }
 
     fn collect(&self, horizon: Timestamp) {
-        let mut versions = self.versions.write();
-        for list in versions.values_mut() {
-            prune(list, horizon);
-        }
+        self.versions.collect(horizon);
     }
 }
 
-/// A multi-version map: snapshot reads, buffered writes, base fall-through.
+/// A multi-version map: snapshot reads, buffered writes, fall-through to
+/// the boosted twin.
 pub struct VersionedMap<K, V> {
     core: Arc<MapCore<K, V>>,
 }
@@ -156,74 +96,61 @@ where
     K: Hash + Eq + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
 {
-    /// Creates a versioned overlay for the lock space `space` (shared with
-    /// the pessimistic twin so footprints match) over `base`.
-    pub fn new(space: LockSpace, base: impl MapBase<K, V> + 'static) -> Self {
-        VersionedMap {
-            core: Arc::new(MapCore {
-                space,
-                versions: RwLock::new(FxHashMap::default()),
-                base: Box::new(base),
-            }),
-        }
+    /// Creates a versioned overlay over `base`, sharing its lock space so
+    /// footprints match, and registers it with `runtime`.
+    pub fn new(runtime: &MvccRuntime, base: BoostedMap<K, V>) -> Self {
+        let core = Arc::new(MapCore {
+            versions: Versions::default(),
+            base,
+        });
+        runtime.register(core.clone());
+        VersionedMap { core }
     }
 
-    /// The collection's commit/lifecycle handle, for
-    /// [`crate::MvccRuntime::register`].
-    pub fn handle(&self) -> Arc<dyn MvccCollection> {
-        Arc::clone(&self.core) as Arc<dyn MvccCollection>
+    /// Runs `f` over `txn`'s buffered state for this map.
+    fn pending<R>(&self, txn: &MvccTxn<'_>, f: impl FnOnce(&mut MapPending<K, V>) -> R) -> R {
+        let init = |core| MapPending {
+            core,
+            writes: FxHashMap::default(),
+            reads: FxHashSet::default(),
+            undo: Vec::new(),
+        };
+        txn.with_pending(&self.core, init, f)
     }
 
-    fn token(&self) -> usize {
-        Arc::as_ptr(&self.core) as *const () as usize
+    /// Records `key` in the footprint under `mode`.
+    fn footprint(&self, txn: &MvccTxn<'_>, key: &K, mode: LockMode) {
+        txn.footprint(self.core.base.lock_space().lock_for(key), mode);
     }
 
     /// Marks `key` read and returns its value as seen by `txn`: buffered
-    /// write, else newest version at or below the snapshot, else base.
+    /// write, else newest version at or below the snapshot, else the twin.
     fn read(&self, txn: &MvccTxn<'_>, key: &K) -> Option<V> {
-        let buffered = txn.with_pending(
-            self.token(),
-            || self.handle(),
-            |p: &mut MapPending<K, V>| {
-                p.reads.insert(key.clone());
-                p.writes.get(key).cloned()
-            },
-        );
-        if let Some(binding) = buffered {
-            return binding;
-        }
-        {
-            let versions = self.core.versions.read();
-            if let Some(list) = versions.get(key) {
-                if let Some(version) = read_at(list, txn.begin_ts()) {
-                    return version.value.clone();
-                }
-            }
-        }
-        self.core.base.load(key)
+        let buffered = self.pending(txn, |p| {
+            p.reads.insert(key.clone());
+            p.writes.get(key).cloned()
+        });
+        buffered
+            .or_else(|| self.core.versions.read_at(key, txn.begin_ts()))
+            .unwrap_or_else(|| self.core.base.peek(key))
     }
 
     fn buffer(&self, txn: &MvccTxn<'_>, key: K, value: Option<V>) {
-        txn.with_pending(
-            self.token(),
-            || self.handle(),
-            |p: &mut MapPending<K, V>| {
-                let prior = p.writes.insert(key.clone(), value);
-                p.undo.push((key, prior));
-            },
-        );
+        self.pending(txn, |p| {
+            let prior = p.writes.insert(key.clone(), value);
+            p.undo.push((key, prior));
+        });
     }
 
     /// Reads the value bound to `key` (pessimistic twin: shared key lock).
     pub fn get(&self, txn: &MvccTxn<'_>, key: &K) -> Option<V> {
-        txn.footprint(self.core.space.lock_for(key), LockMode::Shared);
+        self.footprint(txn, key, LockMode::Shared);
         self.read(txn, key)
     }
 
     /// Reads the binding by reference.
     pub fn get_with<R>(&self, txn: &MvccTxn<'_>, key: &K, f: impl FnOnce(Option<&V>) -> R) -> R {
-        let value = self.get(txn, key);
-        f(value.as_ref())
+        f(self.get(txn, key).as_ref())
     }
 
     /// Whether `key` is bound.
@@ -233,14 +160,14 @@ where
 
     /// Binds `key` to `value` (pessimistic twin: exclusive key lock).
     pub fn insert(&self, txn: &MvccTxn<'_>, key: K, value: V) {
-        txn.footprint(self.core.space.lock_for(&key), LockMode::Exclusive);
+        self.footprint(txn, &key, LockMode::Exclusive);
         self.buffer(txn, key, Some(value));
     }
 
     /// Binds `key` to `value` and returns the previous binding. The
     /// returned binding is a semantic read: the key joins the read set.
     pub fn replace(&self, txn: &MvccTxn<'_>, key: K, value: V) -> Option<V> {
-        txn.footprint(self.core.space.lock_for(&key), LockMode::Exclusive);
+        self.footprint(txn, &key, LockMode::Exclusive);
         let previous = self.read(txn, &key);
         self.buffer(txn, key, Some(value));
         previous
@@ -253,7 +180,7 @@ where
 
     /// Removes and returns the binding for `key`.
     pub fn take(&self, txn: &MvccTxn<'_>, key: &K) -> Option<V> {
-        txn.footprint(self.core.space.lock_for(key), LockMode::Exclusive);
+        self.footprint(txn, key, LockMode::Exclusive);
         let previous = self.read(txn, key);
         self.buffer(txn, key.clone(), None);
         previous
@@ -262,7 +189,7 @@ where
     /// Read-modify-write of the value bound to `key`, inserting `default`
     /// first when absent.
     pub fn update_or(&self, txn: &MvccTxn<'_>, key: K, default: V, f: impl FnOnce(&mut V)) {
-        txn.footprint(self.core.space.lock_for(&key), LockMode::Exclusive);
+        self.footprint(txn, &key, LockMode::Exclusive);
         let mut value = self.read(txn, &key).unwrap_or(default);
         f(&mut value);
         self.buffer(txn, key, Some(value));
@@ -280,7 +207,7 @@ impl<K, V> Clone for VersionedMap<K, V> {
 impl<K, V> std::fmt::Debug for VersionedMap<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VersionedMap")
-            .field("keys_with_versions", &self.core.versions.read().len())
+            .field("keys_with_versions", &self.core.versions.len())
             .finish()
     }
 }

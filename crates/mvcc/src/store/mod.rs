@@ -1,69 +1,61 @@
 //! The timestamped multi-version collections.
 //!
-//! Every collection keeps **per-key version lists**: a `Vec` of
-//! `(commit_ts, value)` entries in ascending timestamp order, appended to
-//! only inside the first-committer-wins critical section. Readers scan a
-//! list backwards for the newest version at or below their snapshot and
-//! fall through to the *backing store* (the pessimistic boosted
-//! collection, exposed through the small `*Base` traits) when a key has no
-//! version yet — the backing store plays the role of timestamp
+//! Every collection overlays its boosted twin (the pessimistic
+//! collection of `cc_stm`, which holds the committed single-version
+//! state) with `Versions`: per-key lists of `(commit_ts, value)`
+//! entries in ascending timestamp order, appended to only inside the
+//! first-committer-wins critical section. Readers take the newest version
+//! at or below their snapshot and fall through to the boosted twin when a
+//! key has none — the twin plays the role of timestamp
 //! [`Timestamp::BASE`].
 //!
-//! At the end of a block the miner calls `finalize` on every collection:
-//! the newest version of each key is flattened into the backing store and
-//! the lists are cleared, so snapshots, state roots and subsequent
-//! pessimistic blocks observe ordinary single-version state.
+//! Between blocks the runtime slices the lists by timestamp:
+//! `finalize_below` flattens the newest version at or below a boundary
+//! into the twin and drops what it flattened, `discard_above` drops
+//! everything newer than a boundary. Snapshots, state roots and
+//! pessimistic blocks then observe ordinary single-version state.
 
+use cc_primitives::fx::FxHashMap;
 use cc_primitives::ts::Timestamp;
-use std::any::Any;
+use parking_lot::RwLock;
+use std::hash::Hash;
 
 mod cell;
 mod counter;
 mod map;
 mod vec;
 
-pub use cell::{CellBase, VersionedCell};
-pub use counter::{TallyBase, VersionedCounterMap};
-pub use map::{MapBase, VersionedMap};
-pub use vec::{VecBase, VersionedVec};
+pub use cell::VersionedCell;
+pub use counter::VersionedCounterMap;
+pub use map::VersionedMap;
+pub use vec::VersionedVec;
 
 /// One committed version of a value.
-#[derive(Debug, Clone)]
-pub(crate) struct Version<T> {
-    /// Commit timestamp (strictly positive; the backing store is `BASE`).
-    pub ts: Timestamp,
+struct Version<T> {
+    /// Commit timestamp (strictly positive; the boosted twin is `BASE`).
+    ts: Timestamp,
     /// Whether the installing write was commutative (a counter `add`).
     /// Additive versions do not invalidate concurrent additive writers.
-    pub additive: bool,
-    pub value: T,
+    additive: bool,
+    value: T,
 }
 
-/// The commit- and block-lifecycle face of a versioned collection, held
-/// type-erased by transactions (for validate/install) and by the runtime
-/// registry (for finalize/collect).
-pub trait MvccCollection: Send + Sync {
-    /// First-committer-wins validation of one transaction's buffered state
-    /// against versions installed after `begin_ts`. Runs inside the commit
-    /// critical section.
-    fn validate(&self, pending: &dyn Any, begin_ts: Timestamp) -> bool;
-    /// Installs the buffered writes as versions at `commit_ts`. Runs
-    /// inside the commit critical section, after `validate` succeeded.
-    fn install(&self, pending: &mut dyn Any, commit_ts: Timestamp);
-    /// Flattens the newest version of every key into the backing store and
-    /// clears the version lists.
-    fn finalize(&self);
+/// The block-lifecycle face of a versioned collection, held type-erased
+/// by the runtime registry. Commit-time validation and installation
+/// belong to each transaction's buffered state instead.
+pub(crate) trait MvccCollection: Send + Sync {
     /// Flattens the newest version **at or below `boundary`** of every key
-    /// into the backing store and drops the flattened versions, keeping
+    /// into the boosted twin and drops the flattened versions, keeping
     /// everything newer. With `boundary` at the newest installed
-    /// timestamp this degenerates to [`MvccCollection::finalize`]; with an
-    /// older boundary it commits one *pending overlay* (the versions a
-    /// speculatively validated block installed) while later overlays stay
-    /// stacked above the base. Reads at snapshots newer than `boundary`
-    /// observe the same values before and after: a flattened version's
-    /// value moves into the base it would have fallen through to.
+    /// timestamp this flattens everything; with an older boundary it
+    /// commits one *pending overlay* (the versions a speculatively
+    /// validated block installed) while later overlays stay stacked above
+    /// the twin. Reads at snapshots newer than `boundary` observe the same
+    /// values before and after: a flattened version's value moves into
+    /// the twin it would have fallen through to.
     fn finalize_below(&self, boundary: Timestamp);
     /// Drops every version **newer than `boundary`**, discarding pending
-    /// overlays without touching the backing store. The inverse exit to
+    /// overlays without touching the boosted twin. The inverse exit to
     /// [`MvccCollection::finalize_below`]: a speculated block whose
     /// predecessor failed (or whose own replay diverged) is rolled away by
     /// cutting the version lists back to its predecessor's boundary.
@@ -72,101 +64,169 @@ pub trait MvccCollection: Send + Sync {
     fn collect(&self, horizon: Timestamp);
 }
 
-/// Trims a version list to the suffix still reachable from `horizon`: the
-/// newest version at or below the horizon (the one every current and
-/// future snapshot resolves to) plus everything newer.
-pub(crate) fn prune<T>(list: &mut Vec<Version<T>>, horizon: Timestamp) {
-    if let Some(keep_from) = list.iter().rposition(|v| v.ts <= horizon) {
-        list.drain(..keep_from);
+/// Per-key version lists behind one reader-writer lock. A scalar (the
+/// cell, the vector's length) is keyed by `()`.
+struct Versions<K, T>(RwLock<FxHashMap<K, Vec<Version<T>>>>);
+
+impl<K, T> Default for Versions<K, T> {
+    fn default() -> Self {
+        Versions(RwLock::new(FxHashMap::default()))
     }
 }
 
-/// Splits a version list at `boundary`: removes every version at or
-/// below it and returns the newest removed value — the one
-/// `finalize_below` flattens into the backing store. Version lists are
-/// appended in ascending timestamp order inside the commit critical
-/// section, so the split is a partition point.
-pub(crate) fn take_below<T>(list: &mut Vec<Version<T>>, boundary: Timestamp) -> Option<T> {
-    let split = list.partition_point(|v| v.ts <= boundary);
-    list.drain(..split).next_back().map(|v| v.value)
+impl<K, T> Versions<K, T> {
+    /// Number of keys with versions (diagnostics).
+    fn len(&self) -> usize {
+        self.0.read().len()
+    }
 }
 
-/// Removes every version at or below `boundary` without flattening —
-/// used where the flattened value is reconstructed separately (the
-/// vector rebuilds its contents from both its length and element lists).
-pub(crate) fn drop_below<T>(list: &mut Vec<Version<T>>, boundary: Timestamp) {
-    let split = list.partition_point(|v| v.ts <= boundary);
-    list.drain(..split);
-}
+impl<K: Hash + Eq, T: Clone> Versions<K, T> {
+    /// The newest value of `key` at or below `ts`, scanning backwards
+    /// (lists are short and recent versions are the common hit); `None`
+    /// when the read falls through to the boosted twin.
+    fn read_at(&self, key: &K, ts: Timestamp) -> Option<T> {
+        let lists = self.0.read();
+        let version = lists.get(key)?.iter().rev().find(|v| v.ts <= ts)?;
+        Some(version.value.clone())
+    }
 
-/// Drops every version newer than `boundary` (see
-/// [`MvccCollection::discard_above`]).
-pub(crate) fn drop_above<T>(list: &mut Vec<Version<T>>, boundary: Timestamp) {
-    let keep = list.partition_point(|v| v.ts <= boundary);
-    list.truncate(keep);
-}
+    /// Whether any of `keys` gained a version newer than `begin_ts` — the
+    /// first-committer-wins conflict. A key paired with `true` is a purely
+    /// additive write: it commutes with other additive versions and
+    /// conflicts only with a newer non-additive one.
+    fn conflicted<'k>(
+        &self,
+        begin_ts: Timestamp,
+        keys: impl IntoIterator<Item = (&'k K, bool)>,
+    ) -> bool
+    where
+        K: 'k,
+    {
+        let lists = self.0.read();
+        keys.into_iter().any(|(key, additive)| {
+            lists.get(key).is_some_and(|list| {
+                list.iter()
+                    .rev()
+                    .take_while(|v| v.ts > begin_ts)
+                    .any(|v| !(additive && v.additive))
+            })
+        })
+    }
 
-/// The newest version at or below `ts`, scanning backwards (lists are
-/// short and recent versions are the common hit).
-pub(crate) fn read_at<T>(list: &[Version<T>], ts: Timestamp) -> Option<&Version<T>> {
-    list.iter().rev().find(|v| v.ts <= ts)
-}
+    /// Appends one version per write at `ts`. `version` turns a write,
+    /// given its key and the key's newest installed value, into the
+    /// version's value and additive flag.
+    fn install<W>(
+        &self,
+        ts: Timestamp,
+        writes: impl IntoIterator<Item = (K, W)>,
+        version: impl Fn(&K, Option<&T>, W) -> (T, bool),
+    ) {
+        let mut lists = self.0.write();
+        for (key, write) in writes {
+            let newest = lists.get(&key).and_then(|list| list.last());
+            let (value, additive) = version(&key, newest.map(|v| &v.value), write);
+            lists.entry(key).or_default().push(Version {
+                ts,
+                additive,
+                value,
+            });
+        }
+    }
 
-/// Whether any version newer than `begin_ts` exists (first-committer-wins
-/// conflict for reads and exclusive writes).
-pub(crate) fn newer_than<T>(list: &[Version<T>], begin_ts: Timestamp) -> bool {
-    list.last().is_some_and(|v| v.ts > begin_ts)
-}
+    /// Removes every version at or below `boundary` and hands the newest
+    /// removed value of each key to `store` (see
+    /// [`MvccCollection::finalize_below`]). Lists are ascending, so the
+    /// split is a partition point.
+    fn finalize_below(&self, boundary: Timestamp, mut store: impl FnMut(&K, T)) {
+        self.0.write().retain(|key, list| {
+            let split = list.partition_point(|v| v.ts <= boundary);
+            if let Some(newest) = list.drain(..split).next_back() {
+                store(key, newest.value);
+            }
+            !list.is_empty()
+        });
+    }
 
-/// Whether any non-additive version newer than `begin_ts` exists (the
-/// conflict rule for purely additive writes, which commute with each
-/// other).
-pub(crate) fn newer_exclusive_than<T>(list: &[Version<T>], begin_ts: Timestamp) -> bool {
-    list.iter()
-        .rev()
-        .take_while(|v| v.ts > begin_ts)
-        .any(|v| !v.additive)
+    /// Drops every version newer than `boundary` (see
+    /// [`MvccCollection::discard_above`]).
+    fn discard_above(&self, boundary: Timestamp) {
+        self.0.write().retain(|_, list| {
+            list.truncate(list.partition_point(|v| v.ts <= boundary));
+            !list.is_empty()
+        });
+    }
+
+    /// Trims every list to the suffix still reachable from `horizon`: the
+    /// newest version at or below it (the one every current and future
+    /// snapshot resolves to) plus everything newer. Only prunes: nothing
+    /// moves into the boosted twin.
+    fn collect(&self, horizon: Timestamp) {
+        for list in self.0.write().values_mut() {
+            if let Some(keep_from) = list.iter().rposition(|v| v.ts <= horizon) {
+                list.drain(..keep_from);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn version(ts: u64, additive: bool) -> Version<u32> {
-        Version {
-            ts: Timestamp::from_raw(ts),
-            additive,
-            value: ts as u32,
+    fn ts(raw: u64) -> Timestamp {
+        Timestamp::from_raw(raw)
+    }
+
+    /// One key's list, `(ts, additive)` per version, valued by its ts.
+    fn versions(list: &[(u64, bool)]) -> Versions<(), u64> {
+        let versions = Versions::default();
+        for &(raw, additive) in list {
+            versions.install(ts(raw), [((), additive)], |_, _, additive| (raw, additive));
         }
+        versions
     }
 
     #[test]
     fn prune_keeps_newest_reachable_version() {
-        let mut list = vec![version(1, false), version(3, false), version(7, false)];
-        prune(&mut list, Timestamp::from_raw(5));
-        assert_eq!(list.len(), 2, "t3 survives as the horizon's resolution");
-        assert_eq!(list[0].ts, Timestamp::from_raw(3));
+        let list = versions(&[(1, false), (3, false), (7, false)]);
+        list.collect(ts(5));
+        assert_eq!(list.read_at(&(), ts(5)), Some(3), "t3 resolves the horizon");
+        assert_eq!(list.read_at(&(), ts(2)), None, "t1 is gone");
+        assert_eq!(list.read_at(&(), ts(7)), Some(7));
 
-        let mut all_old = vec![version(1, false), version(2, false)];
-        prune(&mut all_old, Timestamp::from_raw(9));
-        assert_eq!(all_old.len(), 1);
+        let all_old = versions(&[(1, false), (2, false)]);
+        all_old.collect(ts(9));
+        assert_eq!(all_old.read_at(&(), ts(1)), None);
+        assert_eq!(all_old.read_at(&(), ts(9)), Some(2));
 
-        let mut all_new = vec![version(8, false)];
-        prune(&mut all_new, Timestamp::from_raw(5));
-        assert_eq!(all_new.len(), 1, "nothing at or below the horizon");
+        let all_new = versions(&[(8, false)]);
+        all_new.collect(ts(5));
+        assert_eq!(all_new.read_at(&(), ts(8)), Some(8), "nothing at or below");
     }
 
     #[test]
     fn conflict_predicates() {
-        let list = vec![version(2, false), version(6, true)];
-        assert!(newer_than(&list, Timestamp::from_raw(4)));
-        assert!(!newer_than(&list, Timestamp::from_raw(6)));
-        assert!(
-            !newer_exclusive_than(&list, Timestamp::from_raw(4)),
-            "only an additive version is newer"
-        );
-        assert!(newer_exclusive_than(&list, Timestamp::from_raw(1)));
-        assert_eq!(read_at(&list, Timestamp::from_raw(5)).unwrap().ts.raw(), 2);
-        assert!(read_at(&list, Timestamp::BASE).is_none());
+        let list = versions(&[(2, false), (6, true)]);
+        let newer = |begin: u64, additive: bool| list.conflicted(ts(begin), [(&(), additive)]);
+        assert!(newer(4, false));
+        assert!(!newer(6, false));
+        assert!(!newer(4, true), "only an additive version is newer");
+        assert!(newer(1, true));
+        assert!(!list.conflicted(ts(1), []), "no keys, no conflict");
+        assert_eq!(list.read_at(&(), ts(5)), Some(2));
+        assert_eq!(list.read_at(&(), Timestamp::BASE), None);
+    }
+
+    #[test]
+    fn finalize_below_and_discard_above_slice_at_the_boundary() {
+        let list = versions(&[(1, false), (3, false), (7, false)]);
+        let mut flattened = Vec::new();
+        list.finalize_below(ts(4), |_, value| flattened.push(value));
+        assert_eq!(flattened, vec![3], "only the newest at or below");
+        assert_eq!(list.read_at(&(), ts(6)), None, "t1 and t3 are gone");
+        list.discard_above(ts(6));
+        assert_eq!(list.len(), 0, "an emptied list drops its key");
     }
 }

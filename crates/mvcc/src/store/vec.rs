@@ -2,75 +2,47 @@
 //!
 //! The length and each element index get their own version lists, matching
 //! the pessimistic twin's lock granularity (length lock = the space's
-//! `whole()` lock, element locks = per-index). Bounds checks are semantic
-//! reads of the length: they join the read set even for operations whose
+//! `whole()` lock, element locks = per-index). The vector only grows, so
+//! an element version is always a value. Bounds checks are semantic reads
+//! of the length: they join the read set even for operations whose
 //! pessimistic twin takes no length lock (`set`/`modify`), because a
 //! bounds decision taken against the snapshot must still hold at the
 //! serialization point.
 
-use super::{newer_than, prune, read_at, MvccCollection, Version};
+use super::{MvccCollection, Versions};
+use crate::runtime::MvccRuntime;
 use crate::txn::{MvccTxn, PendingOps};
 use cc_primitives::fx::{FxHashMap, FxHashSet};
 use cc_primitives::ts::Timestamp;
-use cc_stm::{LockId, LockMode, LockSpace};
-use parking_lot::RwLock;
-use std::any::Any;
+use cc_stm::{BoostedVec, LockId, LockMode};
 use std::sync::Arc;
-
-/// The single-version backing store a [`VersionedVec`] overlays.
-pub trait VecBase<T>: Send + Sync {
-    /// Committed base length.
-    fn len(&self) -> usize;
-    /// Whether the committed base is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Committed base element (`None` when out of bounds).
-    fn load(&self, i: usize) -> Option<T>;
-    /// Replaces the backing contents with the finalized items.
-    fn store(&self, items: Vec<T>);
-}
 
 /// One journaled mutation's prior state.
 enum VecUndo<T> {
     Len(Option<usize>),
-    Elem(usize, Option<Option<T>>),
+    Elem(usize, Option<T>),
 }
 
 /// Buffered per-transaction state for one versioned vector.
-pub(crate) struct VecPending<T> {
+struct VecPending<T> {
+    core: Arc<VecCore<T>>,
     len: Option<usize>,
-    /// Buffered element writes (`None` = popped/truncated slot).
-    elems: FxHashMap<usize, Option<T>>,
+    elems: FxHashMap<usize, T>,
     read_len: bool,
     read_elems: FxHashSet<usize>,
     undo: Vec<VecUndo<T>>,
 }
 
-impl<T> Default for VecPending<T> {
-    fn default() -> Self {
-        VecPending {
-            len: None,
-            elems: FxHashMap::default(),
-            read_len: false,
-            read_elems: FxHashSet::default(),
-            undo: Vec::new(),
-        }
-    }
-}
-
-impl<T: Send + 'static> PendingOps for VecPending<T> {
+impl<T: Clone + Send + Sync + 'static> PendingOps for VecPending<T> {
     fn undo_last(&mut self) {
         match self.undo.pop().expect("undo entry exists") {
             VecUndo::Len(prior) => self.len = prior,
-            VecUndo::Elem(i, prior) => match prior {
-                Some(binding) => {
-                    self.elems.insert(i, binding);
-                }
-                None => {
-                    self.elems.remove(&i);
-                }
-            },
+            VecUndo::Elem(i, Some(prior)) => {
+                self.elems.insert(i, prior);
+            }
+            VecUndo::Elem(i, None) => {
+                self.elems.remove(&i);
+            }
         }
     }
 
@@ -82,129 +54,64 @@ impl<T: Send + 'static> PendingOps for VecPending<T> {
         self.len.is_some() || !self.elems.is_empty()
     }
 
-    fn any_ref(&self) -> &dyn Any {
-        self
+    fn validate(&self, begin_ts: Timestamp) -> bool {
+        let core = &self.core;
+        let length = (self.read_len || self.len.is_some()).then_some((&(), false));
+        let elems = self
+            .read_elems
+            .iter()
+            .chain(self.elems.keys())
+            .map(|i| (i, false));
+        !core.lengths.conflicted(begin_ts, length) && !core.elements.conflicted(begin_ts, elems)
     }
 
-    fn any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn install(&mut self, commit_ts: Timestamp) {
+        let len = self.len.take().map(|len| ((), len));
+        self.core
+            .lengths
+            .install(commit_ts, len, |_, _, len| (len, false));
+        self.core
+            .elements
+            .install(commit_ts, self.elems.drain(), |_, _, value| (value, false));
     }
 }
 
+/// The length and element version lists over the boosted twin.
 struct VecCore<T> {
-    space: LockSpace,
-    length_lock: LockId,
-    lengths: RwLock<Vec<Version<usize>>>,
-    elements: RwLock<FxHashMap<usize, Vec<Version<Option<T>>>>>,
-    base: Box<dyn VecBase<T>>,
+    lengths: Versions<(), usize>,
+    elements: Versions<usize, T>,
+    base: BoostedVec<T>,
 }
 
-impl<T> MvccCollection for VecCore<T>
-where
-    T: Clone + Send + Sync + 'static,
-{
-    fn validate(&self, pending: &dyn Any, begin_ts: Timestamp) -> bool {
-        let p = pending
-            .downcast_ref::<VecPending<T>>()
-            .expect("vec pending state");
-        if (p.read_len || p.len.is_some()) && newer_than(&self.lengths.read(), begin_ts) {
-            return false;
-        }
-        let elements = self.elements.read();
-        let conflicted = |i: &usize| {
-            elements
-                .get(i)
-                .is_some_and(|list| newer_than(list, begin_ts))
-        };
-        !p.read_elems.iter().any(conflicted) && !p.elems.keys().any(conflicted)
-    }
-
-    fn install(&self, pending: &mut dyn Any, commit_ts: Timestamp) {
-        let p = pending
-            .downcast_mut::<VecPending<T>>()
-            .expect("vec pending state");
-        if let Some(len) = p.len.take() {
-            self.lengths.write().push(Version {
-                ts: commit_ts,
-                additive: false,
-                value: len,
-            });
-        }
-        let mut elements = self.elements.write();
-        for (i, value) in p.elems.drain() {
-            elements.entry(i).or_default().push(Version {
-                ts: commit_ts,
-                additive: false,
-                value,
-            });
-        }
-    }
-
-    fn finalize(&self) {
-        let mut lengths = self.lengths.write();
-        let mut elements = self.elements.write();
-        let new_len = lengths
-            .last()
-            .map(|v| v.value)
-            .unwrap_or_else(|| self.base.len());
-        let items: Vec<T> = (0..new_len)
-            .map(|i| match elements.get(&i).and_then(|list| list.last()) {
-                Some(version) => version
-                    .value
-                    .clone()
-                    .expect("an in-bounds element is never a tombstone"),
-                None => self.base.load(i).expect("base element within final length"),
+impl<T: Clone + Send + Sync + 'static> MvccCollection for VecCore<T> {
+    fn finalize_below(&self, boundary: Timestamp) {
+        // The length and element lists are sliced at the same boundary:
+        // the twin's new contents are every list read as of the boundary.
+        let len = self
+            .lengths
+            .read_at(&(), boundary)
+            .unwrap_or_else(|| self.base.snapshot_len());
+        let items: Vec<T> = (0..len)
+            .map(|i| {
+                self.elements
+                    .read_at(&i, boundary)
+                    .or_else(|| self.base.peek(i))
+                    .expect("base element within final length")
             })
             .collect();
-        lengths.clear();
-        elements.clear();
-        self.base.store(items);
-    }
-
-    fn finalize_below(&self, boundary: Timestamp) {
-        // The length and element lists must be sliced at the same
-        // boundary: the flattened contents are rebuilt exactly like
-        // `finalize`, but reading each list *as of the boundary* instead
-        // of its newest entry.
-        let mut lengths = self.lengths.write();
-        let mut elements = self.elements.write();
-        let new_len = read_at(&lengths, boundary)
-            .map(|v| v.value)
-            .unwrap_or_else(|| self.base.len());
-        let items: Vec<T> = (0..new_len)
-            .map(
-                |i| match elements.get(&i).and_then(|list| read_at(list, boundary)) {
-                    Some(version) => version
-                        .value
-                        .clone()
-                        .expect("an in-bounds element is never a tombstone"),
-                    None => self.base.load(i).expect("base element within final length"),
-                },
-            )
-            .collect();
-        super::drop_below(&mut lengths, boundary);
-        elements.retain(|_, list| {
-            super::drop_below(list, boundary);
-            !list.is_empty()
-        });
-        self.base.store(items);
+        self.lengths.finalize_below(boundary, |_, _| {});
+        self.elements.finalize_below(boundary, |_, _| {});
+        self.base.restore(items);
     }
 
     fn discard_above(&self, boundary: Timestamp) {
-        super::drop_above(&mut self.lengths.write(), boundary);
-        let mut elements = self.elements.write();
-        elements.retain(|_, list| {
-            super::drop_above(list, boundary);
-            !list.is_empty()
-        });
+        self.lengths.discard_above(boundary);
+        self.elements.discard_above(boundary);
     }
 
     fn collect(&self, horizon: Timestamp) {
-        prune(&mut self.lengths.write(), horizon);
-        let mut elements = self.elements.write();
-        for list in elements.values_mut() {
-            prune(list, horizon);
-        }
+        self.lengths.collect(horizon);
+        self.elements.collect(horizon);
     }
 }
 
@@ -213,108 +120,73 @@ pub struct VersionedVec<T> {
     core: Arc<VecCore<T>>,
 }
 
-impl<T> VersionedVec<T>
-where
-    T: Clone + Send + Sync + 'static,
-{
-    /// Creates a versioned overlay for the lock space `space` over `base`.
-    pub fn new(space: LockSpace, base: impl VecBase<T> + 'static) -> Self {
-        VersionedVec {
-            core: Arc::new(VecCore {
-                space,
-                length_lock: space.whole(),
-                lengths: RwLock::new(Vec::new()),
-                elements: RwLock::new(FxHashMap::default()),
-                base: Box::new(base),
-            }),
-        }
+impl<T: Clone + Send + Sync + 'static> VersionedVec<T> {
+    /// Creates a versioned overlay over `base`, sharing its lock space so
+    /// footprints match, and registers it with `runtime`.
+    pub fn new(runtime: &MvccRuntime, base: BoostedVec<T>) -> Self {
+        let core = Arc::new(VecCore {
+            lengths: Versions::default(),
+            elements: Versions::default(),
+            base,
+        });
+        runtime.register(core.clone());
+        VersionedVec { core }
     }
 
-    /// The collection's commit/lifecycle handle.
-    pub fn handle(&self) -> Arc<dyn MvccCollection> {
-        Arc::clone(&self.core) as Arc<dyn MvccCollection>
+    /// Runs `f` over `txn`'s buffered state for this vector.
+    fn pending<R>(&self, txn: &MvccTxn<'_>, f: impl FnOnce(&mut VecPending<T>) -> R) -> R {
+        let init = |core| VecPending {
+            core,
+            len: None,
+            elems: FxHashMap::default(),
+            read_len: false,
+            read_elems: FxHashSet::default(),
+            undo: Vec::new(),
+        };
+        txn.with_pending(&self.core, init, f)
     }
 
-    fn token(&self) -> usize {
-        Arc::as_ptr(&self.core) as *const () as usize
+    fn length_lock(&self) -> LockId {
+        self.core.base.lock_space().whole()
     }
 
     fn element_lock(&self, i: usize) -> LockId {
-        self.core.space.lock_for(&i)
+        self.core.base.lock_space().lock_for(&i)
     }
 
     /// Length as seen by `txn`, marking it read (every bounds decision
     /// depends on it).
     fn current_len(&self, txn: &MvccTxn<'_>) -> usize {
-        let buffered = txn.with_pending(
-            self.token(),
-            || self.handle(),
-            |p: &mut VecPending<T>| {
-                p.read_len = true;
-                p.len
-            },
-        );
-        if let Some(len) = buffered {
-            return len;
-        }
-        {
-            let lengths = self.core.lengths.read();
-            if let Some(version) = read_at(&lengths, txn.begin_ts()) {
-                return version.value;
-            }
-        }
-        self.core.base.len()
+        let buffered = self.pending(txn, |p| {
+            p.read_len = true;
+            p.len
+        });
+        buffered
+            .or_else(|| self.core.lengths.read_at(&(), txn.begin_ts()))
+            .unwrap_or_else(|| self.core.base.snapshot_len())
     }
 
     /// Element `i` as seen by `txn`, marking it read.
     fn read_elem(&self, txn: &MvccTxn<'_>, i: usize) -> Option<T> {
-        let buffered = txn.with_pending(
-            self.token(),
-            || self.handle(),
-            |p: &mut VecPending<T>| {
-                p.read_elems.insert(i);
-                p.elems.get(&i).cloned()
-            },
-        );
-        if let Some(binding) = buffered {
-            return binding;
-        }
-        {
-            let elements = self.core.elements.read();
-            if let Some(list) = elements.get(&i) {
-                if let Some(version) = read_at(list, txn.begin_ts()) {
-                    return version.value.clone();
-                }
-            }
-        }
-        self.core.base.load(i)
+        let buffered = self.pending(txn, |p| {
+            p.read_elems.insert(i);
+            p.elems.get(&i).cloned()
+        });
+        buffered
+            .or_else(|| self.core.elements.read_at(&i, txn.begin_ts()))
+            .or_else(|| self.core.base.peek(i))
     }
 
-    fn buffer_len(&self, txn: &MvccTxn<'_>, len: usize) {
-        txn.with_pending(
-            self.token(),
-            || self.handle(),
-            |p: &mut VecPending<T>| {
-                let prior = p.len.replace(len);
-                p.undo.push(VecUndo::Len(prior));
-            },
-        );
-    }
-
-    fn buffer_elem(&self, txn: &MvccTxn<'_>, i: usize, value: Option<T>) {
-        txn.with_pending(
-            self.token(),
-            || self.handle(),
-            |p: &mut VecPending<T>| {
-                let prior = p.elems.insert(i, value);
-                p.undo.push(VecUndo::Elem(i, prior));
-            },
-        );
+    fn buffer_elem(&self, txn: &MvccTxn<'_>, i: usize, value: T) {
+        self.pending(txn, |p| {
+            let prior = p.elems.insert(i, value);
+            p.undo.push(VecUndo::Elem(i, prior));
+        });
     }
 
     /// Number of elements (pessimistic twin: shared length lock).
     pub fn len(&self, txn: &MvccTxn<'_>) -> usize {
-        txn.footprint(self.core.length_lock, LockMode::Shared);
+        txn.footprint(self.length_lock(), LockMode::Shared);
         self.current_len(txn)
     }
 
@@ -331,8 +203,7 @@ where
 
     /// Reads element `i` by reference.
     pub fn get_with<R>(&self, txn: &MvccTxn<'_>, i: usize, f: impl FnOnce(Option<&T>) -> R) -> R {
-        let value = self.get(txn, i);
-        f(value.as_ref())
+        f(self.get(txn, i).as_ref())
     }
 
     /// Overwrites element `i`; `false` (and no write) when out of bounds.
@@ -340,11 +211,11 @@ where
     /// check reads the length into the read set.
     pub fn set(&self, txn: &MvccTxn<'_>, i: usize, value: T) -> bool {
         txn.footprint(self.element_lock(i), LockMode::Exclusive);
-        if i >= self.current_len(txn) {
-            return false;
+        let in_bounds = i < self.current_len(txn);
+        if in_bounds {
+            self.buffer_elem(txn, i, value);
         }
-        self.buffer_elem(txn, i, Some(value));
-        true
+        in_bounds
     }
 
     /// Read-modify-write of element `i`; returns the updated value, or
@@ -356,34 +227,22 @@ where
         }
         let mut value = self.read_elem(txn, i)?;
         f(&mut value);
-        self.buffer_elem(txn, i, Some(value.clone()));
+        self.buffer_elem(txn, i, value.clone());
         Some(value)
     }
 
     /// Appends an element, returning its index (pessimistic twin:
     /// exclusive length lock plus the new element's lock).
     pub fn push(&self, txn: &MvccTxn<'_>, value: T) -> usize {
-        txn.footprint(self.core.length_lock, LockMode::Exclusive);
+        txn.footprint(self.length_lock(), LockMode::Exclusive);
         let index = self.current_len(txn);
-        self.buffer_len(txn, index + 1);
+        self.pending(txn, |p| {
+            let prior = p.len.replace(index + 1);
+            p.undo.push(VecUndo::Len(prior));
+        });
         txn.footprint(self.element_lock(index), LockMode::Exclusive);
-        self.buffer_elem(txn, index, Some(value));
+        self.buffer_elem(txn, index, value);
         index
-    }
-
-    /// Removes and returns the last element.
-    pub fn pop(&self, txn: &MvccTxn<'_>) -> Option<T> {
-        txn.footprint(self.core.length_lock, LockMode::Exclusive);
-        let len = self.current_len(txn);
-        if len == 0 {
-            return None;
-        }
-        let last = len - 1;
-        txn.footprint(self.element_lock(last), LockMode::Exclusive);
-        let value = self.read_elem(txn, last);
-        self.buffer_len(txn, last);
-        self.buffer_elem(txn, last, None);
-        value
     }
 }
 
@@ -398,8 +257,8 @@ impl<T> Clone for VersionedVec<T> {
 impl<T> std::fmt::Debug for VersionedVec<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VersionedVec")
-            .field("length_versions", &self.core.lengths.read().len())
-            .field("element_lists", &self.core.elements.read().len())
+            .field("length_lists", &self.core.lengths.len())
+            .field("element_lists", &self.core.elements.len())
             .finish()
     }
 }

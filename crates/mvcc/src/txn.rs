@@ -30,7 +30,6 @@
 
 use crate::error::MvccError;
 use crate::runtime::MvccRuntime;
-use crate::store::MvccCollection;
 use cc_primitives::fx::FxHashMap;
 use cc_primitives::ts::Timestamp;
 use cc_stm::{LockId, LockMode};
@@ -40,8 +39,9 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Per-collection buffered state (read keys, pending writes and a typed
-/// undo stack). One implementation per versioned collection; stored
-/// type-erased in the transaction and downcast by the owning collection.
+/// undo stack) plus its commit hooks. One implementation per versioned
+/// collection, each holding an `Arc` of the collection's version lists;
+/// stored type-erased in the transaction.
 pub(crate) trait PendingOps: Any + Send {
     /// Undoes the most recent journaled mutation.
     fn undo_last(&mut self);
@@ -49,20 +49,20 @@ pub(crate) trait PendingOps: Any + Send {
     fn undo_len(&self) -> usize;
     /// Whether any write is still buffered.
     fn has_writes(&self) -> bool;
-    fn any_ref(&self) -> &dyn Any;
-    fn any_mut(&mut self) -> &mut dyn Any;
-}
-
-/// One collection's buffered state plus its commit hooks.
-struct Slot {
-    pending: Box<dyn PendingOps>,
-    collection: Arc<dyn MvccCollection>,
+    /// First-committer-wins validation against versions installed after
+    /// `begin_ts`. Runs inside the commit critical section.
+    fn validate(&self, begin_ts: Timestamp) -> bool;
+    /// Installs the buffered writes as versions at `commit_ts`. Runs
+    /// inside the commit critical section, after every `validate`
+    /// succeeded.
+    fn install(&mut self, commit_ts: Timestamp);
 }
 
 #[derive(Default)]
 struct TxnInner {
-    /// Buffered per-collection state, keyed by collection identity.
-    slots: FxHashMap<usize, Slot>,
+    /// Buffered per-collection state, keyed by the address of the
+    /// collection's version lists.
+    slots: FxHashMap<usize, Box<dyn PendingOps>>,
     /// The journal: one collection token per journaled mutation, in
     /// program order. Rolling back replays `undo_last` most recent first.
     order: Vec<usize>,
@@ -150,27 +150,24 @@ impl<'rt> MvccTxn<'rt> {
         }
     }
 
-    /// Runs `f` over the collection's buffered state, creating it on first
-    /// use. Mutations `f` journals (by pushing typed undo entries) are
-    /// recorded in the transaction's global order automatically.
-    pub(crate) fn with_pending<P, R>(
+    /// Runs `f` over the buffered state of the collection whose version
+    /// lists are `core`, creating it with `init` on first use. Mutations
+    /// `f` journals (by pushing typed undo entries) are recorded in the
+    /// transaction's global order automatically.
+    pub(crate) fn with_pending<C, P: PendingOps, R>(
         &self,
-        token: usize,
-        collection: impl FnOnce() -> Arc<dyn MvccCollection>,
+        core: &Arc<C>,
+        init: impl FnOnce(Arc<C>) -> P,
         f: impl FnOnce(&mut P) -> R,
-    ) -> R
-    where
-        P: PendingOps + Default,
-    {
+    ) -> R {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        let slot = inner.slots.entry(token).or_insert_with(|| Slot {
-            pending: Box::<P>::default(),
-            collection: collection(),
-        });
-        let pending = slot
-            .pending
-            .any_mut()
+        let token = Arc::as_ptr(core) as usize;
+        let slot = inner
+            .slots
+            .entry(token)
+            .or_insert_with(|| Box::new(init(Arc::clone(core))));
+        let pending = (&mut **slot as &mut dyn Any)
             .downcast_mut::<P>()
             .expect("collection token is bound to one pending type");
         let before = pending.undo_len();
@@ -205,7 +202,6 @@ impl<'rt> MvccTxn<'rt> {
                 .slots
                 .get_mut(&token)
                 .expect("journaled slot exists")
-                .pending
                 .undo_last();
         }
     }
@@ -256,7 +252,7 @@ impl<'rt> MvccTxn<'rt> {
     pub fn commit(mut self) -> Result<MvccCommit, MvccError> {
         let inner = self.inner.get_mut();
         let footprint = std::mem::take(&mut inner.footprint);
-        let has_writes = inner.slots.values().any(|s| s.pending.has_writes());
+        let has_writes = inner.slots.values().any(|p| p.has_writes());
         if !has_writes {
             Ok(MvccCommit {
                 ts: self.begin_ts,
@@ -270,14 +266,10 @@ impl<'rt> MvccTxn<'rt> {
                 .exclusive
                 .take()
                 .unwrap_or_else(|| runtime.commit_guard());
-            let valid = inner
-                .slots
-                .values()
-                .all(|s| s.collection.validate(s.pending.any_ref(), self.begin_ts));
-            if valid {
+            if inner.slots.values().all(|p| p.validate(self.begin_ts)) {
                 let ts = runtime.oracle().latest().next();
-                for slot in inner.slots.values_mut() {
-                    slot.collection.install(slot.pending.any_mut(), ts);
+                for pending in inner.slots.values_mut() {
+                    pending.install(ts);
                 }
                 // Publish only after every version is in place, so a
                 // concurrent `begin` can never observe a half-installed

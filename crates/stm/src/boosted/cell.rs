@@ -5,7 +5,6 @@ use crate::error::StmError;
 use crate::lock::{LockId, LockMode, LockSpace};
 use crate::txn::{Transaction, UndoSink};
 use cc_primitives::fx::RawSlot;
-use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
@@ -58,9 +57,6 @@ impl<T: Send + Sync + 'static> UndoSink for CellUndo<T> {
     }
     fn reset(&mut self) {
         self.entries.clear();
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -6,7 +6,6 @@ use crate::lock::{LockMode, LockSpace};
 use crate::txn::{Transaction, UndoSink};
 use cc_primitives::fnv::fnv1a_of;
 use cc_primitives::fx::{BucketMask, RawFxMap, ShardedRawTable};
-use std::any::Any;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -85,9 +84,6 @@ where
     }
     fn reset(&mut self) {
         self.entries.clear();
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

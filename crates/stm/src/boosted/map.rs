@@ -6,7 +6,6 @@ use crate::lock::{LockMode, LockSpace};
 use crate::txn::{Transaction, UndoSink};
 use cc_primitives::fnv::fnv1a_of;
 use cc_primitives::fx::{BucketMask, RawFxMap, ShardedRawTable};
-use std::any::Any;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -93,9 +92,6 @@ where
     }
     fn reset(&mut self) {
         self.entries.clear();
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -386,8 +382,8 @@ where
     }
 
     /// Non-transactional removal, the counterpart of [`seed`](Self::seed):
-    /// used during setup and when a finalized multi-version overlay
-    /// flattens a tombstone into the base map.
+    /// used during setup and when a multi-version overlay flattens a
+    /// deletion into this map.
     pub fn seed_remove(&self, key: &K) {
         let h = fnv1a_of(key);
         self.inner.write(h, |map| {

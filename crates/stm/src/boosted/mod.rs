@@ -75,7 +75,8 @@ mod tests {
                 vec.push(txn, value).unwrap();
             }
             4 => {
-                vec.pop(txn).unwrap();
+                vec.modify(txn, key as usize, |x| *x = x.wrapping_add(value))
+                    .unwrap();
             }
             5 => {
                 vec.set(txn, key as usize, value).unwrap();
@@ -324,7 +325,6 @@ mod tests {
             vec.push(txn, 6)?;
             vec.set(txn, 0, 7)?;
             vec.modify(txn, 0, |x| *x += 1)?;
-            vec.pop(txn)?;
             cell.get(txn)?;
             cell.with(txn, |v| *v)?;
             cell.set(txn, 2)?;

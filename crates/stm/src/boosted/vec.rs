@@ -4,7 +4,6 @@ use crate::error::StmError;
 use crate::lock::{LockId, LockMode, LockSpace};
 use crate::txn::{Transaction, UndoSink};
 use cc_primitives::fx::RawSlot;
-use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
@@ -13,9 +12,10 @@ use std::sync::Arc;
 /// * element reads lock the individual index in shared mode (concurrent
 ///   reads of the same element commute) and element writes lock it
 ///   exclusively, so updates to different proposals commute,
-/// * `push`/`pop` lock a dedicated *length* lock exclusively (they do not
+/// * `push` locks a dedicated *length* lock exclusively (pushes do not
 ///   commute with each other), while `len` takes it in shared mode so
-///   concurrent length reads commute.
+///   concurrent length reads commute. The vector only grows: a contract's
+///   array has no `pop`.
 ///
 /// The backing store is a latched [`RawSlot<Vec<T>>`] — no reader-writer
 /// lock. The abstract locks serialize conflicting element/length
@@ -52,8 +52,6 @@ enum VecUndoEntry<T> {
     Set(usize, T),
     /// Remove the element a `push` appended at this index.
     Unpush(usize),
-    /// Re-append the element a `pop` removed.
-    Repush(T),
 }
 
 /// The typed undo sink of one [`BoostedVec`].
@@ -78,15 +76,11 @@ impl<T: Send + Sync + 'static> UndoSink for VecUndo<T> {
                         v.pop();
                     }
                 }
-                VecUndoEntry::Repush(value) => v.push(value),
             });
         }
     }
     fn reset(&mut self) {
         self.entries.clear();
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -157,8 +151,8 @@ where
     }
 
     /// Transactionally returns the number of elements. Takes the length
-    /// lock in shared mode: concurrent `len` calls commute, while
-    /// push/pop (exclusive on the same lock) still order against them.
+    /// lock in shared mode: concurrent `len` calls commute, while `push`
+    /// (exclusive on the same lock) still orders against them.
     ///
     /// # Errors
     ///
@@ -311,41 +305,6 @@ where
         Ok(index)
     }
 
-    /// Transactionally removes and returns the last element (cloning it
-    /// once into the undo log).
-    ///
-    /// # Errors
-    ///
-    /// Propagates lock-acquisition failures.
-    pub fn pop(&self, txn: &Transaction) -> Result<Option<T>, StmError> {
-        txn.acquire(self.length_lock, LockMode::Exclusive)?;
-        txn.debug_assert_held(self.length_lock);
-        let last_index = match self.inner.read(|v| v.len()) {
-            0 => return Ok(None),
-            len => len - 1,
-        };
-        let mut popped = None;
-        txn.acquire_and_log(
-            self.element_lock(last_index),
-            LockMode::Exclusive,
-            self.undo_token(),
-            self.undo_init(),
-            || {
-                let value = self.inner.write(|v| v.pop());
-                popped = value.clone();
-                value
-            },
-            |sink, value| match value {
-                Some(value) => {
-                    sink.entries.push(VecUndoEntry::Repush(value));
-                    true
-                }
-                None => false,
-            },
-        )?;
-        Ok(popped)
-    }
-
     /// Non-transactional element read (setup/tests only).
     pub fn peek(&self, i: usize) -> Option<T> {
         self.inner.read(|v| v.get(i).cloned())
@@ -405,15 +364,14 @@ mod tests {
             assert_eq!(v.get(txn, 9)?, None);
             assert_eq!(v.modify(txn, 1, |x| *x += 1)?, Some(21));
             assert_eq!(v.modify(txn, 9, |x| *x += 1)?, None);
-            assert_eq!(v.pop(txn)?, Some(21));
             Ok(())
         })
         .unwrap();
-        assert_eq!(v.snapshot(), vec![11]);
+        assert_eq!(v.snapshot(), vec![11, 21]);
     }
 
     #[test]
-    fn abort_undoes_push_set_pop() {
+    fn abort_undoes_push_set_and_modify() {
         let stm = Stm::new();
         let v: BoostedVec<i64> = BoostedVec::new("vec.abort");
         v.seed_push(1);
@@ -422,8 +380,8 @@ mod tests {
         let txn = stm.begin();
         v.push(&txn, 3).unwrap();
         v.set(&txn, 0, 100).unwrap();
-        v.pop(&txn).unwrap();
-        v.pop(&txn).unwrap();
+        v.modify(&txn, 2, |x| *x += 1).unwrap();
+        v.push(&txn, 4).unwrap();
         txn.abort().unwrap();
         assert_eq!(v.snapshot(), vec![1, 2]);
     }
@@ -489,8 +447,6 @@ mod tests {
         stm.run(|txn| v.modify(txn, 1, |x| *x += 1).map(drop))
             .unwrap();
         assert_eq!(dirty(), Some(vec![10, 3]), "modify");
-        stm.run(|txn| v.pop(txn).map(drop)).unwrap();
-        assert_eq!(dirty(), Some(vec![10]), "pop");
 
         // One undo entry of each kind, the mutator's own mark drained
         // first.
@@ -498,34 +454,22 @@ mod tests {
         let undone: &[(&str, Mutator<'_>)] = &[
             ("undo of a set", &|txn| v.set(txn, 0, 99).map(drop)),
             ("undo of a push", &|txn| v.push(txn, 99).map(drop)),
-            ("undo of a pop", &|txn| v.pop(txn).map(drop)),
         ];
         for (name, mutate) in undone {
             let txn = stm.begin();
             mutate(&txn).unwrap();
             assert!(dirty().is_some());
             txn.abort().unwrap();
-            assert_eq!(dirty(), Some(vec![10]), "{name}");
+            assert_eq!(dirty(), Some(vec![10, 3]), "{name}");
         }
 
         v.restore(vec![7, 8]);
         assert_eq!(dirty(), Some(vec![7, 8]), "restore");
     }
 
-    #[test]
-    fn pop_empty_is_none() {
-        let stm = Stm::new();
-        let v: BoostedVec<u8> = BoostedVec::new("vec.empty");
-        stm.run(|txn| {
-            assert_eq!(v.pop(txn)?, None);
-            Ok(())
-        })
-        .unwrap();
-    }
-
     proptest! {
-        /// A random interleaving of pushes/pops/sets aborted must restore
-        /// the initial contents exactly.
+        /// A random interleaving of pushes/sets/modifies aborted must
+        /// restore the initial contents exactly.
         #[test]
         fn prop_abort_restores(initial in proptest::collection::vec(any::<u16>(), 0..12),
                                ops in proptest::collection::vec((0u8..3, 0usize..16, any::<u16>()), 0..24)) {
@@ -538,7 +482,7 @@ mod tests {
             for (op, idx, val) in &ops {
                 match op % 3 {
                     0 => { v.push(&txn, *val).unwrap(); }
-                    1 => { v.pop(&txn).unwrap(); }
+                    1 => { v.modify(&txn, *idx, |x| *x = x.wrapping_add(*val)).unwrap(); }
                     _ => { v.set(&txn, *idx, *val).unwrap(); }
                 }
             }

@@ -43,17 +43,15 @@ impl fmt::Display for TxnId {
 /// Inverse operations run while the transaction replays its log (abort,
 /// savepoint rollback, nested-action failure); they must restore the
 /// collection's backing storage directly and must **not** log further
-/// undo entries or otherwise re-enter the transaction.
-pub trait UndoSink: Send + 'static {
+/// undo entries or otherwise re-enter the transaction. A collection
+/// reaches its own sink's typed entries by upcasting to [`Any`].
+pub trait UndoSink: Any + Send {
     /// Reverses this sink's most recently recorded entry.
     fn undo_last(&mut self);
     /// Discards all recorded entries while keeping the sink's allocation,
     /// so a recycled transaction arena reuses the sink (and its capacity)
     /// instead of re-boxing one per collection per transaction.
     fn reset(&mut self);
-    /// Downcast support so a collection can push typed entries into its
-    /// own sink.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// The transaction's undo log: typed sinks plus the global entry order.
@@ -119,8 +117,7 @@ impl UndoLog {
                 idx
             }
         };
-        let sink = self.sinks[idx as usize]
-            .as_any_mut()
+        let sink = (&mut *self.sinks[idx as usize] as &mut dyn Any)
             .downcast_mut::<S>()
             .expect("undo token reused with a different sink type");
         if record(sink) {
@@ -944,9 +941,6 @@ mod tests {
         }
         fn reset(&mut self) {
             self.0.clear();
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

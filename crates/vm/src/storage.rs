@@ -10,21 +10,17 @@
 //! authoritative single-version state, used by [`TxnRef::Stm`]
 //! transactions, seeding, snapshots and state roots) plus a lazily built
 //! **optimistic** versioned overlay (used by [`TxnRef::Mvcc`]
-//! transactions). The overlay treats the boosted collection as its
-//! backing store via the small `*Base` adapter traits, shares its lock
-//! space so both flavors report identical lock footprints, and is
-//! registered with the world's [`cc_mvcc::MvccRuntime`] on first use so
-//! block finalization flattens committed versions back into the boosted
-//! base.
+//! transactions). The overlay holds a clone of the boosted collection as
+//! its twin, shares its lock space so both flavors report identical lock
+//! footprints, and registers itself with the world's
+//! [`cc_mvcc::MvccRuntime`] when built on first use, so that flattening a
+//! block's versions writes them back into the boosted collection.
 
 use crate::commit::{cell_digest, vec_digest, MapCommitment, RootCounters};
 use crate::context::{CallContext, TxnRef};
 use crate::error::VmError;
 use crate::snapshot::{FieldSnapshot, ToBytes};
-use cc_mvcc::{
-    CellBase, MapBase, MvccTxn, TallyBase, VecBase, VersionedCell, VersionedCounterMap,
-    VersionedMap, VersionedVec,
-};
+use cc_mvcc::{MvccTxn, VersionedCell, VersionedCounterMap, VersionedMap, VersionedVec};
 use cc_primitives::hash::Hash256;
 use cc_stm::{BoostedCell, BoostedCounterMap, BoostedMap, BoostedVec};
 use parking_lot::Mutex;
@@ -51,80 +47,6 @@ pub trait StorageField: Send + Sync {
     fn digest(&self, counters: &RootCounters) -> Hash256;
 }
 
-/// Adapter: a boosted map as the single-version base of a versioned map.
-struct MapBackend<K, V>(BoostedMap<K, V>);
-
-impl<K, V> MapBase<K, V> for MapBackend<K, V>
-where
-    K: Hash + Eq + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-{
-    fn load(&self, key: &K) -> Option<V> {
-        self.0.peek(key)
-    }
-
-    fn store(&self, key: &K, value: Option<V>) {
-        match value {
-            Some(v) => self.0.seed(key.clone(), v),
-            None => self.0.seed_remove(key),
-        }
-    }
-}
-
-/// Adapter: a boosted cell as the single-version base of a versioned cell.
-struct CellBackend<T>(BoostedCell<T>);
-
-impl<T> CellBase<T> for CellBackend<T>
-where
-    T: Clone + Send + Sync + 'static,
-{
-    fn load(&self) -> T {
-        self.0.peek()
-    }
-
-    fn store(&self, value: T) {
-        self.0.seed(value);
-    }
-}
-
-/// Adapter: a boosted vector as the single-version base of a versioned
-/// vector.
-struct VecBackend<T>(BoostedVec<T>);
-
-impl<T> VecBase<T> for VecBackend<T>
-where
-    T: Clone + Send + Sync + 'static,
-{
-    fn len(&self) -> usize {
-        self.0.snapshot_len()
-    }
-
-    fn load(&self, i: usize) -> Option<T> {
-        self.0.peek(i)
-    }
-
-    fn store(&self, items: Vec<T>) {
-        self.0.restore(items);
-    }
-}
-
-/// Adapter: a boosted tally map as the single-version base of a versioned
-/// counter map.
-struct TallyBackend<K>(BoostedCounterMap<K>);
-
-impl<K> TallyBase<K> for TallyBackend<K>
-where
-    K: Hash + Eq + Clone + Send + Sync + 'static,
-{
-    fn load(&self, key: &K) -> u64 {
-        self.0.peek(key)
-    }
-
-    fn store(&self, key: &K, value: u64) {
-        self.0.seed(key.clone(), value);
-    }
-}
-
 /// A persistent `mapping(K => V)` state variable.
 #[derive(Debug, Clone)]
 pub struct StorageMap<K, V> {
@@ -148,14 +70,11 @@ where
         }
     }
 
-    /// The versioned overlay, built (and registered with the transaction's
-    /// runtime) on the first optimistic access.
+    /// The versioned overlay, built (registering itself with the
+    /// transaction's runtime) on the first optimistic access.
     fn versioned(&self, txn: &MvccTxn<'_>) -> &VersionedMap<K, V> {
-        self.overlay.get_or_init(|| {
-            let map = VersionedMap::new(self.inner.lock_space(), MapBackend(self.inner.clone()));
-            txn.runtime().register(map.handle());
-            map
-        })
+        self.overlay
+            .get_or_init(|| VersionedMap::new(txn.runtime(), self.inner.clone()))
     }
 
     /// Reads the value bound to `key` (charges one `sload`).
@@ -367,14 +286,11 @@ where
         }
     }
 
-    /// The versioned overlay, built (and registered with the transaction's
-    /// runtime) on the first optimistic access.
+    /// The versioned overlay, built (registering itself with the
+    /// transaction's runtime) on the first optimistic access.
     fn versioned(&self, txn: &MvccTxn<'_>) -> &VersionedCell<T> {
-        self.overlay.get_or_init(|| {
-            let cell = VersionedCell::new(self.inner.lock_id(), CellBackend(self.inner.clone()));
-            txn.runtime().register(cell.handle());
-            cell
-        })
+        self.overlay
+            .get_or_init(|| VersionedCell::new(txn.runtime(), self.inner.clone()))
     }
 
     /// Reads the value (charges one `sload`).
@@ -494,14 +410,11 @@ where
         }
     }
 
-    /// The versioned overlay, built (and registered with the transaction's
-    /// runtime) on the first optimistic access.
+    /// The versioned overlay, built (registering itself with the
+    /// transaction's runtime) on the first optimistic access.
     fn versioned(&self, txn: &MvccTxn<'_>) -> &VersionedVec<T> {
-        self.overlay.get_or_init(|| {
-            let vec = VersionedVec::new(self.inner.lock_space(), VecBackend(self.inner.clone()));
-            txn.runtime().register(vec.handle());
-            vec
-        })
+        self.overlay
+            .get_or_init(|| VersionedVec::new(txn.runtime(), self.inner.clone()))
     }
 
     /// Number of elements (charges one `sload`).
@@ -672,15 +585,11 @@ where
         }
     }
 
-    /// The versioned overlay, built (and registered with the transaction's
-    /// runtime) on the first optimistic access.
+    /// The versioned overlay, built (registering itself with the
+    /// transaction's runtime) on the first optimistic access.
     fn versioned(&self, txn: &MvccTxn<'_>) -> &VersionedCounterMap<K> {
-        self.overlay.get_or_init(|| {
-            let map =
-                VersionedCounterMap::new(self.inner.lock_space(), TallyBackend(self.inner.clone()));
-            txn.runtime().register(map.handle());
-            map
-        })
+        self.overlay
+            .get_or_init(|| VersionedCounterMap::new(txn.runtime(), self.inner.clone()))
     }
 
     /// Adds `delta` to the tally for `key` (charges one `sstore`);
@@ -769,10 +678,10 @@ where
 mod tests {
     use super::*;
 
-    /// `restore` and `clear` on the backing collections are reachable only
-    /// through the multi-version flatten adapters, but they mutate base
-    /// state all the same: the next digest must be the cold digest of a
-    /// twin holding what they left behind.
+    /// `restore` and `clear` on the boosted collections are reachable
+    /// only through the multi-version flatten, but they mutate base state
+    /// all the same: the next digest must be the cold digest of a twin
+    /// holding what they left behind.
     #[test]
     fn restore_and_clear_move_the_digest_to_the_cold_twins() {
         let counters = RootCounters::default();
@@ -792,7 +701,7 @@ mod tests {
 
         map.inner.restore(vec![(1, 1), (500, 5)]);
         tally.inner.restore(vec![(2, 2)]);
-        VecBackend(items.inner.clone()).store(vec![9, 8]);
+        items.inner.restore(vec![9, 8]);
         let twin_map: StorageMap<u64, u64> = StorageMap::new("rc.map.twin");
         twin_map.seed(500, 5);
         twin_map.seed(1, 1);
