@@ -245,15 +245,14 @@ static SECTIONS: [Section; 10] = [
         schema: Schema {
             name: "abort_rate",
             title: "Abort rates: deadlock victims (speculative, wait on the lock they lost \
-                    on) vs. validation losers (optimistic, re-run at once; the fifth \
-                    attempt is exclusive); read-only optimistic commits never abort; \
-                    serial_ms is the serial miner on the same block",
+                    on) vs. validation losers (optimistic, re-run at once holding the \
+                    write intent of the lock they lost on); read-only optimistic commits \
+                    never abort; serial_ms is the serial miner on the same block",
             keys: FIGURE1_KEYS,
             metrics: &[
                 lower("speculative_retries_per_block", "count"),
                 lower("speculative_waits_per_block", "count"),
                 lower("optimistic_retries_per_block", "count"),
-                lower("optimistic_exclusive_per_block", "count"),
                 higher("optimistic_read_only_per_block", "count"),
                 lower("serial_ms", "ms"),
                 lower("speculative_ms", "ms"),
@@ -499,7 +498,6 @@ fn abort_rate(opts: &Options, _: &[Table]) -> Vec<Row> {
                 p.speculative_retries_per_block,
                 p.speculative_waits_per_block,
                 p.optimistic_retries_per_block,
-                p.optimistic_exclusive_per_block,
                 p.optimistic_read_only_per_block,
                 p.serial_ms,
                 p.speculative_ms,

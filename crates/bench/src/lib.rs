@@ -361,9 +361,6 @@ pub struct AbortRatePoint {
     pub speculative_waits_per_block: f64,
     /// Mean validation-failure retries per optimistically-mined block.
     pub optimistic_retries_per_block: f64,
-    /// Mean optimistic attempts per block that ran holding the commit
-    /// mutex (a transaction's fifth attempt).
-    pub optimistic_exclusive_per_block: f64,
     /// Mean read-only (validation-free, abort-free) commits per
     /// optimistically-mined block.
     pub optimistic_read_only_per_block: f64,
@@ -423,7 +420,6 @@ pub fn measure_abort_rate(
         speculative_retries_per_block: mean(&speculative, |s| s.retries as f64),
         speculative_waits_per_block: mean(&speculative, |s| s.locks.waits as f64),
         optimistic_retries_per_block: mean(&optimistic, |s| s.retries as f64),
-        optimistic_exclusive_per_block: mean(&optimistic, |s| s.exclusive as f64),
         optimistic_read_only_per_block: mean(&optimistic, |s| s.read_only as f64),
         serial_ms: mean(&serial, |s| ms(s.elapsed)),
         speculative_ms: mean(&speculative, |s| ms(s.elapsed)),
@@ -544,7 +540,7 @@ mod tests {
         assert!(point.serial_ms > 0.0);
         assert!(point.speculative_ms > 0.0);
         assert!(point.optimistic_ms > 0.0);
-        assert!(point.optimistic_exclusive_per_block <= 20.0);
+        assert!(point.optimistic_retries_per_block <= 4.0 * 20.0);
         assert!(point.speculative_abort_rate() >= 0.0);
         assert!(point.optimistic_abort_rate() >= 0.0);
     }

@@ -37,8 +37,6 @@ pub(super) struct Executed {
     pub(super) profiles: Vec<LockProfile>,
     /// Attempts that lost a conflict and ran again.
     pub(super) retries: u64,
-    /// Attempts run holding the optimistic runtime's commit mutex.
-    pub(super) exclusive: u64,
     /// Commits that wrote nothing.
     pub(super) read_only: u64,
 }
@@ -93,7 +91,6 @@ pub(crate) fn mine_on(
             threads: pool.workers(),
             transactions: n,
             retries: executed.retries,
-            exclusive: executed.exclusive,
             elapsed,
             gas_used,
             critical_path,

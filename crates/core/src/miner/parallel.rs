@@ -69,7 +69,6 @@ pub(super) fn execute(
         receipts,
         profiles,
         retries,
-        exclusive: 0,
         read_only,
     })
 }

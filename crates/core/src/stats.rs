@@ -17,9 +17,6 @@ pub struct MinerStats {
     /// deadlock victim waits on the lock it lost on (counted in
     /// `locks.waits`), a validation loser re-runs at once.
     pub retries: u64,
-    /// Attempts the optimistic miner ran holding the commit mutex (the
-    /// last resort that cannot lose validation). Zero for other miners.
-    pub exclusive: u64,
     /// Wall-clock time spent executing the block's transactions.
     pub elapsed: Duration,
     /// Total gas charged across all transactions.
@@ -45,12 +42,11 @@ impl fmt::Display for MinerStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} txns on {} thread(s) in {:?} ({} retries, {} exclusive, {} read-only, critical path {}, {} edges; locks: {} acquired, {} waits, {} deadlocks, {} fallback wakes over {} shards)",
+            "{} txns on {} thread(s) in {:?} ({} retries, {} read-only, critical path {}, {} edges; locks: {} acquired, {} waits, {} deadlocks, {} fallback wakes over {} shards)",
             self.transactions,
             self.threads,
             self.elapsed,
             self.retries,
-            self.exclusive,
             self.read_only,
             self.critical_path,
             self.hb_edges,
@@ -99,7 +95,6 @@ mod tests {
             threads: 3,
             transactions: 200,
             retries: 5,
-            exclusive: 2,
             elapsed: Duration::from_millis(12),
             gas_used: 1_000,
             critical_path: 7,
@@ -118,7 +113,7 @@ mod tests {
         assert!(s.contains("200 txns"));
         assert!(s.contains("3 thread"));
         assert!(s.contains("40 read-only"));
-        assert!(s.contains("2 exclusive"));
+        assert!(s.contains("5 retries"));
         assert!(s.contains("420 acquired"));
         assert!(s.contains("1 fallback wakes"));
         assert!(s.contains("16 shards"));

@@ -1,6 +1,7 @@
 //! Error type for optimistic transactions.
 
 use cc_primitives::ts::Timestamp;
+use cc_stm::LockId;
 use std::fmt;
 
 /// Error raised when an optimistic transaction cannot commit.
@@ -13,10 +14,14 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MvccError {
     /// First-committer-wins validation failed: another transaction
-    /// installed a conflicting version after this transaction's snapshot.
+    /// installed a conflicting version after this transaction's snapshot,
+    /// or holds the write intent of a hot lock this one writes.
     Conflict {
         /// The loser's snapshot instant.
         begin_ts: Timestamp,
+        /// The lock of the first conflicting key; a retry takes its
+        /// intent ([`crate::MvccRuntime::begin_holding`]).
+        lock: LockId,
     },
 }
 
@@ -30,9 +35,9 @@ impl MvccError {
 impl fmt::Display for MvccError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MvccError::Conflict { begin_ts } => write!(
+            MvccError::Conflict { begin_ts, lock } => write!(
                 f,
-                "first-committer-wins validation failed for snapshot {begin_ts}"
+                "first-committer-wins validation failed for snapshot {begin_ts} on lock {lock}"
             ),
         }
     }

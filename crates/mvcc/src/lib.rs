@@ -18,10 +18,11 @@
 //! * [`MvccTxn`] — read-set/write-set transactions with savepoints and
 //!   nested speculative actions; read-only transactions commit without
 //!   validation and therefore **never abort**.
-//! * [`MvccRuntime`] — the per-world oracle + commit mutex + collection
-//!   registry; flattens versions at or below a boundary into the boosted
-//!   twins, discards versions above one, and garbage-collects below the
-//!   oldest active snapshot.
+//! * [`MvccRuntime`] — the per-world oracle + commit mutex + hot-lock
+//!   write intents + collection registry; flattens versions at or below a
+//!   boundary into the boosted twins, discards versions above one, and
+//!   garbage-collects below the oldest active snapshot. Its module docs
+//!   ([`runtime`]) hold the intent rules.
 //!
 //! ```
 //! use cc_mvcc::{MvccRuntime, VersionedMap};
@@ -61,12 +62,14 @@ pub use txn::{MvccCommit, MvccSavepoint, MvccTxn};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_stm::{BoostedCell, BoostedCounterMap, BoostedMap, BoostedVec, LockMode, LockSpace};
+    use cc_stm::{
+        BoostedCell, BoostedCounterMap, BoostedMap, BoostedVec, LockId, LockMode, LockSpace,
+    };
     use proptest::prelude::*;
     use std::collections::BTreeMap;
     use std::sync::{mpsc, Arc};
     use std::thread;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     /// A versioned map over a boosted twin named `name` seeded with
     /// `entries`; the twin is returned too, to inspect what was flattened.
@@ -144,108 +147,229 @@ mod tests {
 
     type Shared = Arc<(MvccRuntime, VersionedMap<u64, u64>)>;
 
+    /// The fixture map's lock for `key`.
+    fn lock(key: u64) -> LockId {
+        LockSpace::new("test.map").lock_for(&key)
+    }
+
+    /// A key whose lock lies on another intent stripe than key 1's.
+    fn cold_key() -> u64 {
+        let hot = runtime::intent_bit(lock(1));
+        (2..)
+            .find(|&key| runtime::intent_bit(lock(key)) != hot)
+            .unwrap()
+    }
+
     /// Increments key 1 in a fresh optimistic transaction.
-    fn increment(shared: &Shared) -> Result<MvccCommit, MvccError> {
-        let (runtime, map) = &**shared;
+    fn increment(runtime: &MvccRuntime, map: &VersionedMap<u64, u64>) -> MvccCommit {
         let txn = runtime.begin();
         let seen = map.get(&txn, &1).unwrap();
         map.insert(&txn, 1, seen + 1);
-        txn.commit()
+        txn.commit().expect("an uncontended increment commits")
     }
 
-    /// Whether an optimistic increment on a thread of its own commits
-    /// within [`TIMEOUT`]; a commit mutex nobody releases makes it `false`
-    /// instead of wedging the test (the thread is joined only when done).
-    fn increment_commits_in_time(shared: &Shared) -> bool {
-        let shared = Arc::clone(shared);
-        let (done, result) = mpsc::channel();
-        let writer = thread::spawn(move || done.send(increment(&shared).is_ok()));
-        result.recv_timeout(TIMEOUT).unwrap_or(false) && writer.join().is_ok()
-    }
-
-    #[test]
-    fn exclusive_transaction_holds_off_a_concurrent_writer() {
-        let shared: Shared = Arc::new(fixture());
-        let (runtime, map) = &*shared;
-        let exclusive = runtime.begin_exclusive();
-        let seen = map.get(&exclusive, &1).unwrap();
-        map.insert(&exclusive, 1, seen + 10);
-
-        // A writer of the same key whose snapshot predates the exclusive
-        // commit: it reaches its commit while the mutex is held.
-        let (began, writer_began) = mpsc::channel();
-        let (done, writer_done) = mpsc::channel();
-        let writer = Arc::clone(&shared);
-        let writer_thread = thread::spawn(move || {
-            let (runtime, map) = &*writer;
-            let txn = runtime.begin();
-            let seen = map.get(&txn, &1).unwrap();
-            map.insert(&txn, 1, seen + 1);
-            began.send(()).unwrap();
-            let first = txn.commit();
-            done.send((first, increment(&writer))).unwrap();
-        });
-        writer_began
-            .recv_timeout(TIMEOUT)
-            .expect("the writer begins");
-        // The channel fixes the order of the snapshots; the pause only gives
-        // a broken mutex time to let the writer through.
-        thread::sleep(Duration::from_millis(50));
-        assert!(
-            writer_done.try_recv().is_err(),
-            "the writer cannot commit while the exclusive transaction runs"
+    /// Makes key 1's lock hot the way a miner does: a commit loses on it,
+    /// and its conflict names the lock. Key 1 is then 101.
+    fn heat(runtime: &MvccRuntime, map: &VersionedMap<u64, u64>) {
+        let loser = runtime.begin();
+        map.insert(&loser, 1, 0);
+        increment(runtime, map);
+        let begin_ts = loser.begin_ts();
+        let lost = loser.commit().expect_err("the second committer loses");
+        assert_eq!(
+            lost,
+            MvccError::Conflict {
+                begin_ts,
+                lock: lock(1)
+            }
         );
+        assert_ne!(runtime.hot(), 0);
+    }
 
-        let won = exclusive
-            .commit()
-            .expect("an exclusive transaction cannot lose");
-        let (first, rerun) = writer_done
-            .recv_timeout(TIMEOUT)
-            .expect("the writer resumes");
-        assert!(first.expect_err("stale snapshot loses").is_retryable());
-        assert!(rerun.expect("a fresh snapshot wins").ts > won.ts);
-        writer_thread
-            .join()
-            .expect("the writer thread finishes cleanly");
-        let check = runtime.begin();
-        assert_eq!(map.get(&check, &1), Some(111));
-        check.commit().unwrap();
+    /// Spins (yielding) until a transaction is parked for an intent.
+    fn await_parked(runtime: &MvccRuntime) {
+        let deadline = Instant::now() + TIMEOUT;
+        while runtime.parked() == 0 {
+            assert!(Instant::now() < deadline, "nobody parked");
+            thread::yield_now();
+        }
+    }
+
+    /// What [`touch_key_one`]'s transaction reports when it is done: its
+    /// snapshot, the value of key 1 it saw, and its commit.
+    type Touched = (Timestamp, u64, Result<MvccCommit, MvccError>);
+
+    /// A transaction on another thread that reads the cold key, reports
+    /// its snapshot, then reads key 1 — parking while the intent is held —
+    /// and, if `write`, increments it.
+    fn touch_key_one(shared: &Shared, write: bool) -> (Timestamp, mpsc::Receiver<Touched>) {
+        let (began, before) = mpsc::channel();
+        let (done, result) = mpsc::channel();
+        let shared = Arc::clone(shared);
+        thread::spawn(move || {
+            let (runtime, map) = &*shared;
+            let txn = runtime.begin();
+            map.get(&txn, &cold_key());
+            began.send(txn.begin_ts()).unwrap();
+            let seen = map.get(&txn, &1).unwrap();
+            if write {
+                map.insert(&txn, 1, seen + 1);
+            }
+            done.send((txn.begin_ts(), seen, txn.commit()))
+        });
+        let before = before.recv_timeout(TIMEOUT).expect("the thread begins");
+        (before, result)
     }
 
     #[test]
-    fn abort_and_drop_release_the_commit_mutex() {
-        let shared: Shared = Arc::new(fixture());
-        let (runtime, map) = &*shared;
+    fn a_writer_without_the_intent_loses_to_the_holder_and_names_the_lock() {
+        let (runtime, map) = fixture();
+        let loser = runtime.begin();
+        map.insert(&loser, 1, 0);
+        increment(&runtime, &map);
+        // A writer of key 1 whose snapshot already sees the winner, so
+        // validation alone would let it commit; it wrote while the lock
+        // was still cold.
+        let writer = runtime.begin();
+        map.insert(&writer, 1, 500);
+        assert!(loser.commit().is_err(), "the loss makes the lock hot");
 
-        let aborted = runtime.begin_exclusive();
-        map.insert(&aborted, 1, 0);
-        aborted.abort();
-        assert!(increment_commits_in_time(&shared), "abort releases it");
-
-        let dropped = runtime.begin_exclusive();
-        map.insert(&dropped, 1, 0);
-        drop(dropped); // in flight: neither committed nor aborted
-        assert!(increment_commits_in_time(&shared), "drop releases it");
-
-        assert_eq!(runtime.oracle().active_count(), 0);
+        let holder = runtime.begin_holding(Some(lock(1)));
+        let begin_ts = writer.begin_ts();
+        assert_eq!(
+            writer
+                .commit()
+                .expect_err("the holder's lock is not the writer's"),
+            MvccError::Conflict {
+                begin_ts,
+                lock: lock(1)
+            }
+        );
+        let seen = map.get(&holder, &1).unwrap();
+        map.insert(&holder, 1, seen + 1);
+        holder.commit().expect("the holder cannot lose on its lock");
         let check = runtime.begin();
-        assert_eq!(map.get(&check, &1), Some(102), "only the increments landed");
-        check.commit().unwrap();
+        assert_eq!(
+            map.get(&check, &1),
+            Some(102),
+            "the writer's 500 never landed"
+        );
     }
 
     #[test]
-    fn read_only_exclusive_transaction_commits_at_its_snapshot() {
+    fn a_parked_transaction_with_unchanged_reads_extends_its_snapshot_and_commits() {
         let shared: Shared = Arc::new(fixture());
         let (runtime, map) = &*shared;
-        let first = increment(&shared).unwrap();
+        heat(runtime, map);
+        let holder = runtime.begin_holding(Some(lock(1)));
+        let (before, parked) = touch_key_one(&shared, true);
+        await_parked(runtime);
 
-        let reader = runtime.begin_exclusive();
-        assert_eq!(reader.begin_ts(), first.ts);
-        assert_eq!(map.get(&reader, &1), Some(101));
-        let commit = reader.commit().expect("readers never abort");
+        map.insert(&holder, 1, 7);
+        let won = holder.commit().unwrap();
+        let (after, seen, commit) = parked.recv_timeout(TIMEOUT).expect("the waiter wakes");
+        assert!(before < won.ts);
+        assert_eq!(
+            (after, seen),
+            (won.ts, 7),
+            "the snapshot moved past the holder"
+        );
+        assert!(commit.expect("no retry needed").ts > won.ts);
+        assert_eq!(runtime.oracle().active_count(), 0, "the old snapshot ended");
+    }
+
+    #[test]
+    fn a_parked_transaction_whose_read_changed_keeps_its_snapshot_and_loses() {
+        let shared: Shared = Arc::new(fixture());
+        let (runtime, map) = &*shared;
+        heat(runtime, map);
+        let holder = runtime.begin_holding(Some(lock(1)));
+        let (before, parked) = touch_key_one(&shared, true);
+        await_parked(runtime);
+
+        map.insert(&holder, cold_key(), 9); // what the waiter already read
+        map.insert(&holder, 1, 7);
+        holder.commit().unwrap();
+        let (after, seen, commit) = parked.recv_timeout(TIMEOUT).expect("the waiter wakes");
+        assert_eq!((after, seen), (before, 101), "the old snapshot is kept");
+        assert!(commit.expect_err("a stale snapshot loses").is_retryable());
+    }
+
+    #[test]
+    fn a_parked_read_only_transaction_commits_read_only_and_never_conflicts() {
+        let shared: Shared = Arc::new(fixture());
+        let (runtime, map) = &*shared;
+        heat(runtime, map);
+        let holder = runtime.begin_holding(Some(lock(1)));
+        let (before, parked) = touch_key_one(&shared, false);
+        await_parked(runtime);
+
+        // Its earlier read changes too, so it cannot extend: it reads
+        // the old snapshot consistently and still commits.
+        map.insert(&holder, cold_key(), 9);
+        map.insert(&holder, 1, 7);
+        holder.commit().unwrap();
+        let (after, seen, commit) = parked.recv_timeout(TIMEOUT).expect("the reader wakes");
+        assert_eq!((after, seen), (before, 101));
+        let commit = commit.expect("readers never abort");
         assert!(commit.read_only);
-        assert_eq!(commit.ts, first.ts);
-        assert!(increment_commits_in_time(&shared), "commit releases it");
+        assert_eq!(commit.ts, before);
+    }
+
+    #[test]
+    fn commit_abort_drop_and_panic_each_release_the_intent_and_wake_a_waiter() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum End {
+            Commit,
+            Abort,
+            Drop,
+            Panic,
+        }
+        for end in [End::Commit, End::Abort, End::Drop, End::Panic] {
+            let shared: Shared = Arc::new(fixture());
+            let (runtime, map) = &*shared;
+            heat(runtime, map);
+            let (held, holding) = mpsc::channel();
+            let (go, release) = mpsc::channel::<()>();
+            let holder = {
+                let shared = Arc::clone(&shared);
+                thread::spawn(move || {
+                    let (runtime, map) = &*shared;
+                    let txn = runtime.begin_holding(Some(lock(1)));
+                    map.insert(&txn, 1, 7);
+                    held.send(()).unwrap();
+                    release.recv().unwrap();
+                    match end {
+                        End::Commit => drop(txn.commit().unwrap()),
+                        End::Abort => txn.abort(),
+                        End::Drop => drop(txn),
+                        End::Panic => panic!("a body panics holding an intent"),
+                    }
+                })
+            };
+            holding.recv_timeout(TIMEOUT).expect("the holder begins");
+            let (_, waiter) = touch_key_one(&shared, true);
+            await_parked(runtime);
+            go.send(()).unwrap();
+
+            let (_, seen, commit) = waiter.recv_timeout(TIMEOUT).expect("the waiter wakes");
+            let expected = if end == End::Commit { 7 } else { 101 };
+            assert_eq!(seen, expected, "{end:?}");
+            commit.unwrap_or_else(|e| panic!("{end:?}: {e}"));
+            assert_eq!(holder.join().is_err(), end == End::Panic, "{end:?}");
+            assert_eq!(runtime.oracle().active_count(), 0, "{end:?}");
+        }
+    }
+
+    #[test]
+    fn finalize_below_and_discard_above_clear_hot_flags() {
+        let (runtime, map) = fixture();
+        heat(&runtime, &map);
+        runtime.finalize_below(runtime.oracle().latest());
+        assert_eq!(runtime.hot(), 0, "flattening starts the next block cold");
+        heat(&runtime, &map);
+        runtime.discard_above(runtime.oracle().latest());
+        assert_eq!(runtime.hot(), 0, "discarding starts the next block cold");
     }
 
     #[test]

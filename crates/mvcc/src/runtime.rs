@@ -1,22 +1,91 @@
-//! The per-world optimistic runtime: oracle, commit mutex and the
-//! registry of versioned collections.
+//! The per-world optimistic runtime: oracle, commit mutex, hot-lock write
+//! intents and the registry of versioned collections.
+//!
+//! # Hot-lock write intents
+//!
+//! First-committer-wins alone lets a loser chase a hot key forever: its
+//! re-run fixes a fresh snapshot, and a neighbour commits the key again
+//! before it gets there. Intents turn that chase into a queue. A lock is
+//! **hot** once some commit lost validation on it (the failed commit marks
+//! it), and stays hot until the block's overlay is flattened or discarded
+//! ([`MvccRuntime::finalize_below`], [`MvccRuntime::discard_above`]), so
+//! every block starts cold. An intent is an owner slot in one of 64
+//! stripes, picked by the `LockId` the footprint already computes;
+//! hotness and ownership are per stripe. Three rules:
+//!
+//! 1. **Park at first touch.** Every storage op records its footprint;
+//!    when the lock's stripe is hot and the transaction does not hold it,
+//!    it takes the intent: it parks for it if it holds no intent yet, and
+//!    otherwise only tries, going on without the intent if that fails. A
+//!    retry ([`MvccRuntime::begin_holding`]) parks for the intent of the
+//!    lock its previous attempt lost on before it fixes its snapshot.
+//! 2. **Extend.** Having taken an intent mid-run, the transaction
+//!    registers a new snapshot with the oracle, then re-validates what it
+//!    read and wrote against the old one. If nothing changed, it moves to
+//!    the new snapshot (so it sees whatever the previous holder published)
+//!    and ends the old one; otherwise it keeps the old snapshot and will
+//!    lose at commit, as it would have anyway.
+//! 3. **Writers respect intents.** Under the commit mutex, every
+//!    non-`Shared` footprint lock on a hot stripe must be held by the
+//!    committer or try-acquired; a failed try is a conflict on that lock.
+//!    Intents are released when the transaction is dropped, after its
+//!    commit published, so a woken waiter's extension sees the holder's
+//!    versions.
+//!
+//! The holder of a hot lock's intent therefore cannot lose on that lock,
+//! and nobody sleeps or takes the commit mutex early. Intents decide who
+//! waits and who loses, never what commits: correctness still rests on
+//! validation alone.
+//!
+//! **No deadlock.** A transaction parks only while it holds no intent, and
+//! under the commit mutex it only tries. Every wait is therefore by a
+//! transaction holding nothing on one holding something, and a holder
+//! never waits for an intent, so no cycle can form.
+//!
+//! **No cost when cold.** With nothing hot, a footprint call costs one
+//! relaxed load; nothing is counted or allocated per transaction.
+//! Validators never mark anything hot, because their replays do not lose.
 
 use crate::oracle::TimestampOracle;
 use crate::store::MvccCollection;
 use crate::txn::MvccTxn;
 use cc_primitives::ts::Timestamp;
-use parking_lot::{Mutex, MutexGuard};
+use cc_stm::LockId;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// The intent-stripe bit of `lock`: the top six bits of the mix the
+/// `LockId` computed once at construction pick one of 64 stripes, one bit
+/// each of a `u64`, so the hot stripes, the intents taken and a
+/// transaction's intents are one word each.
+pub(crate) fn intent_bit(lock: LockId) -> u64 {
+    1 << (lock.mix() >> 58)
+}
+
+/// The intents' owner slots.
+#[derive(Default)]
+struct Intents {
+    /// Bit `s` set: stripe `s`'s intent is held.
+    taken: u64,
+    /// Transactions parked for an intent; a release with none wakes nobody.
+    parked: usize,
+}
+
 /// Shared state for one world's optimistic execution: the timestamp
-/// oracle, the first-committer-wins commit mutex, and every versioned
-/// collection that has been touched (so block finalization and garbage
-/// collection can reach them all).
+/// oracle, the first-committer-wins commit mutex, the hot-lock write
+/// intents (see the module docs), and every versioned collection that has
+/// been touched (so block finalization and garbage collection can reach
+/// them all).
 #[derive(Default)]
 pub struct MvccRuntime {
     oracle: TimestampOracle,
     commit: Mutex<()>,
+    /// Bit `s` set: stripe `s` is hot.
+    hot: AtomicU64,
+    intents: Mutex<Intents>,
+    released: Condvar,
     collections: Mutex<Vec<Arc<dyn MvccCollection>>>,
 }
 
@@ -31,18 +100,18 @@ impl MvccRuntime {
         self.begin_holding(None)
     }
 
-    /// Starts a transaction that holds the commit mutex from before its
-    /// snapshot is fixed until it commits, aborts or is dropped. No other
-    /// update transaction can commit in between, so its validation cannot
-    /// fail: a loser re-run this way is guaranteed to commit. Every other
-    /// committer waits on the mutex meanwhile, so use it only as the last
-    /// resort of a retry loop.
-    pub fn begin_exclusive(&self) -> MvccTxn<'_> {
-        self.begin_holding(Some(self.commit_guard()))
-    }
-
-    fn begin_holding<'rt>(&'rt self, commit: Option<MutexGuard<'rt, ()>>) -> MvccTxn<'rt> {
-        MvccTxn::new(self, self.oracle.begin(), commit)
+    /// Starts a transaction that first parks for the intent of `lost` —
+    /// the lock the caller's previous attempt lost on — and only then
+    /// fixes its snapshot, so it sees the intent's previous holder's
+    /// commit and cannot lose on that lock (rule 1 of the module docs).
+    /// The caller must hold no other intent: its previous attempt has to
+    /// be dropped first.
+    pub fn begin_holding(&self, lost: Option<LockId>) -> MvccTxn<'_> {
+        let held = lost.map_or(0, intent_bit);
+        if held != 0 {
+            self.take_intent(held, true);
+        }
+        MvccTxn::new(self, self.oracle.begin(), held)
     }
 
     /// The runtime's timestamp oracle.
@@ -71,9 +140,11 @@ impl MvccRuntime {
     /// versions all carry timestamps at or below the oracle instant
     /// recorded when its replay finished; flattening up to that boundary
     /// commits exactly that block while later speculated blocks stay
-    /// pending. Like [`MvccRuntime::finalize_block`], this must not run
-    /// concurrently with active transactions.
+    /// pending. Clears every hot stripe. Like
+    /// [`MvccRuntime::finalize_block`], this must not run concurrently
+    /// with active transactions.
     pub fn finalize_below(&self, boundary: Timestamp) {
+        self.hot.store(0, Ordering::Relaxed);
         for collection in self.collections.lock().iter() {
             collection.finalize_below(boundary);
         }
@@ -83,8 +154,10 @@ impl MvccRuntime {
     /// boosted twins — the **pending-overlay discard**. Rolls the
     /// versioned state back to the boundary of the last trusted block
     /// when a speculated block (or its predecessor) fails validation.
-    /// Must not run concurrently with active transactions.
+    /// Clears every hot stripe. Must not run concurrently with active
+    /// transactions.
     pub fn discard_above(&self, boundary: Timestamp) {
+        self.hot.store(0, Ordering::Relaxed);
         for collection in self.collections.lock().iter() {
             collection.discard_above(boundary);
         }
@@ -108,6 +181,42 @@ impl MvccRuntime {
     pub(crate) fn commit_guard(&self) -> MutexGuard<'_, ()> {
         self.commit.lock()
     }
+
+    /// The hot stripes' bits. One relaxed load: a stale answer only
+    /// changes who waits, never what commits.
+    pub(crate) fn hot(&self) -> u64 {
+        self.hot.load(Ordering::Relaxed)
+    }
+
+    /// Marks `lock`'s stripe hot; called by a commit that lost on it.
+    pub(crate) fn mark_hot(&self, lock: LockId) {
+        self.hot.fetch_or(intent_bit(lock), Ordering::Relaxed);
+    }
+
+    /// Takes the intent of stripe `bit`, parking until it is free if
+    /// `park`; without `park`, fails when another transaction holds it.
+    pub(crate) fn take_intent(&self, bit: u64, park: bool) -> bool {
+        let mut intents = self.intents.lock();
+        while park && intents.taken & bit != 0 {
+            intents.parked += 1;
+            self.released.wait(&mut intents);
+            intents.parked -= 1;
+        }
+        let free = intents.taken & bit == 0;
+        intents.taken |= bit;
+        free
+    }
+
+    /// Releases the intents of every stripe in `held` and wakes the parked.
+    pub(crate) fn release_intents(&self, held: u64) {
+        if held != 0 {
+            let mut intents = self.intents.lock();
+            intents.taken &= !held;
+            if intents.parked > 0 {
+                self.released.notify_all();
+            }
+        }
+    }
 }
 
 impl fmt::Debug for MvccRuntime {
@@ -115,7 +224,16 @@ impl fmt::Debug for MvccRuntime {
         f.debug_struct("MvccRuntime")
             .field("latest", &self.oracle.latest())
             .field("active", &self.oracle.active_count())
+            .field("hot", &format_args!("{:#x}", self.hot()))
             .field("collections", &self.collections.lock().len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+impl MvccRuntime {
+    /// How many transactions are parked for an intent.
+    pub(crate) fn parked(&self) -> usize {
+        self.intents.lock().parked
     }
 }

@@ -4,7 +4,7 @@ use super::{MvccCollection, Versions};
 use crate::runtime::MvccRuntime;
 use crate::txn::{MvccTxn, PendingOps};
 use cc_primitives::ts::Timestamp;
-use cc_stm::{BoostedCell, LockMode};
+use cc_stm::{BoostedCell, LockId, LockMode};
 use std::sync::Arc;
 
 /// Buffered per-transaction state for one versioned cell.
@@ -29,12 +29,13 @@ impl<T: Clone + Send + Sync + 'static> PendingOps for CellPending<T> {
         self.write.is_some()
     }
 
-    fn validate(&self, begin_ts: Timestamp) -> bool {
+    fn validate(&self, begin_ts: Timestamp) -> Result<(), LockId> {
         let touched = self.read || self.write.is_some();
-        !self
+        let lost = self
             .core
             .versions
-            .conflicted(begin_ts, touched.then_some((&(), false)))
+            .first_conflict(begin_ts, touched.then_some((&(), false)));
+        lost.map_or(Ok(()), |()| Err(self.core.base.lock_id()))
     }
 
     fn install(&mut self, commit_ts: Timestamp) {

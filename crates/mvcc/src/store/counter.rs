@@ -12,7 +12,7 @@ use crate::runtime::MvccRuntime;
 use crate::txn::{MvccTxn, PendingOps};
 use cc_primitives::fx::{FxHashMap, FxHashSet};
 use cc_primitives::ts::Timestamp;
-use cc_stm::{BoostedCounterMap, LockMode};
+use cc_stm::{BoostedCounterMap, LockId, LockMode};
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -52,7 +52,7 @@ where
         !self.ops.is_empty()
     }
 
-    fn validate(&self, begin_ts: Timestamp) -> bool {
+    fn validate(&self, begin_ts: Timestamp) -> Result<(), LockId> {
         // A pure add commutes with other adds; only a newer overwrite (or
         // a newer version of a key this transaction read) invalidates it.
         let reads = self.reads.iter().map(|key| (key, false));
@@ -60,7 +60,11 @@ where
             .ops
             .iter()
             .map(|(key, tally)| (key, tally.set.is_none()));
-        !self.core.versions.conflicted(begin_ts, reads.chain(ops))
+        let lost = self
+            .core
+            .versions
+            .first_conflict(begin_ts, reads.chain(ops));
+        lost.map_or(Ok(()), |key| Err(self.core.base.lock_space().lock_for(key)))
     }
 
     fn install(&mut self, commit_ts: Timestamp) {

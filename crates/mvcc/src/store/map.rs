@@ -5,7 +5,7 @@ use crate::runtime::MvccRuntime;
 use crate::txn::{MvccTxn, PendingOps};
 use cc_primitives::fx::{FxHashMap, FxHashSet};
 use cc_primitives::ts::Timestamp;
-use cc_stm::{BoostedMap, LockMode};
+use cc_stm::{BoostedMap, LockId, LockMode};
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -41,12 +41,13 @@ where
         !self.writes.is_empty()
     }
 
-    fn validate(&self, begin_ts: Timestamp) -> bool {
+    fn validate(&self, begin_ts: Timestamp) -> Result<(), LockId> {
         let keys = self.reads.iter().chain(self.writes.keys());
-        !self
+        let lost = self
             .core
             .versions
-            .conflicted(begin_ts, keys.map(|key| (key, false)))
+            .first_conflict(begin_ts, keys.map(|key| (key, false)));
+        lost.map_or(Ok(()), |key| Err(self.core.base.lock_space().lock_for(key)))
     }
 
     fn install(&mut self, commit_ts: Timestamp) {

@@ -91,27 +91,29 @@ impl<K: Hash + Eq, T: Clone> Versions<K, T> {
         Some(version.value.clone())
     }
 
-    /// Whether any of `keys` gained a version newer than `begin_ts` — the
-    /// first-committer-wins conflict. A key paired with `true` is a purely
-    /// additive write: it commutes with other additive versions and
+    /// The first of `keys` that gained a version newer than `begin_ts` —
+    /// the first-committer-wins conflict. A key paired with `true` is a
+    /// purely additive write: it commutes with other additive versions and
     /// conflicts only with a newer non-additive one.
-    fn conflicted<'k>(
+    fn first_conflict<'k>(
         &self,
         begin_ts: Timestamp,
         keys: impl IntoIterator<Item = (&'k K, bool)>,
-    ) -> bool
+    ) -> Option<&'k K>
     where
         K: 'k,
     {
         let lists = self.0.read();
-        keys.into_iter().any(|(key, additive)| {
-            lists.get(key).is_some_and(|list| {
-                list.iter()
-                    .rev()
-                    .take_while(|v| v.ts > begin_ts)
-                    .any(|v| !(additive && v.additive))
+        keys.into_iter()
+            .find(|&(key, additive)| {
+                lists.get(key).is_some_and(|list| {
+                    list.iter()
+                        .rev()
+                        .take_while(|v| v.ts > begin_ts)
+                        .any(|v| !(additive && v.additive))
+                })
             })
-        })
+            .map(|(key, _)| key)
     }
 
     /// Appends one version per write at `ts`. `version` turns a write,
@@ -209,12 +211,14 @@ mod tests {
     #[test]
     fn conflict_predicates() {
         let list = versions(&[(2, false), (6, true)]);
-        let newer = |begin: u64, additive: bool| list.conflicted(ts(begin), [(&(), additive)]);
+        let newer = |begin: u64, additive: bool| {
+            list.first_conflict(ts(begin), [(&(), additive)]).is_some()
+        };
         assert!(newer(4, false));
         assert!(!newer(6, false));
         assert!(!newer(4, true), "only an additive version is newer");
         assert!(newer(1, true));
-        assert!(!list.conflicted(ts(1), []), "no keys, no conflict");
+        assert_eq!(list.first_conflict(ts(1), []), None, "no keys, no conflict");
         assert_eq!(list.read_at(&(), ts(5)), Some(2));
         assert_eq!(list.read_at(&(), Timestamp::BASE), None);
     }

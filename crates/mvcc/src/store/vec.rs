@@ -54,15 +54,19 @@ impl<T: Clone + Send + Sync + 'static> PendingOps for VecPending<T> {
         self.len.is_some() || !self.elems.is_empty()
     }
 
-    fn validate(&self, begin_ts: Timestamp) -> bool {
+    fn validate(&self, begin_ts: Timestamp) -> Result<(), LockId> {
         let core = &self.core;
         let length = (self.read_len || self.len.is_some()).then_some((&(), false));
+        if core.lengths.first_conflict(begin_ts, length).is_some() {
+            return Err(core.base.lock_space().whole());
+        }
         let elems = self
             .read_elems
             .iter()
             .chain(self.elems.keys())
             .map(|i| (i, false));
-        !core.lengths.conflicted(begin_ts, length) && !core.elements.conflicted(begin_ts, elems)
+        let lost = core.elements.first_conflict(begin_ts, elems);
+        lost.map_or(Ok(()), |i| Err(core.base.lock_space().lock_for(i)))
     }
 
     fn install(&mut self, commit_ts: Timestamp) {

@@ -1,41 +1,36 @@
 //! Optimistic read-set/write-set transactions.
 //!
-//! An [`MvccTxn`] never blocks and never fails mid-execution: reads come
-//! from the snapshot fixed at begin time (plus the transaction's own
-//! buffered writes), and writes are buffered privately until commit. At
-//! commit, an update transaction runs **first-committer-wins** validation
-//! under the runtime's commit mutex: if any key it read or wrote gained a
+//! An [`MvccTxn`] never fails mid-execution: reads come from the snapshot
+//! fixed at begin time (plus the transaction's own buffered writes), and
+//! writes are buffered privately until commit. At commit, an update
+//! transaction runs **first-committer-wins** validation under the
+//! runtime's commit mutex: if any key it read or wrote gained a
 //! conflicting version after its snapshot, it aborts (cheaply — the shared
-//! version lists were never touched) and the caller re-executes it. A
-//! transaction with no buffered writes skips validation entirely, which is
-//! the structural reason read-only transactions never abort.
+//! version lists were never touched), names the lock it lost on, and the
+//! caller re-executes it. A transaction with no buffered writes skips
+//! validation entirely, which is the structural reason read-only
+//! transactions never abort.
 //!
-//! A loser lost to a writer that has **already published**, so the caller
-//! re-runs it at once: a fresh snapshot sees the winner, and there is
-//! nothing to wait for. Re-running alone does not bound the retries — a
-//! loser whose execution is no shorter than a neighbour's can keep losing
-//! to that neighbour's next commit. The bound is
-//! [`MvccRuntime::begin_exclusive`]: that transaction takes the commit
-//! mutex *before* fixing its snapshot and keeps it until it closes, so no
-//! conflicting version can be installed past its snapshot and its
-//! validation (which still runs) cannot fail. A retry loop that ends in
-//! one exclusive attempt therefore always terminates.
+//! Beyond the commit critical section it blocks in one place only: on the
+//! write intent of a **hot** lock (one a commit already lost on), and
+//! only while it holds no intent. Taking an intent mid-run moves its
+//! snapshot forward when its reads allow it. The rules and the deadlock
+//! argument are in [`crate::runtime`].
 //!
 //! The transaction also records a **lock footprint**: the `(LockId,
 //! LockMode)` pairs the equivalent boosted (pessimistic) execution would
-//! have acquired. The footprint never influences optimistic concurrency
-//! control — it exists so the miner can publish the same
-//! `ScheduleMetadata` lock profiles a pessimistic miner would, keeping
-//! validators strategy-agnostic.
+//! have acquired. Beyond naming intents, the footprint never influences
+//! optimistic concurrency control — it exists so the miner can publish
+//! the same `ScheduleMetadata` lock profiles a pessimistic miner would,
+//! keeping validators strategy-agnostic.
 
 use crate::error::MvccError;
-use crate::runtime::MvccRuntime;
+use crate::runtime::{intent_bit, MvccRuntime};
 use cc_primitives::fx::FxHashMap;
 use cc_primitives::ts::Timestamp;
 use cc_stm::{LockId, LockMode};
-use parking_lot::MutexGuard;
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 /// Per-collection buffered state (read keys, pending writes and a typed
@@ -50,8 +45,10 @@ pub(crate) trait PendingOps: Any + Send {
     /// Whether any write is still buffered.
     fn has_writes(&self) -> bool;
     /// First-committer-wins validation against versions installed after
-    /// `begin_ts`. Runs inside the commit critical section.
-    fn validate(&self, begin_ts: Timestamp) -> bool;
+    /// `begin_ts`: the lock of the first conflicting key, if any. Runs
+    /// inside the commit critical section, and outside it when the
+    /// transaction extends its snapshot.
+    fn validate(&self, begin_ts: Timestamp) -> Result<(), LockId>;
     /// Installs the buffered writes as versions at `commit_ts`. Runs
     /// inside the commit critical section, after every `validate`
     /// succeeded.
@@ -95,37 +92,31 @@ pub struct MvccCommit {
 
 /// A single optimistic transaction over a runtime's versioned collections.
 ///
-/// Neither `Send` nor `Sync`: like the pessimistic `Transaction`, it lives
-/// on one worker thread for its whole life — and an exclusive one holds
-/// the commit mutex, which the thread that took it must release.
+/// Not `Sync`: like the pessimistic `Transaction`, it lives on one worker
+/// thread, and its intents are released by whichever thread drops it.
 pub struct MvccTxn<'rt> {
     runtime: &'rt MvccRuntime,
-    begin_ts: Timestamp,
+    /// The snapshot instant; moves forward when the transaction extends
+    /// its snapshot after taking an intent.
+    begin_ts: Cell<Timestamp>,
     inner: RefCell<TxnInner>,
-    /// The commit mutex, held from begin to close by a transaction from
-    /// [`MvccRuntime::begin_exclusive`]; released by commit, abort or drop.
-    /// (A plain field, not a `Cell`, keeps the type covariant in `'rt`;
-    /// that is why commit and abort consume the transaction.)
-    exclusive: Option<MutexGuard<'rt, ()>>,
+    /// The intent stripes held, one bit each; released on drop.
+    intents: Cell<u64>,
 }
 
 impl<'rt> MvccTxn<'rt> {
-    pub(crate) fn new(
-        runtime: &'rt MvccRuntime,
-        begin_ts: Timestamp,
-        exclusive: Option<MutexGuard<'rt, ()>>,
-    ) -> Self {
+    pub(crate) fn new(runtime: &'rt MvccRuntime, begin_ts: Timestamp, intents: u64) -> Self {
         MvccTxn {
             runtime,
-            begin_ts,
+            begin_ts: Cell::new(begin_ts),
             inner: RefCell::new(TxnInner::default()),
-            exclusive,
+            intents: Cell::new(intents),
         }
     }
 
     /// The snapshot instant all reads observe.
     pub fn begin_ts(&self) -> Timestamp {
-        self.begin_ts
+        self.begin_ts.get()
     }
 
     /// The runtime this transaction executes under.
@@ -134,8 +125,15 @@ impl<'rt> MvccTxn<'rt> {
     }
 
     /// Records one pessimistic-equivalent lock use, strengthening the mode
-    /// in place when the lock was already in the footprint.
+    /// in place when the lock was already in the footprint. Runs on every
+    /// storage op, before it reads: on a hot lock whose intent it does not
+    /// hold, the transaction takes the intent first (see
+    /// [`crate::runtime`]).
     pub(crate) fn footprint(&self, lock: LockId, mode: LockMode) {
+        let (bit, held) = (intent_bit(lock), self.intents.get());
+        if self.runtime.hot() & bit & !held != 0 && self.hold(bit, held == 0) {
+            self.extend_snapshot();
+        }
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
         match inner.footprint_index.get(&lock) {
@@ -148,6 +146,34 @@ impl<'rt> MvccTxn<'rt> {
                 inner.footprint.push((lock, mode));
             }
         }
+    }
+
+    /// Takes the intent of stripe `bit` for this transaction, parking
+    /// for it only if `park`; whether it holds the intent now.
+    fn hold(&self, bit: u64, park: bool) -> bool {
+        let taken = self.runtime.take_intent(bit, park);
+        if taken {
+            self.intents.set(self.intents.get() | bit);
+        }
+        taken
+    }
+
+    /// Moves the snapshot to the newest installed instant if nothing this
+    /// transaction read or wrote gained a version since its own. The new
+    /// snapshot is registered before the old one ends, so the
+    /// garbage-collection horizon never passes a version either may read.
+    fn extend_snapshot(&self) {
+        let oracle = self.runtime.oracle();
+        let (old, new) = (self.begin_ts.get(), oracle.begin());
+        let unchanged = self
+            .inner
+            .borrow()
+            .slots
+            .values()
+            .all(|p| p.validate(old).is_ok());
+        let (kept, ended) = if unchanged { (new, old) } else { (old, new) };
+        self.begin_ts.set(kept);
+        oracle.finish(ended);
     }
 
     /// Runs `f` over the buffered state of the collection whose version
@@ -239,54 +265,63 @@ impl<'rt> MvccTxn<'rt> {
     ///
     /// A transaction with no buffered writes commits immediately at its
     /// begin timestamp — no validation, no installs, no way to abort. An
-    /// update transaction takes the runtime's commit mutex (an exclusive
-    /// one already holds it), validates first-committer-wins over its read
-    /// and write sets, and on success installs every buffered write as a
-    /// new version at a fresh commit timestamp. Either way the mutex is
-    /// released before this returns.
+    /// update transaction takes the runtime's commit mutex, makes sure it
+    /// holds the intent of every lock it writes on a hot stripe (trying
+    /// for the ones it lacks), validates first-committer-wins over its
+    /// read and write sets, and on success installs every buffered write
+    /// as a new version at a fresh commit timestamp. Either way the mutex
+    /// is released before this returns; the intents are released when the
+    /// transaction drops, after the new versions were published.
     ///
     /// # Errors
     ///
-    /// [`MvccError::Conflict`] when validation fails (retry with a fresh
-    /// transaction).
+    /// [`MvccError::Conflict`], naming the lock, when an intent is held by
+    /// another transaction or validation fails; the lock's stripe turns
+    /// hot. Retry with a fresh transaction.
     pub fn commit(mut self) -> Result<MvccCommit, MvccError> {
-        let inner = self.inner.get_mut();
-        let footprint = std::mem::take(&mut inner.footprint);
-        let has_writes = inner.slots.values().any(|p| p.has_writes());
-        if !has_writes {
-            Ok(MvccCommit {
-                ts: self.begin_ts,
+        let begin_ts = self.begin_ts.get();
+        let footprint = std::mem::take(&mut self.inner.get_mut().footprint);
+        if !self.inner.get_mut().slots.values().any(|p| p.has_writes()) {
+            return Ok(MvccCommit {
+                ts: begin_ts,
                 read_only: true,
                 footprint,
-            })
-        } else {
-            // First-committer-wins critical section.
-            let runtime = self.runtime;
-            let guard = self
-                .exclusive
-                .take()
-                .unwrap_or_else(|| runtime.commit_guard());
-            if inner.slots.values().all(|p| p.validate(self.begin_ts)) {
-                let ts = runtime.oracle().latest().next();
-                for pending in inner.slots.values_mut() {
-                    pending.install(ts);
-                }
-                // Publish only after every version is in place, so a
-                // concurrent `begin` can never observe a half-installed
-                // commit.
-                runtime.oracle().publish(ts);
-                drop(guard);
-                Ok(MvccCommit {
-                    ts,
-                    read_only: false,
-                    footprint,
-                })
-            } else {
-                Err(MvccError::Conflict {
-                    begin_ts: self.begin_ts,
-                })
-            }
+            });
         }
+        // First-committer-wins critical section.
+        let runtime = self.runtime;
+        let guard = runtime.commit_guard();
+        // Writers respect intents: each written lock on a hot stripe is
+        // held, or taken now if free.
+        let hot = runtime.hot();
+        let unheld = footprint.iter().find(|&&(lock, mode)| {
+            let bit = intent_bit(lock);
+            mode != LockMode::Shared
+                && hot & bit & !self.intents.get() != 0
+                && !self.hold(bit, false)
+        });
+        let inner = self.inner.get_mut();
+        let lost = match unheld {
+            Some(&(lock, _)) => Err(lock),
+            None => inner.slots.values().try_for_each(|p| p.validate(begin_ts)),
+        };
+        if let Err(lock) = lost {
+            runtime.mark_hot(lock);
+            return Err(MvccError::Conflict { begin_ts, lock });
+        }
+        let ts = runtime.oracle().latest().next();
+        for pending in inner.slots.values_mut() {
+            pending.install(ts);
+        }
+        // Publish only after every version is in place, so a concurrent
+        // `begin` can never observe a half-installed commit.
+        runtime.oracle().publish(ts);
+        drop(guard);
+        Ok(MvccCommit {
+            ts,
+            read_only: false,
+            footprint,
+        })
     }
 
     /// Aborts the transaction: buffered writes are discarded (the shared
@@ -296,12 +331,13 @@ impl<'rt> MvccTxn<'rt> {
 }
 
 impl Drop for MvccTxn<'_> {
-    /// Ends the transaction in the oracle, whether it committed, aborted
-    /// or was dropped in flight (panic, early return): the
-    /// garbage-collection horizon must move on. An exclusive transaction
-    /// still holding the commit mutex releases it when its field drops.
+    /// Ends the transaction in the oracle and releases its intents,
+    /// whether it committed, aborted or was dropped in flight (panic,
+    /// early return): the garbage-collection horizon must move on, and a
+    /// parked waiter must wake.
     fn drop(&mut self) {
-        self.runtime.oracle().finish(self.begin_ts);
+        self.runtime.oracle().finish(self.begin_ts.get());
+        self.runtime.release_intents(self.intents.get());
     }
 }
 
@@ -309,11 +345,11 @@ impl std::fmt::Debug for MvccTxn<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.borrow();
         f.debug_struct("MvccTxn")
-            .field("begin_ts", &self.begin_ts)
+            .field("begin_ts", &self.begin_ts.get())
             .field("collections", &inner.slots.len())
             .field("journal", &inner.order.len())
             .field("footprint", &inner.footprint.len())
-            .field("exclusive", &self.exclusive.is_some())
+            .field("intents", &format_args!("{:#x}", self.intents.get()))
             .finish()
     }
 }
