@@ -26,7 +26,7 @@ use cc_primitives::fnv::fnv1a;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Default file name of the write-ahead log inside a durability directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -156,6 +156,13 @@ impl Wal {
         }
     }
 
+    /// The file and its bookkeeping. Nothing that runs under this lock can
+    /// panic (it is I/O calls that return their errors, and additions to a
+    /// byte count), so the mutex is never poisoned.
+    fn io(&self) -> MutexGuard<'_, WalIo> {
+        self.io.lock().expect("wal io mutex is never poisoned")
+    }
+
     /// Creates (or truncates) a log at `path`.
     ///
     /// In [`DurabilityMode::Fsync`] the parent directory is fsynced so
@@ -215,7 +222,7 @@ impl Wal {
 
     /// Bytes written to the OS so far (diagnostics/tests).
     pub fn written_len(&self) -> u64 {
-        self.io.lock().expect("wal io mutex").written
+        self.io().written
     }
 
     /// Fault injection (the [`crate::faultsim`] companion for *live* I/O
@@ -226,7 +233,7 @@ impl Wal {
     /// crash. A failed seal leaves the file at its last good length,
     /// exactly like a real one.
     pub fn inject_seal_failures(&self, after: u64) {
-        self.io.lock().expect("wal io mutex").seals_until_failure = Some(after);
+        self.io().seals_until_failure = Some(after);
     }
 
     /// Seals a block: writes its frame in one write (plus one
@@ -243,7 +250,7 @@ impl Wal {
     /// Any I/O error writing or syncing the file.
     pub fn seal_block(&self, block: &Block) -> io::Result<()> {
         let frame = seal_frame(block);
-        let io = &mut *self.io.lock().expect("wal io mutex");
+        let io = &mut *self.io();
         if let Some(remaining) = &mut io.seals_until_failure {
             if *remaining == 0 {
                 return Err(io::Error::other("injected seal failure (faultsim)"));
@@ -270,7 +277,7 @@ impl Wal {
     ///
     /// Any I/O error truncating the file.
     pub fn reset(&self) -> io::Result<()> {
-        let mut io = self.io.lock().expect("wal io mutex");
+        let mut io = self.io();
         io.file.set_len(0)?;
         io.file.seek(SeekFrom::Start(0))?;
         io.written = 0;
@@ -321,14 +328,16 @@ pub fn scan(path: &Path) -> io::Result<WalScan> {
     let total_len = bytes.len() as u64;
     let mut blocks = Vec::new();
     let mut offset = 0usize;
-    loop {
-        let rest = &bytes[offset..];
-        if rest.len() < 12 {
-            break; // torn frame header (or clean EOF at rest.is_empty())
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-        let stored = u64::from_le_bytes(rest[4..12].try_into().expect("8 bytes"));
-        let Some(payload) = rest.get(12..12 + len) else {
+    // A torn frame header (or clean EOF at an empty rest) ends the scan.
+    while let Some((len, rest)) = bytes[offset..].split_first_chunk::<4>() {
+        let Some((stored, rest)) = rest.split_first_chunk::<8>() else {
+            break;
+        };
+        let (len, stored) = (
+            u32::from_le_bytes(*len) as usize,
+            u64::from_le_bytes(*stored),
+        );
+        let Some(payload) = rest.get(..len) else {
             break; // torn payload
         };
         if fnv1a(payload) != stored {

@@ -1,9 +1,24 @@
 //! SHA-256 and the [`Hash256`] digest type.
 //!
 //! The paper's blockchain substrate needs a tamper-evident commitment to
-//! block contents and contract state. Rather than pulling in an external
-//! crypto crate, SHA-256 (FIPS 180-4) is implemented here directly; it is
-//! validated against the standard test vectors in the unit tests below.
+//! block contents and contract state: block hashes, transaction and
+//! receipt roots, schedule digests, state roots and addresses are all
+//! SHA-256 (FIPS 180-4), implemented here rather than taken from an
+//! external crypto crate.
+//!
+//! The compression function has two kernels. On x86-64 CPUs with the SHA
+//! extensions it runs `sha256rnds2` / `sha256msg1` / `sha256msg2` (on a
+//! 2-vCPU Xeon VM: 4–7× the bytes a second of the portable rounds, from
+//! 32-byte messages to 1 MiB); elsewhere it runs the portable unrolled
+//! rounds. The kernel is chosen on
+//! every call from the CPU's feature flags, which the standard library
+//! detects once and caches; nothing else selects it. The portable rounds
+//! stay as the fallback for CPUs without the extensions and as the
+//! reference the hardware kernel is tested against. [`Sha256::update`]
+//! hands every whole 64-byte block of its input to one kernel call, so the
+//! hardware kernel keeps the state in registers across a long message.
+//! Both kernels give the same digests, pinned by the standard test vectors
+//! below.
 
 use crate::hex;
 use std::fmt;
@@ -153,27 +168,7 @@ impl Sha256 {
 
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        let mut rest = data;
-        if self.buffer_len > 0 {
-            let take = (64 - self.buffer_len).min(rest.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&rest[..take]);
-            self.buffer_len += take;
-            rest = &rest[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
-        while let Some((block, tail)) = rest.split_first_chunk::<64>() {
-            self.compress(block);
-            rest = tail;
-        }
-        if !rest.is_empty() {
-            self.buffer[..rest.len()].copy_from_slice(rest);
-            self.buffer_len = rest.len();
-        }
+        self.update_with(compress, data);
     }
 
     /// Appends `u64` in big-endian to the hash state; convenience for digests
@@ -183,20 +178,46 @@ impl Sha256 {
     }
 
     /// Finishes the computation and returns the digest, consuming the hasher.
-    pub fn finalize(mut self) -> Hash256 {
-        let bit_len = self.total_len.wrapping_mul(8);
+    pub fn finalize(self) -> Hash256 {
+        self.finalize_with(compress)
+    }
+
+    /// [`Sha256::update`] on the given compression kernel. Every whole
+    /// block of `data` goes to the kernel in one call.
+    fn update_with(&mut self, kernel: impl Fn(&mut [u32; 8], &[[u8; 64]]), data: &[u8]) {
+        self.total_len = self.total_len.wrapping_add(data.len() as u64);
+        let mut rest = data;
+        if self.buffer_len > 0 {
+            let take = (64 - self.buffer_len).min(rest.len());
+            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&rest[..take]);
+            self.buffer_len += take;
+            rest = &rest[take..];
+            if self.buffer_len == 64 {
+                kernel(&mut self.state, std::slice::from_ref(&self.buffer));
+                self.buffer_len = 0;
+            }
+        }
+        let (blocks, tail) = rest.as_chunks::<64>();
+        if !blocks.is_empty() {
+            kernel(&mut self.state, blocks);
+        }
+        if !tail.is_empty() {
+            self.buffer[..tail.len()].copy_from_slice(tail);
+            self.buffer_len = tail.len();
+        }
+    }
+
+    /// [`Sha256::finalize`] on the given compression kernel.
+    fn finalize_with(mut self, kernel: impl Fn(&mut [u32; 8], &[[u8; 64]])) -> Hash256 {
         // Padding: 0x80, zeros, then the 64-bit big-endian length — in a
         // block of its own when fewer than 8 bytes are left in this one.
         // (`update` never leaves the buffer full.)
-        let mut block = self.buffer;
-        block[self.buffer_len] = 0x80;
-        block[self.buffer_len + 1..].fill(0);
-        if self.buffer_len >= 56 {
-            self.compress(&block);
-            block = [0u8; 64];
-        }
-        block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        let mut blocks = [[0u8; 64]; 2];
+        blocks[0][..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
+        blocks[0][self.buffer_len] = 0x80;
+        let used = if self.buffer_len >= 56 { 2 } else { 1 };
+        blocks[used - 1][56..].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        kernel(&mut self.state, &blocks[..used]);
 
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -204,20 +225,34 @@ impl Sha256 {
         }
         Hash256(out)
     }
+}
 
-    /// One application of the SHA-256 compression function.
-    ///
-    /// The rounds are unrolled eight at a time with the working variables
-    /// renamed instead of shuffled (`h = g; g = f; …` is eight moves a
-    /// round in a rolled loop), and the message schedule is a rolling
-    /// 16-word window. State roots, addresses and block hashes are all
-    /// many short messages, for which this function is the whole cost.
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The SHA-256 compression function on this CPU: the SHA extensions where
+/// the CPU has them, the portable rounds otherwise.
+#[inline]
+#[allow(unsafe_code)]
+fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::detected() {
+        // SAFETY: `sha_ni::compress` requires only the CPU features it
+        // enables, and `detected` has just found each of them.
+        return unsafe { sha_ni::compress(state, blocks) };
+    }
+    compress_portable(state, blocks);
+}
+
+/// The compression function in plain integer code, one block at a time.
+///
+/// The rounds are unrolled eight at a time with the working variables
+/// renamed instead of shuffled (`h = g; g = f; …` is eight moves a round in
+/// a rolled loop), and the message schedule is a rolling 16-word window.
+fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
         let mut w = [0u32; 16];
         for (word, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
             *word = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
         macro_rules! round {
             ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $kw:expr) => {
@@ -261,15 +296,198 @@ impl Sha256 {
             rounds8!(k, 8);
         }
 
-        for (state, word) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-            *state = state.wrapping_add(word);
+        for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
         }
+    }
+}
+
+/// The compression function on the x86-64 SHA extensions
+/// (`sha256rnds2`, `sha256msg1`, `sha256msg2`): two rounds per
+/// instruction, the state held in two vector registers across all the
+/// blocks of one call.
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Whether this CPU has every feature [`compress`] enables (SSE2 is
+    /// part of the x86-64 baseline). The standard library caches the
+    /// answer, so a call only reads the cached flags.
+    #[inline]
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Folds `blocks` into `state`. Calling it is `unsafe` outside code
+    /// compiled for these features: the caller must have checked
+    /// [`detected`].
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        // The round instruction keeps the state as two halves, lanes high
+        // to low: (a, b, e, f) and (c, d, g, h).
+        let [a, b, c, d, e, f, g, h] = state.map(|word| word as i32);
+        let mut abef = _mm_set_epi32(a, b, e, f);
+        let mut cdgh = _mm_set_epi32(c, d, g, h);
+        // Reverses the bytes of each 32-bit lane: message words are
+        // big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+
+        // Four rounds on the message words in `w` (W[4i..4i + 4], lanes
+        // low to high).
+        macro_rules! rounds4 {
+            ($w:expr, $i:expr) => {
+                let k = &K[4 * $i..4 * $i + 4];
+                let wk = _mm_add_epi32(
+                    $w,
+                    _mm_set_epi32(k[3] as i32, k[2] as i32, k[1] as i32, k[0] as i32),
+                );
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            };
+        }
+        // The four words after W[t-16..t], held as W[t-16..t-12] in `$w0`
+        // through W[t-4..t] in `$w3`:
+        // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16].
+        macro_rules! schedule {
+            ($w0:expr, $w1:expr, $w2:expr, $w3:expr) => {
+                _mm_sha256msg2_epu32(
+                    _mm_add_epi32(_mm_sha256msg1_epu32($w0, $w1), _mm_alignr_epi8($w3, $w2, 4)),
+                    $w3,
+                )
+            };
+        }
+
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // The low 64 bits of each quarter are its first eight bytes.
+            let quarters = block.as_chunks::<16>().0;
+            let [mut w0, mut w1, mut w2, mut w3]: [__m128i; 4] = std::array::from_fn(|q| {
+                let le = u128::from_le_bytes(quarters[q]);
+                _mm_shuffle_epi8(_mm_set_epi64x((le >> 64) as i64, le as i64), bswap)
+            });
+            rounds4!(w0, 0);
+            rounds4!(w1, 1);
+            rounds4!(w2, 2);
+            rounds4!(w3, 3);
+            for i in [4, 8, 12] {
+                w0 = schedule!(w0, w1, w2, w3);
+                rounds4!(w0, i);
+                w1 = schedule!(w1, w2, w3, w0);
+                rounds4!(w1, i + 1);
+                w2 = schedule!(w2, w3, w0, w1);
+                rounds4!(w2, i + 2);
+                w3 = schedule!(w3, w0, w1, w2);
+                rounds4!(w3, i + 3);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        *state = [
+            _mm_extract_epi32(abef, 3),
+            _mm_extract_epi32(abef, 2),
+            _mm_extract_epi32(cdgh, 3),
+            _mm_extract_epi32(cdgh, 2),
+            _mm_extract_epi32(abef, 1),
+            _mm_extract_epi32(abef, 0),
+            _mm_extract_epi32(cdgh, 1),
+            _mm_extract_epi32(cdgh, 0),
+        ]
+        .map(|word| word as u32);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether [`compress`] runs the SHA extensions on this host. Prints
+    /// the kernel, or that the comparison with the portable rounds is
+    /// skipped because both sides would run them.
+    fn hardware_kernel_runs(test: &str) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        let detected = sha_ni::detected();
+        #[cfg(not(target_arch = "x86_64"))]
+        let detected = false;
+        if detected {
+            eprintln!(
+                "{test}: dispatched kernel: SHA extensions, checked against the portable rounds"
+            );
+        } else {
+            eprintln!(
+                "{test}: dispatched kernel: portable rounds; SKIPPED the hardware half \
+                 (no SHA extensions on this CPU)"
+            );
+        }
+        detected
+    }
+
+    /// `parts` fed to [`Sha256::update`] one by one, on the portable
+    /// rounds whatever the CPU has.
+    fn portable_digest(parts: &[&[u8]]) -> Hash256 {
+        let mut h = Sha256::new();
+        for part in parts {
+            h.update_with(compress_portable, part);
+        }
+        h.finalize_with(compress_portable)
+    }
+
+    #[test]
+    fn kernels_agree_on_random_messages_and_splits() {
+        let hardware = hardware_kernel_runs("kernels_agree_on_random_messages_and_splits");
+        // The inputs of the vector tests come first, whole: those tests pin
+        // what the dispatched kernel returns, and the portable rounds must
+        // return the same.
+        let mut inputs: Vec<(Vec<u8>, Vec<usize>)> = [
+            &b""[..],
+            b"abc",
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            &[b'a'; 1_000_000],
+        ]
+        .into_iter()
+        .map(|data| (data.to_vec(), Vec::new()))
+        .chain([55, 56, 57, 64, 63, 119, 120].map(|len| (vec![b'a'; len], Vec::new())))
+        .collect();
+        let mut rng = proptest::TestRng::deterministic("hash::kernels_agree", 0);
+        for _ in 0..400 {
+            let len = (rng.next_u64() % 4097) as usize;
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let mut cuts: Vec<usize> = (0..rng.next_u64() % 6)
+                .map(|_| (rng.next_u64() % (len as u64 + 1)) as usize)
+                .collect();
+            cuts.sort_unstable();
+            inputs.push((data, cuts));
+        }
+        for (case, (data, cuts)) in inputs.iter().enumerate() {
+            let len = data.len();
+            let parts: Vec<&[u8]> = [0]
+                .iter()
+                .chain(cuts)
+                .zip(cuts.iter().chain([&len]))
+                .map(|(&from, &to)| &data[from..to])
+                .collect();
+            let mut h = Sha256::new();
+            for part in &parts {
+                h.update(part);
+            }
+            let dispatched = h.finalize();
+            assert_eq!(
+                dispatched,
+                sha256(data),
+                "case {case}: split {cuts:?} of {len} bytes"
+            );
+            if hardware {
+                assert_eq!(
+                    dispatched,
+                    portable_digest(&parts),
+                    "case {case}: {len} bytes"
+                );
+            }
+        }
+    }
 
     #[test]
     fn empty_string_vector() {

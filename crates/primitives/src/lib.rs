@@ -4,8 +4,9 @@
 //! crate in the reproduction of *Adding Concurrency to Smart Contracts*
 //! (Dickerson, Gazzillo, Herlihy, Koskinen — PODC 2017):
 //!
-//! * [`hash`] — an in-repo SHA-256 implementation and the [`Hash256`] digest
-//!   type used for block hashes and state roots.
+//! * [`hash`] — an in-repo SHA-256 implementation (on the CPU's SHA
+//!   extensions where it has them) and the [`Hash256`] digest type used for
+//!   block hashes and state roots.
 //! * [`fnv`] — the FNV-1a 64-bit hash used to derive abstract-lock keys.
 //!   It is deliberately *not* cryptographic: a collision merely produces a
 //!   false conflict (extra serialization), never an incorrect result.
@@ -35,9 +36,11 @@
 
 // `unsafe` is denied by default. The exemptions are the raw shared
 // tables in [`fx`], whose accesses are serialized by the STM's abstract
-// locks plus a word-sized per-shard latch (see `fx::ShardedRawTable`), and
+// locks plus a word-sized per-shard latch (see `fx::ShardedRawTable`),
 // the one lifetime erasure in [`pool`] that lends a borrowed job to parked
-// threads (argued at the block).
+// threads (argued at the block), and the call in [`hash`] into the
+// SHA-extension kernel, made right after the CPU was found to have every
+// feature the kernel enables (the kernel's body is safe code).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

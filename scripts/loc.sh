@@ -1,7 +1,9 @@
 #!/bin/sh
 # Prints the size a design change reports: non-blank, non-comment lines
 # of Rust under crates/ and shims/, counting each file only up to its
-# first `#[cfg(test)]` line (so in-file test modules are left out).
+# first `#[cfg(test)]` or `#![cfg(test)]` line (so test modules are left
+# out, whether written in the file or kept out of line in a file that
+# opens with `#![cfg(test)]`).
 #
 # Usage: scripts/loc.sh [checkout]   (default: the current directory)
 #
@@ -10,5 +12,5 @@
 set -eu
 cd "${1:-.}"
 find crates shims -name '*.rs' -not -path '*/target/*' | LC_ALL=C sort |
-    xargs awk 'FNR == 1 { in_tests = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 } !in_tests' |
+    xargs awk 'FNR == 1 { in_tests = 0 } /^[[:space:]]*#!?\[cfg\(test\)\]/ { in_tests = 1 } !in_tests' |
     grep -cvE '^[[:space:]]*(//|$)'
