@@ -284,6 +284,7 @@ static SECTIONS: [Section; 10] = [
                 lower("dirty_leaves", "count"),
                 lower("entries_rehashed", "count"),
                 lower("bytes_hashed", "bytes"),
+                lower("slots_visited", "count"),
                 lower("cold_entries_rehashed", "count"),
                 lower("cold_bytes_hashed", "bytes"),
             ],
@@ -537,6 +538,7 @@ fn state_root(opts: &Options, _: &[Table]) -> Vec<Row> {
             p.incremental.dirty_leaves as f64,
             p.incremental.entries_rehashed as f64,
             p.incremental.bytes_hashed as f64,
+            p.incremental.slots_visited as f64,
             p.cold.entries_rehashed as f64,
             p.cold.bytes_hashed as f64,
         ];

@@ -307,10 +307,17 @@ impl Engine {
         self.pool.workers()
     }
 
-    /// Activity of the engine's execution pool: one run per block mined
-    /// or fork-join validated, and how many helper wake-ups they cost.
+    /// Activity of the engine's execution pool: two runs per block mined
+    /// or fork-join validated (its transactions, then its state root),
+    /// and how many helper wake-ups they cost.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
+    }
+
+    /// The execution pool this engine mines, replays and takes state
+    /// roots on.
+    pub(crate) fn pool(&self) -> &WorkerPool {
+        &self.pool
     }
 
     /// How this engine replays blocks: on its pool, with its trace
@@ -476,24 +483,39 @@ mod tests {
         let engine = Engine::speculative(3).unwrap();
         assert_eq!(engine.pool_stats(), PoolStats::default());
 
-        let mined = engine.mine(&counter_world(), counter_txs(8)).unwrap();
-        assert_eq!(engine.pool_stats().runs, 1);
+        let world = counter_world();
+        let mined = engine.mine(&world, counter_txs(8)).unwrap();
+        // Two runs per block: its transactions, then its state root.
+        assert_eq!(engine.pool_stats().runs, 2);
         engine.validate(&counter_world(), &mined.block).unwrap();
-        // One run each, two helper wake-ups each; a clone sees the same pool.
+        // Two helper wake-ups per run: eight transactions on three
+        // workers, then a root over the counter's three dirty fields (both
+        // maps written, the cell never hashed yet). A clone sees the same
+        // pool.
         assert_eq!(
             engine.clone().pool_stats(),
             PoolStats {
-                runs: 2,
-                helper_wakes: 4,
+                runs: 4,
+                helper_wakes: 8,
                 caller_only_runs: 0
             }
         );
 
-        // A one-transaction block never leaves the calling thread.
+        // A root with nothing dirty answers from the field caches on the
+        // calling thread.
+        assert_eq!(world.state_root_on(&engine.pool), mined.state_root());
+        let stats = engine.pool_stats();
+        assert_eq!(
+            (stats.runs, stats.helper_wakes, stats.caller_only_runs),
+            (5, 8, 1)
+        );
+
+        // A one-transaction block executes on the calling thread alone;
+        // its root still has three dirty fields to spread.
         let single = engine.mine(&counter_world(), counter_txs(1)).unwrap();
         engine.validate(&counter_world(), &single.block).unwrap();
         let stats = engine.pool_stats();
-        assert_eq!((stats.helper_wakes, stats.caller_only_runs), (4, 2));
+        assert_eq!((stats.helper_wakes, stats.caller_only_runs), (12, 3));
 
         // The serial strategy's pool has one worker: it starts no helper.
         let serial = Engine::serial();

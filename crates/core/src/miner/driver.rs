@@ -82,7 +82,7 @@ pub(crate) fn mine_on(
         number,
         transactions,
         executed.receipts,
-        world.state_root(),
+        world.state_root_on(pool),
         Some(schedule),
     );
     Ok(MinedBlock {

@@ -226,7 +226,7 @@ impl Node {
     /// seeded state) executing blocks with `engine`. The genesis block
     /// commits to that initial state.
     pub fn new(world: World, engine: Engine) -> Self {
-        let genesis_root = world.state_root();
+        let genesis_root = world.state_root_on(engine.pool());
         Node {
             world,
             chain: Blockchain::with_genesis_state(genesis_root),
@@ -277,7 +277,7 @@ impl Node {
             .chain
             .block(0)
             .ok_or_else(|| CoreError::durability("recovered chain has no genesis block"))?;
-        if world.state_root() != genesis.header.state_root {
+        if world.state_root_on(engine.pool()) != genesis.header.state_root {
             return Err(CoreError::durability(
                 "supplied initial world does not match the recovered genesis state root",
             ));

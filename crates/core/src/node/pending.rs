@@ -302,7 +302,7 @@ impl<'w> PendingChain<'w> {
         let flatten = Instant::now();
         let runtime = self.world.mvcc();
         runtime.finalize_below(entry.boundary);
-        let state_root = self.world.state_root();
+        let state_root = self.world.state_root_on(&self.order.pool);
         if let Some(reason) = checks::state_root_mismatch(&entry.block, state_root) {
             // The bad block's effects are in the base now; nothing built
             // on them can be trusted. Drop every pending descendant and

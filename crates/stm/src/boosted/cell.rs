@@ -214,6 +214,11 @@ where
     pub fn drain_dirty<R>(&self, f: impl FnOnce(&T) -> R) -> Option<R> {
         self.value.drain_dirty(f)
     }
+
+    /// Whether a drain would find the cell written. Leaves the mark.
+    pub fn is_dirty(&self) -> bool {
+        self.value.is_dirty()
+    }
 }
 
 #[cfg(test)]

@@ -267,6 +267,11 @@ where
         self.inner.drain_dirty(f);
     }
 
+    /// Whether a drain would find any bucket written. Leaves the marks.
+    pub fn is_dirty(&self) -> bool {
+        self.inner.is_dirty()
+    }
+
     /// Replaces all tallies (snapshot restore / setup only).
     pub fn restore(&self, entries: impl IntoIterator<Item = (K, u64)>) {
         self.inner.clear();

@@ -427,6 +427,11 @@ where
         self.inner.drain_dirty(f);
     }
 
+    /// Whether a drain would find any bucket written. Leaves the marks.
+    pub fn is_dirty(&self) -> bool {
+        self.inner.is_dirty()
+    }
+
     /// Replaces the entire contents (non-transactional; used to restore a
     /// world snapshot before validation).
     pub fn restore(&self, entries: impl IntoIterator<Item = (K, V)>) {

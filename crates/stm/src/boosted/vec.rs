@@ -333,6 +333,11 @@ where
         self.inner.drain_dirty(|v| f(v))
     }
 
+    /// Whether a drain would find the vector written. Leaves the mark.
+    pub fn is_dirty(&self) -> bool {
+        self.inner.is_dirty()
+    }
+
     /// Replaces the contents (snapshot restore / setup only).
     pub fn restore(&self, values: impl IntoIterator<Item = T>) {
         let values: Vec<T> = values.into_iter().collect();

@@ -107,6 +107,8 @@ impl UndoLog {
                 let idx = match self.index.get(&token) {
                     Some(&idx) => idx,
                     None => {
+                        // Invariant: one sink per distinct collection a
+                        // transaction wrote, far below 2^32.
                         let idx = u32::try_from(self.sinks.len()).expect("fewer than 2^32 sinks");
                         self.sinks.push(Box::new(init()));
                         self.index.insert(token, idx);
@@ -117,6 +119,8 @@ impl UndoLog {
                 idx
             }
         };
+        // Invariant (a documented panic of `log_undo_typed`): a token names
+        // one collection's backing store, which logs through one sink type.
         let sink = (&mut *self.sinks[idx as usize] as &mut dyn Any)
             .downcast_mut::<S>()
             .expect("undo token reused with a different sink type");
@@ -382,6 +386,7 @@ impl Transaction {
             // recorded mode.
             match inner.held_pos(lock) {
                 Some(pos) => {
+                    // Invariant: `held_pos` returns an index into `held`.
                     let entry = inner.held.get_mut(pos).expect("held position is in bounds");
                     entry.1 = entry.1.strongest(mode);
                     inner.last_held = Some((lock, pos as u32));
@@ -556,6 +561,8 @@ impl Transaction {
     pub fn nested<R, E>(&self, body: impl FnOnce(&Transaction) -> Result<R, E>) -> Result<R, E> {
         let undo_start = {
             let mut inner = self.inner.borrow_mut();
+            // Invariant: a transaction holds one entry per lock it took,
+            // far below 2^32.
             let mark = u32::try_from(inner.held.len()).expect("fewer than 2^32 locks");
             inner.frames.push(mark);
             inner.undo.len()
@@ -900,6 +907,7 @@ pub struct PooledTxn<'scope> {
 impl std::ops::Deref for PooledTxn<'_> {
     type Target = Transaction;
     fn deref(&self) -> &Transaction {
+        // Invariant: only `Drop` takes the arena out.
         self.txn.as_deref().expect("arena present until drop")
     }
 }

@@ -48,11 +48,25 @@
 //! that was written and then rolled back reproduces the digest it had.
 //! The from-scratch root of a freshly built world is the same code on an
 //! empty cache: seeding marked every bucket it touched.
+//!
+//! A marked leaf is read with one bucket walk
+//! (`RawFxMap::walk_bucket`), not a pass over its shard: the backing
+//! tables place entries in bucket-major slot order, so a bucket's entries
+//! sit in its own slot range or in the run right after it. A root
+//! therefore reads slots in proportion to the buckets it re-hashes
+//! ([`StateRootStats::slots_visited`]), whatever the world holds.
+//!
+//! [`crate::World::state_root_on`] spreads the dirty fields over a
+//! worker pool — each worker claims the next field and refreshes it under
+//! that field's own lock — and then folds the contract digests in
+//! address order on the caller, every field answering from its cache by
+//! then. Fields are independent, so the digests do not depend on which
+//! worker hashed what; a root with nothing dirty stays on the caller.
 
 use crate::contract::Contract;
 use crate::snapshot::ToBytes;
-use cc_primitives::fx::{bucket_of, BucketMask, RawFxMap, RAW_SHARD_BUCKETS, RAW_TABLE_SHARDS};
-use cc_primitives::hash::{Hash256, Sha256};
+use cc_primitives::fx::{BucketMask, RawFxMap, RAW_SHARD_BUCKETS, RAW_TABLE_SHARDS};
+use cc_primitives::hash::Hash256;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const LEAF_TAG: u8 = 0x00;
@@ -85,6 +99,9 @@ pub struct StateRootStats {
     /// Map fields whose tree was built for the first time (a root over
     /// state no earlier root had cached).
     pub cold_builds: u64,
+    /// Backing-table slots the bucket walks read to find the entries of
+    /// those leaves.
+    pub slots_visited: u64,
 }
 
 impl StateRootStats {
@@ -98,6 +115,7 @@ impl StateRootStats {
                 .saturating_sub(earlier.entries_rehashed),
             bytes_hashed: self.bytes_hashed.saturating_sub(earlier.bytes_hashed),
             cold_builds: self.cold_builds.saturating_sub(earlier.cold_builds),
+            slots_visited: self.slots_visited.saturating_sub(earlier.slots_visited),
         }
     }
 }
@@ -111,6 +129,7 @@ pub struct RootCounters {
     entries_rehashed: AtomicU64,
     bytes_hashed: AtomicU64,
     cold_builds: AtomicU64,
+    slots_visited: AtomicU64,
 }
 
 impl RootCounters {
@@ -120,6 +139,7 @@ impl RootCounters {
             entries_rehashed: self.entries_rehashed.load(Ordering::Relaxed),
             bytes_hashed: self.bytes_hashed.load(Ordering::Relaxed),
             cold_builds: self.cold_builds.load(Ordering::Relaxed),
+            slots_visited: self.slots_visited.load(Ordering::Relaxed),
         }
     }
 
@@ -150,16 +170,20 @@ fn node_digest<'a>(
     children: impl Iterator<Item = &'a Hash256>,
     counters: &RootCounters,
 ) -> Hash256 {
-    let mut hasher = Sha256::new();
+    // Laid out first and hashed in one call: the SHA kernel then keeps
+    // its state in registers across the node's blocks.
+    let mut bytes = [0; 3 + 32 * FANOUT];
     let [lo, hi] = occupied.to_le_bytes();
-    hasher.update(&[NODE_TAG, lo, hi]);
+    bytes[..3].copy_from_slice(&[NODE_TAG, lo, hi]);
+    let mut len = 3;
     for (i, child) in children.enumerate() {
         if occupied & (1 << i) != 0 {
-            hasher.update(child.as_bytes());
+            bytes[len..len + 32].copy_from_slice(child.as_bytes());
+            len += 32;
         }
     }
-    counters.hashed(3 + 32 * occupied.count_ones() as usize);
-    hasher.finalize()
+    counters.hashed(len);
+    cc_primitives::sha256(&bytes[..len])
 }
 
 /// The cached tree of one map field: every leaf digest and both interior
@@ -170,11 +194,10 @@ struct Tree {
     high: [Node; RAW_TABLE_SHARDS],
 }
 
-/// One dirty entry encoded into the scratch arena as
+/// One entry of a dirty leaf encoded into the scratch arena as
 /// `bytes(key) ‖ bytes(value)` — exactly what its leaf hashes.
 #[derive(Debug, Clone, Copy)]
 struct EncodedEntry {
-    bucket: u8,
     start: usize,
     /// End of the key encoding (the key starts 8 bytes after `start`).
     key_end: usize,
@@ -197,9 +220,10 @@ pub(crate) struct MapCommitment {
     tree: Option<Box<Tree>>,
     /// The field digest, while no shard was refreshed since it was taken.
     root: Option<Hash256>,
-    /// Encodings of one shard's dirty entries; kept for its capacity.
+    /// Encodings of one dirty leaf's entries, then the leaf's bytes;
+    /// kept for its capacity.
     scratch: Vec<u8>,
-    /// The same entries in hashing order; kept for its capacity.
+    /// The same entries, sorted into hashing order; kept for its capacity.
     order: Vec<EncodedEntry>,
 }
 
@@ -215,9 +239,9 @@ impl std::fmt::Debug for MapCommitment {
 
 impl MapCommitment {
     /// Re-hashes the `dirty` buckets of shard `shard` from its backing
-    /// `table` — one pass over the shard's slots, filtering on the stored
-    /// fingerprint — and the interior nodes above them, short of the
-    /// root. `live` says which values are entries at all.
+    /// `table` — one bucket walk each, in ascending bucket order — and the
+    /// interior nodes above them, short of the root. `live` says which
+    /// values are entries at all.
     pub(crate) fn refresh_shard<K: ToBytes, V: ToBytes>(
         &mut self,
         shard: usize,
@@ -236,60 +260,57 @@ impl MapCommitment {
         });
         self.root = None;
 
-        self.order.clear();
-        self.scratch.clear();
-        for (hash, key, value) in table.iter_hashed() {
-            let bucket = bucket_of(hash);
-            if dirty.contains(bucket) && live(value) {
-                let start = self.scratch.len();
-                put_prefixed(&mut self.scratch, key);
-                let key_end = self.scratch.len();
-                put_prefixed(&mut self.scratch, value);
-                self.order.push(EncodedEntry {
-                    bucket,
-                    start,
-                    key_end,
-                    end: self.scratch.len(),
-                });
-            }
-        }
-        let scratch = self.scratch.as_slice();
-        let key = |e: &EncodedEntry| &scratch[e.start + 8..e.key_end];
-        self.order.sort_unstable_by(|a, b| {
-            (a.bucket.cmp(&b.bucket))
-                .then_with(|| key(a).cmp(key(b)))
-                .then_with(|| scratch[a.key_end..a.end].cmp(&scratch[b.key_end..b.end]))
-        });
-
-        let mut rest = self.order.as_slice();
-        let mut touched_low = 0u16;
+        let (scratch, order) = (&mut self.scratch, &mut self.order);
+        let (mut slots, mut entries, mut touched_low) = (0, 0, 0u16);
         for bucket in dirty.iter() {
-            let run_len = rest.iter().take_while(|e| e.bucket == bucket).count();
-            let (run, after) = rest.split_at(run_len);
-            rest = after;
+            scratch.clear();
+            order.clear();
+            slots += table.walk_bucket(bucket, |_, key, value| {
+                if live(value) {
+                    let start = scratch.len();
+                    put_prefixed(scratch, key);
+                    let key_end = scratch.len();
+                    put_prefixed(scratch, value);
+                    order.push(EncodedEntry {
+                        start,
+                        key_end,
+                        end: scratch.len(),
+                    });
+                }
+            });
+            entries += order.len();
             let leaf = shard * RAW_SHARD_BUCKETS + usize::from(bucket);
             let parent = &mut tree.low[leaf / FANOUT];
             let bit = 1u16 << (leaf % FANOUT);
-            if run.is_empty() {
+            if order.is_empty() {
                 parent.occupied &= !bit;
             } else {
-                let mut hasher = Sha256::new();
-                hasher.update(&[LEAF_TAG]);
-                for e in run {
-                    hasher.update(&scratch[e.start..e.end]);
+                order.sort_unstable_by(|a, b| {
+                    (scratch[a.start + 8..a.key_end].cmp(&scratch[b.start + 8..b.key_end]))
+                        .then_with(|| scratch[a.key_end..a.end].cmp(&scratch[b.key_end..b.end]))
+                });
+                // The leaf's bytes, laid out in key order after the
+                // encodings, go to SHA-256 in one call.
+                let at = scratch.len();
+                scratch.push(LEAF_TAG);
+                for e in order.iter() {
+                    scratch.extend_from_within(e.start..e.end);
                 }
-                counters.hashed(1 + run.iter().map(|e| e.end - e.start).sum::<usize>());
-                tree.leaves[leaf] = hasher.finalize();
+                counters.hashed(scratch.len() - at);
+                tree.leaves[leaf] = cc_primitives::sha256(&scratch[at..]);
                 parent.occupied |= bit;
             }
             touched_low |= 1 << (usize::from(bucket) / FANOUT);
         }
         counters
+            .slots_visited
+            .fetch_add(slots as u64, Ordering::Relaxed);
+        counters
             .dirty_leaves
             .fetch_add(dirty.len() as u64, Ordering::Relaxed);
         counters
             .entries_rehashed
-            .fetch_add(self.order.len() as u64, Ordering::Relaxed);
+            .fetch_add(entries as u64, Ordering::Relaxed);
 
         let first_low = shard * LOW_PER_SHARD;
         for i in (0..LOW_PER_SHARD).filter(|i| touched_low & (1 << i) != 0) {

@@ -45,6 +45,10 @@ pub trait StorageField: Send + Sync {
     /// running against the field — the contract every non-transactional
     /// storage accessor carries.
     fn digest(&self, counters: &RootCounters) -> Hash256;
+
+    /// Whether [`digest`](Self::digest) would re-hash anything: the field
+    /// was written since its previous digest. Leaves the marks.
+    fn is_dirty(&self) -> bool;
 }
 
 /// A persistent `mapping(K => V)` state variable.
@@ -262,6 +266,10 @@ where
         });
         commitment.root(counters)
     }
+
+    fn is_dirty(&self) -> bool {
+        self.inner.is_dirty()
+    }
 }
 
 /// A persistent scalar state variable.
@@ -385,6 +393,10 @@ where
             *cached = fresh;
         }
         *cached
+    }
+
+    fn is_dirty(&self) -> bool {
+        self.inner.is_dirty()
     }
 }
 
@@ -561,6 +573,10 @@ where
         }
         *cached
     }
+
+    fn is_dirty(&self) -> bool {
+        self.inner.is_dirty()
+    }
 }
 
 /// A persistent tally map with a commutative `add` (used for vote counts
@@ -671,6 +687,10 @@ where
             commitment.refresh_shard(shard, dirty, table, |tally| *tally != 0, counters);
         });
         commitment.root(counters)
+    }
+
+    fn is_dirty(&self) -> bool {
+        self.inner.is_dirty()
     }
 }
 

@@ -13,12 +13,13 @@ use crate::snapshot::WorldSnapshot;
 use cc_mvcc::MvccRuntime;
 use cc_primitives::fx::FxHashMap;
 use cc_primitives::hash::{Hash256, Sha256};
+use cc_primitives::pool::WorkerPool;
 use cc_stm::{Stm, StmError, Transaction};
 use parking_lot::RwLock;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// An immutable point-in-time view of the deployed-contract registry,
@@ -324,8 +325,28 @@ impl World {
     /// their cached digests. Like [`World::snapshot`] it reads base state
     /// non-transactionally, so callers quiesce execution first (every
     /// miner, validator and pending-chain commit does).
+    ///
+    /// This is [`World::state_root_on`] on a pool of the caller alone.
     pub fn state_root(&self) -> Hash256 {
+        self.state_root_on(&WorkerPool::new(1))
+    }
+
+    /// [`World::state_root`], re-hashing the dirty fields on `pool`: one
+    /// run whose workers each claim the next dirty field, then the
+    /// contract digests folded in address order on the caller, every
+    /// field answering from its cache. The root does not depend on the
+    /// pool; a root with nothing dirty never leaves the calling thread.
+    pub fn state_root_on(&self, pool: &WorkerPool) -> Hash256 {
         let contracts = self.contracts.read();
+        let dirty: Vec<_> = (contracts.values().flat_map(|c| c.storage_fields()))
+            .filter(|field| field.is_dirty())
+            .collect();
+        let next = AtomicUsize::new(0);
+        pool.run(dirty.len(), |_| {
+            while let Some(field) = dirty.get(next.fetch_add(1, Ordering::Relaxed)) {
+                field.digest(&self.root_counters);
+            }
+        });
         let mut hasher = Sha256::new();
         hasher.update_u64(contracts.len() as u64);
         for contract in contracts.values() {
@@ -668,6 +689,9 @@ mod tests {
             (2, 2, 2)
         );
         assert!(block.bytes_hashed > 0);
+        // Each leaf's walk reads its lone entry's slot and the empty slot
+        // after it.
+        assert_eq!(block.slots_visited, 4);
 
         let before = world.root_stats();
         world.state_root();
@@ -676,6 +700,35 @@ mod tests {
             before,
             "a clean world re-hashes nothing"
         );
+    }
+
+    /// A root spread over a pool is the caller's root, doing the same
+    /// work: fields are independent, whoever hashes them.
+    #[test]
+    fn a_pooled_root_equals_the_callers() {
+        let worlds = [world_with_counter(), world_with_counter()];
+        for (world, addr) in &worlds {
+            for sender in 0..300 {
+                let txn = world.stm().begin();
+                world.call(
+                    &txn,
+                    Msg::from_sender(Address::from_index(sender)),
+                    *addr,
+                    &CallData::new("increment", vec![ArgValue::Uint(1)]),
+                    1_000_000,
+                );
+                txn.commit().unwrap();
+            }
+        }
+        let pool = WorkerPool::new(3);
+        let pooled = worlds[0].0.state_root_on(&pool);
+        assert_eq!(pooled, worlds[1].0.state_root());
+        assert_eq!(worlds[0].0.root_stats(), worlds[1].0.root_stats());
+        // Three dirty fields (two maps and the never-hashed cell) on
+        // three workers: two helper wake-ups. Nothing is dirty after.
+        assert_eq!(pool.stats().helper_wakes, 2);
+        assert_eq!(worlds[0].0.state_root_on(&pool), pooled);
+        assert_eq!(pool.stats().caller_only_runs, 1);
     }
 
     #[test]
