@@ -178,7 +178,8 @@ static SECTIONS: [Section; 10] = [
     Section {
         schema: Schema {
             name: "table1",
-            title: "Table 1: mean speedups per benchmark and sweep",
+            title: "Table 1: mean speedups per benchmark and sweep, under the header's cost \
+                    model (work_per_gas, ns per gas unit here, stand-in ≥ 97 % of serial)",
             keys: &["benchmark"],
             metrics: &[
                 higher("miner_conflict", "x"),
@@ -247,7 +248,8 @@ static SECTIONS: [Section; 10] = [
             title: "Abort rates: deadlock victims (speculative, wait on the lock they lost \
                     on) vs. validation losers (optimistic, re-run at once holding the \
                     write intent of the lock they lost on); read-only optimistic commits \
-                    never abort; serial_ms is the serial miner on the same block",
+                    never abort; serial_ms is the serial miner on the same block; times \
+                    under the header's cost model (stand-in ≥ 97 % of a serial transaction)",
             keys: FIGURE1_KEYS,
             metrics: &[
                 lower("speculative_retries_per_block", "count"),
@@ -603,6 +605,15 @@ fn main() {
         opts.repetitions,
         opts.strategy,
         if opts.quick { " (quick mode)" } else { "" }
+    );
+    // The cost model every timing below is taken under (`cc_vm::load`).
+    let (work_per_gas, iterations) = (cc_vm::GasSchedule::default().work_per_gas, 1u32 << 22);
+    let start = std::time::Instant::now();
+    cc_vm::load::synthetic_load(u64::from(iterations));
+    let unit_ns = work_per_gas as f64 * start.elapsed().as_nanos() as f64 / f64::from(iterations);
+    println!(
+        "cost model: work_per_gas = {work_per_gas} mix iterations per unit of non-base gas \
+         (≈ {unit_ns:.1} ns per unit on this host); the stand-in is ≥ 97 % of a serial transaction"
     );
     let mut tables: Vec<Table> = Vec::new();
     for name in names {

@@ -360,14 +360,16 @@ impl Engine {
         number: u64,
     ) -> Result<MinedBlock, CoreError> {
         let strategy = self.config.strategy;
-        miner::mine_on(
+        let (block, stats) = miner::mine_on(
             strategy,
             &self.pool,
             world,
             transactions,
             parent_hash,
             number,
-        )
+        )?;
+        let block = block.into_block();
+        Ok(MinedBlock { block, stats })
     }
 
     /// Replays `block` on top of `world` and checks every commitment.

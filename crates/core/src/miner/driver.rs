@@ -2,12 +2,12 @@
 //! execution pool with a strategy's per-transaction attempt
 //! ([`execute_block`]), publishes the schedule and assembles the block.
 
-use super::{mvcc, parallel, MinedBlock};
+use super::{mvcc, parallel};
 use crate::engine::ExecutionStrategy;
 use crate::error::CoreError;
 use crate::schedule::HappensBeforeGraph;
 use crate::stats::MinerStats;
-use cc_ledger::{Block, Transaction};
+use cc_ledger::{Transaction, WellFormedBlock};
 use cc_primitives::hash::Hash256;
 use cc_primitives::pool::WorkerPool;
 use cc_stm::{LockProfile, StmError};
@@ -51,6 +51,9 @@ pub(super) struct Executed {
 /// committed lock profiles and the serial order it sorts into; the
 /// profiles move into the metadata, nothing is cloned.
 ///
+/// The block comes back as a [`WellFormedBlock`]: its commitments were
+/// computed by construction, and the chain appends it as it is.
+///
 /// # Errors
 ///
 /// [`CoreError::MiningFailed`] when a transaction fails, or is still a
@@ -63,7 +66,7 @@ pub(crate) fn mine_on(
     transactions: Vec<Transaction>,
     parent_hash: Hash256,
     number: u64,
-) -> Result<MinedBlock, CoreError> {
+) -> Result<(WellFormedBlock, MinerStats), CoreError> {
     let start = Instant::now();
     let locks_before = world.stm().lock_stats();
     let executed = match strategy {
@@ -77,7 +80,7 @@ pub(crate) fn mine_on(
 
     let elapsed = start.elapsed();
     let gas_used = executed.receipts.iter().map(|r| r.gas_used).sum();
-    let block = Block::build(
+    let block = WellFormedBlock::build(
         parent_hash,
         number,
         transactions,
@@ -85,20 +88,18 @@ pub(crate) fn mine_on(
         world.state_root_on(pool),
         Some(schedule),
     );
-    Ok(MinedBlock {
-        block,
-        stats: MinerStats {
-            threads: pool.workers(),
-            transactions: n,
-            retries: executed.retries,
-            elapsed,
-            gas_used,
-            critical_path,
-            hb_edges,
-            locks: world.stm().lock_stats().since(&locks_before),
-            read_only: executed.read_only,
-        },
-    })
+    let stats = MinerStats {
+        threads: pool.workers(),
+        transactions: n,
+        retries: executed.retries,
+        elapsed,
+        gas_used,
+        critical_path,
+        hb_edges,
+        locks: world.stm().lock_stats().since(&locks_before),
+        read_only: executed.read_only,
+    };
+    Ok((block, stats))
 }
 
 /// Executes transactions `0..n` on `pool`: every worker claims the next

@@ -66,8 +66,9 @@ use super::seal_worker::{self, SealAck, SealWorker};
 use super::{DurabilityState, Node};
 use crate::engine::Engine;
 use crate::error::CoreError;
+use crate::miner;
 use crate::stats::{MinerStats, ValidationReport};
-use cc_ledger::{Block, Blockchain, ChainError, Transaction};
+use cc_ledger::{Block, Blockchain, ChainError, Transaction, WellFormedBlock};
 use cc_mempool::Mempool;
 use cc_primitives::hash::Hash256;
 use cc_vm::World;
@@ -159,8 +160,9 @@ pub(super) enum Stop {
 /// Where the commit stage gets its blocks.
 pub(super) trait Source {
     /// The next block to append on `chain`'s head, its effects already in
-    /// the base world; `None` when the input ran out.
-    fn next(&mut self, chain: &Blockchain) -> Result<Option<Block>, Stop>;
+    /// the base world and its commitments computed or checked; `None`
+    /// when the input ran out.
+    fn next(&mut self, chain: &Blockchain) -> Result<Option<WellFormedBlock>, Stop>;
 
     /// Drops whatever the source holds above the base world. Called by
     /// the failure epilogue only.
@@ -204,19 +206,18 @@ impl<'a, B: FnMut() -> Option<Vec<Transaction>>> Produce<'a, B> {
 }
 
 impl<B: FnMut() -> Option<Vec<Transaction>>> Source for Produce<'_, B> {
-    fn next(&mut self, chain: &Blockchain) -> Result<Option<Block>, Stop> {
+    fn next(&mut self, chain: &Blockchain) -> Result<Option<WellFormedBlock>, Stop> {
         let Some(batch) = (self.batches)() else {
             return Ok(None);
         };
         let number = chain.head().header.number + 1;
         // A miner returns its first failure with other workers' commits
         // already in the world, so every mining error has moved it.
-        let mined = self
-            .engine
-            .mine_on(self.world, batch, chain.head_hash(), number)
-            .map_err(Stop::Moved)?;
-        self.stats = Some(mined.stats);
-        Ok(Some(mined.block))
+        let (strategy, pool) = (self.engine.strategy(), self.engine.pool());
+        let mined = miner::mine_on(strategy, pool, self.world, batch, chain.head_hash(), number);
+        let (block, stats) = mined.map_err(Stop::Moved)?;
+        self.stats = Some(stats);
+        Ok(Some(block))
     }
 }
 
@@ -248,7 +249,7 @@ impl<'a, I: Iterator<Item = Block>> Follow<'a, I> {
 }
 
 impl<I: Iterator<Item = Block>> Source for Follow<'_, I> {
-    fn next(&mut self, chain: &Blockchain) -> Result<Option<Block>, Stop> {
+    fn next(&mut self, chain: &Blockchain) -> Result<Option<WellFormedBlock>, Stop> {
         // Keep the speculation window full, so the next block validates
         // against its predecessor's still-pending post-state while that
         // predecessor's seal is in flight.
@@ -529,13 +530,14 @@ impl CommitStage<'_> {
         Err(error)
     }
 
-    /// Appends `block`, seals it (inline, or by handing it to the worker)
-    /// and takes the periodic snapshot behind a drain barrier.
-    fn commit(&mut self, block: Block) -> Result<(), CoreError> {
+    /// Appends `block` (its commitments are not checked again), seals it
+    /// (inline, or by handing it to the worker) and takes the periodic
+    /// snapshot behind a drain barrier.
+    fn commit(&mut self, block: WellFormedBlock) -> Result<(), CoreError> {
         self.report.blocks += 1;
         self.report.transactions += block.transactions.len();
         self.chain
-            .append(block)
+            .append_well_formed(block)
             .map_err(|e| CoreError::rejected(e.to_string()))?;
         let head = self.chain.head();
         let number = head.header.number;
@@ -622,8 +624,9 @@ mod tests {
     struct Script(VecDeque<Result<Option<Block>, Stop>>);
 
     impl Source for Script {
-        fn next(&mut self, _: &Blockchain) -> Result<Option<Block>, Stop> {
-            self.0.pop_front().unwrap_or(Ok(None))
+        fn next(&mut self, _: &Blockchain) -> Result<Option<WellFormedBlock>, Stop> {
+            let honest = |block| WellFormedBlock::check(block).expect("scripted blocks are honest");
+            Ok(self.0.pop_front().unwrap_or(Ok(None))?.map(honest))
         }
     }
 

@@ -12,7 +12,7 @@ use crate::error::CoreError;
 use crate::miner::MinedBlock;
 use crate::stats::ValidationReport;
 use cc_ledger::wal::{DurabilityMode, Wal, WAL_FILE};
-use cc_ledger::{Block, Blockchain, SnapshotFile, Transaction};
+use cc_ledger::{Block, Blockchain, Transaction};
 use cc_mempool::{Mempool, MempoolConfig, SubmitOutcome};
 use cc_vm::World;
 use commit::{Follow, Produce};
@@ -81,20 +81,12 @@ impl DurabilityState {
     /// then resets the WAL (its seals are now redundant) and prunes
     /// every other checkpoint but the one before it.
     fn write_snapshot(&self, chain: &Blockchain) -> Result<(), CoreError> {
-        let head = chain.head();
-        let snapshot = SnapshotFile {
-            height: head.header.number,
-            block_hash: head.hash(),
-            state_root: head.header.state_root,
-            blocks: chain.iter().cloned().collect(),
-            world_bytes: Vec::new(),
-        };
         let dir = self.config.dir();
-        snapshot.write_to(dir).map_err(CoreError::durability)?;
+        cc_ledger::write_checkpoint(dir, chain).map_err(CoreError::durability)?;
         self.wal.reset().map_err(CoreError::durability)?;
         // The pruned files are redundant, so a failed unlink is not a
         // durability failure; the next barrier retries it.
-        let _ = cc_ledger::prune(dir, snapshot.height);
+        let _ = cc_ledger::prune(dir, chain.head().header.number);
         Ok(())
     }
 }

@@ -57,7 +57,7 @@ use crate::error::CoreError;
 use crate::stats::ValidationReport;
 use crate::validator::checks;
 use crate::validator::replay::Order;
-use cc_ledger::Block;
+use cc_ledger::{Block, WellFormedBlock};
 use cc_mvcc::Timestamp;
 use cc_primitives::hash::Hash256;
 use cc_primitives::pool::WorkerPool;
@@ -69,7 +69,7 @@ use std::time::Instant;
 /// One speculatively validated block awaiting commit.
 #[derive(Debug)]
 struct PendingEntry {
-    block: Block,
+    block: WellFormedBlock,
     hash: Hash256,
     /// Newest commit timestamp of the block's replay; every version the
     /// block installed is at or below it (and above the predecessor's).
@@ -255,9 +255,9 @@ impl<'w> PendingChain<'w> {
         // to, only here — before the run starts and after it has joined.
         let rollback = self.tip_boundary();
         let runtime = self.world.mvcc();
-        let report = self
+        let (block, report) = self
             .order
-            .validate(self.world, &block)
+            .validate(self.world, block)
             .inspect_err(|_| runtime.discard_above(rollback))?;
         let hash = block.hash();
         self.entries.push_back(PendingEntry {
@@ -282,7 +282,8 @@ impl<'w> PendingChain<'w> {
     /// already polluted the base: every pending descendant is discarded
     /// and the caller must treat the world as stale.
     pub fn commit(&mut self, hash: &Hash256) -> Result<Block, CoreError> {
-        self.commit_reported(hash).map(|(block, _)| block)
+        let (block, _) = self.commit_reported(hash)?;
+        Ok(block.into_block())
     }
 
     /// [`PendingChain::commit`], also handing back the block's validation
@@ -290,7 +291,7 @@ impl<'w> PendingChain<'w> {
     pub(crate) fn commit_reported(
         &mut self,
         hash: &Hash256,
-    ) -> Result<(Block, ValidationReport), CoreError> {
+    ) -> Result<(WellFormedBlock, ValidationReport), CoreError> {
         let Some(oldest) = self.oldest_hash() else {
             return Err(CoreError::rejected("no block is pending"));
         };
@@ -336,7 +337,8 @@ impl<'w> PendingChain<'w> {
             _ => self.entries[pos - 1].boundary,
         };
         self.world.mvcc().discard_above(rollback);
-        Ok(self.entries.drain(pos..).map(|e| e.block).collect())
+        let discarded = self.entries.drain(pos..);
+        Ok(discarded.map(|e| e.block.into_block()).collect())
     }
 
     /// Discards every pending block (see [`PendingChain::discard`]).
@@ -344,7 +346,8 @@ impl<'w> PendingChain<'w> {
     /// was pending.
     pub fn discard_all(&mut self) -> Vec<Block> {
         self.world.mvcc().discard_above(self.base_boundary);
-        self.entries.drain(..).map(|e| e.block).collect()
+        let discarded = self.entries.drain(..);
+        discarded.map(|e| e.block.into_block()).collect()
     }
 }
 

@@ -2,6 +2,7 @@
 
 use super::*;
 use crate::engine::ExecutionStrategy;
+use cc_ledger::SnapshotFile;
 use cc_vm::testing::CounterContract;
 use cc_vm::{Address, ArgValue, CallData};
 use std::sync::Arc;
@@ -299,14 +300,25 @@ fn barriers_keep_the_two_newest_checkpoints_and_either_one_recovers() {
 }
 
 /// What the WAL must hold after `node`'s head, with a checkpoint
-/// every `interval` blocks: one seal frame — 12 bytes of frame header,
-/// a tag byte, a `u64` length and the encoded block — per block since
-/// the last checkpoint, and nothing else.
+/// every `interval` blocks: the 16-byte file header once a block sealed
+/// since the last checkpoint, and one seal frame — 12 bytes of frame
+/// header, a tag byte and the encoded block — per such block, and
+/// nothing else.
 fn seal_bytes(node: &Node, interval: u64) -> u64 {
     let head = node.chain().head().header.number;
     let checkpoint = head - head % interval;
     let blocks = node.chain().iter().skip(checkpoint as usize + 1);
-    blocks.map(|b| 21 + b.to_checked_bytes().len() as u64).sum()
+    let encoded = |block: &Block| {
+        let mut enc = cc_primitives::codec::Encoder::new();
+        block.encode(&mut enc);
+        enc.len() as u64
+    };
+    let frames: u64 = blocks.map(|b| 13 + encoded(b)).sum();
+    if frames == 0 {
+        0
+    } else {
+        16 + frames
+    }
 }
 
 #[test]
@@ -527,4 +539,48 @@ fn builder_defaults_and_shared_engines() {
     let mined = a.mine_and_append(block_txs(0, 5)).unwrap();
     b.validate_and_append(&mined.block).unwrap();
     assert_eq!(a.world().state_root(), b.world().state_root());
+}
+
+/// A block's commitments are computed once on a producer (by
+/// construction) and checked once on a follower (the replay prologue):
+/// appending, sealing and checkpointing never hash its body again.
+/// Recovery checks each block twice — as the ledger's chain appends it
+/// and in the replay prologue — and builds the genesis block twice.
+#[cfg(debug_assertions)]
+#[test]
+fn every_node_path_hashes_a_blocks_commitments_once() {
+    use cc_ledger::block::commitment_count;
+    let dir = |role: &str| temp_dir(&format!("commitments-once-{role}"));
+    let durable = |role: &str| DurabilityConfig::new(dir(role), DurabilityMode::Fsync);
+    let durable = |role: &str| durable(role).snapshot_interval(3);
+    let node = |config: DurabilityConfig| {
+        Node::builder()
+            .world(fresh_world())
+            .config(EngineConfig::new().threads(2))
+            .durability(config)
+            .build()
+            .unwrap()
+    };
+    for role in ["miner", "follower"] {
+        std::fs::remove_dir_all(dir(role)).ok();
+    }
+    let (mut miner, mut follower) = (node(durable("miner")), node(durable("follower")));
+    for block_number in 0..4u64 {
+        let before = commitment_count();
+        let mined = miner.mine_and_append(block_txs(block_number * 100, 4));
+        let mined = mined.unwrap();
+        assert_eq!(commitment_count() - before, 1, "mine_and_append");
+        let before = commitment_count();
+        follower.validate_and_append(&mined.block).unwrap();
+        assert_eq!(commitment_count() - before, 1, "validate_and_append");
+    }
+    drop(follower);
+    let before = commitment_count();
+    let engine = EngineConfig::new().threads(2).build().unwrap();
+    let recovered = Node::recover(durable("follower"), fresh_world(), engine);
+    assert_eq!(recovered.unwrap().chain().len(), 5);
+    assert_eq!(commitment_count() - before, 2 * 4 + 2, "Node::recover");
+    for role in ["miner", "follower"] {
+        std::fs::remove_dir_all(dir(role)).ok();
+    }
 }

@@ -14,19 +14,16 @@
 
 use super::replay::Trace;
 use crate::error::CoreError;
-use cc_ledger::{Block, ScheduleMetadata};
+use cc_ledger::{Block, ScheduleMetadata, WellFormedBlock};
 use cc_primitives::hash::Hash256;
 use cc_vm::Receipt;
 
 /// The structural prologue: the header's commitments must match the
-/// body before anything is replayed.
-pub(crate) fn well_formed(block: &Block) -> Result<(), CoreError> {
-    if block.is_well_formed() {
-        return Ok(());
-    }
-    Err(CoreError::rejected(
-        "block commitments do not match its body",
-    ))
+/// body before anything is replayed. The one check of a received block's
+/// commitments: the chain appends what it returns as it is.
+pub(crate) fn well_formed(block: Block) -> Result<WellFormedBlock, CoreError> {
+    WellFormedBlock::check(block)
+        .map_err(|_| CoreError::rejected("block commitments do not match its body"))
 }
 
 /// The state-root reason: set when the root a replay produced is not the
@@ -90,12 +87,17 @@ fn receipt_mismatches(expected: &[Receipt], actual: &[Receipt]) -> Vec<String> {
 /// Compares the lock traces a replay recorded (one [`Trace`] per
 /// transaction, in block order) with the profiles the block publishes.
 /// `HappensBeforeGraph::from_metadata` has already held the schedule to
-/// one record per transaction, in block order, so record `i` is
-/// transaction `i`'s. Returns a reason per trace that differs.
+/// one record per transaction, in block order, each naming its locks in
+/// strictly increasing order, so record `i` is transaction `i`'s and the
+/// two sorted lists compare entry by entry. Returns a reason per trace
+/// that differs.
 fn trace_mismatches(schedule: &ScheduleMetadata, traces: &[Trace]) -> Vec<String> {
     let records = schedule.profiles.iter().zip(traces).enumerate();
     records
-        .filter(|(_, (record, trace))| record.profile.lock_set() != **trace)
+        .filter(|(_, (record, trace))| {
+            let published = record.profile.locks.iter().map(|e| (e.lock, e.mode));
+            !published.eq(trace.iter().copied())
+        })
         .map(|(index, _)| {
             format!("transaction {index}: replayed lock trace differs from the published profile")
         })

@@ -16,17 +16,17 @@ use crate::error::CoreError;
 use crate::fork_join::run_fork_join_on;
 use crate::schedule::HappensBeforeGraph;
 use crate::stats::ValidationReport;
-use cc_ledger::{Block, Transaction};
+use cc_ledger::{Block, Transaction, WellFormedBlock};
 use cc_primitives::pool::WorkerPool;
 use cc_stm::{LockId, LockMode};
 use cc_vm::{Receipt, TxnRef, World};
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// The abstract locks one replayed transaction would have held, strongest
-/// mode per lock — comparable with a published profile's lock set.
-pub(crate) type Trace = BTreeMap<LockId, LockMode>;
+/// mode per lock, sorted by lock — comparable entry by entry with a
+/// published profile, which is sorted the same way.
+pub(crate) type Trace = Vec<(LockId, LockMode)>;
 
 /// What one transaction's replay yields, or why it could not run.
 type Replayed = Result<(Receipt, Trace), String>;
@@ -64,11 +64,13 @@ fn execute(world: &World, index: usize, tx: &Transaction) -> Replayed {
     // taken, so first-committer-wins can only fail when the transaction
     // touched what its profile does not claim, which the trace check
     // rejects anyway. The footprint already carries the strongest mode
-    // per lock, exactly what the trace check compares.
+    // per lock, once per lock: sorted, it is what the trace check compares.
     let commit = txn.commit().map_err(|e| {
         format!("{e} (a data race: the derived schedule does not order it after a conflicting transaction)")
     })?;
-    Ok((receipt, commit.footprint.into_iter().collect()))
+    let mut trace = commit.footprint;
+    trace.sort_unstable_by_key(|&(lock, _)| lock);
+    Ok((receipt, trace))
 }
 
 /// Runs `execute` once per transaction of `block`, as the fork-join
@@ -115,9 +117,10 @@ impl Order {
     }
 
     /// Validates `block` on `world`'s pending overlay: the structural
-    /// prologue, the replay, and the verdict. The report's root is the
-    /// block's claim, checked when the overlay is flattened
-    /// (`PendingChain::commit`).
+    /// prologue, the replay, and the verdict. Hands the block back with
+    /// the proof that its commitments were checked (once, here), and the
+    /// report, whose root is the block's claim, checked when the overlay
+    /// is flattened (`PendingChain::commit`).
     ///
     /// # Errors
     ///
@@ -129,21 +132,22 @@ impl Order {
     pub(crate) fn validate(
         &self,
         world: &World,
-        block: &Block,
-    ) -> Result<ValidationReport, CoreError> {
+        block: Block,
+    ) -> Result<(WellFormedBlock, ValidationReport), CoreError> {
         let start = Instant::now();
-        checks::well_formed(block)?;
+        let block = checks::well_formed(block)?;
         let (receipts, traces, graph) =
-            replay(block, &self.pool, |index, tx| execute(world, index, tx))?;
+            replay(&block, &self.pool, |index, tx| execute(world, index, tx))?;
         let published = block.schedule.as_ref().filter(|_| self.check_traces);
-        checks::verdict(block, published, &traces, &receipts)?;
-        Ok(ValidationReport {
+        checks::verdict(&block, published, &traces, &receipts)?;
+        let report = ValidationReport {
             threads: self.pool.workers(),
             transactions: block.transactions.len(),
             state_root: block.header.state_root,
             elapsed: start.elapsed(),
             critical_path: graph.critical_path(),
-        })
+        };
+        Ok((block, report))
     }
 }
 
@@ -285,7 +289,10 @@ mod tests {
             let block = miner.mine(&build_world(), txs).unwrap().block;
             let root = block.header.state_root;
             let records = &block.schedule.as_ref().unwrap().profiles;
-            let profiles: Vec<Trace> = records.iter().map(|r| r.profile.lock_set()).collect();
+            let profile = |r: &cc_ledger::ProfileRecord| -> Trace {
+                r.profile.locks.iter().map(|e| (e.lock, e.mode)).collect()
+            };
+            let profiles: Vec<Trace> = records.iter().map(profile).collect();
             for order in orders() {
                 let cell = format!("{name}, {} thread(s)", order.pool.workers());
                 let (receipts, traces, replayed_root) = replay_cell(&order, &build_world(), &block);

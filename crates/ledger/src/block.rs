@@ -1,22 +1,25 @@
 //! Blocks and block headers.
 
+use crate::chain::ChainError;
 use crate::schedule_meta::ScheduleMetadata;
 use crate::tx::{transactions_root, Transaction};
+use cc_primitives::checksum::checksum64;
 use cc_primitives::codec::{DecodeError, Decoder, Encoder};
-use cc_primitives::fnv::fnv1a;
 use cc_primitives::hash::{sha256, Hash256};
 use cc_vm::Receipt;
 use std::fmt;
+use std::ops::Deref;
 
 /// Why a serialized block was rejected on deserialization.
 ///
-/// Corruption on disk or on the wire must surface as a typed error, never
-/// a panic: the WAL recovery path feeds arbitrary (possibly torn) bytes
-/// through [`Block::from_checked_bytes`] and decides what to do from the
-/// variant.
+/// Corruption on the wire must surface as a typed error, never a panic:
+/// a receiver feeds arbitrary (possibly torn) bytes through
+/// [`Block::from_checked_bytes`] and decides what to do from the variant.
+/// (The WAL and checkpoint readers check their own record checksum and
+/// decode with [`Block::decode`], which fails with a [`DecodeError`].)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BlockCodecError {
-    /// The FNV-64 checksum over the payload did not match: the bytes were
+    /// The checksum over the payload did not match: the bytes were
     /// corrupted after serialization.
     ChecksumMismatch {
         /// Checksum stored alongside the payload.
@@ -136,7 +139,8 @@ pub struct Block {
 }
 
 impl Block {
-    /// Assembles a block, computing all header commitments.
+    /// Assembles a block, computing all header commitments (see
+    /// [`WellFormedBlock::build`], which keeps the proof that it did).
     pub fn build(
         parent_hash: Hash256,
         number: u64,
@@ -145,25 +149,15 @@ impl Block {
         state_root: Hash256,
         schedule: Option<ScheduleMetadata>,
     ) -> Self {
-        let gas_used = receipts.iter().map(|r| r.gas_used).sum();
-        let header = BlockHeader {
+        WellFormedBlock::build(
             parent_hash,
             number,
-            tx_root: transactions_root(&transactions),
-            state_root,
-            receipts_root: receipts_root(&receipts),
-            schedule_digest: schedule
-                .as_ref()
-                .map(ScheduleMetadata::digest)
-                .unwrap_or(Hash256::ZERO),
-            gas_used,
-        };
-        Block {
-            header,
             transactions,
             receipts,
+            state_root,
             schedule,
-        }
+        )
+        .into_block()
     }
 
     /// The block hash (hash of the header).
@@ -183,22 +177,28 @@ impl Block {
 
     /// Structural self-consistency: do the header's commitments match the
     /// body? (Semantic validation — re-executing the transactions — is the
-    /// validator's job in `cc-core`.)
+    /// validator's job in `cc-core`.) [`WellFormedBlock::check`] keeps the
+    /// answer, so a path that holds one never asks again.
     pub fn is_well_formed(&self) -> bool {
-        self.header.tx_root == transactions_root(&self.transactions)
-            && self.header.receipts_root == receipts_root(&self.receipts)
-            && self.header.schedule_digest
-                == self
-                    .schedule
-                    .as_ref()
-                    .map(ScheduleMetadata::digest)
-                    .unwrap_or(Hash256::ZERO)
-            && self.header.gas_used == self.receipts.iter().map(|r| r.gas_used).sum::<u64>()
-            && self
-                .schedule
-                .as_ref()
-                .map(|s| s.len() == self.transactions.len())
-                .unwrap_or(true)
+        let schedule = self.schedule.as_ref();
+        self.committed_header() == self.header
+            && schedule.is_none_or(|s| s.len() == self.transactions.len())
+    }
+
+    /// The header the body commits to, with the block's own linkage and
+    /// state root: three hashes over the body and its gas, the per-block
+    /// work [`commitment_count`] tallies.
+    fn committed_header(&self) -> BlockHeader {
+        #[cfg(debug_assertions)]
+        COMMITMENT_COUNT.with(|c| c.set(c.get() + 1));
+        let schedule = self.schedule.as_ref();
+        BlockHeader {
+            tx_root: transactions_root(&self.transactions),
+            receipts_root: receipts_root(&self.receipts),
+            schedule_digest: schedule.map_or(Hash256::ZERO, ScheduleMetadata::digest),
+            gas_used: self.receipts.iter().map(|r| r.gas_used).sum(),
+            ..self.header.clone()
+        }
     }
 
     /// Canonical encoding of the full block (header + body).
@@ -257,15 +257,17 @@ impl Block {
         })
     }
 
-    /// Serializes the block with a leading FNV-64 checksum over the
-    /// payload, the form used in the write-ahead log and snapshot files.
+    /// Serializes the block with a leading [`checksum64`] over the
+    /// payload: a self-contained form of one block, for a caller that
+    /// ships a block on its own. The WAL and checkpoint files do not use
+    /// it; each of their records carries one checksum over plain
+    /// [`Block::encode`] bytes.
     pub fn to_checked_bytes(&self) -> Vec<u8> {
-        let mut payload = Encoder::new();
-        self.encode(&mut payload);
-        let payload = payload.into_bytes();
-        let mut enc = Encoder::with_capacity(payload.len() + 8);
-        enc.put_u64(fnv1a(&payload));
-        enc.put_raw(&payload);
+        let mut enc = Encoder::new();
+        enc.put_u64(0);
+        self.encode(&mut enc);
+        let (sum, payload) = enc.as_mut_slice().split_at_mut(8);
+        sum.copy_from_slice(&checksum64(payload).to_le_bytes());
         enc.into_bytes()
     }
 
@@ -282,7 +284,7 @@ impl Block {
         let mut dec = Decoder::new(bytes);
         let stored = dec.get_u64()?;
         let payload = dec.get_raw(dec.remaining())?;
-        let actual = fnv1a(payload);
+        let actual = checksum64(payload);
         if stored != actual {
             return Err(BlockCodecError::ChecksumMismatch { stored, actual });
         }
@@ -314,12 +316,100 @@ impl fmt::Display for Block {
 
 /// Hashes the receipts into a single commitment.
 pub fn receipts_root(receipts: &[Receipt]) -> Hash256 {
-    let mut enc = Encoder::new();
+    // Pre-sized for a plain receipt (index, status, gas, a small output,
+    // no events); a receipt with events grows the buffer once or twice.
+    let mut enc = Encoder::with_capacity(8 + 48 * receipts.len());
     enc.put_u64(receipts.len() as u64);
     for receipt in receipts {
         receipt.encode(&mut enc);
     }
     sha256(enc.as_slice())
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    /// Debug-only tally of block-commitment computations on this thread.
+    static COMMITMENT_COUNT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Debug-only: how many times this thread has computed a block body's
+/// commitments (in [`WellFormedBlock::build`], [`WellFormedBlock::check`]
+/// or [`Block::is_well_formed`]) since it started. Tests snapshot it
+/// around a node call to pin that every path computes or checks a block's
+/// commitments once. Compiled out of release builds.
+#[cfg(debug_assertions)]
+pub fn commitment_count() -> u64 {
+    COMMITMENT_COUNT.with(|c| c.get())
+}
+
+/// A block whose header commitments are known to match its body.
+///
+/// Its field is private, and only two constructors make one:
+/// [`WellFormedBlock::build`], which computes the commitments from the
+/// body, and [`WellFormedBlock::check`], which runs
+/// [`Block::is_well_formed`]. A path that holds one — a mined block on its
+/// way to the chain, a replayed block on its way to its seal — never
+/// hashes the body again:
+/// [`crate::Blockchain::append_well_formed`] takes it as it is. It reads
+/// as a [`Block`]; [`WellFormedBlock::into_block`] gives the block up.
+#[derive(Debug)]
+pub struct WellFormedBlock(Block);
+
+impl WellFormedBlock {
+    /// Assembles a block, computing all header commitments.
+    pub fn build(
+        parent_hash: Hash256,
+        number: u64,
+        transactions: Vec<Transaction>,
+        receipts: Vec<Receipt>,
+        state_root: Hash256,
+        schedule: Option<ScheduleMetadata>,
+    ) -> Self {
+        let header = BlockHeader {
+            parent_hash,
+            number,
+            tx_root: Hash256::ZERO,
+            state_root,
+            receipts_root: Hash256::ZERO,
+            schedule_digest: Hash256::ZERO,
+            gas_used: 0,
+        };
+        let mut block = Block {
+            header,
+            transactions,
+            receipts,
+            schedule,
+        };
+        block.header = block.committed_header();
+        WellFormedBlock(block)
+    }
+
+    /// Checks `block`'s commitments against its body
+    /// ([`Block::is_well_formed`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ChainError::Malformed`] when they do not match.
+    pub fn check(block: Block) -> Result<Self, ChainError> {
+        if block.is_well_formed() {
+            Ok(WellFormedBlock(block))
+        } else {
+            Err(ChainError::Malformed)
+        }
+    }
+
+    /// The block, giving up the proof.
+    pub fn into_block(self) -> Block {
+        self.0
+    }
+}
+
+impl Deref for WellFormedBlock {
+    type Target = Block;
+
+    fn deref(&self) -> &Block {
+        &self.0
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The append-only blockchain.
 
-use crate::block::Block;
+use crate::block::{Block, WellFormedBlock};
 use cc_primitives::hash::Hash256;
 use std::fmt;
 
@@ -65,16 +65,7 @@ impl Blockchain {
     /// Creates a chain containing only the genesis block (block 0, no
     /// transactions, zero state root).
     pub fn new() -> Self {
-        Blockchain {
-            blocks: vec![Block::build(
-                Hash256::ZERO,
-                0,
-                Vec::new(),
-                Vec::new(),
-                Hash256::ZERO,
-                None,
-            )],
-        }
+        Self::with_genesis_state(Hash256::ZERO)
     }
 
     /// Creates a chain whose genesis commits to the given initial state
@@ -118,22 +109,46 @@ impl Blockchain {
     }
 
     /// Iterates over all blocks from genesis to head.
-    pub fn iter(&self) -> impl Iterator<Item = &Block> {
+    pub fn iter(&self) -> std::slice::Iter<'_, Block> {
         self.blocks.iter()
     }
 
-    /// Appends a block after structural validation.
+    /// Appends a block after structural validation: the linkage, then
+    /// [`WellFormedBlock::check`].
     ///
     /// # Errors
     ///
     /// Returns a [`ChainError`] if the parent hash, block number or
     /// internal commitments are wrong. The chain is unchanged on error.
     pub fn append(&mut self, block: Block) -> Result<(), ChainError> {
+        self.links(&block)?;
+        let block = WellFormedBlock::check(block)?;
+        self.blocks.push(block.into_block());
+        Ok(())
+    }
+
+    /// Appends a block whose commitments are already known to match its
+    /// body: only the linkage is checked, nothing is re-hashed but the
+    /// head's header.
+    ///
+    /// # Errors
+    ///
+    /// [`ChainError::WrongParent`] or [`ChainError::WrongNumber`]. The
+    /// chain is unchanged on error.
+    pub fn append_well_formed(&mut self, block: WellFormedBlock) -> Result<(), ChainError> {
+        self.links(&block)?;
+        self.blocks.push(block.into_block());
+        Ok(())
+    }
+
+    /// Whether `block` sits on the head: its parent hash and number.
+    fn links(&self, block: &Block) -> Result<(), ChainError> {
         let head = self.head();
-        if block.header.parent_hash != head.hash() {
+        let head_hash = head.hash();
+        if block.header.parent_hash != head_hash {
             return Err(ChainError::WrongParent {
                 claimed: block.header.parent_hash,
-                head: head.hash(),
+                head: head_hash,
             });
         }
         let expected = head.header.number + 1;
@@ -143,28 +158,18 @@ impl Blockchain {
                 expected,
             });
         }
-        if !block.is_well_formed() {
-            return Err(ChainError::Malformed);
-        }
-        self.blocks.push(block);
         Ok(())
     }
 
     /// Verifies the hash linkage and well-formedness of the entire chain.
     pub fn verify_structure(&self) -> bool {
-        if self.blocks.is_empty() || self.blocks[0].header.number != 0 {
-            return false;
-        }
-        for window in self.blocks.windows(2) {
-            let (parent, child) = (&window[0], &window[1]);
-            if child.header.parent_hash != parent.hash()
-                || child.header.number != parent.header.number + 1
-                || !child.is_well_formed()
-            {
-                return false;
-            }
-        }
-        true
+        let links = |pair: &[Block]| {
+            let (parent, child) = (&pair[0], &pair[1]);
+            child.header.parent_hash == parent.hash()
+                && child.header.number == parent.header.number + 1
+                && child.is_well_formed()
+        };
+        self.blocks[0].header.number == 0 && self.blocks.windows(2).all(links)
     }
 
     /// Total number of transactions across all blocks.

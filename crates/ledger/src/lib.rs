@@ -16,7 +16,11 @@
 //! * [`Block`] / [`BlockHeader`] — the chain element, committing to its
 //!   parent, its transactions, its receipts, its final state and its
 //!   schedule,
-//! * [`Blockchain`] — an append-only chain with structural validation.
+//! * [`WellFormedBlock`] — a block whose commitments were computed or
+//!   checked once, which the chain appends without hashing it again,
+//! * [`Blockchain`] — an append-only chain with structural validation,
+//! * the durable ledger: the [`wal`], [`snapshot`] checkpoints and
+//!   [`recovery`], in the on-disk [`mod@format`] version 2.
 //!
 //! # Example
 //!
@@ -44,16 +48,18 @@
 pub mod block;
 pub mod chain;
 pub mod faultsim;
+pub mod format;
 pub mod recovery;
 pub mod schedule_meta;
 pub mod snapshot;
 pub mod tx;
 pub mod wal;
 
-pub use block::{Block, BlockCodecError, BlockHeader};
+pub use block::{Block, BlockCodecError, BlockHeader, WellFormedBlock};
 pub use chain::{Blockchain, ChainError};
+pub use format::{VersionError, FORMAT_VERSION};
 pub use recovery::{recover, RecoveredLedger, RecoveryError};
 pub use schedule_meta::{ProfileRecord, ScheduleMetadata};
-pub use snapshot::{load_latest, prune, SnapshotError, SnapshotFile};
+pub use snapshot::{load_latest, prune, write_checkpoint, SnapshotError, SnapshotFile};
 pub use tx::{Transaction, TxId};
 pub use wal::{DurabilityMode, Wal, WalScan, WAL_FILE};

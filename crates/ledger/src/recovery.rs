@@ -13,16 +13,20 @@
 //!
 //! Invariants (see `crates/ledger/README.md` for the full contract):
 //!
-//! * The WAL holds sealed blocks only (legacy transaction records in an
-//!   older log are skipped by the scan), so what is replayed is exactly
-//!   the blocks of its valid prefix.
+//! * The WAL holds sealed blocks only, so what is replayed is exactly the
+//!   blocks of its valid prefix.
 //! * The WAL's torn or corrupt tail is dropped wholesale — recovery can
 //!   lose at most the blocks sealed after the last intact seal record,
 //!   never a prefix block and never part of a block.
 //! * Sealed blocks at or below the snapshot height are skipped, which
 //!   makes a crash between snapshot-write and WAL-reset harmless.
+//! * Every block's commitments are checked once here, as the chain
+//!   appends it (`Blockchain::append`); replaying it checks them once more.
+//! * A checkpoint or log in another on-disk format is refused
+//!   ([`RecoveryError::Version`]), never misread and never truncated.
 
 use crate::chain::{Blockchain, ChainError};
+use crate::format::VersionError;
 use crate::snapshot::{load_latest, SnapshotFile};
 use crate::wal::{self, WAL_FILE};
 use cc_primitives::hash::Hash256;
@@ -41,6 +45,8 @@ pub enum RecoveryError {
     BadSnapshotChain(ChainError),
     /// A sealed block from the WAL does not extend the recovered chain.
     BadWalBlock(ChainError),
+    /// A checkpoint or the WAL is in another on-disk format.
+    Version(VersionError),
     /// The directory or a file could not be read.
     Io(io::Error),
 }
@@ -57,6 +63,7 @@ impl std::fmt::Display for RecoveryError {
             RecoveryError::BadWalBlock(e) => {
                 write!(f, "sealed WAL block does not extend recovered chain: {e}")
             }
+            RecoveryError::Version(e) => e.fmt(f),
             RecoveryError::Io(e) => write!(f, "recovery io error: {e}"),
         }
     }
@@ -65,6 +72,7 @@ impl std::fmt::Display for RecoveryError {
 impl std::error::Error for RecoveryError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            RecoveryError::Version(e) => Some(e),
             RecoveryError::Io(e) => Some(e),
             _ => None,
         }
@@ -73,7 +81,8 @@ impl std::error::Error for RecoveryError {
 
 impl From<io::Error> for RecoveryError {
     fn from(e: io::Error) -> Self {
-        RecoveryError::Io(e)
+        let version = VersionError::in_io(&e).cloned();
+        version.map_or(RecoveryError::Io(e), RecoveryError::Version)
     }
 }
 
@@ -112,7 +121,8 @@ impl RecoveredLedger {
 /// # Errors
 ///
 /// [`RecoveryError`] if no valid snapshot exists, the recovered chain
-/// fails validation, or the directory cannot be read.
+/// fails validation, a file is in another format, or the directory
+/// cannot be read.
 pub fn recover(dir: &Path) -> Result<RecoveredLedger, RecoveryError> {
     let snapshot: SnapshotFile = load_latest(dir)?.ok_or(RecoveryError::NoSnapshot)?;
 

@@ -177,18 +177,23 @@ impl ScheduleMetadata {
 
     /// Hash of the canonical encoding.
     pub fn digest(&self) -> Hash256 {
-        let mut enc = Encoder::new();
+        let mut enc = Encoder::with_capacity(self.encoded_size());
         self.encode(&mut enc);
         sha256(enc.as_slice())
     }
 
     /// Size in bytes of the canonical encoding — the space this schedule
     /// occupies in a published block (tracked by the `schedule` section of
-    /// the perf-trajectory files).
+    /// the perf-trajectory files). Counted, not encoded: three `u64`
+    /// lengths, a `u64` per serial position, two per edge, and per profile
+    /// two `u64`s plus 25 bytes (space, key, mode, counter) per lock.
     pub fn encoded_size(&self) -> usize {
-        let mut enc = Encoder::new();
-        self.encode(&mut enc);
-        enc.as_slice().len()
+        let profiles: usize = self
+            .profiles
+            .iter()
+            .map(|record| 16 + 25 * record.profile.locks.len())
+            .sum();
+        24 + 8 * self.serial_order.len() + 16 * self.edges.len() + profiles
     }
 }
 

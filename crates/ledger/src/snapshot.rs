@@ -2,24 +2,39 @@
 //!
 //! A checkpoint file freezes what recovery consumes at one block height:
 //! the height, the head hash, the head's `state_root`, and the chain up
-//! to and including that block (every block's checksummed bytes). It
-//! holds **no world image**: contracts are native code, so recovery
-//! rebuilds the world by replaying the chain from the caller's genesis
-//! world, and every replayed block is checked against the SHA-256
-//! `state_root` in its header — a commitment over exactly the field list
-//! a world image would be built from. The node therefore writes the
-//! image slot of the file empty (`world_len = 0`), and a checkpoint
-//! costs O(chain prefix), never O(world).
+//! to and including that block. It holds **no world image**: contracts
+//! are native code, so recovery rebuilds the world by replaying the chain
+//! from the caller's genesis world, and every replayed block is checked
+//! against the SHA-256 `state_root` in its header — a commitment over
+//! exactly the field list a world image would be built from. The node
+//! therefore writes the image slot of the file empty, and a checkpoint
+//! costs O(chain prefix), never O(world). [`write_checkpoint`] writes one
+//! straight from the node's chain, copying no block.
+//!
+//! # Layout (format 2)
+//!
+//! All integers are little-endian.
+//!
+//! ```text
+//!   [magic "cc-ckpt\0": 8 bytes][version = 2: u32][checksum: u64]
+//!   [height: u64][head hash: 32][state root: 32][block count: u64]
+//!   [Block::encode bytes] × block count
+//!   [image length: u64][image bytes]
+//! ```
+//!
+//! `checksum` is one [`checksum64`] over everything after it; the blocks
+//! carry no checksum of their own, and their commitments are checked
+//! where recovery appends them (`Blockchain::append`). A file that does
+//! not open with the format-2 magic and version — a format-1 file among
+//! them — is refused with [`SnapshotError::Version`]. A non-empty image
+//! (the benchmark's probe writes one) must be a canonical
+//! `cc_vm::WorldSnapshot` to load, and is otherwise ignored.
 //!
 //! Files are named `snapshot-<height>.snap`, written to a temporary
 //! name, atomically renamed into place (with a directory fsync so the
-//! rename itself is durable), and guarded by a whole-file FNV-64
-//! checksum — [`load_latest`] skips any file that fails its checksum,
-//! its decode or its consistency check and falls back to the
-//! next-highest height. Files written before the image was dropped (and
-//! by the benchmark's probe) carry a non-empty image; they still load,
-//! provided the image is a canonical `cc_vm::WorldSnapshot`, and the
-//! image is otherwise ignored.
+//! rename itself is durable). [`load_latest`] skips any file that fails
+//! its checksum, its decode or its consistency check, and falls back to
+//! the next-highest height.
 //!
 //! Writing a checkpoint is the WAL's garbage-collection point: once
 //! `snapshot-<h>.snap` is durable, every WAL record at height ≤ `h` is
@@ -30,13 +45,22 @@
 //! and every stale temporary file, so the directory holds a constant
 //! number of files, all of them from the node's own chain.
 
-use crate::block::{Block, BlockCodecError};
+use crate::block::Block;
+use crate::chain::Blockchain;
+use crate::format::{VersionError, FORMAT_VERSION};
+use cc_primitives::checksum::checksum64;
 use cc_primitives::codec::{DecodeError, Decoder, Encoder};
-use cc_primitives::fnv::fnv1a;
 use cc_primitives::hash::Hash256;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// The magic a checkpoint file opens with.
+const MAGIC: [u8; 8] = *b"cc-ckpt\0";
+
+/// Bytes before the checksummed payload: the magic, the version and the
+/// checksum.
+const HEAD: usize = 20;
 
 /// A decoded checkpoint: the chain anchor at `height`.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,15 +75,16 @@ pub struct SnapshotFile {
     pub blocks: Vec<Block>,
     /// The world-image slot of the file format. The node writes it
     /// empty and nothing reads it: `state_root` is the commitment a
-    /// replayed world is held to. A non-empty image (an older file, the
-    /// benchmark's probe) must be a canonical `WorldSnapshot::to_bytes`
-    /// to decode.
+    /// replayed world is held to. A non-empty image (the benchmark's
+    /// probe) must be a canonical `WorldSnapshot::to_bytes` to decode.
     pub world_bytes: Vec<u8>,
 }
 
 /// Why a snapshot file was rejected.
 #[derive(Debug)]
 pub enum SnapshotError {
+    /// The file does not open with the format-2 header.
+    Version(VersionError),
     /// The whole-file checksum did not match the payload.
     ChecksumMismatch {
         /// Checksum stored in the file.
@@ -69,8 +94,6 @@ pub enum SnapshotError {
     },
     /// The payload failed structural decoding.
     Decode(DecodeError),
-    /// One of the embedded blocks failed its own checksum or decode.
-    Block(BlockCodecError),
     /// The decoded fields disagree with each other (e.g. the recorded
     /// head hash is not the hash of the last block).
     Inconsistent,
@@ -81,12 +104,12 @@ pub enum SnapshotError {
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            SnapshotError::Version(e) => e.fmt(f),
             SnapshotError::ChecksumMismatch { stored, actual } => write!(
                 f,
                 "snapshot checksum mismatch: stored {stored:#018x}, actual {actual:#018x}"
             ),
             SnapshotError::Decode(e) => write!(f, "snapshot decode failed: {e}"),
-            SnapshotError::Block(e) => write!(f, "snapshot block rejected: {e}"),
             SnapshotError::Inconsistent => f.write_str("snapshot fields are mutually inconsistent"),
             SnapshotError::Io(e) => write!(f, "snapshot io error: {e}"),
         }
@@ -96,8 +119,8 @@ impl std::fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            SnapshotError::Version(e) => Some(e),
             SnapshotError::Decode(e) => Some(e),
-            SnapshotError::Block(e) => Some(e),
             SnapshotError::Io(e) => Some(e),
             _ => None,
         }
@@ -110,16 +133,73 @@ impl From<DecodeError> for SnapshotError {
     }
 }
 
-impl From<BlockCodecError> for SnapshotError {
-    fn from(e: BlockCodecError) -> Self {
-        SnapshotError::Block(e)
-    }
-}
-
 impl From<io::Error> for SnapshotError {
     fn from(e: io::Error) -> Self {
         SnapshotError::Io(e)
     }
+}
+
+/// The checkpoint bytes of the chain prefix `blocks` anchored at
+/// `(height, head hash, state root)` (see the [module docs](self) for
+/// the layout).
+fn encode<'a>(
+    (height, block_hash, state_root): (u64, Hash256, Hash256),
+    blocks: impl ExactSizeIterator<Item = &'a Block>,
+    world_bytes: &[u8],
+) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.put_raw(&MAGIC);
+    enc.put_u32(FORMAT_VERSION);
+    enc.put_u64(0);
+    enc.put_u64(height);
+    enc.put_raw(block_hash.as_bytes());
+    enc.put_raw(state_root.as_bytes());
+    enc.put_u64(blocks.len() as u64);
+    for block in blocks {
+        block.encode(&mut enc);
+    }
+    enc.put_bytes(world_bytes);
+    let (head, payload) = enc.as_mut_slice().split_at_mut(HEAD);
+    head[HEAD - 8..].copy_from_slice(&checksum64(payload).to_le_bytes());
+    enc.into_bytes()
+}
+
+/// Writes the bytes of the checkpoint at `height` into `dir` as
+/// `snapshot-<height>.snap`, atomically (temporary file + rename),
+/// fsyncing the file before the rename and the directory after it.
+///
+/// The directory fsync is what makes the rename itself durable: the
+/// caller's next step is to truncate the WAL (the snapshot is the log's
+/// GC point), and without it a machine crash could persist the
+/// truncation while the rename's directory entry is lost — recovery
+/// would then anchor on an older snapshot with an empty log, losing
+/// sealed blocks.
+fn write_file(dir: &Path, height: u64, bytes: &[u8]) -> Result<PathBuf, SnapshotError> {
+    let final_path = dir.join(SnapshotFile::file_name(height));
+    let tmp_path = dir.join(format!(".{}.tmp", SnapshotFile::file_name(height)));
+    {
+        let mut file = fs::File::create(&tmp_path)?;
+        use std::io::Write;
+        file.write_all(bytes)?;
+        file.sync_data()?;
+    }
+    fs::rename(&tmp_path, &final_path)?;
+    fs::File::open(dir)?.sync_all()?;
+    Ok(final_path)
+}
+
+/// Writes the checkpoint at `chain`'s head into `dir` — the whole chain
+/// and the head's state root, no world image — encoding each block
+/// straight from the chain. Returns once the file is durably visible
+/// under its final name (see [`SnapshotFile::write_to`]).
+///
+/// # Errors
+///
+/// Any I/O error writing, syncing or renaming.
+pub fn write_checkpoint(dir: &Path, chain: &Blockchain) -> Result<PathBuf, SnapshotError> {
+    let head = chain.head();
+    let anchor = (head.header.number, head.hash(), head.header.state_root);
+    write_file(dir, anchor.0, &encode(anchor, chain.iter(), &[]))
 }
 
 impl SnapshotFile {
@@ -137,36 +217,27 @@ impl SnapshotFile {
             .ok()
     }
 
-    /// Serializes the snapshot as `[checksum: u64][payload]`.
+    /// Serializes the snapshot in the format-2 layout.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Encoder::new();
-        payload.put_u64(self.height);
-        payload.put_raw(self.block_hash.as_bytes());
-        payload.put_raw(self.state_root.as_bytes());
-        payload.put_u64(self.blocks.len() as u64);
-        for block in &self.blocks {
-            payload.put_bytes(&block.to_checked_bytes());
-        }
-        payload.put_bytes(&self.world_bytes);
-        let payload = payload.into_bytes();
-        let mut out = Encoder::with_capacity(payload.len() + 8);
-        out.put_u64(fnv1a(&payload));
-        out.put_raw(&payload);
-        out.into_bytes()
+        let anchor = (self.height, self.block_hash, self.state_root);
+        encode(anchor, self.blocks.iter(), &self.world_bytes)
     }
 
     /// Parses and validates bytes written by [`SnapshotFile::to_bytes`].
     ///
     /// # Errors
     ///
-    /// [`SnapshotError`] on checksum mismatch, decode failure (including
-    /// a non-empty world image that is not a canonical `WorldSnapshot`),
-    /// a rejected embedded block, or mutually inconsistent fields.
+    /// [`SnapshotError`] on a header other than format 2's, checksum
+    /// mismatch, decode failure (including a non-empty world image that
+    /// is not a canonical `WorldSnapshot`), or mutually inconsistent
+    /// fields.
     pub fn from_bytes(bytes: &[u8]) -> Result<SnapshotFile, SnapshotError> {
-        let mut dec = Decoder::new(bytes);
+        let rest =
+            VersionError::strip("checkpoint", &MAGIC, bytes).map_err(SnapshotError::Version)?;
+        let mut dec = Decoder::new(rest);
         let stored = dec.get_u64()?;
         let payload = dec.get_raw(dec.remaining())?;
-        let actual = fnv1a(payload);
+        let actual = checksum64(payload);
         if stored != actual {
             return Err(SnapshotError::ChecksumMismatch { stored, actual });
         }
@@ -179,14 +250,13 @@ impl SnapshotFile {
         let count = dec.get_u64()? as usize;
         let mut blocks = Vec::with_capacity(count.min(4096));
         for _ in 0..count {
-            let raw = dec.get_bytes()?;
-            blocks.push(Block::from_checked_bytes(&raw)?);
+            blocks.push(Block::decode(&mut dec)?);
         }
         let world_bytes = dec.get_bytes()?;
-        // A checkpoint carries no image. A file that does carry one was
-        // written when images were compared bit-for-bit, so one that is
-        // not canonical (or not a world at all) is damage: reject it
-        // here, where the loader can still fall back to an older file.
+        // A checkpoint carries no image. One that does (the benchmark's
+        // probe) must be a canonical world: anything else is damage,
+        // rejected here, where the loader can still fall back to an older
+        // file.
         if !world_bytes.is_empty() {
             cc_vm::WorldSnapshot::from_bytes(&world_bytes)?;
         }
@@ -222,32 +292,14 @@ impl SnapshotFile {
 
     /// Writes the snapshot into `dir` as `snapshot-<height>.snap`,
     /// atomically (temporary file + rename), fsyncing the file before
-    /// the rename and the directory after it.
-    ///
-    /// The directory fsync is what makes the rename itself durable: the
-    /// caller's next step is to truncate the WAL (the snapshot is the
-    /// log's GC point), and without it a machine crash could persist the
-    /// truncation while the rename's directory entry is lost — recovery
-    /// would then anchor on an older snapshot with an empty log, losing
-    /// sealed blocks. Returning from this method therefore guarantees the
-    /// snapshot is durably visible under its final name.
+    /// the rename and the directory after it. Returning from this method
+    /// guarantees the snapshot is durably visible under its final name.
     ///
     /// # Errors
     ///
     /// Any I/O error writing, syncing or renaming.
     pub fn write_to(&self, dir: &Path) -> Result<PathBuf, SnapshotError> {
-        let final_path = dir.join(Self::file_name(self.height));
-        let tmp_path = dir.join(format!(".{}.tmp", Self::file_name(self.height)));
-        let bytes = self.to_bytes();
-        {
-            let mut file = fs::File::create(&tmp_path)?;
-            use std::io::Write;
-            file.write_all(&bytes)?;
-            file.sync_data()?;
-        }
-        fs::rename(&tmp_path, &final_path)?;
-        fs::File::open(dir)?.sync_all()?;
-        Ok(final_path)
+        write_file(dir, self.height, &self.to_bytes())
     }
 
     /// Loads and validates one snapshot file.
@@ -257,8 +309,7 @@ impl SnapshotFile {
     /// [`SnapshotError`] on I/O failure or any validation failure from
     /// [`SnapshotFile::from_bytes`].
     pub fn load(path: &Path) -> Result<SnapshotFile, SnapshotError> {
-        let bytes = fs::read(path)?;
-        SnapshotFile::from_bytes(&bytes)
+        SnapshotFile::from_bytes(&fs::read(path)?)
     }
 }
 
@@ -284,20 +335,27 @@ fn list(dir: &Path) -> io::Result<(Vec<u64>, Vec<String>)> {
 /// Finds and loads the highest-height **valid** snapshot in `dir`.
 /// Corrupt or undecodable snapshot files are skipped, not fatal — the
 /// next-highest valid snapshot wins. Returns `Ok(None)` when the
-/// directory holds no valid snapshot.
+/// directory holds no checkpoint file, or none that loads.
 ///
 /// # Errors
 ///
-/// Only directory-listing I/O errors; per-file corruption is skipped.
+/// Directory-listing I/O errors, and — when no file loads and one of
+/// them was refused by its header — that file's [`VersionError`] (see
+/// [`VersionError::in_io`]), so a directory written in another format
+/// says so rather than looking empty.
 pub fn load_latest(dir: &Path) -> io::Result<Option<SnapshotFile>> {
     let (heights, _) = list(dir)?;
+    let mut refused = None;
     for height in heights.into_iter().rev() {
-        let path = dir.join(SnapshotFile::file_name(height));
-        if let Ok(snapshot) = SnapshotFile::load(&path) {
-            return Ok(Some(snapshot));
+        match SnapshotFile::load(&dir.join(SnapshotFile::file_name(height))) {
+            Ok(snapshot) => return Ok(Some(snapshot)),
+            Err(SnapshotError::Version(e)) => {
+                refused.get_or_insert(e);
+            }
+            Err(_) => {}
         }
     }
-    Ok(None)
+    refused.map_or(Ok(None), |e| Err(e.into()))
 }
 
 /// How many checkpoint files [`prune`] keeps: the newest, plus the one

@@ -1,7 +1,7 @@
 //! Transactions: client-submitted contract call descriptors.
 
 use cc_primitives::codec::{DecodeError, Decoder, Encoder};
-use cc_primitives::hash::{sha256, Hash256};
+use cc_primitives::hash::{sha256, Hash256, Sha256};
 use cc_vm::{Address, CallData, Msg, Wei};
 use std::fmt;
 
@@ -136,14 +136,18 @@ impl fmt::Display for Transaction {
 }
 
 /// Hashes a list of transactions into a single commitment (the block's
-/// transaction root).
+/// transaction root): SHA-256 over the count and every transaction's
+/// [`Transaction::hash`], each transaction encoded into one reused buffer.
 pub fn transactions_root(transactions: &[Transaction]) -> Hash256 {
-    let mut enc = Encoder::new();
-    enc.put_u64(transactions.len() as u64);
+    let mut root = Sha256::new();
+    root.update(&(transactions.len() as u64).to_le_bytes());
+    let mut buf = Encoder::with_capacity(256);
     for tx in transactions {
-        enc.put_raw(tx.hash().as_bytes());
+        buf.clear();
+        tx.encode(&mut buf);
+        root.update(sha256(buf.as_slice()).as_bytes());
     }
-    sha256(enc.as_slice())
+    root.finalize()
 }
 
 #[cfg(test)]

@@ -1,28 +1,45 @@
 //! The checksummed, length-prefixed write-ahead log of sealed blocks.
 //!
-//! Every record is framed as `[len: u32][checksum: u64][payload]` (all
-//! little-endian), where `checksum = fnv1a(payload)`. The log holds one
-//! record kind, the **block seal**: one frame per appended block, written
-//! in a single `write` (plus one `fdatasync` in [`DurabilityMode::Fsync`])
-//! when the block seals. The block — its transactions plus the published
-//! schedule — is the unit recovery re-executes, so nothing finer is
-//! logged: a transaction's effects exist durably only inside a sealed
-//! block.
+//! The log holds one record kind, the **block seal**: one frame per
+//! appended block, written in a single `write` (plus one `fdatasync` in
+//! [`DurabilityMode::Fsync`]) when the block seals. The block — its
+//! transactions plus the published schedule — is the unit recovery
+//! re-executes, so nothing finer is logged: a transaction's effects exist
+//! durably only inside a sealed block.
+//!
+//! # Layout (format 2)
+//!
+//! All integers are little-endian.
+//!
+//! ```text
+//!   header:  [4: u32][magic "cc-wal\0\0": 8 bytes][version = 2: u32]      16 bytes
+//!   frame:   [len: u32][checksum: u64][tag = 5: u8][Block::encode bytes]
+//! ```
+//!
+//! `checksum` is [`checksum64`] over the `len` payload bytes (the tag and
+//! the block), the only checksum a seal carries. The header is shaped
+//! like a frame — length 4, the magic in the checksum slot, the version
+//! as its payload — so the file is a sequence of frames from its first
+//! byte. It goes out in the same write as the first seal after
+//! [`Wal::create`] or [`Wal::reset`], so a log that holds no seal is zero
+//! bytes long.
+//!
+//! # Reading
 //!
 //! Recovery semantics are *prefix* semantics: [`scan`] walks frames from
-//! the start and stops at the first torn, truncated or corrupt frame.
+//! the header and stops at the first torn, truncated or corrupt frame.
 //! Everything before that point is the valid prefix; everything after —
 //! even well-formed frames beyond a corrupt one — is dropped. A crash
-//! mid-block loses at most the unsealed block being built.
-//!
-//! Logs written by earlier versions also carry transaction begin, op,
-//! commit and abort frames (tags 1–4) between their seals. Nothing ever
-//! replayed them, and [`scan`] skips them, so such a log still recovers
-//! and [`Wal::open_append`] keeps every seal in it.
+//! mid-block loses at most the unsealed block being built. A zero-length
+//! file, or one holding only a prefix of the header (a crash inside the
+//! first write after `create` or `reset`), is an empty log. A file that
+//! opens with anything else — a format-1 log among them — is refused with
+//! a [`VersionError`]: it is never scanned as torn and never truncated.
 
-use crate::block::{Block, BlockCodecError};
-use cc_primitives::codec::{DecodeError, Decoder};
-use cc_primitives::fnv::fnv1a;
+use crate::block::Block;
+use crate::format::VersionError;
+use cc_primitives::checksum::checksum64;
+use cc_primitives::codec::{DecodeError, Decoder, Encoder};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -57,56 +74,50 @@ impl std::fmt::Display for DurabilityMode {
     }
 }
 
+/// The magic in the header's checksum slot.
+const MAGIC: [u8; 8] = *b"cc-wal\0\0";
+
+/// Bytes of a frame before its payload: the length and the checksum.
+const FRAME_HEAD: usize = 12;
+
+/// The file header (see the [module docs](self)): length 4, [`MAGIC`],
+/// [`FORMAT_VERSION`].
+const HEADER: [u8; 16] = *b"\x04\0\0\0cc-wal\0\0\x02\0\0\0";
+
 /// Record tag (first payload byte) of a block seal.
 const TAG_BLOCK_SEAL: u8 = 5;
 
-/// Decodes one checksummed payload: `Some(block)` for a seal, `None` for
-/// a legacy transaction record.
-fn decode_record(payload: &[u8]) -> Result<Option<Block>, DecodeError> {
+/// Decodes one checksummed payload into its sealed block.
+fn decode_record(payload: &[u8]) -> Result<Block, DecodeError> {
     let mut dec = Decoder::new(payload);
-    match dec.get_u8()? {
-        TAG_BLOCK_SEAL => {}
-        // Legacy transaction record (begin, op, commit, abort) from a log
-        // written before the WAL held seals only: skipped, never state.
-        1..=4 => return Ok(None),
-        _ => {
-            return Err(DecodeError {
-                context: "unknown WAL record tag",
-            })
-        }
+    if dec.get_u8()? != TAG_BLOCK_SEAL {
+        return Err(DecodeError {
+            context: "unknown WAL record tag",
+        });
     }
-    let bytes = dec.get_bytes()?;
-    let block = Block::from_checked_bytes(&bytes).map_err(|e| match e {
-        BlockCodecError::Decode(inner) => inner,
-        _ => DecodeError {
-            context: "sealed block rejected",
-        },
-    })?;
+    let block = Block::decode(&mut dec)?;
     if !dec.is_empty() {
         return Err(DecodeError {
             context: "trailing bytes in WAL record",
         });
     }
-    Ok(Some(block))
+    Ok(block)
 }
 
-/// Appends one framed record to `buf`.
-fn push_frame(buf: &mut Vec<u8>, payload: &[u8]) {
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
-}
-
-/// The framed seal record of `block`.
-fn seal_frame(block: &Block) -> Vec<u8> {
-    let bytes = block.to_checked_bytes();
-    let mut payload = Vec::with_capacity(9 + bytes.len());
-    payload.push(TAG_BLOCK_SEAL);
-    payload.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-    payload.extend_from_slice(&bytes);
-    let mut frame = Vec::with_capacity(12 + payload.len());
-    push_frame(&mut frame, &payload);
-    frame
+/// Encodes `block`'s seal frame into `frame` (cleared first), after the
+/// file header when the frame `opens_file`.
+fn encode_seal(frame: &mut Encoder, block: &Block, opens_file: bool) {
+    frame.clear();
+    if opens_file {
+        frame.put_raw(&HEADER);
+    }
+    let at = frame.len();
+    frame.put_raw(&[0; FRAME_HEAD]);
+    frame.put_u8(TAG_BLOCK_SEAL);
+    block.encode(frame);
+    let (head, payload) = frame.as_mut_slice()[at..].split_at_mut(FRAME_HEAD);
+    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[4..].copy_from_slice(&checksum64(payload).to_le_bytes());
 }
 
 /// Fsyncs the directory holding `path`, making its directory entries
@@ -123,8 +134,11 @@ pub(crate) fn sync_parent_dir(path: &Path) -> io::Result<()> {
 struct WalIo {
     file: File,
     /// Bytes handed to the OS so far (the file length, absent a crash
-    /// mid-write).
+    /// mid-write). Zero means the next seal writes the header first.
     written: u64,
+    /// The seal frame being written, kept so every seal reuses one
+    /// allocation.
+    frame: Encoder,
     /// Fault injection (see [`Wal::inject_seal_failures`]): `Some(n)`
     /// means the next `n` seals succeed and every seal after that fails
     /// with an injected I/O error, as if the disk went away.
@@ -151,6 +165,7 @@ impl Wal {
             io: Mutex::new(WalIo {
                 file,
                 written,
+                frame: Encoder::new(),
                 seals_until_failure: None,
             }),
         }
@@ -194,7 +209,9 @@ impl Wal {
     ///
     /// # Errors
     ///
-    /// Any I/O error opening, scanning or truncating the file.
+    /// Any I/O error opening, scanning or truncating the file, and a
+    /// [`VersionError`] (see [`VersionError::in_io`]) for a file in another
+    /// format, which is left as it is.
     pub fn open_append(path: impl Into<PathBuf>, mode: DurabilityMode) -> io::Result<Wal> {
         let path = path.into();
         let scanned = scan(&path)?;
@@ -249,7 +266,6 @@ impl Wal {
     ///
     /// Any I/O error writing or syncing the file.
     pub fn seal_block(&self, block: &Block) -> io::Result<()> {
-        let frame = seal_frame(block);
         let io = &mut *self.io();
         if let Some(remaining) = &mut io.seals_until_failure {
             if *remaining == 0 {
@@ -257,21 +273,23 @@ impl Wal {
             }
             *remaining -= 1;
         }
-        if let Err(e) = io.file.write_all(&frame) {
+        encode_seal(&mut io.frame, block, io.written == 0);
+        if let Err(e) = io.file.write_all(io.frame.as_slice()) {
             let _ = io.file.set_len(io.written);
             let _ = io.file.seek(SeekFrom::Start(io.written));
             return Err(e);
         }
-        io.written += frame.len() as u64;
+        io.written += io.frame.len() as u64;
         if self.mode == DurabilityMode::Fsync {
             io.file.sync_data()?;
         }
         Ok(())
     }
 
-    /// Discards all log contents (called right after a snapshot is
-    /// durably written: everything up to the snapshot height is now
-    /// recoverable from the snapshot alone — the WAL's GC policy).
+    /// Discards all log contents, header included (called right after a
+    /// snapshot is durably written: everything up to the snapshot height
+    /// is now recoverable from the snapshot alone — the WAL's GC policy).
+    /// The next seal writes the header again.
     ///
     /// # Errors
     ///
@@ -292,7 +310,9 @@ impl Wal {
 /// prefix and where that prefix ends.
 #[derive(Debug)]
 pub struct WalScan {
-    /// Sealed blocks of the valid prefix, in log order.
+    /// Sealed blocks of the valid prefix, in log order. Their
+    /// commitments are checked where they are appended
+    /// (`Blockchain::append`, in [`crate::recover`]).
     pub blocks: Vec<Block>,
     /// Byte length of the valid prefix.
     pub valid_len: u64,
@@ -315,7 +335,9 @@ impl WalScan {
 ///
 /// # Errors
 ///
-/// Any I/O error reading the file.
+/// Any I/O error reading the file, and a [`VersionError`] (see
+/// [`VersionError::in_io`]) for a file that is neither empty, nor a prefix
+/// of the format-2 header, nor opened by it.
 pub fn scan(path: &Path) -> io::Result<WalScan> {
     let mut bytes = Vec::new();
     match File::open(path) {
@@ -326,8 +348,14 @@ pub fn scan(path: &Path) -> io::Result<WalScan> {
         Err(e) => return Err(e),
     }
     let total_len = bytes.len() as u64;
+    let mut offset = if bytes.len() < HEADER.len() && HEADER.starts_with(&bytes) {
+        0 // nothing, or a torn first write after `create` or `reset`
+    } else {
+        let rest = bytes.strip_prefix(&HEADER[..4]).unwrap_or_default();
+        VersionError::strip("write-ahead log", &MAGIC, rest)?;
+        HEADER.len()
+    };
     let mut blocks = Vec::new();
-    let mut offset = 0usize;
     // A torn frame header (or clean EOF at an empty rest) ends the scan.
     while let Some((len, rest)) = bytes[offset..].split_first_chunk::<4>() {
         let Some((stored, rest)) = rest.split_first_chunk::<8>() else {
@@ -340,14 +368,14 @@ pub fn scan(path: &Path) -> io::Result<WalScan> {
         let Some(payload) = rest.get(..len) else {
             break; // torn payload
         };
-        if fnv1a(payload) != stored {
+        if checksum64(payload) != stored {
             break; // corrupt payload
         }
-        let Ok(record) = decode_record(payload) else {
+        let Ok(block) = decode_record(payload) else {
             break; // checksummed garbage (e.g. written by a newer version)
         };
-        blocks.extend(record);
-        offset += 12 + len;
+        blocks.push(block);
+        offset += FRAME_HEAD + len;
     }
     Ok(WalScan {
         blocks,
@@ -380,50 +408,34 @@ mod tests {
         Block::build(parent, number, vec![tx], Vec::new(), Hash256::ZERO, None)
     }
 
-    /// Frames a record in the legacy transaction-record layout: the tag,
-    /// the `u64` fields (`txn_id` first), then `tail`.
-    fn push_legacy(buf: &mut Vec<u8>, tag: u8, fields: &[u64], tail: &[u8]) {
-        let mut payload = vec![tag];
-        for field in fields {
-            payload.extend_from_slice(&field.to_le_bytes());
-        }
-        payload.extend_from_slice(tail);
-        push_frame(buf, &payload);
+    #[test]
+    fn the_header_is_a_frame_naming_the_format() {
+        assert_eq!(HEADER[..4], 4u32.to_le_bytes());
+        assert_eq!(HEADER[4..12], MAGIC);
+        assert_eq!(HEADER[12..], crate::FORMAT_VERSION.to_le_bytes());
     }
 
     #[test]
-    fn legacy_transaction_records_are_skipped() {
-        // What an earlier version wrote for one block: a begin, one op
-        // (txn, space, key, mode) and a commit record, the seal, then an
-        // abort of the next block's first attempt.
-        let path = temp_path("legacy");
+    fn the_header_goes_out_with_the_first_seal() {
+        let path = temp_path("header");
+        let wal = Wal::create(&path, DurabilityMode::Buffered).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"", "no seal, no bytes");
         let b1 = sample_block(1, Hash256::ZERO);
-        let mut log = Vec::new();
-        push_legacy(&mut log, 1, &[7], &[]);
-        push_legacy(&mut log, 2, &[7, 3, 9], &[2]);
-        push_legacy(&mut log, 3, &[7], &[]);
-        log.extend_from_slice(&seal_frame(&b1));
-        push_legacy(&mut log, 4, &[8], &[]);
-        std::fs::write(&path, &log).unwrap();
-
-        let wal = Wal::open_append(&path, DurabilityMode::Buffered).unwrap();
-        assert_eq!(wal.written_len(), log.len() as u64, "nothing truncated");
-        let b2 = sample_block(2, b1.hash());
-        wal.seal_block(&b2).unwrap();
-        drop(wal);
-
-        let scanned = scan(&path).unwrap();
-        assert!(!scanned.torn());
-        assert_eq!(scanned.blocks, vec![b1, b2]);
-
-        // Any other tag is still the end of the valid prefix.
-        let valid = std::fs::read(&path).unwrap();
-        let mut unknown = valid.clone();
-        push_legacy(&mut unknown, 9, &[1], &[]);
-        std::fs::write(&path, &unknown).unwrap();
-        let scanned = scan(&path).unwrap();
-        assert_eq!(scanned.valid_len, valid.len() as u64);
-        assert_eq!(scanned.blocks.len(), 2);
+        wal.seal_block(&b1).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[..16], HEADER);
+        let mut plain = Encoder::new();
+        b1.encode(&mut plain);
+        assert_eq!(bytes.len(), 16 + FRAME_HEAD + 1 + plain.len());
+        assert_eq!(bytes[FRAME_HEAD + 17..], *plain.as_slice());
+        wal.reset().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"");
+        wal.seal_block(&b1).unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "reset writes it again"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -446,7 +458,7 @@ mod tests {
             let scanned = scan(&path).unwrap();
             assert!(scanned.torn());
             assert_eq!(scanned.valid_len, cut);
-            assert_eq!(scanned.blocks.len(), 1);
+            assert_eq!(scanned.blocks, std::slice::from_ref(&b1));
         }
 
         // Corrupt a payload byte of the second frame: same outcome.
@@ -460,10 +472,10 @@ mod tests {
         // Corruption in the *first* frame drops everything, including the
         // still-intact second frame: prefix semantics.
         let mut corrupt = full.clone();
-        corrupt[13] ^= 0xff;
+        corrupt[HEADER.len() + 13] ^= 0xff;
         std::fs::write(&path, &corrupt).unwrap();
         let scanned = scan(&path).unwrap();
-        assert_eq!(scanned.valid_len, 0);
+        assert_eq!(scanned.valid_len, HEADER.len() as u64);
         assert!(scanned.blocks.is_empty());
         std::fs::remove_file(&path).ok();
     }
@@ -490,8 +502,7 @@ mod tests {
 
         let scanned = scan(&path).unwrap();
         assert!(!scanned.torn());
-        let sealed: Vec<u64> = scanned.blocks.iter().map(|b| b.header.number).collect();
-        assert_eq!(sealed, vec![1, 2]);
+        assert_eq!(scanned.blocks, [b1, b2]);
         std::fs::remove_file(&path).ok();
     }
 

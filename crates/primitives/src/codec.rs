@@ -101,6 +101,17 @@ impl Encoder {
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
+
+    /// The encoded bytes, writable: for patching a field reserved earlier
+    /// (a length or checksum known only once what follows is written).
+    pub fn as_mut_slice(&mut self) -> &mut [u8] {
+        &mut self.buf
+    }
+
+    /// Forgets everything written, keeping the allocation for reuse.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
 }
 
 /// Error produced by [`Decoder`] when the input is truncated or malformed.

@@ -10,6 +10,8 @@
 //! * [`fnv`] — the FNV-1a 64-bit hash used to derive abstract-lock keys.
 //!   It is deliberately *not* cryptographic: a collision merely produces a
 //!   false conflict (extra serialization), never an incorrect result.
+//! * [`checksum`] — the word-at-a-time 64-bit checksum every on-disk
+//!   record carries (corruption detection, not tamper-proofing).
 //! * [`fx`] — the FxHash multiply-xor hasher (and `FxHashMap`/`FxHashSet`
 //!   aliases) for tables whose keys are already hashes, such as the lock
 //!   manager's shard tables and per-transaction held-lock maps.
@@ -44,6 +46,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod checksum;
 pub mod codec;
 pub mod fnv;
 pub mod fx;

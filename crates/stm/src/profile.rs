@@ -10,12 +10,12 @@
 //! During validation each transaction is replayed as a multi-version
 //! transaction (`cc_mvcc`), and the footprint its commit reports — the
 //! abstract locks it touched, strongest mode per lock — is its **trace**.
-//! The validator compares traces against [`LockProfile::lock_set`] and
-//! rejects the block on any mismatch.
+//! The validator compares each trace, sorted by lock, with the profile's
+//! `(lock, mode)` pairs (counters are a miner-side artifact) and rejects
+//! the block on any mismatch.
 
 use crate::lock::{LockId, LockMode};
 use crate::txn::TxnId;
-use std::collections::BTreeMap;
 
 /// One entry of a committed lock profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -50,12 +50,6 @@ impl LockProfile {
             .binary_search_by_key(&lock, |e| e.lock)
             .ok()
             .map(|i| &self.locks[i])
-    }
-
-    /// The set of `(lock, mode)` pairs, which is what a validator trace is
-    /// compared against (counters are a miner-side artifact).
-    pub fn lock_set(&self) -> BTreeMap<LockId, LockMode> {
-        self.locks.iter().map(|e| (e.lock, e.mode)).collect()
     }
 
     /// Whether this profile conflicts with `other`: they share a lock and
