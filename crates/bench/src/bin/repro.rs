@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [--threads N] [--reps R] [--quick] [--strategy NAME] [--json PATH] [COMMAND]
+//! repro [--threads N] [--reps R] [--quick] [--strategy speculative-stm|optimistic-mvcc] [--json PATH] [COMMAND]
 //! repro diff OLD.json NEW.json [--tolerance PCT] [--strict] [--section NAME]
 //! ```
 //!
@@ -13,7 +13,8 @@
 //!
 //! * `figure1-blocksize` / `figure1-conflict` — Figure 1's left and right
 //!   columns: serial / miner / validator ms ± stddev and both speedups,
-//!   `--strategy` (default `speculative-stm`) against the serial baseline.
+//!   `--strategy` (`speculative-stm`, the default, or `optimistic-mvcc`)
+//!   against the serial baseline, the speculative strategy on one worker.
 //!   `appendix-b` runs both: their ms ± stddev columns are Appendix B.
 //! * `table1` — both Figure-1 sections, then Table 1 derived from them,
 //!   ending with the overall mean and the paper's 1.33× / 1.69×.
@@ -49,11 +50,11 @@ use cc_bench::{
     measure_read_heavy, measure_serial_validation, measure_with, Timing, DEFAULT_THREADS,
     REPETITIONS,
 };
-use cc_core::engine::{Engine, EngineConfig, ExecutionStrategy};
+use cc_core::engine::{Engine, ExecutionStrategy};
 use cc_workload::{Benchmark, WorkloadSpec};
 use std::str::FromStr;
 
-const USAGE: &str = "usage: repro [--threads N] [--reps R] [--quick] [--strategy NAME] [--json PATH] \
+const USAGE: &str = "usage: repro [--threads N] [--reps R] [--quick] [--strategy speculative-stm|optimistic-mvcc] [--json PATH] \
 [figure1-blocksize|figure1-conflict|table1|appendix-b|ablation|contention|micro|schedule|read-heavy|abort-rate|state-root|perf|all]
        repro diff OLD.json NEW.json [--tolerance PCT] [--strict] [--section NAME]";
 
@@ -62,9 +63,9 @@ struct Options {
     threads: usize,
     repetitions: usize,
     quick: bool,
-    /// The concurrent strategy the Figure-1 sweeps measure against the
-    /// serial baseline (`serial` is accepted but degenerate: it measures
-    /// the baseline against itself).
+    /// The concurrent strategy (`speculative-stm` or `optimistic-mvcc`)
+    /// the Figure-1 sweeps measure against the serial baseline, which is
+    /// the speculative strategy on one worker.
     strategy: ExecutionStrategy,
     command: String,
     /// Positional arguments after the command (`diff`'s two files).
@@ -386,8 +387,8 @@ fn table1(_: &Options, earlier: &[Table]) -> Vec<Row> {
     rows
 }
 
-/// Serial re-validation, validator thread scaling (the fork-join program
-/// need not match the miner's parallelism) and trace-check overhead.
+/// Serial re-validation and validator thread scaling (the fork-join
+/// program need not match the miner's parallelism).
 fn ablation(opts: &Options, _: &[Table]) -> Vec<Row> {
     let workload = WorkloadSpec::new(Benchmark::Mixed, 200, 0.15).generate();
     let base = measure(&workload, opts.threads, opts.repetitions);
@@ -416,17 +417,6 @@ fn ablation(opts: &Options, _: &[Table]) -> Vec<Row> {
         let case = format!("validator-{threads}-threads");
         rows.push(Row::new([case], time_validator(&validator)));
     }
-    let with_checks = engine(ExecutionStrategy::SpeculativeStm, opts.threads);
-    let without_checks = EngineConfig::new()
-        .threads(opts.threads)
-        .check_traces(false)
-        .build()
-        .expect("valid config");
-    rows.push(Row::new(["trace-checks-on"], time_validator(&with_checks)));
-    rows.push(Row::new(
-        ["trace-checks-off"],
-        time_validator(&without_checks),
-    ));
     rows
 }
 
@@ -659,6 +649,8 @@ mod tests {
             "--threads x perf",
             "--reps x",
             "--threads 0",
+            // The serial baseline is a thread count, not a strategy.
+            "--strategy serial table1",
         ] {
             assert!(parse_args(args(line)).is_err(), "`{line}` was accepted");
         }

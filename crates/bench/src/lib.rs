@@ -125,7 +125,7 @@ pub fn measure_with(
     threads: usize,
     repetitions: usize,
 ) -> Measurement {
-    let serial_engine = engine(ExecutionStrategy::Serial, threads);
+    let serial_engine = Engine::serial();
     let speculative_engine = engine(strategy, threads);
 
     // A reference block for the validator runs (any honest parallel block
@@ -178,7 +178,7 @@ pub fn measure_serial_validation(
     let reference = engine(ExecutionStrategy::SpeculativeStm, threads)
         .mine(&workload.build_world(), workload.transactions())
         .expect("reference mining succeeds");
-    let serial_engine = engine(ExecutionStrategy::Serial, threads);
+    let serial_engine = Engine::serial();
     time_runs(repetitions, || {
         let world = workload.build_world();
         let start = Instant::now();
@@ -384,16 +384,15 @@ impl AbortRatePoint {
     }
 }
 
-/// Mines `workload` repeatedly under the serial and both concurrent
+/// Mines `workload` repeatedly on the serial engine and both concurrent
 /// strategies and averages each one's abort accounting (one warm-up run
-/// plus `repetitions` measured runs per strategy, each on a fresh world).
+/// plus `repetitions` measured runs per engine, each on a fresh world).
 pub fn measure_abort_rate(
     workload: &Workload,
     threads: usize,
     repetitions: usize,
 ) -> AbortRatePoint {
-    let mine = |strategy: ExecutionStrategy| -> Vec<MinerStats> {
-        let engine = engine(strategy, threads);
+    let mine = |engine: Engine| -> Vec<MinerStats> {
         let mut runs: Vec<MinerStats> = (0..repetitions.max(1) + 1)
             .map(|_| {
                 engine
@@ -411,9 +410,9 @@ pub fn measure_abort_rate(
     fn ms(d: Duration) -> f64 {
         d.as_secs_f64() * 1_000.0
     }
-    let serial = mine(ExecutionStrategy::Serial);
-    let speculative = mine(ExecutionStrategy::SpeculativeStm);
-    let optimistic = mine(ExecutionStrategy::OptimisticMvcc);
+    let serial = mine(Engine::serial());
+    let speculative = mine(engine(ExecutionStrategy::SpeculativeStm, threads));
+    let optimistic = mine(engine(ExecutionStrategy::OptimisticMvcc, threads));
     AbortRatePoint {
         block_size: workload.transactions().len(),
         conflict: workload.spec().conflict,

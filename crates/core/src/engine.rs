@@ -1,11 +1,13 @@
 //! The engine: the one way to mine or validate a block.
 //!
-//! An [`EngineConfig`] names an [`ExecutionStrategy`], a worker-thread
-//! count and whether validation checks lock traces;
-//! [`EngineConfig::build`] turns it into an [`Engine`]: one execution pool,
-//! the mining driver that runs the strategy's per-transaction attempt on
-//! it, and the validator that replays a block as the fork-join program of
-//! the graph its lock profiles derive, on the same pool.
+//! An [`EngineConfig`] is an [`ExecutionStrategy`] and a worker-thread
+//! count; [`EngineConfig::build`] turns it into an [`Engine`]: one
+//! execution pool of that many workers, the mining driver that runs the
+//! strategy's per-transaction attempt on it, and the validator that
+//! replays a block as the fork-join program of the graph its lock profiles
+//! derive, on the same pool, holding every replayed lock trace to the
+//! published profile. The serial baseline is a preset, not a strategy:
+//! [`Engine::serial`] is the speculative strategy on one worker.
 //! Everything above `cc_stm` — the benchmark harness, the `repro` binary,
 //! the examples and the integration tests — goes through this module.
 //!
@@ -17,7 +19,7 @@
 //! # Example
 //!
 //! ```
-//! use cc_core::engine::{Engine, EngineConfig, ExecutionStrategy};
+//! use cc_core::engine::Engine;
 //! use cc_ledger::Transaction;
 //! use cc_vm::{Address, ArgValue, CallData, World, testing::CounterContract};
 //! use std::sync::Arc;
@@ -37,11 +39,9 @@
 //! let engine = Engine::default();
 //! let mined = engine.mine(&build_world(), txs.clone()).expect("mining succeeds");
 //!
-//! // A serial engine executes the same block the way Ethereum does today.
-//! let serial = EngineConfig::new()
-//!     .strategy(ExecutionStrategy::Serial)
-//!     .build()
-//!     .expect("valid config");
+//! // A serial engine — the same strategy on one worker — executes the
+//! // same block the way Ethereum does today.
+//! let serial = Engine::serial();
 //! let baseline = serial.mine(&build_world(), txs).expect("serial mining succeeds");
 //! assert_eq!(mined.block.header.state_root, baseline.block.header.state_root);
 //!
@@ -55,7 +55,6 @@ use crate::error::CoreError;
 use crate::miner::{self, MinedBlock};
 use crate::node::pending::PendingChain;
 use crate::stats::ValidationReport;
-use crate::validator::replay::Order;
 use cc_ledger::{Block, Transaction};
 use cc_primitives::hash::Hash256;
 use cc_primitives::pool::{PoolStats, WorkerPool};
@@ -67,19 +66,16 @@ use std::sync::Arc;
 /// Which concurrency back-end executes blocks.
 ///
 /// Marked non-exhaustive: more back-ends may follow, and consumers
-/// should be ready for new variants.
+/// should be ready for new variants. The serial baseline is not one: it
+/// is the speculative strategy on one worker ([`Engine::serial`]).
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecutionStrategy {
-    /// One transaction at a time, in block order — today's Ethereum
-    /// behaviour and the baseline all the paper's speedups are measured
-    /// against. It is the speculative strategy on a one-worker pool: its
-    /// blocks publish the same lock profiles, and it validates any block
-    /// as the others do, on its one worker.
-    Serial,
     /// The paper's pair: speculative STM mining (Algorithm 1) plus
     /// deterministic fork-join validation of the published schedule
-    /// (Algorithm 2).
+    /// (Algorithm 2). On one worker it executes one transaction at a time,
+    /// in block order — today's Ethereum behaviour and the baseline all
+    /// the paper's speedups are measured against.
     #[default]
     SpeculativeStm,
     /// OptSmart-style optimistic multi-version execution (Anjana et al.):
@@ -94,7 +90,6 @@ pub enum ExecutionStrategy {
 impl fmt::Display for ExecutionStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecutionStrategy::Serial => f.write_str("serial"),
             ExecutionStrategy::SpeculativeStm => f.write_str("speculative-stm"),
             ExecutionStrategy::OptimisticMvcc => f.write_str("optimistic-mvcc"),
         }
@@ -105,16 +100,15 @@ impl FromStr for ExecutionStrategy {
     type Err = CoreError;
 
     /// Parses the canonical names printed by [`fmt::Display`]
-    /// (`serial`, `speculative-stm`, `optimistic-mvcc`).
+    /// (`speculative-stm`, `optimistic-mvcc`).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "serial" => Ok(ExecutionStrategy::Serial),
             "speculative-stm" => Ok(ExecutionStrategy::SpeculativeStm),
             "optimistic-mvcc" => Ok(ExecutionStrategy::OptimisticMvcc),
             other => Err(CoreError::InvalidConfig {
                 reason: format!(
                     "unknown execution strategy {other:?} \
-                     (expected serial, speculative-stm or optimistic-mvcc)"
+                     (expected speculative-stm or optimistic-mvcc)"
                 ),
             }),
         }
@@ -138,12 +132,8 @@ impl FromStr for ExecutionStrategy {
 pub struct EngineConfig {
     /// The concurrency back-end to construct.
     pub strategy: ExecutionStrategy,
-    /// Worker threads for parallel strategies (ignored by
-    /// [`ExecutionStrategy::Serial`], which always runs one).
+    /// Worker threads of the engine's pool; one is the serial baseline.
     pub threads: usize,
-    /// Whether the validator compares every replayed lock trace with the
-    /// block's published profile. Disabling is ablation-only.
-    pub check_traces: bool,
 }
 
 impl Default for EngineConfig {
@@ -151,7 +141,6 @@ impl Default for EngineConfig {
         EngineConfig {
             strategy: ExecutionStrategy::default(),
             threads: EngineConfig::DEFAULT_THREADS,
-            check_traces: true,
         }
     }
 }
@@ -161,21 +150,15 @@ impl EngineConfig {
     /// is the single place that number lives.
     pub const DEFAULT_THREADS: usize = 3;
 
-    /// The default configuration: speculative STM, three threads, trace
-    /// checks on.
+    /// The default configuration: speculative STM, three threads.
     pub fn new() -> Self {
         EngineConfig::default()
     }
 
-    /// A configuration for the serial baseline.
+    /// The serial baseline: the speculative strategy on one worker, which
+    /// executes one transaction at a time, in block order.
     pub fn serial() -> Self {
-        EngineConfig::new().strategy(ExecutionStrategy::Serial)
-    }
-
-    /// A configuration for the paper's speculative strategy (explicit
-    /// form of [`EngineConfig::new`]).
-    pub fn speculative() -> Self {
-        EngineConfig::new().strategy(ExecutionStrategy::SpeculativeStm)
+        EngineConfig::new().threads(1)
     }
 
     /// A configuration for the optimistic multi-version strategy.
@@ -189,15 +172,10 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the worker-thread count for parallel strategies.
+    /// Sets the worker-thread count of the engine's pool, for mining and
+    /// validation alike; one is the serial baseline.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Toggles the validator's lock-trace checks.
-    pub fn check_traces(mut self, check: bool) -> Self {
-        self.check_traces = check;
         self
     }
 
@@ -214,17 +192,12 @@ impl EngineConfig {
         }
         // One execution pool per engine, shared by its miner and its
         // validator (and by every clone of the engine). Helper threads
-        // start with the first block that can use them, not here. This is
-        // the one thing the serial strategy changes: its pool has one
-        // worker, so it mines with the pessimistic attempt one transaction
-        // at a time and replays a block's derived fork-join program as a
-        // walk on the calling thread. Every strategy publishes the graph
-        // of its lock profiles and every engine validates alike.
-        let workers = match self.strategy {
-            ExecutionStrategy::Serial => 1,
-            ExecutionStrategy::SpeculativeStm | ExecutionStrategy::OptimisticMvcc => self.threads,
-        };
-        let pool = Arc::new(WorkerPool::new(workers));
+        // start with the first block that can use them, not here. On one
+        // worker a block is mined one transaction at a time and its
+        // derived fork-join program replayed as a walk on the calling
+        // thread. Every strategy publishes the graph of its lock profiles
+        // and every engine validates alike.
+        let pool = Arc::new(WorkerPool::new(self.threads));
         Ok(Engine { config: self, pool })
     }
 }
@@ -258,13 +231,7 @@ impl fmt::Debug for Engine {
 }
 
 impl Engine {
-    /// Starts a configuration (alias for [`EngineConfig::new`], so call
-    /// sites can read `Engine::builder().threads(4).build()`).
-    pub fn builder() -> EngineConfig {
-        EngineConfig::new()
-    }
-
-    /// A serial-baseline engine.
+    /// The serial-baseline engine ([`EngineConfig::serial`]).
     pub fn serial() -> Engine {
         EngineConfig::serial()
             .build()
@@ -278,7 +245,7 @@ impl Engine {
     ///
     /// Returns [`CoreError::InvalidConfig`] when `threads` is zero.
     pub fn speculative(threads: usize) -> Result<Engine, CoreError> {
-        EngineConfig::speculative().threads(threads).build()
+        EngineConfig::new().threads(threads).build()
     }
 
     /// An optimistic multi-version engine with `threads` workers and
@@ -301,8 +268,7 @@ impl Engine {
         self.config.strategy
     }
 
-    /// Worker threads actually used when executing blocks (1 for the
-    /// serial strategy regardless of the configured count).
+    /// Worker threads of the engine's pool: its configured `threads`.
     pub fn threads(&self) -> usize {
         self.pool.workers()
     }
@@ -315,16 +281,9 @@ impl Engine {
     }
 
     /// The execution pool this engine mines, replays and takes state
-    /// roots on.
-    pub(crate) fn pool(&self) -> &WorkerPool {
+    /// roots on — for its validator and its node's pending chains alike.
+    pub(crate) fn pool(&self) -> &Arc<WorkerPool> {
         &self.pool
-    }
-
-    /// How this engine replays blocks: on its pool, with its trace
-    /// checks — for its validator and its node's pending chains alike.
-    pub(crate) fn replay_order(&self) -> Order {
-        let (pool, check_traces) = (Arc::clone(&self.pool), self.config.check_traces);
-        Order { pool, check_traces }
     }
 
     /// Executes `transactions` against `world` and assembles a block at
@@ -400,7 +359,7 @@ impl Engine {
     /// and resynchronizes.
     pub fn validate(&self, world: &World, block: &Block) -> Result<ValidationReport, CoreError> {
         let parent = block.header.parent_hash;
-        let mut pending = PendingChain::in_order(world, parent, 1, self.replay_order());
+        let mut pending = PendingChain::in_order(world, parent, 1, Arc::clone(&self.pool));
         let hash = pending.speculate(parent, block)?;
         pending.commit_reported(&hash).map(|(_, report)| report)
     }
@@ -436,7 +395,7 @@ mod tests {
             .collect()
     }
 
-    /// The serial engine and both concurrent ones, on three threads.
+    /// The serial preset, and both strategies on three threads.
     fn every_engine() -> [Engine; 3] {
         [
             Engine::serial(),
@@ -459,7 +418,15 @@ mod tests {
         assert_eq!(config.strategy, ExecutionStrategy::SpeculativeStm);
         assert_eq!(config.threads, EngineConfig::DEFAULT_THREADS);
         assert_eq!(config.threads, 3, "the paper's fixed pool of three threads");
-        assert!(config.check_traces);
+    }
+
+    #[test]
+    fn the_serial_preset_is_the_default_strategy_on_one_worker() {
+        let serial = Engine::serial();
+        assert_eq!(serial.config().threads, 1);
+        assert_eq!(serial.config(), &EngineConfig::new().threads(1));
+        assert_eq!(serial.strategy(), ExecutionStrategy::SpeculativeStm);
+        assert_eq!(serial.threads(), 1);
     }
 
     #[test]
@@ -519,7 +486,7 @@ mod tests {
         let stats = engine.pool_stats();
         assert_eq!((stats.helper_wakes, stats.caller_only_runs), (12, 3));
 
-        // The serial strategy's pool has one worker: it starts no helper.
+        // The serial preset's pool has one worker: it starts no helper.
         let serial = Engine::serial();
         let mined = serial.mine(&counter_world(), counter_txs(8)).unwrap();
         serial.validate(&counter_world(), &mined.block).unwrap();
@@ -553,7 +520,7 @@ mod tests {
                 .unwrap();
             let strategy = engine.strategy();
             assert_eq!(mined.block.hash().to_string(), expected, "{strategy}");
-            if strategy == ExecutionStrategy::Serial {
+            if engine.config() == &EngineConfig::serial() {
                 let stats = &mined.stats;
                 assert_eq!(stats.threads, 1);
                 assert_eq!(stats.retries, 0);
@@ -616,12 +583,12 @@ mod tests {
     }
 
     #[test]
-    fn trace_check_toggle_reaches_the_validator() {
+    fn every_engine_checks_lock_traces() {
         // A phantom exclusive lock in a space nobody else touches adds no
         // edge, so the derived graph still matches the published one and
         // only the trace check can reject the profile's lie.
         for engine in every_engine() {
-            let strategy = engine.strategy();
+            let config = engine.config();
             let mut block = engine.mine(&counter_world(), counter_txs(6)).unwrap().block;
             let schedule = block.schedule.as_mut().unwrap();
             let mut locks = schedule.profiles[0].profile.locks.clone();
@@ -634,10 +601,11 @@ mod tests {
             block.header.schedule_digest = schedule.digest();
 
             let err = engine.validate(&counter_world(), &block).unwrap_err();
-            assert!(err.to_string().contains("lock trace"), "{strategy}: {err}");
-            let lenient = engine.config().clone().check_traces(false).build();
-            let report = lenient.unwrap().validate(&counter_world(), &block);
-            assert_eq!(report.unwrap().state_root, block.header.state_root);
+            assert!(
+                matches!(err, CoreError::BlockRejected { .. }),
+                "{config:?}: {err:?}"
+            );
+            assert!(err.to_string().contains("lock trace"), "{config:?}: {err}");
         }
     }
 
@@ -648,13 +616,11 @@ mod tests {
         let mined = clone.mine(&counter_world(), counter_txs(4)).unwrap();
         engine.validate(&counter_world(), &mined.block).unwrap();
         assert!(format!("{engine:?}").contains("SpeculativeStm"));
-        assert!(ExecutionStrategy::Serial.to_string().contains("serial"));
     }
 
     #[test]
     fn strategy_names_round_trip_through_from_str() {
         for strategy in [
-            ExecutionStrategy::Serial,
             ExecutionStrategy::SpeculativeStm,
             ExecutionStrategy::OptimisticMvcc,
         ] {
@@ -666,6 +632,15 @@ mod tests {
             Err(CoreError::InvalidConfig { .. })
         ));
         assert!("Serial".parse::<ExecutionStrategy>().is_err());
+        // The serial baseline is a thread count, not a strategy: the error
+        // names the two there are.
+        match "serial".parse::<ExecutionStrategy>() {
+            Err(CoreError::InvalidConfig { reason }) => {
+                assert!(reason.contains("speculative-stm"), "{reason}");
+                assert!(reason.contains("optimistic-mvcc"), "{reason}");
+            }
+            parsed => panic!("serial parsed as {parsed:?}"),
+        }
     }
 
     #[test]

@@ -34,17 +34,16 @@
 //!    the overlay is flattened into the world.
 //!
 //! The serial baseline used throughout the paper's evaluation is the
-//! same engine under [`ExecutionStrategy::Serial`]: one worker, so one
-//! transaction at a time, in block order; it publishes and validates
-//! schedules like the others.
+//! same engine on one worker ([`Engine::serial`]): one transaction at a
+//! time, in block order; it publishes and validates schedules like the
+//! others.
 //!
 //! All of the above is selected and wired through **one entry point**:
-//! the [`engine`] module. An [`engine::EngineConfig`] names an
-//! [`engine::ExecutionStrategy`] (the serial baseline, the paper's
-//! speculative-STM pair, or optimistic multi-version execution), a
-//! worker-thread count and whether validation checks lock traces;
-//! building it yields an [`engine::Engine`], the only way to mine or
-//! validate a block.
+//! the [`engine`] module. An [`engine::EngineConfig`] is an
+//! [`engine::ExecutionStrategy`] (the paper's speculative-STM pair, or
+//! optimistic multi-version execution) and a worker-thread count, one
+//! for the serial baseline; building it yields an [`engine::Engine`], the
+//! only way to mine or validate a block.
 //!
 //! # Example
 //!

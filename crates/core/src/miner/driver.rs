@@ -44,10 +44,10 @@ pub(super) struct Executed {
 /// Mines `transactions` on `world` under `strategy`, on `pool`, as block
 /// `number` on top of `parent_hash`.
 ///
-/// The optimistic strategy runs the multi-version attempt; the others run
-/// the pessimistic one, and the serial baseline is that attempt on a
-/// one-worker pool: one transaction at a time, in block order. Every
-/// strategy publishes Algorithm 1's tail — the happens-before graph of the
+/// The optimistic strategy runs the multi-version attempt, the
+/// speculative one the pessimistic attempt; the serial baseline is the
+/// latter on a one-worker pool: one transaction at a time, in block
+/// order. Every strategy publishes Algorithm 1's tail — the happens-before graph of the
 /// committed lock profiles and the serial order it sorts into; the
 /// profiles move into the metadata, nothing is cloned.
 ///
@@ -71,7 +71,7 @@ pub(crate) fn mine_on(
     let locks_before = world.stm().lock_stats();
     let executed = match strategy {
         ExecutionStrategy::OptimisticMvcc => mvcc::execute(pool, world, &transactions)?,
-        _ => parallel::execute(pool, world, &transactions)?,
+        ExecutionStrategy::SpeculativeStm => parallel::execute(pool, world, &transactions)?,
     };
     let n = transactions.len();
     let graph = HappensBeforeGraph::from_profiles(&executed.profiles);

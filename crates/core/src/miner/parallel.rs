@@ -353,7 +353,6 @@ mod tests {
         ];
         let (world, addr) = upgrading_world();
         let engine = Engine::speculative(2).unwrap();
-        assert!(engine.config().check_traces);
         let mined = engine
             .mine(&world, upgrading_calls(addr, &methods))
             .unwrap();

@@ -72,6 +72,7 @@ use cc_ledger::{Block, Blockchain, ChainError, Transaction, WellFormedBlock};
 use cc_mempool::Mempool;
 use cc_primitives::hash::Hash256;
 use cc_vm::World;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The window both pipelined entry points default to: one block sealing
@@ -237,11 +238,11 @@ impl<'a, I: Iterator<Item = Block>> Follow<'a, I> {
     /// A follow source over the stage's world and head, holding at most
     /// the stage's window of overlays.
     pub(super) fn new(stage: &CommitStage<'a>, blocks: I) -> Self {
-        let order = stage.engine.replay_order();
+        let pool = Arc::clone(stage.engine.pool());
         let head = stage.chain.head_hash();
         Follow {
             blocks: blocks.fuse(),
-            pending: PendingChain::in_order(stage.world, head, stage.window, order),
+            pending: PendingChain::in_order(stage.world, head, stage.window, pool),
             rejection: None,
             report: None,
         }

@@ -55,8 +55,7 @@
 
 use crate::error::CoreError;
 use crate::stats::ValidationReport;
-use crate::validator::checks;
-use crate::validator::replay::Order;
+use crate::validator::{checks, replay};
 use cc_ledger::{Block, WellFormedBlock};
 use cc_mvcc::Timestamp;
 use cc_primitives::hash::Hash256;
@@ -99,8 +98,8 @@ pub struct PendingState {
 pub struct PendingChain<'w> {
     world: &'w World,
     max_in_flight: usize,
-    /// How speculation orders a block's replay.
-    order: Order,
+    /// The pool a block's replay and its state root run on.
+    pool: Arc<WorkerPool>,
     /// Hash of the last *committed* block — what the base state answers
     /// for.
     committed_hash: Hash256,
@@ -117,22 +116,22 @@ impl<'w> PendingChain<'w> {
     /// replays each block as its fork-join program on a one-worker pool
     /// of its own.
     pub fn new(world: &'w World, head_hash: Hash256, max_in_flight: usize) -> Self {
-        let order = Order::fork_join(Arc::new(WorkerPool::new(1)));
-        PendingChain::in_order(world, head_hash, max_in_flight, order)
+        let pool = Arc::new(WorkerPool::new(1));
+        PendingChain::in_order(world, head_hash, max_in_flight, pool)
     }
 
-    /// [`PendingChain::new`] replaying in an engine's `order` instead: on
-    /// its shared pool, with its trace checks.
+    /// [`PendingChain::new`] replaying on an engine's shared `pool`
+    /// instead.
     pub(crate) fn in_order(
         world: &'w World,
         head_hash: Hash256,
         max_in_flight: usize,
-        order: Order,
+        pool: Arc<WorkerPool>,
     ) -> Self {
         PendingChain {
             world,
             max_in_flight: max_in_flight.max(1),
-            order,
+            pool,
             committed_hash: head_hash,
             base_boundary: world.mvcc().oracle().latest(),
             entries: VecDeque::new(),
@@ -212,7 +211,7 @@ impl<'w> PendingChain<'w> {
     /// the graph the block's lock profiles derive, and everything that
     /// does not require the flattened base is checked — well-formedness,
     /// parent linkage, the published schedule against the derived one,
-    /// receipts, and (unless disabled) the lock traces. The state root is
+    /// receipts, and the lock traces. The state root is
     /// checked at [`PendingChain::commit`], where the base exists to
     /// hash.
     ///
@@ -255,9 +254,7 @@ impl<'w> PendingChain<'w> {
         // to, only here — before the run starts and after it has joined.
         let rollback = self.tip_boundary();
         let runtime = self.world.mvcc();
-        let (block, report) = self
-            .order
-            .validate(self.world, block)
+        let (block, report) = replay::validate(&self.pool, self.world, block)
             .inspect_err(|_| runtime.discard_above(rollback))?;
         let hash = block.hash();
         self.entries.push_back(PendingEntry {
@@ -303,7 +300,7 @@ impl<'w> PendingChain<'w> {
         let flatten = Instant::now();
         let runtime = self.world.mvcc();
         runtime.finalize_below(entry.boundary);
-        let state_root = self.world.state_root_on(&self.order.pool);
+        let state_root = self.world.state_root_on(&self.pool);
         if let Some(reason) = checks::state_root_mismatch(&entry.block, state_root) {
             // The bad block's effects are in the base now; nothing built
             // on them can be trusted. Drop every pending descendant and
@@ -571,24 +568,21 @@ mod tests {
         bare.header.schedule_digest = Hash256::ZERO;
 
         // A serially-mined block publishes its lock profiles like any
-        // other, so the strict chain replays it. One without a schedule is
-        // refused with trace checks on or off, before anything runs, and
-        // the honest block still follows.
+        // other, so a chain on any pool replays it and checks its traces.
+        // One without a schedule is refused before anything runs, and the
+        // honest block still follows.
         let world = fresh_world();
         let parent = block.header.parent_hash;
-        let lenient = Order {
-            check_traces: false,
-            ..Order::fork_join(Arc::new(WorkerPool::new(2)))
-        };
-        let mut lenient = PendingChain::in_order(&world, parent, 2, lenient);
-        let mut strict = PendingChain::new(&world, parent, 2);
-        for pending in [&mut lenient, &mut strict] {
+        let two = Arc::new(WorkerPool::new(2));
+        let mut pooled = PendingChain::in_order(&world, parent, 2, two);
+        let mut caller_only = PendingChain::new(&world, parent, 2);
+        for pending in [&mut pooled, &mut caller_only] {
             let err = pending.speculate(parent, &bare).unwrap_err();
             assert_eq!(err, CoreError::MissingSchedule);
             assert!(pending.is_empty());
         }
-        let hash = strict.speculate(parent, &block).unwrap();
-        strict.commit(&hash).unwrap();
+        let hash = pooled.speculate(parent, &block).unwrap();
+        pooled.commit(&hash).unwrap();
         assert_eq!(world.state_root(), block.header.state_root);
     }
 }

@@ -1,7 +1,6 @@
 #![cfg(test)]
 
 use super::*;
-use crate::engine::ExecutionStrategy;
 use cc_ledger::SnapshotFile;
 use cc_vm::testing::CounterContract;
 use cc_vm::{Address, ArgValue, CallData};
@@ -535,7 +534,7 @@ fn builder_defaults_and_shared_engines() {
         .engine(engine)
         .build()
         .unwrap();
-    assert_eq!(a.engine().strategy(), ExecutionStrategy::Serial);
+    assert_eq!(a.engine().threads(), 1);
     let mined = a.mine_and_append(block_txs(0, 5)).unwrap();
     b.validate_and_append(&mined.block).unwrap();
     assert_eq!(a.world().state_root(), b.world().state_root());

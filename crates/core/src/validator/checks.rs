@@ -39,9 +39,8 @@ pub(crate) fn state_root_mismatch(block: &Block, replayed: Hash256) -> Option<St
 
 /// The verdict over one replay of `block`, every check in one place:
 ///
-/// * when the validator checks traces (`published` is the block's
-///   schedule), the replayed lock `traces` must equal the published
-///   profiles ([`trace_mismatches`]),
+/// * the replayed lock `traces` must equal the profiles of the block's
+///   schedule ([`trace_mismatches`]),
 /// * the `replayed` receipts must equal the block's.
 ///
 /// The state root is not here: it exists only once the overlay the
@@ -52,12 +51,13 @@ pub(crate) fn state_root_mismatch(block: &Block, replayed: Hash256) -> Option<St
 /// [`CoreError::BlockRejected`] carrying every reason, if there is one.
 pub(crate) fn verdict(
     block: &Block,
-    published: Option<&ScheduleMetadata>,
     traces: &[Trace],
     replayed: &[Receipt],
 ) -> Result<(), CoreError> {
-    let mut reasons =
-        published.map_or_else(Vec::new, |schedule| trace_mismatches(schedule, traces));
+    let mut reasons = block
+        .schedule
+        .as_ref()
+        .map_or_else(Vec::new, |schedule| trace_mismatches(schedule, traces));
     reasons.extend(receipt_mismatches(&block.receipts, replayed));
     if reasons.is_empty() {
         return Ok(());

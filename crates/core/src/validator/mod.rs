@@ -7,8 +7,8 @@
 pub(crate) mod checks;
 pub(crate) mod replay;
 
-// The kernel on the concurrent engines' pools and on the serial engine's
-// one worker, one test module each.
+// The kernel on the serial preset's one worker and on both strategies'
+// pools, one test module each.
 #[cfg(test)]
 mod parallel;
 #[cfg(test)]

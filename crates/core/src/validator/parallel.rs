@@ -1,8 +1,8 @@
 //! Validation by the concurrent engines: the speculative and the optimistic
 //! engine both replay a block as the fork-join program of the
 //! happens-before graph its lock profiles derive, on their pool, checking
-//! each replayed lock trace against the published profile unless trace
-//! checks are off. Every case here runs on both.
+//! each replayed lock trace against the published profile. Every case here
+//! runs on both.
 
 #[cfg(test)]
 mod tests {
@@ -70,11 +70,6 @@ mod tests {
             Engine::speculative(threads).unwrap(),
             Engine::optimistic(threads).unwrap(),
         ]
-    }
-
-    /// `engine` with its validator's trace checks off.
-    fn lenient(engine: &Engine) -> Engine {
-        engine.config().clone().check_traces(false).build().unwrap()
     }
 
     #[test]
@@ -161,32 +156,12 @@ mod tests {
     }
 
     #[test]
-    fn ablation_mode_skips_trace_checks_but_still_checks_state() {
-        for engine in fork_join_engines(3) {
-            let strategy = engine.strategy();
-            let mined = engine.mine(&counter_world(), counter_txs(8)).unwrap();
-            let lenient = lenient(&engine);
-            let report = lenient.validate(&counter_world(), &mined.block).unwrap();
-            assert_eq!(
-                report.state_root, mined.block.header.state_root,
-                "{strategy}"
-            );
-            let mut block = mined.block.clone();
-            block.header.state_root = cc_primitives::sha256(b"forged");
-            assert!(
-                lenient.validate(&counter_world(), &block).is_err(),
-                "{strategy}"
-            );
-        }
-    }
-
-    #[test]
     fn serial_blocks_are_also_validatable_in_parallel() {
         let mined = Engine::serial()
             .mine(&counter_world(), counter_txs(6))
             .unwrap();
         // The serial miner publishes its lock profiles like the others, so
-        // the strict fork-join validators replay its block.
+        // the fork-join validators replay its block.
         for engine in fork_join_engines(2) {
             let strategy = engine.strategy();
             let report = engine.validate(&counter_world(), &mined.block).unwrap();

@@ -7,8 +7,8 @@
 //! as a pending overlay (see [`crate::node::pending`]). Every engine
 //! replays this way; the serial one does it on its one-worker pool, where
 //! the fork-join program is a walk on the calling thread. Every validation
-//! entry point is [`Order::validate`]: well-formedness, [`replay`], the
-//! verdict of [`checks`]. The state root is checked once the overlay is
+//! entry point is [`validate`]: well-formedness, [`replay`], the verdict of
+//! [`checks`]. The state root is checked once the overlay is
 //! flattened, by `PendingChain::commit`.
 
 use super::checks;
@@ -20,7 +20,7 @@ use cc_ledger::{Block, Transaction, WellFormedBlock};
 use cc_primitives::pool::WorkerPool;
 use cc_stm::{LockId, LockMode};
 use cc_vm::{Receipt, TxnRef, World};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// The abstract locks one replayed transaction would have held, strongest
@@ -34,17 +34,6 @@ type Replayed = Result<(Receipt, Trace), String>;
 /// What a block's replay recorded: receipts and traces in block order,
 /// and the graph the fork-join program was built from.
 pub(crate) type Recorded = (Vec<Receipt>, Vec<Trace>, HappensBeforeGraph);
-
-/// How an engine replays blocks — for its validator and for its node's
-/// followers alike.
-#[derive(Debug, Clone)]
-pub(crate) struct Order {
-    /// The pool the fork-join program runs on.
-    pub(crate) pool: Arc<WorkerPool>,
-    /// Whether the verdict checks the replayed traces against the
-    /// published profiles. Off: ablation only.
-    pub(crate) check_traces: bool,
-}
 
 /// Executes transaction `index` of a block on `world` as a multi-version
 /// transaction whose versions stay in the pending overlay. The order
@@ -109,46 +98,36 @@ pub(crate) fn replay(
     Ok((receipts, traces, graph))
 }
 
-impl Order {
-    /// The order on `pool`, with the trace checks on.
-    pub(crate) fn fork_join(pool: Arc<WorkerPool>) -> Self {
-        let check_traces = true;
-        Order { pool, check_traces }
-    }
-
-    /// Validates `block` on `world`'s pending overlay: the structural
-    /// prologue, the replay, and the verdict. Hands the block back with
-    /// the proof that its commitments were checked (once, here), and the
-    /// report, whose root is the block's claim, checked when the overlay
-    /// is flattened (`PendingChain::commit`).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::MissingSchedule`] / [`CoreError::MalformedSchedule`]
-    /// when no fork-join program can be derived from the block;
-    /// [`CoreError::BlockRejected`] when the block is dishonest. Any of
-    /// them may leave versions of the block in the overlay, for the
-    /// caller to discard.
-    pub(crate) fn validate(
-        &self,
-        world: &World,
-        block: Block,
-    ) -> Result<(WellFormedBlock, ValidationReport), CoreError> {
-        let start = Instant::now();
-        let block = checks::well_formed(block)?;
-        let (receipts, traces, graph) =
-            replay(&block, &self.pool, |index, tx| execute(world, index, tx))?;
-        let published = block.schedule.as_ref().filter(|_| self.check_traces);
-        checks::verdict(&block, published, &traces, &receipts)?;
-        let report = ValidationReport {
-            threads: self.pool.workers(),
-            transactions: block.transactions.len(),
-            state_root: block.header.state_root,
-            elapsed: start.elapsed(),
-            critical_path: graph.critical_path(),
-        };
-        Ok((block, report))
-    }
+/// Validates `block` on `world`'s pending overlay, replaying it on `pool`:
+/// the structural prologue, the replay, and the verdict. Hands the block
+/// back with the proof that its commitments were checked (once, here), and
+/// the report, whose root is the block's claim, checked when the overlay
+/// is flattened (`PendingChain::commit`).
+///
+/// # Errors
+///
+/// [`CoreError::MissingSchedule`] / [`CoreError::MalformedSchedule`]
+/// when no fork-join program can be derived from the block;
+/// [`CoreError::BlockRejected`] when the block is dishonest. Any of them
+/// may leave versions of the block in the overlay, for the caller to
+/// discard.
+pub(crate) fn validate(
+    pool: &WorkerPool,
+    world: &World,
+    block: Block,
+) -> Result<(WellFormedBlock, ValidationReport), CoreError> {
+    let start = Instant::now();
+    let block = checks::well_formed(block)?;
+    let (receipts, traces, graph) = replay(&block, pool, |index, tx| execute(world, index, tx))?;
+    checks::verdict(&block, &traces, &receipts)?;
+    let report = ValidationReport {
+        threads: pool.workers(),
+        transactions: block.transactions.len(),
+        state_root: block.header.state_root,
+        elapsed: start.elapsed(),
+        critical_path: graph.critical_path(),
+    };
+    Ok((block, report))
 }
 
 #[cfg(test)]
@@ -162,6 +141,7 @@ mod tests {
     use cc_vm::testing::CounterContract;
     use cc_vm::{Address, ArgValue, CallData};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     const POOLS: [usize; 4] = [1, 2, 3, 8];
 
@@ -242,29 +222,30 @@ mod tests {
         transfers.chain(checks).collect()
     }
 
-    /// The order on pools of each size.
-    fn orders() -> Vec<Order> {
-        let on_pool = |workers| Order::fork_join(Arc::new(WorkerPool::new(workers)));
-        POOLS.map(on_pool).into()
+    /// Pools of each size.
+    fn pools() -> Vec<Arc<WorkerPool>> {
+        POOLS
+            .map(|workers| Arc::new(WorkerPool::new(workers)))
+            .into()
     }
 
-    /// The kernel alone, in `order` on a fresh world: the receipts, the
+    /// The kernel alone, on `pool` and a fresh world: the receipts, the
     /// traces, and the root once the overlay is flattened.
     fn replay_cell(
-        order: &Order,
+        pool: &WorkerPool,
         world: &World,
         block: &Block,
     ) -> (Vec<Receipt>, Vec<Trace>, Hash256) {
         let (receipts, traces, _) =
-            replay(block, &order.pool, |index, tx| execute(world, index, tx)).unwrap();
+            replay(block, pool, |index, tx| execute(world, index, tx)).unwrap();
         world.mvcc().finalize_block();
         (receipts, traces, world.state_root())
     }
 
-    /// The public entry point that replays in `order`: a pending chain.
-    fn accept(order: &Order, world: &World, block: &Block) -> Hash256 {
+    /// The public entry point that replays on `pool`: a pending chain.
+    fn accept(pool: &Arc<WorkerPool>, world: &World, block: &Block) -> Hash256 {
         let parent = block.header.parent_hash;
-        let mut pending = PendingChain::in_order(world, parent, 1, order.clone());
+        let mut pending = PendingChain::in_order(world, parent, 1, Arc::clone(pool));
         let hash = pending.speculate(parent, block).unwrap();
         pending.commit(&hash).unwrap();
         world.state_root()
@@ -293,13 +274,13 @@ mod tests {
                 r.profile.locks.iter().map(|e| (e.lock, e.mode)).collect()
             };
             let profiles: Vec<Trace> = records.iter().map(profile).collect();
-            for order in orders() {
-                let cell = format!("{name}, {} thread(s)", order.pool.workers());
-                let (receipts, traces, replayed_root) = replay_cell(&order, &build_world(), &block);
+            for pool in pools() {
+                let cell = format!("{name}, {} thread(s)", pool.workers());
+                let (receipts, traces, replayed_root) = replay_cell(&pool, &build_world(), &block);
                 assert_eq!(receipts, block.receipts, "{cell}");
                 assert_eq!(traces, profiles, "{cell}");
                 assert_eq!(replayed_root, root, "{cell}");
-                assert_eq!(accept(&order, &build_world(), &block), root, "{cell}");
+                assert_eq!(accept(&pool, &build_world(), &block), root, "{cell}");
             }
         }
     }
@@ -325,12 +306,12 @@ mod tests {
             ("another topological order", forge(|order| order.swap(0, 1))),
             ("no schedule", bare),
         ];
-        for order in orders() {
+        for pool in pools() {
             for (case, block) in &forgeries {
-                let case = format!("{case}, {} thread(s)", order.pool.workers());
+                let case = format!("{case}, {} thread(s)", pool.workers());
                 let ran = AtomicUsize::new(0);
                 let world = counter_world();
-                let err = replay(block, &order.pool, |index, tx| {
+                let err = replay(block, &pool, |index, tx| {
                     ran.fetch_add(1, Ordering::Relaxed);
                     execute(&world, index, tx)
                 })
@@ -353,15 +334,15 @@ mod tests {
             .mine(&counter_world(), counter_txs(0, 12))
             .unwrap()
             .block;
-        for order in orders() {
+        for pool in pools() {
             let world = counter_world();
-            let err = replay(&block, &order.pool, |index, tx| match index {
+            let err = replay(&block, &pool, |index, tx| match index {
                 5 | 9 => Err(format!("no {index}")),
                 _ => execute(&world, index, tx),
             })
             .unwrap_err();
             let expected = CoreError::rejected("replay of transaction 5 failed: no 5");
-            assert_eq!(err, expected, "{} thread(s)", order.pool.workers());
+            assert_eq!(err, expected, "{} thread(s)", pool.workers());
         }
     }
 
@@ -393,12 +374,12 @@ mod tests {
     fn a_dropped_edge_is_malformed_in_every_cell() {
         let (blocks, racy) = chain_with_dropped_edges();
         let genesis = blocks[0].header.parent_hash;
-        for order in orders() {
-            let cell = format!("{} thread(s)", order.pool.workers());
+        for pool in pools() {
+            let cell = format!("{} thread(s)", pool.workers());
             // The rejected block is dropped whole: its pending predecessor
             // still commits, and so does the honest block in its place.
             let world = counter_world();
-            let mut pending = PendingChain::in_order(&world, genesis, 2, order);
+            let mut pending = PendingChain::in_order(&world, genesis, 2, pool);
             let first = pending.speculate(genesis, &blocks[0]).unwrap();
             let err = pending.speculate(first, &racy).unwrap_err();
             assert!(
@@ -429,10 +410,10 @@ mod tests {
         };
         let blocks = [mine(0), mine(100), mine(200)];
         let genesis = blocks[0].header.parent_hash;
-        for order in orders() {
-            let cell = format!("{} thread(s)", order.pool.workers());
+        for pool in pools() {
+            let cell = format!("{} thread(s)", pool.workers());
             let world = counter_world();
-            let mut pending = PendingChain::in_order(&world, genesis, 3, order);
+            let mut pending = PendingChain::in_order(&world, genesis, 3, pool);
             let first = pending.speculate(genesis, &blocks[0]).unwrap();
             let second = pending.speculate(first, &blocks[1]).unwrap();
             let third = pending.speculate(second, &blocks[2]).unwrap();

@@ -1,4 +1,4 @@
-//! Validation by the serial engine: the same replay as every engine's, the
+//! Validation by the serial preset: the same replay as every engine's, the
 //! fork-join program of the derived graph, on a one-worker pool — a walk
 //! on the calling thread that checks every commitment and lock trace.
 

@@ -1,14 +1,14 @@
 //! A miniature network: one mining node extends a chain with the paper's
 //! Mixed workload; one validating node checks and re-applies every block
 //! with the deterministic fork-join validator; a third, legacy node
-//! re-validates serially for comparison. Each node owns an `Engine`
-//! built from the strategy it runs.
+//! re-validates serially for comparison. Each node owns an `Engine`:
+//! a strategy and a thread count, one thread for the legacy node.
 //!
 //! ```text
 //! cargo run -p cc-examples --release --example full_node
 //! ```
 
-use cc_core::engine::{Engine, EngineConfig, ExecutionStrategy};
+use cc_core::engine::Engine;
 use cc_core::node::Node;
 use cc_examples::speedup;
 use cc_workload::{Benchmark, WorkloadSpec};
@@ -38,10 +38,7 @@ fn main() {
         .engine(engine)
         .build()
         .expect("valid config");
-    let legacy_engine = EngineConfig::new()
-        .strategy(ExecutionStrategy::Serial)
-        .build()
-        .expect("valid config");
+    let legacy_engine = Engine::serial();
     let legacy_world = template.build_world();
 
     let mut total_mining = Duration::ZERO;

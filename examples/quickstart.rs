@@ -52,8 +52,8 @@ fn main() {
 
     // 2. The paper's configuration is the default: speculative mining on
     //    a fixed pool of three threads. The same `EngineConfig` builder
-    //    also selects thread counts, strategies and trace checks — one
-    //    entry point for every consumer.
+    //    selects the strategy and the thread count — all there is to an
+    //    engine, and one entry point for every consumer.
     let engine = EngineConfig::new()
         .strategy(ExecutionStrategy::SpeculativeStm)
         .threads(EngineConfig::DEFAULT_THREADS)

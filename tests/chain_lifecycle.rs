@@ -51,7 +51,7 @@ fn serial_and_parallel_nodes_interoperate() {
     // A serial node and a speculative node take turns producing a chain
     // and following it, demonstrating the paper's "miner-only"
     // compatibility story: every miner publishes its lock profiles, and
-    // each validator, trace checks on, accepts the other kind's blocks.
+    // each validator accepts the other kind's blocks, traces checked.
     let spec = WorkloadSpec::new(Benchmark::Ballot, 40, 0.1);
     let template = spec.generate();
     let mut serial_node = Node::builder()

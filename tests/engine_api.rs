@@ -47,17 +47,17 @@ fn config_defaults_match_the_paper() {
     assert_eq!(config.strategy, ExecutionStrategy::SpeculativeStm);
     assert_eq!(config.threads, EngineConfig::DEFAULT_THREADS);
     assert_eq!(config.threads, 3, "the paper's fixed pool of three threads");
-    assert!(config.check_traces);
     assert_eq!(EngineConfig::new(), EngineConfig::default());
 
     // Fluent setters override one knob at a time.
     let custom = EngineConfig::new()
-        .strategy(ExecutionStrategy::Serial)
-        .threads(7)
-        .check_traces(false);
-    assert_eq!(custom.strategy, ExecutionStrategy::Serial);
+        .strategy(ExecutionStrategy::OptimisticMvcc)
+        .threads(7);
+    assert_eq!(custom.strategy, ExecutionStrategy::OptimisticMvcc);
     assert_eq!(custom.threads, 7);
-    assert!(!custom.check_traces);
+
+    // The serial baseline is a preset: the default strategy on one worker.
+    assert_eq!(EngineConfig::serial(), EngineConfig::new().threads(1));
 }
 
 #[test]
@@ -67,8 +67,8 @@ fn invalid_configs_are_rejected_at_build_time() {
     assert!(err.to_string().contains("thread"));
 
     assert!(Engine::speculative(0).is_err());
-    // The serial strategy still rejects a zero thread count rather than
-    // silently ignoring it.
+    // The serial preset is a thread count like any other: zero is
+    // rejected, not silently ignored.
     assert!(EngineConfig::serial().threads(0).build().is_err());
 }
 
@@ -280,7 +280,8 @@ fn node_builder_defaults_and_config_path() {
         .config(EngineConfig::serial())
         .build()
         .expect("valid config");
-    assert_eq!(node.engine().strategy(), ExecutionStrategy::Serial);
+    assert_eq!(node.engine().config(), &EngineConfig::serial());
+    assert_eq!(node.engine().threads(), 1);
 
     // An invalid config surfaces as a build error, not a panic.
     assert!(matches!(

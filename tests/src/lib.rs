@@ -30,17 +30,6 @@ pub fn optimistic_engine(threads: usize) -> Engine {
         .expect("test engine config is valid")
 }
 
-/// A speculative engine whose validator does not compare replayed lock
-/// traces with the published profiles — the ablation mode. It still
-/// derives every block's schedule from its profiles.
-pub fn lenient_engine(threads: usize) -> Engine {
-    EngineConfig::new()
-        .threads(threads)
-        .check_traces(false)
-        .build()
-        .expect("test engine config is valid")
-}
-
 /// Generates a workload for the given benchmark with a fixed seed.
 pub fn workload(benchmark: Benchmark, block_size: usize, conflict: f64, seed: u64) -> Workload {
     WorkloadSpec::new(benchmark, block_size, conflict)

@@ -7,11 +7,11 @@
 //! against different things. **Adversarial** integrity — a miner lying
 //! about schedules, receipts or state — rests entirely on the SHA-256
 //! commitments in the header and on deterministic replay; an adversary
-//! cannot recompute those without doing the honest work. The FNV-64
-//! checksums on the wire forms (framed WAL records, snapshot files,
-//! `Block::to_checked_bytes`) are **corruption detection** only: they
-//! catch torn writes and bit rot, but anyone who can rewrite the bytes
-//! can trivially recompute them.
+//! cannot recompute those without doing the honest work. The
+//! `cc_primitives::checksum::checksum64` on each wire form (framed WAL
+//! records, checkpoint files, `Block::to_checked_bytes`) is **corruption
+//! detection** only: it catches torn writes and bit rot, but anyone who can
+//! rewrite the bytes can trivially recompute it.
 
 use cc_contracts::SimpleAuction;
 use cc_core::error::CoreError;
@@ -19,7 +19,7 @@ use cc_core::miner::MinedBlock;
 use cc_core::node::{DurabilityConfig, Node};
 use cc_core::{Engine, FollowerConfig, HappensBeforeGraph};
 use cc_integration_tests::{
-    counter_world, engine, increment_tx, lenient_engine, optimistic_engine, serial_engine, workload,
+    counter_world, engine, increment_tx, optimistic_engine, serial_engine, workload,
 };
 use cc_ledger::wal::DurabilityMode;
 use cc_ledger::{
@@ -224,8 +224,8 @@ fn corrupted_serialized_block_is_rejected_with_a_typed_error() {
     let decoded = Block::from_checked_bytes(&bytes).expect("honest bytes decode");
     assert_eq!(decoded.hash(), mined.block.hash());
 
-    // Every single-byte corruption of the wire form is caught by the
-    // FNV-64 checksum (typed error, no panic) — this is what protects a
+    // Every single-byte corruption of the wire form is caught by its
+    // `checksum64` (typed error, no panic) — this is what protects a
     // block read back from the WAL or a snapshot file against *disk
     // corruption*. It is not a tamper-proofing mechanism: an adversary
     // rewriting the file recomputes the checksum for free, and is
@@ -572,7 +572,7 @@ fn lying_counters_are_rejected_on_receipts() {
 
 /// Before every miner published its lock profiles, a serial engine
 /// published a profile-less chain `0 → 1 → … → n−1`. No engine derives a
-/// schedule from that — trace checks on or off — and a log an old serial
+/// schedule from that, and a log an old serial
 /// node wrote is refused with a typed error, never replayed some other way.
 #[test]
 fn an_old_serial_block_is_malformed_and_its_log_is_refused() {
@@ -598,12 +598,7 @@ fn an_old_serial_block_is_malformed_and_its_log_is_refused() {
         });
     });
 
-    let engines = [
-        serial_engine(),
-        engine(2),
-        optimistic_engine(2),
-        lenient_engine(2),
-    ];
+    let engines = [serial_engine(), engine(2), optimistic_engine(2)];
     for engine in engines {
         let err = rejection(&engine, &counter_world(), &old);
         assert!(
@@ -625,7 +620,7 @@ fn an_old_serial_block_is_malformed_and_its_log_is_refused() {
 
 // ---- checkpoints: what recovery trusts, and why --------------------------
 //
-// A checkpoint file is rewritable by anyone who can recompute an FNV-64,
+// A checkpoint file is rewritable by anyone who can recompute a checksum64,
 // so none of its fields is trusted on its own. Recovery rests on three
 // facts instead: a file loads only if its `state_root` is its anchor
 // block's header root; the replay holds the world to every block's
