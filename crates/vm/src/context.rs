@@ -6,11 +6,9 @@ use crate::error::VmError;
 use crate::event::Event;
 use crate::gas::GasMeter;
 use crate::msg::Msg;
-use crate::world::{ContractRegistry, World};
+use crate::world::Contracts;
 use cc_mvcc::{MvccSavepoint, MvccTxn};
 use cc_stm::{Savepoint, Transaction};
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 /// Maximum depth of nested contract calls (Ethereum's limit is 1024; a
 /// small bound is plenty for the reproduced workloads and keeps runaway
@@ -97,41 +95,41 @@ impl std::fmt::Debug for TxnRef<'_> {
 /// speculative transaction, the `msg` context, the gas meter, the event
 /// sink and the ability to call other contracts.
 ///
+/// A transaction's call tree runs on one thread (paper §3: a nested call
+/// is a nested action of the same transaction), so a context borrows
+/// rather than shares: the one [`GasMeter`] of the transaction, owned by
+/// [`World::execute_in`](crate::World::execute_in) and reborrowed by every
+/// nested call, and the deployed contracts, resolved from the world's
+/// registry once per transaction.
+///
 /// Contract code receives `&mut CallContext` and uses
 /// [`crate::StorageMap`]-style wrappers (which charge gas and go through
 /// the boosted collections) for all persistent state.
 pub struct CallContext<'a> {
     txn: TxnRef<'a>,
-    world: &'a World,
-    /// Frozen registry snapshot shared by the whole call tree: nested
-    /// calls resolve contracts with a lock-free hash lookup instead of
-    /// re-locking the world's registry on every hop.
-    contracts: ContractRegistry,
+    contracts: &'a Contracts,
     msg: Msg,
     this: Address,
-    gas: Arc<Mutex<GasMeter>>,
+    gas: &'a mut GasMeter,
     events: Vec<Event>,
     depth: usize,
 }
 
 impl<'a> CallContext<'a> {
-    /// Creates the root context for one transaction. Normally called only
-    /// by [`World::call`].
+    /// Creates the root context for one transaction.
     pub(crate) fn root(
         txn: TxnRef<'a>,
-        world: &'a World,
-        contracts: ContractRegistry,
+        contracts: &'a Contracts,
         msg: Msg,
         this: Address,
-        gas: GasMeter,
+        gas: &'a mut GasMeter,
     ) -> Self {
         CallContext {
             txn,
-            world,
             contracts,
             msg,
             this,
-            gas: Arc::new(Mutex::new(gas)),
+            gas,
             events: Vec::new(),
             depth: 0,
         }
@@ -164,16 +162,15 @@ impl<'a> CallContext<'a> {
 
     /// Gas consumed so far by the whole transaction (across nested calls).
     pub fn gas_used(&self) -> u64 {
-        self.gas.lock().used()
+        self.gas.used()
     }
 
-    /// Performs the synthetic interpretation work associated with `gas`
-    /// units of contract execution (see [`crate::load`]).
-    fn interpret(&self, gas: u64) {
-        let factor = self.gas.lock().schedule().work_per_gas;
-        if factor > 0 {
-            crate::load::synthetic_load(gas.saturating_mul(factor));
-        }
+    /// Charges `gas` and then performs the synthetic interpretation work
+    /// of `work` gas units (see [`crate::load`]).
+    fn pay(&mut self, gas: u64, work: u64) -> Result<(), VmError> {
+        self.gas.charge(gas)?;
+        crate::load::synthetic_load(work.saturating_mul(self.gas.schedule().work_per_gas));
+        Ok(())
     }
 
     /// Charges `amount` gas.
@@ -182,9 +179,7 @@ impl<'a> CallContext<'a> {
     ///
     /// Returns [`VmError::OutOfGas`] when the limit is exceeded.
     pub fn charge(&mut self, amount: u64) -> Result<(), VmError> {
-        self.gas.lock().charge(amount)?;
-        self.interpret(amount);
-        Ok(())
+        self.pay(amount, amount)
     }
 
     /// Charges the base cost of a transaction. The base charge represents
@@ -196,13 +191,8 @@ impl<'a> CallContext<'a> {
     ///
     /// Returns [`VmError::OutOfGas`] when the limit is exceeded.
     pub fn charge_tx_base(&mut self) -> Result<(), VmError> {
-        let cost = {
-            let mut gas = self.gas.lock();
-            gas.charge_tx_base()?;
-            gas.schedule().tx_base / 4
-        };
-        self.interpret(cost);
-        Ok(())
+        let base = self.gas.schedule().tx_base;
+        self.pay(base, base / 4)
     }
 
     /// Charges a storage read.
@@ -211,13 +201,7 @@ impl<'a> CallContext<'a> {
     ///
     /// Returns [`VmError::OutOfGas`] when the limit is exceeded.
     pub fn charge_sload(&mut self) -> Result<(), VmError> {
-        let cost = {
-            let mut gas = self.gas.lock();
-            gas.charge_sload()?;
-            gas.schedule().sload
-        };
-        self.interpret(cost);
-        Ok(())
+        self.charge(self.gas.schedule().sload)
     }
 
     /// Charges a storage write.
@@ -226,13 +210,7 @@ impl<'a> CallContext<'a> {
     ///
     /// Returns [`VmError::OutOfGas`] when the limit is exceeded.
     pub fn charge_sstore(&mut self) -> Result<(), VmError> {
-        let cost = {
-            let mut gas = self.gas.lock();
-            gas.charge_sstore()?;
-            gas.schedule().sstore
-        };
-        self.interpret(cost);
-        Ok(())
+        self.charge(self.gas.schedule().sstore)
     }
 
     /// Charges `n` computation steps.
@@ -241,13 +219,7 @@ impl<'a> CallContext<'a> {
     ///
     /// Returns [`VmError::OutOfGas`] when the limit is exceeded.
     pub fn charge_steps(&mut self, n: u64) -> Result<(), VmError> {
-        let cost = {
-            let mut gas = self.gas.lock();
-            gas.charge_steps(n)?;
-            gas.schedule().step.saturating_mul(n)
-        };
-        self.interpret(cost);
-        Ok(())
+        self.charge(self.gas.schedule().step.saturating_mul(n))
     }
 
     /// Emits an event. Events are attached to the receipt only if the call
@@ -258,25 +230,21 @@ impl<'a> CallContext<'a> {
     /// Returns [`VmError::OutOfGas`] when charging the log cost exceeds the
     /// limit.
     pub fn emit(&mut self, name: &str, data: Vec<ArgValue>) -> Result<(), VmError> {
-        let cost = {
-            let mut gas = self.gas.lock();
-            gas.charge_log()?;
-            gas.schedule().log
-        };
-        self.interpret(cost);
+        self.charge(self.gas.schedule().log)?;
         self.events.push(Event::new(self.this, name, data));
         Ok(())
     }
 
-    /// Takes the events accumulated so far (used by [`World::call`] when
-    /// building the receipt).
-    pub(crate) fn take_events(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.events)
+    /// The events accumulated by the call tree (used by
+    /// [`World::execute_in`](crate::World::execute_in) when building the
+    /// receipt).
+    pub(crate) fn into_events(self) -> Vec<Event> {
+        self.events
     }
 
     /// Aborts the current call with a `throw`, exactly like Solidity's
-    /// `throw` statement: the caller of [`World::call`] rolls back all
-    /// tentative storage changes of this call.
+    /// `throw` statement: the caller of [`World::call`](crate::World::call)
+    /// rolls back all tentative storage changes of this call.
     ///
     /// # Errors
     ///
@@ -289,7 +257,8 @@ impl<'a> CallContext<'a> {
     /// Calls another contract as a **nested speculative action** (paper
     /// §3): if the callee throws, its storage effects are rolled back and
     /// the locks it acquired are released, without aborting this (parent)
-    /// call — the parent decides whether to propagate the failure.
+    /// call — the parent decides whether to propagate the failure. The
+    /// callee's gas stays on the transaction's one meter either way.
     ///
     /// # Errors
     ///
@@ -307,42 +276,25 @@ impl<'a> CallContext<'a> {
         if self.depth + 1 >= MAX_CALL_DEPTH {
             return Err(VmError::revert("max call depth exceeded"));
         }
-        let call_cost = {
-            let mut gas = self.gas.lock();
-            gas.charge_call()?;
-            gas.schedule().call
-        };
-        self.interpret(call_cost);
-        // Lock-free resolution against the call tree's frozen snapshot.
-        let callee = self
-            .contracts
-            .get(&to)
-            .cloned()
-            .ok_or(VmError::UnknownContract)?;
-
+        self.charge(self.gas.schedule().call)?;
+        let contracts = self.contracts;
+        let callee = contracts.get(&to).ok_or(VmError::UnknownContract)?;
         let mut child = CallContext {
             txn: self.txn,
-            world: self.world,
-            contracts: Arc::clone(&self.contracts),
+            contracts,
             msg: Msg {
                 sender: self.this,
                 value,
             },
             this: to,
-            gas: Arc::clone(&self.gas),
+            gas: &mut *self.gas,
             events: Vec::new(),
             depth: self.depth + 1,
         };
-
-        let result = self.txn.nested(|_| callee.call(&mut child, call));
-        match result {
-            Ok(ret) => {
-                // Child events become visible only through the parent.
-                self.events.append(&mut child.events);
-                Ok(ret)
-            }
-            Err(err) => Err(err),
-        }
+        let ret = self.txn.nested(|_| callee.call(&mut child, call))?;
+        // Child events become visible only through the parent.
+        self.events.append(&mut child.events);
+        Ok(ret)
     }
 }
 

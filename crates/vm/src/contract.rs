@@ -29,7 +29,11 @@ impl fmt::Display for ContractKind {
 ///
 /// Implementations must be `Send + Sync`: the same contract object is
 /// invoked concurrently by the miner's speculative worker threads, with
-/// all synchronization provided by the boosted storage underneath.
+/// all synchronization provided by the boosted storage underneath. One
+/// transaction's calls, nested ones included, all run on one thread: `call`
+/// gets the transaction's [`CallContext`] by `&mut`, and a nested call
+/// ([`CallContext::call_contract`]) hands the callee a child context that
+/// reborrows the same gas meter.
 pub trait Contract: Send + Sync {
     /// The contract kind (used in snapshots and diagnostics).
     fn kind(&self) -> ContractKind;

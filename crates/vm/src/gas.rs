@@ -73,15 +73,18 @@ impl GasSchedule {
     }
 }
 
-/// Tracks gas consumption for one transaction and enforces the limit.
+/// Tracks gas consumption for one transaction and enforces the limit: a
+/// limit and a counter. What an operation costs is priced from
+/// [`GasMeter::schedule`] by the one caller that charges,
+/// [`crate::CallContext`].
 ///
 /// # Example
 ///
 /// ```
 /// use cc_vm::{GasMeter, GasSchedule};
 /// let mut meter = GasMeter::new(30_000, GasSchedule::default());
-/// meter.charge_tx_base().unwrap();
-/// meter.charge_sload().unwrap();
+/// meter.charge(meter.schedule().tx_base).unwrap();
+/// meter.charge(meter.schedule().sload).unwrap();
 /// assert_eq!(meter.used(), 21_200);
 /// assert!(meter.remaining() < 9_000);
 /// ```
@@ -129,7 +132,8 @@ impl GasMeter {
     /// Returns [`VmError::OutOfGas`] when the limit would be exceeded; the
     /// caller must abort the contract call (the overdrawn amount remains
     /// recorded as used, mirroring Ethereum's "all gas consumed" rule for
-    /// `throw`).
+    /// `throw`, so a transaction whose meter ends overdrawn fails even when
+    /// a caller swallowed a nested call's error).
     pub fn charge(&mut self, amount: u64) -> Result<(), VmError> {
         self.used = self.used.saturating_add(amount);
         if self.used > self.limit {
@@ -139,60 +143,6 @@ impl GasMeter {
             });
         }
         Ok(())
-    }
-
-    /// Charges the per-transaction base cost.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmError::OutOfGas`] when the limit is exceeded.
-    pub fn charge_tx_base(&mut self) -> Result<(), VmError> {
-        self.charge(self.schedule.tx_base)
-    }
-
-    /// Charges one storage read.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmError::OutOfGas`] when the limit is exceeded.
-    pub fn charge_sload(&mut self) -> Result<(), VmError> {
-        self.charge(self.schedule.sload)
-    }
-
-    /// Charges one storage write.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmError::OutOfGas`] when the limit is exceeded.
-    pub fn charge_sstore(&mut self) -> Result<(), VmError> {
-        self.charge(self.schedule.sstore)
-    }
-
-    /// Charges one cross-contract call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmError::OutOfGas`] when the limit is exceeded.
-    pub fn charge_call(&mut self) -> Result<(), VmError> {
-        self.charge(self.schedule.call)
-    }
-
-    /// Charges one event emission.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmError::OutOfGas`] when the limit is exceeded.
-    pub fn charge_log(&mut self) -> Result<(), VmError> {
-        self.charge(self.schedule.log)
-    }
-
-    /// Charges `n` units of plain computation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmError::OutOfGas`] when the limit is exceeded.
-    pub fn charge_steps(&mut self, n: u64) -> Result<(), VmError> {
-        self.charge(self.schedule.step.saturating_mul(n))
     }
 }
 
@@ -208,22 +158,21 @@ mod tests {
 
     #[test]
     fn charges_accumulate() {
-        let mut m = GasMeter::new(100_000, GasSchedule::default());
-        m.charge_tx_base().unwrap();
-        m.charge_sload().unwrap();
-        m.charge_sstore().unwrap();
-        m.charge_call().unwrap();
-        m.charge_log().unwrap();
-        m.charge_steps(10).unwrap();
+        let s = GasSchedule::default();
+        let mut m = GasMeter::new(100_000, s);
+        for amount in [s.tx_base, s.sload, s.sstore, s.call, s.log, s.step * 10] {
+            m.charge(amount).unwrap();
+        }
         assert_eq!(m.used(), 21_000 + 200 + 5_000 + 700 + 375 + 30);
         assert_eq!(m.remaining(), 100_000 - m.used());
     }
 
     #[test]
     fn out_of_gas_is_detected() {
-        let mut m = GasMeter::new(21_100, GasSchedule::default());
-        m.charge_tx_base().unwrap();
-        let err = m.charge_sstore().unwrap_err();
+        let s = GasSchedule::default();
+        let mut m = GasMeter::new(21_100, s);
+        m.charge(s.tx_base).unwrap();
+        let err = m.charge(s.sstore).unwrap_err();
         assert!(matches!(err, VmError::OutOfGas { .. }));
         assert_eq!(m.remaining(), 0);
     }
@@ -232,7 +181,7 @@ mod tests {
     fn free_schedule_never_runs_out() {
         let mut m = GasMeter::new(0, GasSchedule::free());
         for _ in 0..100 {
-            m.charge_sstore().unwrap();
+            m.charge(m.schedule().sstore).unwrap();
         }
         assert_eq!(m.used(), 0);
     }

@@ -7,7 +7,9 @@
 //!
 //! * [`Address`] and [`Wei`] — account identifiers and currency amounts,
 //! * [`Msg`] — the implicit `msg` call context (`msg.sender`, `msg.value`),
-//! * [`GasMeter`] / [`GasSchedule`] — per-operation gas accounting with the
+//! * [`GasMeter`] / [`GasSchedule`] — a transaction's gas limit and
+//!   counter, and the per-operation prices [`CallContext`] charges from;
+//!   one meter per transaction, borrowed by every nested call, with the
 //!   Solidity `throw`-style out-of-gas abort,
 //! * [`VmError`] — contract-level failure (throw/revert, out of gas, bad
 //!   call), distinct from STM-level conflicts,

@@ -11,7 +11,6 @@ use crate::msg::Msg;
 use crate::receipt::{ExecutionStatus, Receipt};
 use crate::snapshot::WorldSnapshot;
 use cc_mvcc::MvccRuntime;
-use cc_primitives::fx::FxHashMap;
 use cc_primitives::hash::{Hash256, Sha256};
 use cc_primitives::pool::WorkerPool;
 use cc_stm::{Stm, StmError, Transaction};
@@ -22,11 +21,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// An immutable point-in-time view of the deployed-contract registry,
-/// shared by every call frame of a transaction so nested contract calls
-/// resolve their callee with a plain hash lookup — no registry lock, no
-/// `BTreeMap` walk per hop.
-pub type ContractRegistry = Arc<FxHashMap<Address, Arc<dyn Contract>>>;
+/// The deployed contracts, ordered by address for deterministic snapshots
+/// and roots. Execution borrows one frozen `Arc` of it per transaction.
+pub(crate) type Contracts = BTreeMap<Address, Arc<dyn Contract>>;
 
 /// The set of deployed contracts plus the speculative runtime they execute
 /// under — the "ledger state" a miner starts from when assembling a block.
@@ -34,22 +31,21 @@ pub type ContractRegistry = Arc<FxHashMap<Address, Arc<dyn Contract>>>;
 /// `World` is shared by reference across the miner's worker threads; all
 /// mutation happens through contract storage inside transactions.
 ///
-/// The registry is **read-mostly**: deploys (rare, setup-time) rebuild a
-/// frozen [`ContractRegistry`] snapshot, and execution reads only the
-/// snapshot.
+/// The registry is **read-mostly**: a deploy (rare, setup-time) swaps in a
+/// new frozen map, and execution reads a frozen map from a per-thread
+/// cache without crossing the registry lock.
 pub struct World {
     stm: Stm,
     mvcc: MvccRuntime,
     gas_schedule: GasSchedule,
-    /// Authoritative registry, ordered for deterministic snapshots.
-    contracts: RwLock<BTreeMap<Address, Arc<dyn Contract>>>,
-    /// Frozen lookup table rebuilt on every deploy.
-    resolved: RwLock<ContractRegistry>,
+    /// The registry: copied on write by [`World::deploy`] while a frozen
+    /// map is still shared, updated in place otherwise.
+    contracts: RwLock<Arc<Contracts>>,
     /// Identity of this world in the per-thread registry cache.
     world_id: u64,
-    /// Bumped (with `Release`) after each deploy swaps in a new frozen
-    /// snapshot, so [`World::registry`] can detect staleness with one
-    /// atomic load instead of crossing the `resolved` lock.
+    /// Bumped (with `Release`) after each deploy, so [`World::registry`]
+    /// can detect staleness with one atomic load instead of crossing the
+    /// `contracts` lock.
     registry_generation: AtomicU64,
     /// Work counters of every state root taken on this world.
     root_counters: RootCounters,
@@ -65,8 +61,8 @@ thread_local! {
     /// moves, so every [`World::registry`] call after the first — one per
     /// executed transaction — is an atomic load plus an `Arc` clone, with
     /// **zero** lock crossings. Keyed by `world_id` so tests running many
-    /// worlds on one thread never see each other's snapshots.
-    static REGISTRY_CACHE: RefCell<Option<(u64, u64, ContractRegistry)>> =
+    /// worlds on one thread never see each other's maps.
+    static REGISTRY_CACHE: RefCell<Option<(u64, u64, Arc<Contracts>)>> =
         const { RefCell::new(None) };
 }
 
@@ -92,8 +88,7 @@ impl World {
             stm: Stm::new(),
             mvcc: MvccRuntime::new(),
             gas_schedule: GasSchedule::default(),
-            contracts: RwLock::new(BTreeMap::new()),
-            resolved: RwLock::new(Arc::new(FxHashMap::default())),
+            contracts: RwLock::new(Arc::new(BTreeMap::new())),
             world_id: NEXT_WORLD_ID.fetch_add(1, Ordering::Relaxed),
             registry_generation: AtomicU64::new(0),
             root_counters: RootCounters::default(),
@@ -140,32 +135,24 @@ impl World {
             !contracts.contains_key(&address),
             "contract already deployed at {address}"
         );
-        contracts.insert(address, contract);
-        // Rebuild the frozen lookup snapshot (deploys are rare; lookups
-        // are the hot path), then publish the new generation. The store
-        // is `Release` so a thread that observes the bumped generation
-        // and misses its cache is guaranteed to read the new snapshot.
-        *self.resolved.write() = Arc::new(
-            contracts
-                .iter()
-                .map(|(addr, c)| (*addr, Arc::clone(c)))
-                .collect(),
-        );
+        Arc::make_mut(&mut contracts).insert(address, contract);
+        // The store is `Release` so a thread that observes the bumped
+        // generation and misses its cache reads the new map.
         self.registry_generation.fetch_add(1, Ordering::Release);
     }
 
     /// Looks up the contract deployed at `address`.
     pub fn contract(&self, address: Address) -> Option<Arc<dyn Contract>> {
-        self.resolved.read().get(&address).cloned()
+        self.contracts.read().get(&address).cloned()
     }
 
-    /// The frozen registry snapshot used for contract resolution during
-    /// execution. Lookups on the snapshot take no lock at all, and the
-    /// snapshot itself comes from a per-thread `(world, generation)`
-    /// cache: in steady state (no deploy since this thread last asked)
-    /// this is one atomic load and an `Arc` clone — zero lock crossings
-    /// per transaction, however deep its nested calls go.
-    pub fn registry(&self) -> ContractRegistry {
+    /// The frozen registry used for contract resolution during execution.
+    /// Lookups on it take no lock at all, and the map itself comes from a
+    /// per-thread `(world, generation)` cache: in steady state (no deploy
+    /// since this thread last asked) this is one atomic load and an `Arc`
+    /// clone — zero lock crossings per transaction, however deep its
+    /// nested calls go.
+    pub(crate) fn registry(&self) -> Arc<Contracts> {
         let generation = self.registry_generation.load(Ordering::Acquire);
         REGISTRY_CACHE.with(|cache| {
             let mut cache = cache.borrow_mut();
@@ -174,7 +161,7 @@ impl World {
                     return Arc::clone(registry);
                 }
             }
-            let fresh = Arc::clone(&self.resolved.read());
+            let fresh = Arc::clone(&self.contracts.read());
             *cache = Some((self.world_id, generation, Arc::clone(&fresh)));
             fresh
         })
@@ -237,34 +224,27 @@ impl World {
         call: &CallData,
         gas_limit: u64,
     ) -> Result<Receipt, StmError> {
-        let meter = GasMeter::new(gas_limit, self.gas_schedule);
+        let mut meter = GasMeter::new(gas_limit, self.gas_schedule);
         let registry = self.registry();
-        let callee = registry.get(&to).cloned();
-        let mut ctx = CallContext::root(txn, self, registry, msg, to, meter);
         let savepoint = txn.savepoint();
-
-        let outcome = ctx.charge_tx_base().and_then(|_| match callee {
+        let mut ctx = CallContext::root(txn, &registry, msg, to, &mut meter);
+        let outcome = ctx.charge_tx_base().and_then(|()| match registry.get(&to) {
             Some(contract) => contract.call(&mut ctx, call),
             None => Err(VmError::UnknownContract),
         });
+        let events = ctx.into_events();
+        // A nested out-of-gas leaves the one meter overdrawn even when a
+        // caller swallowed the error: the transaction still ran out.
+        let outcome = outcome.and_then(|output| meter.charge(0).map(|()| output));
 
         match outcome {
-            Ok(output) => {
-                debug_assert!(
-                    ctx.gas_used() <= gas_limit,
-                    "gas meter reported {} used against a limit of {gas_limit}",
-                    ctx.gas_used()
-                );
-                Ok(Receipt {
-                    tx_index,
-                    status: ExecutionStatus::Succeeded,
-                    // Clamped like the failure path: a meter bug must never
-                    // produce a successful receipt with gas_used > limit.
-                    gas_used: ctx.gas_used().min(gas_limit),
-                    output,
-                    events: ctx.take_events(),
-                })
-            }
+            Ok(output) => Ok(Receipt {
+                tx_index,
+                status: ExecutionStatus::Succeeded,
+                gas_used: meter.used(),
+                output,
+                events,
+            }),
             Err(err) => {
                 if let VmError::Stm(stm_err) = &err {
                     if stm_err.is_retryable() {
@@ -277,7 +257,7 @@ impl World {
                 Ok(Receipt {
                     tx_index,
                     status: ExecutionStatus::from_error(&err),
-                    gas_used: ctx.gas_used().min(gas_limit),
+                    gas_used: meter.used().min(gas_limit),
                     output: Default::default(),
                     events: Vec::new(),
                 })
@@ -475,50 +455,106 @@ mod tests {
             .all(|f| f.entries().all(|(_, v)| v.iter().all(|&b| b == 0))));
     }
 
-    #[test]
-    fn cross_contract_call_through_proxy() {
-        let (world, counter_addr) = world_with_counter();
+    /// Runs `call` on `to` in a transaction of its own under the chosen
+    /// flavour and commits it.
+    fn run_in(world: &World, mvcc: bool, to: Address, call: &CallData, gas_limit: u64) -> Receipt {
+        let msg = Msg::from_sender(Address::from_index(5));
+        if mvcc {
+            let txn = world.mvcc().begin();
+            let receipt = world
+                .execute_in(TxnRef::Mvcc(&txn), 0, msg, to, call, gas_limit)
+                .unwrap();
+            txn.commit().unwrap();
+            world.mvcc().finalize_block();
+            receipt
+        } else {
+            let txn = world.stm().begin();
+            let receipt = world.execute(&txn, 0, msg, to, call, gas_limit).unwrap();
+            txn.commit().unwrap();
+            receipt
+        }
+    }
+
+    /// `world` with a counter and a proxy in front of it deployed.
+    fn with_proxy(world: World) -> (World, Address, Address) {
+        let counter_addr = Address::from_name("counter");
+        world.deploy(Arc::new(CounterContract::new(counter_addr)));
         let proxy_addr = Address::from_name("proxy");
         world.deploy(Arc::new(ProxyContract::new(proxy_addr, counter_addr)));
+        (world, counter_addr, proxy_addr)
+    }
 
-        let txn = world.stm().begin();
-        let receipt = world
-            .execute(
-                &txn,
-                0,
-                Msg::from_sender(Address::from_index(5)),
-                proxy_addr,
-                &CallData::new("proxy_increment", vec![ArgValue::Uint(4)]),
-                1_000_000,
-            )
-            .unwrap();
-        txn.commit().unwrap();
-        assert!(receipt.succeeded());
-        assert_eq!(receipt.output, ReturnValue::Uint(4));
+    #[test]
+    fn cross_contract_call_through_proxy() {
+        let increment = CallData::new("increment", vec![ArgValue::Uint(4)]);
+        let proxied = CallData::new("proxy_increment", vec![ArgValue::Uint(4)]);
+        for mvcc in [false, true] {
+            let (world, counter_addr, proxy_addr) = with_proxy(World::new());
+            let receipt = run_in(&world, mvcc, proxy_addr, &proxied, 1_000_000);
+            assert!(receipt.succeeded());
+            assert_eq!(receipt.output, ReturnValue::Uint(4));
+            // One meter for the call tree: the callee's bill, the call and
+            // the proxy's own `modify` of its counter, to the unit.
+            let direct = run_in(&world, mvcc, counter_addr, &increment, 1_000_000);
+            let prices = world.gas_schedule();
+            assert_eq!(
+                receipt.gas_used,
+                direct.gas_used + prices.call + prices.sload + prices.sstore,
+                "mvcc: {mvcc}"
+            );
+        }
     }
 
     #[test]
     fn nested_failure_does_not_abort_parent() {
-        let (world, counter_addr) = world_with_counter();
-        let proxy_addr = Address::from_name("proxy2");
-        world.deploy(Arc::new(ProxyContract::new(proxy_addr, counter_addr)));
+        let try_both = CallData::new("proxy_try_both", vec![ArgValue::Uint(4)]);
+        for mvcc in [false, true] {
+            let (world, counter_addr, proxy_addr) = with_proxy(World::new());
+            // The proxy swallows the callee's failure and reports how
+            // many nested calls succeeded.
+            let receipt = run_in(&world, mvcc, proxy_addr, &try_both, 1_000_000);
+            assert!(receipt.succeeded());
+            assert_eq!(receipt.output, ReturnValue::Uint(1));
+            // The failed child's charges stay on the bill: both children
+            // cost what they cost when called directly, less the base
+            // charge, plus a call each.
+            let prices = world.gas_schedule();
+            let children: u64 = ["increment", "increment_then_fail"]
+                .map(|f| CallData::new(f, vec![ArgValue::Uint(4)]))
+                .iter()
+                .map(|call| run_in(&world, mvcc, counter_addr, call, 1_000_000).gas_used)
+                .map(|gas| gas - prices.tx_base + prices.call)
+                .sum();
+            assert_eq!(receipt.gas_used, prices.tx_base + children, "mvcc: {mvcc}");
+        }
+    }
 
-        let txn = world.stm().begin();
-        let receipt = world
-            .execute(
-                &txn,
-                0,
-                Msg::from_sender(Address::from_index(5)),
-                proxy_addr,
-                // The proxy swallows the callee's failure and reports how
-                // many nested calls succeeded.
-                &CallData::new("proxy_try_both", vec![ArgValue::Uint(4)]),
-                1_000_000,
-            )
-            .unwrap();
-        txn.commit().unwrap();
-        assert!(receipt.succeeded());
-        assert_eq!(receipt.output, ReturnValue::Uint(1));
+    /// A child's out-of-gas that the parent swallows still runs the
+    /// transaction out: at every limit below the full bill the receipt is
+    /// `OutOfGas` at the limit and the state is unmoved.
+    #[test]
+    fn a_swallowed_nested_out_of_gas_fails_the_transaction() {
+        let try_both = CallData::new("proxy_try_both", vec![ArgValue::Uint(4)]);
+        for mvcc in [false, true] {
+            // The same prices without the stand-in load: the sweep runs
+            // ~22 000 transactions per flavour.
+            let world = World::with_gas_schedule(GasSchedule::without_synthetic_load());
+            let (world, _, proxy_addr) = with_proxy(world);
+            let full = run_in(&world, mvcc, proxy_addr, &try_both, 1_000_000).gas_used;
+            assert_eq!(full, 43_175);
+            for limit in 21_000..=full {
+                let root = world.state_root();
+                let receipt = run_in(&world, mvcc, proxy_addr, &try_both, limit);
+                if receipt.succeeded() {
+                    assert!(receipt.gas_used <= limit);
+                } else {
+                    assert_eq!(receipt.status, ExecutionStatus::OutOfGas, "limit {limit}");
+                    assert_eq!(receipt.gas_used, limit);
+                    assert_eq!(world.state_root(), root, "limit {limit}");
+                }
+                assert_eq!(receipt.succeeded(), limit == full, "limit {limit}");
+            }
+        }
     }
 
     #[test]
