@@ -6,8 +6,18 @@
 //!
 //! Storage layout and conflict structure:
 //!
-//! * `voters` is a per-address mapping, so two different voters' `vote`
-//!   calls touch disjoint abstract locks — they commute;
+//! * `chairperson` is a cell; `voters` a per-address mapping;
+//!   `proposals` maps a proposal's index to its name and `proposalCount`
+//!   holds how many there are; `voteCounts` is an additive tally per
+//!   proposal index;
+//! * the Solidity contract fills its `proposals` array in the constructor
+//!   and no function adds, removes or renames one, so here too only the
+//!   constructor writes `proposals` and `proposalCount` (non-transactional
+//!   seeds). With no transaction writing them, `vote` checks its index
+//!   against the count without a lock, and `winningProposal` /
+//!   `winnerName` read them under shared locks that conflict with nothing;
+//! * two different voters' `vote` calls touch disjoint abstract locks —
+//!   they commute;
 //! * the `voteCount += weight` update uses the additive tally map, so even
 //!   votes for the *same* proposal commute (this is why the paper's Ballot
 //!   benchmark "suffers little from the extra data conflict");
@@ -18,7 +28,7 @@
 use cc_vm::snapshot::ToBytes;
 use cc_vm::{
     Address, ArgValue, CallContext, CallData, Contract, ContractKind, ReturnValue, StorageCell,
-    StorageCounterMap, StorageField, StorageMap, StorageVec, VmError,
+    StorageCounterMap, StorageField, StorageMap, VmError,
 };
 
 /// Per-voter state (Solidity `struct Voter`).
@@ -50,7 +60,8 @@ pub struct Ballot {
     address: Address,
     chairperson: StorageCell<Address>,
     voters: StorageMap<Address, Voter>,
-    proposal_names: StorageVec<[u8; 32]>,
+    proposal_names: StorageMap<u64, [u8; 32]>,
+    proposal_count: StorageCell<u64>,
     vote_counts: StorageCounterMap<u64>,
 }
 
@@ -63,7 +74,11 @@ impl Ballot {
             address,
             chairperson: StorageCell::new(&format!("Ballot.chairperson.{tag}"), chairperson),
             voters: StorageMap::new(&format!("Ballot.voters.{tag}")),
-            proposal_names: StorageVec::new(&format!("Ballot.proposals.{tag}")),
+            proposal_names: StorageMap::new(&format!("Ballot.proposals.{tag}")),
+            proposal_count: StorageCell::new(
+                &format!("Ballot.proposalCount.{tag}"),
+                proposal_names.len() as u64,
+            ),
             vote_counts: StorageCounterMap::new(&format!("Ballot.voteCounts.{tag}")),
         };
         // The chairperson gets weight 1, like the Solidity constructor.
@@ -74,9 +89,9 @@ impl Ballot {
                 ..Voter::default()
             },
         );
-        for (i, name) in proposal_names.iter().enumerate() {
-            ballot.proposal_names.seed_push(*name);
-            ballot.vote_counts.seed(i as u64, 0);
+        for (i, name) in (0u64..).zip(proposal_names) {
+            ballot.proposal_names.seed(i, *name);
+            ballot.vote_counts.seed(i, 0);
         }
         ballot
     }
@@ -122,7 +137,7 @@ impl Ballot {
 
     /// Number of proposals.
     pub fn proposal_count(&self) -> usize {
-        self.proposal_names.snapshot_len()
+        self.proposal_count.peek() as usize
     }
 
     // ---- contract functions -------------------------------------------------
@@ -208,16 +223,18 @@ impl Ballot {
         Ok(ReturnValue::Unit)
     }
 
-    fn vote(&self, ctx: &mut CallContext<'_>, proposal: u64) -> Result<ReturnValue, VmError> {
+    fn vote(&self, ctx: &mut CallContext<'_>, proposal: u128) -> Result<ReturnValue, VmError> {
         let sender_addr = ctx.sender();
         let sender = self.voters.get(ctx, &sender_addr)?.unwrap_or_default();
         if sender.voted {
             return ctx.throw("already voted");
         }
-        // Solidity throws automatically on an out-of-range index.
-        if proposal as usize >= self.proposal_names.snapshot_len() {
-            return ctx.throw("proposal out of range");
-        }
+        // Solidity throws automatically on an out-of-range index, however
+        // wide. The count is the constructor's, so reading it takes no lock.
+        let proposal = match u64::try_from(proposal) {
+            Ok(index) if index < self.proposal_count.peek() => index,
+            _ => return ctx.throw("proposal out of range"),
+        };
         self.voters.insert(
             ctx,
             sender_addr,
@@ -239,10 +256,10 @@ impl Ballot {
     }
 
     fn winning_proposal(&self, ctx: &mut CallContext<'_>) -> Result<u64, VmError> {
-        let count = self.proposal_names.len(ctx)?;
+        let count = self.proposal_count.get(ctx)?;
         let mut winning = 0u64;
         let mut winning_votes = 0u64;
-        for p in 0..count as u64 {
+        for p in 0..count {
             ctx.charge_steps(1)?;
             let votes = self.vote_counts.get(ctx, &p)?;
             if votes > winning_votes {
@@ -255,10 +272,7 @@ impl Ballot {
 
     fn winner_name(&self, ctx: &mut CallContext<'_>) -> Result<[u8; 32], VmError> {
         let winner = self.winning_proposal(ctx)?;
-        let name = self
-            .proposal_names
-            .get(ctx, winner as usize)?
-            .unwrap_or([0u8; 32]);
+        let name = self.proposal_names.get(ctx, &winner)?.unwrap_or([0u8; 32]);
         Ok(name)
     }
 }
@@ -283,7 +297,7 @@ impl Contract for Ballot {
                 self.delegate(ctx, to)
             }
             "vote" => {
-                let proposal = call.arg(0)?.as_uint()? as u64;
+                let proposal = call.arg(0)?.as_uint()?;
                 self.vote(ctx, proposal)
             }
             "winningProposal" => Ok(ReturnValue::Uint(u128::from(self.winning_proposal(ctx)?))),
@@ -299,6 +313,7 @@ impl Contract for Ballot {
             &self.chairperson,
             &self.voters,
             &self.proposal_names,
+            &self.proposal_count,
             &self.vote_counts,
         ]
     }
@@ -307,6 +322,7 @@ impl Contract for Ballot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cc_stm::{LockMode, LockProfile};
     use cc_vm::{ExecutionStatus, Msg, World};
     use std::sync::Arc;
 
@@ -327,6 +343,16 @@ mod tests {
     }
 
     fn call(world: &World, sender: Address, function: &str, args: Vec<ArgValue>) -> cc_vm::Receipt {
+        call_profiled(world, sender, function, args).0
+    }
+
+    /// [`call`], also returning the lock profile the transaction committed.
+    fn call_profiled(
+        world: &World,
+        sender: Address,
+        function: &str,
+        args: Vec<ArgValue>,
+    ) -> (cc_vm::Receipt, LockProfile) {
         let txn = world.stm().begin();
         let receipt = world.call(
             &txn,
@@ -335,8 +361,7 @@ mod tests {
             &CallData::new(function, args),
             1_000_000,
         );
-        txn.commit().unwrap();
-        receipt
+        (receipt, txn.commit().unwrap().profile)
     }
 
     #[test]
@@ -366,6 +391,20 @@ mod tests {
         let (world, ballot, accounts) = setup(1);
         let r = call(&world, accounts[0], "vote", vec![ArgValue::Uint(99)]);
         assert!(matches!(r.status, ExecutionStatus::Reverted { .. }));
+        assert!(!ballot.voter(&accounts[0]).unwrap().voted);
+    }
+
+    #[test]
+    fn a_proposal_index_past_u64_reverts_instead_of_wrapping() {
+        let (world, ballot, accounts) = setup(1);
+        let r = call(
+            &world,
+            accounts[0],
+            "vote",
+            vec![ArgValue::Uint((1u128 << 64) + 1)],
+        );
+        assert!(matches!(r.status, ExecutionStatus::Reverted { .. }));
+        assert_eq!(ballot.tally(1), 0);
         assert!(!ballot.voter(&accounts[0]).unwrap().voted);
     }
 
@@ -447,6 +486,31 @@ mod tests {
         assert_eq!(name.output, ReturnValue::Bytes32(Ballot::proposal_name(2)));
     }
 
+    /// The read paths' receipts and footprint: `winningProposal` reads
+    /// the proposal count and every tally, `winnerName` that and the
+    /// winner's name, each one `sload` under a shared lock.
+    #[test]
+    fn read_paths_keep_their_gas_and_footprint() {
+        let (world, _ballot, accounts) = setup(4);
+        for (voter, proposal) in accounts.iter().zip([1, 2, 2, 0]) {
+            assert!(call(&world, *voter, "vote", vec![ArgValue::Uint(proposal)]).succeeded());
+        }
+        let (winning, profile) = call_profiled(&world, accounts[0], "winningProposal", vec![]);
+        assert!(winning.succeeded());
+        assert_eq!(winning.output, ReturnValue::Uint(2));
+        assert_eq!(winning.gas_used, 21_809);
+        assert_eq!(profile.len(), 1 + 3);
+        assert!(profile.locks.iter().all(|e| e.mode == LockMode::Shared));
+
+        let (name, profile) = call_profiled(&world, accounts[0], "winnerName", vec![]);
+        assert!(name.succeeded());
+        assert_eq!(name.output, ReturnValue::Bytes32(Ballot::proposal_name(2)));
+        assert_eq!(name.gas_used, 22_009);
+        assert!(name.events.is_empty());
+        assert_eq!(profile.len(), 1 + 3 + 1);
+        assert!(profile.locks.iter().all(|e| e.mode == LockMode::Shared));
+    }
+
     #[test]
     fn unknown_function_is_invalid() {
         let (world, _, accounts) = setup(1);
@@ -463,7 +527,7 @@ mod tests {
         assert_ne!(before.0, after.0);
         assert_ne!(before.1, after.1);
         assert_eq!(ballot.snapshot().kind, "Ballot");
-        assert_eq!(ballot.snapshot().fields.len(), 4);
+        assert_eq!(ballot.snapshot().fields.len(), 5);
     }
 
     #[test]

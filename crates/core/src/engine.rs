@@ -503,15 +503,15 @@ mod tests {
             // publishes the same schedule: the same block.
             (
                 Engine::serial(),
-                "2f72714297d7d6be7139a654c5dddd0db3f9a870135d967cef23e1cf5e7f6fb9",
+                "de84813949e353fff22a942db2ffa1f84cf0561518f5fea17043f3813c966fb8",
             ),
             (
                 Engine::speculative(1).unwrap(),
-                "2f72714297d7d6be7139a654c5dddd0db3f9a870135d967cef23e1cf5e7f6fb9",
+                "de84813949e353fff22a942db2ffa1f84cf0561518f5fea17043f3813c966fb8",
             ),
             (
                 Engine::optimistic(1).unwrap(),
-                "5615e5f2604187ccaef729a021ccf3b002b389bbb5b6d8ca272079bf4798e398",
+                "161ec040b1d14e66a9607c89e9dc43dc417b0e930bbb9c4c7b153d31f01804c0",
             ),
         ];
         for (engine, expected) in engines {

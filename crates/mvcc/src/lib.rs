@@ -10,11 +10,11 @@
 //!
 //! * [`TimestampOracle`] — issues snapshot instants, tracks the active set
 //!   and exposes the garbage-collection horizon.
-//! * [`VersionedMap`] / [`VersionedCell`] / [`VersionedVec`] /
-//!   [`VersionedCounterMap`] — per-key version lists over the boosted
-//!   twin each one owns (the `cc_stm` collection holding the committed
-//!   single-version state), mirroring the boosted APIs one-for-one,
-//!   including the `(LockId, LockMode)` footprint the twin would acquire.
+//! * [`VersionedMap`] / [`VersionedCell`] / [`VersionedCounterMap`] —
+//!   per-key version lists over the boosted twin each one owns (the
+//!   `cc_stm` collection holding the committed single-version state),
+//!   mirroring the boosted APIs one-for-one, including the
+//!   `(LockId, LockMode)` footprint the twin would acquire.
 //! * [`MvccTxn`] — read-set/write-set transactions with savepoints and
 //!   nested speculative actions; read-only transactions commit without
 //!   validation and therefore **never abort**.
@@ -56,15 +56,13 @@ pub use cc_primitives::ts::Timestamp;
 pub use error::MvccError;
 pub use oracle::TimestampOracle;
 pub use runtime::MvccRuntime;
-pub use store::{VersionedCell, VersionedCounterMap, VersionedMap, VersionedVec};
+pub use store::{VersionedCell, VersionedCounterMap, VersionedMap};
 pub use txn::{MvccCommit, MvccSavepoint, MvccTxn};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_stm::{
-        BoostedCell, BoostedCounterMap, BoostedMap, BoostedVec, LockId, LockMode, LockSpace,
-    };
+    use cc_stm::{BoostedCell, BoostedCounterMap, BoostedMap, LockId, LockMode, LockSpace};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
     use std::sync::{mpsc, Arc};
@@ -559,46 +557,7 @@ mod tests {
         reader.commit().unwrap();
     }
 
-    #[test]
-    fn vec_overlays_slice_length_and_elements_consistently() {
-        let runtime = MvccRuntime::new();
-        let base = BoostedVec::new("test.vec");
-        base.restore([10, 20]);
-        let vec = VersionedVec::new(&runtime, base.clone());
-
-        let txn = runtime.begin();
-        vec.push(&txn, 30);
-        vec.set(&txn, 0, 11);
-        txn.commit().unwrap();
-        let boundary1 = runtime.oracle().latest();
-
-        let txn = runtime.begin();
-        assert_eq!(vec.push(&txn, 40), 3);
-        assert!(vec.set(&txn, 1, 21));
-        txn.commit().unwrap();
-        let boundary2 = runtime.oracle().latest();
-
-        runtime.finalize_below(boundary1);
-        assert_eq!(base.snapshot(), vec![11, 20, 30], "first overlay only");
-        let reader = runtime.begin();
-        assert_eq!(
-            reader_contents(&vec, &reader),
-            vec![11, 21, 30, 40],
-            "second overlay still pending"
-        );
-        reader.commit().unwrap();
-
-        runtime.finalize_below(boundary2);
-        assert_eq!(base.snapshot(), vec![11, 21, 30, 40]);
-    }
-
-    fn reader_contents(vec: &VersionedVec<u64>, txn: &MvccTxn<'_>) -> Vec<u64> {
-        (0..vec.len(txn))
-            .map(|i| vec.get(txn, i).unwrap())
-            .collect()
-    }
-
-    /// One random operation: `(selector, key or index, value)`.
+    /// One random operation: `(selector, key, value)`.
     type Op = (u8, u64, u64);
 
     /// Transactions of random operations, each with whether it commits
@@ -839,50 +798,6 @@ mod tests {
         }
     }
 
-    struct VecSubject(VersionedVec<u64>, BoostedVec<u64>);
-
-    impl Subject for VecSubject {
-        type State = Vec<u64>;
-
-        fn apply(&self, txn: &MvccTxn<'_>, op: Op, state: &mut Self::State) -> TestCaseResult {
-            let VecSubject(vec, _) = self;
-            let (selector, index, value) = op;
-            // Indices reach one past the end, so bounds checks fail too.
-            let i = index as usize % (state.len() + 1);
-            match selector % 4 {
-                0 | 1 => {
-                    prop_assert_eq!(vec.push(txn, value), state.len());
-                    state.push(value);
-                }
-                2 => {
-                    let in_bounds = i < state.len();
-                    prop_assert_eq!(vec.set(txn, i, value), in_bounds);
-                    if in_bounds {
-                        state[i] = value;
-                    }
-                }
-                _ => {
-                    let updated = state.get_mut(i).map(|x| {
-                        *x = x.wrapping_add(value);
-                        *x
-                    });
-                    prop_assert_eq!(vec.modify(txn, i, |x| *x = x.wrapping_add(value)), updated);
-                }
-            }
-            Ok(())
-        }
-
-        fn view(&self, txn: &MvccTxn<'_>) -> Self::State {
-            (0..self.0.len(txn))
-                .map(|i| self.0.get(txn, i).expect("in bounds"))
-                .collect()
-        }
-
-        fn base(&self) -> Self::State {
-            self.1.snapshot()
-        }
-    }
-
     proptest::proptest! {
         /// A serial stream of optimistic transactions over each versioned
         /// collection behaves exactly like the same operations on a plain
@@ -924,20 +839,6 @@ mod tests {
             let base = BoostedCell::new("test.prop.cell", seed);
             let cell = VersionedCell::new(&runtime, base.clone());
             check_against_reference(&runtime, &CellSubject(cell, base), &program)?;
-        }
-
-        #[test]
-        fn prop_versioned_vec_matches_single_version_reference(
-            seed in proptest::collection::vec(0u64..1000, 0..6),
-            program in program(),
-        ) {
-            let runtime = MvccRuntime::new();
-            let base = BoostedVec::new("test.prop.vec");
-            for value in seed {
-                base.seed_push(value);
-            }
-            let vec = VersionedVec::new(&runtime, base.clone());
-            check_against_reference(&runtime, &VecSubject(vec, base), &program)?;
         }
     }
 }

@@ -23,12 +23,10 @@ use std::hash::Hash;
 mod cell;
 mod counter;
 mod map;
-mod vec;
 
 pub use cell::VersionedCell;
 pub use counter::VersionedCounterMap;
 pub use map::VersionedMap;
-pub use vec::VersionedVec;
 
 /// One committed version of a value.
 struct Version<T> {
@@ -65,7 +63,7 @@ pub(crate) trait MvccCollection: Send + Sync {
 }
 
 /// Per-key version lists behind one reader-writer lock. A scalar (the
-/// cell, the vector's length) is keyed by `()`.
+/// cell) is keyed by `()`.
 struct Versions<K, T>(RwLock<FxHashMap<K, Vec<Version<T>>>>);
 
 impl<K, T> Default for Versions<K, T> {

@@ -618,9 +618,9 @@ impl BucketMask {
 /// This is not a reader-writer lock and it is not the concurrency-control
 /// mechanism: transactional exclusion comes from the STM's abstract locks.
 /// The latch exists only because distinct keys may share one
-/// open-addressing table (or one `Vec` allocation), so two transactions
-/// holding *different* abstract locks can still race on table structure —
-/// rehashes, probe walks, length counters, reallocation. One
+/// open-addressing table, so two transactions holding *different*
+/// abstract locks can still race on table structure — rehashes, probe
+/// walks, length counters. One
 /// `compare_exchange` on entry and one store on exit is the entire cost;
 /// there is no poisoning, no waiter bookkeeping and no syscall path.
 #[derive(Debug, Default)]
@@ -850,13 +850,13 @@ impl<K, V> std::fmt::Debug for ShardedRawTable<K, V> {
 /// The single-slot analogue of [`ShardedRawTable`]: one latch over one
 /// unsynchronized value, plus one dirty flag.
 ///
-/// Backs `BoostedCell<T>` (as `RawSlot<T>`) and `BoostedVec<T>` (as
-/// `RawSlot<Vec<T>>`). A cell is guarded by one whole-value abstract lock,
-/// and a vector by per-element locks *plus* a length lock — but vector
-/// element reads and a concurrent `push` under disjoint abstract locks
-/// still share the `Vec`'s allocation (a reallocation would invalidate
-/// the read), so the structural latch is required for the same reason as
-/// the table shards.
+/// Backs `BoostedCell<T>`. A cell is guarded by one whole-value abstract
+/// lock, but not every access takes it: the non-transactional `peek` and
+/// `seed`, a state root's `drain_dirty` (run on a pool worker) and the
+/// multi-version flatten that seeds committed versions back into the
+/// cell all run beside transactional access without holding that lock.
+/// The latch is what keeps those references apart, as it does for the
+/// table shards.
 ///
 /// The flag follows the table's rule: [`write`](Self::write) is the only
 /// way to reach `&mut T` and sets it; only

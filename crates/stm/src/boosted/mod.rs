@@ -11,18 +11,15 @@
 //! |------|----------|------------------|
 //! | [`BoostedMap`] | a key→value mapping (Solidity `mapping`) | one lock per key |
 //! | [`BoostedCell`] | a single scalar state variable | one lock per cell |
-//! | [`BoostedVec`] | a dynamically sized array | one lock per index + a length lock |
 //! | [`BoostedCounterMap`] | a key→integer tally | per-key lock, **additive** mode for `add` |
 
 mod cell;
 mod counter;
 mod map;
-mod vec;
 
 pub use cell::BoostedCell;
 pub use counter::BoostedCounterMap;
 pub use map::BoostedMap;
-pub use vec::BoostedVec;
 
 #[cfg(test)]
 mod tests {
@@ -30,24 +27,23 @@ mod tests {
     use crate::txn::Stm;
     use proptest::prelude::*;
 
-    /// One randomly chosen operation against one of the four collections,
+    /// One randomly chosen operation against one of the three collections,
     /// decoded from a `(selector, key, value)` tuple (the proptest shim
     /// supports ranges and tuples, not `prop_oneof`).
     type RawOp = (u8, u8, u64);
 
-    /// A point-in-time fingerprint of all four collections.
+    /// A point-in-time fingerprint of all three collections.
     #[allow(clippy::type_complexity)]
     fn fingerprint(
         map: &BoostedMap<u8, u64>,
-        vec: &BoostedVec<u64>,
         cell: &BoostedCell<u64>,
         counter: &BoostedCounterMap<u8>,
-    ) -> (Vec<(u8, u64)>, Vec<u64>, u64, Vec<(u8, u64)>) {
+    ) -> (Vec<(u8, u64)>, u64, Vec<(u8, u64)>) {
         let mut m = map.snapshot();
         m.sort_unstable();
         let mut c = counter.snapshot();
         c.sort_unstable();
-        (m, vec.snapshot(), cell.peek(), c)
+        (m, cell.peek(), c)
     }
 
     /// Applies one decoded operation inside `txn`.
@@ -55,12 +51,11 @@ mod tests {
         txn: &crate::txn::Transaction,
         op: RawOp,
         map: &BoostedMap<u8, u64>,
-        vec: &BoostedVec<u64>,
         cell: &BoostedCell<u64>,
         counter: &BoostedCounterMap<u8>,
     ) {
         let (selector, key, value) = op;
-        match selector % 10 {
+        match selector % 7 {
             0 => {
                 map.insert(txn, key, value).unwrap();
             }
@@ -72,22 +67,12 @@ mod tests {
                     .unwrap();
             }
             3 => {
-                vec.push(txn, value).unwrap();
-            }
-            4 => {
-                vec.modify(txn, key as usize, |x| *x = x.wrapping_add(value))
-                    .unwrap();
-            }
-            5 => {
-                vec.set(txn, key as usize, value).unwrap();
-            }
-            6 => {
                 cell.set(txn, value).unwrap();
             }
-            7 => {
+            4 => {
                 cell.modify(txn, |x| *x = x.wrapping_add(value)).unwrap();
             }
-            8 => {
+            5 => {
                 counter.add(txn, key, value).unwrap();
             }
             _ => {
@@ -98,42 +83,37 @@ mod tests {
 
     proptest! {
         /// The cross-collection undo-log contract: a transaction that
-        /// interleaves mutations across all four boosted collections and
+        /// interleaves mutations across all three boosted collections and
         /// then aborts must leave every collection **exactly** as it
         /// started — the typed sinks must replay in one global
         /// most-recent-first order, not per collection.
         #[test]
         fn prop_abort_restores_across_all_four_collections(
             seed_map in proptest::collection::vec((0u8..8, 0u64..100), 0..8),
-            seed_vec in proptest::collection::vec(0u64..100, 0..8),
             seed_cell in 0u64..100,
             seed_counter in proptest::collection::vec((0u8..8, 1u64..100), 0..8),
-            ops in proptest::collection::vec((0u8..10, 0u8..8, 0u64..100), 0..40),
+            ops in proptest::collection::vec((0u8..7, 0u8..8, 0u64..100), 0..40),
         ) {
             let stm = Stm::new();
             let map: BoostedMap<u8, u64> = BoostedMap::new("prop.map");
-            let vec: BoostedVec<u64> = BoostedVec::new("prop.vec");
             let cell: BoostedCell<u64> = BoostedCell::new("prop.cell", seed_cell);
             let counter: BoostedCounterMap<u8> = BoostedCounterMap::new("prop.counter");
             for (k, v) in &seed_map {
                 map.seed(*k, *v);
             }
-            for v in &seed_vec {
-                vec.seed_push(*v);
-            }
             for (k, v) in &seed_counter {
                 counter.seed(*k, *v);
             }
 
-            let before = fingerprint(&map, &vec, &cell, &counter);
+            let before = fingerprint(&map, &cell, &counter);
 
             let txn = stm.begin();
             for &op in &ops {
-                apply(&txn, op, &map, &vec, &cell, &counter);
+                apply(&txn, op, &map, &cell, &counter);
             }
             txn.abort().unwrap();
 
-            prop_assert_eq!(fingerprint(&map, &vec, &cell, &counter), before);
+            prop_assert_eq!(fingerprint(&map, &cell, &counter), before);
         }
 
         /// The same interleavings under a savepoint: rolling back to the
@@ -141,26 +121,25 @@ mod tests {
         /// while the transaction stays open and committable.
         #[test]
         fn prop_savepoint_rollback_is_exact(
-            prefix in proptest::collection::vec((0u8..10, 0u8..8, 0u64..100), 0..12),
-            suffix in proptest::collection::vec((0u8..10, 0u8..8, 0u64..100), 0..12),
+            prefix in proptest::collection::vec((0u8..7, 0u8..8, 0u64..100), 0..12),
+            suffix in proptest::collection::vec((0u8..7, 0u8..8, 0u64..100), 0..12),
         ) {
             let stm = Stm::new();
             let map: BoostedMap<u8, u64> = BoostedMap::new("sp.map");
-            let vec: BoostedVec<u64> = BoostedVec::new("sp.vec");
             let cell: BoostedCell<u64> = BoostedCell::new("sp.cell", 7);
             let counter: BoostedCounterMap<u8> = BoostedCounterMap::new("sp.counter");
 
             let txn = stm.begin();
             for &op in &prefix {
-                apply(&txn, op, &map, &vec, &cell, &counter);
+                apply(&txn, op, &map, &cell, &counter);
             }
-            let at_savepoint = fingerprint(&map, &vec, &cell, &counter);
+            let at_savepoint = fingerprint(&map, &cell, &counter);
             let sp = txn.savepoint();
             for &op in &suffix {
-                apply(&txn, op, &map, &vec, &cell, &counter);
+                apply(&txn, op, &map, &cell, &counter);
             }
             txn.rollback_to(sp);
-            prop_assert_eq!(fingerprint(&map, &vec, &cell, &counter), at_savepoint);
+            prop_assert_eq!(fingerprint(&map, &cell, &counter), at_savepoint);
             txn.commit().unwrap();
         }
 
@@ -173,14 +152,13 @@ mod tests {
         #[test]
         fn prop_pooled_transactions_leak_no_state(
             txns in proptest::collection::vec(
-                (any::<bool>(), proptest::collection::vec((0u8..10, 0u8..8, 0u64..100), 0..12)),
+                (any::<bool>(), proptest::collection::vec((0u8..7, 0u8..8, 0u64..100), 0..12)),
                 0..8,
             ),
         ) {
             let run = |label: &str, pooled: bool| {
                 let stm = Stm::new();
                 let map: BoostedMap<u8, u64> = BoostedMap::new(&format!("{label}.map"));
-                let vec: BoostedVec<u64> = BoostedVec::new(&format!("{label}.vec"));
                 let cell: BoostedCell<u64> = BoostedCell::new(&format!("{label}.cell"), 7);
                 let counter: BoostedCounterMap<u8> =
                     BoostedCounterMap::new(&format!("{label}.counter"));
@@ -191,7 +169,7 @@ mod tests {
                     if pooled {
                         let txn = scope.begin();
                         for &op in ops {
-                            apply(&txn, op, &map, &vec, &cell, &counter);
+                            apply(&txn, op, &map, &cell, &counter);
                         }
                         if *commit {
                             txn.commit().unwrap();
@@ -201,7 +179,7 @@ mod tests {
                     } else {
                         let txn = stm.begin();
                         for &op in ops {
-                            apply(&txn, op, &map, &vec, &cell, &counter);
+                            apply(&txn, op, &map, &cell, &counter);
                         }
                         if *commit {
                             txn.commit().unwrap();
@@ -210,19 +188,19 @@ mod tests {
                         }
                     }
                 }
-                fingerprint(&map, &vec, &cell, &counter)
+                fingerprint(&map, &cell, &counter)
             };
             prop_assert_eq!(run("fresh", false), run("pooled", true));
         }
     }
 
-    /// N threads hammer all four collections through the raw (RwLock-free)
+    /// N threads hammer all three collections through the raw (RwLock-free)
     /// backing stores concurrently on disjoint keys, then the final state
-    /// is checked against a `HashMap`/`Vec` reference built from the same
+    /// is checked against a `HashMap` reference built from the same
     /// schedule. Disjoint keys mean disjoint abstract locks — so this
     /// drives exactly the window the per-shard latches must cover: distinct
-    /// keys sharing one open-addressing table (and vector elements sharing
-    /// one allocation) being mutated from different threads at once.
+    /// keys sharing one open-addressing table being mutated from different
+    /// threads at once.
     #[test]
     fn disjoint_key_stress_across_all_four_collections() {
         use std::collections::HashMap;
@@ -233,21 +211,16 @@ mod tests {
 
         let stm = Stm::new();
         let map: BoostedMap<u64, u64> = BoostedMap::new("stress.map");
-        let vec: BoostedVec<u64> = BoostedVec::new("stress.vec");
         let counter: BoostedCounterMap<u64> = BoostedCounterMap::new("stress.counter");
         // Cells are whole-collection locks, so give each thread its own.
         let cells: Vec<BoostedCell<u64>> = (0..THREADS)
             .map(|t| BoostedCell::new(&format!("stress.cell.{t}"), 0))
             .collect();
-        for i in 0..(THREADS as u64 * KEYS_PER_THREAD) {
-            vec.seed_push(i);
-        }
 
         std::thread::scope(|scope| {
             for (t, cell) in cells.iter().enumerate() {
                 let stm = stm.clone();
                 let map = map.clone();
-                let vec = vec.clone();
                 let counter = counter.clone();
                 let cell = cell.clone();
                 scope.spawn(move || {
@@ -257,7 +230,6 @@ mod tests {
                             stm.run(|txn| {
                                 map.insert(txn, k, k * 10 + round)?;
                                 counter.add(txn, k, round + 1)?;
-                                vec.set(txn, k as usize, k + round)?;
                                 cell.modify(txn, |v| *v += k)?;
                                 // Read back under the same locks: another
                                 // thread rehashing a shared shard must not
@@ -274,15 +246,12 @@ mod tests {
 
         // Reference state from the same (per-key deterministic) schedule.
         let mut ref_map = HashMap::new();
-        let mut ref_vec: Vec<u64> = (0..(THREADS as u64 * KEYS_PER_THREAD)).collect();
         let last_round = ROUNDS as u64 - 1;
         for k in 0..(THREADS as u64 * KEYS_PER_THREAD) {
             ref_map.insert(k, k * 10 + last_round);
-            ref_vec[k as usize] = k + last_round;
         }
         let got_map: HashMap<u64, u64> = map.snapshot().into_iter().collect();
         assert_eq!(got_map, ref_map);
-        assert_eq!(vec.snapshot(), ref_vec);
         for k in 0..(THREADS as u64 * KEYS_PER_THREAD) {
             assert_eq!(counter.peek(&k), (1..=ROUNDS as u64).sum::<u64>());
         }
@@ -294,7 +263,7 @@ mod tests {
     }
 
     /// The acceptance criterion of the raw-store refactor, asserted
-    /// directly: a transaction driving every operation of all four
+    /// directly: a transaction driving every operation of all three
     /// collections acquires **zero** reader-writer locks. The counter is a
     /// debug-only extension of the `parking_lot` shim (see
     /// `shims/README.md`).
@@ -303,11 +272,9 @@ mod tests {
     fn boosted_ops_acquire_zero_rwlocks() {
         let stm = Stm::new();
         let map: BoostedMap<u8, u64> = BoostedMap::new("norw.map");
-        let vec: BoostedVec<u64> = BoostedVec::new("norw.vec");
         let cell: BoostedCell<u64> = BoostedCell::new("norw.cell", 1);
         let counter: BoostedCounterMap<u8> = BoostedCounterMap::new("norw.counter");
         map.seed(1, 10);
-        vec.seed_push(5);
 
         let before = parking_lot::rwlock_acquisition_count();
         stm.run(|txn| {
@@ -319,12 +286,6 @@ mod tests {
             map.replace(txn, 1, 11)?;
             map.take(txn, &3)?;
             map.remove(txn, &2)?;
-            vec.len(txn)?;
-            vec.get(txn, 0)?;
-            vec.get_with(txn, 0, |v| v.copied())?;
-            vec.push(txn, 6)?;
-            vec.set(txn, 0, 7)?;
-            vec.modify(txn, 0, |x| *x += 1)?;
             cell.get(txn)?;
             cell.with(txn, |v| *v)?;
             cell.set(txn, 2)?;
@@ -338,7 +299,6 @@ mod tests {
         // Aborts replay the undo log through the raw stores too.
         let txn = stm.begin();
         map.insert(&txn, 9, 90).unwrap();
-        vec.push(&txn, 9).unwrap();
         cell.set(&txn, 9).unwrap();
         counter.add(&txn, 9, 9).unwrap();
         txn.abort().unwrap();

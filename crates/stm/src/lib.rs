@@ -36,7 +36,7 @@
 //!
 //! On top of the raw transaction machinery the [`boosted`] module provides
 //! the collection types contracts actually use: [`BoostedMap`],
-//! [`BoostedCell`], [`BoostedVec`] and [`BoostedCounterMap`].
+//! [`BoostedCell`] and [`BoostedCounterMap`].
 //!
 //! # Example
 //!
@@ -67,7 +67,7 @@ pub mod profile;
 pub mod retry;
 pub mod txn;
 
-pub use boosted::{BoostedCell, BoostedCounterMap, BoostedMap, BoostedVec};
+pub use boosted::{BoostedCell, BoostedCounterMap, BoostedMap};
 pub use error::StmError;
 pub use lock::{LockId, LockMode, LockSpace};
 pub use manager::LockManager;

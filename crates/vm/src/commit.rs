@@ -29,8 +29,7 @@
 //!     contribute no bytes, so a sparse map costs a few compressions.
 //!   * The field digest is the root node's (`H(0x01 ‖ 0 ‖ 0)` for an
 //!     empty map).
-//! * **Cell fields** are `H(0x02 ‖ encoded value)`; **vector fields**
-//!   `H(0x03 ‖ len: u64 ‖ bytes(item₀) ‖ bytes(item₁) ‖ …)`.
+//! * **Cell fields** are `H(0x02 ‖ encoded value)`.
 //! * A **contract** is `H(bytes(kind) ‖ address ‖ fields: u64 ‖ bytes(name₀)
 //!   ‖ digest₀ ‖ …)` over [`crate::Contract::storage_fields`] in
 //!   declaration order, and the **world root**
@@ -41,7 +40,7 @@
 //! Every field caches its digest (and a map its whole tree) behind the
 //! dirty marks its backing store keeps (`cc_primitives::fx`): the raw
 //! stores' write accessor is the only way to mutate base state and marks
-//! the written bucket (or the cell/vector) under the latch it already
+//! the written bucket (or the cell) under the latch it already
 //! holds. A root drains the marks and re-hashes only marked leaves and
 //! their three ancestors; a field with no marks answers from its cache.
 //! Marks are never cleared by anything but a drain — re-hashing a bucket
@@ -72,7 +71,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const LEAF_TAG: u8 = 0x00;
 const NODE_TAG: u8 = 0x01;
 const CELL_TAG: u8 = 0x02;
-const VEC_TAG: u8 = 0x03;
 
 /// Children per interior node.
 const FANOUT: usize = 16;
@@ -93,8 +91,8 @@ pub struct StateRootStats {
     pub dirty_leaves: u64,
     /// Map-field entries re-encoded while re-hashing those leaves.
     pub entries_rehashed: u64,
-    /// Bytes fed to SHA-256 for field digests (leaves, interior nodes,
-    /// cells and vectors).
+    /// Bytes fed to SHA-256 for field digests (leaves, interior nodes and
+    /// cells).
     pub bytes_hashed: u64,
     /// Map fields whose tree was built for the first time (a root over
     /// state no earlier root had cached).
@@ -353,17 +351,6 @@ pub(crate) fn cell_digest(value: &impl ToBytes, counters: &RootCounters) -> Hash
     cc_primitives::sha256(&bytes)
 }
 
-/// `H(0x03 ‖ len ‖ bytes(item₀) ‖ …)`: the digest of a vector field.
-pub(crate) fn vec_digest(items: &[impl ToBytes], counters: &RootCounters) -> Hash256 {
-    let mut bytes = vec![VEC_TAG];
-    bytes.extend_from_slice(&(items.len() as u64).to_le_bytes());
-    for item in items {
-        put_prefixed(&mut bytes, item);
-    }
-    counters.hashed(bytes.len());
-    cc_primitives::sha256(&bytes)
-}
-
 /// The digest of one contract: its identity plus the (cached or freshly
 /// refreshed) digest of every storage field, in declaration order.
 pub(crate) fn contract_digest(contract: &dyn Contract, counters: &RootCounters) -> Hash256 {
@@ -383,7 +370,7 @@ pub(crate) fn contract_digest(contract: &dyn Contract, counters: &RootCounters) 
 mod tests {
     use super::*;
     use crate::address::Address;
-    use crate::storage::{StorageCell, StorageCounterMap, StorageField, StorageMap, StorageVec};
+    use crate::storage::{StorageCell, StorageCounterMap, StorageField, StorageMap};
     use cc_primitives::fnv::fnv1a_of;
     use cc_primitives::sha256;
 
@@ -446,17 +433,6 @@ mod tests {
         expected.extend_from_slice(&5u64.to_le_bytes());
         assert_eq!(cell.digest(&counters), sha256(&expected));
 
-        let vec: StorageVec<u8> = StorageVec::new("pin.vec");
-        vec.seed_push(4);
-        vec.seed_push(6);
-        let mut expected = vec![0x03];
-        expected.extend_from_slice(&2u64.to_le_bytes());
-        for item in [4u8, 6] {
-            expected.extend_from_slice(&1u64.to_le_bytes());
-            expected.push(item);
-        }
-        assert_eq!(vec.digest(&counters), sha256(&expected));
-
         // A zero tally is not an entry: the field digest is the empty
         // map's, and equals that of a tally map never touched.
         let tally: StorageCounterMap<u64> = StorageCounterMap::new("pin.tally");
@@ -491,11 +467,6 @@ mod tests {
         let before = cell.digest(&counters);
         cell.seed(2);
         assert_ne!(cell.digest(&counters), before);
-
-        let vec: StorageVec<u64> = StorageVec::new("stale.vec");
-        let before = vec.digest(&counters);
-        vec.seed_push(1);
-        assert_ne!(vec.digest(&counters), before);
     }
 
     /// The definition, written the slow way: bucket every entry by the

@@ -16,19 +16,19 @@
 //! [`cc_mvcc::MvccRuntime`] when built on first use, so that flattening a
 //! block's versions writes them back into the boosted collection.
 
-use crate::commit::{cell_digest, vec_digest, MapCommitment, RootCounters};
+use crate::commit::{cell_digest, MapCommitment, RootCounters};
 use crate::context::{CallContext, TxnRef};
 use crate::error::VmError;
 use crate::snapshot::{FieldSnapshot, ToBytes};
-use cc_mvcc::{MvccTxn, VersionedCell, VersionedCounterMap, VersionedMap, VersionedVec};
+use cc_mvcc::{MvccTxn, VersionedCell, VersionedCounterMap, VersionedMap};
 use cc_primitives::hash::Hash256;
-use cc_stm::{BoostedCell, BoostedCounterMap, BoostedMap, BoostedVec};
+use cc_stm::{BoostedCell, BoostedCounterMap, BoostedMap};
 use parking_lot::Mutex;
 use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
 /// One persistent state variable of a contract, as the state commitment
-/// and the snapshot path see it. Implemented by the four storage
+/// and the snapshot path see it. Implemented by the three storage
 /// wrappers; a contract lists its fields once
 /// ([`crate::Contract::storage_fields`]) and both views derive from that
 /// list.
@@ -400,185 +400,6 @@ where
     }
 }
 
-/// A persistent dynamically-sized array.
-#[derive(Debug, Clone)]
-pub struct StorageVec<T> {
-    inner: BoostedVec<T>,
-    overlay: Arc<OnceLock<VersionedVec<T>>>,
-    /// The digest as of the last drain of the vector's dirty mark.
-    digest: Arc<Mutex<Hash256>>,
-}
-
-impl<T> StorageVec<T>
-where
-    T: Clone + Send + Sync + 'static,
-{
-    /// Declares an array with a stable name.
-    pub fn new(name: &str) -> Self {
-        StorageVec {
-            inner: BoostedVec::new(name),
-            overlay: Arc::new(OnceLock::new()),
-            digest: Arc::default(),
-        }
-    }
-
-    /// The versioned overlay, built (registering itself with the
-    /// transaction's runtime) on the first optimistic access.
-    fn versioned(&self, txn: &MvccTxn<'_>) -> &VersionedVec<T> {
-        self.overlay
-            .get_or_init(|| VersionedVec::new(txn.runtime(), self.inner.clone()))
-    }
-
-    /// Number of elements (charges one `sload`).
-    ///
-    /// # Errors
-    ///
-    /// Out-of-gas or speculative-conflict errors.
-    pub fn len(&self, ctx: &mut CallContext<'_>) -> Result<usize, VmError> {
-        ctx.charge_sload()?;
-        match ctx.txn() {
-            TxnRef::Stm(txn) => Ok(self.inner.len(txn)?),
-            TxnRef::Mvcc(txn) => Ok(self.versioned(txn).len(txn)),
-        }
-    }
-
-    /// Whether the array is empty (charges one `sload`).
-    ///
-    /// # Errors
-    ///
-    /// Out-of-gas or speculative-conflict errors.
-    pub fn is_empty(&self, ctx: &mut CallContext<'_>) -> Result<bool, VmError> {
-        Ok(self.len(ctx)? == 0)
-    }
-
-    /// Reads element `i` (charges one `sload`).
-    ///
-    /// # Errors
-    ///
-    /// Out-of-gas or speculative-conflict errors.
-    pub fn get(&self, ctx: &mut CallContext<'_>, i: usize) -> Result<Option<T>, VmError> {
-        ctx.charge_sload()?;
-        match ctx.txn() {
-            TxnRef::Stm(txn) => Ok(self.inner.get(txn, i)?),
-            TxnRef::Mvcc(txn) => Ok(self.versioned(txn).get(txn, i)),
-        }
-    }
-
-    /// Reads element `i` **by reference** (charges one `sload`): `f`
-    /// observes the element in place (or `None` when out of bounds) and
-    /// only its result is materialized — no per-read `T: Clone`.
-    ///
-    /// # Errors
-    ///
-    /// Out-of-gas or speculative-conflict errors.
-    pub fn get_with<R>(
-        &self,
-        ctx: &mut CallContext<'_>,
-        i: usize,
-        f: impl FnOnce(Option<&T>) -> R,
-    ) -> Result<R, VmError> {
-        ctx.charge_sload()?;
-        match ctx.txn() {
-            TxnRef::Stm(txn) => Ok(self.inner.get_with(txn, i, f)?),
-            TxnRef::Mvcc(txn) => Ok(self.versioned(txn).get_with(txn, i, f)),
-        }
-    }
-
-    /// Overwrites element `i` (charges one `sstore`); `Ok(false)` if out of
-    /// bounds.
-    ///
-    /// # Errors
-    ///
-    /// Out-of-gas or speculative-conflict errors.
-    pub fn set(&self, ctx: &mut CallContext<'_>, i: usize, value: T) -> Result<bool, VmError> {
-        ctx.charge_sstore()?;
-        match ctx.txn() {
-            TxnRef::Stm(txn) => Ok(self.inner.set(txn, i, value)?),
-            TxnRef::Mvcc(txn) => Ok(self.versioned(txn).set(txn, i, value)),
-        }
-    }
-
-    /// Read-modify-write of element `i` (charges an `sload` + `sstore`).
-    ///
-    /// # Errors
-    ///
-    /// Out-of-gas or speculative-conflict errors.
-    pub fn modify(
-        &self,
-        ctx: &mut CallContext<'_>,
-        i: usize,
-        f: impl FnOnce(&mut T),
-    ) -> Result<Option<T>, VmError> {
-        ctx.charge_sload()?;
-        ctx.charge_sstore()?;
-        match ctx.txn() {
-            TxnRef::Stm(txn) => Ok(self.inner.modify(txn, i, f)?),
-            TxnRef::Mvcc(txn) => Ok(self.versioned(txn).modify(txn, i, f)),
-        }
-    }
-
-    /// Appends an element, returning its index (charges one `sstore`).
-    ///
-    /// # Errors
-    ///
-    /// Out-of-gas or speculative-conflict errors.
-    pub fn push(&self, ctx: &mut CallContext<'_>, value: T) -> Result<usize, VmError> {
-        ctx.charge_sstore()?;
-        match ctx.txn() {
-            TxnRef::Stm(txn) => Ok(self.inner.push(txn, value)?),
-            TxnRef::Mvcc(txn) => Ok(self.versioned(txn).push(txn, value)),
-        }
-    }
-
-    /// Non-transactional append used while constructing initial state.
-    pub fn seed_push(&self, value: T) {
-        self.inner.seed_push(value);
-    }
-
-    /// Non-transactional element read for tests and diagnostics.
-    pub fn peek(&self, i: usize) -> Option<T> {
-        self.inner.peek(i)
-    }
-
-    /// Non-transactional length.
-    pub fn snapshot_len(&self) -> usize {
-        self.inner.snapshot_len()
-    }
-
-    /// Point-in-time copy of the contents.
-    pub fn items(&self) -> Vec<T> {
-        self.inner.snapshot()
-    }
-}
-
-impl<T> StorageField for StorageVec<T>
-where
-    T: Clone + Send + Sync + ToBytes + 'static,
-{
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn snapshot_field(&self) -> FieldSnapshot {
-        FieldSnapshot::from_typed(
-            self.inner.name(),
-            (self.inner.snapshot().iter().enumerate()).map(|(i, v)| (i as u64, v)),
-        )
-    }
-
-    fn digest(&self, counters: &RootCounters) -> Hash256 {
-        let mut cached = self.digest.lock();
-        if let Some(fresh) = self.inner.drain_dirty(|items| vec_digest(items, counters)) {
-            *cached = fresh;
-        }
-        *cached
-    }
-
-    fn is_dirty(&self) -> bool {
-        self.inner.is_dirty()
-    }
-}
-
 /// A persistent tally map with a commutative `add` (used for vote counts
 /// and similar accumulators).
 #[derive(Debug, Clone)]
@@ -707,35 +528,23 @@ mod tests {
         let counters = RootCounters::default();
         let map: StorageMap<u64, u64> = StorageMap::new("rc.map");
         let tally: StorageCounterMap<u64> = StorageCounterMap::new("rc.tally");
-        let items: StorageVec<u64> = StorageVec::new("rc.items");
         for i in 0..200 {
             map.seed(i, i);
             tally.seed(i, i + 1);
-            items.seed_push(i);
         }
-        let populated = (
-            map.digest(&counters),
-            tally.digest(&counters),
-            items.digest(&counters),
-        );
+        let populated = (map.digest(&counters), tally.digest(&counters));
 
         map.inner.restore(vec![(1, 1), (500, 5)]);
         tally.inner.restore(vec![(2, 2)]);
-        items.inner.restore(vec![9, 8]);
         let twin_map: StorageMap<u64, u64> = StorageMap::new("rc.map.twin");
         twin_map.seed(500, 5);
         twin_map.seed(1, 1);
         let twin_tally: StorageCounterMap<u64> = StorageCounterMap::new("rc.tally.twin");
         twin_tally.seed(2, 2);
-        let twin_items: StorageVec<u64> = StorageVec::new("rc.items.twin");
-        twin_items.seed_push(9);
-        twin_items.seed_push(8);
         assert_ne!(map.digest(&counters), populated.0);
         assert_eq!(map.digest(&counters), twin_map.digest(&counters));
         assert_eq!(tally.digest(&counters), twin_tally.digest(&counters));
         assert_ne!(tally.digest(&counters), populated.1);
-        assert_eq!(items.digest(&counters), twin_items.digest(&counters));
-        assert_ne!(items.digest(&counters), populated.2);
 
         map.inner.clear();
         let empty: StorageMap<u64, u64> = StorageMap::new("rc.map.empty");

@@ -44,6 +44,15 @@ impl CounterContract {
     }
 }
 
+/// The `uint64` delta of `increment` calls: a wider value is a bad
+/// call, not one that wraps.
+fn delta(call: &CallData) -> Result<u64, VmError> {
+    let delta = call.arg(0)?.as_uint()?;
+    u64::try_from(delta).map_err(|_| VmError::BadArguments {
+        expected: format!("uint64, got {delta}"),
+    })
+}
+
 impl Contract for CounterContract {
     fn kind(&self) -> ContractKind {
         ContractKind("Counter")
@@ -56,7 +65,7 @@ impl Contract for CounterContract {
     fn call(&self, ctx: &mut CallContext<'_>, call: &CallData) -> Result<ReturnValue, VmError> {
         match call.function.as_str() {
             "increment" => {
-                let delta = call.arg(0)?.as_uint()? as u64;
+                let delta = delta(call)?;
                 let sender = ctx.sender();
                 self.counts.update_or(ctx, sender, 0, |c| *c += delta)?;
                 self.total.add(ctx, 0, delta)?;
@@ -64,7 +73,7 @@ impl Contract for CounterContract {
                 Ok(ReturnValue::Uint(u128::from(delta)))
             }
             "increment_then_fail" => {
-                let delta = call.arg(0)?.as_uint()? as u64;
+                let delta = delta(call)?;
                 let sender = ctx.sender();
                 self.counts.update_or(ctx, sender, 0, |c| *c += delta)?;
                 self.total.add(ctx, 0, delta)?;
@@ -176,6 +185,7 @@ impl Contract for ProxyContract {
 mod tests {
     use super::*;
     use crate::msg::Msg;
+    use crate::receipt::ExecutionStatus;
     use crate::world::World;
     use std::sync::Arc;
 
@@ -238,5 +248,34 @@ mod tests {
         );
         assert_eq!(t.output, ReturnValue::Uint(2));
         txn.commit().unwrap();
+    }
+
+    #[test]
+    fn a_delta_past_u64_is_a_bad_call_not_a_wrapped_one() {
+        let world = World::new();
+        let addr = Address::from_name("counter-wide");
+        let counter = Arc::new(CounterContract::new(addr));
+        world.deploy(counter.clone());
+        let sender = Address::from_index(3);
+        let txn = world.stm().begin();
+        for function in ["increment", "increment_then_fail"] {
+            let r = world.call(
+                &txn,
+                Msg::from_sender(sender),
+                addr,
+                &CallData::new(function, vec![ArgValue::Uint((1u128 << 64) + 3)]),
+                1_000_000,
+            );
+            let ExecutionStatus::Invalid { reason } = r.status else {
+                panic!(
+                    "{function}: expected a bad-arguments call, got {}",
+                    r.status
+                );
+            };
+            assert!(reason.contains("bad arguments"), "{function}: {reason}");
+        }
+        txn.commit().unwrap();
+        assert_eq!(counter.count_of(&sender), 0);
+        assert_eq!(counter.total(), 0);
     }
 }

@@ -1,16 +1,20 @@
 #!/bin/sh
 # Prints the size a design change reports: non-blank, non-comment lines
-# of Rust under crates/ and shims/, counting each file only up to its
-# first `#[cfg(test)]` or `#![cfg(test)]` line (so test modules are left
-# out, whether written in the file or kept out of line in a file that
-# opens with `#![cfg(test)]`).
+# of Rust under the given paths (default: crates/ and shims/), counting
+# each file only up to its first `#[cfg(test)]` or `#![cfg(test)]` line
+# (so test modules are left out, whether written in the file or kept out
+# of line in a file that opens with `#![cfg(test)]`).
 #
-# Usage: scripts/loc.sh [checkout]   (default: the current directory)
+# Usage: scripts/loc.sh [checkout [path ...]]
+#   checkout  the tree to count in (default: the current directory)
+#   path      files or directories inside it (default: crates shims)
 #
 # Run it on two checkouts to compare commits, e.g. one made with
-# `git archive <rev> | tar -x -C <dir>`.
+# `git archive <rev> | tar -x -C <dir>`; name paths to size one part of
+# the tree, e.g. `scripts/loc.sh . crates/stm/src/boosted`.
 set -eu
 cd "${1:-.}"
-find crates shims -name '*.rs' -not -path '*/target/*' | LC_ALL=C sort |
+if [ $# -gt 1 ]; then shift; else set -- crates shims; fi
+find "$@" -name '*.rs' -not -path '*/target/*' | LC_ALL=C sort |
     xargs awk 'FNR == 1 { in_tests = 0 } /^[[:space:]]*#!?\[cfg\(test\)\]/ { in_tests = 1 } !in_tests' |
     grep -cvE '^[[:space:]]*(//|$)'

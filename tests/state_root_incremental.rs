@@ -16,8 +16,7 @@
 //! committed transactions, aborts, mid-transaction `rollback_to`,
 //! reverted calls, and — under the optimistic flavour — commits that stay
 //! in the multi-version overlay until a `finalize_below` flattens them
-//! (vector flattening goes through `BoostedVec::restore`) or a
-//! `discard_above` drops them. Part two chains blocks of the four paper
+//! or a `discard_above` drops them. Part two chains blocks of the four paper
 //! workloads through both concurrent engines and both validation paths
 //! and checks every header root against a twin's cold root.
 
@@ -28,8 +27,7 @@ use cc_ledger::Block;
 use cc_primitives::hash::Hash256;
 use cc_vm::{
     Address, ArgValue, CallContext, CallData, Contract, ContractKind, GasSchedule, Msg,
-    ReturnValue, StorageCell, StorageCounterMap, StorageField, StorageMap, StorageVec, TxnRef,
-    VmError, World,
+    ReturnValue, StorageCell, StorageCounterMap, StorageField, StorageMap, TxnRef, VmError, World,
 };
 use cc_workload::Benchmark;
 use proptest::prelude::*;
@@ -43,11 +41,10 @@ struct Scratch {
     address: Address,
     map: StorageMap<u64, u64>,
     tally: StorageCounterMap<u64>,
-    items: StorageVec<u64>,
     cell: StorageCell<u64>,
 }
 
-const OPS: [&str; 10] = [
+const OPS: [&str; 8] = [
     "insert",
     "replace",
     "remove",
@@ -55,8 +52,6 @@ const OPS: [&str; 10] = [
     "update_or",
     "add",
     "tally_set",
-    "push",
-    "vec_set",
     "cell_set",
 ];
 
@@ -67,7 +62,6 @@ impl Scratch {
             address,
             map: StorageMap::new(&format!("Scratch.map.{tag}")),
             tally: StorageCounterMap::new(&format!("Scratch.tally.{tag}")),
-            items: StorageVec::new(&format!("Scratch.items.{tag}")),
             cell: StorageCell::new(&format!("Scratch.cell.{tag}"), 0),
         }
     }
@@ -82,9 +76,6 @@ impl Scratch {
         }
         for (k, v) in model.tally.iter().filter(|(_, v)| **v != 0) {
             scratch.tally.seed(*k, *v);
-        }
-        for v in &model.items {
-            scratch.items.seed_push(*v);
         }
         scratch.cell.seed(model.cell);
         scratch
@@ -111,8 +102,6 @@ impl Contract for Scratch {
             "update_or" => self.map.update_or(ctx, key, 1, |v| *v += value)?,
             "add" => self.tally.add(ctx, key, value)?,
             "tally_set" => self.tally.set(ctx, key, value)?,
-            "push" => drop(self.items.push(ctx, value)?),
-            "vec_set" => drop(self.items.set(ctx, key as usize, value)?),
             "cell_set" => self.cell.set(ctx, value)?,
             other => {
                 return Err(VmError::UnknownFunction {
@@ -127,7 +116,7 @@ impl Contract for Scratch {
     }
 
     fn storage_fields(&self) -> Vec<&dyn StorageField> {
-        vec![&self.map, &self.tally, &self.items, &self.cell]
+        vec![&self.map, &self.tally, &self.cell]
     }
 }
 
@@ -136,7 +125,6 @@ impl Contract for Scratch {
 struct Model {
     map: BTreeMap<u64, u64>,
     tally: BTreeMap<u64, u64>,
-    items: Vec<u64>,
     cell: u64,
 }
 
@@ -148,12 +136,6 @@ impl Model {
             "update_or" => *self.map.entry(key).or_insert(1) += value,
             "add" => *self.tally.entry(key).or_insert(0) += value,
             "tally_set" => drop(self.tally.insert(key, value)),
-            "push" => self.items.push(value),
-            "vec_set" => {
-                if let Some(slot) = self.items.get_mut(key as usize) {
-                    *slot = value;
-                }
-            }
             "cell_set" => self.cell = value,
             other => unreachable!("{other}"),
         }
@@ -340,23 +322,21 @@ fn run_program(optimistic: bool, seed: [Model; 2], steps: &[RawStep]) -> Result<
     Ok(())
 }
 
-/// A [`Model`] as the proptest shim can draw it: map, tally, items, cell.
-type RawModel = (Vec<(u8, u64)>, Vec<(u8, u64)>, Vec<u64>, u64);
+/// A [`Model`] as the proptest shim can draw it: map, tally, cell.
+type RawModel = (Vec<(u8, u64)>, Vec<(u8, u64)>, u64);
 
 fn model_strategy() -> impl Strategy<Value = RawModel> {
     (
         proptest::collection::vec((0u8..24, 0u64..1000), 0..12),
         proptest::collection::vec((0u8..6, 0u64..5), 0..4),
-        proptest::collection::vec(0u64..1000, 0..4),
         0u64..1000,
     )
 }
 
-fn model_of((map, tally, items, cell): RawModel) -> Model {
+fn model_of((map, tally, cell): RawModel) -> Model {
     Model {
         map: map.into_iter().map(|(k, v)| (u64::from(k), v)).collect(),
         tally: tally.into_iter().map(|(k, v)| (u64::from(k), v)).collect(),
-        items,
         cell,
     }
 }
@@ -372,7 +352,7 @@ proptest! {
         seed_a in model_strategy(),
         seed_b in model_strategy(),
         steps in proptest::collection::vec(
-            (0u8..8, proptest::collection::vec((0u8..10, 0u8..2, 0u8..24, 0u64..4), 0..5)),
+            (0u8..8, proptest::collection::vec((0u8..8, 0u8..2, 0u8..24, 0u64..4), 0..5)),
             0..24,
         ),
     ) {
