@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--threads N] [--reps R] [--quick] [--strategy speculative-stm|optimistic-mvcc] [--json PATH] [COMMAND]
-//! repro diff OLD.json NEW.json [--tolerance PCT] [--strict] [--section NAME]
+//! repro diff OLD.json[,OLD2.json…] NEW.json[,NEW2.json…] [--tolerance PCT] [--strict] [--section NAME]
 //! ```
 //!
 //! Every number belongs to one **section**, and every section measures one
@@ -27,6 +27,10 @@
 //!   label and flags deltas beyond `--tolerance` (default 25%). With
 //!   `--strict`, a regression — or a label of OLD missing from NEW — exits
 //!   1; `--section NAME` restricts the comparison (CI gates `stm_micro`).
+//!   Either side may be several runs of one build, comma-separated
+//!   (`a1.json,a2.json,…`): each label is then its median over them, so
+//!   alternating runs of two builds compare median against median
+//!   (`scripts/paired_micro.sh`).
 //!
 //! The node paths (ingest → commit, WAL modes, the follower) are measured
 //! by the node benchmark (`benchmark/`), not here. `--quick` shrinks the
@@ -43,8 +47,8 @@ use cc_bench::contention::{contention_threads, measure_contention, Mix};
 use cc_bench::json::Json;
 use cc_bench::micro::run_micro;
 use cc_bench::schedule::run_schedule;
-use cc_bench::state_root::run_state_root;
-use cc_bench::table::{compare, higher, lower, Labelled, Metric, Row, Schema, Table};
+use cc_bench::state_root::{run_digest_costs, run_state_root};
+use cc_bench::table::{compare, higher, lower, medians, Labelled, Metric, Row, Schema, Table};
 use cc_bench::{
     engine, figure1_block_sizes, figure1_conflicts, measure, measure_abort_rate,
     measure_read_heavy, measure_serial_validation, measure_with, Timing, DEFAULT_THREADS,
@@ -56,7 +60,7 @@ use std::str::FromStr;
 
 const USAGE: &str = "usage: repro [--threads N] [--reps R] [--quick] [--strategy speculative-stm|optimistic-mvcc] [--json PATH] \
 [figure1-blocksize|figure1-conflict|table1|appendix-b|ablation|contention|micro|schedule|read-heavy|abort-rate|state-root|perf|all]
-       repro diff OLD.json NEW.json [--tolerance PCT] [--strict] [--section NAME]";
+       repro diff OLD.json[,…] NEW.json[,…] [--tolerance PCT] [--strict] [--section NAME]";
 
 #[derive(Debug, Clone)]
 struct Options {
@@ -279,9 +283,13 @@ static SECTIONS: [Section; 10] = [
     Section {
         schema: Schema {
             name: "state_root",
-            title: "State root after one 200-txn Mixed block: cold vs. incremental",
+            title: "State root after one 200-txn Mixed block: cold vs. incremental; \
+                    what building the world costs, and the short digests a build \
+                    hashes (ns_per_op rows)",
             keys: &["accounts"],
             metrics: &[
+                lower("build_ms", "ms"),
+                lower("ns_per_op", "ns"),
                 lower("cold_us", "us"),
                 lower("incremental_us", "us"),
                 lower("dirty_leaves", "count"),
@@ -515,6 +523,10 @@ fn contention(opts: &Options, _: &[Table]) -> Vec<Row> {
     rows
 }
 
+/// Calls per digest case, not shrunk by `--quick`: a case costs well
+/// under a millisecond a pass.
+const DIGEST_CALLS: usize = 20_000;
+
 /// The quick run drops the 100 k world: generating it dominates a smoke
 /// run.
 fn state_root(opts: &Options, _: &[Table]) -> Vec<Row> {
@@ -525,6 +537,8 @@ fn state_root(opts: &Options, _: &[Table]) -> Vec<Row> {
     let mut rows = Vec::new();
     for p in run_state_root(accounts, opts.repetitions) {
         let values = [
+            p.build_ms,
+            f64::NAN,
             p.cold_us,
             p.incremental_us,
             p.incremental.dirty_leaves as f64,
@@ -535,6 +549,9 @@ fn state_root(opts: &Options, _: &[Table]) -> Vec<Row> {
             p.cold.bytes_hashed as f64,
         ];
         rows.push(Row::new([p.accounts], values));
+    }
+    for (name, ns) in run_digest_costs(DIGEST_CALLS) {
+        rows.push(Row::new([name], [f64::NAN, ns]));
     }
     rows
 }
@@ -548,16 +565,21 @@ fn run_diff(opts: &Options, old_path: &str, new_path: &str) -> Result<usize, Str
         None => true,
     };
     let mut labels: Vec<Vec<Labelled>> = Vec::new();
-    for path in [old_path, new_path] {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let doc = Json::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
-        let tables = SECTIONS.iter().filter(in_scope);
-        let tables = tables.filter_map(|s| Table::from_json(&s.schema, &doc));
-        let found: Vec<Labelled> = tables.flat_map(|t| t.labels()).collect();
-        if let (Some(name), true) = (&opts.section, found.is_empty()) {
-            return Err(format!("section {name} matched no metrics in {path}"));
+    for paths in [old_path, new_path] {
+        let mut runs = Vec::new();
+        for path in paths.split(',') {
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let doc = Json::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+            let tables = SECTIONS.iter().filter(in_scope);
+            let tables = tables.filter_map(|s| Table::from_json(&s.schema, &doc));
+            let found: Vec<Labelled> = tables.flat_map(|t| t.labels()).collect();
+            if let (Some(name), true) = (&opts.section, found.is_empty()) {
+                return Err(format!("section {name} matched no metrics in {path}"));
+            }
+            runs.push(found);
         }
-        labels.push(found);
+        labels.push(medians(runs));
     }
     let scope = opts.section.as_deref().unwrap_or("all sections");
     let tolerance = opts.tolerance;

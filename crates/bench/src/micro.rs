@@ -33,7 +33,7 @@ const PASSES: usize = 5;
 /// Times `op` over `ops` iterations per pass (after one warm-up pass of
 /// `ops / 8`) and returns the best-of-[`PASSES`] nanoseconds per
 /// iteration.
-fn time_case(ops: usize, mut op: impl FnMut(usize)) -> f64 {
+pub(crate) fn time_case(ops: usize, mut op: impl FnMut(usize)) -> f64 {
     for i in 0..(ops / 8).max(1) {
         op(i);
     }

@@ -9,11 +9,19 @@
 //! on a world that already had one (incremental: only what the block
 //! wrote) — and prints the work counts ([`cc_vm::StateRootStats`]) next
 //! to the times, at three world sizes.
+//!
+//! The same worlds are what a node's set-up builds, so the section also
+//! times each build, and [`run_digest_costs`] times the short digests a
+//! build is made of: the one-shot SHA-256 at one, two and five blocks,
+//! and an account derivation.
 
+use crate::micro::time_case;
 use crate::Timing;
 use cc_ledger::Transaction;
-use cc_vm::{StateRootStats, World};
+use cc_primitives::sha256;
+use cc_vm::{Address, StateRootStats, World};
 use cc_workload::{Benchmark, WorkloadSpec};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Transactions in the measured block (the paper's reference size).
@@ -24,6 +32,8 @@ pub const BLOCK_SIZE: usize = 200;
 pub struct StateRootPoint {
     /// Accounts the Mixed world was generated for.
     pub accounts: usize,
+    /// Mean time to build the world (deploy and seed every contract).
+    pub build_ms: f64,
     /// Mean time of the world's first root, taken after the block.
     pub cold_us: f64,
     /// Mean time of the root after the block on a world whose genesis
@@ -56,12 +66,15 @@ pub fn run_state_root(accounts: &[usize], repetitions: usize) -> Vec<StateRootPo
             let mut block = workload.transactions();
             block.truncate(BLOCK_SIZE);
 
+            let mut build_samples = Vec::new();
             let mut cold_samples = Vec::new();
             let mut incremental_samples = Vec::new();
             let mut cold = StateRootStats::default();
             let mut incremental = StateRootStats::default();
             for _ in 0..repetitions.max(1) {
+                let start = Instant::now();
                 let world = workload.build_world();
+                build_samples.push(start.elapsed());
                 execute(&world, &block);
                 let start = Instant::now();
                 let cold_root = world.state_root();
@@ -80,6 +93,7 @@ pub fn run_state_root(accounts: &[usize], repetitions: usize) -> Vec<StateRootPo
             }
             StateRootPoint {
                 accounts,
+                build_ms: Timing::from_samples(&build_samples).mean_ms(),
                 cold_us: Timing::from_samples(&cold_samples).mean_ms() * 1_000.0,
                 incremental_us: Timing::from_samples(&incremental_samples).mean_ms() * 1_000.0,
                 cold,
@@ -87,6 +101,27 @@ pub fn run_state_root(accounts: &[usize], repetitions: usize) -> Vec<StateRootPo
             }
         })
         .collect()
+}
+
+/// What one short digest costs in nanoseconds, named: `sha256/{len}B`
+/// at 23, 64 and 256 bytes (one, two and five SHA-256 blocks once
+/// padded), then `address_from_index`.
+pub fn run_digest_costs(calls: usize) -> Vec<(String, f64)> {
+    let message = [0xa5u8; 256];
+    let mut costs: Vec<(String, f64)> = [23, 64, 256]
+        .into_iter()
+        .map(|len| {
+            let ns = time_case(calls, |_| {
+                black_box(sha256(black_box(&message[..len])));
+            });
+            (format!("sha256/{len}B"), ns)
+        })
+        .collect();
+    let ns = time_case(calls, |i| {
+        black_box(Address::from_index(black_box(i as u64)));
+    });
+    costs.push(("address_from_index".into(), ns));
+    costs
 }
 
 #[cfg(test)]
@@ -98,9 +133,25 @@ mod tests {
         let points = run_state_root(&[600], 1);
         assert_eq!(points.len(), 1);
         let p = &points[0];
-        assert!(p.cold_us > 0.0 && p.incremental_us > 0.0);
+        assert!(p.build_ms > 0.0 && p.cold_us > 0.0 && p.incremental_us > 0.0);
         assert!(p.cold.cold_builds > 0);
         assert!(p.incremental.entries_rehashed < p.cold.entries_rehashed);
         assert!(p.incremental.bytes_hashed < p.cold.bytes_hashed);
+    }
+
+    #[test]
+    fn digest_costs_name_every_length_and_the_derivation() {
+        let costs = run_digest_costs(16);
+        let names: Vec<&str> = costs.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "sha256/23B",
+                "sha256/64B",
+                "sha256/256B",
+                "address_from_index"
+            ]
+        );
+        assert!(costs.iter().all(|(_, ns)| *ns > 0.0));
     }
 }

@@ -216,6 +216,29 @@ fn value_text(value: f64, unit: &str) -> String {
     format!("{value:.decimals$}")
 }
 
+/// Several runs of one build as one: each label of the first run, at
+/// its median over the runs that hold it (the mean of the middle two
+/// for an even count).
+pub fn medians(runs: Vec<Vec<Labelled>>) -> Vec<Labelled> {
+    let mut runs = runs.into_iter();
+    let mut first = runs.next().unwrap_or_default();
+    let rest: Vec<Vec<Labelled>> = runs.collect();
+    for labelled in &mut first {
+        let mut values: Vec<f64> = (rest.iter())
+            .filter_map(|run| run.iter().find(|o| o.label == labelled.label))
+            .map(|o| o.value)
+            .chain([labelled.value])
+            .collect();
+        values.sort_by(f64::total_cmp);
+        let mid = values.len() / 2;
+        labelled.value = match values.len() % 2 {
+            1 => values[mid],
+            _ => (values[mid - 1] + values[mid]) / 2.0,
+        };
+    }
+    first
+}
+
 /// Compares `new` against `old` label by label. Returns the printed
 /// report and the number of regressions: metrics worse by more than
 /// `tolerance` percent — any move the wrong way off a 0 baseline counts —
@@ -372,5 +395,27 @@ mod tests {
         let (report, regressions) = compare(&old, &new, 25.0, true);
         assert_eq!(regressions, 1);
         assert!(report.contains("f/b/cost"), "{report}");
+    }
+
+    #[test]
+    fn runs_fold_into_their_medians() {
+        let runs = vec![
+            labelled(&[
+                ("fixture/a/1/cost_ms", 3.0, 0),
+                ("fixture/b/1/cost_ms", 1.0, 0),
+            ]),
+            labelled(&[
+                ("fixture/a/1/cost_ms", 9.0, 0),
+                ("fixture/b/1/cost_ms", 4.0, 0),
+            ]),
+            labelled(&[("fixture/a/1/cost_ms", 5.0, 0)]),
+        ];
+        let folded = medians(runs);
+        let values: Vec<(&str, f64)> = folded.iter().map(|l| (l.label.as_str(), l.value)).collect();
+        assert_eq!(
+            values,
+            [("fixture/a/1/cost_ms", 5.0), ("fixture/b/1/cost_ms", 2.5)]
+        );
+        assert!(medians(Vec::new()).is_empty());
     }
 }

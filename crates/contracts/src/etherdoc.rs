@@ -12,6 +12,8 @@
 //! (which is why EtherDoc's miner speedup drops fastest as the conflict
 //! percentage grows).
 
+use cc_primitives::fx::RawEntry;
+use cc_primitives::hex;
 use cc_vm::snapshot::ToBytes;
 use cc_vm::{
     Address, ArgValue, CallContext, CallData, Contract, ContractKind, ReturnValue, StorageCell,
@@ -60,30 +62,45 @@ impl EtherDoc {
         }
     }
 
-    /// Deterministic 32-byte document hash for benchmark/test document `i`.
+    /// Deterministic 32-byte document hash for benchmark/test document `i`:
+    /// the SHA-256 of the 24 bytes `Encoder::put_str("document")` then
+    /// `Encoder::put_u64(i)` write, hashed as one block with nothing
+    /// allocated.
     pub fn document_hash(i: u64) -> [u8; 32] {
-        let digest = cc_primitives::sha256(&{
-            let mut enc = cc_primitives::codec::Encoder::with_capacity(16);
-            enc.put_str("document");
-            enc.put_u64(i);
-            enc.into_bytes()
-        });
-        digest.0
+        const TAG: &[u8; 16] = b"\x08\0\0\0\0\0\0\0document";
+        cc_primitives::sha256_concat(&[TAG, &i.to_le_bytes()]).0
     }
 
-    /// Seeds an existing document (benchmark initial state).
+    /// Seeds an existing document (benchmark initial state): the next
+    /// serial, owned by `owner`, counted in `owner`'s tally and in the
+    /// total.
+    ///
+    /// # Panics
+    ///
+    /// If `hash` is already a document. Seeding it again would count it
+    /// twice and leave its first owner's tally behind; this is a set-up
+    /// API, and the world is left as it was.
     pub fn seed_document(&self, hash: [u8; 32], owner: Address) {
         let serial = self.total_documents.peek() + 1;
-        self.documents.seed(
-            hash,
-            Document {
-                owner,
-                serial,
-                transfers: 0,
-            },
+        let document = Document {
+            owner,
+            serial,
+            transfers: 0,
+        };
+        let vacant = self.documents.seed_with(hash, |entry| match entry {
+            RawEntry::Vacant(slot) => {
+                slot.insert(document);
+                true
+            }
+            RawEntry::Occupied(_) => false,
+        });
+        assert!(
+            vacant,
+            "EtherDoc: document {} is already seeded",
+            hex::encode(&hash)
         );
-        let current = self.owned_count.peek(&owner).unwrap_or(0);
-        self.owned_count.seed(owner, current + 1);
+        self.owned_count
+            .seed_with(owner, |entry| *entry.or_insert(0) += 1);
         self.total_documents.seed(serial);
     }
 
@@ -389,6 +406,35 @@ mod tests {
         }
         assert_eq!(etherdoc.total(), 5);
         assert_eq!(etherdoc.creator_address(), Address::from_index(0));
+    }
+
+    #[test]
+    fn reseeding_a_document_is_refused_and_changes_nothing() {
+        let (_, etherdoc) = setup();
+        let (a, b) = (Address::from_index(1), Address::from_index(2));
+        let hash = EtherDoc::document_hash(7);
+        etherdoc.seed_document(hash, a);
+        let reseed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            etherdoc.seed_document(hash, b)
+        }));
+        assert!(reseed.is_err(), "a re-seed must be refused");
+        assert_eq!(etherdoc.total(), 1);
+        assert_eq!(etherdoc.owned_by(&a), 1);
+        assert_eq!(etherdoc.owned_by(&b), 0);
+        assert_eq!(etherdoc.document(&hash).unwrap().owner, a);
+    }
+
+    #[test]
+    fn document_hashes_keep_their_bytes() {
+        // Digests taken before the preimage was laid out on the stack.
+        assert_eq!(
+            hex::encode(&EtherDoc::document_hash(0)),
+            "a66f2a4805949c5b85e6149b6f2726b6a04635c7ba6fa5a95d5a48d2e9f76f6d"
+        );
+        assert_eq!(
+            hex::encode(&EtherDoc::document_hash(1_000_000)),
+            "de9cca831f97e579394e0e86e2cf9f610e8e54e1729990330771cfb86b482e5c"
+        );
     }
 
     #[test]

@@ -19,6 +19,16 @@
 //! hardware kernel keeps the state in registers across a long message.
 //! Both kernels give the same digests, pinned by the standard test vectors
 //! below.
+//!
+//! A message shorter than 56 bytes pads into a single block: [`sha256`]
+//! and [`sha256_concat`] lay it out, with its `0x80` and its bit length, in
+//! one 64-byte block on the stack and hand that block to the same
+//! dispatched kernel, with no [`Sha256`] state and no buffer copies. Most
+//! digests the workspace takes are this short (an account or contract
+//! address, a document hash, a cell's digest, a one-child tree node), and
+//! for them the incremental hasher's bookkeeping cost more than the
+//! compression. Longer messages go through [`Sha256`]. The tests compare
+//! both paths, on both kernels, at every length from 0 to 130 bytes.
 
 use crate::hex;
 use std::fmt;
@@ -110,9 +120,54 @@ impl AsRef<[u8]> for Hash256 {
 /// );
 /// ```
 pub fn sha256(data: &[u8]) -> Hash256 {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
+    sha256_concat(&[data])
+}
+
+/// The digest of `parts` joined end to end, without joining them: a
+/// message shorter than 56 bytes is laid out in one stack block, a longer
+/// one is fed to [`Sha256::update`] part by part.
+///
+/// # Example
+///
+/// ```
+/// use cc_primitives::hash::{sha256, sha256_concat};
+/// assert_eq!(sha256_concat(&[b"ab", b"", b"c"]), sha256(b"abc"));
+/// ```
+pub fn sha256_concat(parts: &[&[u8]]) -> Hash256 {
+    concat_with(compress, parts)
+}
+
+/// [`sha256_concat`] on the given compression kernel.
+fn concat_with(kernel: impl Fn(&mut [u32; 8], &[[u8; 64]]), parts: &[&[u8]]) -> Hash256 {
+    let len: usize = parts.iter().map(|part| part.len()).sum();
+    if len >= 56 {
+        let mut h = Sha256::new();
+        for part in parts {
+            h.update_with(&kernel, part);
+        }
+        return h.finalize_with(kernel);
+    }
+    // The message, 0x80, zeros, then the 64-bit big-endian bit length.
+    let mut block = [0u8; 64];
+    let mut at = 0;
+    for part in parts {
+        block[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    block[len] = 0x80;
+    block[56..].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+    let mut state = H0;
+    kernel(&mut state, std::slice::from_ref(&block));
+    digest_of(state)
+}
+
+/// The digest a finished state spells, word by word in big-endian.
+fn digest_of(state: [u32; 8]) -> Hash256 {
+    let mut out = [0u8; 32];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    Hash256(out)
 }
 
 const K: [u32; 64] = [
@@ -218,12 +273,7 @@ impl Sha256 {
         let used = if self.buffer_len >= 56 { 2 } else { 1 };
         blocks[used - 1][56..].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
         kernel(&mut self.state, &blocks[..used]);
-
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Hash256(out)
+        digest_of(self.state)
     }
 }
 
@@ -484,6 +534,39 @@ mod tests {
                     dispatched,
                     portable_digest(&parts),
                     "case {case}: {len} bytes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_block_path_agrees_at_every_short_length() {
+        let hardware = hardware_kernel_runs("one_block_path_agrees_at_every_short_length");
+        let data: Vec<u8> = (0..=130u8).map(|i| i.wrapping_mul(151) ^ 0x5a).collect();
+        for len in 0..=130 {
+            let message = &data[..len];
+            let oneshot = sha256(message);
+            let mut whole = Sha256::new();
+            whole.update(message);
+            assert_eq!(oneshot, whole.finalize(), "{len} bytes, fed whole");
+            let mut bytewise = Sha256::new();
+            for byte in message {
+                bytewise.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(oneshot, bytewise.finalize(), "{len} bytes, byte by byte");
+            let (head, tail) = message.split_at(len / 3);
+            assert_eq!(
+                oneshot,
+                sha256_concat(&[head, &[], tail]),
+                "{len} bytes, in parts"
+            );
+            if hardware {
+                let portable = concat_with(compress_portable, &[message]);
+                assert_eq!(oneshot, portable, "{len} bytes, portable rounds");
+                assert_eq!(
+                    oneshot,
+                    portable_digest(&[message]),
+                    "{len} bytes, portable"
                 );
             }
         }

@@ -56,4 +56,4 @@ pub mod pool;
 pub mod small;
 pub mod ts;
 
-pub use hash::{sha256, Hash256};
+pub use hash::{sha256, sha256_concat, Hash256};

@@ -5,7 +5,7 @@ use crate::error::StmError;
 use crate::lock::{LockMode, LockSpace};
 use crate::txn::{Transaction, UndoSink};
 use cc_primitives::fnv::fnv1a_of;
-use cc_primitives::fx::{BucketMask, RawFxMap, ShardedRawTable};
+use cc_primitives::fx::{BucketMask, RawEntry, RawFxMap, ShardedRawTable};
 use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -379,6 +379,14 @@ where
         self.inner.write(h, |map| {
             map.insert_hashed(h, key, value);
         });
+    }
+
+    /// Non-transactional access to `key`'s slot, bound or vacant, used
+    /// only during setup: a read-then-write (bump a seeded tally, insert
+    /// only if absent) in one hash and one latch.
+    pub fn seed_with<R>(&self, key: K, f: impl FnOnce(RawEntry<'_, K, V>) -> R) -> R {
+        let h = fnv1a_of(&key);
+        self.inner.write(h, |map| f(map.entry_hashed(h, key)))
     }
 
     /// Non-transactional removal, the counterpart of [`seed`](Self::seed):

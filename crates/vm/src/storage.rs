@@ -21,6 +21,7 @@ use crate::context::{CallContext, TxnRef};
 use crate::error::VmError;
 use crate::snapshot::{FieldSnapshot, ToBytes};
 use cc_mvcc::{MvccTxn, VersionedCell, VersionedCounterMap, VersionedMap};
+use cc_primitives::fx::RawEntry;
 use cc_primitives::hash::Hash256;
 use cc_stm::{BoostedCell, BoostedCounterMap, BoostedMap};
 use parking_lot::Mutex;
@@ -221,6 +222,13 @@ where
     /// Non-transactional write used while constructing initial state.
     pub fn seed(&self, key: K, value: V) {
         self.inner.seed(key, value);
+    }
+
+    /// Non-transactional access to `key`'s slot, bound or vacant, used
+    /// while constructing initial state: a read-then-write in one storage
+    /// pass (see [`BoostedMap::seed_with`]).
+    pub fn seed_with<R>(&self, key: K, f: impl FnOnce(RawEntry<'_, K, V>) -> R) -> R {
+        self.inner.seed_with(key, f)
     }
 
     /// Non-transactional read for tests and diagnostics.

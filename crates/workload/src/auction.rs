@@ -58,11 +58,12 @@ pub fn deploy(world: &World, block_size: usize) {
 pub fn transactions(n: usize, conflict: f64) -> Vec<Transaction> {
     let contending = contending_count(n, conflict);
     let mut txs = Vec::with_capacity(n);
+    let to = contract_address();
     for i in 0..contending {
         txs.push(Transaction::new(
             0,
             overbidder(i),
-            contract_address(),
+            to,
             CallData::nullary("bidPlusOne"),
             GAS_LIMIT,
         ));
@@ -71,7 +72,7 @@ pub fn transactions(n: usize, conflict: f64) -> Vec<Transaction> {
         txs.push(Transaction::new(
             0,
             bidder(i),
-            contract_address(),
+            to,
             CallData::nullary("withdraw"),
             GAS_LIMIT,
         ));

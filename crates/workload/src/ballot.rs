@@ -48,24 +48,13 @@ pub fn transactions(n: usize, conflict: f64) -> Vec<Transaction> {
     let contending = contending_count(n, conflict);
     let double_voters = contending / 2;
     let mut txs = Vec::with_capacity(n);
+    let to = contract_address();
     let vote_call = || CallData::new("vote", vec![ArgValue::Uint(u128::from(PROPOSAL))]);
 
     // Double voters: two transactions each.
     for i in 0..double_voters {
-        txs.push(Transaction::new(
-            0,
-            voter(i),
-            contract_address(),
-            vote_call(),
-            GAS_LIMIT,
-        ));
-        txs.push(Transaction::new(
-            0,
-            voter(i),
-            contract_address(),
-            vote_call(),
-            GAS_LIMIT,
-        ));
+        txs.push(Transaction::new(0, voter(i), to, vote_call(), GAS_LIMIT));
+        txs.push(Transaction::new(0, voter(i), to, vote_call(), GAS_LIMIT));
     }
     // The rest vote exactly once, each from a distinct voter.
     let singles = n - 2 * double_voters;
@@ -73,7 +62,7 @@ pub fn transactions(n: usize, conflict: f64) -> Vec<Transaction> {
         txs.push(Transaction::new(
             0,
             voter(double_voters + j),
-            contract_address(),
+            to,
             vote_call(),
             GAS_LIMIT,
         ));

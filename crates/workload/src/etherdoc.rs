@@ -56,14 +56,15 @@ pub fn deploy(world: &World, block_size: usize) {
 pub fn transactions(n: usize, conflict: f64) -> Vec<Transaction> {
     let contending = contending_count(n, conflict);
     let mut txs = Vec::with_capacity(n);
+    let (to, creator) = (contract_address(), creator());
     for i in 0..contending {
         txs.push(Transaction::new(
             0,
             owner(i),
-            contract_address(),
+            to,
             CallData::new(
                 "transferDocument",
-                vec![ArgValue::Bytes32(document(i)), ArgValue::Addr(creator())],
+                vec![ArgValue::Bytes32(document(i)), ArgValue::Addr(creator)],
             ),
             GAS_LIMIT,
         ));
@@ -72,7 +73,7 @@ pub fn transactions(n: usize, conflict: f64) -> Vec<Transaction> {
         txs.push(Transaction::new(
             0,
             owner(j),
-            contract_address(),
+            to,
             CallData::new("hasDocument", vec![ArgValue::Bytes32(document(j))]),
             GAS_LIMIT,
         ));
