@@ -20,9 +20,11 @@
 //!   ending with the overall mean and the paper's 1.33× / 1.69×.
 //! * `ablation`, `contention`, `micro` (section `stm_micro`), `schedule`,
 //!   `read-heavy`, `abort-rate` (both concurrent strategies, whatever
-//!   `--strategy` says), `state-root` — one section each.
-//! * `perf` — the six sections `BENCH_BASELINE.json` holds; `all`
-//!   (default) — every section.
+//!   `--strategy` says) — one section each; `state-root` — sections
+//!   `state_root` and `digest` (the short digests a world build hashes).
+//! * `perf` — the seven sections from `stm_micro` on (`BENCH_BASELINE.json`
+//!   holds all but `digest`, which enters with its next regeneration);
+//!   `all` (default) — every section.
 //! * `diff OLD.json NEW.json` — compares two `--json` outputs label by
 //!   label and flags deltas beyond `--tolerance` (default 25%). With
 //!   `--strict`, a regression — or a label of OLD missing from NEW — exits
@@ -159,7 +161,7 @@ const FIGURE1_METRICS: &[Metric] = &[
     higher("validator_speedup", "x"),
 ];
 
-static SECTIONS: [Section; 10] = [
+static SECTIONS: [Section; 11] = [
     Section {
         schema: Schema {
             name: "figure1_blocksize",
@@ -283,13 +285,11 @@ static SECTIONS: [Section; 10] = [
     Section {
         schema: Schema {
             name: "state_root",
-            title: "State root after one 200-txn Mixed block: cold vs. incremental; \
-                    what building the world costs, and the short digests a build \
-                    hashes (ns_per_op rows)",
+            title: "State root after one 200-txn Mixed block: cold vs. incremental, \
+                    and what building the world costs",
             keys: &["accounts"],
             metrics: &[
                 lower("build_ms", "ms"),
-                lower("ns_per_op", "ns"),
                 lower("cold_us", "us"),
                 lower("incremental_us", "us"),
                 lower("dirty_leaves", "count"),
@@ -301,6 +301,15 @@ static SECTIONS: [Section; 10] = [
             ],
         },
         measure: state_root,
+    },
+    Section {
+        schema: Schema {
+            name: "digest",
+            title: "Short digests a world build hashes: one-shot SHA-256, account derivation",
+            keys: &["case"],
+            metrics: &[lower("ns_per_op", "ns")],
+        },
+        measure: digest,
     },
 ];
 
@@ -314,6 +323,7 @@ fn command_sections(command: &str) -> Option<Vec<&'static str>> {
         "abort_rate",
         "contention",
         "state_root",
+        "digest",
     ];
     Some(match command {
         "figure1-blocksize" => vec![figure1[0]],
@@ -326,7 +336,7 @@ fn command_sections(command: &str) -> Option<Vec<&'static str>> {
         "schedule" => vec!["schedule"],
         "read-heavy" => vec!["read_heavy"],
         "abort-rate" => vec!["abort_rate"],
-        "state-root" => vec!["state_root"],
+        "state-root" => vec!["state_root", "digest"],
         "perf" => perf.to_vec(),
         "all" => [&figure1[..], &["table1", "ablation"], &perf].concat(),
         _ => return None,
@@ -523,10 +533,6 @@ fn contention(opts: &Options, _: &[Table]) -> Vec<Row> {
     rows
 }
 
-/// Calls per digest case, not shrunk by `--quick`: a case costs well
-/// under a millisecond a pass.
-const DIGEST_CALLS: usize = 20_000;
-
 /// The quick run drops the 100 k world: generating it dominates a smoke
 /// run.
 fn state_root(opts: &Options, _: &[Table]) -> Vec<Row> {
@@ -538,7 +544,6 @@ fn state_root(opts: &Options, _: &[Table]) -> Vec<Row> {
     for p in run_state_root(accounts, opts.repetitions) {
         let values = [
             p.build_ms,
-            f64::NAN,
             p.cold_us,
             p.incremental_us,
             p.incremental.dirty_leaves as f64,
@@ -550,10 +555,19 @@ fn state_root(opts: &Options, _: &[Table]) -> Vec<Row> {
         ];
         rows.push(Row::new([p.accounts], values));
     }
-    for (name, ns) in run_digest_costs(DIGEST_CALLS) {
-        rows.push(Row::new([name], [f64::NAN, ns]));
-    }
     rows
+}
+
+/// Calls per digest case, not shrunk by `--quick`: a case costs well
+/// under a millisecond a pass.
+const DIGEST_CALLS: usize = 20_000;
+
+fn digest(_: &Options, _: &[Table]) -> Vec<Row> {
+    let costs = run_digest_costs(DIGEST_CALLS);
+    costs
+        .into_iter()
+        .map(|(name, ns)| Row::new([name], [ns]))
+        .collect()
 }
 
 /// `repro diff`: the number of regressions, or an error that exits 2 (an

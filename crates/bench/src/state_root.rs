@@ -11,9 +11,9 @@
 //! to the times, at three world sizes.
 //!
 //! The same worlds are what a node's set-up builds, so the section also
-//! times each build, and [`run_digest_costs`] times the short digests a
-//! build is made of: the one-shot SHA-256 at one, two and five blocks,
-//! and an account derivation.
+//! times each build, and [`run_digest_costs`] (`repro`'s `digest`
+//! section) times the short digests a build is made of: the one-shot
+//! SHA-256 at one, two and five blocks, and an account derivation.
 
 use crate::micro::time_case;
 use crate::Timing;

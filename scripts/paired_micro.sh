@@ -1,30 +1,29 @@
 #!/bin/sh
 # The paired `stm_micro` gate: builds `repro` from a base checkout and
-# from this one, runs PAIRS alternating `repro --quick micro` runs of each
+# from this one, runs six alternating `repro --quick micro` runs of each
 # (base first in odd pairs, head first in even ones, so a drifting host
 # loads both sides alike), and fails if any case's head/base median ratio
 # exceeds 1.25. Both sides run on the same host in the same minutes, so
 # the verdict does not depend on how fast the host that measured
 # `BENCH_BASELINE.json` was.
 #
-# Usage: scripts/paired_micro.sh BASE [PAIRS [OUT]]
+# Usage: scripts/paired_micro.sh BASE
 #   BASE   a checkout of the commit to compare against, e.g. one made
 #          with `git archive <rev> | tar -x -C <dir>`
-#   PAIRS  alternating pairs of runs (default 6)
-#   OUT    directory for the base build and the runs' JSON (default: a
-#          new temporary directory)
 #
+# The base build and the runs' JSON go to a new temporary directory,
+# removed on exit.
 # Exits 1 on a regression or on a base case the head lacks, 2 on a usage
 # or build error.
 set -eu
-if [ $# -lt 1 ]; then
-    echo "usage: scripts/paired_micro.sh BASE [PAIRS [OUT]]" >&2
+if [ $# -ne 1 ]; then
+    echo "usage: scripts/paired_micro.sh BASE" >&2
     exit 2
 fi
 base=$(cd "$1" && pwd)
-pairs=${2:-6}
-out=${3:-$(mktemp -d)}
-mkdir -p "$out"
+pairs=6
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
 
 cargo build --release -q -p cc-bench --bin repro || exit 2
 head_repro="${CARGO_TARGET_DIR:-target}/release/repro"
