@@ -286,9 +286,10 @@ static SECTIONS: [Section; 11] = [
         schema: Schema {
             name: "state_root",
             title: "State root after one 200-txn Mixed block: cold vs. incremental, \
-                    and what building the world costs",
+                    and what generating the workload and building the world cost",
             keys: &["accounts"],
             metrics: &[
+                lower("generate_ms", "ms"),
                 lower("build_ms", "ms"),
                 lower("cold_us", "us"),
                 lower("incremental_us", "us"),
@@ -543,6 +544,7 @@ fn state_root(opts: &Options, _: &[Table]) -> Vec<Row> {
     let mut rows = Vec::new();
     for p in run_state_root(accounts, opts.repetitions) {
         let values = [
+            p.generate_ms,
             p.build_ms,
             p.cold_us,
             p.incremental_us,

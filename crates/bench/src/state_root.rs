@@ -11,7 +11,9 @@
 //! to the times, at three world sizes.
 //!
 //! The same worlds are what a node's set-up builds, so the section also
-//! times each build, and [`run_digest_costs`] (`repro`'s `digest`
+//! times the set-up's two stages — generating the workload (its
+//! transactions and the keys every build seeds, derived once) and each
+//! build — and [`run_digest_costs`] (`repro`'s `digest`
 //! section) times the short digests a build is made of: the one-shot
 //! SHA-256 at one, two and five blocks, and an account derivation.
 
@@ -32,6 +34,9 @@ pub const BLOCK_SIZE: usize = 200;
 pub struct StateRootPoint {
     /// Accounts the Mixed world was generated for.
     pub accounts: usize,
+    /// Mean time to generate the workload: its transactions and the keys
+    /// its worlds are seeded with.
+    pub generate_ms: f64,
     /// Mean time to build the world (deploy and seed every contract).
     pub build_ms: f64,
     /// Mean time of the world's first root, taken after the block.
@@ -62,7 +67,17 @@ pub fn run_state_root(accounts: &[usize], repetitions: usize) -> Vec<StateRootPo
     accounts
         .iter()
         .map(|&accounts| {
-            let workload = WorkloadSpec::new(Benchmark::Mixed, accounts, 0.15).generate();
+            let spec = WorkloadSpec::new(Benchmark::Mixed, accounts, 0.15);
+            let mut generate_samples = Vec::new();
+            let workload = (0..repetitions.max(1))
+                .map(|_| {
+                    let start = Instant::now();
+                    let workload = spec.generate();
+                    generate_samples.push(start.elapsed());
+                    workload
+                })
+                .last()
+                .expect("at least one repetition");
             let mut block = workload.transactions();
             block.truncate(BLOCK_SIZE);
 
@@ -93,6 +108,7 @@ pub fn run_state_root(accounts: &[usize], repetitions: usize) -> Vec<StateRootPo
             }
             StateRootPoint {
                 accounts,
+                generate_ms: Timing::from_samples(&generate_samples).mean_ms(),
                 build_ms: Timing::from_samples(&build_samples).mean_ms(),
                 cold_us: Timing::from_samples(&cold_samples).mean_ms() * 1_000.0,
                 incremental_us: Timing::from_samples(&incremental_samples).mean_ms() * 1_000.0,
@@ -133,7 +149,8 @@ mod tests {
         let points = run_state_root(&[600], 1);
         assert_eq!(points.len(), 1);
         let p = &points[0];
-        assert!(p.build_ms > 0.0 && p.cold_us > 0.0 && p.incremental_us > 0.0);
+        assert!(p.generate_ms > 0.0 && p.build_ms > 0.0);
+        assert!(p.cold_us > 0.0 && p.incremental_us > 0.0);
         assert!(p.cold.cold_builds > 0);
         assert!(p.incremental.entries_rehashed < p.cold.entries_rehashed);
         assert!(p.incremental.bytes_hashed < p.cold.bytes_hashed);

@@ -69,17 +69,37 @@ impl Ballot {
     /// Deploys a ballot at `address` with `chairperson` and the given
     /// proposal names (the constructor of the Solidity contract).
     pub fn new(address: Address, chairperson: Address, proposal_names: &[[u8; 32]]) -> Self {
+        Ballot::with_capacity(address, chairperson, proposal_names, 0)
+    }
+
+    /// [`new`](Self::new) for a set-up that registers about `voters`
+    /// voters next ([`seed_registered_voter`](Self::seed_registered_voter)):
+    /// the voter table is sized for them, and the proposal tables for the
+    /// names, so seeding allocates each once.
+    pub fn with_capacity(
+        address: Address,
+        chairperson: Address,
+        proposal_names: &[[u8; 32]],
+        voters: usize,
+    ) -> Self {
         let tag = address.to_hex();
+        let proposals = proposal_names.len();
         let ballot = Ballot {
             address,
             chairperson: StorageCell::new(&format!("Ballot.chairperson.{tag}"), chairperson),
-            voters: StorageMap::new(&format!("Ballot.voters.{tag}")),
-            proposal_names: StorageMap::new(&format!("Ballot.proposals.{tag}")),
+            voters: StorageMap::with_capacity(&format!("Ballot.voters.{tag}"), voters),
+            proposal_names: StorageMap::with_capacity(
+                &format!("Ballot.proposals.{tag}"),
+                proposals,
+            ),
             proposal_count: StorageCell::new(
                 &format!("Ballot.proposalCount.{tag}"),
-                proposal_names.len() as u64,
+                proposals as u64,
             ),
-            vote_counts: StorageCounterMap::new(&format!("Ballot.voteCounts.{tag}")),
+            vote_counts: StorageCounterMap::with_capacity(
+                &format!("Ballot.voteCounts.{tag}"),
+                proposals,
+            ),
         };
         // The chairperson gets weight 1, like the Solidity constructor.
         ballot.voters.seed(

@@ -52,12 +52,23 @@ pub struct EtherDoc {
 impl EtherDoc {
     /// Deploys EtherDoc at `address`, created by `creator`.
     pub fn new(address: Address, creator: Address) -> Self {
+        EtherDoc::with_capacity(address, creator, 0)
+    }
+
+    /// [`new`](Self::new) for a set-up that seeds about `documents`
+    /// documents next ([`seed_document`](Self::seed_document)): the
+    /// document table and the owners' tallies (one owner a document at
+    /// most) are sized once.
+    pub fn with_capacity(address: Address, creator: Address, documents: usize) -> Self {
         let tag = address.to_hex();
         EtherDoc {
             address,
             creator: StorageCell::new(&format!("EtherDoc.creator.{tag}"), creator),
-            documents: StorageMap::new(&format!("EtherDoc.documents.{tag}")),
-            owned_count: StorageMap::new(&format!("EtherDoc.ownedCount.{tag}")),
+            documents: StorageMap::with_capacity(&format!("EtherDoc.documents.{tag}"), documents),
+            owned_count: StorageMap::with_capacity(
+                &format!("EtherDoc.ownedCount.{tag}"),
+                documents,
+            ),
             total_documents: StorageCell::new(&format!("EtherDoc.totalDocuments.{tag}"), 0),
         }
     }

@@ -31,6 +31,13 @@ pub struct SimpleAuction {
 impl SimpleAuction {
     /// Deploys an auction at `address` paying out to `beneficiary`.
     pub fn new(address: Address, beneficiary: Address) -> Self {
+        SimpleAuction::with_capacity(address, beneficiary, 0)
+    }
+
+    /// [`new`](Self::new) for a set-up that seeds about `bidders`
+    /// pending returns next ([`seed_pending_return`](Self::seed_pending_return)):
+    /// their table is sized once.
+    pub fn with_capacity(address: Address, beneficiary: Address, bidders: usize) -> Self {
         let tag = address.to_hex();
         SimpleAuction {
             address,
@@ -41,7 +48,10 @@ impl SimpleAuction {
                 Address::ZERO,
             ),
             highest_bid: StorageCell::new(&format!("SimpleAuction.highestBid.{tag}"), 0),
-            pending_returns: StorageMap::new(&format!("SimpleAuction.pendingReturns.{tag}")),
+            pending_returns: StorageMap::with_capacity(
+                &format!("SimpleAuction.pendingReturns.{tag}"),
+                bidders,
+            ),
         }
     }
 

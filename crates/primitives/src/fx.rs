@@ -210,6 +210,18 @@ impl<K, V> RawFxMap<K, V> {
         }
     }
 
+    /// Creates an empty map whose first table holds `entries` entries
+    /// under the ⅞ load ceiling: the table doubling would reach after as
+    /// many inserts, allocated once. No allocation when `entries` is 0;
+    /// past `entries` the map grows as usual.
+    pub fn with_capacity(entries: usize) -> Self {
+        let mut map = RawFxMap::new();
+        if entries > 0 {
+            map.rehash((entries * 8).div_ceil(7).next_power_of_two().max(8));
+        }
+        map
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.items
@@ -724,10 +736,27 @@ unsafe impl<K: Send, V: Send> Sync for ShardedRawTable<K, V> {}
 impl<K, V> ShardedRawTable<K, V> {
     /// Creates an empty table (no allocation until the first insert).
     pub fn new() -> Self {
+        ShardedRawTable::with_capacity(0)
+    }
+
+    /// Creates an empty table sized for `entries` entries, so seeding
+    /// that many allocates each shard once instead of doubling it from 8
+    /// slots. Each shard holds an even share plus an eighth: FNV
+    /// fingerprints spread keys over the shards to within a few √share,
+    /// which an eighth covers from a few hundred entries a shard up. A
+    /// shard that gets more still grows as before, and a share that fits
+    /// the smallest table is left to its first insert, so a sparse table
+    /// allocates no empty shard.
+    pub fn with_capacity(entries: usize) -> Self {
+        let share = entries.div_ceil(RAW_TABLE_SHARDS);
+        let per_shard = match share + share / 8 {
+            small if small < 8 => 0,
+            sized => sized,
+        };
         ShardedRawTable {
             shards: std::array::from_fn(|_| RawShard {
                 latch: Latch::default(),
-                table: UnsafeCell::new(RawFxMap::new()),
+                table: UnsafeCell::new(RawFxMap::with_capacity(per_shard)),
                 dirty: UnsafeCell::new(BucketMask::default()),
             }),
         }
@@ -1187,6 +1216,56 @@ mod tests {
         let mut marks = Vec::new();
         table.drain_dirty(|shard, mask, _| marks.extend(mask.iter().map(|b| (shard, b))));
         marks
+    }
+
+    /// Every shard's slot count, in shard order.
+    fn shard_slots<K, V>(table: &ShardedRawTable<K, V>) -> Vec<usize> {
+        let mut slots = Vec::new();
+        table.fold((), |(), map| slots.push(map.slots.len()));
+        slots
+    }
+
+    #[test]
+    fn a_sized_table_seeds_without_growing() {
+        for entries in [1_000u64, 20_000] {
+            let sized = ShardedRawTable::with_capacity(entries as usize);
+            let grown = ShardedRawTable::new();
+            let before = shard_slots(&sized);
+            for i in 0..entries {
+                let h = crate::fnv::fnv1a_of(&i);
+                sized.write(h, |map| map.insert_hashed(h, i, i));
+                grown.write(h, |map| map.insert_hashed(h, i, i));
+            }
+            assert_eq!(shard_slots(&sized), before, "{entries}: no shard grew");
+            let pairs = before.iter().zip(shard_slots(&grown));
+            assert!(
+                pairs.into_iter().all(|(&sized, grown)| sized >= grown),
+                "{entries}: every shard is at least the table doubling reaches"
+            );
+            for i in 0..entries {
+                let h = crate::fnv::fnv1a_of(&i);
+                assert_eq!(sized.read(h, |map| map.get_hashed(h, &i).copied()), Some(i));
+            }
+        }
+
+        // A share that fits the smallest table allocates on first insert.
+        let sparse: ShardedRawTable<u64, u64> = ShardedRawTable::with_capacity(40);
+        assert!(shard_slots(&sparse).iter().all(|&slots| slots == 0));
+
+        // Past its hint, a shard grows as an unsized one does.
+        let table = ShardedRawTable::with_capacity(1_000);
+        for i in 0..4_000u64 {
+            let h = crate::fnv::fnv1a_of(&i);
+            table.write(h, |map| map.insert_hashed(h, i, i));
+        }
+        assert_eq!(table.len(), 4_000);
+        assert!(shard_slots(&table).iter().all(|&slots| slots >= 256));
+        let mut map = RawFxMap::with_capacity(7);
+        assert_eq!(map.slots.len(), 8);
+        for i in 0..100u64 {
+            map.insert_hashed(fx_hash_of(&i), i, ());
+        }
+        assert!(map.slots.len() >= 128 && map.len() == 100);
     }
 
     #[test]

@@ -112,10 +112,16 @@ where
 {
     /// Creates an empty tally map in the lock space derived from `name`.
     pub fn new(name: &str) -> Self {
+        BoostedCounterMap::with_capacity(name, 0)
+    }
+
+    /// [`new`](Self::new) with the backing store sized for `entries`
+    /// tallies (see [`crate::BoostedMap::with_capacity`]).
+    pub fn with_capacity(name: &str, entries: usize) -> Self {
         BoostedCounterMap {
             name: name.to_string(),
             space: LockSpace::new(name),
-            inner: Arc::new(ShardedRawTable::new()),
+            inner: Arc::new(ShardedRawTable::with_capacity(entries)),
         }
     }
 

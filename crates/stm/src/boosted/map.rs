@@ -123,10 +123,18 @@ where
     /// space derived from `name` (use a globally unique, stable name such
     /// as `"Ballot.voters"`).
     pub fn new(name: &str) -> Self {
+        BoostedMap::with_capacity(name, 0)
+    }
+
+    /// [`new`](Self::new) with the backing store sized for `entries`
+    /// bindings ([`ShardedRawTable::with_capacity`]): a set-up that
+    /// knows how many it seeds allocates once. Only a hint: the map grows
+    /// past it as any map does.
+    pub fn with_capacity(name: &str, entries: usize) -> Self {
         BoostedMap {
             name: name.to_string(),
             space: LockSpace::new(name),
-            inner: Arc::new(ShardedRawTable::new()),
+            inner: Arc::new(ShardedRawTable::with_capacity(entries)),
         }
     }
 

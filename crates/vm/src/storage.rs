@@ -68,8 +68,15 @@ where
     /// Declares a mapping with a stable, globally unique name
     /// (`"Ballot.voters"`).
     pub fn new(name: &str) -> Self {
+        StorageMap::with_capacity(name, 0)
+    }
+
+    /// [`new`](Self::new) sized for the `entries` bindings a contract's
+    /// set-up is about to seed, so seeding allocates once
+    /// ([`BoostedMap::with_capacity`]). Only a hint.
+    pub fn with_capacity(name: &str, entries: usize) -> Self {
         StorageMap {
-            inner: BoostedMap::new(name),
+            inner: BoostedMap::with_capacity(name, entries),
             overlay: Arc::new(OnceLock::new()),
             commitment: Arc::default(),
         }
@@ -423,8 +430,14 @@ where
 {
     /// Declares a tally map with a stable name.
     pub fn new(name: &str) -> Self {
+        StorageCounterMap::with_capacity(name, 0)
+    }
+
+    /// [`new`](Self::new) sized for `entries` seeded tallies (see
+    /// [`StorageMap::with_capacity`]).
+    pub fn with_capacity(name: &str, entries: usize) -> Self {
         StorageCounterMap {
-            inner: BoostedCounterMap::new(name),
+            inner: BoostedCounterMap::with_capacity(name, entries),
             overlay: Arc::new(OnceLock::new()),
             commitment: Arc::default(),
         }

@@ -37,13 +37,19 @@ pub fn overbidder(i: usize) -> Address {
     Address::from_index(ACCOUNT_BASE + 100_000 + i as u64)
 }
 
-/// Deploys the auction and seeds pending returns for up to `block_size`
-/// bidders plus an initial highest bid.
-pub fn deploy(world: &World, block_size: usize) {
+/// The first `n` withdrawing bidders: the accounts a world of `n`
+/// accounts seeds a pending return for.
+pub fn bidders(n: usize) -> Vec<Address> {
+    (0..n).map(bidder).collect()
+}
+
+/// Deploys the auction and seeds a pending return for each of `bidders`
+/// plus an initial highest bid.
+pub fn deploy(world: &World, bidders: &[Address]) {
     let beneficiary = Address::from_index(ACCOUNT_BASE);
-    let auction = SimpleAuction::new(contract_address(), beneficiary);
-    for i in 0..block_size.max(1) {
-        auction.seed_pending_return(bidder(i), SEEDED_RETURN);
+    let auction = SimpleAuction::with_capacity(contract_address(), beneficiary, bidders.len());
+    for &bidder in bidders {
+        auction.seed_pending_return(bidder, SEEDED_RETURN);
     }
     auction.seed_highest_bid(
         Address::from_index(ACCOUNT_BASE + 999_999),
@@ -54,8 +60,9 @@ pub fn deploy(world: &World, block_size: usize) {
 
 /// Generates `n` transactions: `contending_count(n, conflict)` of them are
 /// `bidPlusOne()` calls (which all touch the shared highest bid and hence
-/// all contend), the rest are `withdraw()` calls by distinct bidders.
-pub fn transactions(n: usize, conflict: f64) -> Vec<Transaction> {
+/// all contend), the rest are `withdraw()` calls by the first of
+/// `bidders`.
+pub fn transactions(n: usize, conflict: f64, bidders: &[Address]) -> Vec<Transaction> {
     let contending = contending_count(n, conflict);
     let mut txs = Vec::with_capacity(n);
     let to = contract_address();
@@ -68,10 +75,10 @@ pub fn transactions(n: usize, conflict: f64) -> Vec<Transaction> {
             GAS_LIMIT,
         ));
     }
-    for i in 0..(n - contending) {
+    for &bidder in &bidders[..n - contending] {
         txs.push(Transaction::new(
             0,
-            bidder(i),
+            bidder,
             to,
             CallData::nullary("withdraw"),
             GAS_LIMIT,
@@ -86,7 +93,7 @@ mod tests {
 
     #[test]
     fn conflict_fraction_controls_bid_plus_one_count() {
-        let txs = transactions(200, 0.15);
+        let txs = transactions(200, 0.15, &bidders(200));
         assert_eq!(txs.len(), 200);
         let bids = txs
             .iter()
@@ -99,17 +106,17 @@ mod tests {
 
     #[test]
     fn extremes() {
-        assert!(transactions(40, 0.0)
+        assert!(transactions(40, 0.0, &bidders(40))
             .iter()
             .all(|t| t.call.function == "withdraw"));
-        assert!(transactions(40, 1.0)
+        assert!(transactions(40, 1.0, &bidders(40))
             .iter()
             .all(|t| t.call.function == "bidPlusOne"));
     }
 
     #[test]
     fn withdrawers_are_distinct() {
-        let txs = transactions(50, 0.2);
+        let txs = transactions(50, 0.2, &bidders(50));
         let withdrawers: std::collections::HashSet<Address> = txs
             .iter()
             .filter(|t| t.call.function == "withdraw")
@@ -121,7 +128,7 @@ mod tests {
     #[test]
     fn deploy_seeds_returns() {
         let world = World::new();
-        deploy(&world, 5);
+        deploy(&world, &bidders(5));
         assert!(world.contract(contract_address()).is_some());
     }
 }

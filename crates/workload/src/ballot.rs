@@ -14,6 +14,8 @@ use std::sync::Arc;
 /// Index offset so ballot voter accounts never collide with accounts used
 /// by the other benchmarks inside the Mixed workload.
 const ACCOUNT_BASE: u64 = 10_000;
+/// Proposals on the benchmark's ballot.
+const PROPOSALS: usize = 4;
 /// The proposal every benchmark transaction votes for.
 const PROPOSAL: u64 = 0;
 /// Gas limit for one vote.
@@ -29,22 +31,28 @@ pub fn voter(i: usize) -> Address {
     Address::from_index(ACCOUNT_BASE + i as u64)
 }
 
-/// Deploys the Ballot contract and registers enough voters for a block of
-/// `block_size` transactions ("the contract is put into an initial state
-/// where voters are already registered").
-pub fn deploy(world: &World, block_size: usize) {
+/// The first `n` voters: the accounts a world of `n` accounts registers.
+pub fn voters(n: usize) -> Vec<Address> {
+    (0..n).map(voter).collect()
+}
+
+/// Deploys the Ballot contract and registers `voters` ("the contract is
+/// put into an initial state where voters are already registered").
+pub fn deploy(world: &World, voters: &[Address]) {
     let chairperson = Address::from_index(ACCOUNT_BASE);
-    let ballot = Ballot::with_numbered_proposals(contract_address(), chairperson, 4);
-    for i in 0..block_size.max(1) {
-        ballot.seed_registered_voter(voter(i));
+    let proposals: Vec<[u8; 32]> = (0..PROPOSALS).map(Ballot::proposal_name).collect();
+    let ballot = Ballot::with_capacity(contract_address(), chairperson, &proposals, voters.len());
+    for &voter in voters {
+        ballot.seed_registered_voter(voter);
     }
     world.deploy(Arc::new(ballot));
 }
 
-/// Generates `n` vote transactions, of which [`contending_count`]`(n, conflict)`
-/// contend: contending transactions come in pairs — the same voter voting
-/// twice, the second of which will throw.
-pub fn transactions(n: usize, conflict: f64) -> Vec<Transaction> {
+/// Generates `n` vote transactions from the first `n` of `voters`, of
+/// which [`contending_count`]`(n, conflict)` contend: contending
+/// transactions come in pairs — the same voter voting twice, the second of
+/// which will throw.
+pub fn transactions(n: usize, conflict: f64, voters: &[Address]) -> Vec<Transaction> {
     let contending = contending_count(n, conflict);
     let double_voters = contending / 2;
     let mut txs = Vec::with_capacity(n);
@@ -52,20 +60,14 @@ pub fn transactions(n: usize, conflict: f64) -> Vec<Transaction> {
     let vote_call = || CallData::new("vote", vec![ArgValue::Uint(u128::from(PROPOSAL))]);
 
     // Double voters: two transactions each.
-    for i in 0..double_voters {
-        txs.push(Transaction::new(0, voter(i), to, vote_call(), GAS_LIMIT));
-        txs.push(Transaction::new(0, voter(i), to, vote_call(), GAS_LIMIT));
+    let (doubles, singles) = voters[..n - double_voters].split_at(double_voters);
+    for &voter in doubles {
+        txs.push(Transaction::new(0, voter, to, vote_call(), GAS_LIMIT));
+        txs.push(Transaction::new(0, voter, to, vote_call(), GAS_LIMIT));
     }
     // The rest vote exactly once, each from a distinct voter.
-    let singles = n - 2 * double_voters;
-    for j in 0..singles {
-        txs.push(Transaction::new(
-            0,
-            voter(double_voters + j),
-            to,
-            vote_call(),
-            GAS_LIMIT,
-        ));
+    for &voter in singles {
+        txs.push(Transaction::new(0, voter, to, vote_call(), GAS_LIMIT));
     }
     txs
 }
@@ -77,7 +79,7 @@ mod tests {
 
     #[test]
     fn sizes_and_conflict_structure() {
-        let txs = transactions(100, 0.15);
+        let txs = transactions(100, 0.15, &voters(100));
         assert_eq!(txs.len(), 100);
         let mut per_sender: HashMap<Address, usize> = HashMap::new();
         for tx in &txs {
@@ -93,7 +95,7 @@ mod tests {
 
     #[test]
     fn hundred_percent_conflict_means_everyone_votes_twice() {
-        let txs = transactions(50, 1.0);
+        let txs = transactions(50, 1.0, &voters(50));
         let mut per_sender: HashMap<Address, usize> = HashMap::new();
         for tx in &txs {
             *per_sender.entry(tx.sender).or_default() += 1;
@@ -104,7 +106,7 @@ mod tests {
     #[test]
     fn deploy_registers_voters() {
         let world = World::new();
-        deploy(&world, 10);
+        deploy(&world, &voters(10));
         assert_eq!(world.contract_count(), 1);
         assert!(world.contract(contract_address()).is_some());
     }

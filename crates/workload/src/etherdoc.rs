@@ -39,42 +39,52 @@ pub fn document(i: usize) -> [u8; 32] {
     EtherDoc::document_hash(1_000_000 + i as u64)
 }
 
-/// Deploys EtherDoc and seeds `block_size` documents, each with its own
-/// owner.
-pub fn deploy(world: &World, block_size: usize) {
-    let etherdoc = EtherDoc::new(contract_address(), creator());
-    for i in 0..block_size.max(1) {
-        etherdoc.seed_document(document(i), owner(i));
+/// The first `n` documents, each with its owner: what a world of `n`
+/// accounts seeds.
+pub fn documents(n: usize) -> Vec<([u8; 32], Address)> {
+    (0..n).map(|i| (document(i), owner(i))).collect()
+}
+
+/// Deploys EtherDoc and seeds `documents`, each with its own owner.
+pub fn deploy(world: &World, documents: &[([u8; 32], Address)]) {
+    let etherdoc = EtherDoc::with_capacity(contract_address(), creator(), documents.len());
+    for &(document, owner) in documents {
+        etherdoc.seed_document(document, owner);
     }
     world.deploy(Arc::new(etherdoc));
 }
 
-/// Generates `n` transactions: `contending_count(n, conflict)` transfers of
-/// distinct documents to the contract creator (all of which contend on the
+/// Generates `n` transactions on the first `n` of `documents`, each sent
+/// by its owner: `contending_count(n, conflict)` transfers of distinct
+/// documents to the contract creator (all of which contend on the
 /// creator's ownership tally), the rest existence checks of other distinct
 /// documents.
-pub fn transactions(n: usize, conflict: f64) -> Vec<Transaction> {
+pub fn transactions(
+    n: usize,
+    conflict: f64,
+    documents: &[([u8; 32], Address)],
+) -> Vec<Transaction> {
     let contending = contending_count(n, conflict);
     let mut txs = Vec::with_capacity(n);
     let (to, creator) = (contract_address(), creator());
-    for i in 0..contending {
+    for &(document, owner) in &documents[..contending] {
         txs.push(Transaction::new(
             0,
-            owner(i),
+            owner,
             to,
             CallData::new(
                 "transferDocument",
-                vec![ArgValue::Bytes32(document(i)), ArgValue::Addr(creator)],
+                vec![ArgValue::Bytes32(document), ArgValue::Addr(creator)],
             ),
             GAS_LIMIT,
         ));
     }
-    for j in contending..n {
+    for &(document, owner) in &documents[contending..n] {
         txs.push(Transaction::new(
             0,
-            owner(j),
+            owner,
             to,
-            CallData::new("hasDocument", vec![ArgValue::Bytes32(document(j))]),
+            CallData::new("hasDocument", vec![ArgValue::Bytes32(document)]),
             GAS_LIMIT,
         ));
     }
@@ -87,7 +97,7 @@ mod tests {
 
     #[test]
     fn conflict_fraction_controls_transfer_count() {
-        let txs = transactions(200, 0.15);
+        let txs = transactions(200, 0.15, &documents(200));
         assert_eq!(txs.len(), 200);
         let transfers = txs
             .iter()
@@ -98,17 +108,17 @@ mod tests {
 
     #[test]
     fn extremes() {
-        assert!(transactions(30, 0.0)
+        assert!(transactions(30, 0.0, &documents(30))
             .iter()
             .all(|t| t.call.function == "hasDocument"));
-        assert!(transactions(30, 1.0)
+        assert!(transactions(30, 1.0, &documents(30))
             .iter()
             .all(|t| t.call.function == "transferDocument"));
     }
 
     #[test]
     fn reads_and_transfers_touch_disjoint_documents() {
-        let txs = transactions(60, 0.5);
+        let txs = transactions(60, 0.5, &documents(60));
         let transferred: std::collections::HashSet<[u8; 32]> = txs
             .iter()
             .filter(|t| t.call.function == "transferDocument")
@@ -125,7 +135,7 @@ mod tests {
     #[test]
     fn deploy_seeds_documents() {
         let world = World::new();
-        deploy(&world, 8);
+        deploy(&world, &documents(8));
         assert!(world.contract(contract_address()).is_some());
     }
 }
