@@ -11,7 +11,7 @@
 
 use cc_primitives::fnv::fnv1a_of;
 use cc_primitives::fx::ShardedRawTable;
-use cc_stm::{BoostedCell, BoostedCounterMap, BoostedMap, Stm};
+use cc_stm::{BoostedCell, BoostedMap, Stm};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -237,10 +237,10 @@ pub fn run_micro(ops: usize) -> Vec<MicroPoint> {
         });
     }
 
-    // -- additive tally add ----------------------------------------------
+    // -- additive tally add (`BoostedMap<_, u64>::add`) -------------------
     {
         let stm = Stm::new();
-        let counter: BoostedCounterMap<u64> = BoostedCounterMap::new("micro.counter.add");
+        let counter: BoostedMap<u64, u64> = BoostedMap::new("micro.counter.add");
         let ns = time_case(ops, |i| {
             let key = (i as u64) % 64;
             stm.run(|txn| counter.add(txn, key, 1)).unwrap();

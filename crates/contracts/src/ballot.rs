@@ -8,8 +8,9 @@
 //!
 //! * `chairperson` is a cell; `voters` a per-address mapping;
 //!   `proposals` maps a proposal's index to its name and `proposalCount`
-//!   holds how many there are; `voteCounts` is an additive tally per
-//!   proposal index;
+//!   holds how many there are; `voteCounts` maps a proposal's index to
+//!   its tally, written only by the map's commuting `add` (a proposal
+//!   nobody voted for has no entry and reads as 0);
 //! * the Solidity contract fills its `proposals` array in the constructor
 //!   and no function adds, removes or renames one, so here too only the
 //!   constructor writes `proposals` and `proposalCount` (non-transactional
@@ -18,7 +19,7 @@
 //!   `winnerName` read them under shared locks that conflict with nothing;
 //! * two different voters' `vote` calls touch disjoint abstract locks —
 //!   they commute;
-//! * the `voteCount += weight` update uses the additive tally map, so even
+//! * the `voteCount += weight` update is an additive `add`, so even
 //!   votes for the *same* proposal commute (this is why the paper's Ballot
 //!   benchmark "suffers little from the extra data conflict");
 //! * a double vote touches the same `voters[addr]` entry twice; the second
@@ -28,7 +29,7 @@
 use cc_vm::snapshot::ToBytes;
 use cc_vm::{
     Address, ArgValue, CallContext, CallData, Contract, ContractKind, ReturnValue, StorageCell,
-    StorageCounterMap, StorageField, StorageMap, VmError,
+    StorageField, StorageMap, VmError,
 };
 
 /// Per-voter state (Solidity `struct Voter`).
@@ -62,7 +63,7 @@ pub struct Ballot {
     voters: StorageMap<Address, Voter>,
     proposal_names: StorageMap<u64, [u8; 32]>,
     proposal_count: StorageCell<u64>,
-    vote_counts: StorageCounterMap<u64>,
+    vote_counts: StorageMap<u64, u64>,
 }
 
 impl Ballot {
@@ -96,10 +97,7 @@ impl Ballot {
                 &format!("Ballot.proposalCount.{tag}"),
                 proposals as u64,
             ),
-            vote_counts: StorageCounterMap::with_capacity(
-                &format!("Ballot.voteCounts.{tag}"),
-                proposals,
-            ),
+            vote_counts: StorageMap::with_capacity(&format!("Ballot.voteCounts.{tag}"), proposals),
         };
         // The chairperson gets weight 1, like the Solidity constructor.
         ballot.voters.seed(
@@ -111,7 +109,6 @@ impl Ballot {
         );
         for (i, name) in (0u64..).zip(proposal_names) {
             ballot.proposal_names.seed(i, *name);
-            ballot.vote_counts.seed(i, 0);
         }
         ballot
     }
@@ -152,7 +149,7 @@ impl Ballot {
 
     /// Non-transactional view of a proposal's tally (tests only).
     pub fn tally(&self, proposal: u64) -> u64 {
-        self.vote_counts.peek(&proposal)
+        self.vote_counts.peek(&proposal).unwrap_or(0)
     }
 
     /// Number of proposals.
@@ -174,6 +171,11 @@ impl Ballot {
         let existing = self.voters.get(ctx, &voter)?.unwrap_or_default();
         if existing.voted {
             return ctx.throw("voter already voted");
+        }
+        // Solidity's `require(voters[voter].weight == 0)`: registering
+        // again would reset weight delegated to the voter.
+        if existing.weight != 0 {
+            return ctx.throw("voter already has the right to vote");
         }
         self.voters.insert(
             ctx,
@@ -281,7 +283,7 @@ impl Ballot {
         let mut winning_votes = 0u64;
         for p in 0..count {
             ctx.charge_steps(1)?;
-            let votes = self.vote_counts.get(ctx, &p)?;
+            let votes = self.vote_counts.get(ctx, &p)?.unwrap_or(0);
             if votes > winning_votes {
                 winning_votes = votes;
                 winning = p;
@@ -458,6 +460,29 @@ mod tests {
         );
         assert!(granted.succeeded());
         assert_eq!(ballot.voter(&newcomer).unwrap().weight, 1);
+    }
+
+    /// Solidity's `require(voters[voter].weight == 0)`: the chairperson
+    /// cannot register a voter again, which would reset the weight
+    /// delegated to them.
+    #[test]
+    fn give_right_to_vote_refuses_a_voter_who_holds_weight() {
+        let (world, ballot, accounts) = setup(2);
+        let chair = Address::from_index(0);
+        let (a, b) = (accounts[0], accounts[1]);
+        assert!(call(&world, a, "delegate", vec![ArgValue::Addr(b)]).succeeded());
+        assert_eq!(ballot.voter(&b).unwrap().weight, 2);
+        for voter in [b, chair] {
+            let again = call(
+                &world,
+                chair,
+                "giveRightToVote",
+                vec![ArgValue::Addr(voter)],
+            );
+            assert!(matches!(again.status, ExecutionStatus::Reverted { .. }));
+        }
+        assert_eq!(ballot.voter(&b).unwrap().weight, 2);
+        assert_eq!(ballot.voter(&chair).unwrap().weight, 1);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //!
 //! * [`TimestampOracle`] — issues snapshot instants, tracks the active set
 //!   and exposes the garbage-collection horizon.
-//! * [`VersionedMap`] / [`VersionedCell`] / [`VersionedCounterMap`] —
-//!   per-key version lists over the boosted twin each one owns (the
-//!   `cc_stm` collection holding the committed single-version state),
-//!   mirroring the boosted APIs one-for-one, including the
+//! * [`VersionedMap`] / [`VersionedCell`] — per-key version lists over
+//!   the boosted twin each one owns (the `cc_stm` collection holding the
+//!   committed single-version state), mirroring the boosted APIs
+//!   one-for-one (a `u64` map's commuting `add` included), and the
 //!   `(LockId, LockMode)` footprint the twin would acquire.
 //! * [`MvccTxn`] — read-set/write-set transactions with savepoints and
 //!   nested speculative actions; read-only transactions commit without
@@ -56,13 +56,13 @@ pub use cc_primitives::ts::Timestamp;
 pub use error::MvccError;
 pub use oracle::TimestampOracle;
 pub use runtime::MvccRuntime;
-pub use store::{VersionedCell, VersionedCounterMap, VersionedMap};
+pub use store::{VersionedCell, VersionedMap};
 pub use txn::{MvccCommit, MvccSavepoint, MvccTxn};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_stm::{BoostedCell, BoostedCounterMap, BoostedMap, LockId, LockMode, LockSpace};
+    use cc_stm::{BoostedCell, BoostedMap, LockId, LockMode, LockSpace};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
     use std::sync::{mpsc, Arc};
@@ -522,12 +522,11 @@ mod tests {
 
     #[test]
     fn counter_overlays_slice_without_double_counting() {
-        // Counter versions store materialized totals; flattening an older
-        // overlay must not re-apply deltas the newer totals already
-        // include.
+        // An add installs the total it leaves, not its delta; flattening
+        // an older overlay must not re-apply deltas the newer totals
+        // already include.
         let runtime = MvccRuntime::new();
-        let base = BoostedCounterMap::new("test.tally");
-        let tally = VersionedCounterMap::new(&runtime, base.clone());
+        let (tally, base) = map_over(&runtime, "test.tally", &[]);
 
         let txn = runtime.begin();
         tally.add(&txn, 7, 3);
@@ -540,21 +539,67 @@ mod tests {
         let boundary2 = runtime.oracle().latest();
 
         runtime.finalize_below(boundary1);
-        assert_eq!(base.peek(&7), 3);
+        assert_eq!(base.peek(&7), Some(3));
         let reader = runtime.begin();
-        assert_eq!(tally.get(&reader, &7), 7, "newer total still visible");
+        assert_eq!(tally.get(&reader, &7), Some(7), "newer total still visible");
         reader.commit().unwrap();
 
         runtime.finalize_below(boundary2);
-        assert_eq!(base.peek(&7), 7, "no double counting");
+        assert_eq!(base.peek(&7), Some(7), "no double counting");
 
         let txn = runtime.begin();
         tally.add(&txn, 7, 5);
         txn.commit().unwrap();
         runtime.discard_above(boundary2);
         let reader = runtime.begin();
-        assert_eq!(tally.get(&reader, &7), 7, "discarded delta vanished");
+        assert_eq!(tally.get(&reader, &7), Some(7), "discarded delta vanished");
         reader.commit().unwrap();
+
+        // A delta that brings the total back to 0 installs an unbinding.
+        let txn = runtime.begin();
+        tally.add(&txn, 7, 7u64.wrapping_neg());
+        txn.commit().unwrap();
+        runtime.finalize_block();
+        assert_eq!(base.peek(&7), None);
+    }
+
+    /// Pure adds to one key commute: each validates only against newer
+    /// non-additive versions, so concurrent adders all commit and the
+    /// later installs on the earlier's total. A newer binding, or a read
+    /// of the key, still orders against an add. (Each case has its own
+    /// key: a lost commit makes its lock hot.)
+    #[test]
+    fn concurrent_adds_commit_and_a_newer_binding_invalidates_an_add() {
+        let runtime = MvccRuntime::new();
+        let (tally, base) = map_over(&runtime, "test.tally.concurrent", &[(1, 10)]);
+
+        let (first, second) = (runtime.begin(), runtime.begin());
+        tally.add(&first, 1, 3);
+        tally.add(&second, 1, 4);
+        first.commit().expect("first adder commits");
+        second.commit().expect("a concurrent adder commits too");
+        let own = runtime.begin();
+        tally.add(&own, 1, 2);
+        assert_eq!(tally.get(&own, &1), Some(19), "reads its own delta");
+        own.abort();
+        runtime.finalize_block();
+        assert_eq!(base.peek(&1), Some(17));
+
+        let (adder, writer) = (runtime.begin(), runtime.begin());
+        tally.add(&adder, 2, 1);
+        tally.insert(&writer, 2, 0);
+        writer.commit().unwrap();
+        assert!(adder.commit().is_err(), "a newer binding invalidates");
+
+        let (reader, adder) = (runtime.begin(), runtime.begin());
+        assert_eq!(tally.get(&reader, &3), None);
+        tally.add(&reader, 3, 1);
+        tally.add(&adder, 3, 1);
+        adder.commit().unwrap();
+        assert!(
+            reader.commit().is_err(),
+            "a read orders against a newer add"
+        );
     }
 
     /// One random operation: `(selector, key, value)`.
@@ -735,35 +780,56 @@ mod tests {
         }
     }
 
-    struct CounterSubject(VersionedCounterMap<u64>, BoostedCounterMap<u64>);
+    /// A `u64` map driven mostly by adds, interleaved with `insert` and
+    /// `update_or` on the same keys; a negated add brings a tally back
+    /// to 0, which unbinds it.
+    struct CounterSubject(VersionedMap<u64, u64>, BoostedMap<u64, u64>);
 
     impl Subject for CounterSubject {
-        /// The tallies of keys 0 to 7.
-        type State = Vec<u64>;
+        type State = BTreeMap<u64, u64>;
 
         fn apply(&self, txn: &MvccTxn<'_>, op: Op, state: &mut Self::State) -> TestCaseResult {
             let CounterSubject(tally, _) = self;
             let (selector, key, value) = op;
-            match selector % 3 {
+            let add = |state: &mut Self::State, delta: u64| {
+                let total = state.get(&key).map_or(delta, |t| t.wrapping_add(delta));
+                match (delta, total) {
+                    (0, _) => {}
+                    (_, 0) => drop(state.remove(&key)),
+                    _ => drop(state.insert(key, total)),
+                }
+            };
+            match selector {
                 0 => {
                     tally.add(txn, key, value);
-                    state[key as usize] += value;
+                    add(state, value);
                 }
                 1 => {
-                    tally.set(txn, key, value);
-                    state[key as usize] = value;
+                    tally.add(txn, key, value.wrapping_neg());
+                    add(state, value.wrapping_neg());
                 }
-                _ => prop_assert_eq!(tally.get(txn, &key), state[key as usize]),
+                2 => {
+                    tally.insert(txn, key, value);
+                    state.insert(key, value);
+                }
+                3 => {
+                    tally.update_or(txn, key, 0, |x| *x = x.wrapping_add(value));
+                    let next = state.get(&key).copied().unwrap_or(0).wrapping_add(value);
+                    state.insert(key, next);
+                }
+                _ => prop_assert_eq!(tally.get(txn, &key), state.get(&key).copied()),
             }
             Ok(())
         }
 
         fn view(&self, txn: &MvccTxn<'_>) -> Self::State {
-            (0..8).map(|key| self.0.get(txn, &key)).collect()
+            (0..8)
+                .filter_map(|key| self.0.get(txn, &key).map(|value| (key, value)))
+                .collect()
         }
 
         fn base(&self) -> Self::State {
-            (0..8).map(|key| self.1.peek(&key)).collect()
+            self.1.snapshot().into_iter().collect()
         }
     }
 
@@ -822,11 +888,11 @@ mod tests {
             program in program(),
         ) {
             let runtime = MvccRuntime::new();
-            let base = BoostedCounterMap::new("test.prop.tally");
+            let base = BoostedMap::new("test.prop.tally");
             for (key, value) in seed {
                 base.seed(key, value);
             }
-            let tally = VersionedCounterMap::new(&runtime, base.clone());
+            let tally = VersionedMap::new(&runtime, base.clone());
             check_against_reference(&runtime, &CounterSubject(tally, base), &program)?;
         }
 

@@ -6,18 +6,40 @@ use crate::txn::{MvccTxn, PendingOps};
 use cc_primitives::fx::{FxHashMap, FxHashSet};
 use cc_primitives::ts::Timestamp;
 use cc_stm::{BoostedMap, LockId, LockMode};
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 use std::sync::Arc;
+
+/// One key's buffered write: a binding, or a delta that lands on
+/// whatever total the key holds when the transaction installs.
+#[derive(Clone)]
+pub(super) enum Write<V> {
+    /// Bind the key (`None` = remove).
+    Bind(Option<V>),
+    /// A `u64` map's pending adds (see `VersionedMap::add`), with the
+    /// function that folds the delta into a total.
+    Add(u64, fn(Option<&V>, u64) -> Option<V>),
+}
+
+impl<V> Write<V> {
+    /// The binding this write leaves over the key's `current` one.
+    fn over(self, current: impl FnOnce() -> Option<V>) -> Option<V> {
+        match self {
+            Write::Bind(binding) => binding,
+            Write::Add(delta, plus) => plus(current().as_ref(), delta),
+        }
+    }
+}
 
 /// Buffered per-transaction state for one versioned map.
 struct MapPending<K, V> {
     core: Arc<MapCore<K, V>>,
-    /// Last buffered write per key (`None` = pending removal).
-    writes: FxHashMap<K, Option<V>>,
+    /// Last buffered write per key.
+    writes: FxHashMap<K, Write<V>>,
     /// Keys whose committed value this transaction observed.
     reads: FxHashSet<K>,
-    /// Journal of prior `writes` bindings, for savepoint rollback.
-    undo: Vec<(K, Option<Option<V>>)>,
+    /// Journal of prior `writes` entries, for savepoint rollback.
+    undo: Vec<(K, Option<Write<V>>)>,
 }
 
 impl<K, V> PendingOps for MapPending<K, V>
@@ -42,23 +64,33 @@ where
     }
 
     fn validate(&self, begin_ts: Timestamp) -> Result<(), LockId> {
-        let keys = self.reads.iter().chain(self.writes.keys());
+        // A pure add commutes with other adds: only a newer non-additive
+        // version (or a newer version of a key this transaction read)
+        // invalidates it.
+        let reads = self.reads.iter().map(|key| (key, false));
+        let writes = (self.writes.iter()).map(|(key, w)| (key, matches!(w, Write::Add(..))));
         let lost = self
             .core
             .versions
-            .first_conflict(begin_ts, keys.map(|key| (key, false)));
+            .first_conflict(begin_ts, reads.chain(writes));
         lost.map_or(Ok(()), |key| Err(self.core.base.lock_space().lock_for(key)))
     }
 
     fn install(&mut self, commit_ts: Timestamp) {
-        self.core
-            .versions
-            .install(commit_ts, self.writes.drain(), |_, _, value| (value, false));
+        let core = &self.core;
+        core.versions
+            .install(commit_ts, self.writes.drain(), |key, newest, write| {
+                let additive = matches!(write, Write::Add(..));
+                let current = || newest.map_or_else(|| core.base.peek(key), Clone::clone);
+                (write.over(current), additive)
+            });
     }
 }
 
 /// The version lists (deletions are `None` versions) over the boosted
-/// twin.
+/// twin. A version holds a binding, never a delta: an add installs the
+/// total it leaves, so snapshot reads stay one lookup and slicing the
+/// lists by timestamp never counts a delta twice.
 struct MapCore<K, V> {
     versions: Versions<K, Option<V>>,
     base: BoostedMap<K, V>,
@@ -120,7 +152,7 @@ where
     }
 
     /// Records `key` in the footprint under `mode`.
-    fn footprint(&self, txn: &MvccTxn<'_>, key: &K, mode: LockMode) {
+    pub(super) fn footprint(&self, txn: &MvccTxn<'_>, key: &K, mode: LockMode) {
         txn.footprint(self.core.base.lock_space().lock_for(key), mode);
     }
 
@@ -131,14 +163,35 @@ where
             p.reads.insert(key.clone());
             p.writes.get(key).cloned()
         });
-        buffered
-            .or_else(|| self.core.versions.read_at(key, txn.begin_ts()))
-            .unwrap_or_else(|| self.core.base.peek(key))
+        let committed = || {
+            (self.core.versions.read_at(key, txn.begin_ts()))
+                .unwrap_or_else(|| self.core.base.peek(key))
+        };
+        match buffered {
+            Some(write) => write.over(committed),
+            None => committed(),
+        }
     }
 
-    fn buffer(&self, txn: &MvccTxn<'_>, key: K, value: Option<V>) {
+    /// Buffers `write(prior buffered write)` for `key`, journaling the
+    /// prior one.
+    pub(super) fn buffer(
+        &self,
+        txn: &MvccTxn<'_>,
+        key: K,
+        write: impl FnOnce(Option<&Write<V>>) -> Write<V>,
+    ) {
         self.pending(txn, |p| {
-            let prior = p.writes.insert(key.clone(), value);
+            let prior = match p.writes.entry(key.clone()) {
+                Entry::Occupied(mut slot) => {
+                    let next = write(Some(slot.get()));
+                    Some(slot.insert(next))
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(write(None));
+                    None
+                }
+            };
             p.undo.push((key, prior));
         });
     }
@@ -162,7 +215,7 @@ where
     /// Binds `key` to `value` (pessimistic twin: exclusive key lock).
     pub fn insert(&self, txn: &MvccTxn<'_>, key: K, value: V) {
         self.footprint(txn, &key, LockMode::Exclusive);
-        self.buffer(txn, key, Some(value));
+        self.buffer(txn, key, |_| Write::Bind(Some(value)));
     }
 
     /// Binds `key` to `value` and returns the previous binding. The
@@ -170,7 +223,7 @@ where
     pub fn replace(&self, txn: &MvccTxn<'_>, key: K, value: V) -> Option<V> {
         self.footprint(txn, &key, LockMode::Exclusive);
         let previous = self.read(txn, &key);
-        self.buffer(txn, key, Some(value));
+        self.buffer(txn, key, |_| Write::Bind(Some(value)));
         previous
     }
 
@@ -183,7 +236,7 @@ where
     pub fn take(&self, txn: &MvccTxn<'_>, key: &K) -> Option<V> {
         self.footprint(txn, key, LockMode::Exclusive);
         let previous = self.read(txn, key);
-        self.buffer(txn, key.clone(), None);
+        self.buffer(txn, key.clone(), |_| Write::Bind(None));
         previous
     }
 
@@ -193,7 +246,7 @@ where
         self.footprint(txn, &key, LockMode::Exclusive);
         let mut value = self.read(txn, &key).unwrap_or(default);
         f(&mut value);
-        self.buffer(txn, key, Some(value));
+        self.buffer(txn, key, |_| Write::Bind(Some(value)));
     }
 }
 

@@ -25,14 +25,13 @@ mod counter;
 mod map;
 
 pub use cell::VersionedCell;
-pub use counter::VersionedCounterMap;
 pub use map::VersionedMap;
 
 /// One committed version of a value.
 struct Version<T> {
     /// Commit timestamp (strictly positive; the boosted twin is `BASE`).
     ts: Timestamp,
-    /// Whether the installing write was commutative (a counter `add`).
+    /// Whether the installing write was commutative (a `u64` map's `add`).
     /// Additive versions do not invalidate concurrent additive writers.
     additive: bool,
     value: T,

@@ -56,8 +56,8 @@ use std::sync::Arc;
 /// ```
 pub struct BoostedMap<K, V> {
     name: String,
-    space: LockSpace,
-    inner: Arc<ShardedRawTable<K, V>>,
+    pub(super) space: LockSpace,
+    pub(super) inner: Arc<ShardedRawTable<K, V>>,
 }
 
 /// The typed undo sink of one [`BoostedMap`]: `(key hash, key, prior
@@ -139,7 +139,7 @@ where
     }
 
     /// The undo-sink token of this map (the backing storage address).
-    fn undo_token(&self) -> usize {
+    pub(super) fn undo_token(&self) -> usize {
         Arc::as_ptr(&self.inner) as usize
     }
 

@@ -9,16 +9,18 @@
 //!
 //! | Type | Protects | Lock granularity |
 //! |------|----------|------------------|
-//! | [`BoostedMap`] | a key→value mapping (Solidity `mapping`) | one lock per key |
+//! | [`BoostedMap`] | a key→value mapping (Solidity `mapping`) | one lock per key; **additive** mode for a `u64` map's `add` |
 //! | [`BoostedCell`] | a single scalar state variable | one lock per cell |
-//! | [`BoostedCounterMap`] | a key→integer tally | per-key lock, **additive** mode for `add` |
+//!
+//! A tally is a `BoostedMap<K, u64>` whose writers call
+//! [`BoostedMap::add`]: commutativity is a property of the operation, not
+//! a kind of collection.
 
 mod cell;
 mod counter;
 mod map;
 
 pub use cell::BoostedCell;
-pub use counter::BoostedCounterMap;
 pub use map::BoostedMap;
 
 #[cfg(test)]
@@ -27,32 +29,26 @@ mod tests {
     use crate::txn::Stm;
     use proptest::prelude::*;
 
-    /// One randomly chosen operation against one of the three collections,
+    /// One randomly chosen operation against one of the collections,
     /// decoded from a `(selector, key, value)` tuple (the proptest shim
     /// supports ranges and tuples, not `prop_oneof`).
     type RawOp = (u8, u8, u64);
 
-    /// A point-in-time fingerprint of all three collections.
-    #[allow(clippy::type_complexity)]
-    fn fingerprint(
-        map: &BoostedMap<u8, u64>,
-        cell: &BoostedCell<u64>,
-        counter: &BoostedCounterMap<u8>,
-    ) -> (Vec<(u8, u64)>, u64, Vec<(u8, u64)>) {
+    /// A point-in-time fingerprint of both collections.
+    fn fingerprint(map: &BoostedMap<u8, u64>, cell: &BoostedCell<u64>) -> (Vec<(u8, u64)>, u64) {
         let mut m = map.snapshot();
         m.sort_unstable();
-        let mut c = counter.snapshot();
-        c.sort_unstable();
-        (m, cell.peek(), c)
+        (m, cell.peek())
     }
 
-    /// Applies one decoded operation inside `txn`.
+    /// Applies one decoded operation inside `txn`. Adds land on the keys
+    /// `insert` and `update_or` write, and a negated add brings a tally
+    /// back to 0.
     fn apply(
         txn: &crate::txn::Transaction,
         op: RawOp,
         map: &BoostedMap<u8, u64>,
         cell: &BoostedCell<u64>,
-        counter: &BoostedCounterMap<u8>,
     ) {
         let (selector, key, value) = op;
         match selector % 7 {
@@ -73,47 +69,43 @@ mod tests {
                 cell.modify(txn, |x| *x = x.wrapping_add(value)).unwrap();
             }
             5 => {
-                counter.add(txn, key, value).unwrap();
+                map.add(txn, key, value).unwrap();
             }
             _ => {
-                counter.set(txn, key, value).unwrap();
+                map.add(txn, key, value.wrapping_neg()).unwrap();
             }
         }
     }
 
     proptest! {
         /// The cross-collection undo-log contract: a transaction that
-        /// interleaves mutations across all three boosted collections and
-        /// then aborts must leave every collection **exactly** as it
-        /// started — the typed sinks must replay in one global
-        /// most-recent-first order, not per collection.
+        /// interleaves mutations across the boosted collections (a map's
+        /// writes and its adds keep one sink each) and then aborts must
+        /// leave every collection **exactly** as it started — the typed
+        /// sinks must replay in one global most-recent-first order, not
+        /// per sink. Seeds include bindings to 0.
         #[test]
         fn prop_abort_restores_across_all_four_collections(
             seed_map in proptest::collection::vec((0u8..8, 0u64..100), 0..8),
             seed_cell in 0u64..100,
-            seed_counter in proptest::collection::vec((0u8..8, 1u64..100), 0..8),
             ops in proptest::collection::vec((0u8..7, 0u8..8, 0u64..100), 0..40),
         ) {
             let stm = Stm::new();
             let map: BoostedMap<u8, u64> = BoostedMap::new("prop.map");
             let cell: BoostedCell<u64> = BoostedCell::new("prop.cell", seed_cell);
-            let counter: BoostedCounterMap<u8> = BoostedCounterMap::new("prop.counter");
             for (k, v) in &seed_map {
                 map.seed(*k, *v);
             }
-            for (k, v) in &seed_counter {
-                counter.seed(*k, *v);
-            }
 
-            let before = fingerprint(&map, &cell, &counter);
+            let before = fingerprint(&map, &cell);
 
             let txn = stm.begin();
             for &op in &ops {
-                apply(&txn, op, &map, &cell, &counter);
+                apply(&txn, op, &map, &cell);
             }
             txn.abort().unwrap();
 
-            prop_assert_eq!(fingerprint(&map, &cell, &counter), before);
+            prop_assert_eq!(fingerprint(&map, &cell), before);
         }
 
         /// The same interleavings under a savepoint: rolling back to the
@@ -127,19 +119,18 @@ mod tests {
             let stm = Stm::new();
             let map: BoostedMap<u8, u64> = BoostedMap::new("sp.map");
             let cell: BoostedCell<u64> = BoostedCell::new("sp.cell", 7);
-            let counter: BoostedCounterMap<u8> = BoostedCounterMap::new("sp.counter");
 
             let txn = stm.begin();
             for &op in &prefix {
-                apply(&txn, op, &map, &cell, &counter);
+                apply(&txn, op, &map, &cell);
             }
-            let at_savepoint = fingerprint(&map, &cell, &counter);
+            let at_savepoint = fingerprint(&map, &cell);
             let sp = txn.savepoint();
             for &op in &suffix {
-                apply(&txn, op, &map, &cell, &counter);
+                apply(&txn, op, &map, &cell);
             }
             txn.rollback_to(sp);
-            prop_assert_eq!(fingerprint(&map, &cell, &counter), at_savepoint);
+            prop_assert_eq!(fingerprint(&map, &cell), at_savepoint);
             txn.commit().unwrap();
         }
 
@@ -160,8 +151,6 @@ mod tests {
                 let stm = Stm::new();
                 let map: BoostedMap<u8, u64> = BoostedMap::new(&format!("{label}.map"));
                 let cell: BoostedCell<u64> = BoostedCell::new(&format!("{label}.cell"), 7);
-                let counter: BoostedCounterMap<u8> =
-                    BoostedCounterMap::new(&format!("{label}.counter"));
                 let scope = stm.begin_block();
                 for (commit, ops) in &txns {
                     // The scope arm reuses one pool for every transaction;
@@ -169,7 +158,7 @@ mod tests {
                     if pooled {
                         let txn = scope.begin();
                         for &op in ops {
-                            apply(&txn, op, &map, &cell, &counter);
+                            apply(&txn, op, &map, &cell);
                         }
                         if *commit {
                             txn.commit().unwrap();
@@ -179,7 +168,7 @@ mod tests {
                     } else {
                         let txn = stm.begin();
                         for &op in ops {
-                            apply(&txn, op, &map, &cell, &counter);
+                            apply(&txn, op, &map, &cell);
                         }
                         if *commit {
                             txn.commit().unwrap();
@@ -188,13 +177,13 @@ mod tests {
                         }
                     }
                 }
-                fingerprint(&map, &cell, &counter)
+                fingerprint(&map, &cell)
             };
             prop_assert_eq!(run("fresh", false), run("pooled", true));
         }
     }
 
-    /// N threads hammer all three collections through the raw (RwLock-free)
+    /// N threads hammer a map, its adds and cells through the raw (RwLock-free)
     /// backing stores concurrently on disjoint keys, then the final state
     /// is checked against a `HashMap` reference built from the same
     /// schedule. Disjoint keys mean disjoint abstract locks — so this
@@ -211,7 +200,7 @@ mod tests {
 
         let stm = Stm::new();
         let map: BoostedMap<u64, u64> = BoostedMap::new("stress.map");
-        let counter: BoostedCounterMap<u64> = BoostedCounterMap::new("stress.counter");
+        let tally: BoostedMap<u64, u64> = BoostedMap::new("stress.tally");
         // Cells are whole-collection locks, so give each thread its own.
         let cells: Vec<BoostedCell<u64>> = (0..THREADS)
             .map(|t| BoostedCell::new(&format!("stress.cell.{t}"), 0))
@@ -221,7 +210,7 @@ mod tests {
             for (t, cell) in cells.iter().enumerate() {
                 let stm = stm.clone();
                 let map = map.clone();
-                let counter = counter.clone();
+                let tally = tally.clone();
                 let cell = cell.clone();
                 scope.spawn(move || {
                     let base = t as u64 * KEYS_PER_THREAD;
@@ -229,7 +218,7 @@ mod tests {
                         for k in base..base + KEYS_PER_THREAD {
                             stm.run(|txn| {
                                 map.insert(txn, k, k * 10 + round)?;
-                                counter.add(txn, k, round + 1)?;
+                                tally.add(txn, k, round + 1)?;
                                 cell.modify(txn, |v| *v += k)?;
                                 // Read back under the same locks: another
                                 // thread rehashing a shared shard must not
@@ -253,7 +242,7 @@ mod tests {
         let got_map: HashMap<u64, u64> = map.snapshot().into_iter().collect();
         assert_eq!(got_map, ref_map);
         for k in 0..(THREADS as u64 * KEYS_PER_THREAD) {
-            assert_eq!(counter.peek(&k), (1..=ROUNDS as u64).sum::<u64>());
+            assert_eq!(tally.peek(&k), Some((1..=ROUNDS as u64).sum::<u64>()));
         }
         for (t, cell) in cells.iter().enumerate() {
             let base = t as u64 * KEYS_PER_THREAD;
@@ -263,7 +252,7 @@ mod tests {
     }
 
     /// The acceptance criterion of the raw-store refactor, asserted
-    /// directly: a transaction driving every operation of all three
+    /// directly: a transaction driving every operation of both
     /// collections acquires **zero** reader-writer locks. The counter is a
     /// debug-only extension of the `parking_lot` shim (see
     /// `shims/README.md`).
@@ -273,7 +262,6 @@ mod tests {
         let stm = Stm::new();
         let map: BoostedMap<u8, u64> = BoostedMap::new("norw.map");
         let cell: BoostedCell<u64> = BoostedCell::new("norw.cell", 1);
-        let counter: BoostedCounterMap<u8> = BoostedCounterMap::new("norw.counter");
         map.seed(1, 10);
 
         let before = parking_lot::rwlock_acquisition_count();
@@ -290,9 +278,9 @@ mod tests {
             cell.with(txn, |v| *v)?;
             cell.set(txn, 2)?;
             cell.modify(txn, |v| *v += 1)?;
-            counter.add(txn, 1, 5)?;
-            counter.get(txn, &1)?;
-            counter.set(txn, 2, 9)?;
+            map.add(txn, 1, 5)?;
+            map.add(txn, 4, 5)?;
+            map.add(txn, 4, 0)?;
             Ok(())
         })
         .unwrap();
@@ -300,7 +288,7 @@ mod tests {
         let txn = stm.begin();
         map.insert(&txn, 9, 90).unwrap();
         cell.set(&txn, 9).unwrap();
-        counter.add(&txn, 9, 9).unwrap();
+        map.add(&txn, 9, 9).unwrap();
         txn.abort().unwrap();
         assert_eq!(
             parking_lot::rwlock_acquisition_count() - before,

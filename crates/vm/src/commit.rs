@@ -12,7 +12,7 @@
 //! `H` is SHA-256, `‖` concatenation, integers little-endian unless noted,
 //! and `bytes(x)` the `u64` length of `x` followed by `x`.
 //!
-//! * **Map and tally fields** commit to a fixed-shape 16-ary Merkle tree
+//! * **Map fields** commit to a fixed-shape 16-ary Merkle tree
 //!   over 4 096 leaf buckets. An entry with key fingerprint
 //!   `h = fnv1a_of(key)` — the value the key's abstract lock is published
 //!   under, stored in every backing-table slot — lives in leaf
@@ -20,8 +20,9 @@
 //!   its bucket within the shard.
 //!   * A leaf with entries is
 //!     `H(0x00 ‖ bytes(k₁) ‖ bytes(v₁) ‖ bytes(k₂) ‖ …)` over its
-//!     `(encoded key, encoded value)` pairs in ascending key order. A
-//!     tally of zero is not an entry.
+//!     `(encoded key, encoded value)` pairs in ascending key order. Every
+//!     binding is an entry; a tally an `add` brings to 0 is unbound, so
+//!     an add of 0 binds nothing (`cc_stm::BoostedMap::add`).
 //!   * An interior node over 16 children is
 //!     `H(0x01 ‖ mask: u16 ‖ digest of every non-empty child, in order)`,
 //!     bit `i` of `mask` saying child `i` is non-empty. A leaf is empty
@@ -211,7 +212,7 @@ fn put_prefixed<T: ToBytes + ?Sized>(out: &mut Vec<u8>, value: &T) {
     out[at..at + 8].copy_from_slice(&len.to_le_bytes());
 }
 
-/// The cached commitment of one map or tally field. Allocates nothing
+/// The cached commitment of one map field. Allocates nothing
 /// until a bucket of the field is first written.
 #[derive(Default)]
 pub(crate) struct MapCommitment {
@@ -238,14 +239,12 @@ impl std::fmt::Debug for MapCommitment {
 impl MapCommitment {
     /// Re-hashes the `dirty` buckets of shard `shard` from its backing
     /// `table` — one bucket walk each, in ascending bucket order — and the
-    /// interior nodes above them, short of the root. `live` says which
-    /// values are entries at all.
+    /// interior nodes above them, short of the root.
     pub(crate) fn refresh_shard<K: ToBytes, V: ToBytes>(
         &mut self,
         shard: usize,
         dirty: BucketMask,
         table: &RawFxMap<K, V>,
-        live: impl Fn(&V) -> bool,
         counters: &RootCounters,
     ) {
         let tree = self.tree.get_or_insert_with(|| {
@@ -264,17 +263,15 @@ impl MapCommitment {
             scratch.clear();
             order.clear();
             slots += table.walk_bucket(bucket, |_, key, value| {
-                if live(value) {
-                    let start = scratch.len();
-                    put_prefixed(scratch, key);
-                    let key_end = scratch.len();
-                    put_prefixed(scratch, value);
-                    order.push(EncodedEntry {
-                        start,
-                        key_end,
-                        end: scratch.len(),
-                    });
-                }
+                let start = scratch.len();
+                put_prefixed(scratch, key);
+                let key_end = scratch.len();
+                put_prefixed(scratch, value);
+                order.push(EncodedEntry {
+                    start,
+                    key_end,
+                    end: scratch.len(),
+                });
             });
             entries += order.len();
             let leaf = shard * RAW_SHARD_BUCKETS + usize::from(bucket);
@@ -370,7 +367,7 @@ pub(crate) fn contract_digest(contract: &dyn Contract, counters: &RootCounters) 
 mod tests {
     use super::*;
     use crate::address::Address;
-    use crate::storage::{StorageCell, StorageCounterMap, StorageField, StorageMap};
+    use crate::storage::{StorageCell, StorageField, StorageMap};
     use cc_primitives::fnv::fnv1a_of;
     use cc_primitives::sha256;
 
@@ -433,12 +430,19 @@ mod tests {
         expected.extend_from_slice(&5u64.to_le_bytes());
         assert_eq!(cell.digest(&counters), sha256(&expected));
 
-        // A zero tally is not an entry: the field digest is the empty
-        // map's, and equals that of a tally map never touched.
-        let tally: StorageCounterMap<u64> = StorageCounterMap::new("pin.tally");
-        tally.seed(3, 0);
+        // An add of 0 binds nothing: the field digest stays the empty
+        // map's. A binding to 0 is an entry like any other.
+        let tally: StorageMap<u64, u64> = StorageMap::new("pin.tally");
+        let stm = cc_stm::Stm::new();
+        stm.run(|txn| tally.inner.add(txn, 3, 0)).unwrap();
         assert_eq!(tally.digest(&counters), node(0, &[]));
-        tally.seed(3, 2);
+        stm.run(|txn| tally.inner.add(txn, 3, 2)).unwrap();
+        let two = tally.digest(&counters);
+        assert_ne!(two, node(0, &[]));
+        stm.run(|txn| tally.inner.add(txn, 3, 2u64.wrapping_neg()))
+            .unwrap();
+        assert_eq!(tally.digest(&counters), node(0, &[]), "back to 0");
+        tally.seed(3, 0);
         assert_ne!(tally.digest(&counters), node(0, &[]));
         assert_eq!(counters.stats().cold_builds, 1);
     }

@@ -13,9 +13,9 @@
 //!   Solidity `throw`-style out-of-gas abort,
 //! * [`VmError`] — contract-level failure (throw/revert, out of gas, bad
 //!   call), distinct from STM-level conflicts,
-//! * [`storage`] — `StorageMap` / `StorageCell` / `StorageCounterMap`,
-//!   thin gas-charging wrappers over the boosted collections of
-//!   [`cc_stm`],
+//! * [`storage`] — `StorageMap` / `StorageCell`, thin gas-charging
+//!   wrappers over the boosted collections of [`cc_stm`] (a tally is a
+//!   `StorageMap<K, u64>` written with its commuting `add`),
 //! * [`Contract`] + [`World`] — the contract trait, registry and the entry
 //!   point used by miners and validators to execute one call descriptor
 //!   inside a speculative (or replay) transaction,
@@ -78,6 +78,6 @@ pub use gas::{GasMeter, GasSchedule};
 pub use msg::Msg;
 pub use receipt::{ExecutionStatus, Receipt};
 pub use snapshot::{ContractSnapshot, FieldSnapshot, WorldSnapshot};
-pub use storage::{StorageCell, StorageCounterMap, StorageField, StorageMap};
+pub use storage::{StorageCell, StorageField, StorageMap};
 pub use value::Wei;
 pub use world::World;

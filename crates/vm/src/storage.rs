@@ -20,19 +20,18 @@ use crate::commit::{cell_digest, MapCommitment, RootCounters};
 use crate::context::{CallContext, TxnRef};
 use crate::error::VmError;
 use crate::snapshot::{FieldSnapshot, ToBytes};
-use cc_mvcc::{MvccTxn, VersionedCell, VersionedCounterMap, VersionedMap};
+use cc_mvcc::{MvccTxn, VersionedCell, VersionedMap};
 use cc_primitives::fx::RawEntry;
 use cc_primitives::hash::Hash256;
-use cc_stm::{BoostedCell, BoostedCounterMap, BoostedMap};
+use cc_stm::{BoostedCell, BoostedMap};
 use parking_lot::Mutex;
 use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
 /// One persistent state variable of a contract, as the state commitment
-/// and the snapshot path see it. Implemented by the three storage
-/// wrappers; a contract lists its fields once
-/// ([`crate::Contract::storage_fields`]) and both views derive from that
-/// list.
+/// and the snapshot path see it. Implemented by both storage wrappers;
+/// a contract lists its fields once ([`crate::Contract::storage_fields`])
+/// and both views derive from that list.
 pub trait StorageField: Send + Sync {
     /// The field's stable, globally unique name (`"Ballot.voters"`).
     fn name(&self) -> &str;
@@ -55,7 +54,7 @@ pub trait StorageField: Send + Sync {
 /// A persistent `mapping(K => V)` state variable.
 #[derive(Debug, Clone)]
 pub struct StorageMap<K, V> {
-    inner: BoostedMap<K, V>,
+    pub(crate) inner: BoostedMap<K, V>,
     overlay: Arc<OnceLock<VersionedMap<K, V>>>,
     commitment: Arc<Mutex<MapCommitment>>,
 }
@@ -259,6 +258,31 @@ where
     }
 }
 
+impl<K> StorageMap<K, u64>
+where
+    K: Hash + Eq + Clone + Send + Sync + 'static,
+{
+    /// Adds `delta` to the tally bound to `key`, an unbound key counting
+    /// as 0 (charges one `sstore`); commutes with concurrent adds to the
+    /// same key. The sum wraps, and a tally that reaches 0 is unbound, so
+    /// an add of 0 binds nothing (see [`BoostedMap::add`]). Read a tally
+    /// with `get(..)?.unwrap_or(0)`.
+    ///
+    /// # Errors
+    ///
+    /// Out-of-gas or speculative-conflict errors.
+    pub fn add(&self, ctx: &mut CallContext<'_>, key: K, delta: u64) -> Result<(), VmError> {
+        ctx.charge_sstore()?;
+        match ctx.txn() {
+            TxnRef::Stm(txn) => Ok(self.inner.add(txn, key, delta)?),
+            TxnRef::Mvcc(txn) => {
+                self.versioned(txn).add(txn, key, delta);
+                Ok(())
+            }
+        }
+    }
+}
+
 impl<K, V> StorageField for StorageMap<K, V>
 where
     K: Hash + Eq + Clone + Send + Sync + ToBytes + 'static,
@@ -277,7 +301,7 @@ where
     fn digest(&self, counters: &RootCounters) -> Hash256 {
         let mut commitment = self.commitment.lock();
         self.inner.drain_dirty(|shard, dirty, table| {
-            commitment.refresh_shard(shard, dirty, table, |_| true, counters);
+            commitment.refresh_shard(shard, dirty, table, counters);
         });
         commitment.root(counters)
     }
@@ -415,127 +439,6 @@ where
     }
 }
 
-/// A persistent tally map with a commutative `add` (used for vote counts
-/// and similar accumulators).
-#[derive(Debug, Clone)]
-pub struct StorageCounterMap<K> {
-    inner: BoostedCounterMap<K>,
-    overlay: Arc<OnceLock<VersionedCounterMap<K>>>,
-    commitment: Arc<Mutex<MapCommitment>>,
-}
-
-impl<K> StorageCounterMap<K>
-where
-    K: Hash + Eq + Clone + Send + Sync + 'static,
-{
-    /// Declares a tally map with a stable name.
-    pub fn new(name: &str) -> Self {
-        StorageCounterMap::with_capacity(name, 0)
-    }
-
-    /// [`new`](Self::new) sized for `entries` seeded tallies (see
-    /// [`StorageMap::with_capacity`]).
-    pub fn with_capacity(name: &str, entries: usize) -> Self {
-        StorageCounterMap {
-            inner: BoostedCounterMap::with_capacity(name, entries),
-            overlay: Arc::new(OnceLock::new()),
-            commitment: Arc::default(),
-        }
-    }
-
-    /// The versioned overlay, built (registering itself with the
-    /// transaction's runtime) on the first optimistic access.
-    fn versioned(&self, txn: &MvccTxn<'_>) -> &VersionedCounterMap<K> {
-        self.overlay
-            .get_or_init(|| VersionedCounterMap::new(txn.runtime(), self.inner.clone()))
-    }
-
-    /// Adds `delta` to the tally for `key` (charges one `sstore`);
-    /// commutes with concurrent adds to the same key.
-    ///
-    /// # Errors
-    ///
-    /// Out-of-gas or speculative-conflict errors.
-    pub fn add(&self, ctx: &mut CallContext<'_>, key: K, delta: u64) -> Result<(), VmError> {
-        ctx.charge_sstore()?;
-        match ctx.txn() {
-            TxnRef::Stm(txn) => Ok(self.inner.add(txn, key, delta)?),
-            TxnRef::Mvcc(txn) => {
-                self.versioned(txn).add(txn, key, delta);
-                Ok(())
-            }
-        }
-    }
-
-    /// Reads the tally for `key` (charges one `sload`); orders against
-    /// concurrent adds.
-    ///
-    /// # Errors
-    ///
-    /// Out-of-gas or speculative-conflict errors.
-    pub fn get(&self, ctx: &mut CallContext<'_>, key: &K) -> Result<u64, VmError> {
-        ctx.charge_sload()?;
-        match ctx.txn() {
-            TxnRef::Stm(txn) => Ok(self.inner.get(txn, key)?),
-            TxnRef::Mvcc(txn) => Ok(self.versioned(txn).get(txn, key)),
-        }
-    }
-
-    /// Overwrites the tally for `key` (charges one `sstore`).
-    ///
-    /// # Errors
-    ///
-    /// Out-of-gas or speculative-conflict errors.
-    pub fn set(&self, ctx: &mut CallContext<'_>, key: K, value: u64) -> Result<(), VmError> {
-        ctx.charge_sstore()?;
-        match ctx.txn() {
-            TxnRef::Stm(txn) => Ok(self.inner.set(txn, key, value)?),
-            TxnRef::Mvcc(txn) => {
-                self.versioned(txn).set(txn, key, value);
-                Ok(())
-            }
-        }
-    }
-
-    /// Non-transactional write used while constructing initial state.
-    pub fn seed(&self, key: K, value: u64) {
-        self.inner.seed(key, value);
-    }
-
-    /// Non-transactional read for tests and diagnostics.
-    pub fn peek(&self, key: &K) -> u64 {
-        self.inner.peek(key)
-    }
-}
-
-impl<K> StorageField for StorageCounterMap<K>
-where
-    K: Hash + Eq + Clone + Send + Sync + ToBytes + 'static,
-{
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn snapshot_field(&self) -> FieldSnapshot {
-        let mut field = FieldSnapshot::with_capacity(self.inner.name(), 0);
-        self.inner.for_each(|key, tally| field.push(key, &tally));
-        field.sorted()
-    }
-
-    fn digest(&self, counters: &RootCounters) -> Hash256 {
-        let mut commitment = self.commitment.lock();
-        self.inner.drain_dirty(|shard, dirty, table| {
-            // A zero tally is not an entry (see `BoostedCounterMap::for_each`).
-            commitment.refresh_shard(shard, dirty, table, |tally| *tally != 0, counters);
-        });
-        commitment.root(counters)
-    }
-
-    fn is_dirty(&self) -> bool {
-        self.inner.is_dirty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,24 +451,17 @@ mod tests {
     fn restore_and_clear_move_the_digest_to_the_cold_twins() {
         let counters = RootCounters::default();
         let map: StorageMap<u64, u64> = StorageMap::new("rc.map");
-        let tally: StorageCounterMap<u64> = StorageCounterMap::new("rc.tally");
         for i in 0..200 {
             map.seed(i, i);
-            tally.seed(i, i + 1);
         }
-        let populated = (map.digest(&counters), tally.digest(&counters));
+        let populated = map.digest(&counters);
 
         map.inner.restore(vec![(1, 1), (500, 5)]);
-        tally.inner.restore(vec![(2, 2)]);
         let twin_map: StorageMap<u64, u64> = StorageMap::new("rc.map.twin");
         twin_map.seed(500, 5);
         twin_map.seed(1, 1);
-        let twin_tally: StorageCounterMap<u64> = StorageCounterMap::new("rc.tally.twin");
-        twin_tally.seed(2, 2);
-        assert_ne!(map.digest(&counters), populated.0);
+        assert_ne!(map.digest(&counters), populated);
         assert_eq!(map.digest(&counters), twin_map.digest(&counters));
-        assert_eq!(tally.digest(&counters), twin_tally.digest(&counters));
-        assert_ne!(tally.digest(&counters), populated.1);
 
         map.inner.clear();
         let empty: StorageMap<u64, u64> = StorageMap::new("rc.map.empty");

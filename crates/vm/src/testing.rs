@@ -7,7 +7,7 @@ use crate::address::Address;
 use crate::context::CallContext;
 use crate::contract::{Contract, ContractKind};
 use crate::error::VmError;
-use crate::storage::{StorageCell, StorageCounterMap, StorageField, StorageMap};
+use crate::storage::{StorageCell, StorageField, StorageMap};
 use crate::value::Wei;
 
 /// A tiny contract with a per-sender counter, a global total and a
@@ -17,7 +17,7 @@ use crate::value::Wei;
 pub struct CounterContract {
     address: Address,
     counts: StorageMap<Address, u64>,
-    total: StorageCounterMap<u8>,
+    total: StorageMap<u8, u64>,
     deposits: StorageCell<u128>,
 }
 
@@ -28,7 +28,7 @@ impl CounterContract {
         CounterContract {
             address,
             counts: StorageMap::new(&format!("Counter.counts.{tag}")),
-            total: StorageCounterMap::new(&format!("Counter.total.{tag}")),
+            total: StorageMap::new(&format!("Counter.total.{tag}")),
             deposits: StorageCell::new(&format!("Counter.deposits.{tag}"), 0),
         }
     }
@@ -40,7 +40,7 @@ impl CounterContract {
 
     /// Non-transactional view of the global total (tests only).
     pub fn total(&self) -> u64 {
-        self.total.peek(&0)
+        self.total.peek(&0).unwrap_or(0)
     }
 }
 
@@ -84,7 +84,10 @@ impl Contract for CounterContract {
                 let count = self.counts.get(ctx, &who)?.unwrap_or(0);
                 Ok(ReturnValue::Uint(u128::from(count)))
             }
-            "total" => Ok(ReturnValue::Uint(u128::from(self.total.get(ctx, &0)?))),
+            "total" => {
+                let total = self.total.get(ctx, &0)?.unwrap_or(0);
+                Ok(ReturnValue::Uint(u128::from(total)))
+            }
             "deposit" => {
                 let value = ctx.msg().value;
                 self.deposits.modify(ctx, |d| *d += value.amount())?;
@@ -184,6 +187,7 @@ impl Contract for ProxyContract {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::TxnRef;
     use crate::msg::Msg;
     use crate::receipt::ExecutionStatus;
     use crate::world::World;
@@ -215,6 +219,40 @@ mod tests {
         txn.commit().unwrap();
         assert_eq!(counter.count_of(&sender), 7);
         assert_eq!(counter.total(), 7);
+    }
+
+    /// A tally's sum wraps in debug and release builds alike: two
+    /// senders' `increment(u64::MAX)` leave `u64::MAX - 1` under either
+    /// transaction flavour. (A checked sum would fail whichever commuting
+    /// add ran second.)
+    #[test]
+    fn total_wraps_under_both_transaction_flavours() {
+        for optimistic in [false, true] {
+            let world = World::new();
+            let addr = Address::from_name("counter-wrap");
+            let counter = Arc::new(CounterContract::new(addr));
+            world.deploy(counter.clone());
+            let call = CallData::new("increment", vec![ArgValue::Uint(u128::from(u64::MAX))]);
+            for sender in [1, 2].map(Address::from_index) {
+                let msg = Msg::from_sender(sender);
+                let receipt = if optimistic {
+                    let txn = world.mvcc().begin();
+                    let receipt =
+                        world.execute_in(TxnRef::Mvcc(&txn), 0, msg, addr, &call, 1_000_000);
+                    txn.commit().unwrap();
+                    receipt
+                } else {
+                    let txn = world.stm().begin();
+                    let receipt =
+                        world.execute_in(TxnRef::Stm(&txn), 0, msg, addr, &call, 1_000_000);
+                    txn.commit().unwrap();
+                    receipt
+                };
+                assert!(receipt.unwrap().succeeded(), "optimistic: {optimistic}");
+            }
+            world.mvcc().finalize_block();
+            assert_eq!(counter.total(), u64::MAX - 1, "optimistic: {optimistic}");
+        }
     }
 
     #[test]

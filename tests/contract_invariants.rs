@@ -13,12 +13,17 @@
 //! - SimpleAuction: the highest bid never falls, and Σ pending returns +
 //!   highest bid + Σ `Withdrawn` == the seeded total + Σ
 //!   `HighestBidIncreased`.
+//!
+//! Every row also checks the gas books of each block: no receipt uses
+//! more than its limit, and an `OutOfGas` receipt uses exactly its limit.
+//! Each contract's last follow-up block holds a transaction one gas unit
+//! short of its bill, so every row meets that arm.
 
 use cc_contracts::EtherDoc;
 use cc_core::engine::Engine;
 use cc_integration_tests::{engine, optimistic_engine, workload};
 use cc_ledger::{Block, Transaction};
-use cc_vm::{Address, ArgValue, CallData, FieldSnapshot, World, WorldSnapshot};
+use cc_vm::{Address, ArgValue, CallData, ExecutionStatus, FieldSnapshot, World, WorldSnapshot};
 use cc_workload::{Benchmark, Workload};
 
 /// Accounts (and paper-block transactions) of every workload here.
@@ -67,6 +72,42 @@ fn call(sender: Address, to: Address, function: &str, args: Vec<ArgValue>) -> Tr
     Transaction::new(0, sender, to, CallData::new(function, args), 1_000_000)
 }
 
+/// `tx` with its gas limit one unit below its bill as the only
+/// transaction of a block on `w`'s genesis world. Every caller picks a
+/// transaction whose bill does not depend on the state it runs in.
+fn one_gas_short(w: &Workload, tx: Transaction) -> Transaction {
+    let mined = (Engine::serial().mine(&w.build_world(), vec![tx.clone()]))
+        .expect("a lone transaction mines");
+    let receipt = &mined.block.receipts[0];
+    assert!(
+        receipt.succeeded(),
+        "the full bill pays for {}",
+        tx.call.function
+    );
+    Transaction {
+        gas_limit: receipt.gas_used - 1,
+        ..tx
+    }
+}
+
+/// The gas books of `block`: no receipt uses more than its limit, and an
+/// out-of-gas receipt uses all of it. Returns the out-of-gas receipts.
+fn check_gas(block: &Block, label: &str) -> usize {
+    let mut out_of_gas = 0;
+    for (tx, receipt) in block.transactions.iter().zip(&block.receipts) {
+        let (used, limit) = (receipt.gas_used, tx.gas_limit);
+        assert!(
+            used <= limit,
+            "{label}: {used} gas used over a limit of {limit}"
+        );
+        if receipt.status == ExecutionStatus::OutOfGas {
+            assert_eq!(used, limit, "{label}: out of gas short of the limit");
+            out_of_gas += 1;
+        }
+    }
+    out_of_gas
+}
+
 /// The address of the first transaction calling one of `functions`.
 fn contract_of(transactions: &[Transaction], functions: &[&str]) -> Address {
     (transactions.iter())
@@ -79,7 +120,9 @@ fn contract_of(transactions: &[Transaction], functions: &[&str]) -> Address {
 /// blocks `follow_ups` makes from it, under both strategies: each block
 /// is mined on one world and validated on a second. `check(world, chain,
 /// label)` runs on both genesis worlds (`chain` empty) and after every
-/// mined and every validated block, `chain` holding the blocks so far.
+/// mined and every validated block, `chain` holding the blocks so far,
+/// and so do the gas books ([`check_gas`]); each run must meet an
+/// out-of-gas receipt.
 fn referee(
     benchmark: Benchmark,
     follow_ups: impl Fn(&Workload) -> Vec<Vec<Transaction>>,
@@ -97,6 +140,7 @@ fn referee(
             check(&miner, &[], &format!("{label}, genesis"));
             check(&validator, &[], &format!("{label}, genesis"));
             let mut chain = Vec::new();
+            let mut out_of_gas = 0;
             let blocks = [vec![w.transactions()], follow_ups(&w)].concat();
             for (number, transactions) in blocks.into_iter().enumerate() {
                 let label = format!("{label}, block {}", number + 1);
@@ -104,12 +148,15 @@ fn referee(
                     .mine(&miner, transactions)
                     .unwrap_or_else(|e| panic!("{label}: mining failed: {e}"));
                 chain.push(mined.block);
+                out_of_gas += check_gas(&chain[number], &format!("{label}, miner"));
                 check(&miner, &chain, &format!("{label}, miner"));
                 engine
                     .validate(&validator, &chain[number])
                     .unwrap_or_else(|e| panic!("{label}: validation failed: {e}"));
+                check_gas(&chain[number], &format!("{label}, validator"));
                 check(&validator, &chain, &format!("{label}, validator"));
             }
+            assert!(out_of_gas > 0, "{label}: no block ran out of gas");
         }
     }
 }
@@ -128,7 +175,8 @@ fn etherdoc_books(world: &World) -> (u64, u64, u64) {
 }
 
 /// A second block on the same contract: eight new documents from fresh
-/// accounts, and one that already exists (it reverts).
+/// accounts, and one that already exists (it reverts). Then a third: a
+/// new document one gas unit short of its bill.
 fn creations(w: &Workload) -> Vec<Vec<Transaction>> {
     let to = contract_of(&w.transactions(), &["hasDocument", "transferDocument"]);
     let create = |sender: u64, document: u64| {
@@ -136,7 +184,10 @@ fn creations(w: &Workload) -> Vec<Vec<Transaction>> {
         call(Address::from_index(sender), to, "newDocument", vec![hash])
     };
     let fresh = (0..8).map(|i| create(900_000 + i, 5_000_000 + i));
-    vec![fresh.chain([create(900_100, 5_000_000)]).collect()]
+    vec![
+        fresh.chain([create(900_100, 5_000_000)]).collect(),
+        vec![one_gas_short(w, create(900_200, 5_000_200))],
+    ]
 }
 
 #[test]
@@ -175,15 +226,18 @@ fn fresh_voter(i: u64) -> Address {
     Address::from_index(800_000 + i)
 }
 
-/// Two more Ballot blocks: the chairperson registers four fresh voters,
-/// then they delegate along a chain whose head votes, in whatever order
-/// the block's schedule gives them.
+/// Three more Ballot blocks: the chairperson registers six fresh voters;
+/// four delegate along a chain whose head votes, in whatever order the
+/// block's schedule gives them, and the fifth delegates to the sixth;
+/// then the chairperson tries to register the sixth again, who holds
+/// delegated weight (it reverts: re-registering would reset that
+/// weight), and registers a fresh voter one gas unit short of the bill.
 fn registrations_then_delegations(w: &Workload) -> Vec<Vec<Transaction>> {
     let to = contract_of(&w.transactions(), &["vote"]);
     let genesis = w.build_world().snapshot();
     let chairperson = cell(field(&genesis, "Ballot", "Ballot.chairperson."));
     let chairperson = Address(chairperson.try_into().expect("an address"));
-    let register = (0..4).map(|i| {
+    let register = (0..6).map(|i| {
         let voter = ArgValue::Addr(fresh_voter(i));
         call(chairperson, to, "giveRightToVote", vec![voter])
     });
@@ -192,8 +246,26 @@ fn registrations_then_delegations(w: &Workload) -> Vec<Vec<Transaction>> {
         call(fresh_voter(from), to, "delegate", vec![target])
     };
     let vote = call(fresh_voter(1), to, "vote", vec![ArgValue::Uint(1)]);
-    let delegations = vec![delegate(0, 1), delegate(2, 1), vote, delegate(3, 2)];
-    vec![register.collect(), delegations]
+    let delegations = vec![
+        delegate(0, 1),
+        delegate(2, 1),
+        vote,
+        delegate(3, 2),
+        delegate(4, 5),
+    ];
+    let give_right = |voter: Address| {
+        call(
+            chairperson,
+            to,
+            "giveRightToVote",
+            vec![ArgValue::Addr(voter)],
+        )
+    };
+    let registrations = vec![
+        give_right(fresh_voter(5)),
+        one_gas_short(w, give_right(fresh_voter(9))),
+    ];
+    vec![register.collect(), delegations, registrations]
 }
 
 #[test]
@@ -210,8 +282,8 @@ fn ballot_weight_is_cast_or_held_and_never_made() {
                     assert_eq!(voters, ACCOUNTS, "{label}: one voter an account");
                     seeded = held;
                 }
-                // Block 2 registers four fresh voters of weight 1.
-                let registered = seeded + if chain.len() >= 2 { 4 } else { 0 };
+                // Block 2 registers six fresh voters of weight 1.
+                let registered = seeded + if chain.len() >= 2 { 6 } else { 0 };
                 assert_eq!(
                     cast + held,
                     registered,
@@ -239,14 +311,19 @@ fn auction_books(world: &World) -> (u128, u128, usize) {
 
 /// A second auction block: everyone who bid in the paper block withdraws
 /// (all but the highest bidder were outbid), and three fresh bidders
-/// overbid.
+/// overbid. Then a third: a fresh account's withdrawal (it owes nothing)
+/// one gas unit short of its bill.
 fn withdrawals_and_bids(w: &Workload) -> Vec<Vec<Transaction>> {
     let transactions = w.transactions();
     let to = contract_of(&transactions, &["withdraw", "bidPlusOne"]);
     let bidders = (transactions.iter()).filter(|tx| tx.call.function == "bidPlusOne");
     let withdrawals = bidders.map(|tx| call(tx.sender, to, "withdraw", vec![]));
     let fresh = (0..3).map(|i| call(Address::from_index(810_000 + i), to, "bidPlusOne", vec![]));
-    vec![withdrawals.chain(fresh).collect()]
+    let stranger = call(Address::from_index(820_000), to, "withdraw", vec![]);
+    vec![
+        withdrawals.chain(fresh).collect(),
+        vec![one_gas_short(w, stranger)],
+    ]
 }
 
 #[test]

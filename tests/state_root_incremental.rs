@@ -27,7 +27,7 @@ use cc_ledger::Block;
 use cc_primitives::hash::Hash256;
 use cc_vm::{
     Address, ArgValue, CallContext, CallData, Contract, ContractKind, GasSchedule, Msg,
-    ReturnValue, StorageCell, StorageCounterMap, StorageField, StorageMap, TxnRef, VmError, World,
+    ReturnValue, StorageCell, StorageField, StorageMap, TxnRef, VmError, World,
 };
 use cc_workload::Benchmark;
 use proptest::prelude::*;
@@ -40,7 +40,7 @@ use std::sync::Arc;
 struct Scratch {
     address: Address,
     map: StorageMap<u64, u64>,
-    tally: StorageCounterMap<u64>,
+    tally: StorageMap<u64, u64>,
     cell: StorageCell<u64>,
 }
 
@@ -51,7 +51,7 @@ const OPS: [&str; 8] = [
     "take",
     "update_or",
     "add",
-    "tally_set",
+    "tally_insert",
     "cell_set",
 ];
 
@@ -61,20 +61,19 @@ impl Scratch {
         Scratch {
             address,
             map: StorageMap::new(&format!("Scratch.map.{tag}")),
-            tally: StorageCounterMap::new(&format!("Scratch.tally.{tag}")),
+            tally: StorageMap::new(&format!("Scratch.tally.{tag}")),
             cell: StorageCell::new(&format!("Scratch.cell.{tag}"), 0),
         }
     }
 
     /// A contract at `address` holding exactly `model`'s contents, written
-    /// non-transactionally. Zero tallies are left out: they are not
-    /// entries, so a world that holds some must still agree.
+    /// non-transactionally.
     fn seeded(address: Address, model: &Model) -> Self {
         let scratch = Scratch::new(address);
         for (k, v) in &model.map {
             scratch.map.seed(*k, *v);
         }
-        for (k, v) in model.tally.iter().filter(|(_, v)| **v != 0) {
+        for (k, v) in &model.tally {
             scratch.tally.seed(*k, *v);
         }
         scratch.cell.seed(model.cell);
@@ -100,8 +99,8 @@ impl Contract for Scratch {
             "remove" => drop(self.map.remove(ctx, &key)?),
             "take" => drop(self.map.take(ctx, &key)?),
             "update_or" => self.map.update_or(ctx, key, 1, |v| *v += value)?,
-            "add" => self.tally.add(ctx, key, value)?,
-            "tally_set" => self.tally.set(ctx, key, value)?,
+            "add" => self.tally.add(ctx, key, add_delta(value))?,
+            "tally_insert" => self.tally.insert(ctx, key, value)?,
             "cell_set" => self.cell.set(ctx, value)?,
             other => {
                 return Err(VmError::UnknownFunction {
@@ -120,6 +119,13 @@ impl Contract for Scratch {
     }
 }
 
+/// The delta an `add` of drawn value `value` (0 to 3) adds: -2 to 1,
+/// wrapping, so tallies keep coming back to 0 (which unbinds them) and
+/// an add of 0 binds nothing.
+fn add_delta(value: u64) -> u64 {
+    value.wrapping_sub(2)
+}
+
 /// What one [`Scratch`] contract must hold.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Model {
@@ -134,8 +140,19 @@ impl Model {
             "insert" | "replace" => drop(self.map.insert(key, value)),
             "remove" | "take" => drop(self.map.remove(&key)),
             "update_or" => *self.map.entry(key).or_insert(1) += value,
-            "add" => *self.tally.entry(key).or_insert(0) += value,
-            "tally_set" => drop(self.tally.insert(key, value)),
+            "add" => {
+                let delta = add_delta(value);
+                let total = self
+                    .tally
+                    .get(&key)
+                    .map_or(delta, |t| t.wrapping_add(delta));
+                match (delta, total) {
+                    (0, _) => {}
+                    (_, 0) => drop(self.tally.remove(&key)),
+                    _ => drop(self.tally.insert(key, total)),
+                }
+            }
+            "tally_insert" => drop(self.tally.insert(key, value)),
             "cell_set" => self.cell = value,
             other => unreachable!("{other}"),
         }
