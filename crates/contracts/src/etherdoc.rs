@@ -270,7 +270,8 @@ impl Contract for EtherDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_vm::{ExecutionStatus, Msg, Receipt, World};
+    use cc_stm::{LockId, LockMode, LockSpace};
+    use cc_vm::{ExecutionStatus, Msg, Receipt, TxnRef, World};
     use std::sync::Arc;
 
     fn setup() -> (World, Arc<EtherDoc>) {
@@ -467,6 +468,80 @@ mod tests {
         let (_, etherdoc) = setup();
         assert_eq!(etherdoc.snapshot().fields.len(), 4);
         assert_eq!(etherdoc.snapshot().kind, "EtherDoc");
+    }
+
+    /// One committed `function` call under the chosen transaction
+    /// flavour: its receipt and the locks it published, by lock id.
+    fn call_footprint(
+        world: &World,
+        optimistic: bool,
+        sender: Address,
+        function: &str,
+        args: Vec<ArgValue>,
+    ) -> (Receipt, Vec<(LockId, LockMode)>) {
+        let (to, call) = (
+            Address::from_name("EtherDoc"),
+            CallData::new(function, args),
+        );
+        let msg = Msg::from_sender(sender);
+        let (receipt, mut locks) = if optimistic {
+            let txn = world.mvcc().begin();
+            let receipt = world.execute_in(TxnRef::Mvcc(&txn), 0, msg, to, &call, 1_000_000);
+            (receipt.unwrap(), txn.commit().unwrap().footprint)
+        } else {
+            let txn = world.stm().begin();
+            let receipt = world.execute_in(TxnRef::Stm(&txn), 0, msg, to, &call, 1_000_000);
+            let profile = txn.commit().unwrap().profile;
+            let locks = profile.locks.iter().map(|e| (e.lock, e.mode)).collect();
+            (receipt.unwrap(), locks)
+        };
+        locks.sort_unstable();
+        (receipt, locks)
+    }
+
+    /// The existence checks' receipts and footprint, under both
+    /// transaction flavours: `hasDocument` is one `sload` under the
+    /// document key's shared lock, present or absent, and `newDocument`
+    /// reads the same lock before it reverts on a present hash or writes
+    /// the document, the total and the sender's tally on an absent one.
+    #[test]
+    fn read_paths_keep_their_gas_and_footprint() {
+        let tag = Address::from_name("EtherDoc").to_hex();
+        let space = |field: &str| LockSpace::new(&format!("EtherDoc.{field}.{tag}"));
+        let (present, absent) = (EtherDoc::document_hash(1), EtherDoc::document_hash(2));
+        let sender = Address::from_index(3);
+        let shared = |hash: &[u8; 32]| vec![(space("documents").lock_for(hash), LockMode::Shared)];
+        let mut created = vec![
+            (space("documents").lock_for(&absent), LockMode::Exclusive),
+            (space("ownedCount").lock_for(&sender), LockMode::Exclusive),
+            (space("totalDocuments").whole(), LockMode::Exclusive),
+        ];
+        created.sort_unstable();
+        for optimistic in [false, true] {
+            let (world, etherdoc) = setup();
+            etherdoc.seed_document(present, Address::from_index(1));
+            let run = |function: &str, hash: [u8; 32]| {
+                let args = vec![ArgValue::Bytes32(hash)];
+                call_footprint(&world, optimistic, sender, function, args)
+            };
+
+            for hash in [present, absent] {
+                let (has, locks) = run("hasDocument", hash);
+                assert_eq!(has.output, ReturnValue::Bool(hash == present));
+                assert_eq!(has.gas_used, 21_200, "optimistic: {optimistic}");
+                assert_eq!(locks, shared(&hash), "optimistic: {optimistic}");
+            }
+
+            let (new, locks) = run("newDocument", present);
+            assert!(matches!(new.status, ExecutionStatus::Reverted { .. }));
+            assert_eq!(new.gas_used, 21_200, "optimistic: {optimistic}");
+            assert_eq!(locks, shared(&present), "optimistic: {optimistic}");
+
+            let (new, locks) = run("newDocument", absent);
+            assert!(new.succeeded(), "optimistic: {optimistic}");
+            assert_eq!(new.gas_used, 36_975, "optimistic: {optimistic}");
+            assert_eq!(locks, created, "optimistic: {optimistic}");
+        }
     }
 
     #[test]

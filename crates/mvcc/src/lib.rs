@@ -378,7 +378,7 @@ mod tests {
 
         let savepoint = txn.savepoint();
         map.insert(&txn, 2, 222);
-        map.take(&txn, &1);
+        map.add(&txn, 1, 111u64.wrapping_neg());
         txn.rollback_to(savepoint);
         assert_eq!(map.get(&txn, &1), Some(111), "pre-savepoint write kept");
         assert_eq!(map.get(&txn, &2), Some(200), "post-savepoint write undone");
@@ -424,7 +424,10 @@ mod tests {
         for round in 0..3u64 {
             let txn = runtime.begin();
             map.insert(&txn, 1, 1000 + round);
-            map.take(&txn, &2);
+            if round == 0 {
+                // Brings the tally to 0: a deletion version.
+                map.add(&txn, 2, 200u64.wrapping_neg());
+            }
             txn.commit().unwrap();
         }
         runtime.finalize_block();
@@ -472,7 +475,7 @@ mod tests {
 
         let txn = runtime.begin();
         map.insert(&txn, 1, 222);
-        map.take(&txn, &2);
+        map.add(&txn, 2, 200u64.wrapping_neg());
         txn.commit().unwrap();
         let boundary2 = runtime.oracle().latest();
 
@@ -757,14 +760,29 @@ mod tests {
                     map.insert(txn, key, value);
                     state.insert(key, value);
                 }
-                1 => prop_assert_eq!(map.remove(txn, &key), state.remove(&key).is_some()),
+                1 => {
+                    // A negated add unbinds the key (a deletion version);
+                    // an add of 0 changes nothing.
+                    let delta = state.get(&key).copied().unwrap_or(0).wrapping_neg();
+                    map.add(txn, key, delta);
+                    if delta != 0 {
+                        state.remove(&key);
+                    }
+                }
                 2 => {
                     map.update_or(txn, key, 0, |x| *x = x.wrapping_add(value));
                     let next = state.get(&key).copied().unwrap_or(0).wrapping_add(value);
                     state.insert(key, next);
                 }
-                3 => prop_assert_eq!(map.replace(txn, key, value), state.insert(key, value)),
-                _ => prop_assert_eq!(map.take(txn, &key), state.remove(&key)),
+                3 => {
+                    prop_assert_eq!(map.get(txn, &key), state.get(&key).copied());
+                    map.insert(txn, key, value);
+                    state.insert(key, value);
+                }
+                _ => prop_assert_eq!(
+                    map.get_with(txn, &key, |v| v.is_some()),
+                    state.contains_key(&key)
+                ),
             }
             Ok(())
         }

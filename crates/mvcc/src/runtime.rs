@@ -96,6 +96,21 @@ impl MvccRuntime {
     }
 
     /// Starts an optimistic transaction at the current snapshot.
+    ///
+    /// # One intent holder per thread
+    ///
+    /// A thread must not begin a transaction that touches a hot lock
+    /// while another of its own live transactions holds that lock's
+    /// intent (its stripe's: any lock of the stripe counts). The new
+    /// transaction holds no intent, so it parks for that one (rule 1 of
+    /// the module docs), and an intent has no timer: only dropping the
+    /// other transaction releases it, which the parked thread never
+    /// does, so it parks forever. The no-deadlock argument counts
+    /// transactions and assumes each thread runs one at a time.
+    ///
+    /// The miner keeps the rule: each worker runs one transaction at a
+    /// time and drops a losing attempt before its retry begins. Replays
+    /// keep it because they never heat a lock: they do not lose.
     pub fn begin(&self) -> MvccTxn<'_> {
         self.begin_holding(None)
     }
@@ -105,7 +120,8 @@ impl MvccRuntime {
     /// fixes its snapshot, so it sees the intent's previous holder's
     /// commit and cannot lose on that lock (rule 1 of the module docs).
     /// The caller must hold no other intent: its previous attempt has to
-    /// be dropped first.
+    /// be dropped first, or the thread parks forever on its own intent
+    /// (see [`begin`](Self::begin)'s rule).
     pub fn begin_holding(&self, lost: Option<LockId>) -> MvccTxn<'_> {
         let held = lost.map_or(0, intent_bit);
         if held != 0 {

@@ -14,7 +14,8 @@ use std::sync::Arc;
 /// whatever total the key holds when the transaction installs.
 #[derive(Clone)]
 pub(super) enum Write<V> {
-    /// Bind the key (`None` = remove).
+    /// Bind the key (`None` = unbind: an add after a buffered binding
+    /// that brings the tally to 0).
     Bind(Option<V>),
     /// A `u64` map's pending adds (see `VersionedMap::add`), with the
     /// function that folds the delta into a total.
@@ -207,37 +208,10 @@ where
         f(self.get(txn, key).as_ref())
     }
 
-    /// Whether `key` is bound.
-    pub fn contains_key(&self, txn: &MvccTxn<'_>, key: &K) -> bool {
-        self.get(txn, key).is_some()
-    }
-
     /// Binds `key` to `value` (pessimistic twin: exclusive key lock).
     pub fn insert(&self, txn: &MvccTxn<'_>, key: K, value: V) {
         self.footprint(txn, &key, LockMode::Exclusive);
         self.buffer(txn, key, |_| Write::Bind(Some(value)));
-    }
-
-    /// Binds `key` to `value` and returns the previous binding. The
-    /// returned binding is a semantic read: the key joins the read set.
-    pub fn replace(&self, txn: &MvccTxn<'_>, key: K, value: V) -> Option<V> {
-        self.footprint(txn, &key, LockMode::Exclusive);
-        let previous = self.read(txn, &key);
-        self.buffer(txn, key, |_| Write::Bind(Some(value)));
-        previous
-    }
-
-    /// Removes the binding for `key`, reporting whether one existed.
-    pub fn remove(&self, txn: &MvccTxn<'_>, key: &K) -> bool {
-        self.take(txn, key).is_some()
-    }
-
-    /// Removes and returns the binding for `key`.
-    pub fn take(&self, txn: &MvccTxn<'_>, key: &K) -> Option<V> {
-        self.footprint(txn, key, LockMode::Exclusive);
-        let previous = self.read(txn, key);
-        self.buffer(txn, key.clone(), |_| Write::Bind(None));
-        previous
     }
 
     /// Read-modify-write of the value bound to `key`, inserting `default`

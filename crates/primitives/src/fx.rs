@@ -232,15 +232,6 @@ impl<K, V> RawFxMap<K, V> {
         self.items == 0
     }
 
-    /// Removes every entry, keeping the allocated table.
-    pub fn clear(&mut self) {
-        for slot in self.slots.iter_mut() {
-            *slot = Slot::Empty;
-        }
-        self.items = 0;
-        self.used = 0;
-    }
-
     /// Iterates over `(&key, &value)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.iter_hashed().map(|(_, key, value)| (key, value))
@@ -375,15 +366,6 @@ impl<K: Eq, V> RawFxMap<K, V> {
             Slot::Full { value, .. } => Some(value),
             _ => unreachable!("find returns full slots"),
         }
-    }
-
-    /// Whether an entry for `(hash, key)` exists.
-    pub fn contains_hashed<Q>(&self, hash: u64, key: &Q) -> bool
-    where
-        K: std::borrow::Borrow<Q>,
-        Q: Eq + ?Sized,
-    {
-        self.find(hash, key).is_some()
     }
 
     /// Inserts `key → value` under `hash`, returning the previous value if
@@ -594,9 +576,6 @@ pub fn bucket_of(hash: u64) -> u8 {
 pub struct BucketMask([u64; 4]);
 
 impl BucketMask {
-    /// Every bucket of the shard.
-    pub const ALL: BucketMask = BucketMask([u64::MAX; 4]);
-
     /// Adds `bucket` to the set.
     #[inline]
     pub fn insert(&mut self, bucket: u8) {
@@ -716,9 +695,10 @@ struct RawShard<K, V> {
 /// `write` is the **only** way to reach `&mut RawFxMap`, and it records
 /// the written key's bucket ([`bucket_of`]) in the shard's [`BucketMask`]
 /// under the latch it already holds. Every mutation of base state —
-/// transactional, undo replay, seeding, restore — is therefore marked by
-/// construction, and [`drain_dirty`](Self::drain_dirty) tells a state
-/// commitment exactly which buckets to re-hash. Marks over-approximate
+/// transactional, undo replay, seeding, the multi-version flatten — is
+/// therefore marked by construction, and
+/// [`drain_dirty`](Self::drain_dirty) tells a state commitment exactly
+/// which buckets to re-hash. Marks over-approximate
 /// (a mutation later undone stays marked; a `remove` of an absent key
 /// marks) and are never cleared except by draining: re-hashing an
 /// unchanged bucket yields the digest it already had.
@@ -728,7 +708,7 @@ pub struct ShardedRawTable<K, V> {
 }
 
 // SAFETY: all access to the `UnsafeCell` interiors (table and dirty mask)
-// goes through `read` / `write` / `fold` / `clear` / `drain_dirty`, which
+// goes through `read` / `write` / `fold` / `is_dirty` / `drain_dirty`, which
 // hold the shard latch for the duration of the reference.
 #[allow(unsafe_code)]
 unsafe impl<K: Send, V: Send> Sync for ShardedRawTable<K, V> {}
@@ -822,19 +802,6 @@ impl<K, V> ShardedRawTable<K, V> {
     /// True if no shard holds any entry.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Removes every entry from every shard, marking every bucket dirty.
-    #[allow(unsafe_code)]
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let _guard = shard.latch.lock();
-            // SAFETY: as in `write` — the latch serializes these references.
-            unsafe {
-                *shard.dirty.get() = BucketMask::ALL;
-                (*shard.table.get()).clear();
-            }
-        }
     }
 
     /// Whether any bucket was written since the previous drain. Leaves
@@ -1032,10 +999,12 @@ mod tests {
             assert_eq!(map.remove_hashed(fx_hash_of(&i), &i), None);
         }
         assert_eq!(map.len(), 50);
-        assert!(map.contains_hashed(fx_hash_of(&1u64), &1));
-        assert!(!map.contains_hashed(fx_hash_of(&2u64), &2));
+        assert!(map.get_hashed(fx_hash_of(&1u64), &1).is_some());
+        assert!(map.get_hashed(fx_hash_of(&2u64), &2).is_none());
         assert_eq!(map.iter().count(), 50);
-        map.clear();
+        for i in (1..100u64).step_by(2) {
+            assert!(map.remove_hashed(fx_hash_of(&i), &i).is_some());
+        }
         assert!(map.is_empty());
         assert_eq!(map.iter().count(), 0);
     }
@@ -1118,10 +1087,6 @@ mod tests {
                             raw.get_hashed(h, &key).copied(),
                             reference.get(&key).copied()
                         );
-                        proptest::prop_assert_eq!(
-                            raw.contains_hashed(h, &key),
-                            reference.contains_key(&key)
-                        );
                     }
                     _ => {
                         *raw.entry_hashed(h, key).or_insert(0) += u32::from(key);
@@ -1141,7 +1106,7 @@ mod tests {
     /// Walking all 256 buckets partitions the table: every entry of
     /// `iter_hashed` is found exactly once, and only under its own
     /// bucket — through tombstones, growth from 8 slots to several
-    /// thousand, `clear`, and a bucket-255 overflow run that wraps to
+    /// thousand, a mass removal, and a bucket-255 overflow run that wraps to
     /// slot 0 (a fifth of the keys are forced into bucket 255).
     #[test]
     fn bucket_walks_partition_the_table() {
@@ -1180,7 +1145,10 @@ mod tests {
                     _ => drop(map.remove_hashed(hash_of(key), &key)),
                 }
                 if step == 4_000 && seed % 2 == 0 {
-                    map.clear();
+                    let all: Vec<(u64, u64)> = map.iter_hashed().map(|(h, k, _)| (h, *k)).collect();
+                    for (hash, key) in all {
+                        map.remove_hashed(hash, &key);
+                    }
                 }
                 max_slots = max_slots.max(map.slots.len());
                 if step < 400 || step % 97 == 0 {
@@ -1205,7 +1173,6 @@ mod tests {
         mask.insert(63);
         assert_eq!(mask.len(), 4);
         assert_eq!(mask.iter().collect::<Vec<_>>(), vec![0, 63, 64, 255]);
-        assert_eq!(BucketMask::ALL.len(), RAW_SHARD_BUCKETS);
         // Shard and bucket are disjoint bit fields of the fingerprint.
         assert_eq!(shard_of(0xABC), 0xC);
         assert_eq!(bucket_of(0xABC), 0xAB);
@@ -1297,14 +1264,6 @@ mod tests {
             seen.push((shard, mask.len(), map.iter_hashed().next().map(|e| e.0)))
         });
         assert_eq!(seen, vec![(shard_of(h), 1, Some(h))]);
-
-        table.clear();
-        assert!(table.is_empty());
-        assert_eq!(
-            drained(&table).len(),
-            RAW_TABLE_SHARDS * RAW_SHARD_BUCKETS,
-            "clear marks every bucket"
-        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::sync::Arc;
 /// distinct keys commute and run in parallel, while operations on the same
 /// key serialize — exactly the behaviour of the paper's boosted hashtable
 /// (binding Alice's vote commutes with binding Bob's, but not with deleting
-/// Alice's). Reads (`get`/`contains_key`) take the key lock in
+/// Alice's). Reads (`get`/`get_with`) take the key lock in
 /// [`LockMode::Shared`], so concurrent reads of the same key also commute;
 /// mutations take it exclusively, and a read followed by a mutation of the
 /// same key upgrades.
@@ -25,8 +25,7 @@ use std::sync::Arc;
 /// Mutations log their inverse as a typed `(key, prior value)` undo entry
 /// moved into a per-map [`UndoSink`] — no boxed closure, no value clones
 /// on the common path. Mutators therefore do not return the previous
-/// value; use [`BoostedMap::replace`] / [`BoostedMap::take`] when the
-/// prior binding is needed (they clone it once into the undo log).
+/// value; a contract that needs it reads the key first.
 ///
 /// Every operation hashes its key **exactly once**: the FNV-64
 /// fingerprint computed up front becomes the abstract-lock key *and* the
@@ -202,19 +201,6 @@ where
         Ok(self.inner.read(h, |map| f(map.get_hashed(h, key))))
     }
 
-    /// Transactionally checks whether `key` is bound (shared mode).
-    ///
-    /// # Errors
-    ///
-    /// Propagates lock-acquisition failures.
-    pub fn contains_key(&self, txn: &Transaction, key: &K) -> Result<bool, StmError> {
-        let h = fnv1a_of(key);
-        let lock = self.space.lock_for_hashed(h);
-        txn.acquire(lock, LockMode::Shared)?;
-        txn.debug_assert_held(lock);
-        Ok(self.inner.read(h, |map| map.contains_hashed(h, key)))
-    }
-
     /// Transactionally binds `key` to `value`. The previous binding (if
     /// any) moves into the undo log — one write-lock pass, no clones.
     ///
@@ -239,96 +225,6 @@ where
                 true
             },
         )
-    }
-
-    /// Like [`BoostedMap::insert`], but returns the previous binding
-    /// (cloning it once into the undo log).
-    ///
-    /// # Errors
-    ///
-    /// Propagates lock-acquisition failures.
-    pub fn replace(&self, txn: &Transaction, key: K, value: V) -> Result<Option<V>, StmError> {
-        let h = fnv1a_of(&key);
-        let mut returned = None;
-        txn.acquire_and_log(
-            self.space.lock_for_hashed(h),
-            LockMode::Exclusive,
-            self.undo_token(),
-            self.undo_init(),
-            || {
-                let previous = self
-                    .inner
-                    .write(h, |map| map.insert_hashed(h, key.clone(), value));
-                returned = previous.clone();
-                (key, previous)
-            },
-            |sink, (key, previous)| {
-                sink.entries.push((h, key, previous));
-                true
-            },
-        )?;
-        Ok(returned)
-    }
-
-    /// Transactionally removes the binding for `key`, reporting whether
-    /// one existed. The removed value moves into the undo log; use
-    /// [`BoostedMap::take`] to get it back.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lock-acquisition failures.
-    pub fn remove(&self, txn: &Transaction, key: &K) -> Result<bool, StmError> {
-        let h = fnv1a_of(key);
-        let mut existed = false;
-        txn.acquire_and_log(
-            self.space.lock_for_hashed(h),
-            LockMode::Exclusive,
-            self.undo_token(),
-            self.undo_init(),
-            || {
-                let previous = self.inner.write(h, |map| map.remove_hashed(h, key));
-                existed = previous.is_some();
-                previous.map(|value| (key.clone(), value))
-            },
-            |sink, removed| match removed {
-                Some((key, value)) => {
-                    sink.entries.push((h, key, Some(value)));
-                    true
-                }
-                None => false,
-            },
-        )?;
-        Ok(existed)
-    }
-
-    /// Transactionally removes and returns the binding for `key` (cloning
-    /// it once into the undo log).
-    ///
-    /// # Errors
-    ///
-    /// Propagates lock-acquisition failures.
-    pub fn take(&self, txn: &Transaction, key: &K) -> Result<Option<V>, StmError> {
-        let h = fnv1a_of(key);
-        let mut returned = None;
-        txn.acquire_and_log(
-            self.space.lock_for_hashed(h),
-            LockMode::Exclusive,
-            self.undo_token(),
-            self.undo_init(),
-            || {
-                let previous = self.inner.write(h, |map| map.remove_hashed(h, key));
-                returned = previous.clone();
-                previous.map(|value| (key.clone(), value))
-            },
-            |sink, removed| match removed {
-                Some((key, value)) => {
-                    sink.entries.push((h, key, Some(value)));
-                    true
-                }
-                None => false,
-            },
-        )?;
-        Ok(returned)
     }
 
     /// Transactionally applies `f` to the value bound to `key` (inserting
@@ -434,10 +330,10 @@ where
     /// Takes the backing store's dirty-bucket marks
     /// ([`ShardedRawTable::drain_dirty`]): `f(shard, marks, table)` runs
     /// for every shard written — by any mutator, undo replay or
-    /// non-transactional `seed`/`restore`/`clear` — since the previous
-    /// drain. This is how a state commitment learns which buckets to
-    /// re-hash; there must be one consumer per map, since draining clears
-    /// the marks. Same consistency contract as
+    /// non-transactional `seed`/`seed_with`/`seed_remove` — since the
+    /// previous drain. This is how a state commitment learns which
+    /// buckets to re-hash; there must be one consumer per map, since
+    /// draining clears the marks. Same consistency contract as
     /// [`for_each`](Self::for_each).
     pub fn drain_dirty(&self, f: impl FnMut(usize, BucketMask, &RawFxMap<K, V>)) {
         self.inner.drain_dirty(f);
@@ -446,20 +342,6 @@ where
     /// Whether a drain would find any bucket written. Leaves the marks.
     pub fn is_dirty(&self) -> bool {
         self.inner.is_dirty()
-    }
-
-    /// Replaces the entire contents (non-transactional; used to restore a
-    /// world snapshot before validation).
-    pub fn restore(&self, entries: impl IntoIterator<Item = (K, V)>) {
-        self.inner.clear();
-        for (key, value) in entries {
-            self.seed(key, value);
-        }
-    }
-
-    /// Removes every binding (non-transactional).
-    pub fn clear(&self) {
-        self.inner.clear();
     }
 
     /// Debug-only test hook: performs a raw backing-store read **without**
@@ -487,28 +369,30 @@ mod tests {
         let m: BoostedMap<String, u64> = BoostedMap::new("t.map");
         stm.run(|txn| {
             m.insert(txn, "a".into(), 1)?;
-            assert_eq!(m.replace(txn, "a".into(), 2)?, Some(1));
+            m.insert(txn, "a".into(), 2)?;
             assert_eq!(m.get(txn, &"a".to_string())?, Some(2));
-            assert_eq!(m.take(txn, &"a".to_string())?, Some(2));
+            assert_eq!(m.get(txn, &"b".to_string())?, None);
+            // A tally brought to 0 is unbound: the map's one removal.
+            m.add(txn, "a".into(), 2u64.wrapping_neg())?;
             assert_eq!(m.get(txn, &"a".to_string())?, None);
-            assert!(!m.remove(txn, &"a".to_string())?);
             m.insert(txn, "b".into(), 9)?;
-            assert!(m.remove(txn, &"b".to_string())?);
             Ok(())
         })
         .unwrap();
+        assert_eq!(m.snapshot(), vec![("b".to_string(), 9)]);
     }
 
     #[test]
     fn abort_undoes_all_mutations() {
         let stm = Stm::new();
-        let m: BoostedMap<u32, u32> = BoostedMap::new("t.abort");
+        let m: BoostedMap<u32, u64> = BoostedMap::new("t.abort");
         m.seed(1, 10);
         m.seed(2, 20);
 
         let txn = stm.begin();
         m.insert(&txn, 1, 11).unwrap();
-        m.remove(&txn, &2).unwrap();
+        m.add(&txn, 2, 20u64.wrapping_neg()).unwrap();
+        assert_eq!(m.peek(&2), None, "a tally brought to 0 is unbound");
         m.insert(&txn, 3, 30).unwrap();
         m.update_or(&txn, 4, 0, |v| *v += 5).unwrap();
         txn.abort().unwrap();
@@ -678,23 +562,14 @@ mod tests {
             ("get_with", &|| {
                 m.get_with(&txn, &1, |_| ()).unwrap();
             }),
-            ("contains_key", &|| {
-                m.contains_key(&txn, &1).unwrap();
-            }),
             ("insert", &|| {
                 m.insert(&txn, 2, 20).unwrap();
-            }),
-            ("replace", &|| {
-                m.replace(&txn, 2, 21).unwrap();
             }),
             ("update_or", &|| {
                 m.update_or(&txn, 3, 0, |v| *v += 1).unwrap();
             }),
-            ("remove", &|| {
-                m.remove(&txn, &2).unwrap();
-            }),
-            ("take", &|| {
-                m.take(&txn, &3).unwrap();
+            ("add", &|| {
+                m.add(&txn, 3, 1u64.wrapping_neg()).unwrap();
             }),
         ];
         for (name, op) in ops {
@@ -739,7 +614,6 @@ mod tests {
         stm.run(|txn| {
             m.get(txn, &1)?;
             m.get_with(txn, &1, |_| ())?;
-            m.contains_key(txn, &1)?;
             Ok(())
         })
         .unwrap();
@@ -752,15 +626,14 @@ mod tests {
         type Mutator<'a> = &'a dyn Fn(&Transaction) -> Result<(), StmError>;
         let mutators: &[(&str, u64, Mutator<'_>)] = &[
             ("insert", 2, &|txn| m.insert(txn, 2, 20)),
-            ("replace", 1, &|txn| m.replace(txn, 1, 11).map(drop)),
+            ("insert (present)", 1, &|txn| m.insert(txn, 1, 11)),
             ("update_or (absent)", 3, &|txn| {
                 m.update_or(txn, 3, 0, |v| *v += 1)
             }),
             ("update_or (present)", 3, &|txn| {
                 m.update_or(txn, 3, 0, |v| *v += 1)
             }),
-            ("remove", 2, &|txn| m.remove(txn, &2).map(drop)),
-            ("take", 3, &|txn| m.take(txn, &3).map(drop)),
+            ("add (to 0)", 3, &|txn| m.add(txn, 3, 2u64.wrapping_neg())),
         ];
         for (name, key, mutate) in mutators {
             stm.run(|txn| mutate(txn)).unwrap();
@@ -776,21 +649,17 @@ mod tests {
         assert_eq!(drained(), mark_of(4), "undo of an insert (remove)");
 
         let txn = stm.begin();
-        m.remove(&txn, &1).unwrap();
+        m.add(&txn, 1, 11u64.wrapping_neg()).unwrap();
         let savepoint = txn.savepoint();
         m.insert(&txn, 5, 50).unwrap();
         drained();
         txn.rollback_to(savepoint);
         assert_eq!(drained(), mark_of(5), "savepoint rollback");
         txn.abort().unwrap();
-        assert_eq!(drained(), mark_of(1), "undo of a remove (re-insert)");
+        assert_eq!(drained(), mark_of(1), "undo of an unbind (re-insert)");
 
         m.seed_remove(&1);
         assert_eq!(drained(), mark_of(1), "seed_remove");
-        m.restore(vec![(6, 60)]);
-        assert_eq!(drained().len(), 4096, "restore clears, which marks all");
-        m.clear();
-        assert_eq!(drained().len(), 4096, "clear");
     }
 
     #[test]
@@ -799,10 +668,12 @@ mod tests {
         m.seed(1, "one".into());
         m.seed(2, "two".into());
         let snap = m.snapshot();
-        m.clear();
-        assert_eq!(m.snapshot_len(), 0);
-        m.restore(snap.clone());
-        let mut roundtrip = m.snapshot();
+        // Seeding a fresh map from a snapshot rebuilds it.
+        let copy: BoostedMap<u32, String> = BoostedMap::new("t.snap.copy");
+        for (key, value) in snap.clone() {
+            copy.seed(key, value);
+        }
+        let mut roundtrip = copy.snapshot();
         let mut original = snap;
         roundtrip.sort();
         original.sort();
@@ -837,8 +708,13 @@ mod tests {
                         reference.insert(*k, *v);
                     }
                     1 => {
-                        m.remove(&txn, k).unwrap();
-                        reference.remove(k);
+                        // A negated add unbinds the key's tally; an add
+                        // of 0 changes nothing.
+                        let delta = reference.get(k).copied().unwrap_or(0).wrapping_neg();
+                        m.add(&txn, *k, delta).unwrap();
+                        if delta != 0 {
+                            reference.remove(k);
+                        }
                     }
                     _ => {
                         m.update_or(&txn, *k, 0, |x| *x = x.wrapping_add(*v)).unwrap();

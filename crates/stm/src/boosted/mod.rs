@@ -3,9 +3,10 @@
 //! These are the equivalents of the paper's "boosted hashtables": ordinary
 //! concurrent containers whose operations, when performed inside a
 //! [`crate::Transaction`], first acquire the appropriate abstract lock and
-//! record an inverse operation. Outside of a transaction they can only be
-//! inspected through the non-transactional `snapshot`/`restore` methods
-//! used for state commitment and test assertions.
+//! record an inverse operation. Outside of a transaction they are seeded
+//! and inspected through non-transactional methods (`seed`, `peek`,
+//! `snapshot`, `drain_dirty`) used for set-up, state commitment, the
+//! multi-version flatten and test assertions.
 //!
 //! | Type | Protects | Lock granularity |
 //! |------|----------|------------------|
@@ -42,8 +43,8 @@ mod tests {
     }
 
     /// Applies one decoded operation inside `txn`. Adds land on the keys
-    /// `insert` and `update_or` write, and a negated add brings a tally
-    /// back to 0.
+    /// `insert` and `update_or` write, a negated add brings a tally back
+    /// to 0, and an insert of 0 binds a zero the adds must keep.
     fn apply(
         txn: &crate::txn::Transaction,
         op: RawOp,
@@ -56,7 +57,7 @@ mod tests {
                 map.insert(txn, key, value).unwrap();
             }
             1 => {
-                map.remove(txn, &key).unwrap();
+                map.insert(txn, key, 0).unwrap();
             }
             2 => {
                 map.update_or(txn, key, 0, |x| *x = x.wrapping_add(value))
@@ -269,11 +270,9 @@ mod tests {
             map.insert(txn, 2, 20)?;
             map.get(txn, &1)?;
             map.get_with(txn, &1, |v| v.copied())?;
-            map.contains_key(txn, &2)?;
             map.update_or(txn, 3, 0, |x| *x += 1)?;
-            map.replace(txn, 1, 11)?;
-            map.take(txn, &3)?;
-            map.remove(txn, &2)?;
+            map.insert(txn, 1, 11)?;
+            map.add(txn, 3, 1u64.wrapping_neg())?;
             cell.get(txn)?;
             cell.with(txn, |v| *v)?;
             cell.set(txn, 2)?;

@@ -122,22 +122,18 @@ where
         }
     }
 
-    /// Whether `key` is bound (charges one `sload`).
+    /// Whether `key` is bound (charges one `sload`): a
+    /// [`get_with`](Self::get_with) that looks at the binding only.
     ///
     /// # Errors
     ///
     /// Out-of-gas or speculative-conflict errors.
     pub fn contains_key(&self, ctx: &mut CallContext<'_>, key: &K) -> Result<bool, VmError> {
-        ctx.charge_sload()?;
-        match ctx.txn() {
-            TxnRef::Stm(txn) => Ok(self.inner.contains_key(txn, key)?),
-            TxnRef::Mvcc(txn) => Ok(self.versioned(txn).contains_key(txn, key)),
-        }
+        self.get_with(ctx, key, |v| v.is_some())
     }
 
     /// Binds `key` to `value` (charges one `sstore`). The prior binding
-    /// moves into the undo log; use [`StorageMap::replace`] when it is
-    /// needed.
+    /// moves into the undo log; read the key first when it is needed.
     ///
     /// # Errors
     ///
@@ -150,53 +146,6 @@ where
                 self.versioned(txn).insert(txn, key, value);
                 Ok(())
             }
-        }
-    }
-
-    /// Binds `key` to `value` and returns the previous binding (charges
-    /// one `sstore`).
-    ///
-    /// # Errors
-    ///
-    /// Out-of-gas or speculative-conflict errors.
-    pub fn replace(
-        &self,
-        ctx: &mut CallContext<'_>,
-        key: K,
-        value: V,
-    ) -> Result<Option<V>, VmError> {
-        ctx.charge_sstore()?;
-        match ctx.txn() {
-            TxnRef::Stm(txn) => Ok(self.inner.replace(txn, key, value)?),
-            TxnRef::Mvcc(txn) => Ok(self.versioned(txn).replace(txn, key, value)),
-        }
-    }
-
-    /// Removes the binding for `key`, reporting whether one existed
-    /// (charges one `sstore`). Use [`StorageMap::take`] to get the removed
-    /// value back.
-    ///
-    /// # Errors
-    ///
-    /// Out-of-gas or speculative-conflict errors.
-    pub fn remove(&self, ctx: &mut CallContext<'_>, key: &K) -> Result<bool, VmError> {
-        ctx.charge_sstore()?;
-        match ctx.txn() {
-            TxnRef::Stm(txn) => Ok(self.inner.remove(txn, key)?),
-            TxnRef::Mvcc(txn) => Ok(self.versioned(txn).remove(txn, key)),
-        }
-    }
-
-    /// Removes and returns the binding for `key` (charges one `sstore`).
-    ///
-    /// # Errors
-    ///
-    /// Out-of-gas or speculative-conflict errors.
-    pub fn take(&self, ctx: &mut CallContext<'_>, key: &K) -> Result<Option<V>, VmError> {
-        ctx.charge_sstore()?;
-        match ctx.txn() {
-            TxnRef::Stm(txn) => Ok(self.inner.take(txn, key)?),
-            TxnRef::Mvcc(txn) => Ok(self.versioned(txn).take(txn, key)),
         }
     }
 
@@ -250,11 +199,6 @@ where
     /// Whether the map has no bindings (non-transactional).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Point-in-time copy of the map contents.
-    pub fn entries(&self) -> Vec<(K, V)> {
-        self.inner.snapshot()
     }
 }
 
@@ -436,35 +380,5 @@ where
 
     fn is_dirty(&self) -> bool {
         self.inner.is_dirty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// `restore` and `clear` on the boosted collections are reachable
-    /// only through the multi-version flatten, but they mutate base state
-    /// all the same: the next digest must be the cold digest of a twin
-    /// holding what they left behind.
-    #[test]
-    fn restore_and_clear_move_the_digest_to_the_cold_twins() {
-        let counters = RootCounters::default();
-        let map: StorageMap<u64, u64> = StorageMap::new("rc.map");
-        for i in 0..200 {
-            map.seed(i, i);
-        }
-        let populated = map.digest(&counters);
-
-        map.inner.restore(vec![(1, 1), (500, 5)]);
-        let twin_map: StorageMap<u64, u64> = StorageMap::new("rc.map.twin");
-        twin_map.seed(500, 5);
-        twin_map.seed(1, 1);
-        assert_ne!(map.digest(&counters), populated);
-        assert_eq!(map.digest(&counters), twin_map.digest(&counters));
-
-        map.inner.clear();
-        let empty: StorageMap<u64, u64> = StorageMap::new("rc.map.empty");
-        assert_eq!(map.digest(&counters), empty.digest(&counters));
     }
 }

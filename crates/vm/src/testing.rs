@@ -12,7 +12,8 @@ use crate::value::Wei;
 
 /// A tiny contract with a per-sender counter, a global total and a
 /// deposit box — enough surface to exercise every storage wrapper, gas
-/// accounting, revert and events.
+/// accounting, revert and events. Counts and total wrap alike, so
+/// Σ counts == total (mod 2^64) in debug and release builds.
 #[derive(Debug)]
 pub struct CounterContract {
     address: Address,
@@ -67,7 +68,8 @@ impl Contract for CounterContract {
             "increment" => {
                 let delta = delta(call)?;
                 let sender = ctx.sender();
-                self.counts.update_or(ctx, sender, 0, |c| *c += delta)?;
+                self.counts
+                    .update_or(ctx, sender, 0, |c| *c = c.wrapping_add(delta))?;
                 self.total.add(ctx, 0, delta)?;
                 ctx.emit("Incremented", vec![ArgValue::Uint(u128::from(delta))])?;
                 Ok(ReturnValue::Uint(u128::from(delta)))
@@ -75,7 +77,8 @@ impl Contract for CounterContract {
             "increment_then_fail" => {
                 let delta = delta(call)?;
                 let sender = ctx.sender();
-                self.counts.update_or(ctx, sender, 0, |c| *c += delta)?;
+                self.counts
+                    .update_or(ctx, sender, 0, |c| *c = c.wrapping_add(delta))?;
                 self.total.add(ctx, 0, delta)?;
                 ctx.throw("deliberate failure after mutation")
             }
@@ -221,6 +224,25 @@ mod tests {
         assert_eq!(counter.total(), 7);
     }
 
+    /// Runs `increment(u64::MAX)` from `sender` as one committed
+    /// transaction of the chosen flavour and reports whether it succeeded.
+    fn increment_max(world: &World, addr: Address, sender: Address, optimistic: bool) -> bool {
+        let call = CallData::new("increment", vec![ArgValue::Uint(u128::from(u64::MAX))]);
+        let msg = Msg::from_sender(sender);
+        let receipt = if optimistic {
+            let txn = world.mvcc().begin();
+            let receipt = world.execute_in(TxnRef::Mvcc(&txn), 0, msg, addr, &call, 1_000_000);
+            txn.commit().unwrap();
+            receipt
+        } else {
+            let txn = world.stm().begin();
+            let receipt = world.execute_in(TxnRef::Stm(&txn), 0, msg, addr, &call, 1_000_000);
+            txn.commit().unwrap();
+            receipt
+        };
+        receipt.unwrap().succeeded()
+    }
+
     /// A tally's sum wraps in debug and release builds alike: two
     /// senders' `increment(u64::MAX)` leave `u64::MAX - 1` under either
     /// transaction flavour. (A checked sum would fail whichever commuting
@@ -232,25 +254,40 @@ mod tests {
             let addr = Address::from_name("counter-wrap");
             let counter = Arc::new(CounterContract::new(addr));
             world.deploy(counter.clone());
-            let call = CallData::new("increment", vec![ArgValue::Uint(u128::from(u64::MAX))]);
             for sender in [1, 2].map(Address::from_index) {
-                let msg = Msg::from_sender(sender);
-                let receipt = if optimistic {
-                    let txn = world.mvcc().begin();
-                    let receipt =
-                        world.execute_in(TxnRef::Mvcc(&txn), 0, msg, addr, &call, 1_000_000);
-                    txn.commit().unwrap();
-                    receipt
-                } else {
-                    let txn = world.stm().begin();
-                    let receipt =
-                        world.execute_in(TxnRef::Stm(&txn), 0, msg, addr, &call, 1_000_000);
-                    txn.commit().unwrap();
-                    receipt
-                };
-                assert!(receipt.unwrap().succeeded(), "optimistic: {optimistic}");
+                assert!(
+                    increment_max(&world, addr, sender, optimistic),
+                    "optimistic: {optimistic}"
+                );
             }
             world.mvcc().finalize_block();
+            assert_eq!(counter.total(), u64::MAX - 1, "optimistic: {optimistic}");
+        }
+    }
+
+    /// A sender's count wraps like the total: one sender's two
+    /// `increment(u64::MAX)` both succeed (no overflow panic in a debug
+    /// build) and leave count and total at `u64::MAX - 1`.
+    #[test]
+    fn count_wraps_under_both_transaction_flavours() {
+        for optimistic in [false, true] {
+            let world = World::new();
+            let addr = Address::from_name("counter-count-wrap");
+            let counter = Arc::new(CounterContract::new(addr));
+            world.deploy(counter.clone());
+            let sender = Address::from_index(1);
+            for call in 0..2 {
+                assert!(
+                    increment_max(&world, addr, sender, optimistic),
+                    "optimistic: {optimistic}, call {call}"
+                );
+            }
+            world.mvcc().finalize_block();
+            assert_eq!(
+                counter.count_of(&sender),
+                u64::MAX - 1,
+                "optimistic: {optimistic}"
+            );
             assert_eq!(counter.total(), u64::MAX - 1, "optimistic: {optimistic}");
         }
     }
