@@ -10,61 +10,6 @@ use cc_vm::Receipt;
 use std::fmt;
 use std::ops::Deref;
 
-/// Why a serialized block was rejected on deserialization.
-///
-/// Corruption on the wire must surface as a typed error, never a panic:
-/// a receiver feeds arbitrary (possibly torn) bytes through
-/// [`Block::from_checked_bytes`] and decides what to do from the variant.
-/// (The WAL and checkpoint readers check their own record checksum and
-/// decode with [`Block::decode`], which fails with a [`DecodeError`].)
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BlockCodecError {
-    /// The checksum over the payload did not match: the bytes were
-    /// corrupted after serialization.
-    ChecksumMismatch {
-        /// Checksum stored alongside the payload.
-        stored: u64,
-        /// Checksum recomputed over the payload actually read.
-        actual: u64,
-    },
-    /// The payload was truncated or structurally malformed.
-    Decode(DecodeError),
-    /// The bytes decoded cleanly but the header commitments do not match
-    /// the body (`Block::is_well_formed` failed) — a forged or internally
-    /// inconsistent block.
-    Inconsistent,
-}
-
-impl fmt::Display for BlockCodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BlockCodecError::ChecksumMismatch { stored, actual } => write!(
-                f,
-                "block checksum mismatch: stored {stored:#018x}, actual {actual:#018x}"
-            ),
-            BlockCodecError::Decode(e) => write!(f, "block decode failed: {e}"),
-            BlockCodecError::Inconsistent => {
-                f.write_str("decoded block fails structural well-formedness checks")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BlockCodecError {}
-
-impl From<DecodeError> for BlockCodecError {
-    fn from(e: DecodeError) -> Self {
-        BlockCodecError::Decode(e)
-    }
-}
-
-fn get_hash(dec: &mut Decoder<'_>) -> Result<Hash256, DecodeError> {
-    let raw = dec.get_raw(32)?;
-    let mut bytes = [0u8; 32];
-    bytes.copy_from_slice(raw);
-    Ok(Hash256(bytes))
-}
-
 /// The header of a block: everything another node needs to decide whether
 /// to accept the block, given the transactions and receipts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,12 +57,12 @@ impl BlockHeader {
     /// Returns a [`DecodeError`] on truncated input.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<BlockHeader, DecodeError> {
         Ok(BlockHeader {
-            parent_hash: get_hash(dec)?,
+            parent_hash: Hash256(dec.get_array()?),
             number: dec.get_u64()?,
-            tx_root: get_hash(dec)?,
-            state_root: get_hash(dec)?,
-            receipts_root: get_hash(dec)?,
-            schedule_digest: get_hash(dec)?,
+            tx_root: Hash256(dec.get_array()?),
+            state_root: Hash256(dec.get_array()?),
+            receipts_root: Hash256(dec.get_array()?),
+            schedule_digest: Hash256(dec.get_array()?),
             gas_used: dec.get_u64()?,
         })
     }
@@ -222,24 +167,17 @@ impl Block {
     }
 
     /// Decodes a block written by [`Block::encode`]. Performs no
-    /// consistency checks — see [`Block::from_checked_bytes`] for the
-    /// checksummed, validated path.
+    /// consistency checks: the WAL and checkpoint readers check their
+    /// record's checksum first, and a chain checks the commitments where
+    /// it appends the block ([`WellFormedBlock::check`]).
     ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] on truncated or malformed input.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Block, DecodeError> {
         let header = BlockHeader::decode(dec)?;
-        let n = dec.get_u64()? as usize;
-        let mut transactions = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            transactions.push(Transaction::decode(dec)?);
-        }
-        let n = dec.get_u64()? as usize;
-        let mut receipts = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            receipts.push(Receipt::decode(dec)?);
-        }
+        let transactions = dec.get_vec(Transaction::decode)?;
+        let receipts = dec.get_vec(Receipt::decode)?;
         let schedule = match dec.get_u8()? {
             0 => None,
             1 => Some(ScheduleMetadata::decode(dec)?),
@@ -258,10 +196,10 @@ impl Block {
     }
 
     /// Serializes the block with a leading [`checksum64`] over the
-    /// payload: a self-contained form of one block, for a caller that
-    /// ships a block on its own. The WAL and checkpoint files do not use
-    /// it; each of their records carries one checksum over plain
-    /// [`Block::encode`] bytes.
+    /// payload. Nothing in the workspace reads this form: the WAL and
+    /// checkpoint files carry one checksum per record over plain
+    /// [`Block::encode`] bytes. It stays only because the node
+    /// benchmark's `ledger.encode` probe times it.
     pub fn to_checked_bytes(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.put_u64(0);
@@ -269,36 +207,6 @@ impl Block {
         let (sum, payload) = enc.as_mut_slice().split_at_mut(8);
         sum.copy_from_slice(&checksum64(payload).to_le_bytes());
         enc.into_bytes()
-    }
-
-    /// Deserializes a block written by [`Block::to_checked_bytes`],
-    /// rejecting corruption with a typed error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`BlockCodecError::ChecksumMismatch`] when the payload bytes were
-    /// altered, [`BlockCodecError::Decode`] on truncation or garbage, and
-    /// [`BlockCodecError::Inconsistent`] when the block decodes but its
-    /// header commitments do not match its body.
-    pub fn from_checked_bytes(bytes: &[u8]) -> Result<Block, BlockCodecError> {
-        let mut dec = Decoder::new(bytes);
-        let stored = dec.get_u64()?;
-        let payload = dec.get_raw(dec.remaining())?;
-        let actual = checksum64(payload);
-        if stored != actual {
-            return Err(BlockCodecError::ChecksumMismatch { stored, actual });
-        }
-        let mut dec = Decoder::new(payload);
-        let block = Block::decode(&mut dec)?;
-        if !dec.is_empty() {
-            return Err(BlockCodecError::Decode(DecodeError {
-                context: "trailing bytes after block",
-            }));
-        }
-        if !block.is_well_formed() {
-            return Err(BlockCodecError::Inconsistent);
-        }
-        Ok(block)
     }
 }
 
@@ -515,7 +423,11 @@ mod tests {
                 schedule,
             );
             let bytes = block.to_checked_bytes();
-            let decoded = Block::from_checked_bytes(&bytes).unwrap();
+            let (sum, payload) = bytes.split_at(8);
+            assert_eq!(sum, checksum64(payload).to_le_bytes());
+            let mut dec = Decoder::new(payload);
+            let decoded = Block::decode(&mut dec).unwrap();
+            assert!(dec.is_empty());
             assert_eq!(decoded, block);
             assert_eq!(decoded.hash(), block.hash());
         }
@@ -529,34 +441,42 @@ mod tests {
             vec![tx(0)],
             vec![receipt(0)],
             Hash256::ZERO,
-            None,
+            Some(ScheduleMetadata::chain(1)),
         );
-        let good = block.to_checked_bytes();
+        let mut enc = Encoder::new();
+        block.encode(&mut enc);
+        let good = enc.into_bytes();
 
-        // Flip one byte anywhere in the payload: checksum must catch it.
-        for i in 8..good.len() {
-            let mut bad = good.clone();
-            bad[i] ^= 0x40;
-            assert!(matches!(
-                Block::from_checked_bytes(&bad),
-                Err(BlockCodecError::ChecksumMismatch { .. })
-            ));
-        }
-
-        // Truncation anywhere is a decode error (or checksum mismatch once
-        // the payload shrank), never a panic.
+        // Truncation anywhere is a decode error, never a panic.
         for len in 0..good.len() {
-            assert!(Block::from_checked_bytes(&good[..len]).is_err());
+            assert!(Block::decode(&mut Decoder::new(&good[..len])).is_err());
         }
 
-        // A well-checksummed but internally inconsistent block is rejected
-        // by the structural check.
+        // A transaction count no input can hold is refused by the count
+        // rule, before anything is read for it.
+        let mut header = Encoder::new();
+        block.header.encode(&mut header);
+        let count_at = header.len();
+        let mut forged_count = good.clone();
+        forged_count[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            Block::decode(&mut Decoder::new(&forged_count))
+                .unwrap_err()
+                .context,
+            "element count exceeds the input left"
+        );
+
+        // A block that decodes but lies about its own commitments is
+        // rejected by the structural check every chain append runs.
         let mut forged = block.clone();
         forged.header.gas_used += 1;
-        assert_eq!(
-            Block::from_checked_bytes(&forged.to_checked_bytes()),
-            Err(BlockCodecError::Inconsistent)
-        );
+        let mut enc = Encoder::new();
+        forged.encode(&mut enc);
+        let decoded = Block::decode(&mut Decoder::new(enc.as_slice())).unwrap();
+        assert!(matches!(
+            WellFormedBlock::check(decoded),
+            Err(ChainError::Malformed)
+        ));
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod snapshot;
 pub mod tx;
 pub mod wal;
 
-pub use block::{Block, BlockCodecError, BlockHeader, WellFormedBlock};
+pub use block::{Block, BlockHeader, WellFormedBlock};
 pub use chain::{Blockchain, ChainError};
 pub use format::{VersionError, FORMAT_VERSION};
 pub use recovery::{recover, RecoveredLedger, RecoveryError};

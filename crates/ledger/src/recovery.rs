@@ -203,7 +203,7 @@ mod tests {
             block_hash: genesis.hash(),
             state_root: genesis.header.state_root,
             blocks: vec![genesis],
-            world_bytes: cc_vm::WorldSnapshot::default().to_bytes(),
+            world_bytes: Vec::new(),
         }
         .write_to(dir)
         .unwrap();
@@ -275,7 +275,7 @@ mod tests {
             block_hash: head.hash(),
             state_root: head.header.state_root,
             blocks: chain.iter().cloned().collect(),
-            world_bytes: cc_vm::WorldSnapshot::default().to_bytes(),
+            world_bytes: Vec::new(),
         }
         .write_to(&dir)
         .unwrap();

@@ -135,43 +135,23 @@ impl ScheduleMetadata {
     ///
     /// Returns a [`DecodeError`] on truncated or malformed input.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<ScheduleMetadata, DecodeError> {
-        let n = dec.get_u64()? as usize;
-        let serial_order = (0..n)
-            .map(|_| dec.get_u64().map(|v| v as usize))
-            .collect::<Result<Vec<_>, _>>()?;
-        let e = dec.get_u64()? as usize;
-        let mut edges = Vec::with_capacity(e);
-        for _ in 0..e {
-            let a = dec.get_u64()? as usize;
-            let b = dec.get_u64()? as usize;
-            edges.push((a, b));
-        }
-        let p = dec.get_u64()? as usize;
-        let mut profiles = Vec::with_capacity(p);
-        for _ in 0..p {
-            let tx_index = dec.get_u64()? as usize;
-            let l = dec.get_u64()? as usize;
-            let mut locks = Vec::with_capacity(l);
-            for _ in 0..l {
-                let space = dec.get_u64()?;
-                let key = dec.get_u64()?;
-                let mode = LockMode::from_byte(dec.get_u8()?);
-                let counter = dec.get_u64()?;
-                locks.push(ProfileEntry {
-                    lock: LockId::from_raw(space, key),
-                    mode,
-                    counter,
-                });
-            }
-            profiles.push(ProfileRecord {
-                tx_index,
-                profile: LockProfile::new(locks),
-            });
-        }
+        let index = |dec: &mut Decoder<'_>| dec.get_u64().map(|v| v as usize);
+        let lock = |dec: &mut Decoder<'_>| {
+            Ok(ProfileEntry {
+                lock: LockId::from_raw(dec.get_u64()?, dec.get_u64()?),
+                mode: LockMode::from_byte(dec.get_u8()?),
+                counter: dec.get_u64()?,
+            })
+        };
         Ok(ScheduleMetadata {
-            serial_order,
-            edges,
-            profiles,
+            serial_order: dec.get_vec(index)?,
+            edges: dec.get_vec(|dec| Ok((index(dec)?, index(dec)?)))?,
+            profiles: dec.get_vec(|dec| {
+                Ok(ProfileRecord {
+                    tx_index: index(dec)?,
+                    profile: LockProfile::new(dec.get_vec(lock)?),
+                })
+            })?,
         })
     }
 

@@ -26,9 +26,10 @@
 //! carry no checksum of their own, and their commitments are checked
 //! where recovery appends them (`Blockchain::append`). A file that does
 //! not open with the format-2 magic and version — a format-1 file among
-//! them — is refused with [`SnapshotError::Version`]. A non-empty image
-//! (the benchmark's probe writes one) must be a canonical
-//! `cc_vm::WorldSnapshot` to load, and is otherwise ignored.
+//! them — is refused with [`SnapshotError::Version`]. The image slot
+//! stays in the layout, but a file whose image is not empty is refused
+//! with [`SnapshotError::WorldImage`]: nothing decodes an image, and the
+//! node has written none since it began checkpointing the root.
 //!
 //! Files are named `snapshot-<height>.snap`, written to a temporary
 //! name, atomically renamed into place (with a directory fsync so the
@@ -74,9 +75,9 @@ pub struct SnapshotFile {
     /// The full chain, genesis first, through `height`.
     pub blocks: Vec<Block>,
     /// The world-image slot of the file format. The node writes it
-    /// empty and nothing reads it: `state_root` is the commitment a
-    /// replayed world is held to. A non-empty image (the benchmark's
-    /// probe) must be a canonical `WorldSnapshot::to_bytes` to decode.
+    /// empty, and [`SnapshotFile::from_bytes`] refuses a file where it is
+    /// not: `state_root` is the commitment a replayed world is held to.
+    /// Only the node benchmark's write probe still fills it.
     pub world_bytes: Vec<u8>,
 }
 
@@ -97,6 +98,8 @@ pub enum SnapshotError {
     /// The decoded fields disagree with each other (e.g. the recorded
     /// head hash is not the hash of the last block).
     Inconsistent,
+    /// The file carries a world image, which no reader decodes.
+    WorldImage,
     /// The file could not be read or written.
     Io(io::Error),
 }
@@ -111,6 +114,7 @@ impl std::fmt::Display for SnapshotError {
             ),
             SnapshotError::Decode(e) => write!(f, "snapshot decode failed: {e}"),
             SnapshotError::Inconsistent => f.write_str("snapshot fields are mutually inconsistent"),
+            SnapshotError::WorldImage => f.write_str("checkpoint carries a world image"),
             SnapshotError::Io(e) => write!(f, "snapshot io error: {e}"),
         }
     }
@@ -228,50 +232,36 @@ impl SnapshotFile {
     /// # Errors
     ///
     /// [`SnapshotError`] on a header other than format 2's, checksum
-    /// mismatch, decode failure (including a non-empty world image that
-    /// is not a canonical `WorldSnapshot`), or mutually inconsistent
-    /// fields.
+    /// mismatch, decode failure, a non-empty world image, or mutually
+    /// inconsistent fields.
     pub fn from_bytes(bytes: &[u8]) -> Result<SnapshotFile, SnapshotError> {
         let rest =
             VersionError::strip("checkpoint", &MAGIC, bytes).map_err(SnapshotError::Version)?;
-        let mut dec = Decoder::new(rest);
-        let stored = dec.get_u64()?;
-        let payload = dec.get_raw(dec.remaining())?;
-        let actual = checksum64(payload);
+        let (stored, payload) = rest.split_first_chunk().ok_or(DecodeError {
+            context: "checkpoint checksum",
+        })?;
+        let (stored, actual) = (u64::from_le_bytes(*stored), checksum64(payload));
         if stored != actual {
             return Err(SnapshotError::ChecksumMismatch { stored, actual });
         }
         let mut dec = Decoder::new(payload);
-        let height = dec.get_u64()?;
-        let mut block_hash = [0u8; 32];
-        block_hash.copy_from_slice(dec.get_raw(32)?);
-        let mut state_root = [0u8; 32];
-        state_root.copy_from_slice(dec.get_raw(32)?);
-        let count = dec.get_u64()? as usize;
-        let mut blocks = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            blocks.push(Block::decode(&mut dec)?);
-        }
-        let world_bytes = dec.get_bytes()?;
-        // A checkpoint carries no image. One that does (the benchmark's
-        // probe) must be a canonical world: anything else is damage,
-        // rejected here, where the loader can still fall back to an older
-        // file.
-        if !world_bytes.is_empty() {
-            cc_vm::WorldSnapshot::from_bytes(&world_bytes)?;
-        }
+        let snapshot = SnapshotFile {
+            height: dec.get_u64()?,
+            block_hash: Hash256(dec.get_array()?),
+            state_root: Hash256(dec.get_array()?),
+            blocks: dec.get_vec(Block::decode)?,
+            world_bytes: dec.get_bytes()?,
+        };
         if !dec.is_empty() {
             return Err(SnapshotError::Decode(DecodeError {
                 context: "trailing bytes after snapshot",
             }));
         }
-        let snapshot = SnapshotFile {
-            height,
-            block_hash: Hash256(block_hash),
-            state_root: Hash256(state_root),
-            blocks,
-            world_bytes,
-        };
+        // Refused here, where the loader can still fall back to an older
+        // file, as it does for any damage.
+        if !snapshot.world_bytes.is_empty() {
+            return Err(SnapshotError::WorldImage);
+        }
         if !snapshot.is_consistent() {
             return Err(SnapshotError::Inconsistent);
         }
@@ -441,20 +431,12 @@ mod tests {
     fn sample(len: u64) -> SnapshotFile {
         let blocks = chain_of(len);
         let head = blocks.last().unwrap();
-        let world = WorldSnapshot::new(vec![ContractSnapshot::new(
-            "Ballot",
-            Address::from_name("Ballot"),
-            vec![FieldSnapshot::from_typed(
-                "Ballot.votes",
-                vec![(1u64, len), (2, 7)],
-            )],
-        )]);
         SnapshotFile {
             height: head.header.number,
             block_hash: head.hash(),
             state_root: head.header.state_root,
             blocks,
-            world_bytes: world.to_bytes(),
+            world_bytes: Vec::new(),
         }
     }
 
@@ -529,12 +511,35 @@ mod tests {
         high.world_bytes = enc.into_bytes();
         assert!(matches!(
             SnapshotFile::from_bytes(&high.to_bytes()),
-            Err(SnapshotError::Decode(_))
+            Err(SnapshotError::WorldImage)
         ));
         high.write_to(&dir).unwrap();
 
         let loaded = load_latest(&dir).unwrap().expect("fallback snapshot");
         assert_eq!(loaded.height, 1);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_checkpoint_with_a_canonical_image_is_refused_and_skipped() {
+        let dir = temp_dir("image");
+        sample(2).write_to(&dir).unwrap();
+        let mut high = sample(4);
+        high.world_bytes = WorldSnapshot::new(vec![ContractSnapshot::new(
+            "Ballot",
+            Address::from_name("Ballot"),
+            vec![FieldSnapshot::from_typed(
+                "Ballot.votes",
+                vec![(1u64, 4u64)],
+            )],
+        )])
+        .to_bytes();
+        let path = high.write_to(&dir).unwrap();
+        assert!(matches!(
+            SnapshotFile::load(&path),
+            Err(SnapshotError::WorldImage)
+        ));
+        assert_eq!(load_latest(&dir).unwrap().expect("fallback").height, 1);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -101,23 +101,14 @@ impl Transaction {
     ///
     /// Returns a [`DecodeError`] on truncated or malformed input.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Transaction, DecodeError> {
-        let nonce = dec.get_u64()?;
-        let mut sender = [0u8; 20];
-        sender.copy_from_slice(dec.get_raw(20)?);
-        let mut to = [0u8; 20];
-        to.copy_from_slice(dec.get_raw(20)?);
-        let value = Wei::new(dec.get_u128()?);
-        let call = CallData::decode(dec)?;
-        let gas_limit = dec.get_u64()?;
-        let priority_fee = dec.get_u64()?;
         Ok(Transaction {
-            nonce,
-            sender: Address(sender),
-            to: Address(to),
-            value,
-            call,
-            gas_limit,
-            priority_fee,
+            nonce: dec.get_u64()?,
+            sender: Address(dec.get_array()?),
+            to: Address(dec.get_array()?),
+            value: Wei::new(dec.get_u128()?),
+            call: CallData::decode(dec)?,
+            gas_limit: dec.get_u64()?,
+            priority_fee: dec.get_u64()?,
         })
     }
 

@@ -359,6 +359,39 @@ mod tests {
         }
     }
 
+    /// The self-hang `MvccRuntime::begin`'s rule forbids, on one thread:
+    /// a live transaction holds key 1's intent, and a second one touches
+    /// key 1. It would park for an intent only its own thread can
+    /// release; it panics instead.
+    #[test]
+    fn a_thread_parking_for_its_own_intent_panics_naming_the_rule() {
+        let (done, outcome) = mpsc::channel();
+        let handle = thread::spawn(move || {
+            let (runtime, map) = fixture();
+            heat(&runtime, &map);
+            let parked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let holder = runtime.begin_holding(Some(lock(1)));
+                map.insert(&holder, 1, 7);
+                let second = runtime.begin();
+                map.get(&second, &1)
+            }));
+            let message = parked.map_err(|panic| match panic.downcast::<String>() {
+                Ok(message) => *message,
+                Err(_) => String::from("a panic without a message"),
+            });
+            done.send(message).unwrap();
+        });
+        let message = outcome
+            .recv_timeout(TIMEOUT)
+            .expect("the thread panics instead of parking forever")
+            .expect_err("the second transaction must not read");
+        assert!(
+            message.contains("one intent holder per thread"),
+            "{message}"
+        );
+        handle.join().expect("the panic was caught");
+    }
+
     #[test]
     fn finalize_below_and_discard_above_clear_hot_flags() {
         let (runtime, map) = fixture();

@@ -55,6 +55,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::{self, ThreadId};
 
 /// The intent-stripe bit of `lock`: the top six bits of the mix the
 /// `LockId` computed once at construction pick one of 64 stripes, one bit
@@ -65,12 +66,25 @@ pub(crate) fn intent_bit(lock: LockId) -> u64 {
 }
 
 /// The intents' owner slots.
-#[derive(Default)]
 struct Intents {
     /// Bit `s` set: stripe `s`'s intent is held.
     taken: u64,
+    /// The thread that took stripe `s`'s intent, meaningful while bit `s`
+    /// of `taken` is set: what [`MvccRuntime::begin`]'s rule is checked
+    /// against.
+    takers: [Option<ThreadId>; 64],
     /// Transactions parked for an intent; a release with none wakes nobody.
     parked: usize,
+}
+
+impl Default for Intents {
+    fn default() -> Self {
+        Intents {
+            taken: 0,
+            takers: [None; 64],
+            parked: 0,
+        }
+    }
 }
 
 /// Shared state for one world's optimistic execution: the timestamp
@@ -105,8 +119,11 @@ impl MvccRuntime {
     /// transaction holds no intent, so it parks for that one (rule 1 of
     /// the module docs), and an intent has no timer: only dropping the
     /// other transaction releases it, which the parked thread never
-    /// does, so it parks forever. The no-deadlock argument counts
-    /// transactions and assumes each thread runs one at a time.
+    /// does. The no-deadlock argument counts transactions and assumes
+    /// each thread runs one at a time, so a thread about to park for an
+    /// intent it took itself panics, naming this rule, instead of parking
+    /// forever. The check runs only on the way to parking, so it costs
+    /// nothing while no lock is hot.
     ///
     /// The miner keeps the rule: each worker runs one transaction at a
     /// time and drops a losing attempt before its retry begins. Replays
@@ -120,8 +137,8 @@ impl MvccRuntime {
     /// fixes its snapshot, so it sees the intent's previous holder's
     /// commit and cannot lose on that lock (rule 1 of the module docs).
     /// The caller must hold no other intent: its previous attempt has to
-    /// be dropped first, or the thread parks forever on its own intent
-    /// (see [`begin`](Self::begin)'s rule).
+    /// be dropped first, or the thread would park on its own intent and
+    /// panics instead (see [`begin`](Self::begin)'s rule).
     pub fn begin_holding(&self, lost: Option<LockId>) -> MvccTxn<'_> {
         let held = lost.map_or(0, intent_bit);
         if held != 0 {
@@ -211,15 +228,30 @@ impl MvccRuntime {
 
     /// Takes the intent of stripe `bit`, parking until it is free if
     /// `park`; without `park`, fails when another transaction holds it.
+    ///
+    /// # Panics
+    ///
+    /// When it would park for an intent a transaction of this thread
+    /// took: the one-holder-per-thread rule of [`MvccRuntime::begin`].
     pub(crate) fn take_intent(&self, bit: u64, park: bool) -> bool {
+        let stripe = bit.trailing_zeros() as usize;
         let mut intents = self.intents.lock();
         while park && intents.taken & bit != 0 {
+            assert_ne!(
+                intents.takers[stripe],
+                Some(thread::current().id()),
+                "one intent holder per thread (see `MvccRuntime::begin`): this thread's own \
+                 live transaction holds the write intent it would park for"
+            );
             intents.parked += 1;
             self.released.wait(&mut intents);
             intents.parked -= 1;
         }
         let free = intents.taken & bit == 0;
-        intents.taken |= bit;
+        if free {
+            intents.taken |= bit;
+            intents.takers[stripe] = Some(thread::current().id());
+        }
         free
     }
 

@@ -104,7 +104,11 @@ impl<T: Clone + Send + Sync + 'static> VersionedCell<T> {
             p.write.clone()
         });
         buffered
-            .or_else(|| self.core.versions.read_at(&(), txn.begin_ts()))
+            .or_else(|| {
+                self.core
+                    .versions
+                    .read_at(&(), txn.begin_ts(), |v| v.cloned())
+            })
             .unwrap_or_else(|| self.core.base.peek())
     }
 

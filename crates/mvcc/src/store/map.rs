@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 /// One key's buffered write: a binding, or a delta that lands on
 /// whatever total the key holds when the transaction installs.
-#[derive(Clone)]
 pub(super) enum Write<V> {
     /// Bind the key (`None` = unbind: an add after a buffered binding
     /// that brings the tally to 0).
@@ -157,21 +156,32 @@ where
         txn.footprint(self.core.base.lock_space().lock_for(key), mode);
     }
 
-    /// Marks `key` read and returns its value as seen by `txn`: buffered
-    /// write, else newest version at or below the snapshot, else the twin.
-    fn read(&self, txn: &MvccTxn<'_>, key: &K) -> Option<V> {
-        let buffered = self.pending(txn, |p| {
+    /// Marks `key` read and hands `f` its value as seen by `txn`, by
+    /// reference: buffered write, else newest version at or below the
+    /// snapshot, else the twin. Only a buffered add materializes a value
+    /// (the total it leaves).
+    fn read<R>(&self, txn: &MvccTxn<'_>, key: &K, f: impl FnOnce(Option<&V>) -> R) -> R {
+        let ts = txn.begin_ts();
+        self.pending(txn, |p| {
             p.reads.insert(key.clone());
-            p.writes.get(key).cloned()
-        });
-        let committed = || {
-            (self.core.versions.read_at(key, txn.begin_ts()))
-                .unwrap_or_else(|| self.core.base.peek(key))
-        };
-        match buffered {
-            Some(write) => write.over(committed),
-            None => committed(),
-        }
+            match p.writes.get(key) {
+                Some(Write::Bind(binding)) => f(binding.as_ref()),
+                Some(&Write::Add(delta, plus)) => {
+                    f(self.committed(key, ts, |v| plus(v, delta)).as_ref())
+                }
+                None => self.committed(key, ts, f),
+            }
+        })
+    }
+
+    /// Hands `f` the committed binding of `key` at `ts`: the newest
+    /// version at or below it, else the twin's.
+    fn committed<R>(&self, key: &K, ts: Timestamp, f: impl FnOnce(Option<&V>) -> R) -> R {
+        let core = &self.core;
+        core.versions.read_at(key, ts, |version| match version {
+            Some(binding) => f(binding.as_ref()),
+            None => core.base.peek_with(key, f),
+        })
     }
 
     /// Buffers `write(prior buffered write)` for `key`, journaling the
@@ -199,13 +209,16 @@ where
 
     /// Reads the value bound to `key` (pessimistic twin: shared key lock).
     pub fn get(&self, txn: &MvccTxn<'_>, key: &K) -> Option<V> {
-        self.footprint(txn, key, LockMode::Shared);
-        self.read(txn, key)
+        self.get_with(txn, key, |v| v.cloned())
     }
 
-    /// Reads the binding by reference.
+    /// Reads the binding by reference: `f` observes the buffered write,
+    /// the version or the twin's binding in place, and only what it
+    /// returns is materialized. `f` must not touch the transaction or
+    /// this map.
     pub fn get_with<R>(&self, txn: &MvccTxn<'_>, key: &K, f: impl FnOnce(Option<&V>) -> R) -> R {
-        f(self.get(txn, key).as_ref())
+        self.footprint(txn, key, LockMode::Shared);
+        self.read(txn, key, f)
     }
 
     /// Binds `key` to `value` (pessimistic twin: exclusive key lock).
@@ -218,7 +231,7 @@ where
     /// first when absent.
     pub fn update_or(&self, txn: &MvccTxn<'_>, key: K, default: V, f: impl FnOnce(&mut V)) {
         self.footprint(txn, &key, LockMode::Exclusive);
-        let mut value = self.read(txn, &key).unwrap_or(default);
+        let mut value = self.read(txn, &key, |v| v.cloned()).unwrap_or(default);
         f(&mut value);
         self.buffer(txn, key, |_| Write::Bind(Some(value)));
     }

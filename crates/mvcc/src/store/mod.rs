@@ -78,14 +78,17 @@ impl<K, T> Versions<K, T> {
     }
 }
 
-impl<K: Hash + Eq, T: Clone> Versions<K, T> {
-    /// The newest value of `key` at or below `ts`, scanning backwards
-    /// (lists are short and recent versions are the common hit); `None`
-    /// when the read falls through to the boosted twin.
-    fn read_at(&self, key: &K, ts: Timestamp) -> Option<T> {
+impl<K: Hash + Eq, T> Versions<K, T> {
+    /// Hands `f` the newest value of `key` at or below `ts` by reference,
+    /// scanning backwards (lists are short and recent versions are the
+    /// common hit); `None` when the read falls through to the boosted
+    /// twin. `f` runs under the lists' read lock.
+    fn read_at<R>(&self, key: &K, ts: Timestamp, f: impl FnOnce(Option<&T>) -> R) -> R {
         let lists = self.0.read();
-        let version = lists.get(key)?.iter().rev().find(|v| v.ts <= ts)?;
-        Some(version.value.clone())
+        let version = lists
+            .get(key)
+            .and_then(|list| list.iter().rev().find(|v| v.ts <= ts));
+        f(version.map(|v| &v.value))
     }
 
     /// The first of `keys` that gained a version newer than `begin_ts` —
@@ -191,18 +194,26 @@ mod tests {
     fn prune_keeps_newest_reachable_version() {
         let list = versions(&[(1, false), (3, false), (7, false)]);
         list.collect(ts(5));
-        assert_eq!(list.read_at(&(), ts(5)), Some(3), "t3 resolves the horizon");
-        assert_eq!(list.read_at(&(), ts(2)), None, "t1 is gone");
-        assert_eq!(list.read_at(&(), ts(7)), Some(7));
+        assert_eq!(
+            list.read_at(&(), ts(5), |v| v.cloned()),
+            Some(3),
+            "t3 resolves the horizon"
+        );
+        assert_eq!(list.read_at(&(), ts(2), |v| v.cloned()), None, "t1 is gone");
+        assert_eq!(list.read_at(&(), ts(7), |v| v.cloned()), Some(7));
 
         let all_old = versions(&[(1, false), (2, false)]);
         all_old.collect(ts(9));
-        assert_eq!(all_old.read_at(&(), ts(1)), None);
-        assert_eq!(all_old.read_at(&(), ts(9)), Some(2));
+        assert_eq!(all_old.read_at(&(), ts(1), |v| v.cloned()), None);
+        assert_eq!(all_old.read_at(&(), ts(9), |v| v.cloned()), Some(2));
 
         let all_new = versions(&[(8, false)]);
         all_new.collect(ts(5));
-        assert_eq!(all_new.read_at(&(), ts(8)), Some(8), "nothing at or below");
+        assert_eq!(
+            all_new.read_at(&(), ts(8), |v| v.cloned()),
+            Some(8),
+            "nothing at or below"
+        );
     }
 
     #[test]
@@ -216,8 +227,8 @@ mod tests {
         assert!(!newer(4, true), "only an additive version is newer");
         assert!(newer(1, true));
         assert_eq!(list.first_conflict(ts(1), []), None, "no keys, no conflict");
-        assert_eq!(list.read_at(&(), ts(5)), Some(2));
-        assert_eq!(list.read_at(&(), Timestamp::BASE), None);
+        assert_eq!(list.read_at(&(), ts(5), |v| v.cloned()), Some(2));
+        assert_eq!(list.read_at(&(), Timestamp::BASE, |v| v.cloned()), None);
     }
 
     #[test]
@@ -226,7 +237,11 @@ mod tests {
         let mut flattened = Vec::new();
         list.finalize_below(ts(4), |_, value| flattened.push(value));
         assert_eq!(flattened, vec![3], "only the newest at or below");
-        assert_eq!(list.read_at(&(), ts(6)), None, "t1 and t3 are gone");
+        assert_eq!(
+            list.read_at(&(), ts(6), |v| v.cloned()),
+            None,
+            "t1 and t3 are gone"
+        );
         list.discard_above(ts(6));
         assert_eq!(list.len(), 0, "an emptied list drops its key");
     }

@@ -4,8 +4,15 @@
 //! so their byte encoding must be canonical: the same logical value always
 //! produces the same bytes. This module provides a small length-prefixed
 //! binary format (little-endian fixed-width integers, `u64` length prefixes
-//! for variable-size data) plus a matching decoder used by round-trip tests
-//! and by the example binaries when persisting blocks.
+//! for variable-size data and `u64` element counts for sequences) plus the
+//! matching [`Decoder`] the WAL and checkpoint readers run over bytes they
+//! did not write.
+//!
+//! A decoder trusts no number it reads: a byte length is checked against
+//! the input left before anything is copied, and every sequence goes
+//! through [`Decoder::get_vec`], which refuses a count the input left
+//! cannot hold (every element takes at least one byte). So no input makes
+//! a decode allocate more than a bounded multiple of its own length.
 
 use std::fmt;
 
@@ -72,7 +79,8 @@ impl Encoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Appends raw bytes with no length prefix (fixed-size fields).
+    /// Appends raw bytes with no length prefix (fixed-size fields, read
+    /// back with [`Decoder::get_array`]).
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
@@ -170,14 +178,25 @@ impl<'a> Decoder<'a> {
         Ok(self.get_u8()? != 0)
     }
 
+    /// Reads `N` raw bytes as an array (no length prefix): a hash, an
+    /// address, a fixed-width integer.
+    ///
+    /// # Errors
+    ///
+    /// Fails if fewer than `N` bytes remain.
+    pub fn get_array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N, "fixed-width field")?);
+        Ok(out)
+    }
+
     /// Reads a little-endian `u32`.
     ///
     /// # Errors
     ///
     /// Fails if fewer than 4 bytes remain.
     pub fn get_u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4, "u32")?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.get_array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
@@ -186,10 +205,7 @@ impl<'a> Decoder<'a> {
     ///
     /// Fails if fewer than 8 bytes remain.
     pub fn get_u64(&mut self) -> Result<u64, DecodeError> {
-        let b = self.take(8, "u64")?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(b);
-        Ok(u64::from_le_bytes(arr))
+        self.get_array().map(u64::from_le_bytes)
     }
 
     /// Reads a little-endian `u128`.
@@ -198,10 +214,31 @@ impl<'a> Decoder<'a> {
     ///
     /// Fails if fewer than 16 bytes remain.
     pub fn get_u128(&mut self) -> Result<u128, DecodeError> {
-        let b = self.take(16, "u128")?;
-        let mut arr = [0u8; 16];
-        arr.copy_from_slice(b);
-        Ok(u128::from_le_bytes(arr))
+        self.get_array().map(u128::from_le_bytes)
+    }
+
+    /// Reads a sequence: a `u64` element count, then that many elements,
+    /// each decoded by `element`. This is the one place a count from the
+    /// input is trusted, and only as far as the input left can hold it:
+    /// every element takes at least one byte, so a larger count is
+    /// refused before any element is read. The vector grows with the
+    /// elements decoded, never with the count.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a count above [`Decoder::remaining`], and with the first
+    /// error `element` returns.
+    pub fn get_vec<T>(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let count = self.get_u64()?;
+        if count > self.remaining() as u64 {
+            return Err(DecodeError {
+                context: "element count exceeds the input left",
+            });
+        }
+        (0..count).map(|_| element(self)).collect()
     }
 
     /// Reads a `u64`-length-prefixed byte vector.
@@ -212,15 +249,6 @@ impl<'a> Decoder<'a> {
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
         let len = self.get_u64()? as usize;
         Ok(self.take(len, "bytes payload")?.to_vec())
-    }
-
-    /// Reads exactly `n` raw bytes (no length prefix).
-    ///
-    /// # Errors
-    ///
-    /// Fails if fewer than `n` bytes remain.
-    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        self.take(n, "raw bytes")
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -269,7 +297,7 @@ mod tests {
         assert_eq!(d.get_u128().unwrap(), u128::MAX - 5);
         assert_eq!(d.get_bytes().unwrap(), b"payload");
         assert_eq!(d.get_string().unwrap(), "Ballot.vote");
-        assert_eq!(d.get_raw(3).unwrap(), &[1, 2, 3]);
+        assert_eq!(d.get_array::<3>().unwrap(), [1, 2, 3]);
         assert!(d.is_empty());
     }
 
@@ -301,6 +329,34 @@ mod tests {
         assert_eq!(d.remaining(), 8);
         d.get_u32().unwrap();
         assert_eq!(d.remaining(), 4);
+    }
+
+    #[test]
+    fn a_count_the_input_left_cannot_hold_is_refused() {
+        // Three one-byte elements behind each count.
+        for (count, ok) in [(0, true), (3, true), (4, false), (u64::MAX, false)] {
+            let mut e = Encoder::new();
+            e.put_u64(count);
+            e.put_raw(&[7, 8, 9]);
+            let bytes = e.into_bytes();
+            let decoded = Decoder::new(&bytes).get_vec(Decoder::get_u8);
+            match decoded {
+                Ok(v) => assert!(ok && v.len() as u64 == count, "{count}"),
+                Err(err) => {
+                    assert!(!ok, "{count}: {err}");
+                    assert_eq!(err.context, "element count exceeds the input left");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn get_array_reads_fixed_width_fields() {
+        let mut d = Decoder::new(&[1, 2, 3, 4, 5]);
+        assert_eq!(d.get_array::<2>().unwrap(), [1, 2]);
+        assert!(d.get_array::<4>().is_err());
+        assert_eq!(d.get_array::<3>().unwrap(), [3, 4, 5]);
+        assert!(d.is_empty());
     }
 
     proptest! {

@@ -273,8 +273,14 @@ where
     /// genesis state) and in tests. Not linearized with respect to running
     /// transactions.
     pub fn peek(&self, key: &K) -> Option<V> {
+        self.peek_with(key, |v| v.cloned())
+    }
+
+    /// [`peek`](Self::peek) by reference: `f` observes the binding in
+    /// place, under the store's shard latch (it must not touch this map).
+    pub fn peek_with<R>(&self, key: &K, f: impl FnOnce(Option<&V>) -> R) -> R {
         let h = fnv1a_of(key);
-        self.inner.read(h, |map| map.get_hashed(h, key).cloned())
+        self.inner.read(h, |map| f(map.get_hashed(h, key)))
     }
 
     /// Non-transactional insert used only during setup.

@@ -132,18 +132,8 @@ impl ArgValue {
         match dec.get_u8()? {
             0 => Ok(ArgValue::Uint(dec.get_u128()?)),
             1 => Ok(ArgValue::Bool(dec.get_bool()?)),
-            2 => {
-                let raw = dec.get_raw(20)?;
-                let mut bytes = [0u8; 20];
-                bytes.copy_from_slice(raw);
-                Ok(ArgValue::Addr(Address(bytes)))
-            }
-            3 => {
-                let raw = dec.get_raw(32)?;
-                let mut bytes = [0u8; 32];
-                bytes.copy_from_slice(raw);
-                Ok(ArgValue::Bytes32(bytes))
-            }
+            2 => Ok(ArgValue::Addr(Address(dec.get_array()?))),
+            3 => Ok(ArgValue::Bytes32(dec.get_array()?)),
             4 => Ok(ArgValue::Str(dec.get_string()?)),
             _ => Err(DecodeError {
                 context: "unknown ArgValue tag",
@@ -255,18 +245,8 @@ impl ReturnValue {
             0 => Ok(ReturnValue::Unit),
             1 => Ok(ReturnValue::Uint(dec.get_u128()?)),
             2 => Ok(ReturnValue::Bool(dec.get_bool()?)),
-            3 => {
-                let raw = dec.get_raw(20)?;
-                let mut bytes = [0u8; 20];
-                bytes.copy_from_slice(raw);
-                Ok(ReturnValue::Addr(Address(bytes)))
-            }
-            4 => {
-                let raw = dec.get_raw(32)?;
-                let mut bytes = [0u8; 32];
-                bytes.copy_from_slice(raw);
-                Ok(ReturnValue::Bytes32(bytes))
-            }
+            3 => Ok(ReturnValue::Addr(Address(dec.get_array()?))),
+            4 => Ok(ReturnValue::Bytes32(dec.get_array()?)),
             5 => Ok(ReturnValue::Amount(Wei::new(dec.get_u128()?))),
             _ => Err(DecodeError {
                 context: "unknown ReturnValue tag",
@@ -334,11 +314,7 @@ impl CallData {
     /// Returns a [`DecodeError`] on truncated or malformed input.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<CallData, DecodeError> {
         let function = dec.get_string()?;
-        let n = dec.get_u64()? as usize;
-        let mut args = Vec::with_capacity(n);
-        for _ in 0..n {
-            args.push(ArgValue::decode(dec)?);
-        }
+        let args = dec.get_vec(ArgValue::decode)?;
         Ok(CallData { function, args })
     }
 }

@@ -49,20 +49,10 @@ impl Event {
     ///
     /// Returns a [`DecodeError`] on truncated or malformed input.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Event, DecodeError> {
-        let raw = dec.get_raw(20)?;
-        let mut bytes = [0u8; 20];
-        bytes.copy_from_slice(raw);
-        let contract = Address(bytes);
-        let name = dec.get_string()?;
-        let n = dec.get_u64()? as usize;
-        let mut data = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            data.push(ArgValue::decode(dec)?);
-        }
         Ok(Event {
-            contract,
-            name,
-            data,
+            contract: Address(dec.get_array()?),
+            name: dec.get_string()?,
+            data: dec.get_vec(ArgValue::decode)?,
         })
     }
 }

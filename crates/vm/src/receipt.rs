@@ -128,19 +128,12 @@ impl Receipt {
                 })
             }
         };
-        let gas_used = dec.get_u64()?;
-        let output = ReturnValue::decode(dec)?;
-        let n = dec.get_u64()? as usize;
-        let mut events = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            events.push(Event::decode(dec)?);
-        }
         Ok(Receipt {
             tx_index,
             status,
-            gas_used,
-            output,
-            events,
+            gas_used: dec.get_u64()?,
+            output: ReturnValue::decode(dec)?,
+            events: dec.get_vec(Event::decode)?,
         })
     }
 }

@@ -8,10 +8,13 @@
 //! [`crate::commit`]); both are derived from one field list per contract
 //! ([`crate::Contract::storage_fields`]), so the root moves exactly when
 //! the image does (`tests/state_root_incremental.rs`).
+//!
+//! The module only encodes: no node path reads an image back, so there
+//! is no decoder to trust, and a checkpoint carrying one is refused.
 
 use crate::address::Address;
 use crate::value::Wei;
-use cc_primitives::codec::{DecodeError, Decoder, Encoder};
+use cc_primitives::codec::Encoder;
 
 /// Conversion into canonical bytes for state commitment.
 ///
@@ -200,7 +203,7 @@ impl FieldSnapshot {
         })
     }
 
-    /// Canonical encoding, used for serializing snapshot files.
+    /// Canonical encoding: what [`WorldSnapshot::to_bytes`] writes per field.
     pub fn encode(&self, enc: &mut Encoder) {
         enc.put_str(&self.name);
         enc.put_u64(self.len() as u64);
@@ -209,41 +212,6 @@ impl FieldSnapshot {
             enc.put_bytes(v);
         }
     }
-
-    /// Decodes a field snapshot written by [`FieldSnapshot::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] on truncated or malformed input, and on
-    /// **non-canonical** input — keys not in strictly ascending order
-    /// (unsorted or duplicated) — so no two byte strings decode to the
-    /// same logical field.
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<FieldSnapshot, DecodeError> {
-        let name = dec.get_string()?;
-        let n = dec.get_u64()? as usize;
-        let mut field = FieldSnapshot::with_capacity(name, n.min(4096));
-        let mut previous: Option<&[u8]> = None;
-        for _ in 0..n {
-            let key = get_slice(dec)?;
-            let value = get_slice(dec)?;
-            if previous.is_some_and(|p| p >= key) {
-                return Err(DecodeError {
-                    context: "field snapshot keys not strictly ascending",
-                });
-            }
-            previous = Some(key);
-            field.push(key, value);
-        }
-        Ok(field)
-    }
-}
-
-/// Reads a `u64`-length-prefixed byte string without copying it.
-fn get_slice<'a>(dec: &mut Decoder<'a>) -> Result<&'a [u8], DecodeError> {
-    let len = usize::try_from(dec.get_u64()?).map_err(|_| DecodeError {
-        context: "bytes length",
-    })?;
-    dec.get_raw(len)
 }
 
 /// Snapshot of one contract's entire persistent state.
@@ -276,30 +244,6 @@ impl ContractSnapshot {
             field.encode(enc);
         }
     }
-
-    /// Decodes a contract snapshot written by [`ContractSnapshot::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] on truncated, malformed or non-canonical
-    /// input (see [`FieldSnapshot::decode`]).
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<ContractSnapshot, DecodeError> {
-        let kind = dec.get_string()?;
-        let raw = dec.get_raw(20)?;
-        let mut bytes = [0u8; 20];
-        bytes.copy_from_slice(raw);
-        let address = Address(bytes);
-        let n = dec.get_u64()? as usize;
-        let mut fields = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            fields.push(FieldSnapshot::decode(dec)?);
-        }
-        Ok(ContractSnapshot {
-            kind,
-            address,
-            fields,
-        })
-    }
 }
 
 /// Snapshot of every contract in a [`crate::World`].
@@ -331,49 +275,6 @@ impl WorldSnapshot {
         for contract in &self.contracts {
             contract.encode(enc);
         }
-    }
-
-    /// Decodes a world snapshot written by [`WorldSnapshot::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] on truncated or malformed input, and on
-    /// **non-canonical** input: contract addresses not in strictly
-    /// ascending order (unsorted or duplicated), or a non-canonical field
-    /// (see [`FieldSnapshot::decode`]).
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<WorldSnapshot, DecodeError> {
-        let n = dec.get_u64()? as usize;
-        let mut contracts: Vec<ContractSnapshot> = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            let contract = ContractSnapshot::decode(dec)?;
-            if contracts
-                .last()
-                .is_some_and(|p| p.address >= contract.address)
-            {
-                return Err(DecodeError {
-                    context: "world snapshot contract addresses not strictly ascending",
-                });
-            }
-            contracts.push(contract);
-        }
-        Ok(WorldSnapshot { contracts })
-    }
-
-    /// Decodes a world snapshot that must span all of `bytes` — the form
-    /// snapshot files store ([`WorldSnapshot::to_bytes`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`WorldSnapshot::decode`], plus trailing bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Result<WorldSnapshot, DecodeError> {
-        let mut dec = Decoder::new(bytes);
-        let snapshot = WorldSnapshot::decode(&mut dec)?;
-        if !dec.is_empty() {
-            return Err(DecodeError {
-                context: "trailing bytes after world snapshot",
-            });
-        }
-        Ok(snapshot)
     }
 }
 
@@ -428,85 +329,18 @@ mod tests {
     }
 
     #[test]
-    fn world_snapshot_roundtrip() {
+    fn world_snapshot_sorts_contracts_and_encodes_canonically() {
         let w = sample_world();
         assert_eq!(w.contracts[0].kind, "Auction", "sorted by address");
-        let bytes = w.to_bytes();
-        let decoded = WorldSnapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(decoded, w);
-        assert_eq!(decoded.to_bytes(), bytes);
-        let mut trailing = bytes;
-        trailing.push(0);
-        assert!(WorldSnapshot::from_bytes(&trailing).is_err());
-    }
-
-    /// The bytes of a one-field contract whose entries are written in the
-    /// given order, bypassing the canonicalizing constructors.
-    fn raw_field_bytes(entries: &[(&[u8], &[u8])]) -> Vec<u8> {
+        let mut reversed = w.contracts.clone();
+        reversed.reverse();
+        assert_eq!(WorldSnapshot::new(reversed).to_bytes(), w.to_bytes());
         let mut enc = Encoder::new();
-        enc.put_str("m");
-        enc.put_u64(entries.len() as u64);
-        for (k, v) in entries {
-            enc.put_bytes(k);
-            enc.put_bytes(v);
+        enc.put_u64(2);
+        for contract in &w.contracts {
+            contract.encode(&mut enc);
         }
-        enc.into_bytes()
-    }
-
-    #[test]
-    fn decode_rejects_unsorted_field_keys() {
-        let canonical = raw_field_bytes(&[(&[1], &[10]), (&[2], &[20])]);
-        assert!(FieldSnapshot::decode(&mut Decoder::new(&canonical)).is_ok());
-        let unsorted = raw_field_bytes(&[(&[2], &[20]), (&[1], &[10])]);
-        assert_eq!(
-            FieldSnapshot::decode(&mut Decoder::new(&unsorted)),
-            Err(DecodeError {
-                context: "field snapshot keys not strictly ascending"
-            })
-        );
-    }
-
-    #[test]
-    fn decode_rejects_duplicate_field_keys() {
-        let duplicate = raw_field_bytes(&[(&[1], &[10]), (&[1], &[11])]);
-        assert_eq!(
-            FieldSnapshot::decode(&mut Decoder::new(&duplicate)),
-            Err(DecodeError {
-                context: "field snapshot keys not strictly ascending"
-            })
-        );
-    }
-
-    /// World bytes listing empty contracts at the given addresses, in the
-    /// given order.
-    fn raw_world_bytes(indices: &[u64]) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_u64(indices.len() as u64);
-        for &i in indices {
-            ContractSnapshot::new("C", Address::from_index(i), vec![]).encode(&mut enc);
-        }
-        enc.into_bytes()
-    }
-
-    #[test]
-    fn decode_rejects_unsorted_contract_addresses() {
-        assert!(WorldSnapshot::from_bytes(&raw_world_bytes(&[1, 2])).is_ok());
-        assert_eq!(
-            WorldSnapshot::from_bytes(&raw_world_bytes(&[2, 1])),
-            Err(DecodeError {
-                context: "world snapshot contract addresses not strictly ascending"
-            })
-        );
-    }
-
-    #[test]
-    fn decode_rejects_duplicate_contract_addresses() {
-        assert_eq!(
-            WorldSnapshot::from_bytes(&raw_world_bytes(&[1, 1])),
-            Err(DecodeError {
-                context: "world snapshot contract addresses not strictly ascending"
-            })
-        );
+        assert_eq!(w.to_bytes(), enc.into_bytes());
     }
 
     #[test]

@@ -382,3 +382,64 @@ where
         self.inner.is_dirty()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::address::Address;
+    use crate::gas::{GasMeter, GasSchedule};
+    use crate::msg::Msg;
+    use crate::world::Contracts;
+    use cc_mvcc::MvccRuntime;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Clones of [`Counted`] values so far, across the whole binary (only
+    /// this module's test makes any).
+    static CLONES: AtomicUsize = AtomicUsize::new(0);
+
+    /// A map value whose `Clone` counts its calls.
+    #[derive(Debug)]
+    struct Counted(u64);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.fetch_add(1, Ordering::Relaxed);
+            Counted(self.0)
+        }
+    }
+
+    /// Every source an optimistic read resolves from — the boosted twin
+    /// (key 1), a committed version (key 2), the transaction's own
+    /// buffered write (key 3) and nothing (key 4) — is handed to
+    /// `get_with` by reference.
+    #[test]
+    fn an_optimistic_get_with_clones_no_value() {
+        let map = StorageMap::new("test.counted");
+        map.seed(1u64, Counted(10));
+        let (runtime, contracts) = (MvccRuntime::new(), Contracts::new());
+        let mut meter = GasMeter::new(1_000_000, GasSchedule::default());
+        let mut run = |body: &dyn Fn(&mut CallContext<'_>)| {
+            let txn = runtime.begin();
+            let msg = Msg::from_sender(Address::from_index(1));
+            let txn_ref = TxnRef::Mvcc(&txn);
+            body(&mut CallContext::root(
+                txn_ref,
+                &contracts,
+                msg,
+                Address::from_index(2),
+                &mut meter,
+            ));
+            txn.commit().unwrap();
+        };
+        run(&|ctx| map.insert(ctx, 2, Counted(20)).unwrap());
+        run(&|ctx| {
+            map.insert(ctx, 3, Counted(30)).unwrap();
+            let before = CLONES.load(Ordering::Relaxed);
+            for (key, expected) in [(1, Some(10)), (2, Some(20)), (3, Some(30)), (4, None)] {
+                let seen = map.get_with(ctx, &key, |v| v.map(|c| c.0)).unwrap();
+                assert_eq!(seen, expected, "key {key}");
+            }
+            assert_eq!(CLONES.load(Ordering::Relaxed), before, "get_with cloned");
+        });
+    }
+}

@@ -8,9 +8,8 @@
 //! about schedules, receipts or state — rests entirely on the SHA-256
 //! commitments in the header and on deterministic replay; an adversary
 //! cannot recompute those without doing the honest work. The
-//! `cc_primitives::checksum::checksum64` on each wire form (framed WAL
-//! records, checkpoint files, `Block::to_checked_bytes`) is **corruption
-//! detection** only: it catches torn writes and bit rot, but anyone who can
+//! `cc_primitives::checksum::checksum64` on each stored form (framed WAL
+//! records, checkpoint files) is **corruption detection** only: it catches torn writes and bit rot, but anyone who can
 //! rewrite the bytes can trivially recompute it.
 
 use cc_contracts::SimpleAuction;
@@ -23,8 +22,10 @@ use cc_integration_tests::{
 };
 use cc_ledger::wal::DurabilityMode;
 use cc_ledger::{
-    Block, ProfileRecord, ScheduleMetadata, SnapshotError, SnapshotFile, Transaction, Wal, WAL_FILE,
+    Block, ChainError, ProfileRecord, ScheduleMetadata, SnapshotError, SnapshotFile, Transaction,
+    Wal, WellFormedBlock, WAL_FILE,
 };
+use cc_primitives::codec::{Decoder, Encoder};
 use cc_stm::{LockMode, LockProfile, ProfileEntry};
 use cc_vm::{Address, CallData, World, WorldSnapshot};
 use cc_workload::{Benchmark, Workload};
@@ -215,42 +216,34 @@ fn dropping_a_transaction_breaks_structural_checks() {
 
 #[test]
 fn corrupted_serialized_block_is_rejected_with_a_typed_error() {
-    use cc_ledger::BlockCodecError;
-
     let (_, mined) = mined_reference(Benchmark::Ballot, 0.3);
-    let bytes = mined.block.to_checked_bytes();
+    let encoded = |block: &Block| {
+        let mut enc = Encoder::new();
+        block.encode(&mut enc);
+        enc.into_bytes()
+    };
+    let decode = |bytes: &[u8]| Block::decode(&mut Decoder::new(bytes));
+    let bytes = encoded(&mined.block);
+    assert_eq!(decode(&bytes).unwrap(), mined.block, "honest bytes decode");
 
-    // The honest bytes round-trip.
-    let decoded = Block::from_checked_bytes(&bytes).expect("honest bytes decode");
-    assert_eq!(decoded.hash(), mined.block.hash());
-
-    // Every single-byte corruption of the wire form is caught by its
-    // `checksum64` (typed error, no panic) — this is what protects a
-    // block read back from the WAL or a snapshot file against *disk
-    // corruption*. It is not a tamper-proofing mechanism: an adversary
-    // rewriting the file recomputes the checksum for free, and is
-    // instead caught by the SHA-256 commitment checks below.
-    for i in 0..bytes.len() {
-        let mut corrupt = bytes.clone();
-        corrupt[i] ^= 0x20;
-        let err =
-            Block::from_checked_bytes(&corrupt).expect_err("corrupted wire bytes must be rejected");
-        if i >= 8 {
-            // Payload flips must specifically fail the checksum.
-            assert!(
-                matches!(err, BlockCodecError::ChecksumMismatch { .. }),
-                "byte {i}: got {err}"
-            );
-        }
+    // A block cut short — a torn record whose checksum was recomputed, or
+    // a sender that stopped mid-block — is a typed decode error, never a
+    // panic. (Single-byte flips of a stored record are its checksum's
+    // job: `cc-ledger`'s `record_integrity` flips every byte of a log.)
+    for len in (0..bytes.len()).step_by(7) {
+        assert!(decode(&bytes[..len]).is_err(), "cut at {len}");
     }
 
-    // A forged-but-rechecksummed block that violates its own commitments
-    // is still rejected, by the structural check behind the checksum.
+    // A forged-but-well-encoded block that violates its own commitments
+    // decodes, and is rejected by the structural check every chain
+    // append runs.
     let mut forged = mined.block.clone();
     forged.header.gas_used += 1;
-    let err = Block::from_checked_bytes(&forged.to_checked_bytes())
-        .expect_err("inconsistent block must be rejected");
-    assert!(matches!(err, BlockCodecError::Inconsistent), "got: {err}");
+    let decoded = decode(&encoded(&forged)).expect("the forgery is well encoded");
+    assert!(matches!(
+        WellFormedBlock::check(decoded),
+        Err(ChainError::Malformed)
+    ));
 }
 
 #[test]
@@ -715,30 +708,25 @@ fn a_checkpoint_whose_chain_forges_a_header_root_fails_recovery_at_that_block() 
 /// It is no longer compared with anything, but a file whose image is not
 /// a canonical world is still damaged goods.
 #[test]
-fn an_older_checkpoint_with_a_world_image_loads_only_if_the_image_is_canonical() {
+fn a_checkpoint_carrying_a_world_image_is_refused_for_the_previous_one() {
     let (dir, config, chain, image) = checkpointed_dir("image");
     let path = dir.join(SnapshotFile::file_name(4));
     let mut file = SnapshotFile::load(&path).unwrap();
     assert!(file.world_bytes.is_empty(), "the node writes no image");
 
+    // Even the canonical image of the very world the checkpoint anchors:
+    // nothing decodes an image, so a file that carries one is refused
+    // like any damaged file.
     file.world_bytes = image.to_bytes();
-    file.write_to(&dir).unwrap();
-    assert_eq!(SnapshotFile::load(&path).unwrap(), file);
-    let recovered = Node::recover(config, checkpointed_world(), engine(2)).unwrap();
-    assert_eq!(recovered.chain().head_hash(), chain[4].hash());
-    assert_eq!(recovered.world().snapshot(), image);
-    drop(recovered);
-
-    // The same logical world, contracts listed in descending order.
-    let mut reordered = image;
-    reordered.contracts.reverse();
-    file.world_bytes = reordered.to_bytes();
     file.write_to(&dir).unwrap();
     assert!(matches!(
         SnapshotFile::load(&path),
-        Err(SnapshotError::Decode(_))
+        Err(SnapshotError::WorldImage)
     ));
     let fallback = cc_ledger::load_latest(&dir).unwrap().expect("fallback");
     assert_eq!(fallback.height, 2);
+    let recovered = Node::recover(config, checkpointed_world(), engine(2)).unwrap();
+    assert_eq!(recovered.chain().head_hash(), chain[2].hash());
+    assert_eq!(recovered.world().state_root(), chain[2].header.state_root);
     std::fs::remove_dir_all(&dir).ok();
 }
