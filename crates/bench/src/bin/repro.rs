@@ -38,12 +38,19 @@
 //! by the node benchmark (`benchmark/`), not here. `--quick` shrinks the
 //! sweeps and caps repetitions at 2, except `stm_micro` ([`MICRO_OPS`]).
 //!
+//! The header also prints the host's two-thread spin check
+//! ([`cc_bench::spin_ratio`], [`SPIN_UNITS`]), measured at start-up: a
+//! reading near 2.0 says the second core was parked or busy, so the run's
+//! multi-threaded figures read as serial.
+//!
 //! `--json PATH` writes one object: `command`, `threads`, `repetitions`,
-//! `quick`, then, per section run, an array of flat row objects holding
-//! the row's key and metric columns by name. `diff` labels each metric
+//! `quick`, `spin_ratio`, then, per section run, an array of flat row
+//! objects holding the row's key and metric columns by name. `diff` labels each metric
 //! `section/key…/metric`, e.g. `stm_micro/map-insert-commit/ns_per_op` or
 //! `abort_rate/Ballot/200/0.3/speculative_ms`. A perf PR regenerates the
-//! committed `BENCH_BASELINE.json` from a quiet `perf` run.
+//! committed `BENCH_BASELINE.json` from a quiet `perf` run. `diff` reads
+//! only the sections, so header fields such as `spin_ratio` are never
+//! compared.
 
 use cc_bench::contention::{contention_threads, measure_contention, Mix};
 use cc_bench::json::Json;
@@ -605,6 +612,10 @@ fn run_diff(opts: &Options, old_path: &str, new_path: &str) -> Result<usize, Str
     Ok(regressions)
 }
 
+/// Units of [`cc_vm::load::synthetic_load`] each thread of the spin check
+/// runs: ≈ 0.1 s a leg on a 2-vCPU x86-64 VM.
+const SPIN_UNITS: u64 = 1 << 25;
+
 fn usage_error(message: &str) -> ! {
     eprintln!("{message}\n{USAGE}");
     std::process::exit(2);
@@ -643,6 +654,11 @@ fn main() {
         "cost model: work_per_gas = {work_per_gas} mix iterations per unit of non-base gas \
          (≈ {unit_ns:.1} ns per unit on this host); the stand-in is ≥ 97 % of a serial transaction"
     );
+    let spin_ratio = cc_bench::spin_ratio(SPIN_UNITS);
+    println!(
+        "host: two threads spinning at once take {spin_ratio:.2}× one thread's time \
+         (≈ 1.0: two cores ran them; ≈ 2.0: one did, and multi-threaded figures read as serial)"
+    );
     let mut tables: Vec<Table> = Vec::new();
     for name in names {
         let section = SECTIONS.iter().find(|s| s.schema.name == name);
@@ -661,6 +677,7 @@ fn main() {
             ("threads", Json::num(opts.threads as f64)),
             ("repetitions", Json::num(opts.repetitions as f64)),
             ("quick", Json::Bool(opts.quick)),
+            ("spin_ratio", Json::num(spin_ratio)),
         ];
         let sections = tables.iter().map(|t| (t.schema.name, t.to_json()));
         let doc = Json::object(header.into_iter().chain(sections));

@@ -189,6 +189,27 @@ pub fn measure_serial_validation(
     })
 }
 
+/// The two-thread spin check: the wall time of `units` of
+/// [`cc_vm::load::synthetic_load`] on each of two threads at once, over
+/// the time of the same spin on one thread. About 1.0 when two cores run
+/// the spins side by side; about 2.0 when they share one (a second core
+/// parked after a quiet spell, or busy), and then every multi-threaded
+/// figure of the run reads as if the engine were serial. Both legs spawn
+/// their threads, so the ratio compares like with like.
+pub fn spin_ratio(units: u64) -> f64 {
+    let spin = |threads: usize| {
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| cc_vm::load::synthetic_load(units));
+            }
+        });
+        start.elapsed().as_secs_f64()
+    };
+    let one = spin(1);
+    spin(2) / one
+}
+
 /// The engine used for one side of a measurement: the given strategy at
 /// the given thread count, everything else at the paper's defaults.
 ///
@@ -450,6 +471,12 @@ pub fn figure1_conflicts() -> Vec<f64> {
 mod tests {
     use super::*;
     use cc_workload::{Benchmark, WorkloadSpec};
+
+    #[test]
+    fn spin_ratio_is_a_positive_ratio() {
+        let ratio = spin_ratio(1 << 16);
+        assert!(ratio.is_finite() && ratio > 0.0, "{ratio}");
+    }
 
     #[test]
     fn timing_statistics() {

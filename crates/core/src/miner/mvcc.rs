@@ -33,14 +33,6 @@ use cc_mvcc::{MvccCommit, MvccError};
 use cc_primitives::pool::WorkerPool;
 use cc_stm::{retry, LockProfile, ProfileEntry, StmError};
 use cc_vm::{Receipt, TxnRef, World};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Garbage-collect versions below the oldest active snapshot after this
-/// many commits. GC is cheap (a pass over the version lists under their
-/// write locks) but not free; once per "a few dozen commits" keeps list
-/// lengths bounded by the active-transaction window without measurably
-/// slowing the commit path.
-const GC_COMMIT_INTERVAL: u64 = 64;
 
 /// Executes `transactions` on `world` as optimistic multi-version
 /// transactions on `pool`, then finalizes the block's versions into the
@@ -59,7 +51,6 @@ pub(super) fn execute(
 ) -> Result<Executed, CoreError> {
     let runtime = world.mvcc();
     let n = transactions.len();
-    let commits_done = AtomicU64::new(0);
 
     let (committed, retries) = execute_block(
         pool,
@@ -79,13 +70,7 @@ pub(super) fn execute(
                 tx.gas_limit,
             ) {
                 Ok(receipt) => match txn.commit() {
-                    Ok(commit) => {
-                        let done = commits_done.fetch_add(1, Ordering::Relaxed) + 1;
-                        if done.is_multiple_of(GC_COMMIT_INTERVAL) {
-                            runtime.collect();
-                        }
-                        Attempt::Committed((receipt, commit))
-                    }
+                    Ok(commit) => Attempt::Committed((receipt, commit)),
                     // First-committer-wins loser: the buffered writes
                     // are simply dropped, along with the intents; re-run
                     // at once, queued on the lock it lost on.

@@ -14,7 +14,7 @@
 //! predecessor's uncommitted post-state — so with a window of two or more
 //! validation of N+1 can proceed while N is still being sealed.
 //!
-//! Each pending block records a **boundary**: the oracle's newest commit
+//! Each pending block records a **boundary**: the runtime's newest commit
 //! timestamp once its replay has joined. Every version the block installed
 //! is at or below its boundary and above its predecessor's, which makes
 //! the overlay algebra exact:
@@ -40,11 +40,10 @@
 //!   pair, so the installs land in a schedule-consistent order — and
 //!   nothing else executes on the world meanwhile. The boundary is read,
 //!   and `finalize_below` / `discard_above` are called, only between
-//!   runs, after the last one has joined; MVCC garbage collection
-//!   ([`cc_mvcc::MvccRuntime::collect`]) would merge overlay versions
-//!   across boundaries and must not run while overlays are pending. The
-//!   follower pipeline drives the chain from one thread, one run at a
-//!   time, which satisfies all three.
+//!   runs, after the last one has joined. Nothing else cuts a version
+//!   list, so every overlay keeps its versions until its own flatten or
+//!   discard. The follower pipeline drives the chain from one thread, one
+//!   run at a time, which satisfies all three.
 //!
 //! A block caught *before* its versions reach the base (a speculate-time
 //! rejection) leaves the trusted state intact: the partial overlay is
@@ -133,7 +132,7 @@ impl<'w> PendingChain<'w> {
             max_in_flight: max_in_flight.max(1),
             pool,
             committed_hash: head_hash,
-            base_boundary: world.mvcc().oracle().latest(),
+            base_boundary: world.mvcc().latest(),
             entries: VecDeque::new(),
         }
     }
@@ -260,7 +259,7 @@ impl<'w> PendingChain<'w> {
         self.entries.push_back(PendingEntry {
             block,
             hash,
-            boundary: runtime.oracle().latest(),
+            boundary: runtime.latest(),
             report,
         });
         Ok(hash)

@@ -129,19 +129,34 @@ impl ScheduleMetadata {
         }
     }
 
-    /// Decodes a schedule written by [`ScheduleMetadata::encode`].
+    /// Decodes a schedule written by [`ScheduleMetadata::encode`]. Only
+    /// the canonical encoding decodes: a schedule that decodes re-encodes
+    /// to the same bytes.
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] on truncated or malformed input.
+    /// Returns a [`DecodeError`] on truncated or malformed input, a lock
+    /// mode byte [`LockMode::from_byte`] does not know, or a profile whose
+    /// locks are out of lock order ([`LockProfile::new`] would sort them).
     pub fn decode(dec: &mut Decoder<'_>) -> Result<ScheduleMetadata, DecodeError> {
         let index = |dec: &mut Decoder<'_>| dec.get_u64().map(|v| v as usize);
         let lock = |dec: &mut Decoder<'_>| {
             Ok(ProfileEntry {
                 lock: LockId::from_raw(dec.get_u64()?, dec.get_u64()?),
-                mode: LockMode::from_byte(dec.get_u8()?),
+                mode: LockMode::from_byte(dec.get_u8()?).ok_or(DecodeError {
+                    context: "unknown lock mode byte",
+                })?,
                 counter: dec.get_u64()?,
             })
+        };
+        let profile = |dec: &mut Decoder<'_>| {
+            let locks = dec.get_vec(lock)?;
+            if locks.windows(2).any(|pair| pair[0].lock > pair[1].lock) {
+                return Err(DecodeError {
+                    context: "profile locks out of lock order",
+                });
+            }
+            Ok(LockProfile::new(locks))
         };
         Ok(ScheduleMetadata {
             serial_order: dec.get_vec(index)?,
@@ -149,7 +164,7 @@ impl ScheduleMetadata {
             profiles: dec.get_vec(|dec| {
                 Ok(ProfileRecord {
                     tx_index: index(dec)?,
-                    profile: LockProfile::new(dec.get_vec(lock)?),
+                    profile: profile(dec)?,
                 })
             })?,
         })

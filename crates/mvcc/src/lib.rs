@@ -8,8 +8,6 @@
 //! or below its begin timestamp), buffers writes privately, and validates
 //! **first-committer-wins** at commit. The parts:
 //!
-//! * [`TimestampOracle`] — issues snapshot instants, tracks the active set
-//!   and exposes the garbage-collection horizon.
 //! * [`VersionedMap`] / [`VersionedCell`] — per-key version lists over
 //!   the boosted twin each one owns (the `cc_stm` collection holding the
 //!   committed single-version state), mirroring the boosted APIs
@@ -18,11 +16,12 @@
 //! * [`MvccTxn`] — read-set/write-set transactions with savepoints and
 //!   nested speculative actions; read-only transactions commit without
 //!   validation and therefore **never abort**.
-//! * [`MvccRuntime`] — the per-world oracle + commit mutex + hot-lock
-//!   write intents + collection registry; flattens versions at or below a
-//!   boundary into the boosted twins, discards versions above one, and
-//!   garbage-collects below the oldest active snapshot. Its module docs
-//!   ([`runtime`]) hold the intent rules.
+//! * [`MvccRuntime`] — the per-world newest published timestamp + commit
+//!   mutex + hot-lock write intents + collection registry; a snapshot is
+//!   one atomic load of that timestamp. Flattens versions at or below a
+//!   boundary into the boosted twins and discards versions above one,
+//!   between blocks; nothing prunes version lists within a block. Its
+//!   module docs ([`runtime`]) hold the snapshot and intent rules.
 //!
 //! ```
 //! use cc_mvcc::{MvccRuntime, VersionedMap};
@@ -47,14 +46,12 @@
 //! ```
 
 pub mod error;
-pub mod oracle;
 pub mod runtime;
 pub mod store;
 pub mod txn;
 
 pub use cc_primitives::ts::Timestamp;
 pub use error::MvccError;
-pub use oracle::TimestampOracle;
 pub use runtime::MvccRuntime;
 pub use store::{VersionedCell, VersionedMap};
 pub use txn::{MvccCommit, MvccSavepoint, MvccTxn};
@@ -65,6 +62,7 @@ mod tests {
     use cc_stm::{BoostedCell, BoostedMap, LockId, LockMode, LockSpace};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{mpsc, Arc};
     use std::thread;
     use std::time::{Duration, Instant};
@@ -273,7 +271,6 @@ mod tests {
             "the snapshot moved past the holder"
         );
         assert!(commit.expect("no retry needed").ts > won.ts);
-        assert_eq!(runtime.oracle().active_count(), 0, "the old snapshot ended");
     }
 
     #[test]
@@ -355,7 +352,6 @@ mod tests {
             assert_eq!(seen, expected, "{end:?}");
             commit.unwrap_or_else(|e| panic!("{end:?}: {e}"));
             assert_eq!(holder.join().is_err(), end == End::Panic, "{end:?}");
-            assert_eq!(runtime.oracle().active_count(), 0, "{end:?}");
         }
     }
 
@@ -396,10 +392,10 @@ mod tests {
     fn finalize_below_and_discard_above_clear_hot_flags() {
         let (runtime, map) = fixture();
         heat(&runtime, &map);
-        runtime.finalize_below(runtime.oracle().latest());
+        runtime.finalize_below(runtime.latest());
         assert_eq!(runtime.hot(), 0, "flattening starts the next block cold");
         heat(&runtime, &map);
-        runtime.discard_above(runtime.oracle().latest());
+        runtime.discard_above(runtime.latest());
         assert_eq!(runtime.hot(), 0, "discarding starts the next block cold");
     }
 
@@ -451,6 +447,72 @@ mod tests {
         );
     }
 
+    /// A snapshot is one load of the newest published timestamp, so it
+    /// must never see half a commit. Writers commit a map key and a cell
+    /// (two collections, installed one after the other) to equal values
+    /// in a loop; readers on other threads begin and must read them equal.
+    #[test]
+    fn concurrent_snapshots_never_see_half_a_commit() {
+        const WRITERS: u64 = 2;
+        const COMMITS: u64 = 2_000;
+        const READERS: usize = 2;
+        let runtime = MvccRuntime::new();
+        let (map, _) = map_over(&runtime, "test.pair", &[(1, 0)]);
+        let cell = VersionedCell::new(&runtime, BoostedCell::new("test.pair.cell", 0u64));
+        let shared = Arc::new((runtime, map, cell));
+        let committed = Arc::new(AtomicU64::new(0));
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                let (shared, committed) = (Arc::clone(&shared), Arc::clone(&committed));
+                thread::spawn(move || {
+                    let (runtime, map, cell) = &*shared;
+                    let mut reads = 0u64;
+                    while committed.load(Ordering::Relaxed) < WRITERS * COMMITS || reads == 0 {
+                        let txn = runtime.begin();
+                        let (left, right) = (map.get(&txn, &1), cell.get(&txn));
+                        assert_eq!(left, Some(right), "a torn snapshot at {:?}", txn.begin_ts());
+                        assert!(txn.commit().expect("readers never abort").read_only);
+                        reads += 1;
+                    }
+                    reads
+                })
+            })
+            .collect();
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|_| {
+                let (shared, committed) = (Arc::clone(&shared), Arc::clone(&committed));
+                thread::spawn(move || {
+                    let (runtime, map, cell) = &*shared;
+                    let mut done = 0;
+                    while done < COMMITS {
+                        let txn = runtime.begin();
+                        let next = cell.get(&txn) + 1;
+                        map.insert(&txn, 1, next);
+                        cell.set(&txn, next);
+                        if txn.commit().is_ok() {
+                            done += 1;
+                            committed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for writer in writers {
+            writer.join().expect("a writer panicked");
+        }
+        for reader in readers {
+            assert!(reader.join().expect("a reader saw a torn snapshot") > 0);
+        }
+        let (runtime, map, cell) = &*shared;
+        let check = runtime.begin();
+        assert_eq!(
+            cell.get(&check),
+            WRITERS * COMMITS,
+            "every commit landed once"
+        );
+        assert_eq!(map.get(&check, &1), Some(WRITERS * COMMITS));
+    }
+
     #[test]
     fn finalize_flattens_newest_versions_into_base() {
         let (runtime, map) = fixture();
@@ -472,45 +534,23 @@ mod tests {
     }
 
     #[test]
-    fn collect_prunes_below_oldest_active_snapshot() {
-        let (runtime, map) = fixture();
-        for round in 0..5u64 {
-            let txn = runtime.begin();
-            map.insert(&txn, 1, round);
-            txn.commit().unwrap();
-        }
-        // A pinned old snapshot keeps its resolution alive through GC.
-        let pinned = runtime.begin();
-        let seen_before = map.get(&pinned, &1);
-        runtime.collect();
-        assert_eq!(map.get(&pinned, &1), seen_before);
-        pinned.commit().unwrap();
-
-        // With nothing active, GC trims every list to its newest version.
-        runtime.collect();
-        let txn = runtime.begin();
-        assert_eq!(map.get(&txn, &1), Some(4));
-        txn.commit().unwrap();
-    }
-
-    #[test]
     fn finalize_below_commits_overlays_in_order() {
         let runtime = MvccRuntime::new();
         let (map, base) = map_over(&runtime, "test.overlay", &[(1, 100), (2, 200)]);
 
-        // Two "blocks" of speculated writes, each bounded by the oracle
+        // Two "blocks" of speculated writes, each bounded by the published
         // instant recorded after its last commit.
         let txn = runtime.begin();
         map.insert(&txn, 1, 111);
         map.insert(&txn, 3, 333);
         txn.commit().unwrap();
-        let boundary1 = runtime.oracle().latest();
+        let boundary1 = runtime.latest();
 
         let txn = runtime.begin();
         map.insert(&txn, 1, 222);
         map.add(&txn, 2, 200u64.wrapping_neg());
         txn.commit().unwrap();
-        let boundary2 = runtime.oracle().latest();
+        let boundary2 = runtime.latest();
 
         // Committing the first overlay flattens only its versions…
         runtime.finalize_below(boundary1);
@@ -537,7 +577,7 @@ mod tests {
         let txn = runtime.begin();
         map.insert(&txn, 1, 111);
         txn.commit().unwrap();
-        let boundary1 = runtime.oracle().latest();
+        let boundary1 = runtime.latest();
 
         let txn = runtime.begin();
         map.insert(&txn, 1, 999);
@@ -567,12 +607,12 @@ mod tests {
         let txn = runtime.begin();
         tally.add(&txn, 7, 3);
         txn.commit().unwrap();
-        let boundary1 = runtime.oracle().latest();
+        let boundary1 = runtime.latest();
 
         let txn = runtime.begin();
         tally.add(&txn, 7, 4);
         txn.commit().unwrap();
-        let boundary2 = runtime.oracle().latest();
+        let boundary2 = runtime.latest();
 
         runtime.finalize_below(boundary1);
         assert_eq!(base.peek(&7), Some(3));
@@ -699,8 +739,8 @@ mod tests {
 
     /// Runs `program` serially against `subject` and its reference:
     /// read-your-writes after every operation, fresh-snapshot reads after
-    /// every commit and abort, GC with a snapshot pinned before the
-    /// writer, stacked overlays flattened (`finalize_below`) or rolled
+    /// every commit and abort, a snapshot pinned before the writer that
+    /// still reads the state it began at, stacked overlays flattened (`finalize_below`) or rolled
     /// away (`discard_above`) at random, and the base equal to the
     /// reference at the newest flattened boundary throughout.
     fn check_against_reference<S: Subject>(
@@ -711,10 +751,10 @@ mod tests {
         let mut state = subject.base();
         // The last flattened boundary with its state, and the sealed
         // overlays stacked above it, oldest first.
-        let mut base = (runtime.oracle().latest(), state.clone());
+        let mut base = (runtime.latest(), state.clone());
         let mut pending: Vec<(Timestamp, S::State)> = Vec::new();
         let seal = |pending: &mut Vec<(Timestamp, S::State)>, state: &S::State| {
-            pending.push((runtime.oracle().latest(), state.clone()));
+            pending.push((runtime.latest(), state.clone()));
         };
 
         for (ops, commit, lifecycle) in program {
@@ -732,12 +772,8 @@ mod tests {
                 txn.abort();
             }
 
-            // GC keeps the pinned snapshot's resolution. It may only run
-            // while no sealed overlay waits below the horizon: it would
-            // prune the versions `finalize_below` flattens.
-            if pending.is_empty() {
-                runtime.collect();
-            }
+            // The pinned snapshot still reads what it read before the
+            // writer ran.
             prop_assert_eq!(subject.view(&pinned.0), pinned.1);
             drop(pinned);
 

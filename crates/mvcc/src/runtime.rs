@@ -1,5 +1,18 @@
-//! The per-world optimistic runtime: oracle, commit mutex, hot-lock write
-//! intents and the registry of versioned collections.
+//! The per-world optimistic runtime: the newest published timestamp, the
+//! commit mutex, hot-lock write intents and the registry of versioned
+//! collections.
+//!
+//! # Snapshots
+//!
+//! A snapshot is one atomic load of `latest`, the newest **fully
+//! installed** commit timestamp: a committer allocates `latest + 1` while
+//! holding the commit mutex, installs every version of the transaction,
+//! and only then publishes the new value. A transaction that begins at
+//! `latest` therefore sees a consistent snapshot: every version at or
+//! below it is completely installed, and anything newer is filtered out
+//! by timestamp. Nothing registers a snapshot: version lists are cut only
+//! between blocks ([`MvccRuntime::finalize_below`],
+//! [`MvccRuntime::discard_above`]), when no transaction runs.
 //!
 //! # Hot-lock write intents
 //!
@@ -20,11 +33,10 @@
 //!    retry ([`MvccRuntime::begin_holding`]) parks for the intent of the
 //!    lock its previous attempt lost on before it fixes its snapshot.
 //! 2. **Extend.** Having taken an intent mid-run, the transaction
-//!    registers a new snapshot with the oracle, then re-validates what it
-//!    read and wrote against the old one. If nothing changed, it moves to
-//!    the new snapshot (so it sees whatever the previous holder published)
-//!    and ends the old one; otherwise it keeps the old snapshot and will
-//!    lose at commit, as it would have anyway.
+//!    re-validates what it read and wrote against its snapshot. If
+//!    nothing changed, it moves to the newest published timestamp (so it
+//!    sees whatever the previous holder published); otherwise it keeps
+//!    the old snapshot and will lose at commit, as it would have anyway.
 //! 3. **Writers respect intents.** Under the commit mutex, every
 //!    non-`Shared` footprint lock on a hot stripe must be held by the
 //!    committer or try-acquired; a failed try is a conflict on that lock.
@@ -46,7 +58,6 @@
 //! relaxed load; nothing is counted or allocated per transaction.
 //! Validators never mark anything hot, because their replays do not lose.
 
-use crate::oracle::TimestampOracle;
 use crate::store::MvccCollection;
 use crate::txn::MvccTxn;
 use cc_primitives::ts::Timestamp;
@@ -87,14 +98,15 @@ impl Default for Intents {
     }
 }
 
-/// Shared state for one world's optimistic execution: the timestamp
-/// oracle, the first-committer-wins commit mutex, the hot-lock write
-/// intents (see the module docs), and every versioned collection that has
-/// been touched (so block finalization and garbage collection can reach
+/// Shared state for one world's optimistic execution: the newest
+/// published timestamp, the first-committer-wins commit mutex, the
+/// hot-lock write intents (see the module docs), and every versioned
+/// collection that has been touched (so the block lifecycle can reach
 /// them all).
 #[derive(Default)]
 pub struct MvccRuntime {
-    oracle: TimestampOracle,
+    /// Newest fully installed commit timestamp (see the module docs).
+    latest: AtomicU64,
     commit: Mutex<()>,
     /// Bit `s` set: stripe `s` is hot.
     hot: AtomicU64,
@@ -144,16 +156,26 @@ impl MvccRuntime {
         if held != 0 {
             self.take_intent(held, true);
         }
-        MvccTxn::new(self, self.oracle.begin(), held)
+        MvccTxn::new(self, self.latest(), held)
     }
 
-    /// The runtime's timestamp oracle.
-    pub fn oracle(&self) -> &TimestampOracle {
-        &self.oracle
+    /// The newest fully installed commit timestamp: the snapshot a
+    /// transaction beginning now reads.
+    pub fn latest(&self) -> Timestamp {
+        Timestamp::from_raw(self.latest.load(Ordering::Acquire))
+    }
+
+    /// Publishes `ts` as fully installed. Called with the commit mutex
+    /// held, after every version of the committing transaction has been
+    /// installed, so a concurrent `begin` never observes a half-installed
+    /// commit: this `Release` store pairs with the `Acquire` load of
+    /// [`latest`](Self::latest).
+    pub(crate) fn publish(&self, ts: Timestamp) {
+        self.latest.store(ts.raw(), Ordering::Release);
     }
 
     /// Registers a versioned collection (each registers itself when
-    /// built) so the block lifecycle and [`MvccRuntime::collect`] reach it.
+    /// built) so the block lifecycle reaches it.
     pub(crate) fn register(&self, collection: Arc<dyn MvccCollection>) {
         self.collections.lock().push(collection);
     }
@@ -164,13 +186,13 @@ impl MvccRuntime {
     /// transaction of a block committed, before the state root is
     /// computed; must not run concurrently with active transactions.
     pub fn finalize_block(&self) {
-        self.finalize_below(self.oracle.latest());
+        self.finalize_below(self.latest());
     }
 
     /// Flattens every version at or below `boundary` into the boosted
     /// twins, keeping newer versions stacked above them — the
     /// **pending-overlay commit**. A speculatively validated block's
-    /// versions all carry timestamps at or below the oracle instant
+    /// versions all carry timestamps at or below the published instant
     /// recorded when its replay finished; flattening up to that boundary
     /// commits exactly that block while later speculated blocks stay
     /// pending. Clears every hot stripe. Like
@@ -193,20 +215,6 @@ impl MvccRuntime {
         self.hot.store(0, Ordering::Relaxed);
         for collection in self.collections.lock().iter() {
             collection.discard_above(boundary);
-        }
-    }
-
-    /// Garbage-collects versions that no active or future snapshot can
-    /// read: in every version list, versions older than the newest one at
-    /// or below the oldest active begin timestamp are dropped. It only
-    /// prunes (nothing reaches the boosted twins), so it must not run
-    /// while a pending overlay's boundary lies below the horizon: it would
-    /// drop versions that overlay's `finalize_below` flattens. Safe to run
-    /// concurrently with transactions.
-    pub fn collect(&self) {
-        let horizon = self.oracle.horizon();
-        for collection in self.collections.lock().iter() {
-            collection.collect(horizon);
         }
     }
 
@@ -270,8 +278,7 @@ impl MvccRuntime {
 impl fmt::Debug for MvccRuntime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MvccRuntime")
-            .field("latest", &self.oracle.latest())
-            .field("active", &self.oracle.active_count())
+            .field("latest", &self.latest())
             .field("hot", &format_args!("{:#x}", self.hot()))
             .field("collections", &self.collections.lock().len())
             .finish()

@@ -61,10 +61,6 @@ impl<T: Clone + Send + Sync + 'static> MvccCollection for CellCore<T> {
     fn discard_above(&self, boundary: Timestamp) {
         self.versions.discard_above(boundary);
     }
-
-    fn collect(&self, horizon: Timestamp) {
-        self.versions.collect(horizon);
-    }
 }
 
 /// A multi-version scalar: snapshot reads, one buffered write per

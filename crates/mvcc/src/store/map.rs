@@ -112,10 +112,6 @@ where
     fn discard_above(&self, boundary: Timestamp) {
         self.versions.discard_above(boundary);
     }
-
-    fn collect(&self, horizon: Timestamp) {
-        self.versions.collect(horizon);
-    }
 }
 
 /// A multi-version map: snapshot reads, buffered writes, fall-through to

@@ -57,8 +57,6 @@ pub(crate) trait MvccCollection: Send + Sync {
     /// predecessor failed (or whose own replay diverged) is rolled away by
     /// cutting the version lists back to its predecessor's boundary.
     fn discard_above(&self, boundary: Timestamp);
-    /// Drops versions no snapshot at or after `horizon` can read.
-    fn collect(&self, horizon: Timestamp);
 }
 
 /// Per-key version lists behind one reader-writer lock. A scalar (the
@@ -159,18 +157,6 @@ impl<K: Hash + Eq, T> Versions<K, T> {
             !list.is_empty()
         });
     }
-
-    /// Trims every list to the suffix still reachable from `horizon`: the
-    /// newest version at or below it (the one every current and future
-    /// snapshot resolves to) plus everything newer. Only prunes: nothing
-    /// moves into the boosted twin.
-    fn collect(&self, horizon: Timestamp) {
-        for list in self.0.write().values_mut() {
-            if let Some(keep_from) = list.iter().rposition(|v| v.ts <= horizon) {
-                list.drain(..keep_from);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -188,32 +174,6 @@ mod tests {
             versions.install(ts(raw), [((), additive)], |_, _, additive| (raw, additive));
         }
         versions
-    }
-
-    #[test]
-    fn prune_keeps_newest_reachable_version() {
-        let list = versions(&[(1, false), (3, false), (7, false)]);
-        list.collect(ts(5));
-        assert_eq!(
-            list.read_at(&(), ts(5), |v| v.cloned()),
-            Some(3),
-            "t3 resolves the horizon"
-        );
-        assert_eq!(list.read_at(&(), ts(2), |v| v.cloned()), None, "t1 is gone");
-        assert_eq!(list.read_at(&(), ts(7), |v| v.cloned()), Some(7));
-
-        let all_old = versions(&[(1, false), (2, false)]);
-        all_old.collect(ts(9));
-        assert_eq!(all_old.read_at(&(), ts(1), |v| v.cloned()), None);
-        assert_eq!(all_old.read_at(&(), ts(9), |v| v.cloned()), Some(2));
-
-        let all_new = versions(&[(8, false)]);
-        all_new.collect(ts(5));
-        assert_eq!(
-            all_new.read_at(&(), ts(8), |v| v.cloned()),
-            Some(8),
-            "nothing at or below"
-        );
     }
 
     #[test]

@@ -160,20 +160,20 @@ impl<'rt> MvccTxn<'rt> {
 
     /// Moves the snapshot to the newest installed instant if nothing this
     /// transaction read or wrote gained a version since its own. The new
-    /// snapshot is registered before the old one ends, so the
-    /// garbage-collection horizon never passes a version either may read.
+    /// instant is loaded before validating, so every commit at or below it
+    /// is among those validated against; a later one is above the new
+    /// snapshot, where commit-time validation sees it.
     fn extend_snapshot(&self) {
-        let oracle = self.runtime.oracle();
-        let (old, new) = (self.begin_ts.get(), oracle.begin());
+        let (old, new) = (self.begin_ts.get(), self.runtime.latest());
         let unchanged = self
             .inner
             .borrow()
             .slots
             .values()
             .all(|p| p.validate(old).is_ok());
-        let (kept, ended) = if unchanged { (new, old) } else { (old, new) };
-        self.begin_ts.set(kept);
-        oracle.finish(ended);
+        if unchanged {
+            self.begin_ts.set(new);
+        }
     }
 
     /// Runs `f` over the buffered state of the collection whose version
@@ -309,13 +309,13 @@ impl<'rt> MvccTxn<'rt> {
             runtime.mark_hot(lock);
             return Err(MvccError::Conflict { begin_ts, lock });
         }
-        let ts = runtime.oracle().latest().next();
+        let ts = runtime.latest().next();
         for pending in inner.slots.values_mut() {
             pending.install(ts);
         }
         // Publish only after every version is in place, so a concurrent
         // `begin` can never observe a half-installed commit.
-        runtime.oracle().publish(ts);
+        runtime.publish(ts);
         drop(guard);
         Ok(MvccCommit {
             ts,
@@ -331,12 +331,11 @@ impl<'rt> MvccTxn<'rt> {
 }
 
 impl Drop for MvccTxn<'_> {
-    /// Ends the transaction in the oracle and releases its intents,
-    /// whether it committed, aborted or was dropped in flight (panic,
-    /// early return): the garbage-collection horizon must move on, and a
-    /// parked waiter must wake.
+    /// Releases the transaction's intents, whether it committed, aborted
+    /// or was dropped in flight (panic, early return): a parked waiter
+    /// must wake. Nothing else outlives a transaction: its snapshot was
+    /// one load, and its buffered writes drop with it.
     fn drop(&mut self) {
-        self.runtime.oracle().finish(self.begin_ts.get());
         self.runtime.release_intents(self.intents.get());
     }
 }

@@ -169,13 +169,22 @@ impl<'a> Decoder<'a> {
         Ok(self.take(1, "u8")?[0])
     }
 
-    /// Reads a bool (one byte; anything nonzero is `true`).
+    /// Reads a bool: one byte, 0 or 1, as [`Encoder::put_bool`] writes
+    /// it.
     ///
     /// # Errors
     ///
-    /// Fails if the input is exhausted.
+    /// Fails if the input is exhausted or the byte is neither 0 nor 1 (a
+    /// second byte for the same value would make the encoding
+    /// non-canonical).
     pub fn get_bool(&mut self) -> Result<bool, DecodeError> {
-        Ok(self.get_u8()? != 0)
+        match self.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(DecodeError {
+                context: "bool byte other than 0 or 1",
+            }),
+        }
     }
 
     /// Reads `N` raw bytes as an array (no length prefix): a hash, an

@@ -1,7 +1,7 @@
 //! Commit timestamps for multi-version concurrency control.
 //!
 //! A [`Timestamp`] is a monotonically increasing logical instant assigned
-//! by a timestamp oracle. Timestamp `0` ([`Timestamp::BASE`]) denotes the
+//! by the multi-version runtime (`cc_mvcc`) under its commit mutex. Timestamp `0` ([`Timestamp::BASE`]) denotes the
 //! pre-block base state: every version installed during a block carries a
 //! strictly positive timestamp, so a reader whose snapshot is `BASE` sees
 //! only the backing store.

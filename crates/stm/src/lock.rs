@@ -248,13 +248,14 @@ impl LockMode {
         }
     }
 
-    /// Decodes a mode from [`LockMode::to_byte`]; unknown bytes decode to
-    /// `Exclusive` (the conservative choice).
-    pub fn from_byte(b: u8) -> LockMode {
+    /// Decodes a mode from [`LockMode::to_byte`]; any other byte is
+    /// `None`, so each mode has exactly one byte.
+    pub fn from_byte(b: u8) -> Option<LockMode> {
         match b {
-            0 => LockMode::Additive,
-            2 => LockMode::Shared,
-            _ => LockMode::Exclusive,
+            0 => Some(LockMode::Additive),
+            1 => Some(LockMode::Exclusive),
+            2 => Some(LockMode::Shared),
+            _ => None,
         }
     }
 }
@@ -328,9 +329,10 @@ mod tests {
         assert_eq!(Shared.strongest(Additive), Exclusive);
         assert_eq!(Shared.strongest(Exclusive), Exclusive);
         for mode in [Shared, Additive, Exclusive] {
-            assert_eq!(LockMode::from_byte(mode.to_byte()), mode);
+            assert_eq!(LockMode::from_byte(mode.to_byte()), Some(mode));
         }
-        assert_eq!(LockMode::from_byte(200), Exclusive);
+        assert_eq!(LockMode::from_byte(3), None);
+        assert_eq!(LockMode::from_byte(200), None);
     }
 
     #[test]

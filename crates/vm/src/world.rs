@@ -110,9 +110,8 @@ impl World {
 
     /// The optimistic (multi-version) runtime of this world. Storage
     /// wrappers lazily register their versioned overlays here on first
-    /// MVCC access; an optimistic miner uses it to begin transactions,
-    /// garbage-collect old versions and finalize the block's versions
-    /// into the boosted base state.
+    /// MVCC access; an optimistic miner uses it to begin transactions
+    /// and to finalize the block's versions into the boosted base state.
     pub fn mvcc(&self) -> &MvccRuntime {
         &self.mvcc
     }

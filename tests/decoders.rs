@@ -10,9 +10,14 @@
 //!   so every count and every length prefix is forged each way;
 //! - a valid encoding cut at every byte.
 //!
-//! A panic fails a row. An allocation sized from a forged count aborts
-//! the whole binary, which no `catch_unwind` can stop: the
-//! `a_forged_count_*` rows are the four inputs that did.
+//! A panic fails a row, and so does an input that decodes but re-encodes
+//! to other bytes: decoding is canonical, so two byte strings never
+//! decode to the same value. An allocation sized from a forged count
+//! aborts the whole binary, which no `catch_unwind` can stop: the
+//! `a_forged_count_*` rows are the four inputs that did. The rows after
+//! them are the three inputs that once decoded non-canonically: a lock
+//! mode byte other than 0, 1 or 2, a bool byte other than 0 or 1, and a
+//! profile's locks out of lock order.
 //!
 //! Debug builds draw few random cases, release builds many (CI runs this
 //! binary in release).
@@ -46,6 +51,35 @@ fn encoded(encode: impl FnOnce(&mut Encoder)) -> Vec<u8> {
     let mut enc = Encoder::new();
     encode(&mut enc);
     enc.into_bytes()
+}
+
+/// `encode` as a function from a value to its bytes.
+fn encoding<T>(encode: impl Fn(&T, &mut Encoder)) -> impl Fn(&T) -> Vec<u8> {
+    move |value| encoded(|enc| encode(value, enc))
+}
+
+/// Asserts that what `bytes` decoded to, if anything, re-encodes to
+/// `bytes`.
+fn assert_canonical<T: std::fmt::Debug, E>(
+    bytes: &[u8],
+    decoded: &Result<T, E>,
+    encode: impl Fn(&T) -> Vec<u8>,
+) {
+    if let Ok(value) = decoded {
+        assert!(
+            encode(value) == bytes,
+            "{value:?} decoded from bytes it does not re-encode to"
+        );
+    }
+}
+
+/// [`whole`], then [`assert_canonical`].
+fn canonical<T: std::fmt::Debug>(
+    bytes: &[u8],
+    decode: impl FnOnce(&mut Decoder<'_>) -> Result<T, DecodeError>,
+    encode: impl Fn(&T, &mut Encoder),
+) {
+    assert_canonical(bytes, &whole(bytes, decode), encoding(encode));
 }
 
 /// Decodes all of `bytes` with `decode`: trailing bytes are an error.
@@ -145,6 +179,13 @@ fn sample_block(seed: u64) -> Block {
     }
 }
 
+/// A WAL seal frame's payload: the tag, then `block`.
+fn seal_of(block: &Block) -> Vec<u8> {
+    let mut seal = vec![SEAL_TAG];
+    seal.extend_from_slice(&encoded(|enc| block.encode(enc)));
+    seal
+}
+
 /// `payload` behind a length and its recomputed checksum: one WAL frame.
 fn wal_file(payload: &[u8]) -> Vec<u8> {
     let mut file = WAL_HEADER.to_vec();
@@ -161,6 +202,11 @@ fn checkpoint_file(payload: &[u8]) -> Vec<u8> {
     file.extend_from_slice(&checksum64(payload).to_le_bytes());
     file.extend_from_slice(payload);
     file
+}
+
+/// The payload of a checkpoint file: what [`checkpoint_file`] wraps.
+fn payload_of(file: &SnapshotFile) -> Vec<u8> {
+    file.to_bytes()[checkpoint_file(&[]).len()..].to_vec()
 }
 
 /// A checkpoint payload anchored at `block`, holding `block_bytes`.
@@ -192,9 +238,16 @@ fn scan_frame(tag: &str, payload: &[u8]) -> std::io::Result<wal::WalScan> {
 /// Runs `decode` over `valid` (which must decode), over every cut of it
 /// (which must not), and over a copy with the eight bytes at each offset
 /// forged to 0, to one more than the bytes behind them and to
-/// `u64::MAX` (which may decode or not). Returning at all is the pass.
-fn sweep<T, E: std::fmt::Debug>(valid: &[u8], decode: impl Fn(&[u8]) -> Result<T, E>) {
-    decode(valid).expect("the valid encoding decodes");
+/// `u64::MAX` (which may decode or not). Whatever decodes must
+/// re-encode, by `encode`, to the bytes it came from.
+fn sweep<T: std::fmt::Debug, E: std::fmt::Debug>(
+    valid: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, E>,
+    encode: impl Fn(&T) -> Vec<u8>,
+) {
+    let decoded = decode(valid);
+    assert!(decoded.is_ok(), "the valid encoding decodes");
+    assert_canonical(valid, &decoded, &encode);
     for len in 0..valid.len() {
         assert!(decode(&valid[..len]).is_err(), "a cut at {len} decoded");
     }
@@ -203,7 +256,7 @@ fn sweep<T, E: std::fmt::Debug>(valid: &[u8], decode: impl Fn(&[u8]) -> Result<T
         for forged in [0, left + 1, u64::MAX] {
             let mut bytes = valid.to_vec();
             bytes[at..at + 8].copy_from_slice(&forged.to_le_bytes());
-            let _ = decode(&bytes);
+            assert_canonical(&bytes, &decode(&bytes), &encode);
         }
     }
 }
@@ -213,37 +266,50 @@ proptest! {
 
     #[test]
     fn random_bytes_decode_or_fail_typed(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = whole(&bytes, CallData::decode);
-        let _ = whole(&bytes, Transaction::decode);
-        let _ = whole(&bytes, Receipt::decode);
-        let _ = whole(&bytes, ScheduleMetadata::decode);
-        let _ = whole(&bytes, Block::decode);
-        let _ = SnapshotFile::from_bytes(&bytes);
-        let _ = SnapshotFile::from_bytes(&checkpoint_file(&bytes));
+        canonical(&bytes, CallData::decode, CallData::encode);
+        canonical(&bytes, Transaction::decode, Transaction::encode);
+        canonical(&bytes, Receipt::decode, Receipt::encode);
+        canonical(&bytes, ScheduleMetadata::decode, ScheduleMetadata::encode);
+        canonical(&bytes, Block::decode, Block::encode);
+        assert_canonical(&bytes, &SnapshotFile::from_bytes(&bytes), SnapshotFile::to_bytes);
+        let file = checkpoint_file(&bytes);
+        assert_canonical(&file, &SnapshotFile::from_bytes(&file), SnapshotFile::to_bytes);
         let mut seal = vec![SEAL_TAG];
         seal.extend_from_slice(&bytes);
         let scan = scan_frame("random.log", &seal).expect("a format-2 log scans");
         prop_assert!(scan.blocks.len() <= 1);
+        if let Some(block) = scan.blocks.first() {
+            prop_assert_eq!(seal_of(block), seal);
+        }
     }
 
     #[test]
     fn forged_and_cut_encodings_decode_or_fail_typed(seed in any::<u64>()) {
         let block = sample_block(seed);
-        for tx in &block.transactions {
-            sweep(&encoded(|enc| tx.call.encode(enc)), |b| whole(b, CallData::decode));
-            sweep(&encoded(|enc| tx.encode(enc)), |b| whole(b, Transaction::decode));
+        let (call, tx, receipt, schedule, block_encoding) = (
+            encoding(CallData::encode),
+            encoding(Transaction::encode),
+            encoding(Receipt::encode),
+            encoding(ScheduleMetadata::encode),
+            encoding(Block::encode),
+        );
+        for t in &block.transactions {
+            sweep(&call(&t.call), |b| whole(b, CallData::decode), &call);
+            sweep(&tx(t), |b| whole(b, Transaction::decode), &tx);
         }
-        for receipt in &block.receipts {
-            sweep(&encoded(|enc| receipt.encode(enc)), |b| whole(b, Receipt::decode));
+        for r in &block.receipts {
+            sweep(&receipt(r), |b| whole(b, Receipt::decode), &receipt);
         }
-        if let Some(schedule) = &block.schedule {
-            sweep(&encoded(|enc| schedule.encode(enc)), |b| whole(b, ScheduleMetadata::decode));
+        if let Some(s) = &block.schedule {
+            sweep(&schedule(s), |b| whole(b, ScheduleMetadata::decode), &schedule);
         }
-        let block_bytes = encoded(|enc| block.encode(enc));
-        sweep(&block_bytes, |b| whole(b, Block::decode));
-        sweep(&checkpoint_payload(&block, &block_bytes), |b| {
-            SnapshotFile::from_bytes(&checkpoint_file(b))
-        });
+        let block_bytes = block_encoding(&block);
+        sweep(&block_bytes, |b| whole(b, Block::decode), &block_encoding);
+        sweep(
+            &checkpoint_payload(&block, &block_bytes),
+            |b| SnapshotFile::from_bytes(&checkpoint_file(b)),
+            payload_of,
+        );
     }
 }
 
@@ -251,14 +317,16 @@ proptest! {
 #[test]
 fn forged_and_cut_wal_frames_scan_or_stop() {
     let block = sample_block(0b10_1011);
-    let mut seal = vec![SEAL_TAG];
-    seal.extend_from_slice(&encoded(|enc| block.encode(enc)));
     // A frame that does not decode ends the scan: what is left is the
     // empty prefix, not an error.
-    sweep(&seal, |payload| {
-        let scan = scan_frame("sweep.log", payload).expect("a format-2 log scans");
-        scan.blocks.into_iter().next().ok_or("no block")
-    });
+    sweep(
+        &seal_of(&block),
+        |payload| {
+            let scan = scan_frame("sweep.log", payload).expect("a format-2 log scans");
+            scan.blocks.into_iter().next().ok_or("no block")
+        },
+        seal_of,
+    );
 }
 
 /// The bytes of a call to `function` claiming 2^40 arguments, with a
@@ -323,6 +391,77 @@ fn a_forged_count_of_2_pow_40_profile_locks_is_refused() {
     refused_count(ScheduleMetadata::decode(&mut Decoder::new(
         &schedule_claiming_2_pow_40(2),
     )));
+}
+
+/// A schedule of one transaction whose profile holds one lock per
+/// `(key, mode byte)` of `locks`, in that order: any mode byte and any
+/// lock order can be written.
+fn schedule_with_locks(locks: &[(u64, u8)]) -> Vec<u8> {
+    encoded(|enc| {
+        enc.put_u64(1); // serial order: transaction 0
+        enc.put_u64(0);
+        enc.put_u64(0); // no edges
+        enc.put_u64(1); // one profile…
+        enc.put_u64(0); // …of transaction 0
+        enc.put_u64(locks.len() as u64);
+        for &(key, mode) in locks {
+            enc.put_u64(1); // space
+            enc.put_u64(key);
+            enc.put_u8(mode);
+            enc.put_u64(key); // counter
+        }
+    })
+}
+
+#[test]
+fn a_lock_mode_byte_other_than_0_1_or_2_is_refused() {
+    for (byte, mode) in [
+        (0, LockMode::Additive),
+        (1, LockMode::Exclusive),
+        (2, LockMode::Shared),
+    ] {
+        let schedule = whole(&schedule_with_locks(&[(1, byte)]), ScheduleMetadata::decode);
+        assert_eq!(schedule.unwrap().profiles[0].profile.locks[0].mode, mode);
+    }
+    for byte in [3, 7, 0xff] {
+        let refused = whole(&schedule_with_locks(&[(1, byte)]), ScheduleMetadata::decode);
+        assert_eq!(refused.unwrap_err().context, "unknown lock mode byte");
+    }
+}
+
+#[test]
+fn a_bool_byte_other_than_0_or_1_is_refused() {
+    let call = |byte: u8| {
+        encoded(|enc| {
+            enc.put_str("vote");
+            enc.put_u64(1); // one argument…
+            enc.put_u8(1); // …a bool…
+            enc.put_u8(byte); // …of this byte
+        })
+    };
+    for (byte, value) in [(0, false), (1, true)] {
+        let decoded = whole(&call(byte), CallData::decode).unwrap();
+        assert_eq!(decoded, CallData::new("vote", vec![ArgValue::Bool(value)]));
+    }
+    for byte in [2, 0xff] {
+        let refused = whole(&call(byte), CallData::decode);
+        assert_eq!(refused.unwrap_err().context, "bool byte other than 0 or 1");
+    }
+}
+
+#[test]
+fn profile_locks_out_of_lock_order_are_refused() {
+    let sorted = schedule_with_locks(&[(1, 1), (2, 2)]);
+    canonical(&sorted, ScheduleMetadata::decode, ScheduleMetadata::encode);
+    assert!(whole(&sorted, ScheduleMetadata::decode).is_ok());
+    let swapped = whole(
+        &schedule_with_locks(&[(2, 2), (1, 1)]),
+        ScheduleMetadata::decode,
+    );
+    assert_eq!(
+        swapped.unwrap_err().context,
+        "profile locks out of lock order"
+    );
 }
 
 /// The encoding of a block that extends `parent` with one transaction

@@ -230,7 +230,7 @@ fn run_program(optimistic: bool, seed: [Model; 2], steps: &[RawStep]) -> Result<
     // runs ahead of `base` until a flatten, and falls back on a discard.
     let mut base = seed;
     let mut pending = base.clone();
-    let mut base_boundary = world.mvcc().oracle().latest();
+    let mut base_boundary = world.mvcc().latest();
     // The previous step's root and world image. Recovery checks replayed
     // worlds by root alone, so the root must commit to everything the
     // image holds: one moves exactly when the other does. (None before
@@ -282,7 +282,7 @@ fn run_program(optimistic: bool, seed: [Model; 2], steps: &[RawStep]) -> Result<
             }
             // Flatten every committed version into the base state.
             6 if optimistic => {
-                base_boundary = world.mvcc().oracle().latest();
+                base_boundary = world.mvcc().latest();
                 world.mvcc().finalize_below(base_boundary);
                 base = pending.clone();
             }
