@@ -11,7 +11,7 @@
 
 use cc_primitives::fnv::fnv1a_of;
 use cc_primitives::fx::ShardedRawTable;
-use cc_stm::{BoostedCell, BoostedMap, Stm};
+use cc_stm::{BoostedMap, Stm};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -251,12 +251,13 @@ pub fn run_micro(ops: usize) -> Vec<MicroPoint> {
         });
     }
 
-    // -- scalar cell write (prior value moves into the undo log) ---------
+    // -- scalar cell write: an insert under the key `()` -----------------
     {
         let stm = Stm::new();
-        let cell: BoostedCell<u64> = BoostedCell::new("micro.cell.set", 0);
+        let cell: BoostedMap<(), u64> = BoostedMap::new("micro.cell.set");
+        cell.seed((), 0);
         let ns = time_case(ops, |i| {
-            stm.run(|txn| cell.set(txn, i as u64)).unwrap();
+            stm.run(|txn| cell.insert(txn, (), i as u64)).unwrap();
         });
         points.push(MicroPoint {
             name: "cell-set-commit",

@@ -514,7 +514,7 @@ mod tests {
         let mut created = vec![
             (space("documents").lock_for(&absent), LockMode::Exclusive),
             (space("ownedCount").lock_for(&sender), LockMode::Exclusive),
-            (space("totalDocuments").whole(), LockMode::Exclusive),
+            (space("totalDocuments").lock_for(&()), LockMode::Exclusive),
         ];
         created.sort_unstable();
         for optimistic in [false, true] {

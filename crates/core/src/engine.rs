@@ -503,15 +503,15 @@ mod tests {
             // publishes the same schedule: the same block.
             (
                 Engine::serial(),
-                "de84813949e353fff22a942db2ffa1f84cf0561518f5fea17043f3813c966fb8",
+                "6176fddcd44b1424a2e881724b699fe23ae934e0c2da823cc00c26837083f053",
             ),
             (
                 Engine::speculative(1).unwrap(),
-                "de84813949e353fff22a942db2ffa1f84cf0561518f5fea17043f3813c966fb8",
+                "6176fddcd44b1424a2e881724b699fe23ae934e0c2da823cc00c26837083f053",
             ),
             (
                 Engine::optimistic(1).unwrap(),
-                "161ec040b1d14e66a9607c89e9dc43dc417b0e930bbb9c4c7b153d31f01804c0",
+                "695a5c2092c5f26cf13ab0afb05bd248cf48dc7288f5ac2ff43dc53de46fab2b",
             ),
         ];
         for (engine, expected) in engines {
@@ -520,6 +520,14 @@ mod tests {
                 .unwrap();
             let strategy = engine.strategy();
             assert_eq!(mined.block.hash().to_string(), expected, "{strategy}");
+            // Every strategy commits the same receipts.
+            let header = &mined.block.header;
+            assert_eq!(
+                header.receipts_root.to_string(),
+                "a3d4e8bd0d6e38078caacae5fb5268fcd78b310c721cbb65e96a672918b3c1b1",
+                "{strategy}"
+            );
+            assert_eq!(header.gas_used, 3_687_300, "{strategy}");
             if engine.config() == &EngineConfig::serial() {
                 let stats = &mined.stats;
                 assert_eq!(stats.threads, 1);

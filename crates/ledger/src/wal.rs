@@ -30,7 +30,9 @@
 //! the header and stops at the first torn, truncated or corrupt frame.
 //! Everything before that point is the valid prefix; everything after —
 //! even well-formed frames beyond a corrupt one — is dropped. A crash
-//! mid-block loses at most the unsealed block being built. A zero-length
+//! mid-block loses at most the unsealed block being built. A frame whose
+//! checksum matches but whose payload does not decode is no crash's
+//! work: it is an error, and the log is left as it is. A zero-length
 //! file, or one holding only a prefix of the header (a crash inside the
 //! first write after `create` or `reset`), is an empty log. A file that
 //! opens with anything else — a format-1 log among them — is refused with
@@ -209,9 +211,9 @@ impl Wal {
     ///
     /// # Errors
     ///
-    /// Any I/O error opening, scanning or truncating the file, and a
-    /// [`VersionError`] (see [`VersionError::in_io`]) for a file in another
-    /// format, which is left as it is.
+    /// Any I/O error opening, scanning or truncating the file, and
+    /// [`scan`]'s refusals (a file in another format, a checksummed frame
+    /// that does not decode), which leave the file as it is.
     pub fn open_append(path: impl Into<PathBuf>, mode: DurabilityMode) -> io::Result<Wal> {
         let path = path.into();
         let scanned = scan(&path)?;
@@ -335,9 +337,11 @@ impl WalScan {
 ///
 /// # Errors
 ///
-/// Any I/O error reading the file, and a [`VersionError`] (see
+/// Any I/O error reading the file; a [`VersionError`] (see
 /// [`VersionError::in_io`]) for a file that is neither empty, nor a prefix
-/// of the format-2 header, nor opened by it.
+/// of the format-2 header, nor opened by it; and an
+/// [`io::ErrorKind::InvalidData`] error naming the offset of a frame whose
+/// checksum matches but whose payload does not decode.
 pub fn scan(path: &Path) -> io::Result<WalScan> {
     let mut bytes = Vec::new();
     match File::open(path) {
@@ -371,9 +375,14 @@ pub fn scan(path: &Path) -> io::Result<WalScan> {
         if checksum64(payload) != stored {
             break; // corrupt payload
         }
-        let Ok(block) = decode_record(payload) else {
-            break; // checksummed garbage (e.g. written by a newer version)
-        };
+        // A crash cannot checksum a frame it did not finish: one that
+        // does not decode was written that way, and what follows it is
+        // not a torn tail to cut.
+        let block = decode_record(payload).map_err(|e| {
+            let frame = format!("write-ahead log frame at offset {offset}");
+            let why = format!("{frame} is checksummed but does not decode: {e}");
+            io::Error::new(io::ErrorKind::InvalidData, why)
+        })?;
         blocks.push(block);
         offset += FRAME_HEAD + len;
     }
@@ -503,6 +512,41 @@ mod tests {
         let scanned = scan(&path).unwrap();
         assert!(!scanned.torn());
         assert_eq!(scanned.blocks, [b1, b2]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A crash tears or cuts a frame; it cannot write one whose checksum
+    /// matches but whose payload does not decode. Such a frame is an
+    /// error, not a torn tail: `open_append` refuses the log and cuts
+    /// none of the honest frames after it.
+    #[test]
+    fn a_checksummed_frame_that_does_not_decode_is_an_error() {
+        let path = temp_path("undecodable");
+        let wal = Wal::create(&path, DurabilityMode::Buffered).unwrap();
+        let b1 = sample_block(1, Hash256::ZERO);
+        wal.seal_block(&b1).unwrap();
+        let at = wal.written_len();
+        drop(wal);
+
+        let mut bytes = std::fs::read(&path).unwrap();
+        let unknown = [TAG_BLOCK_SEAL + 1, 0, 0];
+        bytes.extend_from_slice(&(unknown.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&checksum64(&unknown).to_le_bytes());
+        bytes.extend_from_slice(&unknown);
+        let mut honest = Encoder::new();
+        encode_seal(&mut honest, &sample_block(2, b1.hash()), false);
+        bytes.extend_from_slice(honest.as_slice());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let err = scan(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(&format!("offset {at}")), "{err}");
+        assert!(Wal::open_append(&path, DurabilityMode::Buffered).is_err());
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            bytes.len() as u64,
+            "a refused log is left as it was"
+        );
         std::fs::remove_file(&path).ok();
     }
 

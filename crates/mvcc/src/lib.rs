@@ -8,11 +8,11 @@
 //! or below its begin timestamp), buffers writes privately, and validates
 //! **first-committer-wins** at commit. The parts:
 //!
-//! * [`VersionedMap`] / [`VersionedCell`] — per-key version lists over
-//!   the boosted twin each one owns (the `cc_stm` collection holding the
-//!   committed single-version state), mirroring the boosted APIs
-//!   one-for-one (a `u64` map's commuting `add` included), and the
-//!   `(LockId, LockMode)` footprint the twin would acquire.
+//! * [`VersionedMap`] — per-key version lists over the boosted twin each
+//!   one owns (the `cc_stm` map holding the committed single-version
+//!   state), mirroring the boosted API one-for-one (a `u64` map's
+//!   commuting `add` included), and the `(LockId, LockMode)` footprint
+//!   the twin would acquire. A scalar is the entry under the key `()`.
 //! * [`MvccTxn`] — read-set/write-set transactions with savepoints and
 //!   nested speculative actions; read-only transactions commit without
 //!   validation and therefore **never abort**.
@@ -53,13 +53,13 @@ pub mod txn;
 pub use cc_primitives::ts::Timestamp;
 pub use error::MvccError;
 pub use runtime::MvccRuntime;
-pub use store::{VersionedCell, VersionedMap};
+pub use store::VersionedMap;
 pub use txn::{MvccCommit, MvccSavepoint, MvccTxn};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_stm::{BoostedCell, BoostedMap, LockId, LockMode, LockSpace};
+    use cc_stm::{BoostedMap, LockId, LockMode, LockSpace};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,6 +78,18 @@ mod tests {
         for &(key, value) in entries {
             base.seed(key, value);
         }
+        (VersionedMap::new(runtime, base.clone()), base)
+    }
+
+    /// A versioned scalar (the entry under `()`) over a boosted twin
+    /// named `name` seeded with `initial`, and the twin.
+    fn scalar_over(
+        runtime: &MvccRuntime,
+        name: &str,
+        initial: u64,
+    ) -> (VersionedMap<(), u64>, BoostedMap<(), u64>) {
+        let base = BoostedMap::new(name);
+        base.seed((), initial);
         (VersionedMap::new(runtime, base.clone()), base)
     }
 
@@ -448,9 +460,10 @@ mod tests {
     }
 
     /// A snapshot is one load of the newest published timestamp, so it
-    /// must never see half a commit. Writers commit a map key and a cell
-    /// (two collections, installed one after the other) to equal values
-    /// in a loop; readers on other threads begin and must read them equal.
+    /// must never see half a commit. Writers commit a map key and a
+    /// scalar (two collections, installed one after the other) to equal
+    /// values in a loop; readers on other threads begin and must read
+    /// them equal.
     #[test]
     fn concurrent_snapshots_never_see_half_a_commit() {
         const WRITERS: u64 = 2;
@@ -458,7 +471,7 @@ mod tests {
         const READERS: usize = 2;
         let runtime = MvccRuntime::new();
         let (map, _) = map_over(&runtime, "test.pair", &[(1, 0)]);
-        let cell = VersionedCell::new(&runtime, BoostedCell::new("test.pair.cell", 0u64));
+        let (cell, _) = scalar_over(&runtime, "test.pair.cell", 0);
         let shared = Arc::new((runtime, map, cell));
         let committed = Arc::new(AtomicU64::new(0));
         let readers: Vec<_> = (0..READERS)
@@ -469,8 +482,8 @@ mod tests {
                     let mut reads = 0u64;
                     while committed.load(Ordering::Relaxed) < WRITERS * COMMITS || reads == 0 {
                         let txn = runtime.begin();
-                        let (left, right) = (map.get(&txn, &1), cell.get(&txn));
-                        assert_eq!(left, Some(right), "a torn snapshot at {:?}", txn.begin_ts());
+                        let (left, right) = (map.get(&txn, &1), cell.get(&txn, &()));
+                        assert_eq!(left, right, "a torn snapshot at {:?}", txn.begin_ts());
                         assert!(txn.commit().expect("readers never abort").read_only);
                         reads += 1;
                     }
@@ -486,9 +499,9 @@ mod tests {
                     let mut done = 0;
                     while done < COMMITS {
                         let txn = runtime.begin();
-                        let next = cell.get(&txn) + 1;
+                        let next = cell.get(&txn, &()).unwrap() + 1;
                         map.insert(&txn, 1, next);
-                        cell.set(&txn, next);
+                        cell.insert(&txn, (), next);
                         if txn.commit().is_ok() {
                             done += 1;
                             committed.fetch_add(1, Ordering::Relaxed);
@@ -506,8 +519,8 @@ mod tests {
         let (runtime, map, cell) = &*shared;
         let check = runtime.begin();
         assert_eq!(
-            cell.get(&check),
-            WRITERS * COMMITS,
+            cell.get(&check, &()),
+            Some(WRITERS * COMMITS),
             "every commit landed once"
         );
         assert_eq!(map.get(&check, &1), Some(WRITERS * COMMITS));
@@ -920,7 +933,9 @@ mod tests {
         }
     }
 
-    struct CellSubject(VersionedCell<u64>, BoostedCell<u64>);
+    /// A scalar: a map's one entry under the key `()`, seeded and never
+    /// unbound.
+    struct CellSubject(VersionedMap<(), u64>, BoostedMap<(), u64>);
 
     impl Subject for CellSubject {
         type State = u64;
@@ -930,24 +945,29 @@ mod tests {
             let (selector, _, value) = op;
             match selector % 3 {
                 0 => {
-                    cell.set(txn, value);
+                    cell.insert(txn, (), value);
                     *state = value;
                 }
                 1 => {
                     *state = state.wrapping_add(value);
-                    prop_assert_eq!(cell.modify(txn, |x| *x = x.wrapping_add(value)), *state);
+                    let mut updated = 0;
+                    cell.update_or(txn, (), 0, |x| {
+                        *x = x.wrapping_add(value);
+                        updated = *x;
+                    });
+                    prop_assert_eq!(updated, *state);
                 }
-                _ => prop_assert_eq!(cell.with(txn, |x| *x), *state),
+                _ => prop_assert_eq!(cell.get_with(txn, &(), |x| x.copied()), Some(*state)),
             }
             Ok(())
         }
 
         fn view(&self, txn: &MvccTxn<'_>) -> Self::State {
-            self.0.get(txn)
+            self.0.get(txn, &()).expect("a scalar is never unbound")
         }
 
         fn base(&self) -> Self::State {
-            self.1.peek()
+            self.1.peek(&()).expect("a scalar is never unbound")
         }
     }
 
@@ -989,8 +1009,7 @@ mod tests {
             program in program(),
         ) {
             let runtime = MvccRuntime::new();
-            let base = BoostedCell::new("test.prop.cell", seed);
-            let cell = VersionedCell::new(&runtime, base.clone());
+            let (cell, base) = scalar_over(&runtime, "test.prop.cell", seed);
             check_against_reference(&runtime, &CellSubject(cell, base), &program)?;
         }
     }

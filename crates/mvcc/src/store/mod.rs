@@ -20,11 +20,9 @@ use cc_primitives::ts::Timestamp;
 use parking_lot::RwLock;
 use std::hash::Hash;
 
-mod cell;
 mod counter;
 mod map;
 
-pub use cell::VersionedCell;
 pub use map::VersionedMap;
 
 /// One committed version of a value.
@@ -59,8 +57,7 @@ pub(crate) trait MvccCollection: Send + Sync {
     fn discard_above(&self, boundary: Timestamp);
 }
 
-/// Per-key version lists behind one reader-writer lock. A scalar (the
-/// cell) is keyed by `()`.
+/// Per-key version lists behind one reader-writer lock.
 struct Versions<K, T>(RwLock<FxHashMap<K, Vec<Version<T>>>>);
 
 impl<K, T> Default for Versions<K, T> {

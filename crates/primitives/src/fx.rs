@@ -843,100 +843,6 @@ impl<K, V> std::fmt::Debug for ShardedRawTable<K, V> {
     }
 }
 
-/// The single-slot analogue of [`ShardedRawTable`]: one latch over one
-/// unsynchronized value, plus one dirty flag.
-///
-/// Backs `BoostedCell<T>`. A cell is guarded by one whole-value abstract
-/// lock, but not every access takes it: the non-transactional `peek` and
-/// `seed`, a state root's `drain_dirty` (run on a pool worker) and the
-/// multi-version flatten that seeds committed versions back into the
-/// cell all run beside transactional access without holding that lock.
-/// The latch is what keeps those references apart, as it does for the
-/// table shards.
-///
-/// The flag follows the table's rule: [`write`](Self::write) is the only
-/// way to reach `&mut T` and sets it; only
-/// [`drain_dirty`](Self::drain_dirty) clears it. A new slot starts dirty
-/// — its initial value has never been committed to.
-pub struct RawSlot<T> {
-    latch: Latch,
-    value: UnsafeCell<T>,
-    dirty: UnsafeCell<bool>,
-}
-
-// SAFETY: all access to both cells goes through `read` / `write` /
-// `drain_dirty`, which hold the latch for the duration of the reference.
-#[allow(unsafe_code)]
-unsafe impl<T: Send> Sync for RawSlot<T> {}
-
-impl<T: Default> Default for RawSlot<T> {
-    fn default() -> Self {
-        RawSlot::new(T::default())
-    }
-}
-
-impl<T> RawSlot<T> {
-    /// Wraps `value` in a latched raw slot.
-    pub fn new(value: T) -> Self {
-        RawSlot {
-            latch: Latch::default(),
-            value: UnsafeCell::new(value),
-            dirty: UnsafeCell::new(true),
-        }
-    }
-
-    /// Runs `f` with shared access to the value. Leaves the dirty flag
-    /// alone.
-    #[inline]
-    #[allow(unsafe_code)]
-    pub fn read<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        let _guard = self.latch.lock();
-        // SAFETY: the latch is held (released on drop, even on panic), so
-        // no `&mut` into the cell is live.
-        f(unsafe { &*self.value.get() })
-    }
-
-    /// Runs `f` with exclusive access to the value, and sets the dirty
-    /// flag.
-    #[inline]
-    #[allow(unsafe_code)]
-    pub fn write<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        let _guard = self.latch.lock();
-        // SAFETY: the latch is held (released on drop, even on panic), so
-        // these are the only live references into the cells.
-        unsafe {
-            *self.dirty.get() = true;
-            f(&mut *self.value.get())
-        }
-    }
-
-    /// Whether the value was written since the previous drain (or never
-    /// drained). Leaves the flag as it is.
-    #[allow(unsafe_code)]
-    pub fn is_dirty(&self) -> bool {
-        let _guard = self.latch.lock();
-        // SAFETY: as in `read` — the latch serializes this reference.
-        unsafe { *self.dirty.get() }
-    }
-
-    /// If the value was written since the previous drain (or never
-    /// drained), clears the flag and returns `f(value)`; otherwise `None`.
-    #[allow(unsafe_code)]
-    pub fn drain_dirty<R>(&self, f: impl FnOnce(&T) -> R) -> Option<R> {
-        let _guard = self.latch.lock();
-        // SAFETY: as in `write` — the latch serializes these references.
-        let (dirty, value) =
-            unsafe { (std::mem::take(&mut *self.dirty.get()), &*self.value.get()) };
-        dirty.then(|| f(value))
-    }
-}
-
-impl<T> std::fmt::Debug for RawSlot<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("RawSlot { .. }")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1264,18 +1170,6 @@ mod tests {
             seen.push((shard, mask.len(), map.iter_hashed().next().map(|e| e.0)))
         });
         assert_eq!(seen, vec![(shard_of(h), 1, Some(h))]);
-    }
-
-    #[test]
-    fn slot_starts_dirty_and_only_writes_re_mark_it() {
-        let slot = RawSlot::new(5u32);
-        assert_eq!(slot.drain_dirty(|v| *v), Some(5), "never committed yet");
-        assert_eq!(slot.drain_dirty(|v| *v), None);
-        assert_eq!(slot.read(|v| *v), 5);
-        assert_eq!(slot.drain_dirty(|v| *v), None, "reads leave no mark");
-        slot.write(|v| *v += 1);
-        assert_eq!(slot.drain_dirty(|v| *v), Some(6));
-        assert_eq!(RawSlot::<u8>::default().drain_dirty(|v| *v), Some(0));
     }
 
     #[test]

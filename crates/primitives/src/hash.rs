@@ -25,7 +25,7 @@
 //! one 64-byte block on the stack and hand that block to the same
 //! dispatched kernel, with no [`Sha256`] state and no buffer copies. Most
 //! digests the workspace takes are this short (an account or contract
-//! address, a document hash, a cell's digest, a one-child tree node), and
+//! address, a document hash, a one-entry leaf, a one-child tree node), and
 //! for them the incremental hasher's bookkeeping cost more than the
 //! compression. Longer messages go through [`Sha256`]. The tests compare
 //! both paths, on both kernels, at every length from 0 to 130 bytes.

@@ -10,18 +10,16 @@
 //!
 //! | Type | Protects | Lock granularity |
 //! |------|----------|------------------|
-//! | [`BoostedMap`] | a key→value mapping (Solidity `mapping`) | one lock per key; **additive** mode for a `u64` map's `add` |
-//! | [`BoostedCell`] | a single scalar state variable | one lock per cell |
+//! | [`BoostedMap`] | a key→value mapping (Solidity `mapping`), or one scalar state variable as the entry under the key `()` | one lock per key; **additive** mode for a `u64` map's `add` |
 //!
 //! A tally is a `BoostedMap<K, u64>` whose writers call
-//! [`BoostedMap::add`]: commutativity is a property of the operation, not
-//! a kind of collection.
+//! [`BoostedMap::add`], and a scalar is a `BoostedMap<(), T>`:
+//! commutativity is a property of the operation and a scalar a choice of
+//! key, neither a kind of collection.
 
-mod cell;
 mod counter;
 mod map;
 
-pub use cell::BoostedCell;
 pub use map::BoostedMap;
 
 #[cfg(test)]
@@ -35,22 +33,26 @@ mod tests {
     /// supports ranges and tuples, not `prop_oneof`).
     type RawOp = (u8, u8, u64);
 
-    /// A point-in-time fingerprint of both collections.
-    fn fingerprint(map: &BoostedMap<u8, u64>, cell: &BoostedCell<u64>) -> (Vec<(u8, u64)>, u64) {
+    /// A scalar: the one entry of a map under the key `()`.
+    type Scalar = BoostedMap<(), u64>;
+
+    fn scalar(name: &str, initial: u64) -> Scalar {
+        let scalar = BoostedMap::new(name);
+        scalar.seed((), initial);
+        scalar
+    }
+
+    /// A point-in-time fingerprint of a map and a scalar.
+    fn fingerprint(map: &BoostedMap<u8, u64>, cell: &Scalar) -> (Vec<(u8, u64)>, Option<u64>) {
         let mut m = map.snapshot();
         m.sort_unstable();
-        (m, cell.peek())
+        (m, cell.peek(&()))
     }
 
     /// Applies one decoded operation inside `txn`. Adds land on the keys
     /// `insert` and `update_or` write, a negated add brings a tally back
     /// to 0, and an insert of 0 binds a zero the adds must keep.
-    fn apply(
-        txn: &crate::txn::Transaction,
-        op: RawOp,
-        map: &BoostedMap<u8, u64>,
-        cell: &BoostedCell<u64>,
-    ) {
+    fn apply(txn: &crate::txn::Transaction, op: RawOp, map: &BoostedMap<u8, u64>, cell: &Scalar) {
         let (selector, key, value) = op;
         match selector % 7 {
             0 => {
@@ -64,10 +66,11 @@ mod tests {
                     .unwrap();
             }
             3 => {
-                cell.set(txn, value).unwrap();
+                cell.insert(txn, (), value).unwrap();
             }
             4 => {
-                cell.modify(txn, |x| *x = x.wrapping_add(value)).unwrap();
+                cell.update_or(txn, (), 0, |x| *x = x.wrapping_add(value))
+                    .unwrap();
             }
             5 => {
                 map.add(txn, key, value).unwrap();
@@ -93,7 +96,7 @@ mod tests {
         ) {
             let stm = Stm::new();
             let map: BoostedMap<u8, u64> = BoostedMap::new("prop.map");
-            let cell: BoostedCell<u64> = BoostedCell::new("prop.cell", seed_cell);
+            let cell = scalar("prop.cell", seed_cell);
             for (k, v) in &seed_map {
                 map.seed(*k, *v);
             }
@@ -119,7 +122,7 @@ mod tests {
         ) {
             let stm = Stm::new();
             let map: BoostedMap<u8, u64> = BoostedMap::new("sp.map");
-            let cell: BoostedCell<u64> = BoostedCell::new("sp.cell", 7);
+            let cell = scalar("sp.cell", 7);
 
             let txn = stm.begin();
             for &op in &prefix {
@@ -151,7 +154,7 @@ mod tests {
             let run = |label: &str, pooled: bool| {
                 let stm = Stm::new();
                 let map: BoostedMap<u8, u64> = BoostedMap::new(&format!("{label}.map"));
-                let cell: BoostedCell<u64> = BoostedCell::new(&format!("{label}.cell"), 7);
+                let cell = scalar(&format!("{label}.cell"), 7);
                 let scope = stm.begin_block();
                 for (commit, ops) in &txns {
                     // The scope arm reuses one pool for every transaction;
@@ -184,7 +187,7 @@ mod tests {
         }
     }
 
-    /// N threads hammer a map, its adds and cells through the raw (RwLock-free)
+    /// N threads hammer a map, its adds and scalars through the raw (RwLock-free)
     /// backing stores concurrently on disjoint keys, then the final state
     /// is checked against a `HashMap` reference built from the same
     /// schedule. Disjoint keys mean disjoint abstract locks — so this
@@ -202,9 +205,9 @@ mod tests {
         let stm = Stm::new();
         let map: BoostedMap<u64, u64> = BoostedMap::new("stress.map");
         let tally: BoostedMap<u64, u64> = BoostedMap::new("stress.tally");
-        // Cells are whole-collection locks, so give each thread its own.
-        let cells: Vec<BoostedCell<u64>> = (0..THREADS)
-            .map(|t| BoostedCell::new(&format!("stress.cell.{t}"), 0))
+        // A scalar is one key, so one lock: give each thread its own.
+        let cells: Vec<Scalar> = (0..THREADS)
+            .map(|t| scalar(&format!("stress.cell.{t}"), 0))
             .collect();
 
         std::thread::scope(|scope| {
@@ -220,7 +223,7 @@ mod tests {
                             stm.run(|txn| {
                                 map.insert(txn, k, k * 10 + round)?;
                                 tally.add(txn, k, round + 1)?;
-                                cell.modify(txn, |v| *v += k)?;
+                                cell.update_or(txn, (), 0, |v| *v += k)?;
                                 // Read back under the same locks: another
                                 // thread rehashing a shared shard must not
                                 // corrupt this key's binding mid-probe.
@@ -248,13 +251,13 @@ mod tests {
         for (t, cell) in cells.iter().enumerate() {
             let base = t as u64 * KEYS_PER_THREAD;
             let per_round: u64 = (base..base + KEYS_PER_THREAD).sum();
-            assert_eq!(cell.peek(), per_round * ROUNDS as u64);
+            assert_eq!(cell.peek(&()), Some(per_round * ROUNDS as u64));
         }
     }
 
     /// The acceptance criterion of the raw-store refactor, asserted
-    /// directly: a transaction driving every operation of both
-    /// collections acquires **zero** reader-writer locks. The counter is a
+    /// directly: a transaction driving every operation of a map and a
+    /// scalar acquires **zero** reader-writer locks. The counter is a
     /// debug-only extension of the `parking_lot` shim (see
     /// `shims/README.md`).
     #[cfg(debug_assertions)]
@@ -262,7 +265,7 @@ mod tests {
     fn boosted_ops_acquire_zero_rwlocks() {
         let stm = Stm::new();
         let map: BoostedMap<u8, u64> = BoostedMap::new("norw.map");
-        let cell: BoostedCell<u64> = BoostedCell::new("norw.cell", 1);
+        let cell = scalar("norw.cell", 1);
         map.seed(1, 10);
 
         let before = parking_lot::rwlock_acquisition_count();
@@ -273,10 +276,10 @@ mod tests {
             map.update_or(txn, 3, 0, |x| *x += 1)?;
             map.insert(txn, 1, 11)?;
             map.add(txn, 3, 1u64.wrapping_neg())?;
-            cell.get(txn)?;
-            cell.with(txn, |v| *v)?;
-            cell.set(txn, 2)?;
-            cell.modify(txn, |v| *v += 1)?;
+            cell.get(txn, &())?;
+            cell.get_with(txn, &(), |v| v.copied())?;
+            cell.insert(txn, (), 2)?;
+            cell.update_or(txn, (), 0, |v| *v += 1)?;
             map.add(txn, 1, 5)?;
             map.add(txn, 4, 5)?;
             map.add(txn, 4, 0)?;
@@ -286,7 +289,7 @@ mod tests {
         // Aborts replay the undo log through the raw stores too.
         let txn = stm.begin();
         map.insert(&txn, 9, 90).unwrap();
-        cell.set(&txn, 9).unwrap();
+        cell.insert(&txn, (), 9).unwrap();
         map.add(&txn, 9, 9).unwrap();
         txn.abort().unwrap();
         assert_eq!(

@@ -35,9 +35,9 @@
 //!   that validators replay deterministically.
 //!
 //! On top of the raw transaction machinery the [`boosted`] module provides
-//! the collection types contracts actually use: [`BoostedMap`] (whose
-//! `u64` form adds commutatively, [`BoostedMap::add`]) and
-//! [`BoostedCell`].
+//! the one collection type contracts use: [`BoostedMap`], whose `u64`
+//! form adds commutatively ([`BoostedMap::add`]). A scalar state variable
+//! is a map's entry under the empty key `()`.
 //!
 //! # Example
 //!
@@ -68,7 +68,7 @@ pub mod profile;
 pub mod retry;
 pub mod txn;
 
-pub use boosted::{BoostedCell, BoostedMap};
+pub use boosted::BoostedMap;
 pub use error::StmError;
 pub use lock::{LockId, LockMode, LockSpace};
 pub use manager::LockManager;

@@ -11,8 +11,7 @@ use cc_primitives::fnv::fnv1a_of;
 use std::fmt;
 use std::hash::Hash;
 
-/// A namespace for abstract locks, one per boosted collection (or per
-/// scalar cell).
+/// A namespace for abstract locks, one per boosted collection.
 ///
 /// The space is derived from a human-readable name such as
 /// `"Ballot.voters"` so that lock traces are debuggable, but only the
@@ -61,8 +60,9 @@ impl LockSpace {
         LockId::from_raw(self.0, key_hash)
     }
 
-    /// Builds the [`LockId`] protecting the space as a whole (used by
-    /// scalar cells and by whole-collection operations).
+    /// Builds the [`LockId`] of the space as a whole (key `u64::MAX`). No
+    /// collection takes it: tests and benchmarks use it to name a lock
+    /// without declaring a key.
     pub fn whole(&self) -> LockId {
         LockId::from_raw(self.0, u64::MAX)
     }
@@ -82,7 +82,7 @@ impl LockSpace {
 /// bits, so a storage operation never re-mixes the same identifier twice.
 #[derive(Clone, Copy)]
 pub struct LockId {
-    /// The lock space (collection / cell) this lock belongs to.
+    /// The lock space (collection) this lock belongs to.
     space: u64,
     /// The hashed logical key within the space.
     key: u64,
@@ -104,7 +104,7 @@ impl LockId {
         }
     }
 
-    /// The lock space (collection / cell) this lock belongs to.
+    /// The lock space (collection) this lock belongs to.
     pub fn space(&self) -> u64 {
         self.space
     }

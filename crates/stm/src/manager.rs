@@ -326,23 +326,16 @@ impl Default for LockManager {
 }
 
 impl LockManager {
-    /// Default number of stripes. Enough that the paper-scale thread
-    /// counts (and well beyond) rarely collide on a stripe mutex, small
-    /// enough that whole-table sweeps (`reset_counters`) stay cheap.
+    /// Number of stripes, a power of two (a stripe is picked by masking
+    /// the lock's mix). Enough that the paper-scale thread counts (and
+    /// well beyond) rarely collide on a stripe mutex, small enough that
+    /// whole-table sweeps (`reset_counters`) stay cheap.
     pub const DEFAULT_SHARDS: usize = 16;
 
     /// Creates an empty lock manager with [`LockManager::DEFAULT_SHARDS`]
     /// stripes and all counters at zero.
     pub fn new() -> Self {
-        LockManager::with_shards(LockManager::DEFAULT_SHARDS)
-    }
-
-    /// Creates a manager with `shards` stripes, rounded up to the next
-    /// power of two (minimum 1). `with_shards(1)` reproduces the old
-    /// single-mutex behaviour and is what the contention benchmarks use as
-    /// their "unsharded" arm.
-    pub fn with_shards(shards: usize) -> Self {
-        let count = shards.max(1).next_power_of_two();
+        let count = LockManager::DEFAULT_SHARDS;
         LockManager {
             shards: (0..count).map(|_| Shard::default()).collect(),
             mask: (count - 1) as u64,
@@ -885,12 +878,16 @@ mod tests {
         assert_deadlock_resolved(m, la, lb);
     }
 
+    /// Two locks of one stripe, held by one transaction, are counted and
+    /// released apart.
     #[test]
     fn single_shard_manager_still_correct() {
-        let m = LockManager::with_shards(1);
-        assert_eq!(m.shard_count(), 1);
+        let m = LockManager::new();
         let a = lock("one", 1);
-        let b = lock("one", 2);
+        let b = (2u64..)
+            .map(|k| lock("one", k))
+            .find(|&l| m.shard_index(l) == m.shard_index(a))
+            .expect("some key lands on the same stripe");
         m.acquire(TxnId(1), a, LockMode::Exclusive).unwrap();
         m.acquire(TxnId(1), b, LockMode::Exclusive).unwrap();
         assert_eq!(m.release_commit(TxnId(1), &[a, b]), vec![1, 1]);
@@ -899,9 +896,7 @@ mod tests {
 
     #[test]
     fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(LockManager::with_shards(0).shard_count(), 1);
-        assert_eq!(LockManager::with_shards(3).shard_count(), 4);
-        assert_eq!(LockManager::with_shards(16).shard_count(), 16);
+        assert!(LockManager::DEFAULT_SHARDS.is_power_of_two());
         assert_eq!(
             LockManager::new().shard_count(),
             LockManager::DEFAULT_SHARDS

@@ -30,7 +30,9 @@
 //!     contribute no bytes, so a sparse map costs a few compressions.
 //!   * The field digest is the root node's (`H(0x01 ‖ 0 ‖ 0)` for an
 //!     empty map).
-//! * **Cell fields** are `H(0x02 ‖ encoded value)`.
+//! * A **cell** field (a scalar) is a map with one entry under the key
+//!   `()`, which encodes to no bytes: its digest is its one-leaf tree's
+//!   root.
 //! * A **contract** is `H(bytes(kind) ‖ address ‖ fields: u64 ‖ bytes(name₀)
 //!   ‖ digest₀ ‖ …)` over [`crate::Contract::storage_fields`] in
 //!   declaration order, and the **world root**
@@ -38,12 +40,14 @@
 //!
 //! # Maintenance
 //!
-//! Every field caches its digest (and a map its whole tree) behind the
-//! dirty marks its backing store keeps (`cc_primitives::fx`): the raw
-//! stores' write accessor is the only way to mutate base state and marks
-//! the written bucket (or the cell) under the latch it already
-//! holds. A root drains the marks and re-hashes only marked leaves and
-//! their three ancestors; a field with no marks answers from its cache.
+//! Every field caches its digest and its tree behind the dirty marks its
+//! backing table keeps (`cc_primitives::fx`): the raw table's write
+//! accessor is the only way to mutate base state and marks the written
+//! bucket under the shard latch it already holds. A root drains the
+//! marks and re-hashes only marked leaves and their three ancestors; a
+//! field with no marks answers from its cache. A shard's leaves and low
+//! nodes are allocated when one of its buckets is first hashed, so a
+//! one-entry map holds one shard's worth of tree.
 //! Marks are never cleared by anything but a drain — re-hashing a bucket
 //! that was written and then rolled back reproduces the digest it had.
 //! The from-scratch root of a freshly built world is the same code on an
@@ -71,14 +75,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 const LEAF_TAG: u8 = 0x00;
 const NODE_TAG: u8 = 0x01;
-const CELL_TAG: u8 = 0x02;
 
 /// Children per interior node.
 const FANOUT: usize = 16;
-/// Leaves of a map field's tree.
-const LEAVES: usize = RAW_TABLE_SHARDS * RAW_SHARD_BUCKETS;
-/// Lowest interior level: one node per 16 leaves.
-const LOW_NODES: usize = LEAVES / FANOUT;
 /// Low nodes under one high node; each high node spans one shard.
 const LOW_PER_SHARD: usize = RAW_SHARD_BUCKETS / FANOUT;
 
@@ -92,8 +91,8 @@ pub struct StateRootStats {
     pub dirty_leaves: u64,
     /// Map-field entries re-encoded while re-hashing those leaves.
     pub entries_rehashed: u64,
-    /// Bytes fed to SHA-256 for field digests (leaves, interior nodes and
-    /// cells).
+    /// Bytes fed to SHA-256 for field digests (leaves and interior
+    /// nodes).
     pub bytes_hashed: u64,
     /// Map fields whose tree was built for the first time (a root over
     /// state no earlier root had cached).
@@ -185,11 +184,17 @@ fn node_digest<'a>(
     cc_primitives::sha256(&bytes[..len])
 }
 
-/// The cached tree of one map field: every leaf digest and both interior
-/// levels below the root.
+/// The cached tree of one shard: its leaf digests and the low nodes over
+/// them.
+struct ShardTree {
+    leaves: [Hash256; RAW_SHARD_BUCKETS],
+    low: [Node; LOW_PER_SHARD],
+}
+
+/// The cached tree of one map field: the shards hashed so far and the
+/// high nodes, one per shard, below the root.
 struct Tree {
-    leaves: Vec<Hash256>,
-    low: Vec<Node>,
+    shards: [Option<Box<ShardTree>>; RAW_TABLE_SHARDS],
     high: [Node; RAW_TABLE_SHARDS],
 }
 
@@ -212,8 +217,9 @@ fn put_prefixed<T: ToBytes + ?Sized>(out: &mut Vec<u8>, value: &T) {
     out[at..at + 8].copy_from_slice(&len.to_le_bytes());
 }
 
-/// The cached commitment of one map field. Allocates nothing
-/// until a bucket of the field is first written.
+/// The cached commitment of one map field. Allocates nothing until a
+/// bucket of the field is first written, then one shard's tree per shard
+/// written.
 #[derive(Default)]
 pub(crate) struct MapCommitment {
     tree: Option<Box<Tree>>,
@@ -228,15 +234,20 @@ pub(crate) struct MapCommitment {
 
 impl std::fmt::Debug for MapCommitment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Not the 4 096 leaf digests a derive would print.
+        // Not the leaf digests a derive would print.
         f.debug_struct("MapCommitment")
-            .field("built", &self.tree.is_some())
+            .field("shards", &self.shards_built())
             .field("root", &self.root)
             .finish()
     }
 }
 
 impl MapCommitment {
+    /// How many shards' leaves are allocated.
+    fn shards_built(&self) -> usize {
+        (self.tree.as_ref()).map_or(0, |tree| tree.shards.iter().flatten().count())
+    }
+
     /// Re-hashes the `dirty` buckets of shard `shard` from its backing
     /// `table` — one bucket walk each, in ascending bucket order — and the
     /// interior nodes above them, short of the root.
@@ -250,9 +261,14 @@ impl MapCommitment {
         let tree = self.tree.get_or_insert_with(|| {
             counters.cold_builds.fetch_add(1, Ordering::Relaxed);
             Box::new(Tree {
-                leaves: vec![Hash256::ZERO; LEAVES],
-                low: vec![Node::default(); LOW_NODES],
+                shards: Default::default(),
                 high: [Node::default(); RAW_TABLE_SHARDS],
+            })
+        });
+        let ShardTree { leaves, low } = &mut **tree.shards[shard].get_or_insert_with(|| {
+            Box::new(ShardTree {
+                leaves: [Hash256::ZERO; RAW_SHARD_BUCKETS],
+                low: [Node::default(); LOW_PER_SHARD],
             })
         });
         self.root = None;
@@ -274,8 +290,8 @@ impl MapCommitment {
                 });
             });
             entries += order.len();
-            let leaf = shard * RAW_SHARD_BUCKETS + usize::from(bucket);
-            let parent = &mut tree.low[leaf / FANOUT];
+            let leaf = usize::from(bucket);
+            let parent = &mut low[leaf / FANOUT];
             let bit = 1u16 << (leaf % FANOUT);
             if order.is_empty() {
                 parent.occupied &= !bit;
@@ -292,10 +308,10 @@ impl MapCommitment {
                     scratch.extend_from_within(e.start..e.end);
                 }
                 counters.hashed(scratch.len() - at);
-                tree.leaves[leaf] = cc_primitives::sha256(&scratch[at..]);
+                leaves[leaf] = cc_primitives::sha256(&scratch[at..]);
                 parent.occupied |= bit;
             }
-            touched_low |= 1 << (usize::from(bucket) / FANOUT);
+            touched_low |= 1 << (leaf / FANOUT);
         }
         counters
             .slots_visited
@@ -307,21 +323,15 @@ impl MapCommitment {
             .entries_rehashed
             .fetch_add(entries as u64, Ordering::Relaxed);
 
-        let first_low = shard * LOW_PER_SHARD;
         for i in (0..LOW_PER_SHARD).filter(|i| touched_low & (1 << i) != 0) {
-            let node = &mut tree.low[first_low + i];
-            let first_leaf = (first_low + i) * FANOUT;
-            node.digest = node_digest(
-                node.occupied,
-                tree.leaves[first_leaf..first_leaf + FANOUT].iter(),
-                counters,
-            );
+            let node = &mut low[i];
+            let children = &leaves[i * FANOUT..(i + 1) * FANOUT];
+            node.digest = node_digest(node.occupied, children.iter(), counters);
         }
-        let lows = &tree.low[first_low..first_low + LOW_PER_SHARD];
-        let occupied = occupancy(lows);
+        let occupied = occupancy(low);
         tree.high[shard] = Node {
             occupied,
-            digest: node_digest(occupied, lows.iter().map(|n| &n.digest), counters),
+            digest: node_digest(occupied, low.iter().map(|n| &n.digest), counters),
         };
     }
 
@@ -338,14 +348,6 @@ impl MapCommitment {
             ),
         })
     }
-}
-
-/// `H(0x02 ‖ encoded value)`: the digest of a cell field.
-pub(crate) fn cell_digest(value: &impl ToBytes, counters: &RootCounters) -> Hash256 {
-    let mut bytes = vec![CELL_TAG];
-    value.encode_into(&mut bytes);
-    counters.hashed(bytes.len());
-    cc_primitives::sha256(&bytes)
 }
 
 /// The digest of one contract: its identity plus the (cached or freshly
@@ -425,10 +427,18 @@ mod tests {
     #[test]
     fn cell_vec_and_tally_digests_follow_the_definition() {
         let counters = RootCounters::default();
+        // A cell is a one-entry map under `()`, whose key is no bytes.
         let cell: StorageCell<u64> = StorageCell::new("pin.cell", 5);
-        let mut expected = vec![0x02];
-        expected.extend_from_slice(&5u64.to_le_bytes());
-        assert_eq!(cell.digest(&counters), sha256(&expected));
+        let mut leaf = vec![0x00];
+        leaf.extend_from_slice(&0u64.to_le_bytes());
+        leaf.extend_from_slice(&8u64.to_le_bytes());
+        leaf.extend_from_slice(&5u64.to_le_bytes());
+        let h = fnv1a_of(&());
+        let (shard, bucket) = ((h % 16) as usize, ((h / 16) % 256) as usize);
+        let low = node(1 << (bucket % 16), &[sha256(&leaf)]);
+        let high = node(1 << (bucket / 16), &[low]);
+        assert_eq!(cell.digest(&counters), node(1 << shard, &[high]));
+        assert_eq!(counters.stats().cold_builds, 1);
 
         // An add of 0 binds nothing: the field digest stays the empty
         // map's. A binding to 0 is an entry like any other.
@@ -444,7 +454,35 @@ mod tests {
         assert_eq!(tally.digest(&counters), node(0, &[]), "back to 0");
         tally.seed(3, 0);
         assert_ne!(tally.digest(&counters), node(0, &[]));
-        assert_eq!(counters.stats().cold_builds, 1);
+        assert_eq!(counters.stats().cold_builds, 2);
+    }
+
+    fn shards_built<K, V>(map: &StorageMap<K, V>) -> usize {
+        map.commitment.lock().shards_built()
+    }
+
+    /// A tree allocates leaves per shard written: a cell's cold root
+    /// costs one shard, a map spread over every shard builds them all.
+    #[test]
+    fn a_one_entry_map_builds_one_shard() {
+        let counters = RootCounters::default();
+        let cell: StorageCell<u64> = StorageCell::new("one.cell", 5);
+        assert_eq!(shards_built(&cell.map), 0, "nothing before the first root");
+        cell.digest(&counters);
+        assert_eq!(shards_built(&cell.map), 1);
+        cell.seed(6);
+        cell.digest(&counters);
+        assert_eq!(shards_built(&cell.map), 1, "the same shard again");
+
+        let map: StorageMap<u64, u64> = StorageMap::new("one.map");
+        map.seed(7, 9);
+        map.digest(&counters);
+        assert_eq!(shards_built(&map), 1);
+        for key in 0..256 {
+            map.seed(key, key);
+        }
+        map.digest(&counters);
+        assert_eq!(shards_built(&map), RAW_TABLE_SHARDS);
     }
 
     /// A stale cache would be a consensus bug: every non-transactional
@@ -477,7 +515,7 @@ mod tests {
     /// low 12 bits of its key fingerprint, hash non-empty leaves in key
     /// order, then fold 16 children at a time with occupancy masks.
     fn reference_map_digest(entries: &std::collections::BTreeMap<u64, u64>) -> Hash256 {
-        let mut leaves = vec![Vec::new(); LEAVES];
+        let mut leaves = vec![Vec::new(); RAW_TABLE_SHARDS * RAW_SHARD_BUCKETS];
         for (key, value) in entries {
             let h = fnv1a_of(key);
             let leaf = (h % 16) as usize * 256 + ((h / 16) % 256) as usize;

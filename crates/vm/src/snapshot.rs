@@ -46,6 +46,11 @@ macro_rules! le_bytes_to_bytes {
 }
 le_bytes_to_bytes!(u8, u16, u32, u64, u128);
 
+/// No bytes: the key of a scalar, a map's one entry under `()`.
+impl ToBytes for () {
+    fn encode_into(&self, _out: &mut Vec<u8>) {}
+}
+
 impl ToBytes for usize {
     fn encode_into(&self, out: &mut Vec<u8>) {
         (*self as u64).encode_into(out);
@@ -103,9 +108,10 @@ struct EntrySpan {
     value_len: usize,
 }
 
-/// Snapshot of one storage field (one boosted collection or cell): a
-/// list of `(encoded key, encoded value)` pairs sorted by encoded key,
-/// held in one byte arena rather than two vectors per entry.
+/// Snapshot of one storage field (one boosted map; a scalar is the entry
+/// under the empty key): a list of `(encoded key, encoded value)` pairs
+/// sorted by encoded key, held in one byte arena rather than two vectors
+/// per entry.
 #[derive(Debug, Clone)]
 pub struct FieldSnapshot {
     /// The field's stable name (e.g. `"Ballot.voters"`).
@@ -161,14 +167,6 @@ impl FieldSnapshot {
         self.spans
             .sort_unstable_by(|a, b| key(a).cmp(key(b)).then_with(|| value(a).cmp(value(b))));
         self
-    }
-
-    /// Builds a snapshot of a single scalar value (one entry, empty key).
-    pub fn scalar(name: &str, value: &impl ToBytes) -> Self {
-        let mut field = FieldSnapshot::with_capacity(name, 1);
-        let no_key: &[u8] = &[];
-        field.push(no_key, value);
-        field
     }
 
     /// Builds a snapshot from typed entries in any order.
@@ -308,7 +306,8 @@ mod tests {
     fn typed_and_scalar_snapshots() {
         let f = FieldSnapshot::from_typed("counts", vec![(2u64, 20u64), (1u64, 10u64)]);
         assert_eq!(f.len(), 2);
-        let s = FieldSnapshot::scalar("highest", &42u64);
+        // A scalar is the entry under `()`, whose key encodes to nothing.
+        let s = FieldSnapshot::from_typed("highest", [((), 42u64)]);
         assert_eq!(s.len(), 1);
         assert!(s.entries().next().unwrap().0.is_empty());
         assert!(FieldSnapshot::from_typed::<u64, u64>("none", vec![]).is_empty());
@@ -321,7 +320,7 @@ mod tests {
                 Address::from_index(2),
                 vec![
                     FieldSnapshot::from_typed("votes", vec![(1u64, 5u64), (0u64, 9u64)]),
-                    FieldSnapshot::scalar("chair", &7u64),
+                    FieldSnapshot::from_typed("chair", [((), 7u64)]),
                 ],
             ),
             ContractSnapshot::new("Auction", Address::from_index(1), vec![]),
@@ -352,6 +351,7 @@ mod tests {
         assert_eq!(7u16.to_bytes(), vec![7, 0]);
         assert_eq!(7u8.to_bytes(), vec![7]);
         assert_eq!(true.to_bytes(), vec![1]);
+        assert_eq!(().to_bytes(), Vec::<u8>::new());
         assert_eq!("ab".to_string().to_bytes(), b"ab".to_vec());
         assert_eq!([1u8; 32].to_bytes().len(), 32);
         assert_eq!(Address::from_index(1).to_bytes().len(), 20);

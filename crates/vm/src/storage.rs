@@ -6,24 +6,27 @@
 //! corresponding collection operation inside the enclosing transaction, so
 //! state access is simultaneously metered and speculative.
 //!
-//! Each wrapper owns a **pessimistic** boosted collection (the
-//! authoritative single-version state, used by [`TxnRef::Stm`]
-//! transactions, seeding, snapshots and state roots) plus a lazily built
-//! **optimistic** versioned overlay (used by [`TxnRef::Mvcc`]
-//! transactions). The overlay holds a clone of the boosted collection as
-//! its twin, shares its lock space so both flavors report identical lock
-//! footprints, and registers itself with the world's
+//! There is one collection kind. A [`StorageMap`] owns a **pessimistic**
+//! boosted map (the authoritative single-version state, used by
+//! [`TxnRef::Stm`] transactions, seeding, snapshots and state roots) plus
+//! a lazily built **optimistic** versioned overlay (used by
+//! [`TxnRef::Mvcc`] transactions). The overlay holds a clone of the
+//! boosted map as its twin, shares its lock space so both flavors report
+//! identical lock footprints, and registers itself with the world's
 //! [`cc_mvcc::MvccRuntime`] when built on first use, so that flattening a
-//! block's versions writes them back into the boosted collection.
+//! block's versions writes them back into the boosted map. A
+//! [`StorageCell`] is a map's one entry under the key `()`: its lock is
+//! that key's, its snapshot that one entry and its digest that map's
+//! root, and it makes no choice between the two flavors of its own.
 
-use crate::commit::{cell_digest, MapCommitment, RootCounters};
+use crate::commit::{MapCommitment, RootCounters};
 use crate::context::{CallContext, TxnRef};
 use crate::error::VmError;
 use crate::snapshot::{FieldSnapshot, ToBytes};
-use cc_mvcc::{MvccTxn, VersionedCell, VersionedMap};
+use cc_mvcc::{MvccTxn, VersionedMap};
 use cc_primitives::fx::RawEntry;
 use cc_primitives::hash::Hash256;
-use cc_stm::{BoostedCell, BoostedMap};
+use cc_stm::BoostedMap;
 use parking_lot::Mutex;
 use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
@@ -56,7 +59,7 @@ pub trait StorageField: Send + Sync {
 pub struct StorageMap<K, V> {
     pub(crate) inner: BoostedMap<K, V>,
     overlay: Arc<OnceLock<VersionedMap<K, V>>>,
-    commitment: Arc<Mutex<MapCommitment>>,
+    pub(crate) commitment: Arc<Mutex<MapCommitment>>,
 }
 
 impl<K, V> StorageMap<K, V>
@@ -255,14 +258,19 @@ where
     }
 }
 
-/// A persistent scalar state variable.
+/// A persistent scalar state variable: the one entry of a
+/// [`StorageMap`] under the key `()`, seeded with its initial value at
+/// construction and never unbound (a cell offers no `add`). Each
+/// operation is the map operation it names, at that operation's gas.
 #[derive(Debug, Clone)]
 pub struct StorageCell<T> {
-    inner: BoostedCell<T>,
-    overlay: Arc<OnceLock<VersionedCell<T>>>,
-    /// The digest as of the last drain of the cell's dirty mark.
-    digest: Arc<Mutex<Hash256>>,
+    pub(crate) map: StorageMap<(), T>,
+    /// What [`modify`](Self::modify) hands `update_or` to bind were the
+    /// entry unbound, which it never is.
+    initial: T,
 }
+
+const BOUND: &str = "a cell is seeded at construction and never unbound";
 
 impl<T> StorageCell<T>
 where
@@ -270,18 +278,9 @@ where
 {
     /// Declares a scalar with a stable name and initial value.
     pub fn new(name: &str, initial: T) -> Self {
-        StorageCell {
-            inner: BoostedCell::new(name, initial),
-            overlay: Arc::new(OnceLock::new()),
-            digest: Arc::default(),
-        }
-    }
-
-    /// The versioned overlay, built (registering itself with the
-    /// transaction's runtime) on the first optimistic access.
-    fn versioned(&self, txn: &MvccTxn<'_>) -> &VersionedCell<T> {
-        self.overlay
-            .get_or_init(|| VersionedCell::new(txn.runtime(), self.inner.clone()))
+        let map = StorageMap::new(name);
+        map.seed((), initial.clone());
+        StorageCell { map, initial }
     }
 
     /// Reads the value (charges one `sload`).
@@ -290,11 +289,7 @@ where
     ///
     /// Out-of-gas or speculative-conflict errors.
     pub fn get(&self, ctx: &mut CallContext<'_>) -> Result<T, VmError> {
-        ctx.charge_sload()?;
-        match ctx.txn() {
-            TxnRef::Stm(txn) => Ok(self.inner.get(txn)?),
-            TxnRef::Mvcc(txn) => Ok(self.versioned(txn).get(txn)),
-        }
+        Ok(self.map.get(ctx, &())?.expect(BOUND))
     }
 
     /// Reads the value **by reference** (charges one `sload`): `f`
@@ -310,11 +305,7 @@ where
         ctx: &mut CallContext<'_>,
         f: impl FnOnce(&T) -> R,
     ) -> Result<R, VmError> {
-        ctx.charge_sload()?;
-        match ctx.txn() {
-            TxnRef::Stm(txn) => Ok(self.inner.with(txn, f)?),
-            TxnRef::Mvcc(txn) => Ok(self.versioned(txn).with(txn, f)),
-        }
+        self.map.get_with(ctx, &(), |value| f(value.expect(BOUND)))
     }
 
     /// Overwrites the value (charges one `sstore`).
@@ -323,38 +314,32 @@ where
     ///
     /// Out-of-gas or speculative-conflict errors.
     pub fn set(&self, ctx: &mut CallContext<'_>, value: T) -> Result<(), VmError> {
-        ctx.charge_sstore()?;
-        match ctx.txn() {
-            TxnRef::Stm(txn) => Ok(self.inner.set(txn, value)?),
-            TxnRef::Mvcc(txn) => {
-                self.versioned(txn).set(txn, value);
-                Ok(())
-            }
-        }
+        self.map.insert(ctx, (), value)
     }
 
-    /// Read-modify-write (charges an `sload` plus an `sstore`).
+    /// Read-modify-write (charges an `sload` plus an `sstore`); returns
+    /// the updated value.
     ///
     /// # Errors
     ///
     /// Out-of-gas or speculative-conflict errors.
     pub fn modify(&self, ctx: &mut CallContext<'_>, f: impl FnOnce(&mut T)) -> Result<T, VmError> {
-        ctx.charge_sload()?;
-        ctx.charge_sstore()?;
-        match ctx.txn() {
-            TxnRef::Stm(txn) => Ok(self.inner.modify(txn, f)?),
-            TxnRef::Mvcc(txn) => Ok(self.versioned(txn).modify(txn, f)),
-        }
+        let mut updated = None;
+        self.map.update_or(ctx, (), self.initial.clone(), |value| {
+            f(value);
+            updated = Some(value.clone());
+        })?;
+        Ok(updated.expect("update_or ran the closure"))
     }
 
     /// Non-transactional write used while constructing initial state.
     pub fn seed(&self, value: T) {
-        self.inner.seed(value);
+        self.map.seed((), value);
     }
 
     /// Non-transactional read for tests and diagnostics.
     pub fn peek(&self) -> T {
-        self.inner.peek()
+        self.map.peek(&()).expect(BOUND)
     }
 }
 
@@ -363,23 +348,19 @@ where
     T: Clone + Send + Sync + ToBytes + 'static,
 {
     fn name(&self) -> &str {
-        self.inner.name()
+        self.map.name()
     }
 
     fn snapshot_field(&self) -> FieldSnapshot {
-        FieldSnapshot::scalar(self.inner.name(), &self.inner.peek())
+        self.map.snapshot_field()
     }
 
     fn digest(&self, counters: &RootCounters) -> Hash256 {
-        let mut cached = self.digest.lock();
-        if let Some(fresh) = self.inner.drain_dirty(|value| cell_digest(value, counters)) {
-            *cached = fresh;
-        }
-        *cached
+        self.map.digest(counters)
     }
 
     fn is_dirty(&self) -> bool {
-        self.inner.is_dirty()
+        self.map.is_dirty()
     }
 }
 
@@ -391,6 +372,7 @@ mod tests {
     use crate::msg::Msg;
     use crate::world::Contracts;
     use cc_mvcc::MvccRuntime;
+    use cc_stm::{LockId, LockMode, LockSpace, Stm};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Clones of [`Counted`] values so far, across the whole binary (only
@@ -441,5 +423,162 @@ mod tests {
             }
             assert_eq!(CLONES.load(Ordering::Relaxed), before, "get_with cloned");
         });
+    }
+
+    /// Both transaction flavors over one world's worth of runtimes.
+    struct Flavors {
+        stm: Stm,
+        mvcc: MvccRuntime,
+        contracts: Contracts,
+    }
+
+    impl Flavors {
+        fn new() -> Self {
+            Flavors {
+                stm: Stm::new(),
+                mvcc: MvccRuntime::new(),
+                contracts: Contracts::new(),
+            }
+        }
+
+        /// Runs `body` in one transaction, pessimistic or optimistic, and
+        /// commits it (flattening an optimistic one into the boosted map)
+        /// or aborts it. Returns the gas `body` was charged and the
+        /// `(lock, mode)` pairs the transaction held.
+        fn run(
+            &self,
+            optimistic: bool,
+            commit: bool,
+            body: impl FnOnce(&mut CallContext<'_>),
+        ) -> (u64, Vec<(LockId, LockMode)>) {
+            let mut meter = GasMeter::new(1_000_000, GasSchedule::default());
+            let msg = Msg::from_sender(Address::from_index(1));
+            let this = Address::from_index(2);
+            let (stm_txn, mvcc_txn) = (self.stm.begin(), self.mvcc.begin());
+            let txn = if optimistic {
+                TxnRef::Mvcc(&mvcc_txn)
+            } else {
+                TxnRef::Stm(&stm_txn)
+            };
+            body(&mut CallContext::root(
+                txn,
+                &self.contracts,
+                msg,
+                this,
+                &mut meter,
+            ));
+            let held = match (optimistic, commit) {
+                (_, false) => {
+                    stm_txn.abort().unwrap();
+                    Vec::new()
+                }
+                (false, true) => (stm_txn.commit().unwrap().profile.locks.iter())
+                    .map(|e| (e.lock, e.mode))
+                    .collect(),
+                (true, true) => {
+                    let footprint = mvcc_txn.commit().unwrap().footprint;
+                    self.mvcc.finalize_block();
+                    footprint
+                }
+            };
+            (meter.used(), held)
+        }
+    }
+
+    /// A cell's `get`, `with`, `set` and `modify` under both flavors, at
+    /// one `sload`, one `sload`, one `sstore` and both.
+    #[test]
+    fn a_cell_gets_sets_and_modifies_under_both_flavors() {
+        let gas = GasSchedule::default();
+        for optimistic in [false, true] {
+            let flavors = Flavors::new();
+            let c = StorageCell::new("cell.a", 5u32);
+            let (used, _) = flavors.run(optimistic, true, |ctx| {
+                assert_eq!(c.get(ctx).unwrap(), 5);
+                c.set(ctx, 6).unwrap();
+                assert_eq!(c.modify(ctx, |v| *v *= 2).unwrap(), 12);
+                assert_eq!(c.with(ctx, |v| *v + 1).unwrap(), 13);
+            });
+            assert_eq!(used, 3 * gas.sload + 2 * gas.sstore, "{optimistic}");
+            assert_eq!(c.peek(), 12, "{optimistic}");
+            c.seed(77);
+            assert_eq!(c.peek(), 77, "seed bypasses transactions");
+        }
+    }
+
+    #[test]
+    fn an_aborted_cell_write_is_undone_under_both_flavors() {
+        for optimistic in [false, true] {
+            let flavors = Flavors::new();
+            let c = StorageCell::new("cell.b", String::from("genesis"));
+            flavors.run(optimistic, false, |ctx| {
+                c.set(ctx, "tentative".into()).unwrap();
+                let updated = c.modify(ctx, |s| s.push('!')).unwrap();
+                assert_eq!(updated, "tentative!");
+            });
+            assert_eq!(c.peek(), "genesis", "{optimistic}");
+        }
+    }
+
+    /// A cell's one lock is its map's lock on `()`: two cells do not
+    /// conflict, and a read and a write of one cell take the same lock.
+    #[test]
+    fn a_cell_holds_its_maps_lock_on_the_empty_key_under_both_flavors() {
+        let lock = |name: &str| LockSpace::new(name).lock_for(&());
+        for optimistic in [false, true] {
+            let flavors = Flavors::new();
+            let (x, y) = (
+                StorageCell::new("cell.x", 0u8),
+                StorageCell::new("cell.y", 0u8),
+            );
+            let (_, wrote_x) = flavors.run(optimistic, true, |ctx| x.set(ctx, 1).unwrap());
+            let (_, wrote_y) = flavors.run(optimistic, true, |ctx| y.set(ctx, 2).unwrap());
+            let (_, read_x) = flavors.run(optimistic, true, |ctx| {
+                x.get(ctx).unwrap();
+            });
+            assert_eq!(wrote_x, [(lock("cell.x"), LockMode::Exclusive)]);
+            assert_eq!(wrote_y, [(lock("cell.y"), LockMode::Exclusive)]);
+            assert_eq!(read_x, [(lock("cell.x"), LockMode::Shared)]);
+            assert_ne!(lock("cell.x"), lock("cell.y"));
+        }
+    }
+
+    /// The dirty-mark seam a cell shares with every map: a new cell (its
+    /// seeded entry), every write path and `seed` mark it; no read does,
+    /// and an aborted write leaves the digest it found.
+    #[test]
+    fn every_write_path_marks_a_cell_and_no_read_does_under_both_flavors() {
+        for optimistic in [false, true] {
+            let counters = RootCounters::default();
+            let flavors = Flavors::new();
+            let c = StorageCell::new("cell.dirty", 1u64);
+            assert!(c.is_dirty(), "a new cell was never committed to");
+            let genesis = c.digest(&counters);
+            assert!(!c.is_dirty());
+
+            flavors.run(optimistic, true, |ctx| {
+                c.get(ctx).unwrap();
+                c.with(ctx, |_| ()).unwrap();
+            });
+            c.peek();
+            assert!(!c.is_dirty(), "reads leave no mark");
+
+            flavors.run(optimistic, true, |ctx| c.set(ctx, 2).unwrap());
+            assert!(c.is_dirty(), "set");
+            let two = c.digest(&counters);
+            assert_ne!(two, genesis);
+            flavors.run(optimistic, true, |ctx| {
+                c.modify(ctx, |v| *v += 1).unwrap();
+            });
+            assert!(c.is_dirty(), "modify");
+            let three = c.digest(&counters);
+
+            flavors.run(optimistic, false, |ctx| c.set(ctx, 9).unwrap());
+            assert_eq!(c.digest(&counters), three, "an aborted write");
+
+            c.seed(1);
+            assert!(c.is_dirty(), "seed");
+            assert_eq!(c.digest(&counters), genesis, "content, not history");
+        }
     }
 }

@@ -314,113 +314,132 @@ mod tests {
         }
     }
 
-    /// Genesis state roots and generated transactions, pinned with the
-    /// digests taken before the keys were derived once per workload and
-    /// the tables sized up front: `(benchmark, accounts, state root,
-    /// SHA-256 of the transactions' hashes in block order)`, seed 38 at
-    /// 15 % conflict.
-    const GOLDEN_WORLDS: [(Benchmark, usize, &str, &str); 16] = [
+    /// Genesis state roots, generated transactions and genesis
+    /// snapshots, the last two pinned with the digests taken before the
+    /// keys were derived once per workload and the tables sized up front
+    /// (the roots moved once since, when a cell became a map's entry
+    /// under `()` and its digest that map's root):
+    /// `(benchmark, accounts, state root, SHA-256 of the transactions'
+    /// hashes in block order, SHA-256 of the world snapshot's bytes)`,
+    /// seed 38 at 15 % conflict.
+    const GOLDEN_WORLDS: [(Benchmark, usize, &str, &str, &str); 16] = [
         (
             Benchmark::SimpleAuction,
             1,
-            "71f9d94adbaf366caab970247cd6a6fa98b3e9b98ab0b6ae4b0b471c0e3824b4",
+            "06f6b21a07612eb1977cd0fb376a49c57ee397410a6be0c3adbd1e7a14a439c9",
             "cf12b210e2e2d1e514bf35d6423206b82069e29a43bea1fd5ca2ae392d611974",
+            "46ac8991940f24cc947ff2e1683971c687e0913c94c67fc4876daab83eb25403",
         ),
         (
             Benchmark::SimpleAuction,
             47,
-            "e505bb215ddd33e377e608f3b0d2e6937ba55f1ff2791840c627d75cc0902e14",
+            "c66174c335974323a45a54c23ddaa1cce4f01ae2942ee40d1adf3196313d00be",
             "2a34f00e7f3fa2f11bff6357f0b997094b779be71d16700686a3b5eec5badc94",
+            "5e901de40843715cb77211e3c44f1b4349f85407a9506102eb4534e89caa8373",
         ),
         (
             Benchmark::SimpleAuction,
             1_000,
-            "0127beaa70bf4d781d9e8c0d568f23941bd103ce528c7a8bd37101d9f96bcc82",
+            "1e2d5d00540ae03598353b4bbcf6bb6fc7ea7f3579d5025f3db72ca951421ca4",
             "8d1a513d85ebf694c87d8dec0ec7c246944d5fc2a103455b14715ef748e60219",
+            "87944a5cfa029670ad8e5241983b5f2db0f39344f86982110604c7341ee139ee",
         ),
         (
             Benchmark::SimpleAuction,
             20_000,
-            "b96236aa28253581863bf83ecc03a48ef77a263d74c585479d83d36675bd5697",
+            "d86854a46da6821fe03dbc726ff1a52004f1a59b8281980152c224e0e2ee3367",
             "42cb3fddf6f6fb5758d0c480a9798b3937f6277e9109ee28d2fade1a41422cae",
+            "70c828f75e071f4d6057f61dc55508bb127b87ad64eaafa695824f0acb4b87fa",
         ),
         (
             Benchmark::Ballot,
             1,
-            "dac8559bd4cca8f9a003d9d6e4cbe7bf68f55d83bfff5d825e990fc308298e3e",
+            "596c56aa15c909fe4230b17ec3ab111420bc86a19532ff9f143010ed31b36bc9",
             "e49d727529886a45085659eb4a63444b18c2fb674e053c2a35d95bb40514f74c",
+            "760e226495fbfbb696d25cb4c1b5111e9b3b76b4f27cf9f06f4f0495d7358372",
         ),
         (
             Benchmark::Ballot,
             47,
-            "2405a8c85296bb66c5cf5f0e0ae646337838f61ca021e840a6ca0c7fb56b1d8a",
+            "6cfdd58b3a4861ea484e730248d737f016255916a0324ad9410c861f7e678e11",
             "5036c2283783f4308c3c9f5778fcbf92f27c13f863264ababbc99ff464da982e",
+            "15b2af82d21cfd5a1c2ac9b1c248e477547790e973133e0467b6816117ffc371",
         ),
         (
             Benchmark::Ballot,
             1_000,
-            "3a2f21cb50f505afe563a67fadc8a3d11551cc108e5e1c35ed2fa22aa870937c",
+            "42526d8c76b4f6567b34d00e4c6ee596f41d4f320cce839755a4ed52bdd1087d",
             "9fe5994e39b2aa8e036fe327a45ec1d7a13fa316c3aff4ca3afc4047b00710bc",
+            "96a0933dce2950085f3bcb8ca5ec8eb3795a36e4b98549aac76fb9a323253489",
         ),
         (
             Benchmark::Ballot,
             20_000,
-            "7ae35a58fd5985b29447be852eabad16c69950714b87ce1d2d3a3a69f15df77c",
+            "51ec43ae043d97e27edac31735de3771e1318a67e15d3d201dd53c58fbde9408",
             "1ae13b4bad7594908f02cc1a26693dadc5c74965854320ee75de7ee9a17800fc",
+            "b9ad1e159468f50d032b4766e09562b905dd426c9815382de0815774e0f9d6fe",
         ),
         (
             Benchmark::EtherDoc,
             1,
-            "894b28397db5cca9b9350c9de36ca225b3e4ea3366758fe66b7a6cc4f525f18e",
+            "0e31c820d237e225dbedb6234d86a616b0454ce6fc2fc7c81aa67a70968973a5",
             "d3a4ca26af3b31820dcd4214ae7d735751f68d56ceaf4182f653e6a697e5f160",
+            "6082f3bda9abcc17557c686762e83c46231f0846b669911d7dfcadc57d29bd24",
         ),
         (
             Benchmark::EtherDoc,
             47,
-            "b1d22473cbdd42b52308d1794f3cb5dcd8f8bc0df1f4525a25d0a18f95d7d9e9",
+            "47b4b520bf09bb599e9496c1c64f828366bdda42ba70c316aa88dd83e1b1a865",
             "90a6a3330bc138c2c55259499fc684023529bf7aac763ca564684eedb8ef6d55",
+            "445c45a8f201094aaf4177b7eb74dfc439ca4ad8d1f83e32c7b93747a22e889a",
         ),
         (
             Benchmark::EtherDoc,
             1_000,
-            "5d67402168bdc195c72c8f27270d50da52db62b8326df753901e78eb4df31a79",
+            "eb07199622f40122f2c2c155220e37897ce54c1aa0e4b99cfd3e5a7c9890324f",
             "c1958ac3ef043e12a5f1f9d21a88b27c75f2df8e75acd5560753fdaf84d543fa",
+            "9badcb2151e247e79f6567e602b813048ee265c18c236caf5672c3e22eec3cdb",
         ),
         (
             Benchmark::EtherDoc,
             20_000,
-            "790d5455e0b955ea13320f89b7edf0acd51e75ddfbec00afb296e4cba8cec0db",
+            "38ceaba58278e44a7854610a311a09fa2621bb4779ad397f08dcb8ae215ec48e",
             "406dad7265dfdcfde1f67d1d4bc50537adac707530483d9873409f7703009ba9",
+            "9bf284edaa09b9c10d5513ecf6998701d7c041492cd3f5b522d5bca54a7a29fc",
         ),
         (
             Benchmark::Mixed,
             1,
-            "0c5482d6437b83bfd21d70014908e492812687ea1bcc80f23d79746b0857a50f",
+            "0e1b3185308ba9b39ddd55e2a4a6f4f60bb079be908324db99d499d3dcbf49b4",
             "e49d727529886a45085659eb4a63444b18c2fb674e053c2a35d95bb40514f74c",
+            "4872350f387531e1bf2c7a4252a7935cf7e9dfa292d0b39320e6c9630ceb4831",
         ),
         (
             Benchmark::Mixed,
             47,
-            "54e55d60895dde3d4e0fc83cca71a492fbc414dd0c9bf9966dd2928e0505534b",
+            "7249feddf892fd8e7072eecb457b6af85e109494caf8b05c3f38feb8bc3c0eea",
             "49cc9e83dcbd1c02f77ae887c85bbe95503114176bee2809895fe5aad5d63b00",
+            "3aeefde12f892876d1c5b99f3bce8ab6745369990137b070352b2fe01f88ceca",
         ),
         (
             Benchmark::Mixed,
             1_000,
-            "4df59b36db3cd12cfab51ad9db7c4952a9adeb4906937d54489d10fe9c7c0ffe",
+            "381920fa3258faea9bf057d03721e29e444661065c17f767fd238c52a7b8cfae",
             "1b603c9f02c2e168a46da6ab8e6657ab3576cd15c86f163c58225767a5e54439",
+            "2e1dceb0724388a3972dfdd1a6bffe2e45dc10368b77bd15f616e7d5ba30df3e",
         ),
         (
             Benchmark::Mixed,
             20_000,
-            "6aeaacfa95ef83ccdc72ca935a41906c1ddb2c483c332307009b38b1f39d6de2",
+            "202067b68444080deb1eea23cd1b73b543d63354c8f40a7a89ab345dbc55bf39",
             "ce41281b7ec5ed6ea1fc97fad9ba2a22a394b4fbec91e5bc2eca05fd6bff0f6e",
+            "6d9e00c996b47e23b5fc7c87a9014c09d9031762af706ec38401643f7ee7a6b0",
         ),
     ];
 
     #[test]
     fn worlds_keep_their_bytes() {
-        for (benchmark, accounts, root, transactions) in GOLDEN_WORLDS {
+        for (benchmark, accounts, root, transactions, snapshot) in GOLDEN_WORLDS {
             let w = WorkloadSpec::new(benchmark, accounts, 0.15)
                 .with_seed(38)
                 .generate();
@@ -428,15 +447,17 @@ mod tests {
                 .flat_map(|tx| tx.hash().0)
                 .collect();
             let label = format!("{benchmark} at {accounts} accounts");
-            assert_eq!(
-                w.build_world().state_root().to_hex(),
-                root,
-                "{label}: genesis root"
-            );
+            let world = w.build_world();
+            assert_eq!(world.state_root().to_hex(), root, "{label}: genesis root");
             assert_eq!(
                 sha256(&hashes).to_hex(),
                 transactions,
                 "{label}: transactions"
+            );
+            assert_eq!(
+                sha256(&world.snapshot().to_bytes()).to_hex(),
+                snapshot,
+                "{label}: genesis snapshot"
             );
         }
     }

@@ -23,6 +23,7 @@
 //! binary in release).
 
 use cc_core::node::{DurabilityConfig, Node};
+use cc_core::CoreError;
 use cc_integration_tests::{counter_world, engine, increment_tx};
 use cc_ledger::wal::{self, DurabilityMode, WAL_FILE};
 use cc_ledger::{Block, ProfileRecord, ScheduleMetadata, SnapshotFile, Transaction};
@@ -276,10 +277,13 @@ proptest! {
         assert_canonical(&file, &SnapshotFile::from_bytes(&file), SnapshotFile::to_bytes);
         let mut seal = vec![SEAL_TAG];
         seal.extend_from_slice(&bytes);
-        let scan = scan_frame("random.log", &seal).expect("a format-2 log scans");
-        prop_assert!(scan.blocks.len() <= 1);
-        if let Some(block) = scan.blocks.first() {
-            prop_assert_eq!(seal_of(block), seal);
+        // A checksummed frame decodes to its one block or is refused.
+        match scan_frame("random.log", &seal) {
+            Ok(scan) => {
+                prop_assert_eq!(scan.blocks.len(), 1);
+                prop_assert_eq!(seal_of(&scan.blocks[0]), seal);
+            }
+            Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
         }
     }
 
@@ -317,13 +321,16 @@ proptest! {
 #[test]
 fn forged_and_cut_wal_frames_scan_or_stop() {
     let block = sample_block(0b10_1011);
-    // A frame that does not decode ends the scan: what is left is the
-    // empty prefix, not an error.
+    // `scan_frame` checksums every forged or cut payload, so a frame
+    // that does not decode is no torn tail: the scan refuses the log.
     sweep(
         &seal_of(&block),
-        |payload| {
-            let scan = scan_frame("sweep.log", payload).expect("a format-2 log scans");
-            scan.blocks.into_iter().next().ok_or("no block")
+        |payload| match scan_frame("sweep.log", payload) {
+            Ok(scan) => scan.blocks.into_iter().next().ok_or("no block"),
+            Err(e) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+                Err("refused")
+            }
         },
         seal_of,
     );
@@ -517,11 +524,16 @@ fn recovery_from_forged_records_returns_instead_of_aborting() {
     let mut seal = vec![SEAL_TAG];
     seal.extend_from_slice(&block_bytes);
     let frame = wal_file(&seal);
-    let mut log = fs::read(dir.join(WAL_FILE)).unwrap();
+    let honest = fs::read(dir.join(WAL_FILE)).unwrap();
+    let mut log = honest.clone();
     log.extend_from_slice(&frame[WAL_HEADER.len()..]);
-    fs::write(dir.join(WAL_FILE), log).unwrap();
-    let recovered = Node::recover(config.clone(), counter_world(), engine(2))
-        .expect("the forged frame ends the log's valid prefix");
+    fs::write(dir.join(WAL_FILE), &log).unwrap();
+    // A checksummed frame that does not decode is refused, not cut.
+    let refused = Node::recover(config.clone(), counter_world(), engine(2));
+    assert!(matches!(refused, Err(CoreError::Durability { .. })));
+    assert_eq!(fs::read(dir.join(WAL_FILE)).unwrap(), log, "left as it was");
+    fs::write(dir.join(WAL_FILE), &honest).unwrap();
+    let recovered = Node::recover(config.clone(), counter_world(), engine(2)).unwrap();
     assert_eq!(recovered.chain().head_hash(), head.hash());
     drop(recovered);
 
